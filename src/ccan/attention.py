@@ -112,8 +112,9 @@ def scaled_attention(q, k, v, scale, kind="cross", stage_index=0, layer_index=0)
     logits = ag.matmul(q, ag.transpose(k)) * (1.0 / scale)
     attn = ag.softmax(logits, axis=-1)
     out = ag.matmul(attn, v)
+    # tensors are immutable, so the record can share the softmax output
     record = AttentionRecord(
-        matrix=attn.data.copy(), kind=kind, stage_index=stage_index, layer_index=layer_index
+        matrix=attn.data, kind=kind, stage_index=stage_index, layer_index=layer_index
     )
     return out, record
 
@@ -146,8 +147,8 @@ def _attend(q, k, v, scale_mode, heads, kind, stage_index, layer_index):
 
 def _mlp(x, params):
     h = ag.layer_norm(x, params.ln2_gamma, params.ln2_beta)
-    h = ag.gelu(ag.matmul(h, params.w_m1) + params.b_m1)
-    return ag.matmul(h, params.w_m2) + params.b_m2
+    h = ag.gelu(ag.linear(h, params.w_m1, params.b_m1))
+    return ag.linear(h, params.w_m2, params.b_m2)
 
 
 def cross_attention_block(latents, context, params, scale_mode="per-paper", heads=1,
@@ -160,11 +161,11 @@ def cross_attention_block(latents, context, params, scale_mode="per-paper", head
     if context.shape[0] < 1:
         raise DataError("cross-attention requires a nonempty context")
     h = ag.layer_norm(latents, params.ln1_gamma, params.ln1_beta)
-    q = ag.matmul(h, params.w_q) + params.b_q
-    k = ag.matmul(context, params.w_k) + params.b_k
-    v = ag.matmul(context, params.w_v) + params.b_v
+    q = ag.linear(h, params.w_q, params.b_q)
+    k = ag.linear(context, params.w_k, params.b_k)
+    v = ag.linear(context, params.w_v, params.b_v)
     attn_out, record = _attend(q, k, v, scale_mode, heads, "cross", stage_index, layer_index)
-    x = latents + (ag.matmul(attn_out, params.w_o) + params.b_o)
+    x = latents + ag.linear(attn_out, params.w_o, params.b_o)
     x = x + _mlp(x, params)
     return x, record
 
@@ -173,10 +174,10 @@ def self_attention_block(tokens, params, scale_mode="per-paper", heads=1,
                          stage_index=0, layer_index=0):
     """Pre-norm self-attention block; the recorded matrix is m x m."""
     h = ag.layer_norm(tokens, params.ln1_gamma, params.ln1_beta)
-    q = ag.matmul(h, params.w_q) + params.b_q
-    k = ag.matmul(h, params.w_k) + params.b_k
-    v = ag.matmul(h, params.w_v) + params.b_v
+    q = ag.linear(h, params.w_q, params.b_q)
+    k = ag.linear(h, params.w_k, params.b_k)
+    v = ag.linear(h, params.w_v, params.b_v)
     attn_out, record = _attend(q, k, v, scale_mode, heads, "self", stage_index, layer_index)
-    x = tokens + (ag.matmul(attn_out, params.w_o) + params.b_o)
+    x = tokens + ag.linear(attn_out, params.w_o, params.b_o)
     x = x + _mlp(x, params)
     return x, record

@@ -1,10 +1,19 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 A deliberately small kernel surface, just enough for attention stacks:
-2-D matrix products, row-wise softmax and layer norm, GELU/sigmoid/log
+2-D matrix products, the fused affine map ``linear(x, W, b) = x @ W + b``
+(one graph node), row-wise softmax and layer norm, GELU/sigmoid/log
 nonlinearities, row pooling, and row/column stacking. The only implicit
 broadcast is a 1-D bias added over the rows of a matrix; every other
 shape mismatch is an error.
+
+Gradient buffers are owned, not zero-filled: a backward closure that
+computes a fresh array (``g @ W.T``, ``X.T @ g``, ``g.sum(0)``, an
+elementwise product) hands it to ``_accum`` with ``owned=True``, and the
+first write into a tensor adopts it as ``grad`` when it is laid out like
+``data``. Any other first write copies once into an array laid out like
+``data``; later writes add in place. A gradient is therefore never shared
+between two tensors, and the sums equal those of zero-fill-then-add.
 
 Tensors are float32 by default. Entire graphs may instead run in float64
 (pass float64 arrays in), which is how the finite-difference oracle in
@@ -145,10 +154,15 @@ def _check_same_dtype(a, b, op):
         raise UsageError(f"{op}: mixed dtypes {a.data.dtype} and {b.data.dtype}")
 
 
-def _accum(t, g):
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+def _accum(t, g, owned=False):
+    """Add ``g`` into ``t.grad``; ``owned`` means nothing else holds ``g``."""
+    if t.grad is not None:
+        t.grad += g
+    elif owned and g.dtype == t.data.dtype and g.shape == t.data.shape and g.strides == t.data.strides:
+        t.grad = g
+    else:
+        t.grad = np.empty_like(t.data)
+        t.grad[...] = g
 
 
 def _make_node(out, parents, backward):
@@ -177,7 +191,10 @@ def add(a, b):
         if a.requires_grad:
             _accum(a, g)
         if b.requires_grad:
-            _accum(b, g.sum(axis=0) if bias_add else g)
+            if bias_add:
+                _accum(b, g.sum(axis=0), owned=True)
+            else:
+                _accum(b, g)
 
     return _make_node(out, (a, b), backward)
 
@@ -194,7 +211,7 @@ def sub(a, b):
         if a.requires_grad:
             _accum(a, g)
         if b.requires_grad:
-            _accum(b, -g)
+            _accum(b, -g, owned=True)
 
     return _make_node(out, (a, b), backward)
 
@@ -204,7 +221,7 @@ def neg(a):
 
     def backward(g):
         if a.requires_grad:
-            _accum(a, -g)
+            _accum(a, -g, owned=True)
 
     return _make_node(out, (a,), backward)
 
@@ -220,9 +237,9 @@ def mul(a, b):
 
     def backward(g):
         if a.requires_grad:
-            _accum(a, g * b.data)
+            _accum(a, g * b.data, owned=True)
         if b.requires_grad:
-            _accum(b, g * a.data)
+            _accum(b, g * a.data, owned=True)
 
     return _make_node(out, (a, b), backward)
 
@@ -234,7 +251,7 @@ def scale(a, s):
 
     def backward(g):
         if a.requires_grad:
-            _accum(a, g * s)
+            _accum(a, g * s, owned=True)
 
     return _make_node(out, (a,), backward)
 
@@ -256,11 +273,37 @@ def matmul(a, b):
 
     def backward(g):
         if a.requires_grad:
-            _accum(a, g @ b.data.T)
+            _accum(a, g @ b.data.T, owned=True)
         if b.requires_grad:
-            _accum(b, a.data.T @ g)
+            _accum(b, a.data.T @ g, owned=True)
 
     return _make_node(out, (a, b), backward)
+
+
+def linear(x, w, b):
+    """x @ w + b as one node: the matmul's backward plus the bias row sum."""
+    _check_same_dtype(x, w, "linear")
+    _check_same_dtype(x, b, "linear")
+    if x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1:
+        raise ShapeError(f"linear: expected 2-D x and w and 1-D b, got {x.data.shape}, {w.data.shape}, {b.data.shape}")
+    if x.data.shape[1] != w.data.shape[0] or w.data.shape[1] != b.data.shape[0]:
+        raise ShapeError(f"linear: shapes {x.data.shape}, {w.data.shape} and {b.data.shape} do not chain")
+    if _probe is not None:
+        m, k = x.data.shape
+        _probe.macs += m * k * w.data.shape[1]
+    y = x.data @ w.data
+    y += b.data
+    out = Tensor(y)
+
+    def backward(g):
+        if b.requires_grad:
+            _accum(b, g.sum(axis=0), owned=True)
+        if x.requires_grad:
+            _accum(x, g @ w.data.T, owned=True)
+        if w.requires_grad:
+            _accum(w, x.data.T @ g, owned=True)
+
+    return _make_node(out, (x, w, b), backward)
 
 
 def transpose(a):
@@ -281,7 +324,7 @@ def sum_all(a):
 
     def backward(g):
         if a.requires_grad:
-            _accum(a, np.broadcast_to(g, a.data.shape).astype(a.data.dtype))
+            _accum(a, np.broadcast_to(g, a.data.shape).astype(a.data.dtype), owned=True)
 
     return _make_node(out, (a,), backward)
 
@@ -302,7 +345,7 @@ def softmax(x, axis=-1):
     def backward(g):
         if x.requires_grad:
             inner = (g * y).sum(axis=axis, keepdims=True)
-            _accum(x, y * (g - inner))
+            _accum(x, y * (g - inner), owned=True)
 
     return _make_node(out, (x,), backward)
 
@@ -319,27 +362,47 @@ def layer_norm(x, gamma, beta, eps=1e-5):
 
     def backward(g):
         if beta.requires_grad:
-            _accum(beta, g.sum(axis=0))
+            _accum(beta, g.sum(axis=0), owned=True)
         if gamma.requires_grad:
-            _accum(gamma, (g * xhat).sum(axis=0))
+            _accum(gamma, (g * xhat).sum(axis=0), owned=True)
         if x.requires_grad:
             gx = g * gamma.data
             term1 = gx.mean(axis=-1, keepdims=True)
             term2 = (gx * xhat).mean(axis=-1, keepdims=True)
-            _accum(x, inv * (gx - term1 - xhat * term2))
+            _accum(x, inv * (gx - term1 - xhat * term2), owned=True)
 
     return _make_node(out, (x, gamma, beta), backward)
 
 
 def gelu(x):
-    """Exact (erf-based) Gaussian error linear unit."""
-    cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
-    out = Tensor((x.data * cdf).astype(x.data.dtype))
+    """Exact (erf-based) Gaussian error linear unit.
+
+    Phi(x) and x * Phi(x) are evaluated in float64 whatever the input
+    dtype, and rounded once into an output of the input's dtype. The
+    backward's exp(-x^2 / 2) runs in the input dtype; the rest of
+    Phi(x) + x * phi(x) and its product with the upstream gradient run in
+    float64.
+    """
+    d = x.data
+    cdf = np.multiply(d, _INV_SQRT2, dtype=np.float64)
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    y = np.empty_like(d)
+    np.multiply(d, cdf, out=y, dtype=np.float64, casting="same_kind")
+    out = Tensor(y)
 
     def backward(g):
         if x.requires_grad:
-            pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT_2PI
-            _accum(x, (g * (cdf + x.data * pdf)).astype(x.data.dtype))
+            e = np.multiply(d, -0.5, dtype=d.dtype)
+            e *= d
+            np.exp(e, out=e)
+            dydx = np.multiply(e, _INV_SQRT_2PI, dtype=np.float64)
+            dydx *= d
+            dydx += cdf
+            gx = np.empty_like(d)
+            np.multiply(dydx, g, out=gx, dtype=np.float64, casting="same_kind")
+            _accum(x, gx, owned=True)
 
     return _make_node(out, (x,), backward)
 
@@ -351,7 +414,7 @@ def sigmoid(x):
 
     def backward(g):
         if x.requires_grad:
-            _accum(x, (g * y * (1.0 - y)).astype(d.dtype))
+            _accum(x, (g * y * (1.0 - y)).astype(d.dtype), owned=True)
 
     return _make_node(out, (x,), backward)
 
@@ -361,7 +424,7 @@ def log(x):
 
     def backward(g):
         if x.requires_grad:
-            _accum(x, g / x.data)
+            _accum(x, g / x.data, owned=True)
 
     return _make_node(out, (x,), backward)
 
@@ -373,7 +436,7 @@ def clip(x, lo, hi):
 
     def backward(g):
         if x.requires_grad:
-            _accum(x, g * mask)
+            _accum(x, g * mask, owned=True)
 
     return _make_node(out, (x,), backward)
 
@@ -406,7 +469,7 @@ def slice_rows(x, start, stop):
         if x.requires_grad:
             gx = np.zeros_like(x.data)
             gx[start:stop] = g
-            _accum(x, gx)
+            _accum(x, gx, owned=True)
 
     return _make_node(out, (x,), backward)
 
@@ -435,7 +498,7 @@ def slice_cols(x, start, stop):
         if x.requires_grad:
             gx = np.zeros_like(x.data)
             gx[:, start:stop] = g
-            _accum(x, gx)
+            _accum(x, gx, owned=True)
 
     return _make_node(out, (x,), backward)
 
@@ -450,7 +513,7 @@ def avg_pool_rows(x, group):
 
     def backward(g):
         if x.requires_grad:
-            _accum(x, np.repeat(g, group, axis=0) / group)
+            _accum(x, np.repeat(g, group, axis=0) / group, owned=True)
 
     return _make_node(out, (x,), backward)
 
@@ -471,7 +534,7 @@ def max_rows(x):
         if x.requires_grad:
             gx = np.zeros_like(x.data)
             np.add.at(gx, (idx, np.arange(x.data.shape[1])), g[0])
-            _accum(x, gx)
+            _accum(x, gx, owned=True)
 
     return _make_node(out, (x,), backward)
 
@@ -505,7 +568,7 @@ def backward(loss):
             if id(parent) not in visited:
                 stack.append((parent, False))
 
-    _accum(loss, np.ones_like(loss.data))
+    _accum(loss, np.ones_like(loss.data), owned=True)
     for node in reversed(topo):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)

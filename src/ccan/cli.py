@@ -278,6 +278,13 @@ def _load_plan(cfg, command):
     return SplitPlan.read_csv(_require(cfg, "paths.plan", command))
 
 
+def _fold_index(cfg, plan):
+    fold_idx = cfg["fold"]
+    if not 0 <= fold_idx < plan.k:
+        raise UsageError(f"fold {fold_idx} outside 0..{plan.k - 1}")
+    return fold_idx
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -349,9 +356,7 @@ def _cmd_split(cfg):
 def _cmd_train(cfg):
     dataset = _load_dataset(cfg, "train")
     plan = _load_plan(cfg, "train")
-    fold_idx = cfg["fold"]
-    if not 0 <= fold_idx < plan.k:
-        raise UsageError(f"fold {fold_idx} outside 0..{plan.k - 1}")
+    fold_idx = _fold_index(cfg, plan)
     run_dir = _require(cfg, "paths.run_dir", "train")
     os.makedirs(run_dir, exist_ok=True)
     model = CCANModel(cfg.model_config(seed=derive_seed(cfg["seed"], f"model-fold{fold_idx}")))
@@ -374,7 +379,7 @@ def _cmd_eval(cfg):
     model = load_checkpoint(_require(cfg, "paths.checkpoint", "eval"))
     dataset = _load_dataset(cfg, "eval")
     plan = _load_plan(cfg, "eval")
-    fold = plan.folds[cfg["fold"]]
+    fold = plan.folds[_fold_index(cfg, plan)]
     subset = cfg["subset"]
     ids = {"train": fold.train_ids, "val": fold.val_ids, "test": fold.test_ids}.get(subset)
     if ids is None:
@@ -473,7 +478,7 @@ def main(argv=None):
         command, config_file, overrides = _parse_argv(argv)
         run_config = parse_config(config_file, overrides)
         return dispatch(command, run_config)
-    except CCANError as exc:
+    except (CCANError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError, FormatError
-from .posenc import GridCoord
 
 CCFB_MAGIC = b"CCFB"
 CCFB_VERSION = 1
@@ -55,12 +54,6 @@ class FeatureBag:
     @property
     def d_feature(self):
         return self.tokens.shape[1]
-
-    def coords(self):
-        return [
-            GridCoord(int(r), int(c), self.rows_total, self.cols_total)
-            for r, c in zip(self.rows, self.cols)
-        ]
 
     def validate(self):
         n = self.tokens.shape[0]

@@ -195,8 +195,8 @@ class CCANModel:
     # -- forward ----------------------------------------------------------
 
     def _head(self, class_embedding):
-        h = ag.gelu(ag.matmul(class_embedding, self.head_w1) + self.head_b1)
-        logits = ag.matmul(h, self.head_w2) + self.head_b2
+        h = ag.gelu(ag.linear(class_embedding, self.head_w1, self.head_b1))
+        logits = ag.linear(h, self.head_w2, self.head_b2)
         return ag.sigmoid(logits)
 
     def stage_forward(self, j, prev_latents, input_ctx, train_mode=False):
@@ -255,11 +255,13 @@ class CCANModel:
             raise DataError("cannot run a forward pass on an empty bag")
         if bag.d_feature != cfg.d_feature:
             raise ShapeError(f"bag feature dim {bag.d_feature} != configured {cfg.d_feature}")
+        # dropout first: the encoding is per row, so only kept rows are encoded
+        kept, kept_indices = token_dropout(bag.tokens, cfg.p_dropout, rng, train_mode)
         encoded = attach_encodings(
-            bag.tokens.astype(self.dtype), bag.coords(), self.ladder, cfg.append_raw_coords
+            kept.astype(self.dtype, copy=False), bag.rows[kept_indices], bag.cols[kept_indices],
+            bag.rows_total, bag.cols_total, self.ladder, cfg.append_raw_coords,
         )
-        kept, kept_indices = token_dropout(encoded, cfg.p_dropout, rng, train_mode)
-        ctx = ag.matmul(Tensor(kept.astype(self.dtype)), self.input_proj_w) + self.input_proj_b
+        ctx = ag.linear(Tensor(encoded), self.input_proj_w, self.input_proj_b)
         stages = []
         prev = None
         for j in range(1, cfg.n_stages + 1):
@@ -384,11 +386,11 @@ class BaselineModel:
         elif cfg.kind == "max-pool":
             pooled = ag.max_rows(tokens)
         else:
-            x = ag.matmul(tokens, self.input_proj_w) + self.input_proj_b
+            x = ag.linear(tokens, self.input_proj_w, self.input_proj_b)
             x, rec = self_attention_block(x, self.block, cfg.scale_mode, cfg.heads, stage_index=1)
             records.append(rec)
             pooled = ag.mean_rows(x)
-        probs_tensor = ag.sigmoid(ag.matmul(pooled, self.head_w) + self.head_b)
+        probs_tensor = ag.sigmoid(ag.linear(pooled, self.head_w, self.head_b))
         so = StageOutput(
             latents_out=pooled,
             class_embedding=pooled,

@@ -109,22 +109,19 @@ def encode_grid(rows, cols, rows_total, cols_total, ladder, append_raw_coords=Fa
     return out
 
 
-def attach_encodings(tokens, coords, ladder, append_raw_coords=False):
+def attach_encodings(tokens, rows, cols, rows_total, cols_total, ladder, append_raw_coords=False):
     """Append each token's positional encoding: N x D_f -> N x (D_f + 4I).
 
-    The token prefix is preserved bit for bit; encodings are computed in
-    float64 and narrowed to the token dtype.
+    Token i sits at grid cell (rows[i], cols[i]) of a rows_total x
+    cols_total grid. The token prefix is preserved bit for bit; encodings
+    are computed in float64 and narrowed to the token dtype.
     """
     tokens = np.asarray(tokens)
+    rows = np.asarray(rows)
+    cols = np.asarray(cols)
     if tokens.ndim != 2:
         raise DataError(f"expected a 2-D token matrix, got shape {tokens.shape}")
-    if len(coords) != tokens.shape[0]:
-        raise DataError(f"{tokens.shape[0]} tokens but {len(coords)} coordinates")
-    width = tokens.shape[1] + encoding_width(ladder.count, append_raw_coords)
-    if tokens.shape[0] == 0:
-        return np.empty((0, width), dtype=tokens.dtype)
-    rows = np.array([c.row for c in coords])
-    cols = np.array([c.col for c in coords])
-    rt, ct = coords[0].rows_total, coords[0].cols_total
-    enc = encode_grid(rows, cols, rt, ct, ladder, append_raw_coords)
-    return np.concatenate([tokens, enc.astype(tokens.dtype)], axis=1)
+    if rows.shape != (tokens.shape[0],) or cols.shape != (tokens.shape[0],):
+        raise DataError(f"{tokens.shape[0]} tokens but {rows.shape} rows and {cols.shape} cols")
+    enc = encode_grid(rows, cols, rows_total, cols_total, ladder, append_raw_coords)
+    return np.concatenate([tokens, enc], axis=1, dtype=tokens.dtype, casting="same_kind")

@@ -18,7 +18,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor
 from .data import subsample_fraction
-from .errors import ConfigError, MetricError
+from .errors import ConfigError, MetricError, UsageError
 from .model import BaselineConfig, BaselineModel, CCANModel, save_checkpoint
 
 
@@ -116,21 +116,59 @@ class AdamWState:
         return cls(m=[np.zeros_like(p) for p in params], v=[np.zeros_like(p) for p in params])
 
 
+ADAMW_CHUNK = 32 * 1024  # elements per pass of adamw_step
+
+
+def _flat_view(a, what):
+    if not a.flags.c_contiguous:
+        raise UsageError(f"adamw_step: {what} arrays must be C-contiguous to update in place")
+    return a.reshape(-1)
+
+
 def adamw_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.01):
-    """One decoupled-weight-decay Adam step; mutates ``params`` in place."""
+    """One decoupled-weight-decay Adam step; mutates ``params`` in place.
+
+    Per element this is exactly
+    ``m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g; p -= (lr*wd)*p;
+    p -= (lr*m_hat) / (sqrt(v_hat) + eps)``, with the bias-corrected
+    ``m_hat = m/bc1`` and ``v_hat = v/bc2``, in the parameter's dtype and
+    in this order. Each parameter is walked in ADAMW_CHUNK-element chunks
+    through two scratch buffers, so the step allocates no full-size
+    temporaries.
+    """
     state.t += 1
     bc1 = 1.0 - beta1 ** state.t
     bc2 = 1.0 - beta2 ** state.t
+    scratch = {}
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        m_hat = m / bc1
-        v_hat = v / bc2
-        if weight_decay:
-            p -= (lr * weight_decay) * p
-        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        if g.shape != p.shape or g.dtype != p.dtype:
+            raise UsageError(f"adamw_step: gradient {g.dtype}{g.shape} does not match parameter {p.dtype}{p.shape}")
+        if p.dtype not in scratch:
+            scratch[p.dtype] = (np.empty(ADAMW_CHUNK, p.dtype), np.empty(ADAMW_CHUNK, p.dtype))
+        buf1, buf2 = scratch[p.dtype]
+        p, m, v = _flat_view(p, "parameter"), _flat_view(m, "moment"), _flat_view(v, "moment")
+        g = np.ravel(g)
+        for lo in range(0, p.size, ADAMW_CHUNK):
+            hi = min(lo + ADAMW_CHUNK, p.size)
+            pc, gc, mc, vc = p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
+            t1, t2 = buf1[: hi - lo], buf2[: hi - lo]
+            mc *= beta1
+            np.multiply(gc, 1.0 - beta1, out=t1)
+            mc += t1
+            vc *= beta2
+            np.multiply(gc, 1.0 - beta2, out=t1)
+            t1 *= gc
+            vc += t1
+            if weight_decay:
+                np.multiply(pc, lr * weight_decay, out=t1)
+                pc -= t1
+            np.divide(mc, bc1, out=t1)
+            t1 *= lr
+            np.divide(vc, bc2, out=t2)
+            np.sqrt(t2, out=t2)
+            t2 += eps
+            t1 /= t2
+            pc -= t1
     return state
 
 
@@ -243,10 +281,13 @@ def train(model, dataset, fold, cfg, checkpoint_path=None, log=None):
             epoch_losses.append(loss.item())
             window += 1
             if window == cfg.batch_size or pos == len(order) - 1:
-                grads = [
-                    (p.grad / window if p.grad is not None else np.zeros_like(p.data))
-                    for p in tensors
-                ]
+                grads = []
+                for p in tensors:
+                    if p.grad is None:
+                        grads.append(np.zeros_like(p.data))
+                    else:
+                        p.grad /= window  # each leaf owns its grad buffer
+                        grads.append(p.grad)
                 lr = cosine_lr(step, total_steps, cfg.lr_max, cfg.lr_min)
                 adamw_step(arrays, grads, state, lr, cfg.beta1, cfg.beta2, cfg.eps, cfg.weight_decay)
                 ag.zero_grad(tensors)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from ccan import autograd as ag
 from ccan.autograd import Tensor
@@ -91,6 +92,16 @@ class TestLayerNorm:
 
 
 class TestGelu:
+    def test_float32_output_pinned_to_float64_evaluation(self):
+        # x * Phi(x) is evaluated in float64 and rounded once, whatever the
+        # numpy version's scalar promotion rules
+        x = np.random.default_rng(7).normal(scale=3.0, size=1000).astype(np.float32)
+        x64 = x.astype(np.float64)
+        expected = (x64 * (0.5 * (1.0 + erf(x64 * (1.0 / np.sqrt(2.0)))))).astype(np.float32)
+        out = ag.gelu(Tensor(x)).data
+        assert out.dtype == np.float32
+        np.testing.assert_array_equal(out.view(np.uint32), expected.view(np.uint32))
+
     def test_zero(self):
         assert ag.gelu(t64([0.0])).data[0] == 0.0
 
@@ -145,6 +156,16 @@ class TestBackward:
         ag.backward(ag.sum_all(x + b))
         np.testing.assert_allclose(b.grad, [3.0, 3.0])
         np.testing.assert_allclose(x.grad, np.ones((3, 2)))
+
+    def test_shared_upstream_gradient_is_not_aliased(self):
+        # add hands the same g to both leaves; each must get its own buffer
+        a = t64([1.0, 2.0], requires_grad=True)
+        b = t64([3.0, 4.0], requires_grad=True)
+        ag.backward(ag.sum_all(ag.add(a, b)))
+        assert not np.shares_memory(a.grad, b.grad)
+        ag.backward(ag.sum_all(ag.mul(a, a)))
+        np.testing.assert_array_equal(a.grad, [3.0, 5.0])
+        np.testing.assert_array_equal(b.grad, [1.0, 1.0])
 
     def test_disallowed_broadcast(self):
         with pytest.raises(ShapeError):
@@ -210,6 +231,7 @@ def _op_cases(rng):
         near = np.abs(clip_vals - bound) < 0.01
         clip_vals[near] = bound + 0.05
     clip_in = t64(clip_vals, requires_grad=True)
+    bias3 = t64(rng.normal(size=3), requires_grad=True)  # drawn last: earlier cases keep their values
 
     def sq(v):
         return ag.sum_all(ag.mul(v, v))
@@ -222,6 +244,7 @@ def _op_cases(rng):
         ("mul", [("a", a), ("c", c)], lambda: sq(ag.mul(a, c))),
         ("scale", [("a", a)], lambda: sq(a * 1.7)),
         ("matmul", [("a", a), ("b", b)], lambda: sq(ag.matmul(a, b))),
+        ("linear", [("a", a), ("b", b), ("bias3", bias3)], lambda: sq(ag.linear(a, b, bias3))),
         ("transpose", [("a", a)], lambda: sq(ag.transpose(a))),
         ("softmax", [("a", a)], lambda: sq(ag.softmax(a))),
         ("layer_norm", [("a", a), ("gamma", gamma), ("beta", beta)], lambda: sq(ag.layer_norm(a, gamma, beta))),
@@ -269,7 +292,35 @@ class TestStructureOps:
         np.testing.assert_allclose(out.data, [0.0, 0.5, 1.0])
 
 
+class TestLinear:
+    def test_bitwise_equal_to_matmul_then_add_float32(self):
+        rng = np.random.default_rng(11)
+        x, w = rng.normal(size=(37, 24)), rng.normal(size=(24, 19))
+        bias, upstream = rng.normal(size=19), rng.normal(size=(37, 19))
+
+        def run(fused):
+            ts = [Tensor(v.astype(np.float32), requires_grad=True) for v in (x, w, bias)]
+            out = ag.linear(*ts) if fused else ag.matmul(ts[0], ts[1]) + ts[2]
+            ag.backward(ag.sum_all(ag.mul(out, Tensor(upstream.astype(np.float32)))))
+            return [out.data] + [t.grad for t in ts]
+
+        for fused, unfused in zip(run(True), run(False)):
+            assert fused.dtype == np.float32
+            np.testing.assert_array_equal(fused.view(np.uint32), unfused.view(np.uint32))
+
+    def test_shape_errors(self):
+        with pytest.raises(ShapeError):
+            ag.linear(t64(np.zeros((2, 3))), t64(np.zeros((3, 4))), t64(np.zeros(3)))
+        with pytest.raises(ShapeError):
+            ag.linear(t64(np.zeros((2, 3))), t64(np.zeros((2, 4))), t64(np.zeros(4)))
+
+
 class TestProbe:
+    def test_linear_macs_counted(self):
+        with ag.op_probe() as probe:
+            ag.linear(t64(np.zeros((3, 4))), t64(np.zeros((4, 5))), t64(np.zeros(5)))
+        assert probe.macs == 3 * 4 * 5
+
     def test_matmul_macs_counted(self):
         with ag.op_probe() as probe:
             ag.matmul(t64(np.zeros((3, 4))), t64(np.zeros((4, 5))))

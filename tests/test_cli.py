@@ -117,6 +117,24 @@ class TestCommands:
         assert rc == 0
         assert "val auc:" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("fold", ["-1", "3"])
+    def test_eval_rejects_fold_outside_plan(self, tiny_run, capsys, fold):
+        rc = main(["eval", "--paths.checkpoint", os.path.join(tiny_run["run_dir"], "best.ckpt"),
+                   "--paths.data", tiny_run["data"], "--paths.plan", tiny_run["plan"],
+                   "--fold", fold, "--subset", "val"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == f"error: fold {fold} outside 0..2\n"
+        assert "auc" not in captured.out
+
+    def test_missing_checkpoint_is_one_error_line(self, tiny_run, tmp_path, capsys):
+        missing = str(tmp_path / "absent.ckpt")
+        rc = main(["eval", "--paths.checkpoint", missing, "--paths.data", tiny_run["data"],
+                   "--paths.plan", tiny_run["plan"]])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and err.count("\n") == 1 and missing in err
+
     def test_explain(self, tiny_run, tmp_path, capsys):
         bag_path = os.path.join(tiny_run["data"], "bag0000.ccfb")
         out = str(tmp_path / "heat")

@@ -101,24 +101,24 @@ class TestEncodePosition:
 class TestAttachEncodings:
     def test_single_token_at_center(self):
         tokens = np.array([[5.0, 7.0]], dtype=np.float32)
-        out = attach_encodings(tokens, [GridCoord(1, 1, 3, 3)], frequency_ladder(1, 10))
+        out = attach_encodings(tokens, [1], [1], 3, 3, frequency_ladder(1, 10))
         np.testing.assert_allclose(out, [[5.0, 7.0, 0.0, 1.0, 0.0, 1.0]], atol=1e-7)
 
     def test_empty_bag(self):
-        out = attach_encodings(np.empty((0, 3), dtype=np.float32), [], frequency_ladder(2, 10))
+        out = attach_encodings(np.empty((0, 3), dtype=np.float32), [], [], 4, 4, frequency_ladder(2, 10))
         assert out.shape == (0, 3 + encoding_width(2))
 
     def test_prefix_preserved_exactly(self):
         rng = np.random.default_rng(1)
         tokens = rng.normal(size=(20, 8)).astype(np.float32)
-        coords = [GridCoord(i // 5, i % 5, 4, 5) for i in range(20)]
-        out = attach_encodings(tokens, coords, frequency_ladder(6, 10))
+        cells = np.arange(20)
+        out = attach_encodings(tokens, cells // 5, cells % 5, 4, 5, frequency_ladder(6, 10))
         assert out.shape == (20, 8 + 24)
         np.testing.assert_array_equal(out[:, :8], tokens)
 
     def test_length_mismatch(self):
         with pytest.raises(DataError):
-            attach_encodings(np.zeros((2, 3), dtype=np.float32), [GridCoord(0, 0, 1, 1)], frequency_ladder(1, 1))
+            attach_encodings(np.zeros((2, 3), dtype=np.float32), [0], [0], 1, 1, frequency_ladder(1, 1))
 
 
 def test_ladder_dataclass_normalizes_dtype():

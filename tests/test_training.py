@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from ccan import autograd as ag
 from ccan.autograd import Tensor
 from ccan.data import generate_synthetic, patient_grouped_kfold
-from ccan.errors import ConfigError, MetricError
+from ccan.errors import ConfigError, MetricError, UsageError
 from ccan.model import BaselineConfig, BaselineModel, CCANConfig, CCANModel
 from ccan.training import (
+    ADAMW_CHUNK,
     AdamWState,
     TrainConfig,
     adamw_step,
@@ -90,6 +91,40 @@ class TestAdamW:
         for _ in range(2):
             adamw_step([theta], [np.array([3.0, -1.0])], state, lr=0.0, weight_decay=0.01)
         np.testing.assert_array_equal(theta, [1.0, -2.0])
+
+    def test_chunked_step_matches_whole_array_reference_bitwise(self):
+        def reference_step(p, g, m, v, t, lr, beta1, beta2, eps, weight_decay):
+            # the whole-array expression adamw_step walks chunk by chunk
+            m *= beta1
+            m += (1.0 - beta1) * g
+            v *= beta2
+            v += (1.0 - beta2) * g * g
+            m_hat = m / (1.0 - beta1 ** t)
+            v_hat = v / (1.0 - beta2 ** t)
+            if weight_decay:
+                p -= (lr * weight_decay) * p
+            p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+        rng = np.random.default_rng(12)
+        n = 3 * ADAMW_CHUNK + 7
+        theta = rng.normal(size=n).astype(np.float32)
+        ref, ref_m, ref_v = theta.copy(), np.zeros_like(theta), np.zeros_like(theta)
+        state = AdamWState.for_params([theta])
+        for t in range(1, 4):
+            g = (rng.normal(size=n) * 10.0 ** rng.uniform(-9, 0, size=n)).astype(np.float32)
+            lr = 1e-3 / t
+            adamw_step([theta], [g], state, lr, 0.9, 0.999, 1e-8, 0.01)
+            reference_step(ref, g, ref_m, ref_v, t, lr, 0.9, 0.999, 1e-8, 0.01)
+        assert theta.dtype == np.float32
+        np.testing.assert_array_equal(theta.view(np.uint32), ref.view(np.uint32))
+        np.testing.assert_array_equal(state.m[0].view(np.uint32), ref_m.view(np.uint32))
+        np.testing.assert_array_equal(state.v[0].view(np.uint32), ref_v.view(np.uint32))
+
+    def test_mismatched_gradient_rejected(self):
+        theta = np.zeros(3, dtype=np.float32)
+        state = AdamWState.for_params([theta])
+        with pytest.raises(UsageError):
+            adamw_step([theta], [np.zeros(3)], state, lr=0.1)
 
     def test_no_decay_reduces_to_adam(self):
         # with wd=0 and g=0 the step is exactly the identity
