@@ -4,6 +4,13 @@ Blocks are pre-norm transformer blocks: an attention sub-layer and a
 4x-expansion GELU MLP, both residual. Every attention call records its
 row-stochastic softmax matrix so explanations can be assembled later.
 
+Each head's attention is one graph node, ``autograd.attention``. The key
+projections write their output column-major, so the node reads K^T as a
+C-contiguous view instead of copying it. In float32 these keys carry the
+same bits as a row-major projection at every shape tested (the tests pin
+TOY shapes and d=512 with N in {309, 3091}); in float64, which only the
+gradient oracle uses, BLAS rounds some large shapes differently.
+
 The default logit scale is sqrt(#query rows) ("per-paper" mode); the
 conventional sqrt(head dim) is available as "per-dim". More than one
 head forces per-dim scaling.
@@ -17,7 +24,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .errors import ConfigError, DataError, ShapeError
+from .errors import ConfigError, DataError
 
 SCALE_MODES = ("per-paper", "per-dim")
 
@@ -105,17 +112,9 @@ def scaled_attention(q, k, v, scale, kind="cross", stage_index=0, layer_index=0)
     """softmax(Q K^T / scale) V, returning the output and the recorded matrix."""
     if scale <= 0:
         raise ConfigError(f"attention scale must be positive, got {scale}")
-    if q.shape[1] != k.shape[1]:
-        raise ShapeError(f"query dim {q.shape} does not match key dim {k.shape}")
-    if k.shape[0] != v.shape[0]:
-        raise ShapeError(f"key rows {k.shape} do not match value rows {v.shape}")
-    logits = ag.matmul(q, ag.transpose(k)) * (1.0 / scale)
-    attn = ag.softmax(logits, axis=-1)
-    out = ag.matmul(attn, v)
-    # tensors are immutable, so the record can share the softmax output
-    record = AttentionRecord(
-        matrix=attn.data, kind=kind, stage_index=stage_index, layer_index=layer_index
-    )
+    out, attn = ag.attention(q, k, v, scale)
+    # the record shares the softmax matrix the node saved for its backward
+    record = AttentionRecord(matrix=attn, kind=kind, stage_index=stage_index, layer_index=layer_index)
     return out, record
 
 
@@ -162,7 +161,7 @@ def cross_attention_block(latents, context, params, scale_mode="per-paper", head
         raise DataError("cross-attention requires a nonempty context")
     h = ag.layer_norm(latents, params.ln1_gamma, params.ln1_beta)
     q = ag.linear(h, params.w_q, params.b_q)
-    k = ag.linear(context, params.w_k, params.b_k)
+    k = ag.linear(context, params.w_k, params.b_k, order="F")
     v = ag.linear(context, params.w_v, params.b_v)
     attn_out, record = _attend(q, k, v, scale_mode, heads, "cross", stage_index, layer_index)
     x = latents + ag.linear(attn_out, params.w_o, params.b_o)
@@ -175,7 +174,7 @@ def self_attention_block(tokens, params, scale_mode="per-paper", heads=1,
     """Pre-norm self-attention block; the recorded matrix is m x m."""
     h = ag.layer_norm(tokens, params.ln1_gamma, params.ln1_beta)
     q = ag.linear(h, params.w_q, params.b_q)
-    k = ag.linear(h, params.w_k, params.b_k)
+    k = ag.linear(h, params.w_k, params.b_k, order="F")
     v = ag.linear(h, params.w_v, params.b_v)
     attn_out, record = _attend(q, k, v, scale_mode, heads, "self", stage_index, layer_index)
     x = tokens + ag.linear(attn_out, params.w_o, params.b_o)

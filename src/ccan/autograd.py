@@ -7,6 +7,14 @@ nonlinearities, row pooling, and row/column stacking. The only implicit
 broadcast is a 1-D bias added over the rows of a matrix; every other
 shape mismatch is an error.
 
+``attention(q, k, v, scale)`` is one graph node for
+``softmax(q @ k.T / scale) @ v``. It runs the same float operations as
+the composition of ``matmul``, ``transpose``, ``scale`` and ``softmax``,
+in place and a block of rows at a time, so float32 results keep their
+bits. Given a column-major ``k`` (``linear(..., order="F")``) it reads
+``k.T`` without a copy. Its saved softmax matrix serves both the
+backward pass and the caller's attention record.
+
 Gradient buffers are owned, not zero-filled: a backward closure that
 computes a fresh array (``g @ W.T``, ``X.T @ g``, ``g.sum(0)``, an
 elementwise product) hands it to ``_accum`` with ``owned=True``, and the
@@ -280,8 +288,13 @@ def matmul(a, b):
     return _make_node(out, (a, b), backward)
 
 
-def linear(x, w, b):
-    """x @ w + b as one node: the matmul's backward plus the bias row sum."""
+def linear(x, w, b, order="C"):
+    """x @ w + b as one node: the matmul's backward plus the bias row sum.
+
+    ``order="F"`` writes the output column-major; the attention code does
+    this for its keys, whose transpose is then C-contiguous. Either way
+    the backward runs on a C-ordered gradient, as for a C-ordered output.
+    """
     _check_same_dtype(x, w, "linear")
     _check_same_dtype(x, b, "linear")
     if x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1:
@@ -291,11 +304,15 @@ def linear(x, w, b):
     if _probe is not None:
         m, k = x.data.shape
         _probe.macs += m * k * w.data.shape[1]
-    y = x.data @ w.data
+    y = np.empty((x.data.shape[0], w.data.shape[1]), dtype=x.data.dtype, order=order)
+    np.matmul(x.data, w.data, out=y)
     y += b.data
     out = Tensor(y)
 
     def backward(g):
+        # a gradient laid out like a column-major output rounds differently
+        # in the GEMMs below, so it is made C-ordered first
+        g = np.ascontiguousarray(g)
         if b.requires_grad:
             _accum(b, g.sum(axis=0), owned=True)
         if x.requires_grad:
@@ -304,6 +321,76 @@ def linear(x, w, b):
             _accum(w, x.data.T @ g, owned=True)
 
     return _make_node(out, (x, w, b), backward)
+
+
+# Rows of the M x N attention logits that ``attention`` scales, normalizes
+# and differentiates together: a 256 KiB block stays in a core's L2.
+_ATTENTION_BLOCK_BYTES = 1 << 18
+
+
+def attention(q, k, v, scale):
+    """softmax(q @ k.T / scale) @ v as one node; returns (output, softmax).
+
+    ``q`` is M x d, ``k`` is N x d, ``v`` is N x d_v and ``scale`` > 0. The
+    product reads ``k.T`` directly when ``k`` is column-major (otherwise
+    it reads a C-ordered copy). Scaling, the finiteness check, the row-max
+    shift, exp and the row normalization then run in place, a block of
+    rows at a time, with the ufuncs of ``scale`` and ``softmax``; so the
+    output, the softmax matrix and every gradient carry the same bits as
+    ``matmul(softmax(matmul(q, transpose(k)) * (1 / scale)), v)``. The
+    softmax matrix is saved for the backward pass and returned to the
+    caller, which must not modify it.
+    """
+    _check_same_dtype(q, k, "attention")
+    _check_same_dtype(q, v, "attention")
+    if q.data.ndim != 2 or k.data.ndim != 2 or v.data.ndim != 2:
+        raise ShapeError(f"attention: expected 2-D q, k, v, got {q.data.shape}, {k.data.shape}, {v.data.shape}")
+    if q.data.shape[1] != k.data.shape[1]:
+        raise ShapeError(f"attention: query dim {q.data.shape} does not match key dim {k.data.shape}")
+    if k.data.shape[0] != v.data.shape[0]:
+        raise ShapeError(f"attention: key rows {k.data.shape} do not match value rows {v.data.shape}")
+    if k.data.shape[0] < 1:
+        raise ShapeError("attention: needs at least one key")
+    m, d = q.data.shape
+    n, dv = v.data.shape
+    if _probe is not None:
+        _probe.macs += m * d * n + m * n * dv
+    kt = np.ascontiguousarray(k.data.T)
+    p = q.data @ kt
+    s = np.asarray(1.0 / scale, dtype=p.dtype)
+    rows = max(1, _ATTENTION_BLOCK_BYTES // (n * p.itemsize))
+    for lo in range(0, m, rows):
+        blk = p[lo : lo + rows]
+        blk *= s
+        top = blk.max(axis=1, keepdims=True)
+        # NaN and +-inf propagate through max and min
+        if not (np.isfinite(top).all() and np.isfinite(blk.min())):
+            raise NumericError("attention: logits contain NaN or infinite entries")
+        blk -= top
+        np.exp(blk, out=blk)
+        blk /= blk.sum(axis=1, keepdims=True)
+    out = Tensor(p @ v.data)
+
+    def backward(g):
+        if v.requires_grad:
+            _accum(v, p.T @ g, owned=True)
+        if not (q.requires_grad or k.requires_grad):
+            return
+        # softmax then scale backward, in place on the fresh dL/dP
+        gp = g @ v.data.T
+        prod = np.empty((min(rows, m), n), dtype=p.dtype)
+        for lo in range(0, m, rows):
+            gb, yb = gp[lo : lo + rows], p[lo : lo + rows]
+            inner = np.multiply(gb, yb, out=prod[: len(gb)]).sum(axis=1, keepdims=True)
+            gb -= inner
+            gb *= yb
+            gb *= s
+        if q.requires_grad:
+            _accum(q, gp @ kt.T, owned=True)
+        if k.requires_grad:
+            _accum(k, (q.data.T @ gp).T, owned=True)
+
+    return _make_node(out, (q, k, v), backward), p
 
 
 def transpose(a):
@@ -492,7 +579,8 @@ def concat_cols(parts):
 
 
 def slice_cols(x, start, stop):
-    out = Tensor(x.data[:, start:stop].copy())
+    """Columns [start, stop) as a copy laid out like ``x`` (column-major stays column-major)."""
+    out = Tensor(x.data[:, start:stop].copy(order="K"))
 
     def backward(g):
         if x.requires_grad:

@@ -59,6 +59,10 @@ class FeatureBag:
         n = self.tokens.shape[0]
         if n < 1:
             raise DataError(f"bag {self.bag_id!r} is empty")
+        # NaN and +-inf propagate through max and min, so no full-size mask is built
+        if self.tokens.size and not (np.isfinite(self.tokens.max()) and np.isfinite(self.tokens.min())):
+            row = int(np.flatnonzero(~np.isfinite(self.tokens).all(axis=1))[0])
+            raise DataError(f"bag {self.bag_id!r}: token row {row} has a NaN or infinite value")
         if self.rows.shape != (n,) or self.cols.shape != (n,):
             raise DataError(f"bag {self.bag_id!r}: coordinate count does not match token count")
         if (self.rows < 0).any() or (self.rows >= self.rows_total).any():
@@ -164,6 +168,8 @@ class Dataset:
         return len(self.bags)
 
     def by_id(self, bag_id):
+        if bag_id not in self._by_id:
+            raise DataError(f"no bag {bag_id!r} in the dataset")
         return self._by_id[bag_id]
 
     def bag_ids(self):
@@ -287,11 +293,27 @@ class SplitPlan:
 
     @classmethod
     def read_csv(cls, path, seed=0):
+        """Read a plan written by ``write_csv``; folds must be numbered 0..k-1."""
         folds = {}
         with open(path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                fold = folds.setdefault(int(row["fold"]), {"train": [], "val": [], "test": []})
+            reader = csv.DictReader(fh)
+            missing = [c for c in ("fold", "subset", "bag_id") if c not in (reader.fieldnames or ())]
+            if missing:
+                raise FormatError(f"{path}:1: plan has no column {', '.join(missing)}")
+            for row in reader:
+                where = f"{path}:{reader.line_num}"
+                if None in (row["fold"], row["subset"], row["bag_id"]):
+                    raise FormatError(f"{where}: plan row has fewer than 3 fields")
+                try:
+                    index = int(row["fold"])
+                except ValueError:
+                    raise FormatError(f"{where}: fold {row['fold']!r} is not an integer") from None
+                fold = folds.setdefault(index, {"train": [], "val": [], "test": []})
+                if row["subset"] not in fold:
+                    raise FormatError(f"{where}: unknown subset {row['subset']!r}; expected train, val or test")
                 fold[row["subset"]].append(row["bag_id"])
+        if sorted(folds) != list(range(len(folds))):
+            raise FormatError(f"{path}: plan folds {sorted(folds)} are not numbered 0..k-1")
         ordered = [folds[i] for i in sorted(folds)]
         return cls(
             k=len(ordered),

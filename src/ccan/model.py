@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -199,7 +199,7 @@ class CCANModel:
         logits = ag.linear(h, self.head_w2, self.head_b2)
         return ag.sigmoid(logits)
 
-    def stage_forward(self, j, prev_latents, input_ctx, train_mode=False):
+    def stage_forward(self, j, prev_latents, input_ctx):
         """Run stage j (1-based). ``prev_latents`` is None for stage 1."""
         cfg = self.config
         if not 1 <= j <= cfg.n_stages:
@@ -265,15 +265,11 @@ class CCANModel:
         stages = []
         prev = None
         for j in range(1, cfg.n_stages + 1):
-            so = self.stage_forward(j, prev, ctx, train_mode)
+            so = self.stage_forward(j, prev, ctx)
             stages.append(so)
             prev = so.latents_out
         averaged = np.mean([so.probs for so in stages], axis=0)
         return ModelOutput(stages=stages, averaged_probs=averaged, kept_indices=kept_indices)
-
-
-def init_model(config, seed=None, dtype=np.float32):
-    return CCANModel(config, seed=seed, dtype=dtype)
 
 
 def token_dropout(tokens, p_dropout, rng, train_mode):
@@ -294,14 +290,6 @@ def token_dropout(tokens, p_dropout, rng, train_mode):
 def pooled_skip(prev_tokens, compression):
     """Average each run of ``compression`` consecutive tokens."""
     return ag.avg_pool_rows(prev_tokens, compression)
-
-
-def stage_forward(model, j, prev_latents, input_ctx, train_mode=False):
-    return model.stage_forward(j, prev_latents, input_ctx, train_mode)
-
-
-def forward(model, bag, rng=None, train_mode=False):
-    return model.forward(bag, rng=rng, train_mode=train_mode)
 
 
 # ---------------------------------------------------------------------------
@@ -403,13 +391,6 @@ class BaselineModel:
         )
 
 
-def baseline_forward(kind, bag, params):
-    """Run a baseline aggregator; ``params`` is a BaselineModel."""
-    if params.config.kind != kind:
-        raise ConfigError(f"model was built for {params.config.kind!r}, not {kind!r}")
-    return params.forward(bag).averaged_probs
-
-
 # ---------------------------------------------------------------------------
 # checkpoints
 
@@ -442,6 +423,22 @@ def save_checkpoint(model, path):
         fh.write(bytes(buf))
 
 
+def _config_from_json(cls, values, offset):
+    """Build a config dataclass from checkpoint JSON: every field, typed like its default."""
+    if not isinstance(values, dict):
+        raise FormatError("checkpoint 'config' is not a JSON object", offset=offset)
+    defaults = {f.name: f.default for f in fields(cls)}
+    unknown, missing = sorted(set(values) - set(defaults)), sorted(set(defaults) - set(values))
+    if unknown or missing:
+        raise FormatError(f"checkpoint config has unknown keys {unknown} and missing keys {missing}", offset=offset)
+    for name, value in values.items():
+        want = type(defaults[name])
+        numeric = want is float and isinstance(value, int) and not isinstance(value, bool)
+        if type(value) is not want and not numeric:
+            raise FormatError(f"checkpoint config {name!r} is {value!r}, expected {want.__name__}", offset=offset)
+    return cls(**values)
+
+
 def load_checkpoint(path, dtype=np.float32):
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -461,12 +458,26 @@ def load_checkpoint(path, dtype=np.float32):
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"unsupported checkpoint version {version}", offset=4)
     (payload_len,) = struct.unpack("<I", take(4, "config length"))
-    payload = json.loads(take(payload_len, "config").decode("utf-8"))
+    start = offset
+    raw = take(payload_len, "config")
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError("checkpoint config is not UTF-8", offset=start + exc.start) from None
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        at = start + len(text[: exc.pos].encode("utf-8"))
+        raise FormatError(f"checkpoint config is not valid JSON: {exc.msg}", offset=at) from None
+    if not isinstance(payload, dict) or set(payload) != {"model_kind", "config"}:
+        raise FormatError("checkpoint config must hold exactly 'model_kind' and 'config'", offset=start)
     kind = payload["model_kind"]
     if kind == "ccan":
-        model = CCANModel(CCANConfig(**payload["config"]), dtype=dtype)
+        model = CCANModel(_config_from_json(CCANConfig, payload["config"], start), dtype=dtype)
+    elif kind in BASELINE_KINDS:
+        model = BaselineModel(_config_from_json(BaselineConfig, payload["config"], start), dtype=dtype)
     else:
-        model = BaselineModel(BaselineConfig(**payload["config"]), dtype=dtype)
+        raise FormatError(f"unknown model_kind {kind!r} in checkpoint config", offset=start)
     (n_params,) = struct.unpack("<I", take(4, "parameter count"))
     params = dict(model.parameters())
     if n_params != len(params):

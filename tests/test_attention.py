@@ -10,7 +10,7 @@ from ccan.attention import (
     self_attention_block,
 )
 from ccan.autograd import Tensor
-from ccan.errors import ConfigError, DataError, ShapeError
+from ccan.errors import ConfigError, DataError, NumericError, ShapeError
 
 
 def t64(data, requires_grad=False):
@@ -191,3 +191,118 @@ def test_every_record_row_stochastic_property(seed):
     for rec in (rec_cross, rec_self):
         np.testing.assert_allclose(rec.matrix.sum(axis=1), np.ones(rec.matrix.shape[0]), atol=1e-5)
         assert (rec.matrix >= 0).all() and (rec.matrix <= 1).all()
+
+
+def composed_attention(q, k, v, scale):
+    """The oracle: attention composed from matmul, transpose, scale and softmax."""
+    attn = ag.softmax(ag.matmul(q, ag.transpose(k)) * (1.0 / scale), axis=-1)
+    return ag.matmul(attn, v), attn.data
+
+
+def use_composed(monkeypatch):
+    """Run the blocks on the composed oracle with row-major key projections."""
+    linear = ag.linear
+    monkeypatch.setattr(ag, "attention", composed_attention)
+    monkeypatch.setattr(ag, "linear", lambda x, w, b, order="C": linear(x, w, b))
+
+
+def _block_run(block, m, n, d, heads, seed):
+    """Output, record and every gradient of one float32 block pass."""
+    rng = np.random.default_rng(seed)
+    params = init_block_params(d, np.random.default_rng(seed + 1), dtype=np.float32)
+    x = Tensor(rng.normal(size=(m, d)).astype(np.float32), requires_grad=True)
+    leaves = [x] + [t for _, t in params.named_tensors()]
+    mode = "per-paper" if heads == 1 else "per-dim"
+    if block == "cross":
+        ctx = Tensor(rng.normal(size=(n, d)).astype(np.float32), requires_grad=True)
+        leaves.append(ctx)
+        out, record = cross_attention_block(x, ctx, params, scale_mode=mode, heads=heads)
+    else:
+        out, record = self_attention_block(x, params, scale_mode=mode, heads=heads)
+    upstream = Tensor(rng.normal(size=out.shape).astype(np.float32))
+    ag.backward(ag.sum_all(ag.mul(out, upstream)))
+    return [out.data, record.matrix] + [t.grad for t in leaves]
+
+
+def _assert_same_bits(fused, oracle):
+    assert len(fused) == len(oracle)
+    for a, b in zip(fused, oracle):
+        assert a.dtype == np.float32 and a.shape == b.shape
+        np.testing.assert_array_equal(a.view(np.uint32), b.view(np.uint32))
+
+
+class TestFusedAttention:
+    def test_node_bitwise_equal_to_composed_float32(self):
+        rng = np.random.default_rng(30)
+        values = [rng.normal(size=s).astype(np.float32) for s in ((9, 16), (37, 16), (37, 12))]
+        upstream = rng.normal(size=(9, 12)).astype(np.float32)
+
+        def run(fn):
+            q, k, v = (Tensor(a.copy(), requires_grad=True) for a in values)
+            out, attn = fn(q, k, v, 4.0)
+            ag.backward(ag.sum_all(ag.mul(out, Tensor(upstream))))
+            return [out.data, attn, q.grad, k.grad, v.grad]
+
+        _assert_same_bits(run(ag.attention), run(composed_attention))
+
+    @pytest.mark.parametrize("block", ["cross", "self"])
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_toy_blocks_bitwise_equal_to_composed(self, monkeypatch, block, heads):
+        fused = _block_run(block, 9, 30, 16, heads, seed=31)
+        use_composed(monkeypatch)
+        _assert_same_bits(fused, _block_run(block, 9, 30, 16, heads, seed=31))
+
+    @pytest.mark.parametrize("n", [309, 3091])
+    @pytest.mark.parametrize("heads", [1, 4])
+    def test_reference_cross_block_bitwise_equal_to_composed(self, monkeypatch, n, heads):
+        fused = _block_run("cross", 513, n, 512, heads, seed=32)
+        use_composed(monkeypatch)
+        _assert_same_bits(fused, _block_run("cross", 513, n, 512, heads, seed=32))
+
+    def test_reference_self_block_bitwise_equal_to_composed(self, monkeypatch):
+        fused = _block_run("self", 513, 513, 512, 1, seed=33)
+        use_composed(monkeypatch)
+        _assert_same_bits(fused, _block_run("self", 513, 513, 512, 1, seed=33))
+
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_keys_reach_the_node_column_major(self, monkeypatch, heads):
+        # so the node reads k.T without copying it, one head or several
+        seen = []
+        attention = ag.attention
+        monkeypatch.setattr(ag, "attention", lambda q, k, v, s: seen.append(k.data) or attention(q, k, v, s))
+        _block_run("cross", 4, 10, 8, heads, seed=34)
+        _block_run("self", 4, 4, 8, heads, seed=35)
+        assert len(seen) == 2 * heads
+        assert all(k.flags.f_contiguous and not k.flags.c_contiguous for k in seen)
+
+    def test_macs_equal_two_matmuls(self):
+        rng = np.random.default_rng(37)
+        q, k, v = (Tensor(rng.normal(size=s).astype(np.float32)) for s in ((5, 4), (11, 4), (11, 3)))
+        with ag.op_probe() as fused:
+            ag.attention(q, k, v, 2.0)
+        with ag.op_probe() as oracle:
+            composed_attention(q, k, v, 2.0)
+        assert fused.macs == oracle.macs == 5 * 4 * 11 + 5 * 11 * 3
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_logits_raise(self, bad):
+        q = t64(np.ones((2, 3)))
+        q.data[1, 2] = bad
+        kv = t64(np.ones((4, 3)))
+        with pytest.raises(NumericError), np.errstate(all="ignore"):
+            ag.attention(q, kv, kv, 1.0)
+
+    def test_one_overflowing_logit_raises(self):
+        # logits [-inf, 0]: the row max is finite, the row min is not
+        q = Tensor(np.array([[1e30, 0.0]], dtype=np.float32))
+        k = Tensor(np.array([[-1e30, 0.0], [0.0, 0.0]], dtype=np.float32))
+        with pytest.raises(NumericError), np.errstate(all="ignore"):
+            ag.attention(q, k, k, 1.0)
+
+    def test_shape_errors(self):
+        with pytest.raises(ShapeError):
+            ag.attention(t64(np.zeros((2, 3))), t64(np.zeros((4, 2))), t64(np.zeros((4, 2))), 1.0)
+        with pytest.raises(ShapeError):
+            ag.attention(t64(np.zeros((2, 3))), t64(np.zeros((4, 3))), t64(np.zeros((5, 2))), 1.0)
+        with pytest.raises(ShapeError):
+            ag.attention(t64(np.zeros((2, 3))), t64(np.zeros((0, 3))), t64(np.zeros((0, 2))), 1.0)

@@ -231,7 +231,9 @@ def _op_cases(rng):
         near = np.abs(clip_vals - bound) < 0.01
         clip_vals[near] = bound + 0.05
     clip_in = t64(clip_vals, requires_grad=True)
-    bias3 = t64(rng.normal(size=3), requires_grad=True)  # drawn last: earlier cases keep their values
+    bias3 = t64(rng.normal(size=3), requires_grad=True)  # drawn after the above: earlier cases keep their values
+    keys = t64(rng.normal(size=(5, 4)), requires_grad=True)
+    values = t64(rng.normal(size=(5, 2)), requires_grad=True)
 
     def sq(v):
         return ag.sum_all(ag.mul(v, v))
@@ -246,6 +248,8 @@ def _op_cases(rng):
         ("matmul", [("a", a), ("b", b)], lambda: sq(ag.matmul(a, b))),
         ("linear", [("a", a), ("b", b), ("bias3", bias3)], lambda: sq(ag.linear(a, b, bias3))),
         ("transpose", [("a", a)], lambda: sq(ag.transpose(a))),
+        ("attention", [("a", a), ("keys", keys), ("values", values)],
+         lambda: sq(ag.attention(a, keys, values, 1.7)[0])),
         ("softmax", [("a", a)], lambda: sq(ag.softmax(a))),
         ("layer_norm", [("a", a), ("gamma", gamma), ("beta", beta)], lambda: sq(ag.layer_norm(a, gamma, beta))),
         ("gelu", [("a", a)], lambda: sq(ag.gelu(a))),

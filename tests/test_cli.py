@@ -135,6 +135,35 @@ class TestCommands:
         assert rc == 1
         assert err.startswith("error: ") and err.count("\n") == 1 and missing in err
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_bad_plan_is_one_error_line(self, tiny_run, tmp_path, capsys, command):
+        plan = tmp_path / "plan.csv"
+        lines = open(tiny_run["plan"]).read().splitlines()
+        lines[2] = lines[2].replace(",train,", ",tset,").replace(",val,", ",tset,").replace(",test,", ",tset,")
+        plan.write_text("\n".join(lines) + "\n")
+        args = ["--paths.data", tiny_run["data"], "--paths.plan", str(plan), "--fold", "0"]
+        if command == "train":
+            args += ["--paths.run_dir", str(tmp_path / "run"), *tiny_run["model_flags"], "--train.epochs", "1"]
+        else:
+            args += ["--paths.checkpoint", os.path.join(tiny_run["run_dir"], "best.ckpt")]
+        rc = main([command, *args])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == f"error: {plan}:3: unknown subset 'tset'; expected train, val or test\n"
+
+    def test_nan_bag_is_one_error_line(self, tiny_run, tmp_path, capsys):
+        src = os.path.join(tiny_run["data"], "bag0000.ccfb")
+        blob = bytearray(open(src, "rb").read())
+        blob[-4:] = np.array([np.nan], dtype="<f4").tobytes()  # last token, last feature
+        bag_path = tmp_path / "nan.ccfb"
+        bag_path.write_bytes(bytes(blob))
+        rc = main(["explain", "--paths.checkpoint", os.path.join(tiny_run["run_dir"], "best.ckpt"),
+                   "--paths.bag", str(bag_path), "--paths.out", str(tmp_path / "heat")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        n_tokens = int.from_bytes(blob[6:10], "little")
+        assert err == f"error: bag 'bag0000': token row {n_tokens - 1} has a NaN or infinite value\n"
+
     def test_explain(self, tiny_run, tmp_path, capsys):
         bag_path = os.path.join(tiny_run["data"], "bag0000.ccfb")
         out = str(tmp_path / "heat")

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -47,6 +49,20 @@ class TestBagValidation:
         with pytest.raises(DataError):
             FeatureBag("b", "p", 0, np.zeros((1, 2), dtype=np.float32), [5], [0], 4, 4)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_token_rejected_with_row(self, bad):
+        tokens = np.zeros((4, 3), dtype=np.float32)
+        tokens[2, 1] = bad
+        with pytest.raises(DataError, match=r"bag 'b'.*token row 2\b"):
+            FeatureBag("b", "p", 0, tokens, [0, 0, 1, 1], [0, 1, 0, 1], 2, 2)
+
+    def test_first_bad_row_is_named(self):
+        tokens = np.zeros((5, 2), dtype=np.float32)
+        tokens[4, 0] = np.inf
+        tokens[1, 1] = np.nan
+        with pytest.raises(DataError, match=r"token row 1\b"):
+            FeatureBag("b", "p", 0, tokens, np.arange(5), np.zeros(5), 5, 1)
+
 
 class TestCCFBFormat:
     def test_round_trip_exact(self, tmp_path):
@@ -80,6 +96,17 @@ class TestCCFBFormat:
         with pytest.raises(FormatError) as err:
             read_bag(path)
         assert err.value.offset is not None
+
+    def test_nan_token_rejected_at_read(self, tmp_path):
+        bag = make_bag(bag_id="slide7", n=4, d=3)
+        path = tmp_path / "bag.ccfb"
+        write_bag(bag, path)
+        blob = bytearray(path.read_bytes())
+        at = len(blob) - 4 * 4 * 3 + 4 * (2 * 3 + 1)  # token row 2, column 1
+        blob[at : at + 4] = np.array([np.nan], dtype="<f4").tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataError, match=r"bag 'slide7': token row 2 has a NaN"):
+            read_bag(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bag.ccfb"
@@ -225,6 +252,38 @@ class TestPatientGroupedKFold:
             assert a.train_ids == b.train_ids and a.val_ids == b.val_ids and a.test_ids == b.test_ids
 
 
+class TestPlanCsvErrors:
+    def _plan(self, tmp_path, text):
+        path = tmp_path / "plan.csv"
+        path.write_text(text)
+        return str(path)
+
+    def test_unknown_subset(self, tmp_path):
+        path = self._plan(tmp_path, "fold,subset,bag_id\n0,train,b0\n0,tset,b1\n")
+        with pytest.raises(FormatError, match=rf"{re.escape(path)}:3: unknown subset 'tset'"):
+            SplitPlan.read_csv(path)
+
+    def test_non_integer_fold(self, tmp_path):
+        path = self._plan(tmp_path, "fold,subset,bag_id\nzero,train,b0\n")
+        with pytest.raises(FormatError, match=rf"{re.escape(path)}:2: fold 'zero' is not an integer"):
+            SplitPlan.read_csv(path)
+
+    def test_missing_column(self, tmp_path):
+        path = self._plan(tmp_path, "fold,bag_id\n0,b0\n")
+        with pytest.raises(FormatError, match=rf"{re.escape(path)}:1: plan has no column subset"):
+            SplitPlan.read_csv(path)
+
+    def test_short_row(self, tmp_path):
+        path = self._plan(tmp_path, "fold,subset,bag_id\n0,train\n")
+        with pytest.raises(FormatError, match=rf"{re.escape(path)}:2: plan row has fewer than 3 fields"):
+            SplitPlan.read_csv(path)
+
+    def test_fold_numbers_must_start_at_zero_without_gaps(self, tmp_path):
+        path = self._plan(tmp_path, "fold,subset,bag_id\n0,train,b0\n2,train,b1\n")
+        with pytest.raises(FormatError, match=r"not numbered 0..k-1"):
+            SplitPlan.read_csv(path)
+
+
 class TestSubsampleFraction:
     def test_full_fraction_is_identity(self):
         ids = [f"b{i}" for i in range(10)]
@@ -252,6 +311,11 @@ class TestSubsampleFraction:
         subsets = [set(subsample_fraction(ids, f, seed)) for f in (0.1, 0.3, 0.7, 1.0)]
         for small, big in zip(subsets, subsets[1:]):
             assert small <= big
+
+
+def test_dataset_unknown_id_is_data_error():
+    with pytest.raises(DataError, match="no bag 'b9' in the dataset"):
+        Dataset([make_bag(bag_id="b0")]).by_id("b9")
 
 
 def test_dataset_rejects_duplicate_ids():

@@ -1,18 +1,19 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from ccan import autograd as ag
 from ccan.autograd import Tensor
 from ccan.data import generate_synthetic
-from ccan.errors import ConfigError, DataError, ShapeError
+from ccan.errors import ConfigError, DataError, FormatError, ShapeError
 from ccan.model import (
     BASELINE_KINDS,
     BaselineConfig,
     BaselineModel,
     CCANConfig,
     CCANModel,
-    baseline_forward,
-    init_model,
     load_checkpoint,
     pooled_skip,
     save_checkpoint,
@@ -62,19 +63,19 @@ class TestConfig:
 
 class TestInitModel:
     def test_stage_latent_shapes(self):
-        model = init_model(toy_config(n_stages=3, n_latents=8, d_latent=16, compression=2))
+        model = CCANModel(toy_config(n_stages=3, n_latents=8, d_latent=16, compression=2))
         assert [s.latents.shape for s in model.stages] == [(8, 16), (4, 16), (2, 16)]
 
     def test_deterministic_given_seed(self):
-        a = init_model(toy_config(), seed=5)
-        b = init_model(toy_config(), seed=5)
+        a = CCANModel(toy_config(), seed=5)
+        b = CCANModel(toy_config(), seed=5)
         for (na, pa), (nb, pb) in zip(a.parameters(), b.parameters()):
             assert na == nb
             np.testing.assert_array_equal(pa.data, pb.data)
 
     def test_different_seeds_differ(self):
-        a = init_model(toy_config(), seed=1)
-        b = init_model(toy_config(), seed=2)
+        a = CCANModel(toy_config(), seed=1)
+        b = CCANModel(toy_config(), seed=2)
         assert any(
             not np.array_equal(pa.data, pb.data)
             for (_, pa), (_, pb) in zip(a.parameters(), b.parameters())
@@ -129,7 +130,7 @@ class TestPooledSkip:
 
 class TestStageForward:
     def test_shapes_and_records(self):
-        model = init_model(toy_config(), seed=1)
+        model = CCANModel(toy_config(), seed=1)
         bag = toy_dataset(seed=4).bags[0]
         out = model.forward(bag)
         n = bag.n_tokens
@@ -145,7 +146,7 @@ class TestStageForward:
     def test_skip_ablation_oracle(self):
         # zero every stage-2 block's output paths: the stage reduces to
         # its initial latents plus the pooled stage-1 output
-        model = init_model(toy_config(), seed=2)
+        model = CCANModel(toy_config(), seed=2)
         bag = toy_dataset(seed=5).bags[1]
         stage2 = model.stages[1]
         for blk in [*stage2.cross_blocks, *stage2.self_blocks, stage2.final_cross, stage2.final_self]:
@@ -158,7 +159,7 @@ class TestStageForward:
         np.testing.assert_allclose(out.stages[1].latents_out.data, expected, atol=1e-6)
 
     def test_probs_in_unit_interval(self):
-        model = init_model(toy_config(num_classes=3), seed=3)
+        model = CCANModel(toy_config(num_classes=3), seed=3)
         for bag in toy_dataset(seed=6, n_classes=3).bags:
             out = model.forward(bag)
             for so in out.stages:
@@ -166,14 +167,33 @@ class TestStageForward:
                 assert (so.probs >= 0).all() and (so.probs <= 1).all()
 
     def test_bad_stage_index(self):
-        model = init_model(toy_config(), seed=4)
+        model = CCANModel(toy_config(), seed=4)
         with pytest.raises(ConfigError):
             model.stage_forward(3, None, Tensor(np.zeros((4, 16), dtype=np.float32)))
 
 
 class TestForward:
+    def test_graph_nodes_per_toy_training_bag(self):
+        # operation nodes reachable from one training loss of the TOY benchmark
+        # config: 216 composed, 163 with the fused linear, 131 with the fused
+        # attention. A rise here is a graph-size regression.
+        from ccan.training import bag_loss
+
+        cfg = CCANConfig(n_stages=2, n_latents=16, compression=2, d_latent=32, d_feature=64,
+                         self_layers=1, n_frequencies=2)
+        bag = generate_synthetic(1, (40, 40), d_feature=64, seed=0).bags[0]
+        out = CCANModel(cfg, seed=0).forward(bag, rng=np.random.default_rng(0), train_mode=True)
+        seen, stack, ops = set(), [bag_loss(out, bag.label, 2)], 0
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                ops += node._backward is not None
+                stack.extend(node._parents)
+        assert ops == 131
+
     def test_eval_deterministic(self):
-        model = init_model(toy_config(), seed=5)
+        model = CCANModel(toy_config(), seed=5)
         bag = toy_dataset(seed=7).bags[0]
         a = model.forward(bag)
         b = model.forward(bag)
@@ -182,7 +202,7 @@ class TestForward:
             np.testing.assert_array_equal(sa.latents_out.data, sb.latents_out.data)
 
     def test_permutation_invariance(self):
-        model = init_model(toy_config(), seed=6)
+        model = CCANModel(toy_config(), seed=6)
         rng = np.random.default_rng(8)
         for bag in toy_dataset(n_bags=5, seed=9).bags:
             base = model.forward(bag).averaged_probs
@@ -196,7 +216,7 @@ class TestForward:
             assert np.abs(base - permuted).max() < 1e-4
 
     def test_averaging_is_arithmetic_mean(self):
-        model = init_model(toy_config(), seed=7)
+        model = CCANModel(toy_config(), seed=7)
         out = model.forward(toy_dataset(seed=10).bags[0])
         np.testing.assert_allclose(
             out.averaged_probs, np.mean([so.probs for so in out.stages], axis=0), atol=1e-7
@@ -205,7 +225,7 @@ class TestForward:
         np.testing.assert_allclose(np.mean([[0.8], [0.6]], axis=0), [0.7])
 
     def test_train_mode_uses_dropout_mask_everywhere(self):
-        model = init_model(toy_config(p_dropout=0.6), seed=8)
+        model = CCANModel(toy_config(p_dropout=0.6), seed=8)
         bag = toy_dataset(seed=11).bags[0]
         n_keep = max(1, round(bag.n_tokens * 0.4))
         out = model.forward(bag, rng=np.random.default_rng(0), train_mode=True)
@@ -215,7 +235,7 @@ class TestForward:
         assert out.stages[0].records[0].matrix.shape[1] == n_keep  # stage-1 context
 
     def test_feature_dim_mismatch(self):
-        model = init_model(toy_config(), seed=9)
+        model = CCANModel(toy_config(), seed=9)
         bag = toy_dataset(d_feature=11, seed=12).bags[0]
         with pytest.raises(ShapeError):
             model.forward(bag)
@@ -258,13 +278,6 @@ class TestBaselines:
         assert attn_macs(100) == 2 * 100 * 100 * 8
         assert abs(attn_macs(200) / attn_macs(100) - 4.0) < 1e-9
 
-    def test_baseline_forward_kind_check(self):
-        model = BaselineModel(BaselineConfig(kind="mean-pool", d_feature=4, seed=3))
-        bag = _const_bag(np.zeros((3, 4), dtype=np.float32))
-        assert baseline_forward("mean-pool", bag, model).shape == (1,)
-        with pytest.raises(ConfigError):
-            baseline_forward("max-pool", bag, model)
-
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
             BaselineConfig(kind="median-pool").validate()
@@ -285,7 +298,7 @@ def _const_bag(tokens):
 
 class TestCheckpoint:
     def test_round_trip_bitwise(self, tmp_path):
-        model = init_model(toy_config(), seed=10)
+        model = CCANModel(toy_config(), seed=10)
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
         loaded = load_checkpoint(path)
@@ -295,7 +308,7 @@ class TestCheckpoint:
             np.testing.assert_array_equal(pa.data, pb.data)
 
     def test_forward_identical_after_reload(self, tmp_path):
-        model = init_model(toy_config(), seed=11)
+        model = CCANModel(toy_config(), seed=11)
         bag = toy_dataset(seed=13).bags[0]
         before = model.forward(bag).averaged_probs
         path = tmp_path / "model.ckpt"
@@ -304,7 +317,7 @@ class TestCheckpoint:
         np.testing.assert_array_equal(before, after)
 
     def test_save_is_deterministic(self, tmp_path):
-        model = init_model(toy_config(), seed=12)
+        model = CCANModel(toy_config(), seed=12)
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
         save_checkpoint(model, p1)
         save_checkpoint(model, p2)
@@ -318,8 +331,63 @@ class TestCheckpoint:
         assert isinstance(loaded, BaselineModel)
         assert loaded.config == model.config
 
+    def _with_config(self, tmp_path, edit):
+        """A saved TOY checkpoint whose config bytes are replaced by ``edit(bytes)``."""
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(CCANModel(toy_config(), seed=14), path)
+        blob = path.read_bytes()
+        (length,) = struct.unpack("<I", blob[6:10])
+        payload = edit(blob[10 : 10 + length])
+        path.write_bytes(blob[:6] + struct.pack("<I", len(payload)) + payload + blob[10 + length :])
+        return path
+
+    def _config_json(self, tmp_path, change):
+        def edit(raw):
+            payload = json.loads(raw)
+            change(payload)
+            return json.dumps(payload).encode("utf-8")
+
+        return self._with_config(tmp_path, edit)
+
+    def test_non_utf8_config_byte(self, tmp_path):
+        path = self._with_config(tmp_path, lambda raw: raw[:5] + b"\xff" + raw[6:])
+        with pytest.raises(FormatError, match="not UTF-8") as err:
+            load_checkpoint(path)
+        assert err.value.offset == 10 + 5
+
+    def test_invalid_json_config(self, tmp_path):
+        path = self._with_config(tmp_path, lambda raw: raw[:-1])  # drop the closing brace
+        with pytest.raises(FormatError, match="not valid JSON") as err:
+            load_checkpoint(path)
+        assert err.value.offset is not None and err.value.offset >= 10
+
+    def test_renamed_config_key(self, tmp_path):
+        path = self._config_json(tmp_path, lambda p: p["config"].update(n_stage=p["config"].pop("n_stages")))
+        with pytest.raises(FormatError, match=r"unknown keys \['n_stage'\] and missing keys \['n_stages'\]"):
+            load_checkpoint(path)
+
+    def test_missing_config_key(self, tmp_path):
+        path = self._config_json(tmp_path, lambda p: p["config"].pop("seed"))
+        with pytest.raises(FormatError, match=r"missing keys \['seed'\]"):
+            load_checkpoint(path)
+
+    def test_mistyped_config_value(self, tmp_path):
+        path = self._config_json(tmp_path, lambda p: p["config"].update(n_stages="2"))
+        with pytest.raises(FormatError, match="'n_stages' is '2', expected int"):
+            load_checkpoint(path)
+
+    def test_unknown_model_kind(self, tmp_path):
+        path = self._config_json(tmp_path, lambda p: p.update(model_kind="median-pool"))
+        with pytest.raises(FormatError, match="unknown model_kind 'median-pool'"):
+            load_checkpoint(path)
+
+    def test_missing_model_kind(self, tmp_path):
+        path = self._config_json(tmp_path, lambda p: p.pop("model_kind"))
+        with pytest.raises(FormatError, match="exactly 'model_kind' and 'config'"):
+            load_checkpoint(path)
+
     def test_empty_bag_forward_rejected(self):
-        model = init_model(toy_config(), seed=13)
+        model = CCANModel(toy_config(), seed=13)
 
         class FakeBag:
             n_tokens = 0
