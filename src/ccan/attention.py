@@ -4,6 +4,10 @@ Blocks are pre-norm transformer blocks: an attention sub-layer and a
 4x-expansion GELU MLP, both residual. Every attention call records its
 row-stochastic softmax matrix so explanations can be assembled later.
 
+The key projection has no bias. A key bias b would add q . b to every
+logit of a query row, and softmax removes any row-constant shift, so such
+a bias could change no output and its gradient would be exactly zero.
+
 Each head's attention is one graph node, ``autograd.attention``. The key
 projections write their output column-major, so the node reads K^T as a
 C-contiguous view instead of copying it. In float32 these keys carry the
@@ -31,12 +35,10 @@ SCALE_MODES = ("per-paper", "per-dim")
 
 @dataclass
 class AttentionRecord:
-    """One attention call's softmax matrix plus where it happened."""
+    """One attention call's softmax matrix and the kind of block it came from."""
 
     matrix: np.ndarray  # Q_rows x K_rows, row-stochastic
     kind: str  # "cross" | "self"
-    stage_index: int = 0
-    layer_index: int = 0
 
 
 @dataclass
@@ -46,7 +48,6 @@ class BlockParams:
     w_q: Tensor
     b_q: Tensor
     w_k: Tensor
-    b_k: Tensor
     w_v: Tensor
     b_v: Tensor
     w_o: Tensor
@@ -64,39 +65,39 @@ class BlockParams:
         return [(f.name, getattr(self, f.name)) for f in self.__dataclass_fields__.values()]
 
 
+def init_weight(rng, shape, dtype):
+    """A trainable Normal(0, 0.02) weight drawn from ``rng``."""
+    return Tensor(rng.normal(0.0, 0.02, size=shape).astype(dtype), requires_grad=True)
+
+
+def init_bias(n, dtype):
+    """A trainable zero bias (no draw from any rng)."""
+    return Tensor(np.zeros(n, dtype=dtype), requires_grad=True)
+
+
 def init_block_params(d_latent, rng, dtype=np.float32):
     """Normal(0, 0.02) projections, zero biases, identity layer norms.
 
     Blocks always operate at width d_latent; contexts wider than that are
     projected down before reaching any block.
     """
-
-    def w(shape):
-        return Tensor((rng.normal(0.0, 0.02, size=shape)).astype(dtype), requires_grad=True)
-
-    def b(n):
-        return Tensor(np.zeros(n, dtype=dtype), requires_grad=True)
-
-    def ones(n):
-        return Tensor(np.ones(n, dtype=dtype), requires_grad=True)
-
+    d = d_latent
     return BlockParams(
-        w_q=w((d_latent, d_latent)),
-        b_q=b(d_latent),
-        w_k=w((d_latent, d_latent)),
-        b_k=b(d_latent),
-        w_v=w((d_latent, d_latent)),
-        b_v=b(d_latent),
-        w_o=w((d_latent, d_latent)),
-        b_o=b(d_latent),
-        ln1_gamma=ones(d_latent),
-        ln1_beta=b(d_latent),
-        ln2_gamma=ones(d_latent),
-        ln2_beta=b(d_latent),
-        w_m1=w((d_latent, 4 * d_latent)),
-        b_m1=b(4 * d_latent),
-        w_m2=w((4 * d_latent, d_latent)),
-        b_m2=b(d_latent),
+        w_q=init_weight(rng, (d, d), dtype),
+        b_q=init_bias(d, dtype),
+        w_k=init_weight(rng, (d, d), dtype),
+        w_v=init_weight(rng, (d, d), dtype),
+        b_v=init_bias(d, dtype),
+        w_o=init_weight(rng, (d, d), dtype),
+        b_o=init_bias(d, dtype),
+        ln1_gamma=Tensor(np.ones(d, dtype=dtype), requires_grad=True),
+        ln1_beta=init_bias(d, dtype),
+        ln2_gamma=Tensor(np.ones(d, dtype=dtype), requires_grad=True),
+        ln2_beta=init_bias(d, dtype),
+        w_m1=init_weight(rng, (d, 4 * d), dtype),
+        b_m1=init_bias(4 * d, dtype),
+        w_m2=init_weight(rng, (4 * d, d), dtype),
+        b_m2=init_bias(d, dtype),
     )
 
 
@@ -108,22 +109,21 @@ def attention_scale(scale_mode, n_query_rows, head_dim):
     raise ConfigError(f"unknown scale_mode {scale_mode!r}; expected one of {SCALE_MODES}")
 
 
-def scaled_attention(q, k, v, scale, kind="cross", stage_index=0, layer_index=0):
+def scaled_attention(q, k, v, scale, kind="cross"):
     """softmax(Q K^T / scale) V, returning the output and the recorded matrix."""
     if scale <= 0:
         raise ConfigError(f"attention scale must be positive, got {scale}")
     out, attn = ag.attention(q, k, v, scale)
     # the record shares the softmax matrix the node saved for its backward
-    record = AttentionRecord(matrix=attn, kind=kind, stage_index=stage_index, layer_index=layer_index)
-    return out, record
+    return out, AttentionRecord(matrix=attn, kind=kind)
 
 
-def _attend(q, k, v, scale_mode, heads, kind, stage_index, layer_index):
+def _attend(q, k, v, scale_mode, heads, kind):
     """Single- or multi-head attention over already-projected q/k/v."""
     d = q.shape[1]
     if heads == 1:
         scale = attention_scale(scale_mode, q.shape[0], d)
-        return scaled_attention(q, k, v, scale, kind, stage_index, layer_index)
+        return scaled_attention(q, k, v, scale, kind)
     if d % heads != 0:
         raise ConfigError(f"latent dim {d} not divisible by {heads} heads")
     head_dim = d // heads
@@ -133,15 +133,11 @@ def _attend(q, k, v, scale_mode, heads, kind, stage_index, layer_index):
     for h in range(heads):
         lo, hi = h * head_dim, (h + 1) * head_dim
         out_h, rec_h = scaled_attention(
-            ag.slice_cols(q, lo, hi), ag.slice_cols(k, lo, hi), ag.slice_cols(v, lo, hi),
-            scale, kind, stage_index, layer_index,
+            ag.slice_cols(q, lo, hi), ag.slice_cols(k, lo, hi), ag.slice_cols(v, lo, hi), scale, kind
         )
         outs.append(out_h)
         mats.append(rec_h.matrix)
-    record = AttentionRecord(
-        matrix=np.mean(mats, axis=0), kind=kind, stage_index=stage_index, layer_index=layer_index
-    )
-    return ag.concat_cols(outs), record
+    return ag.concat_cols(outs), AttentionRecord(matrix=np.mean(mats, axis=0), kind=kind)
 
 
 def _mlp(x, params):
@@ -150,8 +146,7 @@ def _mlp(x, params):
     return ag.linear(h, params.w_m2, params.b_m2)
 
 
-def cross_attention_block(latents, context, params, scale_mode="per-paper", heads=1,
-                          stage_index=0, layer_index=0):
+def cross_attention_block(latents, context, params, scale_mode="per-paper", heads=1):
     """Latents attend to a (possibly much larger) context set.
 
     Residual form: attention onto normed latents with keys/values from
@@ -161,22 +156,21 @@ def cross_attention_block(latents, context, params, scale_mode="per-paper", head
         raise DataError("cross-attention requires a nonempty context")
     h = ag.layer_norm(latents, params.ln1_gamma, params.ln1_beta)
     q = ag.linear(h, params.w_q, params.b_q)
-    k = ag.linear(context, params.w_k, params.b_k, order="F")
+    k = ag.linear(context, params.w_k, None, order="F")
     v = ag.linear(context, params.w_v, params.b_v)
-    attn_out, record = _attend(q, k, v, scale_mode, heads, "cross", stage_index, layer_index)
+    attn_out, record = _attend(q, k, v, scale_mode, heads, "cross")
     x = latents + ag.linear(attn_out, params.w_o, params.b_o)
     x = x + _mlp(x, params)
     return x, record
 
 
-def self_attention_block(tokens, params, scale_mode="per-paper", heads=1,
-                         stage_index=0, layer_index=0):
+def self_attention_block(tokens, params, scale_mode="per-paper", heads=1):
     """Pre-norm self-attention block; the recorded matrix is m x m."""
     h = ag.layer_norm(tokens, params.ln1_gamma, params.ln1_beta)
     q = ag.linear(h, params.w_q, params.b_q)
-    k = ag.linear(h, params.w_k, params.b_k, order="F")
+    k = ag.linear(h, params.w_k, None, order="F")
     v = ag.linear(h, params.w_v, params.b_v)
-    attn_out, record = _attend(q, k, v, scale_mode, heads, "self", stage_index, layer_index)
+    attn_out, record = _attend(q, k, v, scale_mode, heads, "self")
     x = tokens + ag.linear(attn_out, params.w_o, params.b_o)
     x = x + _mlp(x, params)
     return x, record

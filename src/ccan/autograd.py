@@ -2,8 +2,9 @@
 
 A deliberately small kernel surface, just enough for attention stacks:
 2-D matrix products, the fused affine map ``linear(x, W, b) = x @ W + b``
-(one graph node), row-wise softmax and layer norm, GELU/sigmoid/log
-nonlinearities, row pooling, and row/column stacking. The only implicit
+(one graph node; ``b=None`` gives the bias-free ``x @ W`` of the attention
+keys), row-wise softmax and layer norm, GELU/sigmoid/log nonlinearities,
+row pooling, and row/column stacking. The only implicit
 broadcast is a 1-D bias added over the rows of a matrix; every other
 shape mismatch is an error.
 
@@ -291,36 +292,41 @@ def matmul(a, b):
 def linear(x, w, b, order="C"):
     """x @ w + b as one node: the matmul's backward plus the bias row sum.
 
-    ``order="F"`` writes the output column-major; the attention code does
-    this for its keys, whose transpose is then C-contiguous. Either way
-    the backward runs on a C-ordered gradient, as for a C-ordered output.
+    ``b=None`` is x @ w alone: no bias add, no bias parent, no bias
+    gradient. ``order="F"`` writes the output column-major; the attention
+    code does this for its keys, whose transpose is then C-contiguous.
+    Either way the backward runs on a C-ordered gradient, as for a
+    C-ordered output.
     """
     _check_same_dtype(x, w, "linear")
-    _check_same_dtype(x, b, "linear")
-    if x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1:
-        raise ShapeError(f"linear: expected 2-D x and w and 1-D b, got {x.data.shape}, {w.data.shape}, {b.data.shape}")
-    if x.data.shape[1] != w.data.shape[0] or w.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"linear: shapes {x.data.shape}, {w.data.shape} and {b.data.shape} do not chain")
+    if b is not None:
+        _check_same_dtype(x, b, "linear")
+    b_shape = w.data.shape[1:] if b is None else b.data.shape
+    if x.data.ndim != 2 or w.data.ndim != 2 or len(b_shape) != 1:
+        raise ShapeError(f"linear: expected 2-D x and w and 1-D b, got {x.data.shape}, {w.data.shape}, {b_shape}")
+    if x.data.shape[1] != w.data.shape[0] or w.data.shape[1:] != b_shape:
+        raise ShapeError(f"linear: shapes {x.data.shape}, {w.data.shape} and {b_shape} do not chain")
     if _probe is not None:
         m, k = x.data.shape
         _probe.macs += m * k * w.data.shape[1]
     y = np.empty((x.data.shape[0], w.data.shape[1]), dtype=x.data.dtype, order=order)
     np.matmul(x.data, w.data, out=y)
-    y += b.data
+    if b is not None:
+        y += b.data
     out = Tensor(y)
 
     def backward(g):
         # a gradient laid out like a column-major output rounds differently
         # in the GEMMs below, so it is made C-ordered first
         g = np.ascontiguousarray(g)
-        if b.requires_grad:
+        if b is not None and b.requires_grad:
             _accum(b, g.sum(axis=0), owned=True)
         if x.requires_grad:
             _accum(x, g @ w.data.T, owned=True)
         if w.requires_grad:
             _accum(w, x.data.T @ g, owned=True)
 
-    return _make_node(out, (x, w, b), backward)
+    return _make_node(out, (x, w) if b is None else (x, w, b), backward)
 
 
 # Rows of the M x N attention logits that ``attention`` scales, normalizes
@@ -442,10 +448,14 @@ def layer_norm(x, gamma, beta, eps=1e-5):
     if x.data.ndim != 2 or x.data.shape[1] < 1:
         raise ShapeError(f"layer_norm: expected a 2-D tensor with nonempty rows, got {x.data.shape}")
     mu = x.data.mean(axis=-1, keepdims=True)
-    var = ((x.data - mu) ** 2).mean(axis=-1, keepdims=True)
+    xhat = x.data - mu  # centred once; scaled in place below
+    y = np.square(xhat)
+    var = y.mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    out = Tensor(xhat * gamma.data + beta.data)
+    xhat *= inv
+    np.multiply(xhat, gamma.data, out=y)
+    y += beta.data
+    out = Tensor(y)
 
     def backward(g):
         if beta.requires_grad:

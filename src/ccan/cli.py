@@ -148,7 +148,6 @@ class RunConfig:
             beta1=v["train.beta1"],
             beta2=v["train.beta2"],
             eps=v["train.eps"],
-            fractions=tuple(v["train.fractions"]),
             seed=v["seed"] if seed is None else seed,
         ).validate()
 

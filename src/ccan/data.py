@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -100,7 +101,9 @@ def write_bag(bag, path):
         fh.write(bytes(buf))
 
 
-class _Reader:
+class BinaryReader:
+    """Sequential little-endian reads from one blob; every fault is a FormatError with its offset."""
+
     def __init__(self, blob):
         self.blob = blob
         self.offset = 0
@@ -115,11 +118,18 @@ class _Reader:
     def unpack(self, fmt, what):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
 
+    def text(self, n, what):
+        start = self.offset
+        try:
+            return self.take(n, what).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{what} is not UTF-8", offset=start + exc.start) from None
+
 
 def read_bag(path):
     with open(path, "rb") as fh:
         blob = fh.read()
-    r = _Reader(blob)
+    r = BinaryReader(blob)
     magic = r.take(4, "magic")
     if magic != CCFB_MAGIC:
         raise FormatError(f"bad magic {magic!r}", offset=0)
@@ -129,9 +139,9 @@ def read_bag(path):
     n, d_f, rows_total, cols_total = r.unpack("<IIII", "header extents")
     (label,) = r.unpack("<B", "label")
     (id_len,) = r.unpack("<B", "bag_id length")
-    bag_id = r.take(id_len, "bag_id").decode("utf-8")
+    bag_id = r.text(id_len, "bag_id")
     (pid_len,) = r.unpack("<B", "patient_id length")
-    patient_id = r.take(pid_len, "patient_id").decode("utf-8")
+    patient_id = r.text(pid_len, "patient_id")
     coords = np.frombuffer(r.take(8 * n, "coordinates"), dtype="<u4").reshape(n, 2)
     tokens = np.frombuffer(r.take(4 * n * d_f, "tokens"), dtype="<f4").reshape(n, d_f)
     if r.offset != len(blob):
@@ -252,13 +262,16 @@ def load_manifest(manifest_path):
     Relative paths resolve against the manifest's own directory, so a
     dataset directory can be moved wholesale.
     """
-    import os
-
     base = os.path.dirname(os.path.abspath(manifest_path))
     bags = []
     with open(manifest_path, newline="") as fh:
-        for row in csv.DictReader(fh):
+        reader = csv.DictReader(fh)
+        if "path" not in (reader.fieldnames or ()):
+            raise FormatError(f"{manifest_path}:1: manifest has no column path")
+        for row in reader:
             path = row["path"]
+            if path is None:
+                raise FormatError(f"{manifest_path}:{reader.line_num}: manifest row has no path field")
             if not os.path.isabs(path):
                 path = os.path.join(base, path)
             bags.append(read_bag(path))

@@ -28,15 +28,18 @@ from .attention import (
     SCALE_MODES,
     BlockParams,
     cross_attention_block,
+    init_bias,
     init_block_params,
+    init_weight,
     self_attention_block,
 )
 from .autograd import Tensor
+from .data import BinaryReader
 from .errors import ConfigError, DataError, FormatError, ShapeError
 from .posenc import attach_encodings, encoding_width, frequency_ladder
 
 CHECKPOINT_MAGIC = b"CCAN"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -140,35 +143,28 @@ class CCANModel:
         self.dtype = np.dtype(dtype)
         self.ladder = frequency_ladder(config.n_frequencies, config.f_max)
         rng = np.random.default_rng(config.seed if seed is None else seed)
-
-        def w(shape):
-            return Tensor(rng.normal(0.0, 0.02, size=shape).astype(self.dtype), requires_grad=True)
-
-        def b(n):
-            return Tensor(np.zeros(n, dtype=self.dtype), requires_grad=True)
-
-        d = config.d_latent
-        self.input_proj_w = w((config.d_encoded, d))
-        self.input_proj_b = b(d)
+        d, dt = config.d_latent, self.dtype
+        self.input_proj_w = init_weight(rng, (config.d_encoded, d), dt)
+        self.input_proj_b = init_bias(d, dt)
         self.stages = []
         for count in config.latent_counts():
             self.stages.append(
                 _Stage(
-                    latents=w((count, d)),
-                    class_token=w((1, d)),
-                    cross_blocks=[init_block_params(d, rng, self.dtype) for _ in range(config.block_repeats)],
+                    latents=init_weight(rng, (count, d), dt),
+                    class_token=init_weight(rng, (1, d), dt),
+                    cross_blocks=[init_block_params(d, rng, dt) for _ in range(config.block_repeats)],
                     self_blocks=[
-                        init_block_params(d, rng, self.dtype)
+                        init_block_params(d, rng, dt)
                         for _ in range(config.block_repeats * config.self_layers)
                     ],
-                    final_cross=init_block_params(d, rng, self.dtype),
-                    final_self=init_block_params(d, rng, self.dtype),
+                    final_cross=init_block_params(d, rng, dt),
+                    final_self=init_block_params(d, rng, dt),
                 )
             )
-        self.head_w1 = w((d, d))
-        self.head_b1 = b(d)
-        self.head_w2 = w((d, config.out_units))
-        self.head_b2 = b(config.out_units)
+        self.head_w1 = init_weight(rng, (d, d), dt)
+        self.head_b1 = init_bias(d, dt)
+        self.head_w2 = init_weight(rng, (d, config.out_units), dt)
+        self.head_b2 = init_bias(config.out_units, dt)
 
     def parameters(self):
         """(name, tensor) pairs in a fixed, checkpoint-stable order."""
@@ -208,33 +204,20 @@ class CCANModel:
         stage_ctx = input_ctx if j == 1 else prev_latents
         records = []
         x = stage.latents
-        layer = 0
         for z in range(cfg.block_repeats):
-            x, rec = cross_attention_block(
-                x, stage_ctx, stage.cross_blocks[z], cfg.scale_mode, cfg.heads,
-                stage_index=j, layer_index=layer,
-            )
+            x, rec = cross_attention_block(x, stage_ctx, stage.cross_blocks[z], cfg.scale_mode, cfg.heads)
             records.append(rec)
-            layer += 1
             for s in range(cfg.self_layers):
                 x, rec = self_attention_block(
-                    x, stage.self_blocks[z * cfg.self_layers + s], cfg.scale_mode, cfg.heads,
-                    stage_index=j, layer_index=layer,
+                    x, stage.self_blocks[z * cfg.self_layers + s], cfg.scale_mode, cfg.heads
                 )
                 records.append(rec)
-                layer += 1
         if j > 1:
             x = x + pooled_skip(prev_latents, cfg.compression)
         x = ag.concat_rows([x, stage.class_token])
-        x, rec = cross_attention_block(
-            x, input_ctx, stage.final_cross, cfg.scale_mode, cfg.heads,
-            stage_index=j, layer_index=layer,
-        )
+        x, rec = cross_attention_block(x, input_ctx, stage.final_cross, cfg.scale_mode, cfg.heads)
         records.append(rec)
-        layer += 1
-        x, rec = self_attention_block(
-            x, stage.final_self, cfg.scale_mode, cfg.heads, stage_index=j, layer_index=layer,
-        )
+        x, rec = self_attention_block(x, stage.final_self, cfg.scale_mode, cfg.heads)
         records.append(rec)
         m = x.shape[0] - 1
         class_embedding = ag.slice_rows(x, m, m + 1)
@@ -335,25 +318,19 @@ class BaselineModel:
         self.config = config
         self.dtype = np.dtype(dtype)
         rng = np.random.default_rng(config.seed if seed is None else seed)
-
-        def w(shape):
-            return Tensor(rng.normal(0.0, 0.02, size=shape).astype(self.dtype), requires_grad=True)
-
-        def b(n):
-            return Tensor(np.zeros(n, dtype=self.dtype), requires_grad=True)
-
+        dt = self.dtype
         if config.kind == "full-self-attention":
-            self.input_proj_w = w((config.d_feature, config.d_latent))
-            self.input_proj_b = b(config.d_latent)
-            self.block = init_block_params(config.d_latent, rng, self.dtype)
+            self.input_proj_w = init_weight(rng, (config.d_feature, config.d_latent), dt)
+            self.input_proj_b = init_bias(config.d_latent, dt)
+            self.block = init_block_params(config.d_latent, rng, dt)
             head_in = config.d_latent
         else:
             self.input_proj_w = None
             self.input_proj_b = None
             self.block = None
             head_in = config.d_feature
-        self.head_w = w((head_in, config.out_units))
-        self.head_b = b(config.out_units)
+        self.head_w = init_weight(rng, (head_in, config.out_units), dt)
+        self.head_b = init_bias(config.out_units, dt)
 
     def parameters(self):
         out = []
@@ -375,7 +352,7 @@ class BaselineModel:
             pooled = ag.max_rows(tokens)
         else:
             x = ag.linear(tokens, self.input_proj_w, self.input_proj_b)
-            x, rec = self_attention_block(x, self.block, cfg.scale_mode, cfg.heads, stage_index=1)
+            x, rec = self_attention_block(x, self.block, cfg.scale_mode, cfg.heads)
             records.append(rec)
             pooled = ag.mean_rows(x)
         probs_tensor = ag.sigmoid(ag.linear(pooled, self.head_w, self.head_b))
@@ -396,9 +373,8 @@ class BaselineModel:
 
 
 def _config_payload(model):
-    if isinstance(model, CCANModel):
-        return {"model_kind": "ccan", "config": asdict(model.config)}
-    return {"model_kind": model.config.kind, "config": asdict(model.config)}
+    kind = "ccan" if isinstance(model, CCANModel) else model.config.kind
+    return {"model_kind": kind, "config": asdict(model.config)}
 
 
 def save_checkpoint(model, path):
@@ -415,9 +391,7 @@ def save_checkpoint(model, path):
         raw = name.encode("utf-8")
         buf += struct.pack("<H", len(raw))
         buf += raw
-        buf += struct.pack("<B", tensor.data.ndim)
-        for extent in tensor.data.shape:
-            buf += struct.pack("<I", extent)
+        buf += struct.pack(f"<B{tensor.data.ndim}I", tensor.data.ndim, *tensor.data.shape)
         buf += np.ascontiguousarray(tensor.data, dtype="<f4").tobytes()
     with open(path, "wb") as fh:
         fh.write(bytes(buf))
@@ -442,28 +416,15 @@ def _config_from_json(cls, values, offset):
 def load_checkpoint(path, dtype=np.float32):
     with open(path, "rb") as fh:
         blob = fh.read()
-    offset = 0
-
-    def take(n, what):
-        nonlocal offset
-        if offset + n > len(blob):
-            raise FormatError(f"truncated checkpoint while reading {what}", offset=offset)
-        out = blob[offset : offset + n]
-        offset += n
-        return out
-
-    if take(4, "magic") != CHECKPOINT_MAGIC:
+    r = BinaryReader(blob)
+    if r.take(4, "magic") != CHECKPOINT_MAGIC:
         raise FormatError("bad checkpoint magic", offset=0)
-    (version,) = struct.unpack("<H", take(2, "version"))
+    (version,) = r.unpack("<H", "version")
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"unsupported checkpoint version {version}", offset=4)
-    (payload_len,) = struct.unpack("<I", take(4, "config length"))
-    start = offset
-    raw = take(payload_len, "config")
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError("checkpoint config is not UTF-8", offset=start + exc.start) from None
+    (payload_len,) = r.unpack("<I", "config length")
+    start = r.offset
+    text = r.text(payload_len, "checkpoint config")
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -478,23 +439,23 @@ def load_checkpoint(path, dtype=np.float32):
         model = BaselineModel(_config_from_json(BaselineConfig, payload["config"], start), dtype=dtype)
     else:
         raise FormatError(f"unknown model_kind {kind!r} in checkpoint config", offset=start)
-    (n_params,) = struct.unpack("<I", take(4, "parameter count"))
+    (n_params,) = r.unpack("<I", "parameter count")
     params = dict(model.parameters())
     if n_params != len(params):
-        raise FormatError(f"expected {len(params)} parameters, found {n_params}", offset=offset)
+        raise FormatError(f"expected {len(params)} parameters, found {n_params}", offset=r.offset)
     for _ in range(n_params):
-        (name_len,) = struct.unpack("<H", take(2, "parameter name length"))
-        name = take(name_len, "parameter name").decode("utf-8")
+        (name_len,) = r.unpack("<H", "parameter name length")
+        name = r.text(name_len, "parameter name")
         if name not in params:
-            raise FormatError(f"unknown parameter {name!r}", offset=offset)
-        (ndim,) = struct.unpack("<B", take(1, "parameter rank"))
-        shape = tuple(struct.unpack("<I", take(4, "parameter extent"))[0] for _ in range(ndim))
+            raise FormatError(f"unknown parameter {name!r}", offset=r.offset)
+        (ndim,) = r.unpack("<B", "parameter rank")
+        shape = r.unpack(f"<{ndim}I", "parameter extents")
         target = params[name]
         if shape != target.data.shape:
-            raise FormatError(f"parameter {name!r} has shape {shape}, expected {target.data.shape}", offset=offset)
-        count = int(np.prod(shape)) if shape else 1
-        values = np.frombuffer(take(4 * count, f"values of {name!r}"), dtype="<f4").reshape(shape)
+            raise FormatError(f"parameter {name!r} has shape {shape}, expected {target.data.shape}", offset=r.offset)
+        count = int(np.prod(shape))
+        values = np.frombuffer(r.take(4 * count, f"values of {name!r}"), dtype="<f4").reshape(shape)
         target.data[...] = values.astype(model.dtype)
-    if offset != len(blob):
-        raise FormatError("trailing bytes after parameters", offset=offset)
+    if r.offset != len(blob):
+        raise FormatError("trailing bytes after parameters", offset=r.offset)
     return model

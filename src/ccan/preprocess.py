@@ -38,8 +38,8 @@ class RasterImage:
             self.pixels = self.pixels[:, :, None]
         if self.pixels.ndim != 3 or self.pixels.shape[2] not in (1, 3):
             raise DataError(f"expected HxWx{{1,3}} pixels, got shape {self.pixels.shape}")
-        if self.microns_per_pixel <= 0:
-            raise DataError(f"microns_per_pixel must be positive, got {self.microns_per_pixel}")
+        if not 0 < self.microns_per_pixel < float("inf"):
+            raise DataError(f"microns_per_pixel must be positive and finite, got {self.microns_per_pixel}")
 
     @property
     def height(self):
@@ -324,15 +324,25 @@ def read_sidecar(path):
             if not line:
                 continue
             if "=" not in line:
-                raise ConfigError(f"sidecar line is not key=value: {line!r}")
+                raise ConfigError(f"{path}: sidecar line is not key=value: {line!r}")
             key, value = (part.strip() for part in line.split("=", 1))
             meta[key] = value
     missing = {"microns_per_pixel", "label", "bag_id", "patient_id"} - meta.keys()
     if missing:
-        raise ConfigError(f"sidecar missing keys: {sorted(missing)}")
+        raise ConfigError(f"{path}: sidecar missing keys: {sorted(missing)}")
+    mpp = _sidecar_value(meta, "microns_per_pixel", float, path)
+    if not 0 < mpp < float("inf"):
+        raise ConfigError(f"{path}: sidecar microns_per_pixel = {mpp} must be positive and finite")
     return {
-        "microns_per_pixel": float(meta["microns_per_pixel"]),
-        "label": int(meta["label"]),
+        "microns_per_pixel": mpp,
+        "label": _sidecar_value(meta, "label", int, path),
         "bag_id": meta["bag_id"],
         "patient_id": meta["patient_id"],
     }
+
+
+def _sidecar_value(meta, key, kind, path):
+    try:
+        return kind(meta[key])
+    except ValueError:
+        raise ConfigError(f"{path}: sidecar {key} = {meta[key]!r} cannot be read as {kind.__name__}") from None

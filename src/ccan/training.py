@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import csv
 import math
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -18,7 +20,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor
 from .data import subsample_fraction
-from .errors import ConfigError, MetricError, UsageError
+from .errors import ConfigError, DataError, MetricError, UsageError
 from .model import BaselineConfig, BaselineModel, CCANModel, save_checkpoint
 
 
@@ -32,7 +34,6 @@ class TrainConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    fractions: tuple = (0.02, 0.05, 0.10, 0.25, 0.50, 0.75, 1.00)
     seed: int = 0
 
     def validate(self):
@@ -40,8 +41,6 @@ class TrainConfig:
             raise ConfigError(f"need 0 <= lr_min <= lr_max, got {self.lr_min}, {self.lr_max}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be >= 1")
-        if any(not 0 < f <= 1 for f in self.fractions):
-            raise ConfigError(f"fractions must lie in (0, 1], got {self.fractions}")
         return self
 
 
@@ -91,8 +90,17 @@ def total_loss(per_stage_losses):
     return total
 
 
+def check_labels(bags, num_classes):
+    """Raise DataError naming the first bag whose label is outside 0..num_classes-1."""
+    for bag in bags:
+        if not 0 <= bag.label < num_classes:
+            raise DataError(f"bag {bag.bag_id!r} has label {bag.label}, outside 0..{num_classes - 1}")
+
+
 def bag_loss(model_output, label, num_classes):
     """Summed per-stage BCE against the bag label."""
+    if not 0 <= label < num_classes:
+        raise DataError(f"label {label} is outside 0..{num_classes - 1}")
     if num_classes == 2:
         target = np.array([1.0 if label == 1 else 0.0])
     else:
@@ -193,6 +201,8 @@ def auc_binary(scores, labels):
     labels = np.asarray(labels)
     n_pos = int((labels == 1).sum())
     n_neg = int((labels == 0).sum())
+    if n_pos + n_neg != labels.size:
+        raise MetricError(f"auc_binary labels must be 0 or 1, got {sorted(set(labels.tolist()) - {0, 1})}")
     if n_pos == 0 or n_neg == 0:
         raise MetricError("auc_binary needs both classes present")
     order = np.argsort(scores, kind="stable")
@@ -215,6 +225,8 @@ def auc_macro_ovr(score_matrix, labels):
     labels = np.asarray(labels)
     n_classes = score_matrix.shape[1]
     present = np.unique(labels)
+    if present.size and not (0 <= present[0] and present[-1] < n_classes):
+        raise MetricError(f"labels {present.tolist()} outside 0..{n_classes - 1}")
     if len(present) < n_classes:
         raise MetricError(f"classes {sorted(set(range(n_classes)) - set(present.tolist()))} absent from labels")
     return float(np.mean([auc_binary(score_matrix[:, k], (labels == k).astype(int)) for k in range(n_classes)]))
@@ -223,6 +235,7 @@ def auc_macro_ovr(score_matrix, labels):
 def evaluate_auc(model, bags):
     """Eval-mode AUC of a model over a bag list (binary or macro one-vs-rest)."""
     num_classes = model.config.num_classes
+    check_labels(bags, num_classes)
     labels = np.array([b.label for b in bags])
     with ag.no_grad():
         scores = np.stack([model.forward(b, train_mode=False).averaged_probs for b in bags])
@@ -257,6 +270,7 @@ def train(model, dataset, fold, cfg, checkpoint_path=None, log=None):
     val_bags = [dataset.by_id(i) for i in fold.val_ids]
     test_bags = [dataset.by_id(i) for i in fold.test_ids]
     num_classes = model.config.num_classes
+    check_labels(train_bags + val_bags + test_bags, num_classes)
 
     named = model.parameters()
     tensors = [p for _, p in named]
@@ -385,21 +399,18 @@ def data_efficiency_sweep(dataset, split_plan, fractions, cfg, ccan_config,
     """
     if not fractions:
         raise ConfigError("fractions must be nonempty")
+    if any(not 0 < f <= 1 for f in fractions):
+        raise ConfigError(f"fractions must lie in (0, 1], got {tuple(fractions)}")
     cells = [
         (dataset, split_plan.folds[i], i, float(fr), kind, ccan_config, cfg)
         for i in range(split_plan.k)
         for fr in fractions
         for kind in models
     ]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_cell, cells))
-    else:
-        rows = []
-        for cell in cells:
-            row = _sweep_cell(cell)
+    rows = []
+    # pool.map, like map, yields rows in cell order, each once it and the cells before it are done
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        for row in (pool.map if jobs > 1 else map)(_sweep_cell, cells):
             rows.append(row)
             if log is not None:
                 log(f"fold {row.fold} fraction {row.fraction} {row.model}: test_auc={row.test_auc:.4f}")

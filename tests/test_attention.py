@@ -3,6 +3,7 @@ import pytest
 
 from ccan import autograd as ag
 from ccan.attention import (
+    BlockParams,
     attention_scale,
     cross_attention_block,
     init_block_params,
@@ -306,3 +307,47 @@ class TestFusedAttention:
             ag.attention(t64(np.zeros((2, 3))), t64(np.zeros((4, 3))), t64(np.zeros((5, 2))), 1.0)
         with pytest.raises(ShapeError):
             ag.attention(t64(np.zeros((2, 3))), t64(np.zeros((0, 3))), t64(np.zeros((0, 2))), 1.0)
+
+
+class TestNoKeyBias:
+    def test_block_params_have_no_key_bias(self):
+        names = [n for n, _ in random_block(4, seed=0).named_tensors()]
+        assert "w_k" in names and "b_k" not in names and len(names) == 15
+        assert "b_k" not in BlockParams.__dataclass_fields__
+
+    @pytest.mark.parametrize("block", ["cross", "self"])
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_random_key_bias_changes_nothing_float64(self, monkeypatch, block, heads):
+        # a key bias b adds q . b to every logit of a row, and softmax drops a row constant
+        d = 6
+        key_bias = t64(np.random.default_rng(50).normal(size=d), requires_grad=True)
+
+        def run():
+            rng = np.random.default_rng(51)
+            params = random_block(d, seed=52)
+            for _, t in params.named_tensors():
+                t.data[...] += rng.normal(scale=0.5, size=t.shape)  # logits far from uniform
+            x = t64(rng.normal(size=(5, d)), requires_grad=True)
+            leaves = [x] + [t for _, t in params.named_tensors()]
+            mode = "per-paper" if heads == 1 else "per-dim"
+            if block == "cross":
+                ctx = t64(rng.normal(size=(9, d)), requires_grad=True)
+                leaves.append(ctx)
+                out, record = cross_attention_block(x, ctx, params, scale_mode=mode, heads=heads)
+            else:
+                out, record = self_attention_block(x, params, scale_mode=mode, heads=heads)
+            upstream = t64(rng.normal(size=out.shape))
+            ag.backward(ag.sum_all(ag.mul(out, upstream)))
+            return [out.data, record.matrix] + [t.grad for t in leaves]
+
+        bias_free = run()
+        linear = ag.linear
+        monkeypatch.setattr(ag, "attention", composed_attention)
+        # only the key projections write column-major, and only they get the bias
+        monkeypatch.setattr(ag, "linear",
+                            lambda x, w, b, order="C": linear(x, w, key_bias if order == "F" else b))
+        biased = run()
+        assert np.abs(key_bias.data).min() > 0.1
+        for a, b in zip(bias_free, biased):
+            np.testing.assert_allclose(b, a, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(key_bias.grad, 0.0, atol=1e-12)

@@ -90,6 +90,18 @@ class TestLayerNorm:
         report = ag.grad_check(f, [("x", x), ("gamma", gamma), ("beta", beta)], eps=1e-5)
         assert report.max_rel_err < 1e-6
 
+    def test_float32_bits_of_the_two_pass_expression(self):
+        # centring once must keep the bits of (x - mu) * inv * gamma + beta with x - mu formed twice
+        rng = np.random.default_rng(13)
+        x, gamma, beta = (rng.normal(size=s).astype(np.float32) for s in ((33, 48), 48, 48))
+        out = ag.layer_norm(Tensor(x), Tensor(gamma), Tensor(beta))
+        mu = x.mean(axis=-1, keepdims=True)
+        var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt(var + 1e-5)
+        expected = (x - mu) * inv * gamma + beta
+        assert out.data.dtype == np.float32
+        np.testing.assert_array_equal(out.data.view(np.uint32), expected.view(np.uint32))
+
 
 class TestGelu:
     def test_float32_output_pinned_to_float64_evaluation(self):
@@ -247,6 +259,7 @@ def _op_cases(rng):
         ("scale", [("a", a)], lambda: sq(a * 1.7)),
         ("matmul", [("a", a), ("b", b)], lambda: sq(ag.matmul(a, b))),
         ("linear", [("a", a), ("b", b), ("bias3", bias3)], lambda: sq(ag.linear(a, b, bias3))),
+        ("linear_no_bias", [("a", a), ("b", b)], lambda: sq(ag.linear(a, b, None))),
         ("transpose", [("a", a)], lambda: sq(ag.transpose(a))),
         ("attention", [("a", a), ("keys", keys), ("values", values)],
          lambda: sq(ag.attention(a, keys, values, 1.7)[0])),
@@ -311,6 +324,24 @@ class TestLinear:
         for fused, unfused in zip(run(True), run(False)):
             assert fused.dtype == np.float32
             np.testing.assert_array_equal(fused.view(np.uint32), unfused.view(np.uint32))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_no_bias_bitwise_equal_to_matmul_float32(self, order):
+        rng = np.random.default_rng(12)
+        x, w, upstream = rng.normal(size=(37, 24)), rng.normal(size=(24, 19)), rng.normal(size=(37, 19))
+
+        def run(fused):
+            ts = [Tensor(v.astype(np.float32), requires_grad=True) for v in (x, w)]
+            out = ag.linear(*ts, None, order=order) if fused else ag.matmul(*ts)
+            ag.backward(ag.sum_all(ag.mul(out, Tensor(upstream.astype(np.float32)))))
+            return out, [out.data] + [t.grad for t in ts]
+
+        out, fused = run(True)
+        assert len(out._parents) == 2  # no bias parent
+        assert out.data.flags.f_contiguous == (order == "F")
+        for a, b in zip(fused, run(False)[1]):
+            assert a.dtype == np.float32
+            np.testing.assert_array_equal(a.view(np.uint32), b.view(np.uint32))
 
     def test_shape_errors(self):
         with pytest.raises(ShapeError):

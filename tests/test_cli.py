@@ -164,6 +164,26 @@ class TestCommands:
         n_tokens = int.from_bytes(blob[6:10], "little")
         assert err == f"error: bag 'bag0000': token row {n_tokens - 1} has a NaN or infinite value\n"
 
+    def test_non_utf8_parameter_name_is_one_error_line(self, tiny_run, tmp_path, capsys):
+        blob = bytearray(open(os.path.join(tiny_run["run_dir"], "best.ckpt"), "rb").read())
+        at = 10 + int.from_bytes(blob[6:10], "little") + 4 + 2  # first byte of the first name
+        blob[at] = 0xFF
+        ckpt = tmp_path / "flipped.ckpt"
+        ckpt.write_bytes(bytes(blob))
+        rc = main(["explain", "--paths.checkpoint", str(ckpt),
+                   "--paths.bag", os.path.join(tiny_run["data"], "bag0000.ccfb"),
+                   "--paths.out", str(tmp_path / "heat")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == f"error: parameter name is not UTF-8 (at byte offset {at})\n"
+
+    def test_manifest_without_path_is_one_error_line(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("bag_id,patient_id,label\nb0,p0,1\n")
+        rc = main(["split", "--paths.data", str(manifest), "--paths.out", str(tmp_path / "plan.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {manifest}:1: manifest has no column path\n"
+
     def test_explain(self, tiny_run, tmp_path, capsys):
         bag_path = os.path.join(tiny_run["data"], "bag0000.ccfb")
         out = str(tmp_path / "heat")
@@ -222,6 +242,28 @@ class TestCommands:
 
         bag = read_bag(out)
         assert bag.n_tokens == 4 and bag.d_feature == 32
+
+
+    @pytest.mark.parametrize("line, message", [
+        ("microns_per_pixel = nan", "microns_per_pixel = nan must be positive and finite"),
+        ("microns_per_pixel = abc", "microns_per_pixel = 'abc' cannot be read as float"),
+        ("label = one", "label = 'one' cannot be read as int"),
+    ])
+    def test_bad_sidecar_is_one_error_line(self, tmp_path, capsys, line, message):
+        from ccan.netpbm import write_ppm
+
+        img_path = str(tmp_path / "slide.ppm")
+        write_ppm(np.full((256, 256, 3), 100, np.uint8), img_path)
+        meta = {"microns_per_pixel": "1.0", "label": "1", "bag_id": "s0", "patient_id": "p0"}
+        key, value = (part.strip() for part in line.split("="))
+        meta[key] = value
+        meta_path = str(tmp_path / "slide.txt")
+        with open(meta_path, "w") as fh:
+            fh.write("".join(f"{k} = {v}\n" for k, v in meta.items()))
+        rc = main(["preprocess", "--paths.image", img_path, "--paths.meta", meta_path,
+                   "--paths.out", str(tmp_path / "slide.ccfb")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {meta_path}: sidecar {message}\n"
 
 
 class TestReproducibility:

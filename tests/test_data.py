@@ -108,6 +108,17 @@ class TestCCFBFormat:
         with pytest.raises(DataError, match=r"bag 'slide7': token row 2 has a NaN"):
             read_bag(path)
 
+    def test_non_utf8_bag_id_reports_offset(self, tmp_path):
+        path = tmp_path / "bag.ccfb"
+        write_bag(make_bag(bag_id="ab"), path)
+        blob = bytearray(path.read_bytes())
+        at = 4 + 2 + 16 + 1 + 1 + 1  # second byte of the bag id
+        blob[at] = 0xFF
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="bag_id is not UTF-8") as err:
+            read_bag(path)
+        assert err.value.offset == at
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bag.ccfb"
         path.write_bytes(b"NOPE" + b"\x00" * 40)
@@ -193,6 +204,18 @@ class TestManifest:
         write_manifest(ds, paths, manifest)
         loaded = load_manifest(manifest)
         assert loaded.bag_ids() == ds.bag_ids()
+
+    def test_missing_path_column(self, tmp_path):
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("bag_id,patient_id,label,file\nb0,p0,1,b0.ccfb\n")
+        with pytest.raises(FormatError, match=re.escape(f"{manifest}:1: manifest has no column path")):
+            load_manifest(manifest)
+
+    def test_short_row(self, tmp_path):
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("bag_id,patient_id,label,path\nb0,p0\n")
+        with pytest.raises(FormatError, match=re.escape(f"{manifest}:2: manifest row has no path field")):
+            load_manifest(manifest)
 
 
 class TestPatientGroupedKFold:

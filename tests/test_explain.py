@@ -21,14 +21,12 @@ def fake_stage(records):
                        probs_tensor=None, records=records)
 
 
-def cross(matrix, stage=1, layer=0):
-    return AttentionRecord(matrix=np.asarray(matrix, dtype=np.float64), kind="cross",
-                           stage_index=stage, layer_index=layer)
+def cross(matrix):
+    return AttentionRecord(matrix=np.asarray(matrix, dtype=np.float64), kind="cross")
 
 
-def self_rec(matrix, stage=1, layer=1):
-    return AttentionRecord(matrix=np.asarray(matrix, dtype=np.float64), kind="self",
-                           stage_index=stage, layer_index=layer)
+def self_rec(matrix):
+    return AttentionRecord(matrix=np.asarray(matrix, dtype=np.float64), kind="self")
 
 
 class TestRolloutStage:

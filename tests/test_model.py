@@ -297,6 +297,12 @@ def _const_bag(tokens):
 
 
 class TestCheckpoint:
+    def test_no_key_bias_parameters(self):
+        names = [n for n, _ in CCANModel(toy_config()).parameters()]
+        # per stage: latents, class token and 4 blocks of 15 tensors; input projection and head
+        assert len(names) == 2 * (2 + 4 * 15) + 2 + 4
+        assert not any(n.endswith(".b_k") for n in names)
+
     def test_round_trip_bitwise(self, tmp_path):
         model = CCANModel(toy_config(), seed=10)
         path = tmp_path / "model.ckpt"
@@ -348,6 +354,29 @@ class TestCheckpoint:
             return json.dumps(payload).encode("utf-8")
 
         return self._with_config(tmp_path, edit)
+
+    def test_version_1_rejected(self, tmp_path):
+        # v1 carried a key bias per block, which no output depended on; v2 has none
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(CCANModel(toy_config(), seed=15), path)
+        blob = path.read_bytes()
+        assert struct.unpack("<H", blob[4:6]) == (2,)
+        path.write_bytes(blob[:4] + struct.pack("<H", 1) + blob[6:])
+        with pytest.raises(FormatError, match="unsupported checkpoint version 1") as err:
+            load_checkpoint(path)
+        assert err.value.offset == 4
+
+    def test_non_utf8_parameter_name(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(CCANModel(toy_config(), seed=16), path)
+        blob = bytearray(path.read_bytes())
+        (length,) = struct.unpack("<I", blob[6:10])
+        at = 10 + length + 4 + 2 + 3  # fourth byte of the first parameter name
+        blob[at] = 0xFF
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="parameter name is not UTF-8") as err:
+            load_checkpoint(path)
+        assert err.value.offset == at
 
     def test_non_utf8_config_byte(self, tmp_path):
         path = self._with_config(tmp_path, lambda raw: raw[:5] + b"\xff" + raw[6:])

@@ -58,6 +58,11 @@ class TestTessellate:
         with pytest.raises(DataError):
             tessellate(img)
 
+    @pytest.mark.parametrize("mpp", [0.0, -1.0, float("nan"), float("inf")])
+    def test_pixel_size_must_be_positive_and_finite(self, mpp):
+        with pytest.raises(DataError, match="positive and finite"):
+            RasterImage(pixels=np.zeros((4, 4, 3), np.uint8), microns_per_pixel=mpp)
+
     def test_grayscale_input_replicated(self):
         img = RasterImage(pixels=np.full((256, 256), 80, np.uint8), microns_per_pixel=1.0)
         patches = tessellate(img)
@@ -253,3 +258,19 @@ class TestSidecar:
         path.write_text("label = 1\n")
         with pytest.raises(ConfigError):
             read_sidecar(path)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("microns_per_pixel", "abc", "microns_per_pixel = 'abc' cannot be read as float"),
+        ("microns_per_pixel", "nan", "microns_per_pixel = nan must be positive and finite"),
+        ("microns_per_pixel", "inf", "microns_per_pixel = inf must be positive and finite"),
+        ("microns_per_pixel", "0", "microns_per_pixel = 0.0 must be positive and finite"),
+        ("label", "one", "label = 'one' cannot be read as int"),
+    ])
+    def test_bad_value_names_path_and_key(self, tmp_path, key, value, message):
+        path = tmp_path / "meta.txt"
+        meta = {"microns_per_pixel": "0.5", "label": "1", "bag_id": "s1", "patient_id": "p9"}
+        meta[key] = value
+        path.write_text("".join(f"{k} = {v}\n" for k, v in meta.items()))
+        with pytest.raises(ConfigError) as err:
+            read_sidecar(path)
+        assert str(err.value) == f"{path}: sidecar {message}"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from ccan import autograd as ag
 from ccan.autograd import Tensor
 from ccan.data import generate_synthetic, patient_grouped_kfold
-from ccan.errors import ConfigError, MetricError, UsageError
+from ccan.errors import ConfigError, DataError, MetricError, UsageError
 from ccan.model import BaselineConfig, BaselineModel, CCANConfig, CCANModel
 from ccan.training import (
     ADAMW_CHUNK,
@@ -17,6 +18,7 @@ from ccan.training import (
     adamw_step,
     auc_binary,
     auc_macro_ovr,
+    bag_loss,
     bce_loss,
     cosine_lr,
     data_efficiency_sweep,
@@ -176,6 +178,11 @@ class TestAucBinary:
     def test_all_ties_give_half(self):
         assert auc_binary([0.5, 0.5, 0.5, 0.5], [0, 1, 0, 1]) == 0.5
 
+    def test_labels_outside_zero_one_rejected(self):
+        # a label of neither class would push the rank statistic outside [0, 1] (here to 3.0)
+        with pytest.raises(MetricError, match=r"must be 0 or 1, got \[7\]"):
+            auc_binary([0.9, 0.5, 0.1, 0.05], [1, 0, 7, 7])
+
     def test_single_class_rejected(self):
         with pytest.raises(MetricError):
             auc_binary([0.1, 0.2], [1, 1])
@@ -223,6 +230,11 @@ class TestAucMacroOvr:
         matrix = rng.uniform(size=(40, 3))
         expected = np.mean([pairwise_auc(matrix[:, k], (labels == k).astype(int)) for k in range(3)])
         np.testing.assert_allclose(auc_macro_ovr(matrix, labels), expected, atol=1e-12)
+
+    def test_label_outside_classes_rejected(self):
+        scores = np.full((4, 3), 1.0 / 3)
+        with pytest.raises(MetricError, match=r"outside 0\.\.2"):
+            auc_macro_ovr(scores, [0, 1, 2, 3])
 
     def test_missing_class_rejected(self):
         with pytest.raises(MetricError):
@@ -299,6 +311,29 @@ class TestTrain:
         assert len(lines) == 1 + 2 + 2  # header + epochs + summary rows
 
 
+class TestLabelRange:
+    def _relabelled(self, seed, n_bags):
+        ds, plan = small_task(seed=seed, n_bags=n_bags)
+        bag = ds.by_id(plan.folds[0].test_ids[0])
+        bag.label = 7
+        return ds, plan, bag
+
+    def test_bag_loss_rejects_label_outside_task(self):
+        with pytest.raises(DataError, match=r"label 7 is outside 0\.\.1"):
+            bag_loss(None, 7, 2)  # checked before the output is read
+
+    def test_evaluate_auc_names_the_bag(self):
+        ds, plan, bag = self._relabelled(seed=32, n_bags=16)
+        with pytest.raises(DataError, match=f"bag '{bag.bag_id}' has label 7, outside 0\\.\\.1"):
+            evaluate_auc(small_model(seed=33), ds.bags)
+
+    def test_train_names_the_bag_before_the_first_step(self, monkeypatch):
+        ds, plan, bag = self._relabelled(seed=34, n_bags=16)
+        monkeypatch.setattr("ccan.training.adamw_step", lambda *a, **k: pytest.fail("trained"))
+        with pytest.raises(DataError, match=f"bag '{bag.bag_id}' has label 7"):
+            train(small_model(seed=35), ds, plan.folds[0], TrainConfig(epochs=1, batch_size=4))
+
+
 class TestSweep:
     def test_single_cell_rows(self, tmp_path):
         ds, plan = small_task(seed=18, n_bags=24)
@@ -316,6 +351,27 @@ class TestSweep:
         ds, plan = small_task(seed=21, n_bags=16)
         with pytest.raises(ConfigError):
             data_efficiency_sweep(ds, plan, [], TrainConfig(), small_model().config)
+
+    @pytest.mark.parametrize("bad", [0.0, 1.5])
+    def test_fraction_outside_unit_interval_rejected_before_training(self, monkeypatch, bad):
+        ds, plan = small_task(seed=21, n_bags=16)
+        monkeypatch.setattr("ccan.training._sweep_cell", lambda cell: pytest.fail("a cell trained"))
+        with pytest.raises(ConfigError, match=r"fractions must lie in \(0, 1\]"):
+            data_efficiency_sweep(ds, plan, [1.0, bad], TrainConfig(), small_model().config)
+
+    def test_train_config_has_no_fractions(self):
+        assert "fractions" not in {f.name for f in dataclasses.fields(TrainConfig)}
+
+    def test_logs_each_row_with_two_jobs(self):
+        ds, plan = small_task(seed=26, n_bags=24, d_feature=8)
+        two_folds = type(plan)(k=2, folds=plan.folds[:2], seed=plan.seed)
+        cfg = TrainConfig(epochs=1, batch_size=8, lr_max=1e-4, seed=27)
+        lines = []
+        rows = data_efficiency_sweep(ds, two_folds, [0.5, 1.0], cfg, small_model(d_feature=8).config,
+                                     models=("mean-pool",), jobs=2, log=lines.append)
+        assert len(rows) == len(lines) == 4
+        assert lines[0].startswith("fold 0 fraction 0.5 mean-pool: test_auc=")
+        assert lines[-1].startswith("fold 1 fraction 1.0 mean-pool: test_auc=")
 
     def test_baseline_trains_on_null_task_to_chance(self):
         # no witness signal: a trained pooling model cannot beat chance
