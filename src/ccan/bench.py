@@ -83,7 +83,7 @@ class BenchRow:
     n_tokens: int
     wall_ms: float
     macs: int
-    peak_bytes: int
+    allocated_bytes: int  # bytes of all tensors one forward allocates (a sum, not a live peak)
     ok: bool
 
 
@@ -115,19 +115,19 @@ class ScalingReport:
     def write_csv(self, path):
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["model", "n_tokens", "wall_ms", "macs", "peak_bytes", "ok"])
+            writer.writerow(["model", "n_tokens", "wall_ms", "macs", "allocated_bytes", "ok"])
             for r in self.rows:
-                writer.writerow([r.model, r.n_tokens, repr(r.wall_ms), r.macs, r.peak_bytes, int(r.ok)])
+                writer.writerow([r.model, r.n_tokens, repr(r.wall_ms), r.macs, r.allocated_bytes, int(r.ok)])
 
     def summary(self):
         lines = [
-            f"{'model':<22}{'N':>7}{'median ms':>12}{'MACs':>16}{'peak MB':>10}",
+            f"{'model':<22}{'N':>7}{'median ms':>12}{'MACs':>16}{'allocated MB':>14}",
         ]
         for r in self.rows:
             status = "" if r.ok else "  FAILED"
             lines.append(
                 f"{r.model:<22}{r.n_tokens:>7}{r.wall_ms:>12.2f}{r.macs:>16}"
-                f"{r.peak_bytes / 1e6:>10.1f}{status}"
+                f"{r.allocated_bytes / 1e6:>14.1f}{status}"
             )
         lines.append(
             f"aggregator time vs N: slope={self.time_fit.slope:.4g} ms/token, R^2={self.time_fit.r2:.5f}"
@@ -139,7 +139,7 @@ class ScalingReport:
 
 def _timed_forwards(model, bag, repeats, warmup):
     times = []
-    peak = 0
+    allocated = 0
     with ag.no_grad():
         for _ in range(warmup):
             model.forward(bag, train_mode=False)
@@ -148,8 +148,8 @@ def _timed_forwards(model, bag, repeats, warmup):
                 t0 = time.perf_counter()
                 model.forward(bag, train_mode=False)
                 times.append((time.perf_counter() - t0) * 1000.0)
-            peak = max(peak, probe.tensor_bytes)
-    return float(np.median(times)), peak
+            allocated = max(allocated, probe.tensor_bytes)
+    return float(np.median(times)), allocated
 
 
 def bench_scaling(config, ns, repeats=7, warmup=2, seed=0, include_baseline=True, log=None):
@@ -177,15 +177,15 @@ def bench_scaling(config, ns, repeats=7, warmup=2, seed=0, include_baseline=True
     for n in ns:
         bag = make_bench_bag(n, config.d_feature, seed=seed)
         try:
-            wall, peak = _timed_forwards(model, bag, repeats, warmup)
-            rows.append(BenchRow("ccan", n, wall, count_macs(config, n), peak, True))
+            wall, allocated = _timed_forwards(model, bag, repeats, warmup)
+            rows.append(BenchRow("ccan", n, wall, count_macs(config, n), allocated, True))
         except MemoryError:
             rows.append(BenchRow("ccan", n, float("nan"), count_macs(config, n), 0, False))
         if baseline is not None:
             try:
-                wall, peak = _timed_forwards(baseline, bag, repeats, warmup)
+                wall, allocated = _timed_forwards(baseline, bag, repeats, warmup)
                 rows.append(
-                    BenchRow("full-self-attention", n, wall, count_baseline_macs(config, n)["total"], peak, True)
+                    BenchRow("full-self-attention", n, wall, count_baseline_macs(config, n)["total"], allocated, True)
                 )
             except MemoryError:
                 rows.append(

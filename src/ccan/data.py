@@ -102,10 +102,13 @@ def write_bag(bag, path):
 
 
 class BinaryReader:
-    """Sequential little-endian reads from one blob; every fault is a FormatError with its offset."""
+    """Sequential little-endian reads from one blob; every fault is a FormatError with its offset.
+
+    ``take`` returns a memoryview into the blob, not a copy of its bytes.
+    """
 
     def __init__(self, blob):
-        self.blob = blob
+        self.blob = memoryview(blob)
         self.offset = 0
 
     def take(self, n, what):
@@ -121,7 +124,7 @@ class BinaryReader:
     def text(self, n, what):
         start = self.offset
         try:
-            return self.take(n, what).decode("utf-8")
+            return str(self.take(n, what), "utf-8")
         except UnicodeDecodeError as exc:
             raise FormatError(f"{what} is not UTF-8", offset=start + exc.start) from None
 
@@ -130,7 +133,7 @@ def read_bag(path):
     with open(path, "rb") as fh:
         blob = fh.read()
     r = BinaryReader(blob)
-    magic = r.take(4, "magic")
+    magic = bytes(r.take(4, "magic"))
     if magic != CCFB_MAGIC:
         raise FormatError(f"bad magic {magic!r}", offset=0)
     (version,) = r.unpack("<H", "version")

@@ -138,11 +138,14 @@ class CCANModel:
     """Holds config plus every learnable tensor; see module docstring."""
 
     def __init__(self, config, seed=None, dtype=np.float32):
+        self._build(config, np.random.default_rng(config.seed if seed is None else seed), dtype)
+
+    def _build(self, config, rng, dtype):
+        """Lay out every parameter, weights drawn from ``rng`` (unfilled if None)."""
         config.validate()
         self.config = config
         self.dtype = np.dtype(dtype)
         self.ladder = frequency_ladder(config.n_frequencies, config.f_max)
-        rng = np.random.default_rng(config.seed if seed is None else seed)
         d, dt = config.d_latent, self.dtype
         self.input_proj_w = init_weight(rng, (config.d_encoded, d), dt)
         self.input_proj_b = init_bias(d, dt)
@@ -314,10 +317,13 @@ class BaselineModel:
     """
 
     def __init__(self, config, seed=None, dtype=np.float32):
+        self._build(config, np.random.default_rng(config.seed if seed is None else seed), dtype)
+
+    def _build(self, config, rng, dtype):
+        """Lay out every parameter, weights drawn from ``rng`` (unfilled if None)."""
         config.validate()
         self.config = config
         self.dtype = np.dtype(dtype)
-        rng = np.random.default_rng(config.seed if seed is None else seed)
         dt = self.dtype
         if config.kind == "full-self-attention":
             self.input_proj_w = init_weight(rng, (config.d_feature, config.d_latent), dt)
@@ -434,28 +440,36 @@ def load_checkpoint(path, dtype=np.float32):
         raise FormatError("checkpoint config must hold exactly 'model_kind' and 'config'", offset=start)
     kind = payload["model_kind"]
     if kind == "ccan":
-        model = CCANModel(_config_from_json(CCANConfig, payload["config"], start), dtype=dtype)
+        cls, config_cls = CCANModel, CCANConfig
     elif kind in BASELINE_KINDS:
-        model = BaselineModel(_config_from_json(BaselineConfig, payload["config"], start), dtype=dtype)
+        cls, config_cls = BaselineModel, BaselineConfig
     else:
         raise FormatError(f"unknown model_kind {kind!r} in checkpoint config", offset=start)
+    config = _config_from_json(config_cls, payload["config"], start)
+    # the file writes every weight, so the layout is built without drawing them
+    model = cls.__new__(cls)
+    model._build(config, None, dtype)
     (n_params,) = r.unpack("<I", "parameter count")
     params = dict(model.parameters())
     if n_params != len(params):
         raise FormatError(f"expected {len(params)} parameters, found {n_params}", offset=r.offset)
+    # n_params distinct known names cover every parameter, so none stays unfilled
+    seen = set()
     for _ in range(n_params):
         (name_len,) = r.unpack("<H", "parameter name length")
         name = r.text(name_len, "parameter name")
         if name not in params:
             raise FormatError(f"unknown parameter {name!r}", offset=r.offset)
+        if name in seen:
+            raise FormatError(f"parameter {name!r} appears more than once", offset=r.offset)
+        seen.add(name)
         (ndim,) = r.unpack("<B", "parameter rank")
         shape = r.unpack(f"<{ndim}I", "parameter extents")
         target = params[name]
         if shape != target.data.shape:
             raise FormatError(f"parameter {name!r} has shape {shape}, expected {target.data.shape}", offset=r.offset)
         count = int(np.prod(shape))
-        values = np.frombuffer(r.take(4 * count, f"values of {name!r}"), dtype="<f4").reshape(shape)
-        target.data[...] = values.astype(model.dtype)
+        target.data[...] = np.frombuffer(r.take(4 * count, f"values of {name!r}"), dtype="<f4").reshape(shape)
     if r.offset != len(blob):
         raise FormatError("trailing bytes after parameters", offset=r.offset)
     return model

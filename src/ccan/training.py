@@ -14,6 +14,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -371,8 +372,9 @@ def _build_model(kind, ccan_config, seed):
     return BaselineModel(base)
 
 
-def _sweep_cell(args):
-    dataset, plan_fold, fold_idx, fraction, kind, ccan_config, cfg = args
+def _sweep_cell(shared, cell):
+    dataset, ccan_config, cfg = shared
+    plan_fold, fold_idx, fraction, kind = cell
     sub_seed = derive_seed(cfg.seed, f"subsample-fold{fold_idx}")
     train_ids = subsample_fraction(plan_fold.train_ids, fraction, sub_seed)
     fold = replace(plan_fold, train_ids=train_ids)
@@ -390,6 +392,18 @@ def _sweep_cell(args):
     )
 
 
+_worker_shared = None  # (dataset, ccan_config, cfg), sent once per pool worker
+
+
+def _init_worker(shared):
+    global _worker_shared
+    _worker_shared = shared
+
+
+def _worker_cell(cell):
+    return _sweep_cell(_worker_shared, cell)
+
+
 def data_efficiency_sweep(dataset, split_plan, fractions, cfg, ccan_config,
                           models=("ccan", "mean-pool", "max-pool"), jobs=1, log=None):
     """Train every model at every (fold, fraction) cell; returns SweepRows.
@@ -401,16 +415,19 @@ def data_efficiency_sweep(dataset, split_plan, fractions, cfg, ccan_config,
         raise ConfigError("fractions must be nonempty")
     if any(not 0 < f <= 1 for f in fractions):
         raise ConfigError(f"fractions must lie in (0, 1], got {tuple(fractions)}")
+    shared = (dataset, ccan_config, cfg)
     cells = [
-        (dataset, split_plan.folds[i], i, float(fr), kind, ccan_config, cfg)
+        (split_plan.folds[i], i, float(fr), kind)
         for i in range(split_plan.k)
         for fr in fractions
         for kind in models
     ]
     rows = []
-    # pool.map, like map, yields rows in cell order, each once it and the cells before it are done
-    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
-        for row in (pool.map if jobs > 1 else map)(_sweep_cell, cells):
+    # pool.map, like map, yields rows in cell order, each once it and the cells before it are done;
+    # the workers get the dataset from the initializer, so a cell pickles only its own fields
+    parallel = jobs > 1
+    with ProcessPoolExecutor(jobs, initializer=_init_worker, initargs=(shared,)) if parallel else nullcontext() as pool:
+        for row in pool.map(_worker_cell, cells) if parallel else map(partial(_sweep_cell, shared), cells):
             rows.append(row)
             if log is not None:
                 log(f"fold {row.fold} fraction {row.fraction} {row.model}: test_auc={row.test_auc:.4f}")

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccan.data import (
+    BinaryReader,
     FeatureBag,
     Dataset,
     generate_synthetic,
@@ -122,8 +123,45 @@ class TestCCFBFormat:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bag.ccfb"
         path.write_bytes(b"NOPE" + b"\x00" * 40)
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError) as err:
             read_bag(path)
+        assert str(err.value) == "bad magic b'NOPE' (at byte offset 0)" and err.value.offset == 0
+
+    def test_bad_version(self, tmp_path):
+        path = tmp_path / "bag.ccfb"
+        write_bag(make_bag(), path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:4] + b"\x09\x00" + blob[6:])
+        with pytest.raises(FormatError) as err:
+            read_bag(path)
+        assert str(err.value) == "unsupported version 9 (at byte offset 4)" and err.value.offset == 4
+
+    def test_truncated_tokens_report_their_start(self, tmp_path):
+        bag = make_bag(n=4, d=3)
+        path = tmp_path / "bag.ccfb"
+        write_bag(bag, path)
+        blob = path.read_bytes()
+        start = len(blob) - bag.tokens.nbytes
+        path.write_bytes(blob[: start + 5])
+        with pytest.raises(FormatError) as err:
+            read_bag(path)
+        assert str(err.value) == f"truncated file while reading tokens (at byte offset {start})"
+
+    def test_tokens_are_writable_and_own_their_memory(self, tmp_path):
+        bag = make_bag(n=4, d=3)
+        path = tmp_path / "bag.ccfb"
+        write_bag(bag, path)
+        back = read_bag(path)
+        assert back.tokens.flags.writeable and back.tokens.flags.owndata
+        back.tokens[0, 0] += 1.0
+        np.testing.assert_array_equal(read_bag(path).tokens, bag.tokens)
+
+    def test_reader_takes_views_not_copies(self):
+        blob = b"CCFB\x01\x00rest"
+        r = BinaryReader(blob)
+        magic = r.take(4, "magic")
+        assert isinstance(magic, memoryview) and magic.obj is blob and magic == b"CCFB"
+        assert r.unpack("<H", "version") == (1,) and r.text(4, "tail") == "rest"
 
     def test_trailing_garbage(self, tmp_path):
         bag = make_bag()

@@ -366,6 +366,62 @@ class TestCheckpoint:
             load_checkpoint(path)
         assert err.value.offset == 4
 
+    def test_float64_load_equals_saved_values_after_cast(self, tmp_path):
+        model = CCANModel(toy_config(), seed=17)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        twin = load_checkpoint(path, dtype=np.float64)
+        for (na, pa), (nb, pb) in zip(model.parameters(), twin.parameters()):
+            assert na == nb and pb.data.dtype == np.float64 and pb.requires_grad
+            np.testing.assert_array_equal(pb.data, pa.data.astype(np.float64))
+
+    @pytest.mark.parametrize("kind", ["ccan", "full-self-attention"])
+    def test_load_draws_no_random_values(self, tmp_path, monkeypatch, kind):
+        if kind == "ccan":
+            model = CCANModel(toy_config(), seed=18)
+        else:
+            model = BaselineModel(BaselineConfig(kind=kind, d_feature=6, d_latent=8, seed=18))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+
+        def no_rng(*args, **kwargs):
+            raise AssertionError("load_checkpoint made a random generator")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        loaded = load_checkpoint(path)
+        for (_, pa), (_, pb) in zip(model.parameters(), loaded.parameters()):
+            np.testing.assert_array_equal(pa.data, pb.data)
+
+    def test_repeated_parameter_name_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(CCANModel(toy_config(), seed=19), path)
+        blob = path.read_bytes()
+        at = blob.index(b"stage1.cross0.w_k")
+        path.write_bytes(blob[:at] + b"stage1.cross0.w_q" + blob[at + 17 :])
+        with pytest.raises(FormatError, match="parameter 'stage1.cross0.w_q' appears more than once") as err:
+            load_checkpoint(path)
+        assert err.value.offset == at + 17
+
+    def test_bad_magic(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(CCANModel(toy_config(), seed=20), path)
+        path.write_bytes(b"NOPE" + path.read_bytes()[4:])
+        with pytest.raises(FormatError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == "bad checkpoint magic (at byte offset 0)" and err.value.offset == 0
+
+    def test_truncated_values(self, tmp_path):
+        model = CCANModel(toy_config(), seed=21)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        blob = path.read_bytes()
+        head_b2 = model.parameters()[-1][1].data
+        start = len(blob) - head_b2.nbytes  # the last parameter's values
+        path.write_bytes(blob[: start + 2])
+        with pytest.raises(FormatError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == f"truncated file while reading values of 'head.b2' (at byte offset {start})"
+
     def test_non_utf8_parameter_name(self, tmp_path):
         path = tmp_path / "model.ckpt"
         save_checkpoint(CCANModel(toy_config(), seed=16), path)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -372,6 +373,51 @@ class TestSweep:
         assert len(rows) == len(lines) == 4
         assert lines[0].startswith("fold 0 fraction 0.5 mean-pool: test_auc=")
         assert lines[-1].startswith("fold 1 fraction 1.0 mean-pool: test_auc=")
+
+    def test_two_jobs_write_the_same_rows_as_one(self, tmp_path):
+        ds, plan = small_task(seed=28, n_bags=24, d_feature=8)
+        one_fold = type(plan)(k=1, folds=[plan.folds[0]], seed=plan.seed)
+        cfg = TrainConfig(epochs=1, batch_size=8, lr_max=1e-4, seed=29)
+        args = (ds, one_fold, [0.5, 1.0], cfg, small_model(d_feature=8).config)
+        for jobs in (1, 2):
+            rows = data_efficiency_sweep(*args, models=("ccan", "mean-pool"), jobs=jobs)
+            write_sweep_csv(rows, tmp_path / f"jobs{jobs}.csv")
+        assert (tmp_path / "jobs1.csv").read_bytes() == (tmp_path / "jobs2.csv").read_bytes()
+
+    def test_pool_is_sent_the_dataset_once(self, monkeypatch):
+        sent = []
+
+        class RecordingPool:
+            """Runs in process, pickling what a process pool would send to its workers."""
+
+            def __init__(self, max_workers, initializer, initargs):
+                sent.append(("init", len(pickle.dumps(initargs))))
+                initializer(*pickle.loads(pickle.dumps(initargs)))
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, cells):
+                for cell in cells:
+                    blob = pickle.dumps(cell)
+                    sent.append(("cell", len(blob)))
+                    yield fn(pickle.loads(blob))
+
+        monkeypatch.setattr("ccan.training.ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr("ccan.training._worker_shared", None)
+        ds, plan = small_task(seed=30, n_bags=24, d_feature=8)
+        two_folds = type(plan)(k=2, folds=plan.folds[:2], seed=plan.seed)
+        cfg = TrainConfig(epochs=1, batch_size=8, lr_max=1e-4, seed=31)
+        rows = data_efficiency_sweep(ds, two_folds, [0.5, 1.0], cfg, small_model(d_feature=8).config,
+                                     models=("mean-pool",), jobs=2)
+        assert len(rows) == 4
+        dataset_bytes = len(pickle.dumps(ds))
+        assert [kind for kind, _ in sent] == ["init"] + ["cell"] * 4
+        assert sent[0][1] > dataset_bytes
+        assert all(size < dataset_bytes / 10 for kind, size in sent[1:])
 
     def test_baseline_trains_on_null_task_to_chance(self):
         # no witness signal: a trained pooling model cannot beat chance
