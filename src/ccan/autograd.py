@@ -1,20 +1,22 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-A deliberately small kernel surface, just enough for attention stacks:
-2-D matrix products, the fused affine map ``linear(x, W, b) = x @ W + b``
-(one graph node; ``b=None`` gives the bias-free ``x @ W`` of the attention
-keys), row-wise softmax and layer norm, GELU/sigmoid/log nonlinearities,
-row pooling, and row/column stacking. The only implicit
-broadcast is a 1-D bias added over the rows of a matrix; every other
-shape mismatch is an error.
+A deliberately small kernel surface, holding only what the model and
+its loss run: the fused affine map ``linear(x, W, b) = x @ W + b`` (one
+graph node; ``b=None`` gives the bias-free ``x @ W`` of the attention
+keys), fused attention, layer norm, GELU/sigmoid/log nonlinearities,
+elementwise arithmetic, row pooling, and row/column stacking. The only
+implicit broadcast is a 1-D bias added over the rows of a matrix; every
+other shape mismatch is an error.
 
 ``attention(q, k, v, scale)`` is one graph node for
 ``softmax(q @ k.T / scale) @ v``. It runs the same float operations as
-the composition of ``matmul``, ``transpose``, ``scale`` and ``softmax``,
-in place and a block of rows at a time, so float32 results keep their
-bits. Given a column-major ``k`` (``linear(..., order="F")``) it reads
-``k.T`` without a copy. Its saved softmax matrix serves both the
-backward pass and the caller's attention record.
+that expression evaluated one operation at a time, in place and a block
+of rows at a time, so float32 results keep their bits. The composed form
+is not part of this module: it lives in ``tests/test_attention.py`` as
+the oracle the node is compared with bit for bit. Given a column-major
+``k`` (``linear(..., order="F")``) the node reads ``k.T`` without a
+copy. Its saved softmax matrix serves both the backward pass and the
+caller's attention record.
 
 Gradient buffers are owned, not zero-filled: a backward closure that
 computes a fresh array (``g @ W.T``, ``X.T @ g``, ``g.sum(0)``, an
@@ -64,7 +66,7 @@ _grad_enabled: bool = True
 
 @contextmanager
 def op_probe():
-    """Count matmul MACs and allocated tensor bytes inside the block."""
+    """Count matrix-product MACs and allocated tensor bytes inside the block."""
     global _probe
     prev, _probe = _probe, OpProbe()
     try:
@@ -133,9 +135,6 @@ class Tensor:
     def __sub__(self, other):
         return sub(self, other)
 
-    def __neg__(self):
-        return neg(self)
-
     def __mul__(self, other):
         if isinstance(other, (int, float)):
             return scale(self, other)
@@ -143,9 +142,6 @@ class Tensor:
 
     def __rmul__(self, other):
         return self.__mul__(other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def sum(self):
         return sum_all(self)
@@ -225,16 +221,6 @@ def sub(a, b):
     return _make_node(out, (a, b), backward)
 
 
-def neg(a):
-    out = Tensor(-a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            _accum(a, -g, owned=True)
-
-    return _make_node(out, (a,), backward)
-
-
 def mul(a, b):
     """Elementwise product; shapes must match exactly."""
     a = _as_tensor(a)
@@ -265,32 +251,8 @@ def scale(a, s):
     return _make_node(out, (a,), backward)
 
 
-def matmul(a, b):
-    """Standard 2-D matrix product, differentiable w.r.t. both inputs."""
-    a = _as_tensor(a)
-    b = _as_tensor(b, like=a)
-    _check_same_dtype(a, b, "matmul")
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul: expected 2-D operands, got {a.data.shape} and {b.data.shape}")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"matmul: inner extents differ for shapes {a.data.shape} and {b.data.shape}")
-    if _probe is not None:
-        m, k = a.data.shape
-        n = b.data.shape[1]
-        _probe.macs += m * k * n
-    out = Tensor(a.data @ b.data)
-
-    def backward(g):
-        if a.requires_grad:
-            _accum(a, g @ b.data.T, owned=True)
-        if b.requires_grad:
-            _accum(b, a.data.T @ g, owned=True)
-
-    return _make_node(out, (a, b), backward)
-
-
 def linear(x, w, b, order="C"):
-    """x @ w + b as one node: the matmul's backward plus the bias row sum.
+    """x @ w + b as one node: the product's backward plus the bias row sum.
 
     ``b=None`` is x @ w alone: no bias add, no bias parent, no bias
     gradient. ``order="F"`` writes the output column-major; the attention
@@ -341,10 +303,11 @@ def attention(q, k, v, scale):
     product reads ``k.T`` directly when ``k`` is column-major (otherwise
     it reads a C-ordered copy). Scaling, the finiteness check, the row-max
     shift, exp and the row normalization then run in place, a block of
-    rows at a time, with the ufuncs of ``scale`` and ``softmax``; so the
-    output, the softmax matrix and every gradient carry the same bits as
-    ``matmul(softmax(matmul(q, transpose(k)) * (1 / scale)), v)``. The
-    softmax matrix is saved for the backward pass and returned to the
+    rows at a time, with the same ufuncs as the composed form
+    ``softmax(q @ k.T * (1 / scale)) @ v`` evaluated one operation at a
+    time; so the output, the softmax matrix and every gradient carry its
+    bits. That composed form is the oracle in ``tests/test_attention.py``.
+    The softmax matrix is saved for the backward pass and returned to the
     caller, which must not modify it.
     """
     _check_same_dtype(q, k, "attention")
@@ -399,18 +362,6 @@ def attention(q, k, v, scale):
     return _make_node(out, (q, k, v), backward), p
 
 
-def transpose(a):
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose: expected a 2-D tensor, got shape {a.data.shape}")
-    out = Tensor(a.data.T.copy())
-
-    def backward(g):
-        if a.requires_grad:
-            _accum(a, g.T)
-
-    return _make_node(out, (a,), backward)
-
-
 def sum_all(a):
     """Sum of every entry, as a scalar tensor."""
     out = Tensor(a.data.sum(dtype=a.data.dtype))
@@ -424,23 +375,6 @@ def sum_all(a):
 
 # ---------------------------------------------------------------------------
 # nonlinearities and normalization
-
-
-def softmax(x, axis=-1):
-    """Row-stochastic softmax along ``axis``, stabilized by max subtraction."""
-    if not np.isfinite(x.data).all():
-        raise NumericError("softmax: input contains NaN or infinite entries")
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor(y)
-
-    def backward(g):
-        if x.requires_grad:
-            inner = (g * y).sum(axis=axis, keepdims=True)
-            _accum(x, y * (g - inner), owned=True)
-
-    return _make_node(out, (x,), backward)
 
 
 def layer_norm(x, gamma, beta, eps=1e-5):

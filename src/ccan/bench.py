@@ -19,7 +19,7 @@ import numpy as np
 from . import autograd as ag
 from .data import FeatureBag
 from .errors import ConfigError
-from .model import BaselineConfig, BaselineModel, CCANModel
+from .model import BaselineModel, CCANModel, _baseline_config
 
 
 def _cross_block_macs(m, n, d):
@@ -162,17 +162,7 @@ def bench_scaling(config, ns, repeats=7, warmup=2, seed=0, include_baseline=True
     model = CCANModel(config)
     baseline = None
     if include_baseline:
-        baseline = BaselineModel(
-            BaselineConfig(
-                kind="full-self-attention",
-                d_feature=config.d_feature,
-                d_latent=config.d_latent,
-                num_classes=config.num_classes,
-                scale_mode=config.scale_mode,
-                heads=config.heads,
-                seed=config.seed,
-            )
-        )
+        baseline = BaselineModel(_baseline_config("full-self-attention", config, config.seed))
     rows = []
     for n in ns:
         bag = make_bench_bag(n, config.d_feature, seed=seed)

@@ -42,6 +42,18 @@ CHECKPOINT_MAGIC = b"CCAN"
 CHECKPOINT_VERSION = 2
 
 
+def _check_heads(config):
+    """The attention head and scale checks every model config shares."""
+    if config.scale_mode not in SCALE_MODES:
+        raise ConfigError(f"scale_mode must be one of {SCALE_MODES}, got {config.scale_mode!r}")
+    if config.heads < 1:
+        raise ConfigError(f"heads must be >= 1, got {config.heads}")
+    if config.heads > 1 and config.scale_mode == "per-paper":
+        raise ConfigError("heads > 1 requires scale_mode='per-dim'")
+    if config.d_latent % config.heads != 0:
+        raise ConfigError(f"d_latent={config.d_latent} not divisible by heads={config.heads}")
+
+
 @dataclass
 class CCANConfig:
     """All architecture hyperparameters."""
@@ -81,14 +93,7 @@ class CCANConfig:
             raise ConfigError(f"p_dropout must be in [0, 1), got {self.p_dropout}")
         if self.num_classes < 2:
             raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
-        if self.scale_mode not in SCALE_MODES:
-            raise ConfigError(f"scale_mode must be one of {SCALE_MODES}, got {self.scale_mode!r}")
-        if self.heads < 1:
-            raise ConfigError(f"heads must be >= 1, got {self.heads}")
-        if self.heads > 1 and self.scale_mode == "per-paper":
-            raise ConfigError("heads > 1 requires scale_mode='per-dim'")
-        if self.d_latent % self.heads != 0:
-            raise ConfigError(f"d_latent={self.d_latent} not divisible by heads={self.heads}")
+        _check_heads(self)
         if self.n_frequencies < 1 or self.f_max < 1:
             raise ConfigError(f"need n_frequencies >= 1 and f_max >= 1, got {self.n_frequencies}, {self.f_max}")
         return self
@@ -300,11 +305,19 @@ class BaselineConfig:
             raise ConfigError(f"baseline kind must be one of {BASELINE_KINDS}, got {self.kind!r}")
         if self.num_classes < 2:
             raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
+        _check_heads(self)
         return self
 
     @property
     def out_units(self):
         return 1 if self.num_classes == 2 else self.num_classes
+
+
+def _baseline_config(kind, config, seed):
+    """The ``kind`` baseline sized and scaled like the CCAN ``config``."""
+    return BaselineConfig(kind=kind, d_feature=config.d_feature, d_latent=config.d_latent,
+                          num_classes=config.num_classes, scale_mode=config.scale_mode,
+                          heads=config.heads, seed=seed)
 
 
 class BaselineModel:

@@ -50,7 +50,7 @@ def read_pnm(path):
         raise FormatError(f"only maxval 255 supported, got {maxval}", offset=offset)
     offset += 1  # single whitespace byte after maxval
     expected = width * height * channels
-    payload = blob[offset : offset + expected]
+    payload = memoryview(blob)[offset : offset + expected]  # a view: the copy below is the only one
     if len(payload) != expected:
         raise FormatError(f"expected {expected} pixel bytes, found {len(payload)}", offset=offset)
     pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, channels)

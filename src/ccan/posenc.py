@@ -5,6 +5,10 @@ bottom-right to 1) and encoded as sin/cos pairs at equidistant
 frequencies between 1 and f_max. Both axes are encoded independently
 and concatenated, giving 4*I values per coordinate. Angles are
 evaluated in float64 before any narrowing.
+
+``encode_grid`` encodes whole arrays of coordinates at once. Its
+one-coordinate scalar form is kept only in ``tests/test_posenc.py``, as
+the oracle the vectorized encoder must match bit for bit.
 """
 
 from __future__ import annotations
@@ -28,20 +32,6 @@ class FrequencyLadder:
         object.__setattr__(self, "frequencies", np.asarray(self.frequencies, dtype=np.float64))
 
 
-@dataclass(frozen=True)
-class GridCoord:
-    """A patch position on the tessellation grid."""
-
-    row: int
-    col: int
-    rows_total: int
-    cols_total: int
-
-    def __post_init__(self):
-        if not (0 <= self.row < self.rows_total and 0 <= self.col < self.cols_total):
-            raise DataError(f"coordinate ({self.row}, {self.col}) outside {self.rows_total}x{self.cols_total} grid")
-
-
 def frequency_ladder(count, f_max):
     if count < 1:
         raise ConfigError(f"frequency count must be >= 1, got {count}")
@@ -54,44 +44,12 @@ def frequency_ladder(count, f_max):
     return FrequencyLadder(count=count, f_max=float(f_max), frequencies=freqs)
 
 
-def _normalize_axis(index, total):
-    # a single row or column has no extent; it maps to the axis center
-    if total == 1:
-        return 0.0
-    return 2.0 * index / (total - 1) - 1.0
-
-
-def normalize_coord(coord):
-    """Map a grid coordinate to (x_hat, y_hat) in [-1, 1]^2."""
-    return (
-        _normalize_axis(coord.col, coord.cols_total),
-        _normalize_axis(coord.row, coord.rows_total),
-    )
-
-
-def _encode_axis(a_hat, ladder):
-    angles = ladder.frequencies * np.pi * a_hat
-    parts = np.empty(2 * ladder.count, dtype=np.float64)
-    parts[0::2] = np.sin(angles)
-    parts[1::2] = np.cos(angles)
-    return parts
-
-
-def encode_position(coord, ladder, append_raw_coords=False):
-    """Encoding vector of length 4*I (plus 2 if raw coordinates are appended)."""
-    x_hat, y_hat = normalize_coord(coord)
-    parts = [_encode_axis(x_hat, ladder), _encode_axis(y_hat, ladder)]
-    if append_raw_coords:
-        parts.append(np.array([x_hat, y_hat], dtype=np.float64))
-    return np.concatenate(parts)
-
-
 def encoding_width(count, append_raw_coords=False):
     return 4 * count + (2 if append_raw_coords else 0)
 
 
 def encode_grid(rows, cols, rows_total, cols_total, ladder, append_raw_coords=False):
-    """Vectorized ``encode_position`` for arrays of row/col indices."""
+    """Encode arrays of row/col indices: N x 4I (N x (4I + 2) with raw coordinates)."""
     rows = np.asarray(rows)
     cols = np.asarray(cols)
     x_hat = np.zeros(cols.shape) if cols_total == 1 else 2.0 * cols / (cols_total - 1) - 1.0

@@ -165,17 +165,6 @@ def _gaussian_kernel(size, sigma):
     return kernel / kernel.sum()
 
 
-def _convolve2d(img, kernel):
-    kh, kw = kernel.shape
-    pad_y, pad_x = kh // 2, kw // 2
-    padded = np.pad(img, ((pad_y, pad_y), (pad_x, pad_x)), mode="edge")
-    out = np.zeros_like(img, dtype=np.float64)
-    for dy in range(kh):
-        for dx in range(kw):
-            out += kernel[dy, dx] * padded[dy : dy + img.shape[0], dx : dx + img.shape[1]]
-    return out
-
-
 _SOBEL_X = np.array([[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]], dtype=np.float64)
 _SOBEL_Y = np.array([[-1, -2, -1], [0, 0, 0], [1, 2, 1]], dtype=np.float64)
 
@@ -184,9 +173,10 @@ def canny_edges(patch_pixels, config=None):
     """Boolean edge mask from the classic Canny pipeline."""
     config = config or PreprocessConfig()
     gray = grayscale(patch_pixels)
-    smoothed = _convolve2d(gray, _gaussian_kernel(config.canny_kernel, config.canny_sigma))
-    gx = _convolve2d(smoothed, _SOBEL_X)
-    gy = _convolve2d(smoothed, _SOBEL_Y)
+    # correlation, not convolution; past the border the edge pixels repeat
+    smoothed = ndimage.correlate(gray, _gaussian_kernel(config.canny_kernel, config.canny_sigma), mode="nearest")
+    gx = ndimage.correlate(smoothed, _SOBEL_X, mode="nearest")
+    gy = ndimage.correlate(smoothed, _SOBEL_Y, mode="nearest")
     magnitude = np.hypot(gx, gy)
     angle = np.degrees(np.arctan2(gy, gx)) % 180.0
 

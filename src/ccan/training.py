@@ -22,7 +22,7 @@ from . import autograd as ag
 from .autograd import Tensor
 from .data import subsample_fraction
 from .errors import ConfigError, DataError, MetricError, UsageError
-from .model import BaselineConfig, BaselineModel, CCANModel, save_checkpoint
+from .model import BaselineModel, CCANModel, _baseline_config, save_checkpoint
 
 
 @dataclass
@@ -316,20 +316,13 @@ def train(model, dataset, fold, cfg, checkpoint_path=None, log=None):
             history.best_epoch = epoch
             best = _snapshot(model)
             if checkpoint_path is not None:
-                _restore_and_save(model, best, checkpoint_path)
+                save_checkpoint(model, checkpoint_path)
         if log is not None:
             log(f"epoch {epoch}: train_loss={history.train_loss[-1]:.4f} val_auc={val_auc:.4f}")
     _restore(model, best)
     if test_bags:
         history.test_auc_at_best = float(evaluate_auc(model, test_bags))
     return best, history
-
-
-def _restore_and_save(model, snapshot, path):
-    current = _snapshot(model)
-    _restore(model, snapshot)
-    save_checkpoint(model, path)
-    _restore(model, current)
 
 
 # ---------------------------------------------------------------------------
@@ -360,16 +353,7 @@ def write_sweep_csv(rows, path):
 def _build_model(kind, ccan_config, seed):
     if kind == "ccan":
         return CCANModel(replace(ccan_config, seed=seed))
-    base = BaselineConfig(
-        kind=kind,
-        d_feature=ccan_config.d_feature,
-        d_latent=ccan_config.d_latent,
-        num_classes=ccan_config.num_classes,
-        scale_mode=ccan_config.scale_mode,
-        heads=ccan_config.heads,
-        seed=seed,
-    )
-    return BaselineModel(base)
+    return BaselineModel(_baseline_config(kind, ccan_config, seed))
 
 
 def _sweep_cell(shared, cell):

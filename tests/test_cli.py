@@ -1,10 +1,12 @@
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ccan.cli import main, parse_config
 from ccan.errors import ConfigError, UsageError
+from ccan.model import BaselineConfig, BaselineModel, save_checkpoint
 
 
 class TestParseConfig:
@@ -163,6 +165,19 @@ class TestCommands:
         assert rc == 1
         n_tokens = int.from_bytes(blob[6:10], "little")
         assert err == f"error: bag 'bag0000': token row {n_tokens - 1} has a NaN or infinite value\n"
+
+    def test_bad_baseline_heads_is_one_error_line(self, tiny_run, tmp_path, capsys):
+        cfg = BaselineConfig(kind="full-self-attention", d_feature=24, d_latent=4)
+        model = BaselineModel(cfg)
+        model.config = replace(cfg, heads=0)
+        ckpt = tmp_path / "heads0.ckpt"
+        save_checkpoint(model, ckpt)
+        rc = main(["eval", "--paths.checkpoint", str(ckpt), "--paths.data", tiny_run["data"],
+                   "--paths.plan", tiny_run["plan"], "--fold", "0", "--subset", "val"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == "error: heads must be >= 1, got 0\n"
+        assert "auc" not in captured.out
 
     def test_non_utf8_parameter_name_is_one_error_line(self, tiny_run, tmp_path, capsys):
         blob = bytearray(open(os.path.join(tiny_run["run_dir"], "best.ckpt"), "rb").read())

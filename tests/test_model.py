@@ -1,5 +1,6 @@
 import json
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -282,6 +283,24 @@ class TestBaselines:
         with pytest.raises(ConfigError):
             BaselineConfig(kind="median-pool").validate()
         assert set(BASELINE_KINDS) == {"mean-pool", "max-pool", "full-self-attention"}
+
+    @pytest.mark.parametrize("change,message", [
+        ({"heads": 0}, "heads must be >= 1, got 0"),
+        ({"heads": 2, "scale_mode": "per-paper"}, "heads > 1 requires scale_mode='per-dim'"),
+        ({"scale_mode": "bogus"}, "scale_mode must be one of"),
+    ])
+    def test_head_and_scale_checks_match_ccan(self, tmp_path, change, message):
+        cfg = BaselineConfig(kind="full-self-attention", d_feature=6, d_latent=4, seed=3)
+        with pytest.raises(ConfigError, match=message):
+            BaselineModel(replace(cfg, **change))
+        with pytest.raises(ConfigError, match=message):
+            CCANModel(replace(toy_config(), **change))
+        # a checkpoint that carries the setting fails at load, not at the first forward
+        model = BaselineModel(cfg)
+        model.config = replace(cfg, **change)
+        save_checkpoint(model, tmp_path / "bad.ckpt")
+        with pytest.raises(ConfigError, match=message):
+            load_checkpoint(tmp_path / "bad.ckpt")
 
 
 def _const_bag(tokens):

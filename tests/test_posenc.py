@@ -2,16 +2,31 @@ import numpy as np
 import pytest
 
 from ccan.errors import ConfigError, DataError
-from ccan.posenc import (
-    FrequencyLadder,
-    GridCoord,
-    attach_encodings,
-    encode_grid,
-    encode_position,
-    encoding_width,
-    frequency_ladder,
-    normalize_coord,
-)
+from ccan.posenc import FrequencyLadder, attach_encodings, encode_grid, encoding_width, frequency_ladder
+
+
+def encode_one(row, col, rows_total, cols_total, ladder, append_raw_coords=False):
+    """``encode_grid`` for a single coordinate."""
+    return encode_grid(np.array([row]), np.array([col]), rows_total, cols_total, ladder, append_raw_coords)[0]
+
+
+def normalized(row, col, rows_total, cols_total):
+    """(x_hat, y_hat) of one coordinate, read from the appended raw coordinates."""
+    return tuple(encode_one(row, col, rows_total, cols_total, frequency_ladder(1, 1), True)[-2:])
+
+
+def scalar_encoding(row, col, rows_total, cols_total, ladder, append_raw_coords=False):
+    """The oracle for ``encode_grid``: one coordinate, one axis at a time."""
+    parts, hats = [], []
+    for index, total in ((col, cols_total), (row, rows_total)):
+        # a single row or column has no extent; it maps to the axis center
+        a_hat = 0.0 if total == 1 else 2.0 * index / (total - 1) - 1.0
+        angles = ladder.frequencies * np.pi * a_hat
+        parts.append(np.stack([np.sin(angles), np.cos(angles)], axis=1).ravel())
+        hats.append(a_hat)
+    if append_raw_coords:
+        parts.append(np.array(hats))
+    return np.concatenate(parts)
 
 
 class TestFrequencyLadder:
@@ -36,47 +51,43 @@ class TestFrequencyLadder:
 
 class TestNormalizeCoord:
     def test_top_left(self):
-        assert normalize_coord(GridCoord(0, 0, 4, 4)) == (-1.0, -1.0)
+        assert normalized(0, 0, 4, 4) == (-1.0, -1.0)
 
     def test_bottom_right(self):
-        assert normalize_coord(GridCoord(3, 3, 4, 4)) == (1.0, 1.0)
+        assert normalized(3, 3, 4, 4) == (1.0, 1.0)
 
     def test_interior(self):
         # col 2 of 5 -> 2*2/4 - 1 = 0; row 1 of 3 -> 2*1/2 - 1 = 0
-        assert normalize_coord(GridCoord(1, 2, 3, 5)) == (0.0, 0.0)
+        assert normalized(1, 2, 3, 5) == (0.0, 0.0)
 
     def test_single_axis_maps_to_center(self):
-        assert normalize_coord(GridCoord(0, 0, 1, 1)) == (0.0, 0.0)
-
-    def test_out_of_grid_rejected(self):
-        with pytest.raises(DataError):
-            GridCoord(4, 0, 4, 4)
+        assert normalized(0, 0, 1, 1) == (0.0, 0.0)
 
 
 class TestEncodePosition:
     def test_center(self):
-        enc = encode_position(GridCoord(1, 1, 3, 3), frequency_ladder(1, 10))
+        enc = encode_one(1, 1, 3, 3, frequency_ladder(1, 10))
         np.testing.assert_allclose(enc, [0.0, 1.0, 0.0, 1.0], atol=1e-12)
 
     def test_corners(self):
         # x_hat = 1, y_hat = -1 at frequency 1: angles +-pi
-        enc = encode_position(GridCoord(0, 2, 3, 3), frequency_ladder(1, 1))
+        enc = encode_one(0, 2, 3, 3, frequency_ladder(1, 1))
         np.testing.assert_allclose(enc, [0.0, -1.0, 0.0, -1.0], atol=1e-12)
 
     def test_two_frequency_x_part(self):
         # x_hat = 0.5, f = [1, 10]: [sin(pi/2), cos(pi/2), sin(5pi), cos(5pi)]
         ladder = frequency_ladder(2, 10)
-        enc = encode_position(GridCoord(0, 3, 1, 5), ladder)  # x_hat = 2*3/4 - 1 = 0.5
+        enc = encode_one(0, 3, 1, 5, ladder)  # x_hat = 2*3/4 - 1 = 0.5
         np.testing.assert_allclose(enc[:4], [1.0, 0.0, 0.0, -1.0], atol=1e-12)
 
     def test_bounded(self):
         ladder = frequency_ladder(6, 10)
-        for coord in (GridCoord(r, c, 9, 7) for r in range(9) for c in range(7)):
-            enc = encode_position(coord, ladder)
-            assert (np.abs(enc) <= 1.0 + 1e-12).all()
+        for r in range(9):
+            for c in range(7):
+                assert (np.abs(encode_one(r, c, 9, 7, ladder)) <= 1.0 + 1e-12).all()
 
     def test_append_raw_coords(self):
-        enc = encode_position(GridCoord(0, 0, 4, 4), frequency_ladder(1, 10), append_raw_coords=True)
+        enc = encode_one(0, 0, 4, 4, frequency_ladder(1, 10), append_raw_coords=True)
         assert enc.shape == (6,)
         np.testing.assert_allclose(enc[-2:], [-1.0, -1.0])
 
@@ -94,7 +105,7 @@ class TestEncodePosition:
         cols = rng.integers(0, 6, size=10)
         batch = encode_grid(rows, cols, 5, 6, ladder, append_raw_coords=True)
         for i in range(10):
-            single = encode_position(GridCoord(int(rows[i]), int(cols[i]), 5, 6), ladder, True)
+            single = scalar_encoding(int(rows[i]), int(cols[i]), 5, 6, ladder, True)
             np.testing.assert_array_equal(batch[i], single)
 
 

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from ccan.errors import ConfigError, DataError, FormatError
 from ccan.netpbm import read_pnm, write_pgm, write_ppm
@@ -115,7 +118,36 @@ class TestWhiteFilter:
         np.testing.assert_allclose(grayscale(patch), np.full((2, 2), 29.9))
 
 
+def edge_padded_correlation(img, kernel):
+    """The reference for the Canny filters: each kernel tap summed over edge-replicated padding."""
+    kh, kw = kernel.shape
+    padded = np.pad(img, ((kh // 2, kh // 2), (kw // 2, kw // 2)), mode="edge")
+    out = np.zeros_like(img, dtype=np.float64)
+    for dy in range(kh):
+        for dx in range(kw):
+            out += kernel[dy, dx] * padded[dy : dy + img.shape[0], dx : dx + img.shape[1]]
+    return out
+
+
 class TestCanny:
+    def test_filters_equal_the_loop_reference(self, monkeypatch):
+        calls = []
+        correlate = ndimage.correlate
+
+        def spy(img, kernel, **kwargs):
+            calls.append((img, kernel, correlate(img, kernel, **kwargs)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(ndimage, "correlate", spy)
+        step = np.zeros((64, 48, 3), np.uint8)
+        step[:, 20:] = 200
+        for patch in (step, noise_patch(seed=5, shape=(64, 48, 3)), noise_patch(seed=6, shape=(7, 3, 1))):
+            canny_edge_fraction(patch)
+            canny_edge_fraction(patch, PreprocessConfig(canny_kernel=4, canny_sigma=1.0))
+        assert len(calls) == 18  # Gaussian, Sobel x and Sobel y per call
+        for img, kernel, out in calls:
+            np.testing.assert_array_equal(out.view(np.uint64), edge_padded_correlation(img, kernel).view(np.uint64))
+
     def test_constant_patch_has_no_edges(self):
         assert canny_edge_fraction(np.full((256, 256, 3), 120, np.uint8)) == 0.0
 
@@ -238,6 +270,19 @@ class TestNetpbm:
         path.write_bytes(b"P4\n1 1\n255\n\x00")
         with pytest.raises(FormatError):
             read_pnm(path)
+
+    def test_pixels_writable_own_memory_and_copied_once(self, tmp_path):
+        path = tmp_path / "img.ppm"
+        write_ppm(noise_patch(seed=13, shape=(512, 512, 3)), path)
+        tracemalloc.start()
+        try:
+            loaded, _ = read_pnm(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded.flags.writeable and loaded.flags.owndata
+        # the file bytes plus the pixels: the payload is not sliced out in between
+        assert peak < 2.5 * loaded.nbytes
 
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "img.pgm"
