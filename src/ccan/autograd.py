@@ -601,12 +601,13 @@ def backward(loss):
                 stack.append((parent, False))
 
     _accum(loss, np.ones_like(loss.data), owned=True)
+    # reverse topological order: every consumer of a node has run before it,
+    # so its grad is complete here and nothing reads it afterwards. Interior
+    # grads are scratch space, released as soon as they are passed on; only
+    # leaves keep theirs.
     for node in reversed(topo):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
-    # interior grads are scratch space; only leaves keep theirs
-    for node in topo:
-        if node._backward is not None:
             node.grad = None
 
 

@@ -18,7 +18,9 @@ via gradient accumulation.
 from __future__ import annotations
 
 import json
+import os
 import struct
+from contextlib import suppress
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -296,8 +298,8 @@ class BaselineConfig:
     d_feature: int = 2048
     d_latent: int = 512  # used by full-self-attention only
     num_classes: int = 2
-    scale_mode: str = "per-paper"
-    heads: int = 1
+    scale_mode: str = "per-paper"  # used by full-self-attention only
+    heads: int = 1  # used by full-self-attention only
     seed: int = 0
 
     def validate(self):
@@ -305,7 +307,8 @@ class BaselineConfig:
             raise ConfigError(f"baseline kind must be one of {BASELINE_KINDS}, got {self.kind!r}")
         if self.num_classes < 2:
             raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
-        _check_heads(self)
+        if self.kind == "full-self-attention":
+            _check_heads(self)
         return self
 
     @property
@@ -397,23 +400,33 @@ def _config_payload(model):
 
 
 def save_checkpoint(model, path):
-    """Versioned binary container: header, config JSON, named float32 blobs."""
+    """Versioned binary container: header, config JSON, named float32 blobs.
+
+    Each record is written straight to the file (a float32 parameter is
+    not copied), into a temporary file next to ``path`` that then replaces
+    it, so an interrupted save leaves the previous checkpoint in place.
+    """
     payload = json.dumps(_config_payload(model), sort_keys=True).encode("utf-8")
     params = model.parameters()
-    buf = bytearray()
-    buf += CHECKPOINT_MAGIC
-    buf += struct.pack("<H", CHECKPOINT_VERSION)
-    buf += struct.pack("<I", len(payload))
-    buf += payload
-    buf += struct.pack("<I", len(params))
-    for name, tensor in params:
-        raw = name.encode("utf-8")
-        buf += struct.pack("<H", len(raw))
-        buf += raw
-        buf += struct.pack(f"<B{tensor.data.ndim}I", tensor.data.ndim, *tensor.data.shape)
-        buf += np.ascontiguousarray(tensor.data, dtype="<f4").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(bytes(buf))
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<HI", CHECKPOINT_VERSION, len(payload)))
+            fh.write(payload)
+            fh.write(struct.pack("<I", len(params)))
+            for name, tensor in params:
+                raw = name.encode("utf-8")
+                fh.write(struct.pack("<H", len(raw)))
+                fh.write(raw)
+                fh.write(struct.pack(f"<B{tensor.data.ndim}I", tensor.data.ndim, *tensor.data.shape))
+                fh.write(np.ascontiguousarray(tensor.data, dtype="<f4").data)
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def _config_from_json(cls, values, offset):

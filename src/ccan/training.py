@@ -249,13 +249,39 @@ def evaluate_auc(model, bags):
 # training loop
 
 
-def _snapshot(model):
-    return {name: p.data.copy() for name, p in model.parameters()}
+def _snapshot(model, into=None):
+    """Copy every parameter, into the arrays of an earlier snapshot when given."""
+    if into is None:
+        return {name: p.data.copy() for name, p in model.parameters()}
+    for name, p in model.parameters():
+        np.copyto(into[name], p.data)
+    return into
 
 
 def _restore(model, snapshot):
     for name, p in model.parameters():
         p.data[...] = snapshot[name]
+
+
+def _bag_step(model, bag, rng, num_classes):
+    """Forward, loss and backward of one training bag; returns the loss value.
+
+    The bag's graph is dropped on return, before the next bag's forward.
+    """
+    out = model.forward(bag, rng=rng, train_mode=True)
+    loss = bag_loss(out, bag.label, num_classes)
+    ag.backward(loss)
+    return loss.item()
+
+
+def _window_grads(tensors, window):
+    """Yield each parameter's gradient as a mean over the window (zeros where none flowed)."""
+    for p in tensors:
+        if p.grad is None:
+            yield np.zeros_like(p.data)
+        else:
+            p.grad /= window  # each leaf owns its grad buffer
+            yield p.grad
 
 
 def train(model, dataset, fold, cfg, checkpoint_path=None, log=None):
@@ -281,7 +307,8 @@ def train(model, dataset, fold, cfg, checkpoint_path=None, log=None):
     total_steps = cfg.epochs * steps_per_epoch
 
     history = TrainHistory()
-    best = _snapshot(model)
+    # AUC is finite (midranks of any scores), so epoch 0 always beats -inf and fills best
+    best = None
     step = 0
     for epoch in range(cfg.epochs):
         order = rng.permutation(len(train_bags))
@@ -289,22 +316,12 @@ def train(model, dataset, fold, cfg, checkpoint_path=None, log=None):
         window = 0
         ag.zero_grad(tensors)
         for pos, idx in enumerate(order):
-            bag = train_bags[idx]
-            out = model.forward(bag, rng=rng, train_mode=True)
-            loss = bag_loss(out, bag.label, num_classes)
-            ag.backward(loss)
-            epoch_losses.append(loss.item())
+            epoch_losses.append(_bag_step(model, train_bags[idx], rng, num_classes))
             window += 1
             if window == cfg.batch_size or pos == len(order) - 1:
-                grads = []
-                for p in tensors:
-                    if p.grad is None:
-                        grads.append(np.zeros_like(p.data))
-                    else:
-                        p.grad /= window  # each leaf owns its grad buffer
-                        grads.append(p.grad)
                 lr = cosine_lr(step, total_steps, cfg.lr_max, cfg.lr_min)
-                adamw_step(arrays, grads, state, lr, cfg.beta1, cfg.beta2, cfg.eps, cfg.weight_decay)
+                adamw_step(arrays, _window_grads(tensors, window), state, lr,
+                           cfg.beta1, cfg.beta2, cfg.eps, cfg.weight_decay)
                 ag.zero_grad(tensors)
                 step += 1
                 window = 0
@@ -314,7 +331,7 @@ def train(model, dataset, fold, cfg, checkpoint_path=None, log=None):
         if val_auc > history.best_val_auc:
             history.best_val_auc = float(val_auc)
             history.best_epoch = epoch
-            best = _snapshot(model)
+            best = _snapshot(model, into=best)
             if checkpoint_path is not None:
                 save_checkpoint(model, checkpoint_path)
         if log is not None:

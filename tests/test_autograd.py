@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import erf
@@ -175,6 +177,24 @@ class TestBackward:
     def test_disallowed_broadcast(self):
         with pytest.raises(ShapeError):
             ag.add(t64(np.ones((3, 2))), t64(np.ones((1, 2))))
+
+    def test_interior_grads_released_during_the_pass(self):
+        # a chain of 20 scales: each interior grad dies once passed on, so the pass
+        # holds a few arrays at a time, not one per node
+        x = t64(np.ones(1 << 17), requires_grad=True)
+        y = x
+        for _ in range(20):
+            y = y * 1.5
+        loss = ag.sum_all(y)
+        tracemalloc.start()
+        try:
+            ag.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(x.grad, np.full(1 << 17, 1.5**20))
+        assert peak < 4 * x.data.nbytes
+        assert y.grad is None and loss.grad is None
 
 
 class TestGradCheck:

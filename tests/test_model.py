@@ -1,11 +1,13 @@
 import json
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ccan import autograd as ag
+from ccan import model as model_module
 from ccan.autograd import Tensor
 from ccan.data import generate_synthetic
 from ccan.errors import ConfigError, DataError, FormatError, ShapeError
@@ -302,6 +304,20 @@ class TestBaselines:
         with pytest.raises(ConfigError, match=message):
             load_checkpoint(tmp_path / "bad.ckpt")
 
+    @pytest.mark.parametrize("kind", ["mean-pool", "max-pool"])
+    @pytest.mark.parametrize("change", [{"heads": 0}, {"heads": 2, "scale_mode": "per-paper"}, {"scale_mode": "bogus"}])
+    def test_pooling_ignores_head_settings(self, tmp_path, kind, change):
+        # pooling never reads heads, scale_mode or d_latent, so none of them can reject it
+        bag = _const_bag(np.random.default_rng(5).normal(size=(9, 6)).astype(np.float32))
+        model = BaselineModel(BaselineConfig(kind=kind, d_feature=6, seed=3, **change))
+        plain = BaselineModel(BaselineConfig(kind=kind, d_feature=6, seed=3))
+        save_checkpoint(model, tmp_path / "pool.ckpt")
+        loaded = load_checkpoint(tmp_path / "pool.ckpt")
+        assert loaded.config == model.config
+        want = plain.forward(bag).averaged_probs
+        np.testing.assert_array_equal(model.forward(bag).averaged_probs, want)
+        np.testing.assert_array_equal(loaded.forward(bag).averaged_probs, want)
+
 
 def _const_bag(tokens):
     from ccan.data import FeatureBag
@@ -347,6 +363,60 @@ class TestCheckpoint:
         save_checkpoint(model, p1)
         save_checkpoint(model, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_file_layout(self, tmp_path):
+        model = BaselineModel(BaselineConfig(kind="mean-pool", d_feature=3, seed=4))
+        path = tmp_path / "pool.ckpt"
+        save_checkpoint(model, path)
+        payload = json.dumps({"model_kind": "mean-pool", "config": {
+            "kind": "mean-pool", "d_feature": 3, "d_latent": 512, "num_classes": 2,
+            "scale_mode": "per-paper", "heads": 1, "seed": 4}}, sort_keys=True).encode()
+        want = b"CCAN" + struct.pack("<HI", 2, len(payload)) + payload + struct.pack("<I", 2)
+        for name, shape, values in [("head.w", (3, 1), model.head_w.data), ("head.b", (1,), model.head_b.data)]:
+            want += struct.pack("<H", len(name)) + name.encode() + struct.pack(f"<B{len(shape)}I", len(shape), *shape)
+            want += values.astype("<f4").tobytes()
+        assert path.read_bytes() == want
+        assert [p.name for p in tmp_path.iterdir()] == ["pool.ckpt"]
+
+    def test_save_streams_each_parameter(self, tmp_path):
+        model = CCANModel(toy_config(d_feature=64, d_latent=32, n_stages=3, n_latents=16), seed=6)
+        total = sum(p.data.nbytes for _, p in model.parameters())
+        assert max(p.data.nbytes for _, p in model.parameters()) < total / 10
+        tracemalloc.start()
+        try:
+            save_checkpoint(model, tmp_path / "model.ckpt")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # no whole-file buffer: the records go to the file one at a time
+        assert peak < total / 2
+
+    def test_failed_save_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "best.ckpt"
+        save_checkpoint(CCANModel(toy_config(), seed=7), path)
+        old = path.read_bytes()
+
+        class DiskFull:
+            def __init__(self, fh):
+                self.fh, self.left = fh, 2000
+
+            def write(self, data):
+                self.left -= memoryview(data).nbytes
+                if self.left < 0:
+                    raise OSError(28, "No space left on device")
+                return self.fh.write(data)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+        monkeypatch.setattr(model_module, "open", lambda *a, **k: DiskFull(open(*a, **k)), raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            save_checkpoint(CCANModel(toy_config(), seed=8), path)
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["best.ckpt"]
 
     def test_baseline_round_trip(self, tmp_path):
         model = BaselineModel(BaselineConfig(kind="full-self-attention", d_feature=6, d_latent=8, seed=4))

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccan import autograd as ag
+from ccan import training
 from ccan.autograd import Tensor
 from ccan.data import generate_synthetic, patient_grouped_kfold
 from ccan.errors import ConfigError, DataError, MetricError, UsageError
@@ -299,6 +301,74 @@ class TestTrain:
         test_bags = [ds.by_id(i) for i in plan.folds[0].test_ids]
         np.testing.assert_allclose(evaluate_auc(model, test_bags), history.test_auc_at_best)
         assert (tmp_path / "best.ckpt").exists()
+
+    @pytest.mark.parametrize("aucs,best_epoch", [((0.9, 0.5, 0.7), 0), ((0.5, 0.9, 0.7), 1)])
+    def test_ends_at_a_best_epoch_before_the_last(self, monkeypatch, aucs, best_epoch):
+        ds, plan = small_task(seed=18, n_bags=20)
+        model = small_model(seed=19)
+        scores = iter(aucs + (0.6,))  # three epochs, then the test set
+        monkeypatch.setattr(training, "evaluate_auc", lambda model, bags: next(scores))
+        seen = []  # the parameters at the end of each epoch
+
+        def log(line):
+            seen.append({name: p.data.copy() for name, p in model.parameters()})
+
+        cfg = TrainConfig(epochs=3, batch_size=4, lr_max=1e-3, seed=20)
+        best, history = train(model, ds, plan.folds[0], cfg, log=log)
+        assert history.best_epoch == best_epoch
+        assert history.test_auc_at_best == 0.6
+        assert any(not np.array_equal(seen[best_epoch][n], seen[-1][n]) for n in best)
+        for name, p in model.parameters():
+            np.testing.assert_array_equal(p.data, seen[best_epoch][name])
+            np.testing.assert_array_equal(best[name], seen[best_epoch][name])
+            assert not np.shares_memory(best[name], p.data)
+
+    def test_memory_of_a_step_is_moments_grads_and_one_bag(self):
+        # parameters dominate this model's activations; live during training are the two
+        # AdamW moments, one set of gradients (or the best snapshot) and one bag's graph
+        ds = generate_synthetic(24, n_per_bag_range=(4, 6), d_feature=512, witness_shift=4.0,
+                                witness_count_range=(1, 2), grid=(4, 4), seed=1)
+        fold = patient_grouped_kfold(ds.bags, k=4, val_fraction=0.2, seed=2).folds[0]
+        model = BaselineModel(BaselineConfig(kind="full-self-attention", d_feature=512, d_latent=256, seed=3))
+        param_bytes = sum(p.data.nbytes for _, p in model.parameters())
+        bag = max((ds.by_id(i) for i in fold.train_ids), key=lambda b: b.n_tokens)
+        tracemalloc.start()
+        try:
+            graph = bag_loss(model.forward(bag, train_mode=True), bag.label, 2)
+            one_bag = tracemalloc.get_traced_memory()[1]
+            del graph
+            tracemalloc.reset_peak()
+            train(model, ds, fold, TrainConfig(epochs=1, batch_size=2, lr_max=1e-4, seed=4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(fold.train_ids) > 2 * 2
+        assert peak < 3.5 * param_bytes + one_bag
+
+    def test_previous_bag_graph_released_before_the_next_forward(self):
+        # activations dominate this model's parameters; a step over two bags must not hold
+        # the first bag's graph while the second one runs
+        ds = generate_synthetic(16, n_per_bag_range=(400, 400), d_feature=16, witness_shift=4.0,
+                                witness_count_range=(1, 2), grid=(20, 20), seed=1)
+        fold = patient_grouped_kfold(ds.bags, k=4, val_fraction=0.2, seed=2).folds[0]
+        model = small_model(seed=3, d_feature=16, d_latent=16, p_dropout=0.0)
+        param_bytes = sum(p.data.nbytes for _, p in model.parameters())
+        bag = ds.by_id(fold.train_ids[0])
+        tracemalloc.start()
+        try:
+            loss = bag_loss(model.forward(bag, train_mode=True), bag.label, 2)
+            forward = tracemalloc.get_traced_memory()[1]
+            ag.backward(loss)
+            del loss
+            one_bag = tracemalloc.get_traced_memory()[1]
+            ag.zero_grad([p for _, p in model.parameters()])
+            tracemalloc.reset_peak()
+            train(model, ds, fold, TrainConfig(epochs=1, batch_size=2, lr_max=1e-4, seed=4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the moments and the best snapshot are a few parameter sets; a kept graph is a forward more
+        assert peak < one_bag + 4 * param_bytes + forward / 4
 
     def test_history_csv(self, tmp_path):
         ds, plan = small_task(seed=15, n_bags=20)
