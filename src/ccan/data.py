@@ -104,17 +104,22 @@ def write_bag(bag, path):
 class BinaryReader:
     """Sequential little-endian reads from one blob; every fault is a FormatError with its offset.
 
-    ``take`` returns a memoryview into the blob, not a copy of its bytes.
+    ``take`` returns a memoryview into the blob, not a copy of its bytes. A
+    reader of another source sets ``size`` and overrides ``_read``.
     """
 
     def __init__(self, blob):
         self.blob = memoryview(blob)
         self.offset = 0
+        self.size = len(self.blob)
+
+    def _read(self, n):
+        return self.blob[self.offset : self.offset + n]
 
     def take(self, n, what):
-        if self.offset + n > len(self.blob):
+        if self.offset + n > self.size:
             raise FormatError(f"truncated file while reading {what}", offset=self.offset)
-        out = self.blob[self.offset : self.offset + n]
+        out = self._read(n)
         self.offset += n
         return out
 

@@ -445,10 +445,30 @@ def _config_from_json(cls, values, offset):
     return cls(**values)
 
 
+class _FileReader(BinaryReader):
+    """A BinaryReader that reads an open file piece by piece; ``readinto`` fills an array straight from it."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.offset = 0
+        self.size = os.fstat(fh.fileno()).st_size
+
+    def _read(self, n):
+        return self.fh.read(n)
+
+    def readinto(self, array, what):
+        if self.fh.readinto(memoryview(array).cast("B")) < array.nbytes:
+            raise FormatError(f"truncated file while reading {what}", offset=self.offset)
+        self.offset += array.nbytes
+
+
 def load_checkpoint(path, dtype=np.float32):
+    # the file is never held whole: each float32 payload is read straight into its parameter
     with open(path, "rb") as fh:
-        blob = fh.read()
-    r = BinaryReader(blob)
+        return _read_checkpoint(_FileReader(fh), dtype)
+
+
+def _read_checkpoint(r, dtype):
     if r.take(4, "magic") != CHECKPOINT_MAGIC:
         raise FormatError("bad checkpoint magic", offset=0)
     (version,) = r.unpack("<H", "version")
@@ -494,8 +514,11 @@ def load_checkpoint(path, dtype=np.float32):
         target = params[name]
         if shape != target.data.shape:
             raise FormatError(f"parameter {name!r} has shape {shape}, expected {target.data.shape}", offset=r.offset)
-        count = int(np.prod(shape))
-        target.data[...] = np.frombuffer(r.take(4 * count, f"values of {name!r}"), dtype="<f4").reshape(shape)
-    if r.offset != len(blob):
+        what = f"values of {name!r}"
+        if target.data.dtype == np.dtype("<f4") and target.data.flags.c_contiguous:
+            r.readinto(target.data, what)
+        else:
+            target.data[...] = np.frombuffer(r.take(4 * target.data.size, what), dtype="<f4").reshape(shape)
+    if r.offset != r.size:
         raise FormatError("trailing bytes after parameters", offset=r.offset)
     return model

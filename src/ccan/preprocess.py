@@ -5,7 +5,9 @@ patches with a fixed physical edge length (default 256 microns),
 resizes each to 256x256 px, drops predominantly-white patches (mean
 BT.601 luma > 224), drops blurry patches (Canny edge fraction < 2%),
 and turns survivors into feature tokens via a deterministic random
-projection. Partial edge patches are discarded.
+projection. Partial edge patches are discarded. Each patch's luma is
+computed once and read by both filters; the projection is drawn once
+per (d_feature, seed), cached and shared read-only by later runs.
 
 The Canny detector is the classic pipeline: 5x5 Gaussian smoothing
 (sigma 1.4), Sobel gradients, 4-direction non-maximum suppression, and
@@ -16,6 +18,8 @@ convolutions. Golden tests pin the exact behavior.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,10 +64,13 @@ class PatchRecord:
     source_rect: tuple  # (y0, x0, side, side) in source pixels
 
 
+# every patch is resized to this edge length, the stub extractor's input
+PATCH_PIXELS = 256
+
+
 @dataclass
 class PreprocessConfig:
     patch_microns: float = 256.0
-    patch_pixels: int = 256
     white_threshold: float = 224.0
     blur_fraction: float = 0.02
     canny_sigma: float = 1.4
@@ -71,6 +78,21 @@ class PreprocessConfig:
     canny_low: float = 50.0
     canny_high: float = 100.0
     d_feature: int = 2048
+
+    def validate(self):
+        if not 0 < self.patch_microns < math.inf:
+            raise ConfigError(f"patch_microns must be positive and finite, got {self.patch_microns}")
+        if not 0 < self.canny_sigma < math.inf:
+            raise ConfigError(f"canny_sigma must be positive and finite, got {self.canny_sigma}")
+        if self.canny_kernel < 1:
+            raise ConfigError(f"canny_kernel must be >= 1, got {self.canny_kernel}")
+        # a NaN threshold compares false everywhere, which silently turns its filter off
+        for name in ("white_threshold", "blur_fraction", "canny_low", "canny_high"):
+            if math.isnan(getattr(self, name)):
+                raise ConfigError(f"{name} must be a number, got nan")
+        if self.d_feature < 1:
+            raise ConfigError(f"d_feature must be >= 1, got {self.d_feature}")
+        return self
 
 
 @dataclass
@@ -94,7 +116,6 @@ def bilinear_resize(pixels, out_h, out_w):
     """Half-pixel-center bilinear resize; exact copy at identity scale."""
     pixels = np.asarray(pixels)
     in_h, in_w = pixels.shape[:2]
-    src = pixels.astype(np.float64)
 
     def axis_coords(out_n, in_n):
         coords = (np.arange(out_n) + 0.5) * (in_n / out_n) - 0.5
@@ -106,10 +127,21 @@ def bilinear_resize(pixels, out_h, out_w):
 
     y0, y1, fy = axis_coords(out_h, in_h)
     x0, x1, fx = axis_coords(out_w, in_w)
-    top = src[y0][:, x0] * (1 - fx)[None, :, None] + src[y0][:, x1] * fx[None, :, None]
-    bot = src[y1][:, x0] * (1 - fx)[None, :, None] + src[y1][:, x1] * fx[None, :, None]
-    out = top * (1 - fy)[:, None, None] + bot * fy[:, None, None]
-    return np.clip(np.rint(out), 0, 255).astype(np.uint8)
+    # gather 8-bit samples, rows then columns; each product casts them to float64
+    # exactly, and the (row, column x channel) layout keeps every loop long
+    channels = pixels.shape[2]
+    wx0, wx1 = np.repeat(1 - fx, channels), np.repeat(fx, channels)
+    rows0, rows1 = pixels[y0], pixels[y1]
+    top = rows0.take(x0, axis=1).reshape(out_h, -1) * wx0
+    top += rows0.take(x1, axis=1).reshape(out_h, -1) * wx1
+    bot = rows1.take(x0, axis=1).reshape(out_h, -1) * wx0
+    bot += rows1.take(x1, axis=1).reshape(out_h, -1) * wx1
+    top *= (1 - fy)[:, None]
+    bot *= fy[:, None]
+    top += bot
+    np.rint(top, out=top)
+    np.clip(top, 0, 255, out=top)
+    return top.astype(np.uint8).reshape(out_h, out_w, channels)
 
 
 def tessellate(image, config=None):
@@ -132,8 +164,8 @@ def tessellate(image, config=None):
         for c in range(n_cols):
             y0, x0 = r * side, c * side
             crop = pixels[y0 : y0 + side, x0 : x0 + side]
-            if side != config.patch_pixels:
-                crop = bilinear_resize(crop, config.patch_pixels, config.patch_pixels)
+            if side != PATCH_PIXELS:
+                crop = bilinear_resize(crop, PATCH_PIXELS, PATCH_PIXELS)
             else:
                 crop = crop.copy()
             patches.append(PatchRecord(pixels=crop, row=r, col=c, source_rect=(y0, x0, side, side)))
@@ -167,6 +199,7 @@ def _gaussian_kernel(size, sigma):
 
 _SOBEL_X = np.array([[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]], dtype=np.float64)
 _SOBEL_Y = np.array([[-1, -2, -1], [0, 0, 0], [1, 2, 1]], dtype=np.float64)
+_SECTOR_EDGES = (22.5, 67.5, 112.5, 157.5)
 
 
 def canny_edges(patch_pixels, config=None):
@@ -180,25 +213,17 @@ def canny_edges(patch_pixels, config=None):
     magnitude = np.hypot(gx, gy)
     angle = np.degrees(np.arctan2(gy, gx)) % 180.0
 
-    # non-maximum suppression against the two neighbors along the gradient
+    # non-maximum suppression against the two neighbors along the gradient;
+    # the sector counts the edges at or below the angle: 0 E/W, 1 SW/NE,
+    # 2 S/N, 3 SE/NW, and 4 (from 157.5 degrees) wraps to E/W
     h, w = magnitude.shape
-    suppressed = np.zeros_like(magnitude)
+    sector = sum((angle >= edge).view(np.uint8) for edge in _SECTOR_EDGES)
     mag_p = np.pad(magnitude, 1, mode="constant")
-    center = mag_p[1:-1, 1:-1]
-    neighbor_pairs = {
-        0: (mag_p[1:-1, 2:], mag_p[1:-1, :-2]),  # horizontal gradient: E/W
-        45: (mag_p[2:, :-2], mag_p[:-2, 2:]),  # SW / NE
-        90: (mag_p[2:, 1:-1], mag_p[:-2, 1:-1]),  # S / N
-        135: (mag_p[2:, 2:], mag_p[:-2, :-2]),  # SE / NW
-    }
-    sector = np.zeros((h, w), dtype=np.int64)
-    sector[(angle >= 22.5) & (angle < 67.5)] = 45
-    sector[(angle >= 67.5) & (angle < 112.5)] = 90
-    sector[(angle >= 112.5) & (angle < 157.5)] = 135
-    for sec, (a, b) in neighbor_pairs.items():
-        mask = sector == sec
-        keep = mask & (center >= a) & (center >= b)
-        suppressed[keep] = magnitude[keep]
+    # each sector's neighbors as flat offsets into the zero-padded magnitude
+    step = np.array([1, w + 1, w + 2, w + 3, 1])[sector]
+    center = (np.arange(1, h + 1) * (w + 2))[:, None] + np.arange(1, w + 1)
+    keep = (magnitude >= mag_p.take(center + step)) & (magnitude >= mag_p.take(center - step))
+    suppressed = np.where(keep, magnitude, 0.0)
     suppressed[0, :] = suppressed[-1, :] = 0.0
     suppressed[:, 0] = suppressed[:, -1] = 0.0
 
@@ -208,11 +233,10 @@ def canny_edges(patch_pixels, config=None):
     weak = suppressed >= config.canny_low
     # hysteresis: keep weak components 8-connected to a strong pixel
     labels, n_labels = ndimage.label(weak, structure=np.ones((3, 3), dtype=np.int64))
-    if n_labels == 0:
-        return np.zeros_like(strong)
-    strong_labels = np.unique(labels[strong])
-    strong_labels = strong_labels[strong_labels > 0]
-    return np.isin(labels, strong_labels)
+    has_strong = np.zeros(n_labels + 1, dtype=bool)
+    has_strong[labels[strong]] = True
+    has_strong[0] = False
+    return has_strong[labels]
 
 
 def canny_edge_fraction(patch_pixels, config=None):
@@ -230,9 +254,13 @@ def is_blurry(patch_pixels, config=None):
 # stub feature extraction
 
 
+@functools.lru_cache(maxsize=1)
 def _projection_matrix(d_feature, seed):
-    rng = np.random.default_rng(seed)
-    return (rng.standard_normal((768, d_feature)) / np.sqrt(768.0)).astype(np.float64)
+    """The seed's projection, drawn once and shared read-only by every later call."""
+    matrix = np.random.default_rng(seed).standard_normal((768, d_feature))
+    matrix /= np.sqrt(768.0)
+    matrix.setflags(write=False)
+    return matrix
 
 
 def stub_features(patch_pixels, d_feature=2048, seed=0, projection=None):
@@ -242,11 +270,12 @@ def stub_features(patch_pixels, d_feature=2048, seed=0, projection=None):
     seeded random projection, and squashes with tanh, so outputs are
     bounded in (-1, 1) and identical patches map to identical tokens.
     """
-    p = np.asarray(patch_pixels, dtype=np.float64)
-    if p.shape != (256, 256, 3):
-        raise DataError(f"stub extractor expects 256x256x3 patches, got {p.shape}")
-    block = 256 // 16
-    small = p.reshape(16, block, 16, block, 3).mean(axis=(1, 3)) / 255.0
+    p = np.asarray(patch_pixels)
+    if p.shape != (PATCH_PIXELS, PATCH_PIXELS, 3):
+        raise DataError(f"stub extractor expects {PATCH_PIXELS}x{PATCH_PIXELS}x3 patches, got {p.shape}")
+    block = PATCH_PIXELS // 16
+    # block means: the sums of 8-bit values are exact integers, so this equals mean() of a float64 copy
+    small = p.reshape(16, block, 16, block, 3).sum(axis=(1, 3), dtype=np.float64) / block**2 / 255.0
     flat = small.reshape(-1)
     if projection is None:
         projection = _projection_matrix(d_feature, seed)
@@ -266,17 +295,18 @@ def run_pipeline(image, out_path, label, bag_id, patient_id, seed=0, config=None
     """
     from .data import write_bag
 
-    config = config or PreprocessConfig()
+    config = (config or PreprocessConfig()).validate()
     patches = tessellate(image, config)
     projection = _projection_matrix(config.d_feature, seed)
     kept = []
     n_white = 0
     n_blur = 0
     for patch in patches:
-        if is_white(patch.pixels, config.white_threshold):
+        gray = grayscale(patch.pixels)  # both filters read the same luma
+        if is_white(gray, config.white_threshold):
             n_white += 1
             continue
-        if is_blurry(patch.pixels, config):
+        if is_blurry(gray, config):
             n_blur += 1
             continue
         kept.append(patch)

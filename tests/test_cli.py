@@ -280,6 +280,29 @@ class TestCommands:
         assert rc == 1
         assert capsys.readouterr().err == f"error: {meta_path}: sidecar {message}\n"
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("model.D_f", "-5", "d_feature must be >= 1, got -5"),
+        ("model.D_f", "0", "d_feature must be >= 1, got 0"),
+        ("preprocess.patch_microns", "nan", "patch_microns must be positive and finite, got nan"),
+        ("preprocess.blur_fraction", "nan", "blur_fraction must be a number, got nan"),
+        ("preprocess.white_threshold", "nan", "white_threshold must be a number, got nan"),
+        ("preprocess.canny_sigma", "0", "canny_sigma must be positive and finite, got 0.0"),
+    ])
+    def test_bad_preprocess_setting_is_one_error_line(self, tmp_path, capsys, key, value, message):
+        from ccan.netpbm import write_ppm
+
+        img_path = str(tmp_path / "slide.ppm")
+        write_ppm(np.random.default_rng(1).integers(0, 256, (256, 256, 3)).astype(np.uint8), img_path)
+        meta_path = str(tmp_path / "slide.txt")
+        with open(meta_path, "w") as fh:
+            fh.write("microns_per_pixel = 1.0\nlabel = 1\nbag_id = s0\npatient_id = p0\n")
+        out = str(tmp_path / "slide.ccfb")
+        rc = main(["preprocess", "--paths.image", img_path, "--paths.meta", meta_path,
+                   "--paths.out", out, f"--{key}", value])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not os.path.exists(out)
+
 
 class TestReproducibility:
     def test_synth_byte_identical(self, tmp_path):

@@ -391,6 +391,29 @@ class TestCheckpoint:
         # no whole-file buffer: the records go to the file one at a time
         assert peak < total / 2
 
+    def test_load_holds_the_parameters_not_the_file(self, tmp_path):
+        model = CCANModel(toy_config(d_feature=256, d_latent=64, n_stages=2, n_latents=16), seed=6)
+        total = sum(p.data.nbytes for _, p in model.parameters())
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        tracemalloc.start()
+        try:
+            loaded = load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # each payload goes straight into its parameter; no buffer holds the whole file
+        assert peak < 1.2 * total
+        for (_, pa), (_, pb) in zip(model.parameters(), loaded.parameters()):
+            np.testing.assert_array_equal(pa.data, pb.data)
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(b"")
+        with pytest.raises(FormatError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == "truncated file while reading magic (at byte offset 0)"
+
     def test_failed_save_keeps_the_old_file(self, tmp_path, monkeypatch):
         path = tmp_path / "best.ckpt"
         save_checkpoint(CCANModel(toy_config(), seed=7), path)

@@ -4,13 +4,20 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
+from ccan import preprocess
+from ccan.data import FeatureBag, write_bag
 from ccan.errors import ConfigError, DataError, FormatError
 from ccan.netpbm import read_pnm, write_pgm, write_ppm
 from ccan.preprocess import (
+    _SOBEL_X,
+    _SOBEL_Y,
     PreprocessConfig,
     RasterImage,
+    _gaussian_kernel,
+    _projection_matrix,
     bilinear_resize,
     canny_edge_fraction,
+    canny_edges,
     grayscale,
     is_blurry,
     is_white,
@@ -31,6 +38,125 @@ def tissue_image(width, height, seed=0, block=8):
     blocks = rng.integers(30, 220, size=(height // block + 1, width // block + 1, 3))
     pixels = np.repeat(np.repeat(blocks, block, axis=0), block, axis=1)[:height, :width]
     return RasterImage(pixels=pixels.astype(np.uint8), microns_per_pixel=1.0)
+
+
+def step_patch(shape=(256, 256, 3)):
+    patch = np.zeros(shape, np.uint8)
+    patch[:, shape[1] // 2 :] = 200
+    return patch
+
+
+def checker_patch(shape=(256, 256, 3), cell=8):
+    cells = (np.indices(shape[:2]).sum(axis=0) // cell) % 2
+    return np.repeat((cells * 255).astype(np.uint8)[:, :, None], shape[2], axis=2)
+
+
+# the oracles below are the preprocessing steps as first written; the
+# program's versions must give the same bits with less work
+
+def reference_bilinear_resize(pixels, out_h, out_w):
+    """Bilinear resize on a float64 copy of the whole crop, gathering the rows for every product."""
+    pixels = np.asarray(pixels)
+    in_h, in_w = pixels.shape[:2]
+    src = pixels.astype(np.float64)
+
+    def axis_coords(out_n, in_n):
+        coords = (np.arange(out_n) + 0.5) * (in_n / out_n) - 0.5
+        lo = np.floor(coords).astype(np.int64)
+        return np.clip(lo, 0, in_n - 1), np.clip(lo + 1, 0, in_n - 1), coords - lo
+
+    y0, y1, fy = axis_coords(out_h, in_h)
+    x0, x1, fx = axis_coords(out_w, in_w)
+    top = src[y0][:, x0] * (1 - fx)[None, :, None] + src[y0][:, x1] * fx[None, :, None]
+    bot = src[y1][:, x0] * (1 - fx)[None, :, None] + src[y1][:, x1] * fx[None, :, None]
+    out = top * (1 - fy)[:, None, None] + bot * fy[:, None, None]
+    return np.clip(np.rint(out), 0, 255).astype(np.uint8)
+
+
+def reference_canny_edges(patch_pixels, config=None):
+    """Canny with one boolean mask per suppression sector and np.isin over the strong labels."""
+    config = config or PreprocessConfig()
+    gray = grayscale(patch_pixels)
+    smoothed = ndimage.correlate(gray, _gaussian_kernel(config.canny_kernel, config.canny_sigma), mode="nearest")
+    gx = ndimage.correlate(smoothed, _SOBEL_X, mode="nearest")
+    gy = ndimage.correlate(smoothed, _SOBEL_Y, mode="nearest")
+    magnitude = np.hypot(gx, gy)
+    angle = np.degrees(np.arctan2(gy, gx)) % 180.0
+    h, w = magnitude.shape
+    suppressed = np.zeros_like(magnitude)
+    mag_p = np.pad(magnitude, 1, mode="constant")
+    center = mag_p[1:-1, 1:-1]
+    neighbor_pairs = {
+        0: (mag_p[1:-1, 2:], mag_p[1:-1, :-2]),
+        45: (mag_p[2:, :-2], mag_p[:-2, 2:]),
+        90: (mag_p[2:, 1:-1], mag_p[:-2, 1:-1]),
+        135: (mag_p[2:, 2:], mag_p[:-2, :-2]),
+    }
+    sector = np.zeros((h, w), dtype=np.int64)
+    sector[(angle >= 22.5) & (angle < 67.5)] = 45
+    sector[(angle >= 67.5) & (angle < 112.5)] = 90
+    sector[(angle >= 112.5) & (angle < 157.5)] = 135
+    for sec, (a, b) in neighbor_pairs.items():
+        keep = (sector == sec) & (center >= a) & (center >= b)
+        suppressed[keep] = magnitude[keep]
+    suppressed[0, :] = suppressed[-1, :] = 0.0
+    suppressed[:, 0] = suppressed[:, -1] = 0.0
+    suppressed = np.clip(suppressed, 0.0, 255.0)
+    strong = suppressed >= config.canny_high
+    weak = suppressed >= config.canny_low
+    labels, n_labels = ndimage.label(weak, structure=np.ones((3, 3), dtype=np.int64))
+    if n_labels == 0:
+        return np.zeros_like(strong)
+    strong_labels = np.unique(labels[strong])
+    return np.isin(labels, strong_labels[strong_labels > 0])
+
+
+def reference_stub_features(patch_pixels, d_feature, seed):
+    """Block means of a float64 copy, projected by a matrix drawn for this call."""
+    p = np.asarray(patch_pixels, dtype=np.float64)
+    small = p.reshape(16, 16, 16, 16, 3).mean(axis=(1, 3)) / 255.0
+    projection = (np.random.default_rng(seed).standard_normal((768, d_feature)) / np.sqrt(768.0)).astype(np.float64)
+    return np.tanh(small.reshape(-1) @ projection).astype(np.float32)
+
+
+def reference_pipeline(image, path, seed, config, monkeypatch):
+    """run_pipeline as first written: a luma per filter and the oracles above; returns the QC counts."""
+    monkeypatch.setattr(preprocess, "bilinear_resize", reference_bilinear_resize)
+    patches = tessellate(image, config)
+    kept, n_white, n_blur = [], 0, 0
+    for patch in patches:
+        if is_white(patch.pixels, config.white_threshold):
+            n_white += 1
+        elif reference_canny_edges(patch.pixels, config).mean() < config.blur_fraction:
+            n_blur += 1
+        else:
+            kept.append(patch)
+    tokens = np.stack([reference_stub_features(p.pixels, config.d_feature, seed) for p in kept])
+    write_bag(FeatureBag(bag_id="b", patient_id="p", label=1, tokens=tokens,
+                         rows=np.array([p.row for p in kept]), cols=np.array([p.col for p in kept]),
+                         rows_total=max(p.row for p in patches) + 1, cols_total=max(p.col for p in patches) + 1),
+              path)
+    return len(patches), n_white, n_blur, len(kept)
+
+
+def stained_raster(mpp, kinds, seed=0):
+    """One row of patch cells, each near-white, blurred tissue or sharp tissue."""
+    rng = np.random.default_rng(seed)
+    side = round(256 / mpp)
+    cells = []
+    for kind in kinds:
+        if kind == "white":
+            cell = rng.normal(246.0, 3.0, (side, side, 3))
+        else:
+            grain = round((2.0 if kind == "sharp" else 32.0) / mpp)
+            texture = np.kron(rng.normal(0.0, 1.0, (side // grain + 1, side // grain + 1, 1)),
+                              np.ones((grain, grain, 1)))[:side, :side]
+            if kind == "blur":
+                texture = ndimage.gaussian_filter(texture, (8.0 / mpp, 8.0 / mpp, 0), mode="nearest")
+            cell = np.array([196.0, 118.0, 168.0]) + 36.0 * texture * np.array([1.0, 1.2, 0.8])
+        cells.append(cell)
+    pixels = np.rint(np.clip(np.concatenate(cells, axis=1), 0, 255)).astype(np.uint8)
+    return RasterImage(pixels=pixels, microns_per_pixel=mpp)
 
 
 class TestTessellate:
@@ -98,6 +224,23 @@ class TestBilinearResize:
         pixels[1::2, 1::2, 0] = 100
         out = bilinear_resize(pixels, 2, 2)
         assert (out == 50).all()  # half-pixel centers average each 2x2 block
+
+    @pytest.mark.parametrize("pixels, out_h, out_w", [
+        (noise_patch(seed=20, shape=(512, 512, 3)), 256, 256),
+        (step_patch((512, 512, 3)), 256, 256),
+        (checker_patch((512, 512, 3), cell=3), 256, 256),
+        (noise_patch(seed=21, shape=(300, 200, 3)), 256, 256),  # non-integer ratios, down and up
+        (noise_patch(seed=22, shape=(90, 90, 1)), 256, 256),  # single channel
+        (noise_patch(seed=23, shape=(7, 3, 1)), 256, 256),
+        (noise_patch(seed=24, shape=(64, 48, 3)), 37, 53),
+        (noise_patch(seed=25, shape=(1, 41, 3)), 256, 256),
+        (noise_patch(seed=26, shape=(41, 1, 3)), 256, 256),
+        (noise_patch(seed=27, shape=(256, 256, 3)), 256, 256),  # identity
+    ], ids=["noise", "step", "checker", "300x200", "1-channel", "7x3", "64x48", "1xN", "Nx1", "identity"])
+    def test_equals_the_reference(self, pixels, out_h, out_w):
+        got = bilinear_resize(pixels, out_h, out_w)
+        assert got.dtype == np.uint8 and got.shape == (out_h, out_w, pixels.shape[2])
+        np.testing.assert_array_equal(got, reference_bilinear_resize(pixels, out_h, out_w))
 
 
 class TestWhiteFilter:
@@ -170,6 +313,54 @@ class TestCanny:
         assert canny_edge_fraction(checker) == pytest.approx(0.9538726806640625, abs=1e-12)
 
 
+    @pytest.mark.parametrize("config", [
+        PreprocessConfig(),
+        PreprocessConfig(canny_kernel=4, canny_sigma=1.0),
+        PreprocessConfig(canny_low=120.0, canny_high=60.0),  # strong pixels outside every weak component
+    ], ids=["default", "kernel4", "low-above-high"])
+    @pytest.mark.parametrize("patch", [
+        noise_patch(seed=30),
+        step_patch(),
+        checker_patch(),
+        checker_patch(cell=1),
+        bilinear_resize(noise_patch(seed=31, shape=(300, 200, 3)), 256, 256),
+        noise_patch(seed=32, shape=(64, 64, 1)),
+        noise_patch(seed=6, shape=(7, 3, 1)),
+        noise_patch(seed=5, shape=(64, 48, 3)),
+        noise_patch(seed=33, shape=(1, 40, 3)),
+        noise_patch(seed=34, shape=(40, 1, 3)),
+        np.full((32, 32, 3), 120, np.uint8),
+    ], ids=["noise", "step", "checker", "checker1", "resized", "1-channel", "7x3", "64x48", "1xN", "Nx1", "flat"])
+    def test_equals_the_reference(self, patch, config):
+        got = canny_edges(patch, config)
+        assert got.dtype == bool and got.shape == patch.shape[:2]
+        np.testing.assert_array_equal(got, reference_canny_edges(patch, config))
+
+    def test_angles_on_sector_edges_equal_the_reference(self, monkeypatch):
+        # gradients whose angle is exactly 22.5, 67.5, 112.5 or 157.5 degrees, scaled by 64 (which keeps
+        # the angle), spread over a random field; integer images never give such angles
+        rng = np.random.default_rng(50)
+        gx, gy = rng.normal(0.0, 80.0, (2, 32, 32))
+        on_edge = rng.random((32, 32)) < 0.5
+        for i, edge in enumerate((22.5, 67.5, 112.5, 157.5)):
+            slope = np.tan(np.radians(edge))
+            ys = slope + np.arange(-200, 201) * np.spacing(abs(slope))
+            exact = ys[np.degrees(np.arctan2(ys, 1.0)) % 180.0 == edge][0]
+            where = on_edge & (np.arange(32 * 32).reshape(32, 32) % 4 == i)
+            gx[where], gy[where] = 64.0, 64.0 * exact
+        angle = np.degrees(np.arctan2(gy, gx)) % 180.0
+        assert np.isin(angle, [22.5, 67.5, 112.5, 157.5]).sum() == on_edge.sum()
+        monkeypatch.setattr(ndimage, "correlate",
+                            lambda img, kernel, **kw: gx if kernel is _SOBEL_X else gy if kernel is _SOBEL_Y else img)
+        patch = np.zeros((32, 32, 1), np.uint8)
+        np.testing.assert_array_equal(canny_edges(patch), reference_canny_edges(patch))
+
+    def test_luma_input_gives_the_same_edges(self):
+        patch = noise_patch(seed=35)
+        np.testing.assert_array_equal(grayscale(grayscale(patch)).view(np.uint64), grayscale(patch).view(np.uint64))
+        np.testing.assert_array_equal(canny_edges(grayscale(patch)), canny_edges(patch))
+
+
 class TestBlurFilter:
     def test_constant_is_blurry(self):
         assert is_blurry(np.full((256, 256, 3), 50, np.uint8)) is True
@@ -205,6 +396,36 @@ class TestStubFeatures:
         with pytest.raises(DataError):
             stub_features(np.zeros((128, 128, 3), np.uint8))
 
+    @pytest.mark.parametrize("patch", [
+        noise_patch(seed=40), step_patch(), checker_patch(), np.full((256, 256, 3), 255, np.uint8),
+    ], ids=["noise", "step", "checker", "white"])
+    def test_equals_the_reference(self, patch):
+        got = stub_features(patch, 96, seed=4)
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got.view(np.uint32), reference_stub_features(patch, 96, 4).view(np.uint32))
+
+
+class TestProjection:
+    def test_equals_a_fresh_draw_and_is_read_only(self):
+        matrix = _projection_matrix(48, 5)
+        fresh = np.random.default_rng(5).standard_normal((768, 48)) / np.sqrt(768.0)
+        assert matrix.dtype == np.float64
+        np.testing.assert_array_equal(matrix.view(np.uint64), fresh.view(np.uint64))
+        assert not matrix.flags.writeable
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 0.0
+
+    def test_drawn_once_across_runs(self, tmp_path, monkeypatch):
+        img = tissue_image(512, 512, seed=41)
+        draws = []
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: draws.append(seed) or default_rng(seed))
+        config = PreprocessConfig(d_feature=24)
+        first, _ = run_pipeline(img, tmp_path / "a.ccfb", 1, "b", "p", seed=9041, config=config)
+        second, _ = run_pipeline(img, tmp_path / "b.ccfb", 1, "b", "p", seed=9041, config=config)
+        assert draws == [9041]
+        np.testing.assert_array_equal(first.tokens, second.tokens)
+
 
 class TestPipeline:
     def test_all_white_image_fails_with_full_qc(self, tmp_path):
@@ -235,6 +456,48 @@ class TestPipeline:
         run_pipeline(img, p1, 1, "b", "p", seed=2, config=PreprocessConfig(d_feature=16))
         run_pipeline(img, p2, 1, "b", "p", seed=2, config=PreprocessConfig(d_feature=16))
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("mpp", [0.5, 1.0])
+    def test_bag_and_qc_equal_the_reference(self, tmp_path, monkeypatch, mpp):
+        img = stained_raster(mpp, ["white", "sharp", "blur", "sharp", "white", "blur", "sharp"], seed=42)
+        bag, qc = run_pipeline(img, tmp_path / "bag.ccfb", 1, "b", "p", seed=7)
+        want = reference_pipeline(img, tmp_path / "reference.ccfb", 7, PreprocessConfig(), monkeypatch)
+        assert (qc.total, qc.white_rejected, qc.blur_rejected, qc.kept) == want == (7, 2, 2, 3)
+        assert (tmp_path / "bag.ccfb").read_bytes() == (tmp_path / "reference.ccfb").read_bytes()
+
+    def test_one_luma_per_patch(self, tmp_path, monkeypatch):
+        lumas = []
+        luma = preprocess.grayscale
+
+        def spy(pixels):
+            if np.ndim(pixels) == 3:
+                lumas.append(pixels.shape)
+            return luma(pixels)
+
+        monkeypatch.setattr(preprocess, "grayscale", spy)
+        img = stained_raster(1.0, ["white", "sharp", "blur"], seed=43)
+        _, qc = run_pipeline(img, tmp_path / "bag.ccfb", 1, "b", "p", config=PreprocessConfig(d_feature=8))
+        assert (qc.white_rejected, qc.blur_rejected, qc.kept) == (1, 1, 1)
+        assert len(lumas) == qc.total
+
+    @pytest.mark.parametrize("change, message", [
+        ({"patch_microns": float("nan")}, "patch_microns must be positive and finite, got nan"),
+        ({"patch_microns": 0.0}, "patch_microns must be positive and finite, got 0.0"),
+        ({"canny_sigma": 0.0}, "canny_sigma must be positive and finite, got 0.0"),
+        ({"canny_kernel": 0}, "canny_kernel must be >= 1, got 0"),
+        ({"white_threshold": float("nan")}, "white_threshold must be a number, got nan"),
+        ({"blur_fraction": float("nan")}, "blur_fraction must be a number, got nan"),
+        ({"canny_low": float("nan")}, "canny_low must be a number, got nan"),
+        ({"canny_high": float("nan")}, "canny_high must be a number, got nan"),
+        ({"d_feature": 0}, "d_feature must be >= 1, got 0"),
+        ({"d_feature": -5}, "d_feature must be >= 1, got -5"),
+    ])
+    def test_bad_config_rejected_before_any_work(self, tmp_path, change, message):
+        assert PreprocessConfig().validate() == PreprocessConfig()
+        with pytest.raises(ConfigError) as err:
+            run_pipeline(tissue_image(256, 256), tmp_path / "bag.ccfb", 1, "b", "p", config=PreprocessConfig(**change))
+        assert str(err.value) == message
+        assert not (tmp_path / "bag.ccfb").exists()
 
     def test_white_and_blur_filters_order_independent(self):
         # a patch that is both white and blurry counts as white, never kept
