@@ -7,6 +7,11 @@ The on-disk bag format (CCFB) is a little-endian binary container:
     u8-length-prefixed patient_id | N x (u32 row, u32 col) |
     N*D_f float32 row-major
 
+Every binary file of the package (bags, checkpoints, PNM images) is read
+through ``BinaryReader``, which never holds the whole file and reads each
+array once, into its own buffer, and written through ``atomic_write``: a
+temporary file that replaces the target only once it is complete.
+
 Synthetic bags carry the supervision signal in a handful of "witness"
 tokens drawn around a class-specific mean; everything else is standard
 normal noise. This gives a desk-scale task whose solvability can be
@@ -19,6 +24,7 @@ import csv
 import math
 import os
 import struct
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,45 +89,61 @@ def _encode_id(s):
 
 
 def write_bag(bag, path):
-    buf = bytearray()
-    buf += CCFB_MAGIC
-    buf += struct.pack("<H", CCFB_VERSION)
-    buf += struct.pack("<IIII", bag.n_tokens, bag.d_feature, bag.rows_total, bag.cols_total)
     if not 0 <= bag.label <= 255:
         raise DataError(f"label {bag.label} does not fit in one byte")
-    buf += struct.pack("<B", bag.label)
-    buf += _encode_id(bag.bag_id)
-    buf += _encode_id(bag.patient_id)
+    bag_id, patient_id = _encode_id(bag.bag_id), _encode_id(bag.patient_id)
     coords = np.empty((bag.n_tokens, 2), dtype="<u4")
     coords[:, 0] = bag.rows
     coords[:, 1] = bag.cols
-    buf += coords.tobytes()
-    buf += np.ascontiguousarray(bag.tokens, dtype="<f4").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(bytes(buf))
+    with atomic_write(path) as fh:
+        fh.write(CCFB_MAGIC)
+        fh.write(struct.pack("<HIIIIB", CCFB_VERSION, bag.n_tokens, bag.d_feature,
+                             bag.rows_total, bag.cols_total, bag.label))
+        fh.write(bag_id)
+        fh.write(patient_id)
+        fh.write(coords.data)
+        fh.write(np.ascontiguousarray(bag.tokens, dtype="<f4").data)
+
+
+@contextmanager
+def atomic_write(path):
+    """A binary file opened next to ``path`` that replaces it only once the block completes.
+
+    On any exception the temporary file is removed and whatever ``path``
+    held before stays as it was.
+    """
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 class BinaryReader:
-    """Sequential little-endian reads from one blob; every fault is a FormatError with its offset.
+    """Sequential little-endian reads from an open binary file; every fault is a FormatError with its offset.
 
-    ``take`` returns a memoryview into the blob, not a copy of its bytes. A
-    reader of another source sets ``size`` and overrides ``_read``.
+    The file is never held whole: fields are read piece by piece and each
+    array straight into its own buffer.
     """
 
-    def __init__(self, blob):
-        self.blob = memoryview(blob)
+    def __init__(self, fh):
+        self.fh = fh
         self.offset = 0
-        self.size = len(self.blob)
+        self.size = os.fstat(fh.fileno()).st_size
 
-    def _read(self, n):
-        return self.blob[self.offset : self.offset + n]
-
-    def take(self, n, what):
+    def _need(self, n, what):
         if self.offset + n > self.size:
             raise FormatError(f"truncated file while reading {what}", offset=self.offset)
-        out = self._read(n)
+
+    def take(self, n, what):
+        self._need(n, what)
         self.offset += n
-        return out
+        return self.fh.read(n)
 
     def unpack(self, fmt, what):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
@@ -133,37 +155,38 @@ class BinaryReader:
         except UnicodeDecodeError as exc:
             raise FormatError(f"{what} is not UTF-8", offset=start + exc.start) from None
 
+    def readinto(self, array, what):
+        """Fill a C-contiguous array from the file."""
+        if self.fh.readinto(array) < array.nbytes:
+            raise FormatError(f"truncated file while reading {what}", offset=self.offset)
+        self.offset += array.nbytes
+
+    def array(self, shape, dtype, what):
+        """A new array read from the file; its size is checked against the file before it is allocated."""
+        self._need(math.prod(shape) * np.dtype(dtype).itemsize, what)
+        out = np.empty(shape, dtype)
+        self.readinto(out, what)
+        return out
+
 
 def read_bag(path):
     with open(path, "rb") as fh:
-        blob = fh.read()
-    r = BinaryReader(blob)
-    magic = bytes(r.take(4, "magic"))
-    if magic != CCFB_MAGIC:
-        raise FormatError(f"bad magic {magic!r}", offset=0)
-    (version,) = r.unpack("<H", "version")
-    if version != CCFB_VERSION:
-        raise FormatError(f"unsupported version {version}", offset=4)
-    n, d_f, rows_total, cols_total = r.unpack("<IIII", "header extents")
-    (label,) = r.unpack("<B", "label")
-    (id_len,) = r.unpack("<B", "bag_id length")
-    bag_id = r.text(id_len, "bag_id")
-    (pid_len,) = r.unpack("<B", "patient_id length")
-    patient_id = r.text(pid_len, "patient_id")
-    coords = np.frombuffer(r.take(8 * n, "coordinates"), dtype="<u4").reshape(n, 2)
-    tokens = np.frombuffer(r.take(4 * n * d_f, "tokens"), dtype="<f4").reshape(n, d_f)
-    if r.offset != len(blob):
-        raise FormatError("trailing bytes after token payload", offset=r.offset)
-    return FeatureBag(
-        bag_id=bag_id,
-        patient_id=patient_id,
-        label=label,
-        tokens=tokens.copy(),
-        rows=coords[:, 0].astype(np.int64),
-        cols=coords[:, 1].astype(np.int64),
-        rows_total=rows_total,
-        cols_total=cols_total,
-    )
+        r = BinaryReader(fh)
+        magic = r.take(4, "magic")
+        if magic != CCFB_MAGIC:
+            raise FormatError(f"bad magic {magic!r}", offset=0)
+        (version,) = r.unpack("<H", "version")
+        if version != CCFB_VERSION:
+            raise FormatError(f"unsupported version {version}", offset=4)
+        n, d_f, rows_total, cols_total = r.unpack("<IIII", "header extents")
+        (label,) = r.unpack("<B", "label")
+        bag_id = r.text(r.unpack("<B", "bag_id length")[0], "bag_id")
+        patient_id = r.text(r.unpack("<B", "patient_id length")[0], "patient_id")
+        coords = r.array((n, 2), "<u4", "coordinates")
+        tokens = r.array((n, d_f), "<f4", "tokens")
+        if r.offset != r.size:
+            raise FormatError("trailing bytes after token payload", offset=r.offset)
+    return FeatureBag(bag_id, patient_id, label, tokens, coords[:, 0], coords[:, 1], rows_total, cols_total)
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +372,10 @@ def patient_grouped_kfold(bags, k, val_fraction=0.2, seed=0):
     All bags of one patient land in exactly one subset of one fold. With
     k=4 and val_fraction=0.2 the proportions target 60/15/25.
     """
+    if k < 2:
+        raise ConfigError(f"k must be at least 2 folds, got {k}")
+    if not 0 < val_fraction < 1:
+        raise ConfigError(f"val_fraction must be in (0, 1), got {val_fraction}")
     by_patient = {}
     for bag in bags:
         by_patient.setdefault(bag.patient_id, []).append(bag.bag_id)

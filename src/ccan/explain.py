@@ -36,12 +36,6 @@ class AttentionMap:
     normalization: str  # "raw" | "minmax"
     kept_mask: np.ndarray  # False where the token was dropped pre-forward
 
-    def token_grid(self):
-        """rows_total x cols_total array of token indices, -1 where empty."""
-        grid = np.full((self.rows_total, self.cols_total), -1, dtype=np.int64)
-        grid[self.rows, self.cols] = np.arange(len(self.scores))
-        return grid
-
 
 def _residual_mix(matrix):
     mixed = 0.5 * matrix + 0.5 * np.eye(matrix.shape[0])

@@ -18,9 +18,7 @@ via gradient accumulation.
 from __future__ import annotations
 
 import json
-import os
 import struct
-from contextlib import suppress
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -36,7 +34,7 @@ from .attention import (
     self_attention_block,
 )
 from .autograd import Tensor
-from .data import BinaryReader
+from .data import BinaryReader, atomic_write
 from .errors import ConfigError, DataError, FormatError, ShapeError
 from .posenc import attach_encodings, encoding_width, frequency_ladder
 
@@ -403,30 +401,22 @@ def save_checkpoint(model, path):
     """Versioned binary container: header, config JSON, named float32 blobs.
 
     Each record is written straight to the file (a float32 parameter is
-    not copied), into a temporary file next to ``path`` that then replaces
-    it, so an interrupted save leaves the previous checkpoint in place.
+    not copied) through ``atomic_write``, so an interrupted save leaves the
+    previous checkpoint in place.
     """
     payload = json.dumps(_config_payload(model), sort_keys=True).encode("utf-8")
     params = model.parameters()
-    path = os.fspath(path)
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<HI", CHECKPOINT_VERSION, len(payload)))
-            fh.write(payload)
-            fh.write(struct.pack("<I", len(params)))
-            for name, tensor in params:
-                raw = name.encode("utf-8")
-                fh.write(struct.pack("<H", len(raw)))
-                fh.write(raw)
-                fh.write(struct.pack(f"<B{tensor.data.ndim}I", tensor.data.ndim, *tensor.data.shape))
-                fh.write(np.ascontiguousarray(tensor.data, dtype="<f4").data)
-        os.replace(tmp, path)
-    except BaseException:
-        with suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
+    with atomic_write(path) as fh:
+        fh.write(CHECKPOINT_MAGIC)
+        fh.write(struct.pack("<HI", CHECKPOINT_VERSION, len(payload)))
+        fh.write(payload)
+        fh.write(struct.pack("<I", len(params)))
+        for name, tensor in params:
+            raw = name.encode("utf-8")
+            fh.write(struct.pack("<H", len(raw)))
+            fh.write(raw)
+            fh.write(struct.pack(f"<B{tensor.data.ndim}I", tensor.data.ndim, *tensor.data.shape))
+            fh.write(np.ascontiguousarray(tensor.data, dtype="<f4").data)
 
 
 def _config_from_json(cls, values, offset):
@@ -445,27 +435,9 @@ def _config_from_json(cls, values, offset):
     return cls(**values)
 
 
-class _FileReader(BinaryReader):
-    """A BinaryReader that reads an open file piece by piece; ``readinto`` fills an array straight from it."""
-
-    def __init__(self, fh):
-        self.fh = fh
-        self.offset = 0
-        self.size = os.fstat(fh.fileno()).st_size
-
-    def _read(self, n):
-        return self.fh.read(n)
-
-    def readinto(self, array, what):
-        if self.fh.readinto(memoryview(array).cast("B")) < array.nbytes:
-            raise FormatError(f"truncated file while reading {what}", offset=self.offset)
-        self.offset += array.nbytes
-
-
 def load_checkpoint(path, dtype=np.float32):
-    # the file is never held whole: each float32 payload is read straight into its parameter
     with open(path, "rb") as fh:
-        return _read_checkpoint(_FileReader(fh), dtype)
+        return _read_checkpoint(BinaryReader(fh), dtype)
 
 
 def _read_checkpoint(r, dtype):
@@ -518,7 +490,7 @@ def _read_checkpoint(r, dtype):
         if target.data.dtype == np.dtype("<f4") and target.data.flags.c_contiguous:
             r.readinto(target.data, what)
         else:
-            target.data[...] = np.frombuffer(r.take(4 * target.data.size, what), dtype="<f4").reshape(shape)
+            target.data[...] = r.array(shape, "<f4", what)
     if r.offset != r.size:
         raise FormatError("trailing bytes after parameters", offset=r.offset)
     return model

@@ -1,60 +1,71 @@
 """Binary PPM (P6) and PGM (P5) reading and writing.
 
 Only maxval 255 is supported; these formats exist so fixtures and
-exports stay bit-exact with zero image-library dependencies.
+exports stay bit-exact with zero image-library dependencies. Files go
+through ``data.BinaryReader`` and ``data.atomic_write``, so a read holds
+the pixels once; bytes after the pixels are ignored.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .data import BinaryReader, atomic_write
 from .errors import FormatError
 
 
-def _read_header_token(blob, offset):
-    # skip whitespace and '#' comments between header fields
-    while offset < len(blob):
-        ch = blob[offset : offset + 1]
-        if ch.isspace():
-            offset += 1
-        elif ch == b"#":
-            while offset < len(blob) and blob[offset : offset + 1] != b"\n":
-                offset += 1
-        else:
-            break
-    start = offset
-    while offset < len(blob) and not blob[offset : offset + 1].isspace():
-        offset += 1
-    if start == offset:
-        raise FormatError("truncated header", offset=start)
-    return blob[start:offset], offset
+def _next_byte(r):
+    return r.take(1, "header") if r.offset < r.size else b""
+
+
+def _read_header_field(r):
+    """Skip whitespace and '#' comments; read one field and the byte after it; return the field and its end."""
+    ch = _next_byte(r)
+    while ch.isspace() or ch == b"#":
+        if ch == b"#":  # a comment runs to the end of its line
+            while ch not in (b"\n", b""):
+                ch = _next_byte(r)
+        ch = _next_byte(r)
+    token = b""
+    while ch and not ch.isspace():
+        token += ch
+        ch = _next_byte(r)
+    end = r.offset - len(ch)  # ch is the whitespace byte that ended the field, or b"" at the end of the file
+    if not token:
+        raise FormatError("truncated header", offset=end)
+    return token, end
 
 
 def read_pnm(path):
     """Read a binary PGM/PPM into (pixels, channels); pixels is HxWxC uint8."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    magic, offset = _read_header_token(blob, 0)
-    if magic not in (b"P5", b"P6"):
-        raise FormatError(f"unsupported magic {magic!r}", offset=0)
-    channels = 1 if magic == b"P5" else 3
-    fields = []
-    for name in ("width", "height", "maxval"):
-        token, offset = _read_header_token(blob, offset)
-        try:
+        r = BinaryReader(fh)
+        magic, _ = _read_header_field(r)
+        if magic not in (b"P5", b"P6"):
+            raise FormatError(f"unsupported magic {magic!r}", offset=0)
+        channels = 1 if magic == b"P5" else 3
+        fields = []
+        for name in ("width", "height", "maxval"):
+            token, end = _read_header_field(r)
+            if not token.isdigit():
+                raise FormatError(f"non-numeric {name} field {token!r}", offset=end)
             fields.append(int(token))
-        except ValueError:
-            raise FormatError(f"non-numeric {name} field {token!r}", offset=offset) from None
-    width, height, maxval = fields
-    if maxval != 255:
-        raise FormatError(f"only maxval 255 supported, got {maxval}", offset=offset)
-    offset += 1  # single whitespace byte after maxval
-    expected = width * height * channels
-    payload = memoryview(blob)[offset : offset + expected]  # a view: the copy below is the only one
-    if len(payload) != expected:
-        raise FormatError(f"expected {expected} pixel bytes, found {len(payload)}", offset=offset)
-    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, channels)
-    return pixels.copy(), channels
+        width, height, maxval = fields
+        if maxval != 255:
+            raise FormatError(f"only maxval 255 supported, got {maxval}", offset=end)
+        # the single whitespace byte after maxval has been read with it
+        expected = width * height * channels
+        found = min(expected, r.size - r.offset)
+        if found != expected:
+            raise FormatError(f"expected {expected} pixel bytes, found {found}", offset=end + 1)
+        return r.array((height, width, channels), np.uint8, "pixels"), channels
+
+
+def _write_pnm(path, magic, pixels):
+    height, width = pixels.shape[:2]
+    with atomic_write(path) as fh:
+        fh.write(f"{magic}\n{width} {height}\n255\n".encode("ascii"))
+        fh.write(np.ascontiguousarray(pixels).data)
 
 
 def write_pgm(pixels, path):
@@ -63,17 +74,11 @@ def write_pgm(pixels, path):
         if pixels.shape[2] != 1:
             raise FormatError("write_pgm expects one channel")
         pixels = pixels[:, :, 0]
-    height, width = pixels.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
-        fh.write(np.ascontiguousarray(pixels).tobytes())
+    _write_pnm(path, "P5", pixels)
 
 
 def write_ppm(pixels, path):
     pixels = np.asarray(pixels, dtype=np.uint8)
     if pixels.ndim != 3 or pixels.shape[2] != 3:
         raise FormatError("write_ppm expects HxWx3 pixels")
-    height, width = pixels.shape[:2]
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{width} {height}\n255\n".encode("ascii"))
-        fh.write(np.ascontiguousarray(pixels).tobytes())
+    _write_pnm(path, "P6", pixels)

@@ -263,7 +263,7 @@ def _projection_matrix(d_feature, seed):
     return matrix
 
 
-def stub_features(patch_pixels, d_feature=2048, seed=0, projection=None):
+def stub_features(patch_pixels, d_feature=2048, seed=0):
     """Deterministic stand-in for a pretrained extractor.
 
     Block-averages the patch to 16x16x3, flattens, applies a fixed
@@ -277,9 +277,7 @@ def stub_features(patch_pixels, d_feature=2048, seed=0, projection=None):
     # block means: the sums of 8-bit values are exact integers, so this equals mean() of a float64 copy
     small = p.reshape(16, block, 16, block, 3).sum(axis=(1, 3), dtype=np.float64) / block**2 / 255.0
     flat = small.reshape(-1)
-    if projection is None:
-        projection = _projection_matrix(d_feature, seed)
-    return np.tanh(flat @ projection).astype(np.float32)
+    return np.tanh(flat @ _projection_matrix(d_feature, seed)).astype(np.float32)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +295,6 @@ def run_pipeline(image, out_path, label, bag_id, patient_id, seed=0, config=None
 
     config = (config or PreprocessConfig()).validate()
     patches = tessellate(image, config)
-    projection = _projection_matrix(config.d_feature, seed)
     kept = []
     n_white = 0
     n_blur = 0
@@ -315,9 +312,7 @@ def run_pipeline(image, out_path, label, bag_id, patient_id, seed=0, config=None
         raise DataError(
             f"no patches survived filtering ({n_white} white, {n_blur} blurry of {len(patches)})"
         )
-    tokens = np.stack(
-        [stub_features(p.pixels, config.d_feature, seed, projection) for p in kept]
-    )
+    tokens = np.stack([stub_features(p.pixels, config.d_feature, seed) for p in kept])
     n_rows = max(p.row for p in patches) + 1
     n_cols = max(p.col for p in patches) + 1
     bag = FeatureBag(

@@ -235,6 +235,8 @@ def auc_macro_ovr(score_matrix, labels):
 
 def evaluate_auc(model, bags):
     """Eval-mode AUC of a model over a bag list (binary or macro one-vs-rest)."""
+    if not bags:
+        raise DataError("cannot evaluate AUC on an empty bag list")
     num_classes = model.config.num_classes
     check_labels(bags, num_classes)
     labels = np.array([b.label for b in bags])
@@ -295,6 +297,9 @@ def train(model, dataset, fold, cfg, checkpoint_path=None, log=None):
     rng = np.random.default_rng(cfg.seed)
     train_bags = [dataset.by_id(i) for i in fold.train_ids]
     val_bags = [dataset.by_id(i) for i in fold.val_ids]
+    for subset, bags in (("training", train_bags), ("validation", val_bags)):
+        if not bags:
+            raise DataError(f"the fold has no {subset} bags")
     test_bags = [dataset.by_id(i) for i in fold.test_ids]
     num_classes = model.config.num_classes
     check_labels(train_bags + val_bags + test_bags, num_classes)

@@ -199,6 +199,48 @@ class TestCommands:
         assert rc == 1
         assert capsys.readouterr().err == f"error: {manifest}:1: manifest has no column path\n"
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--data.k", "0"], "k must be at least 2 folds, got 0"),
+        (["--data.k", "1"], "k must be at least 2 folds, got 1"),
+        (["--data.val_fraction", "1.5"], "val_fraction must be in (0, 1), got 1.5"),
+    ], ids=["k0", "k1", "val_fraction"])
+    def test_split_that_cannot_train_is_one_error_line(self, tiny_run, tmp_path, capsys, flags, message):
+        out = tmp_path / "plan.csv"
+        rc = main(["split", "--paths.data", tiny_run["data"], "--paths.out", str(out), *flags])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @staticmethod
+    def _plan_without(tiny_run, tmp_path, subset):
+        """The shared plan with every row of one subset of fold 0 removed."""
+        plan = tmp_path / "plan.csv"
+        lines = open(tiny_run["plan"]).read().splitlines()
+        plan.write_text("".join(line + "\n" for line in lines if not line.startswith(f"0,{subset},")))
+        return str(plan)
+
+    @pytest.mark.parametrize("subset, message", [
+        ("train", "the fold has no training bags"),
+        ("val", "the fold has no validation bags"),
+    ], ids=["train", "val"])
+    def test_train_on_a_fold_missing_a_subset_is_one_error_line(self, tiny_run, tmp_path, capsys, subset, message):
+        run_dir = tmp_path / "run"
+        rc = main(["train", "--paths.data", tiny_run["data"], "--fold", "0",
+                   "--paths.plan", self._plan_without(tiny_run, tmp_path, subset),
+                   "--paths.run_dir", str(run_dir), *tiny_run["model_flags"], "--train.epochs", "1"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (run_dir / "best.ckpt").exists()
+
+    def test_eval_of_an_empty_subset_is_one_error_line(self, tiny_run, tmp_path, capsys):
+        rc = main(["eval", "--paths.checkpoint", os.path.join(tiny_run["run_dir"], "best.ckpt"),
+                   "--paths.data", tiny_run["data"], "--paths.plan", self._plan_without(tiny_run, tmp_path, "val"),
+                   "--fold", "0", "--subset", "val"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == "error: cannot evaluate AUC on an empty bag list\n"
+        assert "auc" not in captured.out
+
     def test_explain(self, tiny_run, tmp_path, capsys):
         bag_path = os.path.join(tiny_run["data"], "bag0000.ccfb")
         out = str(tmp_path / "heat")

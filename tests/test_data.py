@@ -1,4 +1,6 @@
 import re
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccan.data import (
-    BinaryReader,
     FeatureBag,
     Dataset,
     generate_synthetic,
@@ -18,7 +19,9 @@ from ccan.data import (
     write_bag,
     write_manifest,
 )
-from ccan.errors import ConfigError, DataError, FormatError
+from ccan.errors import CCANError, ConfigError, DataError, FormatError
+from ccan.model import BaselineConfig, BaselineModel, load_checkpoint, save_checkpoint
+from ccan.netpbm import read_pnm, write_pgm, write_ppm
 from ccan.training import auc_binary
 
 
@@ -156,13 +159,6 @@ class TestCCFBFormat:
         back.tokens[0, 0] += 1.0
         np.testing.assert_array_equal(read_bag(path).tokens, bag.tokens)
 
-    def test_reader_takes_views_not_copies(self):
-        blob = b"CCFB\x01\x00rest"
-        r = BinaryReader(blob)
-        magic = r.take(4, "magic")
-        assert isinstance(magic, memoryview) and magic.obj is blob and magic == b"CCFB"
-        assert r.unpack("<H", "version") == (1,) and r.text(4, "tail") == "rest"
-
     def test_trailing_garbage(self, tmp_path):
         bag = make_bag()
         path = tmp_path / "bag.ccfb"
@@ -183,6 +179,85 @@ class TestCCFBFormat:
         write_bag(bag, path)
         loaded = read_bag(path)
         assert loaded.bag_id == bag_id and loaded.patient_id == patient_id and loaded.label == label
+
+
+def _ccfb(tmp_path):
+    path = tmp_path / "bag.ccfb"
+    write_bag(make_bag(n=3, d=2), path)
+    return path, read_bag
+
+
+def _checkpoint(dtype):
+    def build(tmp_path):
+        path = tmp_path / "pool.ckpt"
+        save_checkpoint(BaselineModel(BaselineConfig(kind="mean-pool", d_feature=3, seed=4)), path)
+        return path, lambda p: load_checkpoint(p, dtype=dtype)
+
+    return build
+
+
+def _pnm(write, shape):
+    def build(tmp_path):
+        path = tmp_path / "image.pnm"
+        write(np.random.default_rng(0).integers(0, 256, shape).astype(np.uint8), path)
+        return path, read_pnm
+
+    return build
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBinaryFiles:
+    """Bags, checkpoints and images go through one reader and one writer."""
+
+    @pytest.mark.parametrize("build", [
+        _ccfb, _checkpoint(np.float32), _checkpoint(np.float64), _pnm(write_ppm, (3, 4, 3)), _pnm(write_pgm, (3, 4, 1)),
+    ], ids=["ccfb", "checkpoint", "checkpoint-float64", "ppm", "pgm"])
+    def test_every_cut_is_a_ccan_error(self, tmp_path, build):
+        path, read = build(tmp_path)
+        blob = path.read_bytes()
+        cut = tmp_path / "cut"
+        for n in range(len(blob)):
+            cut.write_bytes(blob[:n])
+            with pytest.raises(CCANError):
+                read(cut)
+        cut.write_bytes(blob)
+        read(cut)
+
+    def test_header_claiming_more_than_the_file_allocates_nothing(self, tmp_path):
+        path = tmp_path / "huge.ccfb"
+        header = b"CCFB" + struct.pack("<HIIIIB", 1, 2**32 - 1, 2**32 - 1, 1, 1, 0) + b"\x01b\x01p"
+        path.write_bytes(header)
+        errors = []
+
+        def read():
+            with pytest.raises(FormatError) as err:
+                read_bag(path)
+            errors.append(str(err.value))
+
+        assert _traced_peak(read) < 1 << 20
+        assert errors == [f"truncated file while reading coordinates (at byte offset {len(header)})"]
+
+    def test_read_bag_holds_the_tokens_once(self, tmp_path):
+        bag = make_bag(n=256, d=512, grid=(16, 16))
+        path = tmp_path / "bag.ccfb"
+        write_bag(bag, path)
+        loaded = []
+        assert _traced_peak(lambda: loaded.append(read_bag(path))) < 1.2 * bag.tokens.nbytes
+        np.testing.assert_array_equal(loaded[0].tokens, bag.tokens)
+
+    def test_write_bag_copies_no_array(self, tmp_path):
+        bag = make_bag(n=256, d=512, grid=(16, 16))
+        path = tmp_path / "bag.ccfb"
+        assert _traced_peak(lambda: write_bag(bag, path)) < 0.2 * bag.tokens.nbytes
+        np.testing.assert_array_equal(read_bag(path).tokens, bag.tokens)
 
 
 class TestSyntheticGeneration:

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from ccan import autograd as ag
-from ccan import model as model_module
+from ccan import data as data_module
 from ccan.autograd import Tensor
-from ccan.data import generate_synthetic
+from ccan.data import generate_synthetic, write_bag
 from ccan.errors import ConfigError, DataError, FormatError, ShapeError
 from ccan.model import (
     BASELINE_KINDS,
@@ -22,6 +22,7 @@ from ccan.model import (
     save_checkpoint,
     token_dropout,
 )
+from ccan.netpbm import write_ppm
 
 
 def toy_config(**kwargs):
@@ -414,9 +415,14 @@ class TestCheckpoint:
             load_checkpoint(path)
         assert str(err.value) == "truncated file while reading magic (at byte offset 0)"
 
-    def test_failed_save_keeps_the_old_file(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("save, make", [
+        (save_checkpoint, lambda seed: CCANModel(toy_config(), seed=seed)),
+        (write_bag, lambda seed: toy_dataset(n_bags=1, d_feature=64, seed=seed).bags[0]),
+        (write_ppm, lambda seed: np.random.default_rng(seed).integers(0, 256, (30, 40, 3)).astype(np.uint8)),
+    ], ids=["save_checkpoint", "write_bag", "write_ppm"])
+    def test_failed_save_keeps_the_old_file(self, tmp_path, monkeypatch, save, make):
         path = tmp_path / "best.ckpt"
-        save_checkpoint(CCANModel(toy_config(), seed=7), path)
+        save(make(7), path)
         old = path.read_bytes()
 
         class DiskFull:
@@ -435,9 +441,9 @@ class TestCheckpoint:
             def __exit__(self, *exc):
                 self.fh.close()
 
-        monkeypatch.setattr(model_module, "open", lambda *a, **k: DiskFull(open(*a, **k)), raising=False)
+        monkeypatch.setattr(data_module, "open", lambda *a, **k: DiskFull(open(*a, **k)), raising=False)
         with pytest.raises(OSError, match="No space left"):
-            save_checkpoint(CCANModel(toy_config(), seed=8), path)
+            save(make(8), path)
         assert path.read_bytes() == old
         assert [p.name for p in tmp_path.iterdir()] == ["best.ckpt"]
 

@@ -544,8 +544,16 @@ class TestNetpbm:
         finally:
             tracemalloc.stop()
         assert loaded.flags.writeable and loaded.flags.owndata
-        # the file bytes plus the pixels: the payload is not sliced out in between
-        assert peak < 2.5 * loaded.nbytes
+        # the pixels alone: the file is never held whole
+        assert peak < 1.2 * loaded.nbytes
+
+    def test_signed_extents_are_non_numeric(self, tmp_path):
+        # two negative extents multiply to a plausible pixel count; the header is refused first
+        path = tmp_path / "img.pgm"
+        path.write_bytes(b"P5\n-2 -2\n255\n" + bytes(4))
+        with pytest.raises(FormatError) as err:
+            read_pnm(path)
+        assert str(err.value) == "non-numeric width field b'-2' (at byte offset 5)"
 
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "img.pgm"
