@@ -8,16 +8,20 @@ The key projection has no bias. A key bias b would add q . b to every
 logit of a query row, and softmax removes any row-constant shift, so such
 a bias could change no output and its gradient would be exactly zero.
 
-Each head's attention is one graph node, ``autograd.attention``. The key
-projections write their output column-major, so the node reads K^T as a
-C-contiguous view instead of copying it. In float32 these keys carry the
-same bits as a row-major projection at every shape tested (the tests pin
-TOY shapes and d=512 with N in {309, 3091}); in float64, which only the
-gradient oracle uses, BLAS rounds some large shapes differently.
+All heads of a block's attention are one graph node,
+``autograd.attention``: head h is column group h of the query, key and
+value projections, read through views. The key projections write their
+output column-major, so the node reads K^T as a C-contiguous view
+instead of copying it, and head h's keys are rows of it. In float32
+these keys carry the same bits as a row-major projection at every shape
+tested (the tests pin TOY shapes and d=512 with N in {309, 513, 3091});
+in float64, which only the gradient oracle uses, BLAS rounds some large
+shapes differently. Cross and self blocks share one body; a self block
+takes its keys and values from its own normed input.
 
 The default logit scale is sqrt(#query rows) ("per-paper" mode); the
-conventional sqrt(head dim) is available as "per-dim". More than one
-head forces per-dim scaling.
+conventional sqrt(head dim) is available as "per-dim". Model configs
+reject more than one head with per-paper scaling.
 """
 
 from __future__ import annotations
@@ -117,41 +121,31 @@ def attention_scale(scale_mode, n_query_rows, head_dim):
     raise ConfigError(f"unknown scale_mode {scale_mode!r}; expected one of {SCALE_MODES}")
 
 
-def scaled_attention(q, k, v, scale, kind="cross"):
-    """softmax(Q K^T / scale) V, returning the output and the recorded matrix."""
-    if scale <= 0:
-        raise ConfigError(f"attention scale must be positive, got {scale}")
-    out, attn = ag.attention(q, k, v, scale)
-    # the record shares the softmax matrix the node saved for its backward
-    return out, AttentionRecord(matrix=attn, kind=kind)
-
-
-def _attend(q, k, v, scale_mode, heads, kind):
-    """Single- or multi-head attention over already-projected q/k/v."""
-    d = q.shape[1]
-    if heads == 1:
-        scale = attention_scale(scale_mode, q.shape[0], d)
-        return scaled_attention(q, k, v, scale, kind)
-    if d % heads != 0:
-        raise ConfigError(f"latent dim {d} not divisible by {heads} heads")
-    head_dim = d // heads
-    scale = attention_scale("per-dim", q.shape[0], head_dim)
-    outs = []
-    mats = []
-    for h in range(heads):
-        lo, hi = h * head_dim, (h + 1) * head_dim
-        out_h, rec_h = scaled_attention(
-            ag.slice_cols(q, lo, hi), ag.slice_cols(k, lo, hi), ag.slice_cols(v, lo, hi), scale, kind
-        )
-        outs.append(out_h)
-        mats.append(rec_h.matrix)
-    return ag.concat_cols(outs), AttentionRecord(matrix=np.mean(mats, axis=0), kind=kind)
-
-
 def _mlp(x, params):
     h = ag.layer_norm(x, params.ln2_gamma, params.ln2_beta)
     h = ag.gelu(ag.linear(h, params.w_m1, params.b_m1))
     return ag.linear(h, params.w_m2, params.b_m2)
+
+
+def _block(x, context, params, scale_mode, heads, kind):
+    """The pre-norm residual block both kinds share.
+
+    Queries come from the normed ``x``; keys and values from ``context``,
+    or from the normed ``x`` when ``context`` is None.
+    """
+    if context is not None and context.shape[0] < 1:
+        raise DataError("cross-attention requires a nonempty context")
+    h = ag.layer_norm(x, params.ln1_gamma, params.ln1_beta)
+    kv = h if context is None else context
+    q = ag.linear(h, params.w_q, params.b_q)
+    k = ag.linear(kv, params.w_k, None, order="F")
+    v = ag.linear(kv, params.w_v, params.b_v)
+    scale = attention_scale(scale_mode, q.shape[0], q.shape[1] // heads)
+    attn_out, p = ag.attention(q, k, v, scale, heads)
+    x = x + ag.linear(attn_out, params.w_o, params.b_o)
+    x = x + _mlp(x, params)
+    # one head's record shares the softmax the node saved for its backward
+    return x, AttentionRecord(matrix=p[0] if heads == 1 else p.mean(axis=0), kind=kind)
 
 
 def cross_attention_block(latents, context, params, scale_mode="per-paper", heads=1):
@@ -160,25 +154,9 @@ def cross_attention_block(latents, context, params, scale_mode="per-paper", head
     Residual form: attention onto normed latents with keys/values from
     the raw context, then the residual MLP sub-layer.
     """
-    if context.shape[0] < 1:
-        raise DataError("cross-attention requires a nonempty context")
-    h = ag.layer_norm(latents, params.ln1_gamma, params.ln1_beta)
-    q = ag.linear(h, params.w_q, params.b_q)
-    k = ag.linear(context, params.w_k, None, order="F")
-    v = ag.linear(context, params.w_v, params.b_v)
-    attn_out, record = _attend(q, k, v, scale_mode, heads, "cross")
-    x = latents + ag.linear(attn_out, params.w_o, params.b_o)
-    x = x + _mlp(x, params)
-    return x, record
+    return _block(latents, context, params, scale_mode, heads, "cross")
 
 
 def self_attention_block(tokens, params, scale_mode="per-paper", heads=1):
     """Pre-norm self-attention block; the recorded matrix is m x m."""
-    h = ag.layer_norm(tokens, params.ln1_gamma, params.ln1_beta)
-    q = ag.linear(h, params.w_q, params.b_q)
-    k = ag.linear(h, params.w_k, None, order="F")
-    v = ag.linear(h, params.w_v, params.b_v)
-    attn_out, record = _attend(q, k, v, scale_mode, heads, "self")
-    x = tokens + ag.linear(attn_out, params.w_o, params.b_o)
-    x = x + _mlp(x, params)
-    return x, record
+    return _block(tokens, None, params, scale_mode, heads, "self")

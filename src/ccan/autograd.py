@@ -4,18 +4,20 @@ A deliberately small kernel surface, holding only what the model and
 its loss run: the fused affine map ``linear(x, W, b) = x @ W + b`` (one
 graph node; ``b=None`` gives the bias-free ``x @ W`` of the attention
 keys), fused attention, layer norm, GELU/sigmoid/log nonlinearities,
-elementwise arithmetic, row pooling, and row/column stacking. The only
-implicit broadcast is a 1-D bias added over the rows of a matrix; every
-other shape mismatch is an error.
+elementwise arithmetic, row pooling, and row stacking. No shape is
+broadcast implicitly: ``linear`` adds every bias, and any other shape
+mismatch is an error.
 
-``attention(q, k, v, scale)`` is one graph node for
-``softmax(q @ k.T / scale) @ v``. It runs the same float operations as
-that expression evaluated one operation at a time, in place and a block
-of rows at a time, so float32 results keep their bits. The composed form
-is not part of this module: it lives in ``tests/test_attention.py`` as
-the oracle the node is compared with bit for bit. Given a column-major
-``k`` (``linear(..., order="F")``) the node reads ``k.T`` without a
-copy. Its saved softmax matrix serves both the backward pass and the
+``attention(q, k, v, scale, heads)`` is one graph node for
+``softmax(q @ k.T / scale) @ v`` in every head, head h working on column
+group h of q, k and v through views. It runs the same float operations
+as the per-head expression evaluated one operation at a time, in place
+and a block of rows at a time, so float32 results keep their bits. The
+composed form (per head: slice, attend, then join the outputs) is not
+part of this module: it lives in ``tests/test_attention.py`` as the
+oracle the node is compared with bit for bit. Given a column-major ``k``
+(``linear(..., order="F")``) the node reads ``k.T`` without a copy. Its
+saved heads x M x N softmax serves both the backward pass and the
 caller's attention record.
 
 Gradient buffers are owned, not zero-filled: a backward closure that
@@ -183,12 +185,11 @@ def _make_node(out, parents, backward):
 
 
 def add(a, b):
-    """a + b for identical shapes, or matrix + 1-D bias broadcast over rows."""
+    """a + b for identical shapes."""
     a = _as_tensor(a)
     b = _as_tensor(b, like=a)
     _check_same_dtype(a, b, "add")
-    bias_add = a.data.ndim == 2 and b.data.ndim == 1 and a.data.shape[1] == b.data.shape[0]
-    if not bias_add and a.data.shape != b.data.shape:
+    if a.data.shape != b.data.shape:
         raise ShapeError(f"add: shapes {a.data.shape} and {b.data.shape} do not match")
     out = Tensor(a.data + b.data)
 
@@ -196,10 +197,7 @@ def add(a, b):
         if a.requires_grad:
             _accum(a, g)
         if b.requires_grad:
-            if bias_add:
-                _accum(b, g.sum(axis=0), owned=True)
-            else:
-                _accum(b, g)
+            _accum(b, g)
 
     return _make_node(out, (a, b), backward)
 
@@ -296,19 +294,28 @@ def linear(x, w, b, order="C"):
 _ATTENTION_BLOCK_BYTES = 1 << 18
 
 
-def attention(q, k, v, scale):
-    """softmax(q @ k.T / scale) @ v as one node; returns (output, softmax).
+def _column_groups(a, heads):
+    """The ``heads`` column groups of a matrix as a heads x rows x width view."""
+    return a.reshape(a.shape[0], heads, a.shape[1] // heads).swapaxes(0, 1)
 
-    ``q`` is M x d, ``k`` is N x d, ``v`` is N x d_v and ``scale`` > 0. The
-    product reads ``k.T`` directly when ``k`` is column-major (otherwise
-    it reads a C-ordered copy). Scaling, the finiteness check, the row-max
-    shift, exp and the row normalization then run in place, a block of
-    rows at a time, with the same ufuncs as the composed form
-    ``softmax(q @ k.T * (1 / scale)) @ v`` evaluated one operation at a
-    time; so the output, the softmax matrix and every gradient carry its
-    bits. That composed form is the oracle in ``tests/test_attention.py``.
-    The softmax matrix is saved for the backward pass and returned to the
-    caller, which must not modify it.
+
+def attention(q, k, v, scale, heads=1):
+    """softmax(q @ k.T / scale) @ v for every head as one node; returns (output, softmax).
+
+    ``q`` is M x d, ``k`` is N x d, ``v`` is N x d_v and ``scale`` > 0.
+    Head h attends with column group h of ``q``, ``k`` and ``v`` (d / heads
+    and d_v / heads columns wide) and writes column group h of the
+    output; every group is a view, never a copy. The products read
+    ``k.T`` directly when ``k`` is column-major (otherwise a C-ordered
+    copy). Scaling, the finiteness check, the row-max shift, exp and the
+    row normalization then run in place, a block of rows at a time, with
+    the same ufuncs as the composed form: per head, slice the column
+    groups and evaluate ``softmax(q @ k.T * (1 / scale)) @ v`` one
+    operation at a time, then join the head outputs. So the output, the
+    softmax and every gradient carry its bits. That composed form is the
+    oracle in ``tests/test_attention.py``. The heads x M x N softmax is
+    saved for the backward pass and returned to the caller, which must
+    not modify it.
     """
     _check_same_dtype(q, k, "attention")
     _check_same_dtype(q, v, "attention")
@@ -322,14 +329,20 @@ def attention(q, k, v, scale):
         raise ShapeError("attention: needs at least one key")
     m, d = q.data.shape
     n, dv = v.data.shape
+    if heads < 1 or d % heads or dv % heads:
+        raise ShapeError(f"attention: widths {d} and {dv} do not split into {heads} heads")
     if _probe is not None:
         _probe.macs += m * d * n + m * n * dv
     kt = np.ascontiguousarray(k.data.T)
-    p = q.data @ kt
+    kth = kt.reshape(heads, d // heads, n)  # head h's keys are rows of K^T
+    qh, vh = _column_groups(q.data, heads), _column_groups(v.data, heads)
+    p = np.empty((heads, m, n), dtype=q.data.dtype)
+    np.matmul(qh, kth, out=p)
     s = np.asarray(1.0 / scale, dtype=p.dtype)
     rows = max(1, _ATTENTION_BLOCK_BYTES // (n * p.itemsize))
-    for lo in range(0, m, rows):
-        blk = p[lo : lo + rows]
+    p_rows = p.reshape(heads * m, n)
+    for lo in range(0, heads * m, rows):
+        blk = p_rows[lo : lo + rows]
         blk *= s
         top = blk.max(axis=1, keepdims=True)
         # NaN and +-inf propagate through max and min
@@ -338,26 +351,37 @@ def attention(q, k, v, scale):
         blk -= top
         np.exp(blk, out=blk)
         blk /= blk.sum(axis=1, keepdims=True)
-    out = Tensor(p @ v.data)
+    y = np.empty((m, dv), dtype=p.dtype)
+    np.matmul(p, vh, out=_column_groups(y, heads))
+    out = Tensor(y)
 
     def backward(g):
+        gh = _column_groups(g, heads)
         if v.requires_grad:
-            _accum(v, p.T @ g, owned=True)
+            gv = np.empty((n, dv), dtype=p.dtype)
+            np.matmul(p.swapaxes(1, 2), gh, out=_column_groups(gv, heads))
+            _accum(v, gv, owned=True)
         if not (q.requires_grad or k.requires_grad):
             return
         # softmax then scale backward, in place on the fresh dL/dP
-        gp = g @ v.data.T
-        prod = np.empty((min(rows, m), n), dtype=p.dtype)
-        for lo in range(0, m, rows):
-            gb, yb = gp[lo : lo + rows], p[lo : lo + rows]
+        gp = np.empty_like(p)
+        np.matmul(gh, vh.swapaxes(1, 2), out=gp)
+        gp_rows = gp.reshape(heads * m, n)
+        prod = np.empty((min(rows, heads * m), n), dtype=p.dtype)
+        for lo in range(0, heads * m, rows):
+            gb, yb = gp_rows[lo : lo + rows], p_rows[lo : lo + rows]
             inner = np.multiply(gb, yb, out=prod[: len(gb)]).sum(axis=1, keepdims=True)
             gb -= inner
             gb *= yb
             gb *= s
         if q.requires_grad:
-            _accum(q, gp @ kt.T, owned=True)
+            gq = np.empty((m, d), dtype=p.dtype)
+            np.matmul(gp, kth.swapaxes(1, 2), out=_column_groups(gq, heads))
+            _accum(q, gq, owned=True)
         if k.requires_grad:
-            _accum(k, (q.data.T @ gp).T, owned=True)
+            gkt = np.empty((d, n), dtype=p.dtype)
+            np.matmul(qh.swapaxes(1, 2), gp, out=gkt.reshape(heads, d // heads, n))
+            _accum(k, gkt.T, owned=True)
 
     return _make_node(out, (q, k, v), backward), p
 
@@ -473,7 +497,7 @@ def clip(x, lo, hi):
 
 
 # ---------------------------------------------------------------------------
-# row/column structure
+# row structure
 
 
 def concat_rows(parts):
@@ -500,36 +524,6 @@ def slice_rows(x, start, stop):
         if x.requires_grad:
             gx = np.zeros_like(x.data)
             gx[start:stop] = g
-            _accum(x, gx, owned=True)
-
-    return _make_node(out, (x,), backward)
-
-
-def concat_cols(parts):
-    parts = list(parts)
-    height = parts[0].data.shape[0]
-    for p in parts:
-        if p.data.ndim != 2 or p.data.shape[0] != height:
-            raise ShapeError(f"concat_cols: inconsistent heights {[q.data.shape for q in parts]}")
-    out = Tensor(np.concatenate([p.data for p in parts], axis=1))
-    offsets = np.cumsum([0] + [p.data.shape[1] for p in parts])
-
-    def backward(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if p.requires_grad:
-                _accum(p, g[:, lo:hi])
-
-    return _make_node(out, tuple(parts), backward)
-
-
-def slice_cols(x, start, stop):
-    """Columns [start, stop) as a copy laid out like ``x`` (column-major stays column-major)."""
-    out = Tensor(x.data[:, start:stop].copy(order="K"))
-
-    def backward(g):
-        if x.requires_grad:
-            gx = np.zeros_like(x.data)
-            gx[:, start:stop] = g
             _accum(x, gx, owned=True)
 
     return _make_node(out, (x,), backward)

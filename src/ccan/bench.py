@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autograd as ag
-from .data import FeatureBag
+from .data import FeatureBag, atomic_write
 from .errors import ConfigError
 from .model import BaselineModel, CCANModel, _baseline_config
 
@@ -113,7 +113,7 @@ class ScalingReport:
     baseline_quad_ratio: float  # baseline attention MACs(2N)/MACs(N)
 
     def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
+        with atomic_write(path, text=True) as fh:
             writer = csv.writer(fh)
             writer.writerow(["model", "n_tokens", "wall_ms", "macs", "allocated_bytes", "ok"])
             for r in self.rows:

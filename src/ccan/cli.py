@@ -24,6 +24,7 @@ from . import bench as bench_mod
 from . import explain as explain_mod
 from .data import (
     Dataset,
+    atomic_write,
     generate_synthetic,
     load_manifest,
     patient_grouped_kfold,
@@ -164,7 +165,7 @@ class RunConfig:
         )
 
     def echo(self, path):
-        with open(path, "w") as fh:
+        with atomic_write(path, text=True) as fh:
             for key in sorted(self.values):
                 fh.write(f"{key} = {_format_value(*SCHEMA[key], self.values[key])}\n")
 
@@ -327,7 +328,7 @@ def _cmd_synth(cfg):
         write_bag(bag, os.path.join(out_dir, f"{bag.bag_id}.ccfb"))
         paths[bag.bag_id] = f"{bag.bag_id}.ccfb"  # relative: keeps the dir relocatable
     write_manifest(dataset, paths, os.path.join(out_dir, "manifest.csv"))
-    with open(os.path.join(out_dir, "witnesses.csv"), "w") as fh:
+    with atomic_write(os.path.join(out_dir, "witnesses.csv"), text=True) as fh:
         fh.write("bag_id,token_index\n")
         for bag in dataset.bags:
             for idx in dataset.witness_indices[bag.bag_id]:

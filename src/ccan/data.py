@@ -9,8 +9,9 @@ The on-disk bag format (CCFB) is a little-endian binary container:
 
 Every binary file of the package (bags, checkpoints, PNM images) is read
 through ``BinaryReader``, which never holds the whole file and reads each
-array once, into its own buffer, and written through ``atomic_write``: a
-temporary file that replaces the target only once it is complete.
+array once, into its own buffer. Every file the package writes, binary
+or text, goes through ``atomic_write``: a temporary file that replaces
+the target only once it is complete.
 
 Synthetic bags carry the supervision signal in a handful of "witness"
 tokens drawn around a class-specific mean; everything else is standard
@@ -106,16 +107,17 @@ def write_bag(bag, path):
 
 
 @contextmanager
-def atomic_write(path):
-    """A binary file opened next to ``path`` that replaces it only once the block completes.
+def atomic_write(path, text=False):
+    """A file opened next to ``path`` that replaces it only once the block completes.
 
-    On any exception the temporary file is removed and whatever ``path``
-    held before stays as it was.
+    The file is binary, or with ``text`` UTF-8 text written with no
+    newline translation. On any exception the temporary file is removed
+    and whatever ``path`` held before stays as it was.
     """
     path = os.fspath(path)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "wb") as fh:
+        with open(tmp, "w", newline="", encoding="utf-8") if text else open(tmp, "wb") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -280,7 +282,7 @@ def generate_synthetic(
 
 def write_manifest(dataset, paths, manifest_path):
     """CSV of (bag_id, patient_id, label, path); paths maps bag_id -> file."""
-    with open(manifest_path, "w", newline="") as fh:
+    with atomic_write(manifest_path, text=True) as fh:
         writer = csv.writer(fh)
         writer.writerow(["bag_id", "patient_id", "label", "path"])
         for bag in dataset.bags:
@@ -327,7 +329,7 @@ class SplitPlan:
     seed: int
 
     def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
+        with atomic_write(path, text=True) as fh:
             writer = csv.writer(fh)
             writer.writerow(["fold", "subset", "bag_id"])
             for i, fold in enumerate(self.folds):

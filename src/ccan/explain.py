@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autograd as ag
+from .data import atomic_write
 from .errors import DataError, UsageError
 from .netpbm import write_pgm
 
@@ -114,7 +115,7 @@ def export_heatmap(attention_map, path_base):
     """
     csv_path = f"{path_base}.csv"
     pgm_path = f"{path_base}.pgm"
-    with open(csv_path, "w", newline="") as fh:
+    with atomic_write(csv_path, text=True) as fh:
         writer = csv.writer(fh)
         for r, c, s in zip(attention_map.rows, attention_map.cols, attention_map.scores):
             writer.writerow([int(r), int(c), repr(float(s))])
@@ -127,7 +128,7 @@ def export_heatmap(attention_map, path_base):
 def export_class_embeddings(model, bags, path):
     """CSV of per-stage class-token embeddings: (bag_id, stage, e0..e{D-1})."""
     d = model.config.d_latent
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, text=True) as fh:
         writer = csv.writer(fh)
         writer.writerow(["bag_id", "stage"] + [f"e{i}" for i in range(d)])
         for bag in bags:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .data import FeatureBag
+from .data import FeatureBag, atomic_write
 from .errors import ConfigError, DataError
 
 
@@ -103,7 +103,7 @@ class QCReport:
     kept: int
 
     def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
+        with atomic_write(path, text=True) as fh:
             fh.write("total,white_rejected,blur_rejected,kept\n")
             fh.write(f"{self.total},{self.white_rejected},{self.blur_rejected},{self.kept}\n")
 

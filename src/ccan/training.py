@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .data import subsample_fraction
+from .data import atomic_write, subsample_fraction
 from .errors import ConfigError, DataError, MetricError, UsageError
 from .model import BaselineModel, CCANModel, _baseline_config, save_checkpoint
 
@@ -54,7 +54,7 @@ class TrainHistory:
     test_auc_at_best: float = float("nan")
 
     def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
+        with atomic_write(path, text=True) as fh:
             writer = csv.writer(fh)
             writer.writerow(["epoch", "train_loss", "val_auc"])
             for i, (loss, auc) in enumerate(zip(self.train_loss, self.val_auc)):
@@ -362,7 +362,7 @@ class SweepRow:
 
 
 def write_sweep_csv(rows, path):
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, text=True) as fh:
         writer = csv.writer(fh)
         writer.writerow(["fold", "fraction", "model", "best_epoch", "val_auc", "test_auc"])
         for r in rows:

@@ -7,7 +7,6 @@ from ccan.attention import (
     attention_scale,
     cross_attention_block,
     init_block_params,
-    scaled_attention,
     self_attention_block,
 )
 from ccan.autograd import Tensor
@@ -27,35 +26,25 @@ class TestScaledAttention:
         q = t64(np.random.default_rng(0).normal(size=(4, 3)))
         k = t64([[1.0, 2.0, 3.0]])
         v = t64([[5.0, 6.0, 7.0]])
-        out, record = scaled_attention(q, k, v, scale=2.0)
-        np.testing.assert_allclose(record.matrix, np.ones((4, 1)))
+        out, attn = ag.attention(q, k, v, 2.0)
+        np.testing.assert_allclose(attn, np.ones((1, 4, 1)))
         np.testing.assert_allclose(out.data, np.tile(v.data, (4, 1)))
 
     def test_zero_query_gives_uniform_rows(self):
         rng = np.random.default_rng(1)
         k = t64(rng.normal(size=(5, 3)))
         v = t64(rng.normal(size=(5, 3)))
-        out, record = scaled_attention(t64(np.zeros((2, 3))), k, v, scale=1.0)
-        np.testing.assert_allclose(record.matrix, np.full((2, 5), 0.2), atol=1e-12)
+        out, attn = ag.attention(t64(np.zeros((2, 3))), k, v, 1.0)
+        np.testing.assert_allclose(attn, np.full((1, 2, 5), 0.2), atol=1e-12)
         np.testing.assert_allclose(out.data, np.tile(v.data.mean(axis=0), (2, 1)), atol=1e-12)
 
     def test_scalar_closed_form(self):
         # logit gap 4 => weight sigma(4) on the first key
-        out, record = scaled_attention(
-            t64([[2.0]]), t64([[1.0], [-1.0]]), t64([[1.0], [0.0]]), scale=1.0
-        )
+        out, attn = ag.attention(t64([[2.0]]), t64([[1.0], [-1.0]]), t64([[1.0], [0.0]]), 1.0)
         w = 1.0 / (1.0 + np.exp(-4.0))
-        np.testing.assert_allclose(record.matrix, [[w, 1.0 - w]], atol=1e-12)
+        np.testing.assert_allclose(attn, [[[w, 1.0 - w]]], atol=1e-12)
         np.testing.assert_allclose(out.data, [[w]], atol=1e-12)
         assert abs(w - 0.9820) < 1e-4
-
-    def test_rejects_bad_scale_and_shapes(self):
-        q = t64(np.zeros((1, 2)))
-        kv = t64(np.zeros((3, 2)))
-        with pytest.raises(ConfigError):
-            scaled_attention(q, kv, kv, scale=0.0)
-        with pytest.raises(ShapeError):
-            scaled_attention(t64(np.zeros((1, 3))), kv, kv, scale=1.0)
 
 
 class TestAttentionScale:
@@ -176,7 +165,7 @@ class TestMultiHead:
 
     def test_indivisible_heads_rejected(self):
         params = random_block(6, seed=20)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ShapeError):
             self_attention_block(t64(np.zeros((2, 6))), params, scale_mode="per-dim", heads=4)
 
 
@@ -194,8 +183,33 @@ def test_every_record_row_stochastic_property(seed):
         assert (rec.matrix >= 0).all() and (rec.matrix <= 1).all()
 
 
-def composed_attention(q, k, v, scale):
-    """The oracle: softmax(q @ k.T * (1 / scale)) @ v, one whole-matrix numpy op at a time.
+def slice_cols(x, start, stop):
+    """Columns [start, stop) as a copy laid out like ``x`` (column-major stays column-major)."""
+    out = Tensor(x.data[:, start:stop].copy(order="K"))
+
+    def backward(g):
+        if x.requires_grad:
+            gx = np.zeros_like(x.data)
+            gx[:, start:stop] = g
+            ag._accum(x, gx, owned=True)
+
+    return ag._make_node(out, (x,), backward)
+
+
+def concat_cols(parts):
+    out = Tensor(np.concatenate([p.data for p in parts], axis=1))
+    offsets = np.cumsum([0] + [p.data.shape[1] for p in parts])
+
+    def backward(g):
+        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
+            if p.requires_grad:
+                ag._accum(p, g[:, lo:hi])
+
+    return ag._make_node(out, tuple(parts), backward)
+
+
+def composed_head(q, k, v, scale):
+    """softmax(q @ k.T * (1 / scale)) @ v, one whole-matrix numpy op at a time.
 
     Forward and backward run the float operations of the separate transpose,
     product, scale, row softmax and product nodes, in their order.
@@ -217,6 +231,23 @@ def composed_attention(q, k, v, scale):
             ag._accum(k, (q.data.T @ gl).T)
 
     return ag._make_node(Tensor(p @ v.data), (q, k, v), backward), p
+
+
+def composed_attention(q, k, v, scale, heads=1):
+    """The oracle for ``ag.attention``: every head as its own graph.
+
+    Head h slices column group h of q, k and v into copies, attends with
+    ``composed_head``, and the head outputs are joined column-wise; the
+    softmax matrices are stacked heads x M x N.
+    """
+    w, wv = q.shape[1] // heads, v.shape[1] // heads
+    outs, mats = [], []
+    for h in range(heads):
+        out, p = composed_head(slice_cols(q, h * w, (h + 1) * w), slice_cols(k, h * w, (h + 1) * w),
+                               slice_cols(v, h * wv, (h + 1) * wv), scale)
+        outs.append(out)
+        mats.append(p)
+    return concat_cols(outs), np.stack(mats)
 
 
 def use_composed(monkeypatch):
@@ -257,13 +288,14 @@ class TestFusedAttention:
         values = [rng.normal(size=s).astype(np.float32) for s in ((9, 16), (37, 16), (37, 12))]
         upstream = rng.normal(size=(9, 12)).astype(np.float32)
 
-        def run(fn):
+        def run(fn, heads):
             q, k, v = (Tensor(a.copy(), requires_grad=True) for a in values)
-            out, attn = fn(q, k, v, 4.0)
+            out, attn = fn(q, k, v, 4.0, heads)
             ag.backward(ag.sum_all(ag.mul(out, Tensor(upstream))))
             return [out.data, attn, q.grad, k.grad, v.grad]
 
-        _assert_same_bits(run(ag.attention), run(composed_attention))
+        for heads in (1, 2, 4):
+            _assert_same_bits(run(ag.attention, heads), run(composed_attention, heads))
 
     @pytest.mark.parametrize("block", ["cross", "self"])
     @pytest.mark.parametrize("heads", [1, 2])
@@ -280,19 +312,21 @@ class TestFusedAttention:
         _assert_same_bits(fused, _block_run("cross", 513, n, 512, heads, seed=32))
 
     def test_reference_self_block_bitwise_equal_to_composed(self, monkeypatch):
-        fused = _block_run("self", 513, 513, 512, 1, seed=33)
+        fused = [_block_run("self", 513, 513, 512, heads, seed=33) for heads in (1, 4)]
         use_composed(monkeypatch)
-        _assert_same_bits(fused, _block_run("self", 513, 513, 512, 1, seed=33))
+        for heads, run in zip((1, 4), fused):
+            _assert_same_bits(run, _block_run("self", 513, 513, 512, heads, seed=33))
 
     @pytest.mark.parametrize("heads", [1, 2])
     def test_keys_reach_the_node_column_major(self, monkeypatch, heads):
         # so the node reads k.T without copying it, one head or several
         seen = []
         attention = ag.attention
-        monkeypatch.setattr(ag, "attention", lambda q, k, v, s: seen.append(k.data) or attention(q, k, v, s))
+        monkeypatch.setattr(ag, "attention",
+                            lambda q, k, v, s, heads: seen.append(k.data) or attention(q, k, v, s, heads))
         _block_run("cross", 4, 10, 8, heads, seed=34)
         _block_run("self", 4, 4, 8, heads, seed=35)
-        assert len(seen) == 2 * heads
+        assert len(seen) == 2  # one node per block at any head count
         assert all(k.flags.f_contiguous and not k.flags.c_contiguous for k in seen)
 
     def test_macs_equal_two_matmuls(self):
@@ -324,6 +358,9 @@ class TestFusedAttention:
             ag.attention(t64(np.zeros((2, 3))), t64(np.zeros((4, 3))), t64(np.zeros((5, 2))), 1.0)
         with pytest.raises(ShapeError):
             ag.attention(t64(np.zeros((2, 3))), t64(np.zeros((0, 3))), t64(np.zeros((0, 2))), 1.0)
+        # a width that does not split into the heads: d = 4, d_v = 3
+        with pytest.raises(ShapeError):
+            ag.attention(t64(np.zeros((2, 4))), t64(np.zeros((5, 4))), t64(np.zeros((5, 3))), 1.0, 2)
 
 
 class TestNoKeyBias:

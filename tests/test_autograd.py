@@ -46,7 +46,7 @@ class TestMatmul:
 def node_softmax(logits):
     """The row softmax inside ``ag.attention``: identity keys and values pass the logits through."""
     eye = t64(np.eye(len(logits[0])))
-    return ag.attention(t64(logits), eye, eye, 1.0)[1]
+    return ag.attention(t64(logits), eye, eye, 1.0)[1][0]
 
 
 class TestSoftmax:
@@ -157,13 +157,6 @@ class TestBackward:
         ag.backward(ag.sum_all(ag.mul(x1, x1)))
         np.testing.assert_allclose(reused, 2.0 * x1.grad)
 
-    def test_bias_broadcast_gradient(self):
-        x = t64(np.ones((3, 2)), requires_grad=True)
-        b = t64([1.0, 2.0], requires_grad=True)
-        ag.backward(ag.sum_all(x + b))
-        np.testing.assert_allclose(b.grad, [3.0, 3.0])
-        np.testing.assert_allclose(x.grad, np.ones((3, 2)))
-
     def test_shared_upstream_gradient_is_not_aliased(self):
         # add hands the same g to both leaves; each must get its own buffer
         a = t64([1.0, 2.0], requires_grad=True)
@@ -177,6 +170,9 @@ class TestBackward:
     def test_disallowed_broadcast(self):
         with pytest.raises(ShapeError):
             ag.add(t64(np.ones((3, 2))), t64(np.ones((1, 2))))
+        # no bias broadcast either: linear adds every bias
+        with pytest.raises(ShapeError):
+            ag.add(t64(np.ones((3, 2))), t64(np.ones(2)))
 
     def test_interior_grads_released_during_the_pass(self):
         # a chain of 20 scales: each interior grad dies once passed on, so the pass
@@ -245,7 +241,7 @@ def _op_cases(rng):
     a = t64(rng.normal(size=(3, 4)), requires_grad=True)
     b = t64(rng.normal(size=(4, 3)), requires_grad=True)
     c = t64(rng.normal(size=(3, 4)), requires_grad=True)
-    bias = t64(rng.normal(size=4), requires_grad=True)
+    rng.normal(size=4)  # the draw of a retired case, kept so later cases keep their values
     gamma = t64(rng.normal(size=4) + 1.0, requires_grad=True)
     beta = t64(rng.normal(size=4), requires_grad=True)
     pos = t64(rng.uniform(0.1, 2.0, size=(3, 4)), requires_grad=True)
@@ -265,7 +261,6 @@ def _op_cases(rng):
 
     return [
         ("add", [("a", a), ("c", c)], lambda: sq(a + c)),
-        ("add_bias", [("a", a), ("bias", bias)], lambda: sq(a + bias)),
         ("sub", [("a", a), ("c", c)], lambda: sq(ag.sub(a, c))),
         ("mul", [("a", a), ("c", c)], lambda: sq(ag.mul(a, c))),
         ("scale", [("a", a)], lambda: sq(a * 1.7)),
@@ -273,6 +268,8 @@ def _op_cases(rng):
         ("linear_no_bias", [("a", a), ("b", b)], lambda: sq(ag.linear(a, b, None))),
         ("attention", [("a", a), ("keys", keys), ("values", values)],
          lambda: sq(ag.attention(a, keys, values, 1.7)[0])),
+        ("attention_2_heads", [("a", a), ("keys", keys), ("values", values)],
+         lambda: sq(ag.attention(a, keys, values, 1.7, 2)[0])),
         ("layer_norm", [("a", a), ("gamma", gamma), ("beta", beta)], lambda: sq(ag.layer_norm(a, gamma, beta))),
         ("gelu", [("a", a)], lambda: sq(ag.gelu(a))),
         ("sigmoid", [("a", a)], lambda: sq(ag.sigmoid(a))),
@@ -280,8 +277,6 @@ def _op_cases(rng):
         ("clip", [("clip_in", clip_in)], lambda: sq(ag.clip(clip_in, -0.9, 0.9))),
         ("concat_rows", [("a", a), ("c", c)], lambda: sq(ag.concat_rows([a, c]))),
         ("slice_rows", [("a", a)], lambda: sq(ag.slice_rows(a, 1, 3))),
-        ("concat_cols", [("a", a), ("c", c)], lambda: sq(ag.concat_cols([a, c]))),
-        ("slice_cols", [("a", a)], lambda: sq(ag.slice_cols(a, 1, 3))),
         ("avg_pool_rows", [("tall", tall)], lambda: sq(ag.avg_pool_rows(tall, 2))),
         ("mean_rows", [("a", a)], lambda: sq(ag.mean_rows(a))),
         ("max_rows", [("a", a)], lambda: sq(ag.max_rows(a))),

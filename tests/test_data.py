@@ -1,3 +1,5 @@
+import ast
+import pathlib
 import re
 import struct
 import tracemalloc
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ccan
 from ccan.data import (
     FeatureBag,
     Dataset,
@@ -258,6 +261,33 @@ class TestBinaryFiles:
         path = tmp_path / "bag.ccfb"
         assert _traced_peak(lambda: write_bag(bag, path)) < 0.2 * bag.tokens.nbytes
         np.testing.assert_array_equal(read_bag(path).tokens, bag.tokens)
+
+
+def _in_place_writes(source):
+    """Lines of ``open()`` calls outside ``atomic_write`` whose mode may write or append."""
+    tree = ast.parse(source)
+    inside = {id(node) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and fn.name == "atomic_write"
+              for node in ast.walk(fn)}
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "open"):
+            continue
+        modes = node.args[1:2] + [kw.value for kw in node.keywords if kw.arg == "mode"]
+        reads = all(isinstance(m, ast.Constant) and isinstance(m.value, str) and not set(m.value) & set("wax+")
+                    for m in modes)
+        if id(node) not in inside and not reads:
+            found.append(node.lineno)
+    return found
+
+
+def test_every_file_is_written_through_atomic_write():
+    # a file opened for writing in place is truncated before its new bytes exist
+    sources = sorted(pathlib.Path(ccan.__file__).parent.glob("*.py"))
+    assert len(sources) > 10
+    found = {path.name: lines for path in sources if (lines := _in_place_writes(path.read_text()))}
+    assert found == {}
+    assert _in_place_writes('def f(p):\n    with open(p, mode="a") as fh:\n        pass\n') == [2]
+    assert _in_place_writes("def f(p, m):\n    return open(p, m), open(p), open(p, 'rb')\n") == [2]
 
 
 class TestSyntheticGeneration:

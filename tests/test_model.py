@@ -9,7 +9,8 @@ import pytest
 from ccan import autograd as ag
 from ccan import data as data_module
 from ccan.autograd import Tensor
-from ccan.data import generate_synthetic, write_bag
+from ccan.cli import parse_config
+from ccan.data import generate_synthetic, patient_grouped_kfold, write_bag, write_manifest
 from ccan.errors import ConfigError, DataError, FormatError, ShapeError
 from ccan.model import (
     BASELINE_KINDS,
@@ -180,21 +181,23 @@ class TestForward:
     def test_graph_nodes_per_toy_training_bag(self):
         # operation nodes reachable from one training loss of the TOY benchmark
         # config: 216 composed, 163 with the fused linear, 131 with the fused
-        # attention. A rise here is a graph-size regression.
+        # attention, whose one node holds every head. A rise here is a
+        # graph-size regression.
         from ccan.training import bag_loss
 
-        cfg = CCANConfig(n_stages=2, n_latents=16, compression=2, d_latent=32, d_feature=64,
-                         self_layers=1, n_frequencies=2)
         bag = generate_synthetic(1, (40, 40), d_feature=64, seed=0).bags[0]
-        out = CCANModel(cfg, seed=0).forward(bag, rng=np.random.default_rng(0), train_mode=True)
-        seen, stack, ops = set(), [bag_loss(out, bag.label, 2)], 0
-        while stack:
-            node = stack.pop()
-            if id(node) not in seen:
-                seen.add(id(node))
-                ops += node._backward is not None
-                stack.extend(node._parents)
-        assert ops == 131
+        for heads, scale_mode in ((1, "per-paper"), (2, "per-dim")):
+            cfg = CCANConfig(n_stages=2, n_latents=16, compression=2, d_latent=32, d_feature=64,
+                             self_layers=1, n_frequencies=2, heads=heads, scale_mode=scale_mode)
+            out = CCANModel(cfg, seed=0).forward(bag, rng=np.random.default_rng(0), train_mode=True)
+            seen, stack, ops = set(), [bag_loss(out, bag.label, 2)], 0
+            while stack:
+                node = stack.pop()
+                if id(node) not in seen:
+                    seen.add(id(node))
+                    ops += node._backward is not None
+                    stack.extend(node._parents)
+            assert ops == 131, f"{heads} heads"
 
     def test_eval_deterministic(self):
         model = CCANModel(toy_config(), seed=5)
@@ -350,13 +353,15 @@ class TestCheckpoint:
             np.testing.assert_array_equal(pa.data, pb.data)
 
     def test_forward_identical_after_reload(self, tmp_path):
-        model = CCANModel(toy_config(), seed=11)
         bag = toy_dataset(seed=13).bags[0]
-        before = model.forward(bag).averaged_probs
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(model, path)
-        after = load_checkpoint(path).forward(bag).averaged_probs
-        np.testing.assert_array_equal(before, after)
+        for config in (toy_config(), toy_config(num_classes=3, heads=2, scale_mode="per-dim")):
+            model = CCANModel(config, seed=11)
+            before = model.forward(bag).averaged_probs
+            path = tmp_path / "model.ckpt"
+            save_checkpoint(model, path)
+            after = load_checkpoint(path).forward(bag).averaged_probs
+            assert before.shape == (config.out_units,)
+            np.testing.assert_array_equal(before, after)
 
     def test_save_is_deterministic(self, tmp_path):
         model = CCANModel(toy_config(), seed=12)
@@ -419,18 +424,24 @@ class TestCheckpoint:
         (save_checkpoint, lambda seed: CCANModel(toy_config(), seed=seed)),
         (write_bag, lambda seed: toy_dataset(n_bags=1, d_feature=64, seed=seed).bags[0]),
         (write_ppm, lambda seed: np.random.default_rng(seed).integers(0, 256, (30, 40, 3)).astype(np.uint8)),
-    ], ids=["save_checkpoint", "write_bag", "write_ppm"])
+        (lambda plan, path: plan.write_csv(path),
+         lambda seed: patient_grouped_kfold(toy_dataset(n_bags=12, seed=seed).bags, k=3, seed=seed)),
+        (lambda dataset, path: write_manifest(dataset, {b.bag_id: f"{b.bag_id}.ccfb" for b in dataset.bags}, path),
+         lambda seed: toy_dataset(n_bags=12, seed=seed)),
+        (lambda cfg, path: cfg.echo(path), lambda seed: parse_config(None, [("seed", str(seed))])),
+    ], ids=["save_checkpoint", "write_bag", "write_ppm", "SplitPlan.write_csv", "write_manifest", "RunConfig.echo"])
     def test_failed_save_keeps_the_old_file(self, tmp_path, monkeypatch, save, make):
         path = tmp_path / "best.ckpt"
         save(make(7), path)
         old = path.read_bytes()
 
         class DiskFull:
+            # the disk fills halfway through the new file
             def __init__(self, fh):
-                self.fh, self.left = fh, 2000
+                self.fh, self.left = fh, len(old) // 2
 
             def write(self, data):
-                self.left -= memoryview(data).nbytes
+                self.left -= len(data.encode()) if isinstance(data, str) else memoryview(data).nbytes
                 if self.left < 0:
                     raise OSError(28, "No space left on device")
                 return self.fh.write(data)
