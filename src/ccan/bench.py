@@ -159,30 +159,22 @@ def bench_scaling(config, ns, repeats=7, warmup=2, seed=0, include_baseline=True
         raise ConfigError(f"need at least 5 repeats, got {repeats}")
     if not ns or any(a >= b for a, b in zip(ns, ns[1:])):
         raise ConfigError(f"token counts must be strictly increasing, got {ns}")
-    model = CCANModel(config)
-    baseline = None
+    # (name, model, MACs of one forward at N tokens)
+    models = [("ccan", CCANModel(config), lambda n: count_macs(config, n))]
     if include_baseline:
         baseline = BaselineModel(_baseline_config("full-self-attention", config, config.seed))
+        models.append(("full-self-attention", baseline, lambda n: count_baseline_macs(config, n)["total"]))
     rows = []
     for n in ns:
         bag = make_bench_bag(n, config.d_feature, seed=seed)
-        try:
-            wall, allocated = _timed_forwards(model, bag, repeats, warmup)
-            rows.append(BenchRow("ccan", n, wall, count_macs(config, n), allocated, True))
-        except MemoryError:
-            rows.append(BenchRow("ccan", n, float("nan"), count_macs(config, n), 0, False))
-        if baseline is not None:
+        for name, model, macs in models:
             try:
-                wall, allocated = _timed_forwards(baseline, bag, repeats, warmup)
-                rows.append(
-                    BenchRow("full-self-attention", n, wall, count_baseline_macs(config, n)["total"], allocated, True)
-                )
+                wall, allocated = _timed_forwards(model, bag, repeats, warmup)
+                rows.append(BenchRow(name, n, wall, macs(n), allocated, True))
             except MemoryError:
-                rows.append(
-                    BenchRow("full-self-attention", n, float("nan"), count_baseline_macs(config, n)["total"], 0, False)
-                )
+                rows.append(BenchRow(name, n, float("nan"), macs(n), 0, False))
         if log is not None:
-            log(f"N={n}: " + ", ".join(f"{r.model}={r.wall_ms:.1f}ms" for r in rows[-2 if baseline else -1 :]))
+            log(f"N={n}: " + ", ".join(f"{r.model}={r.wall_ms:.1f}ms" for r in rows[-len(models) :]))
     ccan_ok = [r for r in rows if r.model == "ccan" and r.ok]
     time_fit = linear_fit([r.n_tokens for r in ccan_ok], [r.wall_ms for r in ccan_ok])
     macs_fit = linear_fit([r.n_tokens for r in ccan_ok], [r.macs for r in ccan_ok])

@@ -1,9 +1,11 @@
 """Command-line entry point: ``ccan <command> [--config FILE] [--key value ...]``.
 
 Configuration is a flat dotted-key namespace resolved as
-defaults < config file < command-line flags. Files are line-based
+defaults < config file < command-line flags. Files are line-based UTF-8
 ``key = value`` text with ``#`` comments. Unknown keys are errors, so
-typos never pass silently. Every command echoes its fully resolved
+typos never pass silently. A key that sets a field of ``CCANConfig``,
+``TrainConfig`` or ``PreprocessConfig`` takes its type and default from
+that field. Every command echoes its fully resolved
 configuration into the run directory (or next to its output), and that
 echo is itself a valid config file that reproduces the run.
 
@@ -18,17 +20,15 @@ import os
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import bench as bench_mod
 from . import explain as explain_mod
 from .data import (
-    Dataset,
     atomic_write,
     generate_synthetic,
     load_manifest,
     patient_grouped_kfold,
     read_bag,
+    read_key_values,
     SplitPlan,
     write_bag,
     write_manifest,
@@ -46,32 +46,41 @@ from .training import (
     write_sweep_csv,
 )
 
-COMMANDS = ("preprocess", "synth", "split", "train", "eval", "sweep", "explain", "bench", "embed")
+# CLI key -> (config dataclass, field); the key's default is the field's, its tag the default's type name
+_FIELDS = {
+    "model.J": (CCANConfig, "n_stages"),
+    "model.M": (CCANConfig, "n_latents"),
+    "model.C": (CCANConfig, "compression"),
+    "model.D_l": (CCANConfig, "d_latent"),
+    "model.D_f": (CCANConfig, "d_feature"),
+    "model.Z": (CCANConfig, "block_repeats"),
+    "model.S": (CCANConfig, "self_layers"),
+    "model.p_do": (CCANConfig, "p_dropout"),
+    "model.num_classes": (CCANConfig, "num_classes"),
+    "model.I": (CCANConfig, "n_frequencies"),
+    "model.f_max": (CCANConfig, "f_max"),
+    "model.scale_mode": (CCANConfig, "scale_mode"),
+    "model.heads": (CCANConfig, "heads"),
+    "model.append_raw_coords": (CCANConfig, "append_raw_coords"),
+    "train.epochs": (TrainConfig, "epochs"),
+    "train.batch_size": (TrainConfig, "batch_size"),
+    "train.lr_max": (TrainConfig, "lr_max"),
+    "train.lr_min": (TrainConfig, "lr_min"),
+    "train.weight_decay": (TrainConfig, "weight_decay"),
+    "train.beta1": (TrainConfig, "beta1"),
+    "train.beta2": (TrainConfig, "beta2"),
+    "train.eps": (TrainConfig, "eps"),
+    "preprocess.patch_microns": (PreprocessConfig, "patch_microns"),
+    "preprocess.white_threshold": (PreprocessConfig, "white_threshold"),
+    "preprocess.blur_fraction": (PreprocessConfig, "blur_fraction"),
+    "preprocess.canny_sigma": (PreprocessConfig, "canny_sigma"),
+    "preprocess.canny_low": (PreprocessConfig, "canny_low"),
+    "preprocess.canny_high": (PreprocessConfig, "canny_high"),
+}
 
-# key -> (type tag, default); tags: int, float, str, bool, floats, ints
+# key -> (type tag, default); tags: int, float, str, bool, floats, ints, strs
 SCHEMA = {
-    "model.J": ("int", 6),
-    "model.M": ("int", 512),
-    "model.C": ("int", 2),
-    "model.D_l": ("int", 512),
-    "model.D_f": ("int", 2048),
-    "model.Z": ("int", 1),
-    "model.S": ("int", 2),
-    "model.p_do": ("float", 0.9),
-    "model.num_classes": ("int", 2),
-    "model.I": ("int", 6),
-    "model.f_max": ("float", 10.0),
-    "model.scale_mode": ("str", "per-paper"),
-    "model.heads": ("int", 1),
-    "model.append_raw_coords": ("bool", False),
-    "train.epochs": ("int", 100),
-    "train.batch_size": ("int", 30),
-    "train.lr_max": ("float", 5e-6),
-    "train.lr_min": ("float", 0.0),
-    "train.weight_decay": ("float", 0.01),
-    "train.beta1": ("float", 0.9),
-    "train.beta2": ("float", 0.999),
-    "train.eps": ("float", 1e-8),
+    **{key: (type(getattr(cls, name)).__name__, getattr(cls, name)) for key, (cls, name) in _FIELDS.items()},
     "train.fractions": ("floats", (0.02, 0.05, 0.10, 0.25, 0.50, 0.75, 1.00)),
     "data.n_bags": ("int", 200),
     "data.n_min": ("int", 20),
@@ -83,12 +92,6 @@ SCHEMA = {
     "data.grid_cols": ("int", 16),
     "data.k": ("int", 4),
     "data.val_fraction": ("float", 0.2),
-    "preprocess.patch_microns": ("float", 256.0),
-    "preprocess.white_threshold": ("float", 224.0),
-    "preprocess.blur_fraction": ("float", 0.02),
-    "preprocess.canny_sigma": ("float", 1.4),
-    "preprocess.canny_low": ("float", 50.0),
-    "preprocess.canny_high": ("float", 100.0),
     "bench.ns": ("ints", (250, 500, 1000, 2000, 4000)),
     "bench.repeats": ("int", 7),
     "bench.baseline": ("bool", True),
@@ -118,51 +121,19 @@ class RunConfig:
     def __getitem__(self, key):
         return self.values[key]
 
+    def _build(self, cls, **extra):
+        """A validated ``cls`` from its CLI keys, with ``extra`` for the fields no key of its own sets."""
+        own = {name: self.values[key] for key, (owner, name) in _FIELDS.items() if owner is cls}
+        return cls(**own, **extra).validate()
+
     def model_config(self, seed=None):
-        v = self.values
-        return CCANConfig(
-            n_stages=v["model.J"],
-            n_latents=v["model.M"],
-            compression=v["model.C"],
-            d_latent=v["model.D_l"],
-            d_feature=v["model.D_f"],
-            block_repeats=v["model.Z"],
-            self_layers=v["model.S"],
-            p_dropout=v["model.p_do"],
-            num_classes=v["model.num_classes"],
-            n_frequencies=v["model.I"],
-            f_max=v["model.f_max"],
-            scale_mode=v["model.scale_mode"],
-            heads=v["model.heads"],
-            append_raw_coords=v["model.append_raw_coords"],
-            seed=v["seed"] if seed is None else seed,
-        ).validate()
+        return self._build(CCANConfig, seed=self["seed"] if seed is None else seed)
 
     def train_config(self, seed=None):
-        v = self.values
-        return TrainConfig(
-            epochs=v["train.epochs"],
-            batch_size=v["train.batch_size"],
-            lr_max=v["train.lr_max"],
-            lr_min=v["train.lr_min"],
-            weight_decay=v["train.weight_decay"],
-            beta1=v["train.beta1"],
-            beta2=v["train.beta2"],
-            eps=v["train.eps"],
-            seed=v["seed"] if seed is None else seed,
-        ).validate()
+        return self._build(TrainConfig, seed=self["seed"] if seed is None else seed)
 
     def preprocess_config(self):
-        v = self.values
-        return PreprocessConfig(
-            patch_microns=v["preprocess.patch_microns"],
-            white_threshold=v["preprocess.white_threshold"],
-            blur_fraction=v["preprocess.blur_fraction"],
-            canny_sigma=v["preprocess.canny_sigma"],
-            canny_low=v["preprocess.canny_low"],
-            canny_high=v["preprocess.canny_high"],
-            d_feature=v["model.D_f"],
-        )
+        return self._build(PreprocessConfig, d_feature=self["model.D_f"])
 
     def echo(self, path):
         with atomic_write(path, text=True) as fh:
@@ -204,20 +175,6 @@ def _parse_value(key, tag, raw):
         raise ConfigError(f"key {key!r}: cannot parse {raw!r} as {tag}") from None
 
 
-def _read_config_file(path):
-    pairs = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {stripped!r}")
-            key, raw = (part.strip() for part in stripped.split("=", 1))
-            pairs[key] = raw
-    return pairs
-
-
 def parse_config(file_path=None, flag_overrides=None):
     """Resolve defaults < environment seed < config file < flags."""
     values = {key: default for key, (_, default) in SCHEMA.items()}
@@ -226,7 +183,7 @@ def parse_config(file_path=None, flag_overrides=None):
         values["seed"] = _parse_value("seed", "int", env_seed)
     layers = []
     if file_path:
-        layers.append(_read_config_file(file_path))
+        layers.append(read_key_values(file_path))
     if flag_overrides:
         layers.append(dict(flag_overrides))
     for layer in layers:
@@ -464,6 +421,7 @@ _DISPATCH = {
     "bench": _cmd_bench,
     "embed": _cmd_embed,
 }
+COMMANDS = tuple(_DISPATCH)
 
 
 def dispatch(command, run_config):

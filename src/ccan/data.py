@@ -11,7 +11,9 @@ Every binary file of the package (bags, checkpoints, PNM images) is read
 through ``BinaryReader``, which never holds the whole file and reads each
 array once, into its own buffer. Every file the package writes, binary
 or text, goes through ``atomic_write``: a temporary file that replaces
-the target only once it is complete.
+the target only once it is complete. Text files are UTF-8 both ways;
+``key = value`` files (config files, sidecars) are read by
+``read_key_values``.
 
 Synthetic bags carry the supervision signal in a handful of "witness"
 tokens drawn around a class-specific mean; everything else is standard
@@ -124,6 +126,28 @@ def atomic_write(path, text=False):
         with suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+def read_key_values(path):
+    """The ``key = value`` lines of a UTF-8 text file as {key: raw value}; ``#`` starts a comment.
+
+    A later line for the same key wins. Every fault is a ConfigError that names ``path:line``.
+    """
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()  # at \n, \r\n or \r, as text mode splits
+    pairs = {}
+    for lineno, raw in enumerate(lines, start=1):
+        try:
+            line = str(raw, "utf-8").split("#", 1)[0].strip()
+        except UnicodeDecodeError:
+            raise ConfigError(f"{path}:{lineno}: line is not UTF-8") from None
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        pairs[key] = value
+    return pairs
 
 
 class BinaryReader:
@@ -280,6 +304,16 @@ def generate_synthetic(
     return Dataset(bags=bags, witness_indices=witness_indices)
 
 
+@contextmanager
+def _read_csv(path):
+    """A ``csv.DictReader`` over a UTF-8 file; text that is not UTF-8 is a FormatError naming ``path``."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            yield csv.DictReader(fh)
+    except UnicodeDecodeError:
+        raise FormatError(f"{path}: text is not UTF-8") from None
+
+
 def write_manifest(dataset, paths, manifest_path):
     """CSV of (bag_id, patient_id, label, path); paths maps bag_id -> file."""
     with atomic_write(manifest_path, text=True) as fh:
@@ -297,8 +331,7 @@ def load_manifest(manifest_path):
     """
     base = os.path.dirname(os.path.abspath(manifest_path))
     bags = []
-    with open(manifest_path, newline="") as fh:
-        reader = csv.DictReader(fh)
+    with _read_csv(manifest_path) as reader:
         if "path" not in (reader.fieldnames or ()):
             raise FormatError(f"{manifest_path}:1: manifest has no column path")
         for row in reader:
@@ -341,8 +374,7 @@ class SplitPlan:
     def read_csv(cls, path, seed=0):
         """Read a plan written by ``write_csv``; folds must be numbered 0..k-1."""
         folds = {}
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
+        with _read_csv(path) as reader:
             missing = [c for c in ("fold", "subset", "bag_id") if c not in (reader.fieldnames or ())]
             if missing:
                 raise FormatError(f"{path}:1: plan has no column {', '.join(missing)}")

@@ -13,26 +13,13 @@ the oracle the vectorized encoder must match bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError, DataError
 
 
-@dataclass(frozen=True)
-class FrequencyLadder:
-    """Equidistant frequencies from 1 to f_max inclusive."""
-
-    count: int
-    f_max: float
-    frequencies: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "frequencies", np.asarray(self.frequencies, dtype=np.float64))
-
-
 def frequency_ladder(count, f_max):
+    """Equidistant frequencies from 1 to f_max inclusive, as a read-only float64 array."""
     if count < 1:
         raise ConfigError(f"frequency count must be >= 1, got {count}")
     if f_max < 1:
@@ -41,7 +28,8 @@ def frequency_ladder(count, f_max):
         freqs = np.array([1.0])
     else:
         freqs = np.linspace(1.0, float(f_max), count)
-    return FrequencyLadder(count=count, f_max=float(f_max), frequencies=freqs)
+    freqs.flags.writeable = False
+    return freqs
 
 
 def encoding_width(count, append_raw_coords=False):
@@ -54,13 +42,13 @@ def encode_grid(rows, cols, rows_total, cols_total, ladder, append_raw_coords=Fa
     cols = np.asarray(cols)
     x_hat = np.zeros(cols.shape) if cols_total == 1 else 2.0 * cols / (cols_total - 1) - 1.0
     y_hat = np.zeros(rows.shape) if rows_total == 1 else 2.0 * rows / (rows_total - 1) - 1.0
-    n = rows.shape[0]
-    out = np.empty((n, encoding_width(ladder.count, append_raw_coords)), dtype=np.float64)
+    n, count = rows.shape[0], len(ladder)
+    out = np.empty((n, encoding_width(count, append_raw_coords)), dtype=np.float64)
     for axis_idx, a_hat in enumerate((x_hat, y_hat)):
-        angles = a_hat[:, None] * (ladder.frequencies * np.pi)[None, :]
-        base = 2 * ladder.count * axis_idx
-        out[:, base + 0 : base + 2 * ladder.count : 2] = np.sin(angles)
-        out[:, base + 1 : base + 2 * ladder.count : 2] = np.cos(angles)
+        angles = a_hat[:, None] * (ladder * np.pi)[None, :]
+        base = 2 * count * axis_idx
+        out[:, base + 0 : base + 2 * count : 2] = np.sin(angles)
+        out[:, base + 1 : base + 2 * count : 2] = np.cos(angles)
     if append_raw_coords:
         out[:, -2] = x_hat
         out[:, -1] = y_hat

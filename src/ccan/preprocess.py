@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .data import FeatureBag, atomic_write
+from .data import FeatureBag, atomic_write, read_key_values
 from .errors import ConfigError, DataError
 
 
@@ -332,16 +332,7 @@ def run_pipeline(image, out_path, label, bag_id, patient_id, seed=0, config=None
 
 def read_sidecar(path):
     """key=value metadata file: microns_per_pixel, label, bag_id, patient_id."""
-    meta = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}: sidecar line is not key=value: {line!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            meta[key] = value
+    meta = read_key_values(path)
     missing = {"microns_per_pixel", "label", "bag_id", "patient_id"} - meta.keys()
     if missing:
         raise ConfigError(f"{path}: sidecar missing keys: {sorted(missing)}")

@@ -1,3 +1,4 @@
+import hashlib
 import os
 from dataclasses import replace
 
@@ -6,11 +7,14 @@ import pytest
 
 from ccan.cli import main, parse_config
 from ccan.errors import ConfigError, UsageError
-from ccan.model import BaselineConfig, BaselineModel, save_checkpoint
+from ccan.model import BaselineConfig, BaselineModel, CCANConfig, save_checkpoint
+from ccan.preprocess import PreprocessConfig
+from ccan.training import TrainConfig
 
 
 class TestParseConfig:
-    def test_defaults_match_reference_table(self, tmp_path):
+    def test_defaults_match_reference_table(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("CCAN_SEED", raising=False)
         empty = tmp_path / "empty.cfg"
         empty.write_text("# nothing here\n")
         cfg = parse_config(str(empty), [])
@@ -27,6 +31,17 @@ class TestParseConfig:
         assert cfg["train.batch_size"] == 30
         assert cfg["train.epochs"] == 100
         assert cfg["train.fractions"] == (0.02, 0.05, 0.10, 0.25, 0.50, 0.75, 1.00)
+        assert cfg.model_config() == CCANConfig()
+        assert cfg.train_config() == TrainConfig()
+        assert cfg.preprocess_config() == PreprocessConfig()
+        assert cfg["seed"] == CCANConfig().seed == TrainConfig().seed
+
+    def test_default_echo_is_pinned(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("CCAN_SEED", raising=False)
+        echo = tmp_path / "echo.cfg"
+        parse_config(None, []).echo(str(echo))
+        digest = hashlib.sha256(echo.read_bytes()).hexdigest()
+        assert digest == "4455c612159227d5923a68e3f0719ee85bc425572c131e6ba12da04011130db7"
 
     def test_flag_overrides_file(self, tmp_path):
         f = tmp_path / "c.cfg"
@@ -198,6 +213,30 @@ class TestCommands:
         rc = main(["split", "--paths.data", str(manifest), "--paths.out", str(tmp_path / "plan.csv")])
         assert rc == 1
         assert capsys.readouterr().err == f"error: {manifest}:1: manifest has no column path\n"
+
+    @pytest.mark.parametrize("reader", ["config", "sidecar", "manifest", "plan"])
+    def test_non_utf8_text_is_one_error_line(self, tiny_run, tmp_path, capsys, reader):
+        bad = tmp_path / (f"{reader}.csv" if reader in ("manifest", "plan") else f"{reader}.txt")
+        if reader == "config":
+            bad.write_bytes(b"seed = 1\nsubset = t\xffst\n")
+            args = ["split", "--config", str(bad)]
+        elif reader == "sidecar":
+            bad.write_bytes(b"microns_per_pixel = 1.0\nbag_id = s\xff\nlabel = 1\npatient_id = p0\n")
+            args = ["preprocess", "--paths.image", str(tmp_path / "slide.ppm"), "--paths.meta", str(bad),
+                    "--paths.out", str(tmp_path / "slide.ccfb")]
+        elif reader == "manifest":
+            with open(os.path.join(tiny_run["data"], "manifest.csv"), "rb") as fh:
+                bad.write_bytes(fh.read().replace(b"bag0001", b"bag\xff001"))
+            args = ["split", "--paths.data", str(bad), "--paths.out", str(tmp_path / "plan.csv")]
+        else:
+            with open(tiny_run["plan"], "rb") as fh:
+                bad.write_bytes(fh.read().replace(b"bag0001", b"bag\xff001"))
+            args = ["eval", "--paths.checkpoint", os.path.join(tiny_run["run_dir"], "best.ckpt"),
+                    "--paths.data", tiny_run["data"], "--paths.plan", str(bad), "--fold", "0"]
+        rc = main(args)
+        where = f"{bad}:2: line" if reader in ("config", "sidecar") else f"{bad}: text"
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {where} is not UTF-8\n"
 
     @pytest.mark.parametrize("flags, message", [
         (["--data.k", "0"], "k must be at least 2 folds, got 0"),

@@ -17,6 +17,7 @@ from ccan.data import (
     load_manifest,
     patient_grouped_kfold,
     read_bag,
+    read_key_values,
     SplitPlan,
     subsample_fraction,
     write_bag,
@@ -359,6 +360,20 @@ class TestManifest:
         manifest.write_text("bag_id,patient_id,label,path\nb0,p0\n")
         with pytest.raises(FormatError, match=re.escape(f"{manifest}:2: manifest row has no path field")):
             load_manifest(manifest)
+
+
+class TestKeyValues:
+    def test_comments_line_ends_and_repeats(self, tmp_path):
+        path = tmp_path / "kv.txt"
+        path.write_bytes("# head\r\na = 1 # note\rb=x y\n\n a = 2\nname = é\n".encode("utf-8"))
+        assert read_key_values(path) == {"a": "2", "b": "x y", "name": "é"}
+
+    def test_line_without_equals_names_path_and_line(self, tmp_path):
+        path = tmp_path / "kv.txt"
+        path.write_text("a = 1\n# comment\nb 2\n")
+        with pytest.raises(ConfigError) as err:
+            read_key_values(path)
+        assert str(err.value) == f"{path}:3: expected 'key = value', got 'b 2'"
 
 
 class TestPatientGroupedKFold:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ccan.errors import ConfigError, DataError
-from ccan.posenc import FrequencyLadder, attach_encodings, encode_grid, encoding_width, frequency_ladder
+from ccan.posenc import attach_encodings, encode_grid, encoding_width, frequency_ladder
 
 
 def encode_one(row, col, rows_total, cols_total, ladder, append_raw_coords=False):
@@ -21,7 +21,7 @@ def scalar_encoding(row, col, rows_total, cols_total, ladder, append_raw_coords=
     for index, total in ((col, cols_total), (row, rows_total)):
         # a single row or column has no extent; it maps to the axis center
         a_hat = 0.0 if total == 1 else 2.0 * index / (total - 1) - 1.0
-        angles = ladder.frequencies * np.pi * a_hat
+        angles = ladder * np.pi * a_hat
         parts.append(np.stack([np.sin(angles), np.cos(angles)], axis=1).ravel())
         hats.append(a_hat)
     if append_raw_coords:
@@ -31,17 +31,17 @@ def scalar_encoding(row, col, rows_total, cols_total, ladder, append_raw_coords=
 
 class TestFrequencyLadder:
     def test_endpoints(self):
-        np.testing.assert_allclose(frequency_ladder(2, 10).frequencies, [1.0, 10.0])
+        np.testing.assert_allclose(frequency_ladder(2, 10), [1.0, 10.0])
 
     def test_arithmetic_progression(self):
         # step (10 - 1) / 5
         ladder = frequency_ladder(6, 10)
-        np.testing.assert_allclose(ladder.frequencies, [1.0, 2.8, 4.6, 6.4, 8.2, 10.0])
-        diffs = np.diff(ladder.frequencies)
+        np.testing.assert_allclose(ladder, [1.0, 2.8, 4.6, 6.4, 8.2, 10.0])
+        diffs = np.diff(ladder)
         assert np.abs(diffs - diffs[0]).max() < 1e-9
 
     def test_degenerate_single_frequency(self):
-        np.testing.assert_allclose(frequency_ladder(1, 5).frequencies, [1.0])
+        np.testing.assert_allclose(frequency_ladder(1, 5), [1.0])
 
     @pytest.mark.parametrize("count,f_max", [(0, 10), (3, 0.5)])
     def test_invalid_config(self, count, f_max):
@@ -133,5 +133,7 @@ class TestAttachEncodings:
 
 
 def test_ladder_dataclass_normalizes_dtype():
-    ladder = FrequencyLadder(2, 4.0, [1, 4])
-    assert ladder.frequencies.dtype == np.float64
+    ladder = frequency_ladder(2, 4)
+    assert ladder.dtype == np.float64 and not ladder.flags.writeable
+    with pytest.raises(ValueError):
+        ladder[0] = 2.0
