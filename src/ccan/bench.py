@@ -5,13 +5,15 @@ fixed config (every N-dependent term is a cross-attention projection or
 score product), while a plain self-attention aggregator pays an N^2
 attention term. ``count_macs`` enumerates exactly the matrix products
 the forward pass executes, so an instrumented run must agree with it;
-wall times are advisory medians.
+wall times are advisory medians. Each row also reports the traced peak
+of one more forward, run after the timed ones and not timed itself.
 """
 
 from __future__ import annotations
 
 import csv
 import time
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,6 +86,7 @@ class BenchRow:
     wall_ms: float
     macs: int
     allocated_bytes: int  # bytes of all tensors one forward allocates (a sum, not a live peak)
+    peak_bytes: int  # traced peak of one untimed forward, above what was allocated before it
     ok: bool
 
 
@@ -115,19 +118,20 @@ class ScalingReport:
     def write_csv(self, path):
         with atomic_write(path, text=True) as fh:
             writer = csv.writer(fh)
-            writer.writerow(["model", "n_tokens", "wall_ms", "macs", "allocated_bytes", "ok"])
+            writer.writerow(["model", "n_tokens", "wall_ms", "macs", "allocated_bytes", "peak_bytes", "ok"])
             for r in self.rows:
-                writer.writerow([r.model, r.n_tokens, repr(r.wall_ms), r.macs, r.allocated_bytes, int(r.ok)])
+                writer.writerow([r.model, r.n_tokens, repr(r.wall_ms), r.macs, r.allocated_bytes, r.peak_bytes,
+                                 int(r.ok)])
 
     def summary(self):
         lines = [
-            f"{'model':<22}{'N':>7}{'median ms':>12}{'MACs':>16}{'allocated MB':>14}",
+            f"{'model':<22}{'N':>7}{'median ms':>12}{'MACs':>16}{'allocated MB':>14}{'peak MB':>10}",
         ]
         for r in self.rows:
             status = "" if r.ok else "  FAILED"
             lines.append(
                 f"{r.model:<22}{r.n_tokens:>7}{r.wall_ms:>12.2f}{r.macs:>16}"
-                f"{r.allocated_bytes / 1e6:>14.1f}{status}"
+                f"{r.allocated_bytes / 1e6:>14.1f}{r.peak_bytes / 1e6:>10.1f}{status}"
             )
         lines.append(
             f"aggregator time vs N: slope={self.time_fit.slope:.4g} ms/token, R^2={self.time_fit.r2:.5f}"
@@ -152,6 +156,17 @@ def _timed_forwards(model, bag, repeats, warmup):
     return float(np.median(times)), allocated
 
 
+def _traced_peak(model, bag):
+    """Peak traced bytes of one eval forward; what was allocated before it is not traced."""
+    tracemalloc.start()
+    try:
+        with ag.no_grad():
+            model.forward(bag, train_mode=False)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def bench_scaling(config, ns, repeats=7, warmup=2, seed=0, include_baseline=True, log=None):
     """Time eval forwards across token counts and fit the scaling curves."""
     ns = list(ns)
@@ -170,9 +185,9 @@ def bench_scaling(config, ns, repeats=7, warmup=2, seed=0, include_baseline=True
         for name, model, macs in models:
             try:
                 wall, allocated = _timed_forwards(model, bag, repeats, warmup)
-                rows.append(BenchRow(name, n, wall, macs(n), allocated, True))
+                rows.append(BenchRow(name, n, wall, macs(n), allocated, _traced_peak(model, bag), True))
             except MemoryError:
-                rows.append(BenchRow(name, n, float("nan"), macs(n), 0, False))
+                rows.append(BenchRow(name, n, float("nan"), macs(n), 0, 0, False))
         if log is not None:
             log(f"N={n}: " + ", ".join(f"{r.model}={r.wall_ms:.1f}ms" for r in rows[-len(models) :]))
     ccan_ok = [r for r in rows if r.model == "ccan" and r.ok]

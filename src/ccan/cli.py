@@ -5,7 +5,9 @@ defaults < config file < command-line flags. Files are line-based UTF-8
 ``key = value`` text with ``#`` comments. Unknown keys are errors, so
 typos never pass silently. A key that sets a field of ``CCANConfig``,
 ``TrainConfig`` or ``PreprocessConfig`` takes its type and default from
-that field. Every command echoes its fully resolved
+that field, and one that sets an argument of ``generate_synthetic``,
+``patient_grouped_kfold`` or ``bench_scaling`` from that argument's
+default. Every command echoes its fully resolved
 configuration into the run directory (or next to its output), and that
 echo is itself a valid config file that reproduces the run.
 
@@ -16,6 +18,7 @@ with a purpose string.
 
 from __future__ import annotations
 
+import inspect
 import os
 import sys
 from dataclasses import dataclass
@@ -78,23 +81,32 @@ _FIELDS = {
     "preprocess.canny_high": (PreprocessConfig, "canny_high"),
 }
 
+
+def _library_default(fn, name, index=None):
+    """(type tag, default) of parameter ``name`` of ``fn``; ``index`` picks an item of a tuple default."""
+    default = inspect.signature(fn).parameters[name].default
+    if index is not None:
+        default = default[index]
+    return type(default).__name__, default
+
+
 # key -> (type tag, default); tags: int, float, str, bool, floats, ints, strs
 SCHEMA = {
     **{key: (type(getattr(cls, name)).__name__, getattr(cls, name)) for key, (cls, name) in _FIELDS.items()},
     "train.fractions": ("floats", (0.02, 0.05, 0.10, 0.25, 0.50, 0.75, 1.00)),
     "data.n_bags": ("int", 200),
-    "data.n_min": ("int", 20),
-    "data.n_max": ("int", 50),
-    "data.witness_shift": ("float", 4.0),
-    "data.witness_min": ("int", 2),
-    "data.witness_max": ("int", 5),
-    "data.grid_rows": ("int", 16),
-    "data.grid_cols": ("int", 16),
+    "data.n_min": _library_default(generate_synthetic, "n_per_bag_range", 0),
+    "data.n_max": _library_default(generate_synthetic, "n_per_bag_range", 1),
+    "data.witness_shift": _library_default(generate_synthetic, "witness_shift"),
+    "data.witness_min": _library_default(generate_synthetic, "witness_count_range", 0),
+    "data.witness_max": _library_default(generate_synthetic, "witness_count_range", 1),
+    "data.grid_rows": _library_default(generate_synthetic, "grid", 0),
+    "data.grid_cols": _library_default(generate_synthetic, "grid", 1),
     "data.k": ("int", 4),
-    "data.val_fraction": ("float", 0.2),
+    "data.val_fraction": _library_default(patient_grouped_kfold, "val_fraction"),
     "bench.ns": ("ints", (250, 500, 1000, 2000, 4000)),
-    "bench.repeats": ("int", 7),
-    "bench.baseline": ("bool", True),
+    "bench.repeats": _library_default(bench_mod.bench_scaling, "repeats"),
+    "bench.baseline": _library_default(bench_mod.bench_scaling, "include_baseline"),
     "sweep.models": ("strs", ("ccan", "mean-pool", "max-pool")),
     "paths.image": ("str", ""),
     "paths.meta": ("str", ""),
@@ -341,7 +353,7 @@ def _cmd_eval(cfg):
     ids = {"train": fold.train_ids, "val": fold.val_ids, "test": fold.test_ids}.get(subset)
     if ids is None:
         raise UsageError(f"subset must be train/val/test, got {subset!r}")
-    auc = evaluate_auc(model, [dataset.by_id(i) for i in ids])
+    auc = evaluate_auc(model, [dataset.entry(i) for i in ids])
     print(f"{subset} auc: {auc:.6f}")
     return 0
 

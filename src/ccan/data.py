@@ -7,6 +7,11 @@ The on-disk bag format (CCFB) is a little-endian binary container:
     u8-length-prefixed patient_id | N x (u32 row, u32 col) |
     N*D_f float32 row-major
 
+A dataset loaded from a manifest is an index: ``load_manifest`` reads and
+validates every listed file once, then keeps only each bag's ids, label,
+token count and path, and ``Dataset.by_id`` reads the tokens again when
+a bag is used. So memory holds the bags in use, not the whole cohort.
+
 Every binary file of the package (bags, checkpoints, PNM images) is read
 through ``BinaryReader``, which never holds the whole file and reads each
 array once, into its own buffer. Every file the package writes, binary
@@ -64,6 +69,10 @@ class FeatureBag:
     @property
     def d_feature(self):
         return self.tokens.shape[1]
+
+    def load(self):
+        """The bag itself: its tokens are in memory already."""
+        return self
 
     def validate(self):
         n = self.tokens.shape[0]
@@ -219,9 +228,34 @@ def read_bag(path):
 # datasets
 
 
+@dataclass(frozen=True)
+class BagEntry:
+    """One bag file of a manifest, as its header read at load time; the tokens stay on disk."""
+
+    bag_id: str
+    patient_id: str
+    label: int
+    n_tokens: int
+    path: str
+
+    def load(self):
+        """The bag, read from its file; a header that no longer matches this entry is a FormatError."""
+        bag = read_bag(self.path)
+        for name in ("bag_id", "patient_id", "label", "n_tokens"):
+            if getattr(bag, name) != getattr(self, name):
+                raise FormatError(f"{self.path}: {name} is {getattr(bag, name)!r}, "
+                                  f"but was {getattr(self, name)!r} when the manifest was loaded")
+        return bag
+
+
 @dataclass
 class Dataset:
-    """An in-memory bag collection, optionally with witness bookkeeping."""
+    """A bag collection, optionally with witness bookkeeping.
+
+    Each item of ``bags`` is a FeatureBag, or a BagEntry for a bag that
+    stays on disk; both carry ``bag_id``, ``patient_id``, ``label`` and
+    ``n_tokens``, and their ``load()`` gives the FeatureBag.
+    """
 
     bags: list
     witness_indices: dict = field(default_factory=dict)
@@ -234,10 +268,14 @@ class Dataset:
     def __len__(self):
         return len(self.bags)
 
-    def by_id(self, bag_id):
+    def entry(self, bag_id):
+        """The item of ``bags`` with this id, without reading any tokens."""
         if bag_id not in self._by_id:
             raise DataError(f"no bag {bag_id!r} in the dataset")
         return self._by_id[bag_id]
+
+    def by_id(self, bag_id):
+        return self.entry(bag_id).load()
 
     def bag_ids(self):
         return [b.bag_id for b in self.bags]
@@ -324,24 +362,34 @@ def write_manifest(dataset, paths, manifest_path):
 
 
 def load_manifest(manifest_path):
-    """Read every bag listed in a manifest CSV back into a Dataset.
+    """Index the bags listed in a manifest CSV as a Dataset of BagEntry items.
 
-    Relative paths resolve against the manifest's own directory, so a
-    dataset directory can be moved wholesale.
+    Every file is read and validated once, in full, and its tokens are
+    dropped. The ``bag_id``, ``patient_id`` and ``label`` columns, where
+    the manifest has them, must match the file's header. Relative paths
+    resolve against the manifest's own directory, so a dataset directory
+    can be moved wholesale.
     """
     base = os.path.dirname(os.path.abspath(manifest_path))
-    bags = []
+    entries = []
     with _read_csv(manifest_path) as reader:
         if "path" not in (reader.fieldnames or ()):
             raise FormatError(f"{manifest_path}:1: manifest has no column path")
+        checked = [c for c in ("bag_id", "patient_id", "label") if c in reader.fieldnames]
         for row in reader:
             path = row["path"]
             if path is None:
                 raise FormatError(f"{manifest_path}:{reader.line_num}: manifest row has no path field")
             if not os.path.isabs(path):
                 path = os.path.join(base, path)
-            bags.append(read_bag(path))
-    return Dataset(bags=bags)
+            bag = read_bag(path)
+            for column in checked:
+                if row[column] != str(getattr(bag, column)):
+                    raise FormatError(f"{manifest_path}:{reader.line_num}: column {column} is {row[column]!r}, "
+                                      f"but {path} has {getattr(bag, column)!r}")
+            entries.append(BagEntry(bag.bag_id, bag.patient_id, bag.label, bag.n_tokens, path))
+            del bag  # before the next file is read
+    return Dataset(bags=entries)
 
 
 # ---------------------------------------------------------------------------

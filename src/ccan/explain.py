@@ -126,14 +126,17 @@ def export_heatmap(attention_map, path_base):
 
 
 def export_class_embeddings(model, bags, path):
-    """CSV of per-stage class-token embeddings: (bag_id, stage, e0..e{D-1})."""
+    """CSV of per-stage class-token embeddings: (bag_id, stage, e0..e{D-1}).
+
+    ``bags`` holds bags or dataset entries; each is loaded for its forward only.
+    """
     d = model.config.d_latent
     with atomic_write(path, text=True) as fh:
         writer = csv.writer(fh)
         writer.writerow(["bag_id", "stage"] + [f"e{i}" for i in range(d)])
         for bag in bags:
             with ag.no_grad():
-                out = model.forward(bag, train_mode=False)
+                out = model.forward(bag.load(), train_mode=False)
             for j, so in enumerate(out.stages, start=1):
                 emb = so.class_embedding.data.reshape(-1)
                 writer.writerow([bag.bag_id, j] + [repr(float(v)) for v in emb])

@@ -253,6 +253,7 @@ class CCANModel:
             bag.rows_total, bag.cols_total, self.ladder, cfg.append_raw_coords,
         )
         ctx = ag.linear(Tensor(encoded), self.input_proj_w, self.input_proj_b)
+        del encoded  # under no_grad nothing else reads it; in training the graph keeps it
         stages = []
         prev = None
         for j in range(1, cfg.n_stages + 1):

@@ -234,14 +234,17 @@ def auc_macro_ovr(score_matrix, labels):
 
 
 def evaluate_auc(model, bags):
-    """Eval-mode AUC of a model over a bag list (binary or macro one-vs-rest)."""
+    """Eval-mode AUC of a model over a list of bags or dataset entries (binary or macro one-vs-rest).
+
+    Each bag is loaded right before its forward and dropped after it.
+    """
     if not bags:
         raise DataError("cannot evaluate AUC on an empty bag list")
     num_classes = model.config.num_classes
     check_labels(bags, num_classes)
     labels = np.array([b.label for b in bags])
     with ag.no_grad():
-        scores = np.stack([model.forward(b, train_mode=False).averaged_probs for b in bags])
+        scores = np.stack([model.forward(b.load(), train_mode=False).averaged_probs for b in bags])
     if num_classes == 2:
         return auc_binary(scores[:, 0], labels)
     return auc_macro_ovr(scores, labels)
@@ -295,12 +298,13 @@ def train(model, dataset, fold, cfg, checkpoint_path=None, log=None):
     """
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
-    train_bags = [dataset.by_id(i) for i in fold.train_ids]
-    val_bags = [dataset.by_id(i) for i in fold.val_ids]
+    # dataset entries: a bag's tokens are read right before its use and dropped after it
+    train_bags = [dataset.entry(i) for i in fold.train_ids]
+    val_bags = [dataset.entry(i) for i in fold.val_ids]
     for subset, bags in (("training", train_bags), ("validation", val_bags)):
         if not bags:
             raise DataError(f"the fold has no {subset} bags")
-    test_bags = [dataset.by_id(i) for i in fold.test_ids]
+    test_bags = [dataset.entry(i) for i in fold.test_ids]
     num_classes = model.config.num_classes
     check_labels(train_bags + val_bags + test_bags, num_classes)
 
@@ -321,7 +325,7 @@ def train(model, dataset, fold, cfg, checkpoint_path=None, log=None):
         window = 0
         ag.zero_grad(tensors)
         for pos, idx in enumerate(order):
-            epoch_losses.append(_bag_step(model, train_bags[idx], rng, num_classes))
+            epoch_losses.append(_bag_step(model, train_bags[idx].load(), rng, num_classes))
             window += 1
             if window == cfg.batch_size or pos == len(order) - 1:
                 lr = cosine_lr(step, total_steps, cfg.lr_max, cfg.lr_min)
@@ -398,7 +402,7 @@ def _sweep_cell(shared, cell):
     )
 
 
-_worker_shared = None  # (dataset, ccan_config, cfg), sent once per pool worker
+_worker_shared = None  # (dataset, ccan_config, cfg), sent once per pool worker; a manifest dataset is its index
 
 
 def _init_worker(shared):

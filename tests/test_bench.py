@@ -99,13 +99,15 @@ class TestBenchScaling:
         assert models == {"ccan", "full-self-attention"}
         assert all(r.ok for r in report.rows)
         assert all(r.allocated_bytes > 0 for r in report.rows)
+        assert all(r.peak_bytes > 0 for r in report.rows)
         path = tmp_path / "report.csv"
         report.write_csv(path)
         lines = open(path).read().strip().splitlines()
-        assert lines[0] == "model,n_tokens,wall_ms,macs,allocated_bytes,ok"
+        assert lines[0] == "model,n_tokens,wall_ms,macs,allocated_bytes,peak_bytes,ok"
         assert len(lines) == 1 + 6
         summary = report.summary()
-        assert "MACs" in summary and "allocated MB" in summary and "baseline attention" in summary
+        assert "MACs" in summary and "allocated MB" in summary and "peak MB" in summary
+        assert "baseline attention" in summary
 
     def test_rejects_unordered_ns(self):
         with pytest.raises(ConfigError):

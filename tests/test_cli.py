@@ -1,11 +1,15 @@
+import csv
 import hashlib
+import inspect
 import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ccan.cli import main, parse_config
+from ccan.bench import bench_scaling
+from ccan.cli import SCHEMA, main, parse_config
+from ccan.data import generate_synthetic, patient_grouped_kfold
 from ccan.errors import ConfigError, UsageError
 from ccan.model import BaselineConfig, BaselineModel, CCANConfig, save_checkpoint
 from ccan.preprocess import PreprocessConfig
@@ -42,6 +46,25 @@ class TestParseConfig:
         parse_config(None, []).echo(str(echo))
         digest = hashlib.sha256(echo.read_bytes()).hexdigest()
         assert digest == "4455c612159227d5923a68e3f0719ee85bc425572c131e6ba12da04011130db7"
+
+    def test_data_and_bench_defaults_are_the_library_defaults(self):
+        def default(fn, name):
+            return inspect.signature(fn).parameters[name].default
+
+        sizes = default(generate_synthetic, "n_per_bag_range")
+        witnesses = default(generate_synthetic, "witness_count_range")
+        grid = default(generate_synthetic, "grid")
+        expected = {
+            "data.n_min": sizes[0], "data.n_max": sizes[1],
+            "data.witness_shift": default(generate_synthetic, "witness_shift"),
+            "data.witness_min": witnesses[0], "data.witness_max": witnesses[1],
+            "data.grid_rows": grid[0], "data.grid_cols": grid[1],
+            "data.val_fraction": default(patient_grouped_kfold, "val_fraction"),
+            "bench.repeats": default(bench_scaling, "repeats"),
+            "bench.baseline": default(bench_scaling, "include_baseline"),
+        }
+        for key, value in expected.items():
+            assert SCHEMA[key] == (type(value).__name__, value), key
 
     def test_flag_overrides_file(self, tmp_path):
         f = tmp_path / "c.cfg"
@@ -213,6 +236,23 @@ class TestCommands:
         rc = main(["split", "--paths.data", str(manifest), "--paths.out", str(tmp_path / "plan.csv")])
         assert rc == 1
         assert capsys.readouterr().err == f"error: {manifest}:1: manifest has no column path\n"
+
+    def test_manifest_label_that_disagrees_with_its_file_is_one_error_line(self, tiny_run, tmp_path, capsys):
+        # the copied manifest keeps the bag paths resolvable by making them absolute
+        with open(os.path.join(tiny_run["data"], "manifest.csv"), newline="") as fh:
+            rows = list(csv.reader(fh))
+        for row in rows[1:]:
+            row[3] = os.path.join(tiny_run["data"], row[3])
+        rows[2][2] = str(1 - int(rows[2][2]))
+        manifest = tmp_path / "manifest.csv"
+        with open(manifest, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        rc = main(["split", "--paths.data", str(manifest), "--paths.out", str(tmp_path / "plan.csv")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == (f"error: {manifest}:3: column label is {rows[2][2]!r}, "
+                       f"but {rows[2][3]} has {1 - int(rows[2][2])}\n")
+        assert not os.path.exists(tmp_path / "plan.csv")
 
     @pytest.mark.parametrize("reader", ["config", "sidecar", "manifest", "plan"])
     def test_non_utf8_text_is_one_error_line(self, tiny_run, tmp_path, capsys, reader):

@@ -361,6 +361,60 @@ class TestManifest:
         with pytest.raises(FormatError, match=re.escape(f"{manifest}:2: manifest row has no path field")):
             load_manifest(manifest)
 
+    @staticmethod
+    def written(tmp_path, n_bags=4):
+        ds = generate_synthetic(n_bags, (5, 8), d_feature=4, grid=(4, 4), seed=8)
+        for bag in ds.bags:
+            write_bag(bag, tmp_path / f"{bag.bag_id}.ccfb")
+        manifest = tmp_path / "manifest.csv"
+        write_manifest(ds, {b.bag_id: f"{b.bag_id}.ccfb" for b in ds.bags}, manifest)
+        return ds, manifest
+
+    def test_loaded_dataset_is_an_index(self, tmp_path):
+        ds, manifest = self.written(tmp_path)
+        loaded = load_manifest(manifest)
+        for bag, entry in zip(ds.bags, loaded.bags):
+            assert not hasattr(entry, "tokens")
+            assert (entry.bag_id, entry.patient_id, entry.label, entry.n_tokens) == (
+                bag.bag_id, bag.patient_id, bag.label, bag.n_tokens)
+            read = loaded.by_id(bag.bag_id)
+            assert isinstance(read, FeatureBag)
+            np.testing.assert_array_equal(read.tokens, bag.tokens)
+            np.testing.assert_array_equal(read.cols, bag.cols)
+        assert ds.by_id("bag0001") is ds.bags[1]  # an in-memory dataset returns its own bags
+
+    @pytest.mark.parametrize("column, old, new", [
+        ("bag_id", "bag0001,", "bagXXXX,"),
+        ("patient_id", ",patient0001,1,", ",patient0009,1,"),
+        ("label", ",patient0001,1,", ",patient0001,0,"),
+    ])
+    def test_column_that_disagrees_with_its_file(self, tmp_path, column, old, new):
+        _, manifest = self.written(tmp_path)
+        lines = manifest.read_text().splitlines(keepends=True)
+        assert old in lines[2]
+        lines[2] = lines[2].replace(old, new)
+        manifest.write_text("".join(lines))
+        with pytest.raises(FormatError, match=re.escape(f"{manifest}:3: column {column} is ")):
+            load_manifest(manifest)
+
+    def test_file_fault_is_raised_at_load(self, tmp_path):
+        _, manifest = self.written(tmp_path)
+        path = tmp_path / "bag0002.ccfb"
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(FormatError, match="truncated file while reading tokens"):
+            load_manifest(manifest)
+
+    def test_header_changed_after_load(self, tmp_path):
+        ds, manifest = self.written(tmp_path)
+        loaded = load_manifest(manifest)
+        bag = ds.bags[1]
+        write_bag(FeatureBag(bag.bag_id, bag.patient_id, 1 - bag.label, bag.tokens, bag.rows, bag.cols,
+                             bag.rows_total, bag.cols_total), tmp_path / "bag0001.ccfb")
+        loaded.by_id("bag0000")
+        with pytest.raises(FormatError, match=re.escape(f"{tmp_path / 'bag0001.ccfb'}: label is {1 - bag.label}, "
+                                                        f"but was {bag.label} when the manifest was loaded")):
+            loaded.by_id("bag0001")
+
 
 class TestKeyValues:
     def test_comments_line_ends_and_repeats(self, tmp_path):

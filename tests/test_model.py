@@ -9,6 +9,7 @@ import pytest
 from ccan import autograd as ag
 from ccan import data as data_module
 from ccan.autograd import Tensor
+from ccan.bench import make_bench_bag
 from ccan.cli import parse_config
 from ccan.data import generate_synthetic, patient_grouped_kfold, write_bag, write_manifest
 from ccan.errors import ConfigError, DataError, FormatError, ShapeError
@@ -207,6 +208,21 @@ class TestForward:
         np.testing.assert_array_equal(a.averaged_probs, b.averaged_probs)
         for sa, sb in zip(a.stages, b.stages):
             np.testing.assert_array_equal(sa.latents_out.data, sb.latents_out.data)
+
+    def test_eval_forward_frees_the_encoded_input(self):
+        # N x d_encoded dwarfs everything the stages hold, so once the input projection has
+        # run the peak stays at its input and output, not those plus the stages' working set
+        model = CCANModel(toy_config(d_feature=128), seed=9)
+        bag = make_bench_bag(20000, 128, seed=1)
+        tracemalloc.start()
+        try:
+            with ag.no_grad():
+                model.forward(bag)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        encoded, projected = (bag.n_tokens * d * 4 for d in (model.config.d_encoded, model.config.d_latent))
+        assert peak < encoded + 2 * projected
 
     def test_permutation_invariance(self):
         model = CCANModel(toy_config(), seed=6)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import pickle
 import tracemalloc
@@ -11,7 +12,16 @@ from hypothesis import strategies as st
 from ccan import autograd as ag
 from ccan import training
 from ccan.autograd import Tensor
-from ccan.data import generate_synthetic, patient_grouped_kfold
+from ccan.data import (
+    Dataset,
+    FeatureBag,
+    FoldSplit,
+    generate_synthetic,
+    load_manifest,
+    patient_grouped_kfold,
+    write_bag,
+    write_manifest,
+)
 from ccan.errors import ConfigError, DataError, MetricError, UsageError
 from ccan.model import BaselineConfig, BaselineModel, CCANConfig, CCANModel
 from ccan.training import (
@@ -380,6 +390,57 @@ class TestTrain:
         lines = open(path).read().strip().splitlines()
         assert lines[0] == "epoch,train_loss,val_auc"
         assert len(lines) == 1 + 2 + 2  # header + epochs + summary rows
+
+
+def written_manifest(dataset, directory):
+    for bag in dataset.bags:
+        write_bag(bag, directory / f"{bag.bag_id}.ccfb")
+    manifest = directory / "manifest.csv"
+    write_manifest(dataset, {b.bag_id: f"{b.bag_id}.ccfb" for b in dataset.bags}, manifest)
+    return manifest
+
+
+class TestTrainFromManifest:
+    def test_same_bytes_as_in_memory(self, tmp_path):
+        ds, plan = small_task(seed=40, n_bags=24)
+        manifest = written_manifest(ds, tmp_path)
+        digests = []
+        for name, dataset in (("memory", ds), ("manifest", load_manifest(manifest))):
+            run = tmp_path / name
+            run.mkdir()
+            cfg = TrainConfig(epochs=3, batch_size=4, lr_max=5e-4, seed=41)
+            _, history = train(small_model(seed=42), dataset, plan.folds[0], cfg,
+                               checkpoint_path=run / "best.ckpt")
+            history.write_csv(run / "history.csv")
+            digests.append([hashlib.sha256((run / f).read_bytes()).hexdigest() for f in ("history.csv", "best.ckpt")])
+        assert digests[0] == digests[1]
+
+    def test_holds_one_bag_at_a_time(self, tmp_path):
+        # 8 bags of 2 MB whose tokens outweigh the model's graph; the traced peak of loading the
+        # manifest and training stays within the in-memory run's peak plus two bags, not eight
+        rng = np.random.default_rng(43)
+        bags = []
+        for i in range(8):
+            cells = rng.permutation(64 * 64)[:4000]
+            tokens = rng.standard_normal((4000, 128)).astype(np.float32)
+            bags.append(FeatureBag(f"b{i}", f"p{i}", i % 2, tokens, cells // 64, cells % 64, 64, 64))
+        ds = Dataset(bags)
+        manifest = written_manifest(ds, tmp_path)
+        fold = FoldSplit([f"b{i}" for i in range(4)], ["b4", "b5"], ["b6", "b7"])
+        cfg = TrainConfig(epochs=2, batch_size=2, lr_max=1e-3, seed=44)
+
+        def traced_peak(make_dataset):
+            model = small_model(seed=45, d_feature=128, n_latents=8, d_latent=16)
+            tracemalloc.start()
+            try:
+                train(model, make_dataset(), fold, cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        graph = traced_peak(lambda: ds)  # the bags are allocated before tracing starts
+        peak = traced_peak(lambda: load_manifest(manifest))
+        assert peak < graph + 2 * bags[0].tokens.nbytes
 
 
 class TestLabelRange:
