@@ -3,10 +3,11 @@
 A deliberately small kernel surface, holding only what the model and
 its loss run: the fused affine map ``linear(x, W, b) = x @ W + b`` (one
 graph node; ``b=None`` gives the bias-free ``x @ W`` of the attention
-keys), fused attention, layer norm, GELU/sigmoid/log nonlinearities,
-elementwise arithmetic, row pooling, and row stacking. No shape is
-broadcast implicitly: ``linear`` adds every bias, and any other shape
-mismatch is an error.
+keys), fused attention, layer norm, GELU and sigmoid, the residual
+``add``, row pooling, row slicing and stacking, and the training loss
+``bce`` (one node for every stage's clipped binary cross entropy). No
+shape is broadcast implicitly: ``linear`` adds every bias, and any other
+shape mismatch is an error.
 
 ``attention(q, k, v, scale, heads)`` is one graph node for
 ``softmax(q @ k.T / scale) @ v`` in every head, head h working on column
@@ -131,30 +132,6 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, other)
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def sum(self):
-        return sum_all(self)
-
-
-def _as_tensor(x, like=None):
-    if isinstance(x, Tensor):
-        return x
-    dtype = like.data.dtype if like is not None else np.float32
-    return Tensor(np.asarray(x, dtype=dtype))
-
 
 def _check_same_dtype(a, b, op):
     if a.data.dtype != b.data.dtype:
@@ -186,8 +163,6 @@ def _make_node(out, parents, backward):
 
 def add(a, b):
     """a + b for identical shapes."""
-    a = _as_tensor(a)
-    b = _as_tensor(b, like=a)
     _check_same_dtype(a, b, "add")
     if a.data.shape != b.data.shape:
         raise ShapeError(f"add: shapes {a.data.shape} and {b.data.shape} do not match")
@@ -200,53 +175,6 @@ def add(a, b):
             _accum(b, g)
 
     return _make_node(out, (a, b), backward)
-
-
-def sub(a, b):
-    a = _as_tensor(a)
-    b = _as_tensor(b, like=a)
-    _check_same_dtype(a, b, "sub")
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"sub: shapes {a.data.shape} and {b.data.shape} do not match")
-    out = Tensor(a.data - b.data)
-
-    def backward(g):
-        if a.requires_grad:
-            _accum(a, g)
-        if b.requires_grad:
-            _accum(b, -g, owned=True)
-
-    return _make_node(out, (a, b), backward)
-
-
-def mul(a, b):
-    """Elementwise product; shapes must match exactly."""
-    a = _as_tensor(a)
-    b = _as_tensor(b, like=a)
-    _check_same_dtype(a, b, "mul")
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"mul: shapes {a.data.shape} and {b.data.shape} do not match")
-    out = Tensor(a.data * b.data)
-
-    def backward(g):
-        if a.requires_grad:
-            _accum(a, g * b.data, owned=True)
-        if b.requires_grad:
-            _accum(b, g * a.data, owned=True)
-
-    return _make_node(out, (a, b), backward)
-
-
-def scale(a, s):
-    """a * s for a python scalar s."""
-    s = float(s)
-    out = Tensor(a.data * np.asarray(s, dtype=a.data.dtype))
-
-    def backward(g):
-        if a.requires_grad:
-            _accum(a, g * s, owned=True)
-
-    return _make_node(out, (a,), backward)
 
 
 def linear(x, w, b, order="C"):
@@ -386,17 +314,6 @@ def attention(q, k, v, scale, heads=1):
     return _make_node(out, (q, k, v), backward), p
 
 
-def sum_all(a):
-    """Sum of every entry, as a scalar tensor."""
-    out = Tensor(a.data.sum(dtype=a.data.dtype))
-
-    def backward(g):
-        if a.requires_grad:
-            _accum(a, np.broadcast_to(g, a.data.shape).astype(a.data.dtype), owned=True)
-
-    return _make_node(out, (a,), backward)
-
-
 # ---------------------------------------------------------------------------
 # nonlinearities and normalization
 
@@ -474,28 +391,6 @@ def sigmoid(x):
     return _make_node(out, (x,), backward)
 
 
-def log(x):
-    out = Tensor(np.log(x.data))
-
-    def backward(g):
-        if x.requires_grad:
-            _accum(x, g / x.data, owned=True)
-
-    return _make_node(out, (x,), backward)
-
-
-def clip(x, lo, hi):
-    """Clamp to [lo, hi]; gradient passes through wherever lo <= x <= hi."""
-    out = Tensor(np.clip(x.data, lo, hi))
-    mask = (x.data >= lo) & (x.data <= hi)
-
-    def backward(g):
-        if x.requires_grad:
-            _accum(x, g * mask, owned=True)
-
-    return _make_node(out, (x,), backward)
-
-
 # ---------------------------------------------------------------------------
 # row structure
 
@@ -563,6 +458,55 @@ def max_rows(x):
             _accum(x, gx, owned=True)
 
     return _make_node(out, (x,), backward)
+
+
+# ---------------------------------------------------------------------------
+# loss
+
+
+_BCE_LO, _BCE_HI = 1e-7, 1.0 - 1e-7
+
+
+def bce(probs, target):
+    """Sum over stages of each stage's mean binary cross entropy, as one node.
+
+    ``probs`` holds one probability tensor per stage, all of one dtype;
+    ``target`` holds the 0/1 targets, as many as each tensor has entries.
+    A stage clamps its probabilities p to [1e-7, 1 - 1e-7], with no
+    gradient where the clamp binds, and adds
+    ``-mean(t * log(p) + (1 - t) * log(1 - p))`` to the loss. The forward
+    and backward run the ufuncs of the composed graph (clip, two logs, two
+    products, a difference, a sum, a scale, then one add per further stage)
+    in its order, so the loss and every gradient keep its bits. That graph
+    is the oracle in ``tests/composed.py``.
+    """
+    probs = list(probs)
+    if not probs:
+        raise UsageError("bce: needs at least one probability tensor")
+    stages, total = [], None
+    for x in probs:
+        _check_same_dtype(probs[0], x, "bce")
+        if x.data.size != np.size(target):
+            raise ShapeError(f"bce: {np.size(target)} targets for probabilities of shape {x.data.shape}")
+        t = np.asarray(target, dtype=x.data.dtype).reshape(x.data.shape)
+        p = np.clip(x.data, _BCE_LO, _BCE_HI)
+        u, q = 1.0 - t, 1.0 - p
+        s = -1.0 / p.size
+        loss = (t * np.log(p) + u * np.log(q)).sum(dtype=p.dtype) * np.asarray(s, dtype=p.dtype)
+        total = loss if total is None else total + loss
+        stages.append((x, t, u, p, q, s, (x.data >= _BCE_LO) & (x.data <= _BCE_HI)))
+    out = Tensor(total)
+
+    def backward(g):
+        for x, t, u, p, q, s, inside in stages:
+            if x.requires_grad:
+                gs = np.full(p.shape, g * s, dtype=p.dtype)
+                gx = gs * t / p
+                gx -= gs * u / q
+                gx *= inside
+                _accum(x, gx, owned=True)
+
+    return _make_node(out, probs, backward)
 
 
 # ---------------------------------------------------------------------------

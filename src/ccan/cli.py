@@ -281,7 +281,6 @@ def _cmd_preprocess(cfg):
 
 def _cmd_synth(cfg):
     out_dir = _require(cfg, "paths.out", "synth")
-    os.makedirs(out_dir, exist_ok=True)
     dataset = generate_synthetic(
         n_bags=cfg["data.n_bags"],
         n_per_bag_range=(cfg["data.n_min"], cfg["data.n_max"]),
@@ -292,6 +291,7 @@ def _cmd_synth(cfg):
         n_classes=cfg["model.num_classes"],
         seed=derive_seed(cfg["seed"], "synth"),
     )
+    os.makedirs(out_dir, exist_ok=True)
     paths = {}
     for bag in dataset.bags:
         write_bag(bag, os.path.join(out_dir, f"{bag.bag_id}.ccfb"))
@@ -385,9 +385,9 @@ def _cmd_explain(cfg):
     bag = read_bag(_require(cfg, "paths.bag", "explain"))
     out = _require(cfg, "paths.out", "explain")
     attention_map = explain_mod.explain_bag(model, bag)
-    csv_path, pgm_path = explain_mod.export_heatmap(attention_map, out)
     k = min(cfg["top_k"], bag.n_tokens)
     lowest, highest = explain_mod.top_k_patches(attention_map, k)
+    csv_path, pgm_path = explain_mod.export_heatmap(attention_map, out)
     cfg.echo(out + ".config.txt")
     print(f"wrote {csv_path} and {pgm_path}")
     print(f"lowest-{k} tokens: {lowest}")

@@ -300,6 +300,8 @@ def generate_synthetic(
     """
     rows_total, cols_total = grid
     n_min, n_max = n_per_bag_range
+    if n_bags < 1:
+        raise ConfigError(f"n_bags must be >= 1, got {n_bags}")
     if n_min < 1 or n_max < n_min:
         raise ConfigError(f"bad bag-size range {n_per_bag_range}")
     if rows_total * cols_total < n_max:

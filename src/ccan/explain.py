@@ -99,8 +99,8 @@ def explain_bag(model, bag):
 def top_k_patches(attention_map, k):
     """(lowest-k, highest-k) token indices; ties break toward lower index."""
     n = len(attention_map.scores)
-    if k > n:
-        raise UsageError(f"k={k} exceeds token count {n}")
+    if not 0 <= k <= n:
+        raise UsageError(f"k={k} is outside 0..{n}, the token count")
     idx = np.arange(n)
     lowest = idx[np.lexsort((idx, attention_map.scores))][:k]
     highest = idx[np.lexsort((idx, -attention_map.scores))][:k]

@@ -19,7 +19,6 @@ from functools import partial
 import numpy as np
 
 from . import autograd as ag
-from .autograd import Tensor
 from .data import atomic_write, subsample_fraction
 from .errors import ConfigError, DataError, MetricError, UsageError
 from .model import BaselineModel, CCANModel, _baseline_config, save_checkpoint
@@ -67,30 +66,6 @@ class TrainHistory:
 # losses
 
 
-def bce_loss(probs, targets):
-    """Mean binary cross entropy over the class axis.
-
-    ``probs`` is a tensor of probabilities (any shape), clamped away from
-    {0, 1} before the logs; ``targets`` is a same-shape 0/1 array.
-    """
-    t = np.asarray(targets, dtype=probs.data.dtype).reshape(probs.data.shape)
-    p = ag.clip(probs, 1e-7, 1.0 - 1e-7)
-    ones = Tensor(np.ones_like(p.data))
-    pos = ag.mul(Tensor(t), ag.log(p))
-    neg = ag.mul(Tensor(1.0 - t), ag.log(ones - p))
-    return ag.sum_all(pos + neg) * (-1.0 / p.data.size)
-
-
-def total_loss(per_stage_losses):
-    """Sum (not mean) of the per-stage loss terms."""
-    if not per_stage_losses:
-        raise ConfigError("need at least one stage loss")
-    total = per_stage_losses[0]
-    for term in per_stage_losses[1:]:
-        total = total + term
-    return total
-
-
 def check_labels(bags, num_classes):
     """Raise DataError naming the first bag whose label is outside 0..num_classes-1."""
     for bag in bags:
@@ -99,7 +74,7 @@ def check_labels(bags, num_classes):
 
 
 def bag_loss(model_output, label, num_classes):
-    """Summed per-stage BCE against the bag label."""
+    """Summed per-stage BCE against the bag label (one-vs-rest when num_classes > 2)."""
     if not 0 <= label < num_classes:
         raise DataError(f"label {label} is outside 0..{num_classes - 1}")
     if num_classes == 2:
@@ -107,7 +82,7 @@ def bag_loss(model_output, label, num_classes):
     else:
         target = np.zeros(num_classes)
         target[label] = 1.0
-    return total_loss([bce_loss(so.probs_tensor, target) for so in model_output.stages])
+    return ag.bce([so.probs_tensor for so in model_output.stages], target)
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +400,8 @@ def data_efficiency_sweep(dataset, split_plan, fractions, cfg, ccan_config,
         raise ConfigError("fractions must be nonempty")
     if any(not 0 < f <= 1 for f in fractions):
         raise ConfigError(f"fractions must lie in (0, 1], got {tuple(fractions)}")
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     shared = (dataset, ccan_config, cfg)
     cells = [
         (split_plan.folds[i], i, float(fr), kind)
@@ -434,9 +411,11 @@ def data_efficiency_sweep(dataset, split_plan, fractions, cfg, ccan_config,
     ]
     rows = []
     # pool.map, like map, yields rows in cell order, each once it and the cells before it are done;
-    # the workers get the dataset from the initializer, so a cell pickles only its own fields
-    parallel = jobs > 1
-    with ProcessPoolExecutor(jobs, initializer=_init_worker, initargs=(shared,)) if parallel else nullcontext() as pool:
+    # the workers get the dataset from the initializer, so a cell pickles only its own fields.
+    # A pool may start all its workers at the first submit, so it has no more workers than cells.
+    workers = min(jobs, len(cells))
+    parallel = workers > 1
+    with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(shared,)) if parallel else nullcontext() as pool:
         for row in pool.map(_worker_cell, cells) if parallel else map(partial(_sweep_cell, shared), cells):
             rows.append(row)
             if log is not None:

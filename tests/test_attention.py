@@ -11,6 +11,7 @@ from ccan.attention import (
 )
 from ccan.autograd import Tensor
 from ccan.errors import ConfigError, DataError, NumericError, ShapeError
+from composed import mul, sum_all
 
 
 def t64(data, requires_grad=False):
@@ -135,7 +136,7 @@ class TestSelfAttentionBlock:
 
         def f():
             out, _ = self_attention_block(tokens, params)
-            return ag.sum_all(ag.mul(out, out))
+            return sum_all(mul(out, out))
 
         report = ag.grad_check(f, params.named_tensors(), eps=1e-3, max_coords_per_param=6)
         assert report.max_rel_err < 1e-3
@@ -158,7 +159,7 @@ class TestMultiHead:
 
         def f():
             out, _ = cross_attention_block(latents, context, params, scale_mode="per-dim", heads=2)
-            return ag.sum_all(ag.mul(out, out))
+            return sum_all(mul(out, out))
 
         report = ag.grad_check(f, params.named_tensors(), eps=1e-3, max_coords_per_param=6)
         assert report.max_rel_err < 1e-3
@@ -271,7 +272,7 @@ def _block_run(block, m, n, d, heads, seed):
     else:
         out, record = self_attention_block(x, params, scale_mode=mode, heads=heads)
     upstream = Tensor(rng.normal(size=out.shape).astype(np.float32))
-    ag.backward(ag.sum_all(ag.mul(out, upstream)))
+    ag.backward(sum_all(mul(out, upstream)))
     return [out.data, record.matrix] + [t.grad for t in leaves]
 
 
@@ -291,7 +292,7 @@ class TestFusedAttention:
         def run(fn, heads):
             q, k, v = (Tensor(a.copy(), requires_grad=True) for a in values)
             out, attn = fn(q, k, v, 4.0, heads)
-            ag.backward(ag.sum_all(ag.mul(out, Tensor(upstream))))
+            ag.backward(sum_all(mul(out, Tensor(upstream))))
             return [out.data, attn, q.grad, k.grad, v.grad]
 
         for heads in (1, 2, 4):
@@ -391,7 +392,7 @@ class TestNoKeyBias:
             else:
                 out, record = self_attention_block(x, params, scale_mode=mode, heads=heads)
             upstream = t64(rng.normal(size=out.shape))
-            ag.backward(ag.sum_all(ag.mul(out, upstream)))
+            ag.backward(sum_all(mul(out, upstream)))
             return [out.data, record.matrix] + [t.grad for t in leaves]
 
         bias_free = run()

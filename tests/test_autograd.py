@@ -1,3 +1,5 @@
+import ast
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -7,6 +9,7 @@ from scipy.special import erf
 from ccan import autograd as ag
 from ccan.autograd import Tensor
 from ccan.errors import ShapeError, UsageError
+from composed import clip, composed_bce, mul, scale, sum_all
 
 
 def t64(data, requires_grad=False):
@@ -35,11 +38,11 @@ class TestMatmul:
         a = t64(rng.normal(size=(3, 4)), requires_grad=True)
         b_val = rng.normal(size=(4, 2))
         b = t64(b_val)
-        ag.backward(ag.sum_all(ag.linear(a, b, None)))
+        ag.backward(sum_all(ag.linear(a, b, None)))
         expected = np.ones((3, 2)) @ b_val.T
         np.testing.assert_allclose(a.grad, expected, atol=1e-12)
 
-        report = ag.grad_check(lambda: ag.sum_all(ag.linear(a, b, None)), [("a", a)], eps=1e-4)
+        report = ag.grad_check(lambda: sum_all(ag.linear(a, b, None)), [("a", a)], eps=1e-4)
         assert report.max_rel_err < 1e-6
 
 
@@ -80,7 +83,7 @@ class TestLayerNorm:
 
         def f():
             h = ag.layer_norm(x, gamma, beta)
-            return ag.sum_all(ag.mul(h, h))
+            return sum_all(mul(h, h))
 
         report = ag.grad_check(f, [("x", x), ("gamma", gamma), ("beta", beta)], eps=1e-5)
         assert report.max_rel_err < 1e-6
@@ -119,19 +122,19 @@ class TestGelu:
     def test_gradient(self):
         rng = np.random.default_rng(3)
         x = t64(rng.normal(size=6), requires_grad=True)
-        report = ag.grad_check(lambda: ag.sum_all(ag.mul(ag.gelu(x), ag.gelu(x))), [("x", x)], eps=1e-5)
+        report = ag.grad_check(lambda: sum_all(mul(ag.gelu(x), ag.gelu(x))), [("x", x)], eps=1e-5)
         assert report.max_rel_err < 1e-6
 
 
 class TestBackward:
     def test_sum_gradient_is_ones(self):
         x = t64([1.0, 2.0, 3.0], requires_grad=True)
-        ag.backward(ag.sum_all(x))
+        ag.backward(sum_all(x))
         np.testing.assert_allclose(x.grad, [1.0, 1.0, 1.0])
 
     def test_square_gradient(self):
         x = t64([1.0, 2.0], requires_grad=True)
-        ag.backward(ag.sum_all(ag.mul(x, x)))
+        ag.backward(sum_all(mul(x, x)))
         np.testing.assert_allclose(x.grad, [2.0, 4.0])
 
     def test_non_scalar_loss_rejected(self):
@@ -141,8 +144,8 @@ class TestBackward:
 
     def test_repeated_backward_accumulates(self):
         x = t64([1.0, 1.0], requires_grad=True)
-        ag.backward(ag.sum_all(x))
-        ag.backward(ag.sum_all(x))
+        ag.backward(sum_all(x))
+        ag.backward(sum_all(x))
         np.testing.assert_allclose(x.grad, [2.0, 2.0])
 
     def test_reuse_sums_both_paths(self):
@@ -150,20 +153,20 @@ class TestBackward:
         rng = np.random.default_rng(4)
         val = rng.normal(size=(2, 2))
         x = t64(val, requires_grad=True)
-        ag.backward(ag.sum_all(ag.mul(x, x) + ag.mul(x, x)))
+        ag.backward(sum_all(mul(x, x) + mul(x, x)))
         reused = x.grad.copy()
 
         x1 = t64(val, requires_grad=True)
-        ag.backward(ag.sum_all(ag.mul(x1, x1)))
+        ag.backward(sum_all(mul(x1, x1)))
         np.testing.assert_allclose(reused, 2.0 * x1.grad)
 
     def test_shared_upstream_gradient_is_not_aliased(self):
         # add hands the same g to both leaves; each must get its own buffer
         a = t64([1.0, 2.0], requires_grad=True)
         b = t64([3.0, 4.0], requires_grad=True)
-        ag.backward(ag.sum_all(ag.add(a, b)))
+        ag.backward(sum_all(ag.add(a, b)))
         assert not np.shares_memory(a.grad, b.grad)
-        ag.backward(ag.sum_all(ag.mul(a, a)))
+        ag.backward(sum_all(mul(a, a)))
         np.testing.assert_array_equal(a.grad, [3.0, 5.0])
         np.testing.assert_array_equal(b.grad, [1.0, 1.0])
 
@@ -180,8 +183,8 @@ class TestBackward:
         x = t64(np.ones(1 << 17), requires_grad=True)
         y = x
         for _ in range(20):
-            y = y * 1.5
-        loss = ag.sum_all(y)
+            y = scale(y, 1.5)
+        loss = sum_all(y)
         tracemalloc.start()
         try:
             ag.backward(loss)
@@ -196,20 +199,20 @@ class TestBackward:
 class TestGradCheck:
     def test_exact_polynomial(self):
         x = t64([1.0, -2.0, 0.5], requires_grad=True)
-        report = ag.grad_check(lambda: ag.sum_all(ag.mul(x, x)), [("x", x)], eps=1e-4)
+        report = ag.grad_check(lambda: sum_all(mul(x, x)), [("x", x)], eps=1e-4)
         assert report.max_rel_err < 1e-6
 
     def test_oracle_is_fourth_order(self):
         # the five-point stencil is exact for cubics; a 2-point stencil would
         # be off by eps^2 = 1e-6 against a gradient of 3e-4 (rel err ~3.3e-3)
         x = t64([0.01], requires_grad=True)
-        report = ag.grad_check(lambda: ag.sum_all(ag.mul(ag.mul(x, x), x)), [("x", x)], eps=1e-3)
+        report = ag.grad_check(lambda: sum_all(mul(mul(x, x), x)), [("x", x)], eps=1e-3)
         assert report.max_rel_err < 1e-8
 
     def test_rejects_bad_eps(self):
         x = t64([1.0], requires_grad=True)
         with pytest.raises(UsageError):
-            ag.grad_check(lambda: ag.sum_all(x), [("x", x)], eps=0.0)
+            ag.grad_check(lambda: sum_all(x), [("x", x)], eps=0.0)
 
     def test_detects_corrupted_gradient(self):
         x = t64([1.0, 2.0], requires_grad=True)
@@ -222,7 +225,7 @@ class TestGradCheck:
 
             return ag._make_node(out, (v,), backward)
 
-        report = ag.grad_check(lambda: ag.sum_all(bad_square(x)), [("x", x)], eps=1e-4)
+        report = ag.grad_check(lambda: sum_all(bad_square(x)), [("x", x)], eps=1e-4)
         assert report.max_rel_err > 0.1
 
     def test_rejects_nondeterministic_f(self):
@@ -230,7 +233,7 @@ class TestGradCheck:
         rng = np.random.default_rng(5)
 
         def f():
-            return ag.sum_all(x) * float(rng.normal())
+            return scale(sum_all(x), float(rng.normal()))
 
         with pytest.raises(UsageError):
             ag.grad_check(f, [("x", x)])
@@ -244,26 +247,21 @@ def _op_cases(rng):
     rng.normal(size=4)  # the draw of a retired case, kept so later cases keep their values
     gamma = t64(rng.normal(size=4) + 1.0, requires_grad=True)
     beta = t64(rng.normal(size=4), requires_grad=True)
-    pos = t64(rng.uniform(0.1, 2.0, size=(3, 4)), requires_grad=True)
+    rng.uniform(0.1, 2.0, size=(3, 4))  # retired cases' draws, kept as above
     tall = t64(rng.normal(size=(4, 4)), requires_grad=True)
-    # keep clip inputs off the kinks at +-0.9 so central differences stay valid
-    clip_vals = rng.uniform(-2.0, 2.0, size=(3, 4))
-    for bound in (-0.9, 0.9):
-        near = np.abs(clip_vals - bound) < 0.01
-        clip_vals[near] = bound + 0.05
-    clip_in = t64(clip_vals, requires_grad=True)
+    rng.uniform(-2.0, 2.0, size=(3, 4))
     bias3 = t64(rng.normal(size=3), requires_grad=True)  # drawn after the above: earlier cases keep their values
     keys = t64(rng.normal(size=(5, 4)), requires_grad=True)
     values = t64(rng.normal(size=(5, 2)), requires_grad=True)
+    # probabilities well inside bce's clamp, whose kinks sit at 1e-7 and 1 - 1e-7
+    stage_probs = [t64(rng.uniform(0.05, 0.95, size=(1, 3)), requires_grad=True) for _ in range(2)]
+    stage_params = [(f"stage{j}", p) for j, p in enumerate(stage_probs)]
 
     def sq(v):
-        return ag.sum_all(ag.mul(v, v))
+        return sum_all(mul(v, v))
 
     return [
         ("add", [("a", a), ("c", c)], lambda: sq(a + c)),
-        ("sub", [("a", a), ("c", c)], lambda: sq(ag.sub(a, c))),
-        ("mul", [("a", a), ("c", c)], lambda: sq(ag.mul(a, c))),
-        ("scale", [("a", a)], lambda: sq(a * 1.7)),
         ("linear", [("a", a), ("b", b), ("bias3", bias3)], lambda: sq(ag.linear(a, b, bias3))),
         ("linear_no_bias", [("a", a), ("b", b)], lambda: sq(ag.linear(a, b, None))),
         ("attention", [("a", a), ("keys", keys), ("values", values)],
@@ -273,8 +271,7 @@ def _op_cases(rng):
         ("layer_norm", [("a", a), ("gamma", gamma), ("beta", beta)], lambda: sq(ag.layer_norm(a, gamma, beta))),
         ("gelu", [("a", a)], lambda: sq(ag.gelu(a))),
         ("sigmoid", [("a", a)], lambda: sq(ag.sigmoid(a))),
-        ("log", [("pos", pos)], lambda: sq(ag.log(pos))),
-        ("clip", [("clip_in", clip_in)], lambda: sq(ag.clip(clip_in, -0.9, 0.9))),
+        ("bce", stage_params, lambda: ag.bce(stage_probs, [0.0, 1.0, 0.0])),
         ("concat_rows", [("a", a), ("c", c)], lambda: sq(ag.concat_rows([a, c]))),
         ("slice_rows", [("a", a)], lambda: sq(ag.slice_rows(a, 1, 3))),
         ("avg_pool_rows", [("tall", tall)], lambda: sq(ag.avg_pool_rows(tall, 2))),
@@ -309,7 +306,7 @@ class TestStructureOps:
         np.testing.assert_allclose(ag.max_rows(x).data, [[1e9, 3.0]])
 
     def test_clip_values(self):
-        out = ag.clip(t64([-2.0, 0.5, 2.0]), 0.0, 1.0)
+        out = clip(t64([-2.0, 0.5, 2.0]), 0.0, 1.0)
         np.testing.assert_allclose(out.data, [0.0, 0.5, 1.0])
 
 
@@ -326,7 +323,7 @@ class TestLinear:
         bias, g = rng.normal(size=19).astype(np.float32), rng.normal(size=(37, 19)).astype(np.float32)
         ts = [Tensor(v.copy(), requires_grad=True) for v in (x, w, bias)]
         out = ag.linear(*ts)
-        ag.backward(ag.sum_all(ag.mul(out, Tensor(g))))
+        ag.backward(sum_all(mul(out, Tensor(g))))
         _assert_same_bits([out.data] + [t.grad for t in ts], [x @ w + bias, g @ w.T, x.T @ g, g.sum(axis=0)])
 
     @pytest.mark.parametrize("order", ["C", "F"])
@@ -335,7 +332,7 @@ class TestLinear:
         x, w, g = (rng.normal(size=s).astype(np.float32) for s in ((37, 24), (24, 19), (37, 19)))
         ts = [Tensor(v.copy(), requires_grad=True) for v in (x, w)]
         out = ag.linear(*ts, None, order=order)
-        ag.backward(ag.sum_all(ag.mul(out, Tensor(g))))
+        ag.backward(sum_all(mul(out, Tensor(g))))
         assert len(out._parents) == 2  # no bias parent
         assert out.data.flags.f_contiguous == (order == "F")
         _assert_same_bits([out.data] + [t.grad for t in ts], [x @ w, g @ w.T, x.T @ g])
@@ -347,6 +344,53 @@ class TestLinear:
             ag.linear(t64(np.zeros((2, 3))), t64(np.zeros((2, 4))), t64(np.zeros(4)))
 
 
+class TestBce:
+    """``ag.bce`` against the composed graph it replaced, ``composed.composed_bce``."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("stages", [1, 2, 6])
+    @pytest.mark.parametrize("outputs", [1, 3])
+    def test_bitwise_equal_to_the_composed_graph(self, dtype, stages, outputs):
+        rng = np.random.default_rng(10 * stages + outputs)
+        lo, hi = dtype(1e-7), dtype(1.0 - 1e-7)
+        # exactly 0 and 1, the clip bounds, and one step inside each bound
+        edges = np.array([0.0, 1.0, lo, hi, np.nextafter(lo, dtype(1)), np.nextafter(hi, dtype(0))], dtype)
+        for trial in range(40):
+            values = rng.uniform(0.0, 1.0, size=(stages, 1, outputs)).astype(dtype)
+            hit = rng.random(values.shape) < 0.5
+            values[hit] = rng.choice(edges, size=int(hit.sum()))
+            target = rng.integers(0, 2, size=outputs).astype(np.float64)
+            upstream = 1.0 if trial % 2 else 0.75  # odd trials: the loss itself; even: scaled first
+
+            def run(loss_fn):
+                ts = [Tensor(v.copy(), requires_grad=True) for v in values]
+                loss = loss_fn(ts, target)
+                ag.backward(loss if upstream == 1.0 else scale(loss, upstream))
+                return [loss.data] + [t.grad for t in ts]
+
+            for got, want in zip(run(ag.bce), run(composed_bce), strict=True):
+                assert got.dtype == want.dtype == dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), f"trial {trial}"
+
+    def test_one_node_over_every_stage(self):
+        stages = [t64([[0.2, 0.7, 0.5]], requires_grad=True) for _ in range(6)]
+        loss = ag.bce(stages, [0.0, 1.0, 0.0])
+        assert loss.shape == () and loss._parents == tuple(stages)
+
+    def test_clamped_probabilities_get_no_gradient(self):
+        p = t64([[0.0, 1.0, 0.5]], requires_grad=True)
+        ag.backward(ag.bce([p], [1.0, 0.0, 1.0]))
+        np.testing.assert_array_equal(p.grad, [[0.0, 0.0, -1.0 / (3 * 0.5)]])
+
+    def test_bad_inputs(self):
+        with pytest.raises(UsageError, match="at least one"):
+            ag.bce([], [1.0])
+        with pytest.raises(ShapeError, match=r"2 targets.*\(1, 3\)"):
+            ag.bce([t64([[0.5, 0.5, 0.5]])], [1.0, 0.0])
+        with pytest.raises(UsageError, match="mixed dtypes"):
+            ag.bce([t64([[0.5]]), Tensor(np.array([[0.5]], dtype=np.float32))], [1.0])
+
+
 class TestProbe:
     def test_linear_macs_counted(self):
         with ag.op_probe() as probe:
@@ -356,10 +400,46 @@ class TestProbe:
     def test_no_grad_skips_graph(self):
         x = t64([1.0], requires_grad=True)
         with ag.no_grad():
-            out = ag.sum_all(x)
+            out = sum_all(x)
         assert out._backward is None and not out.requires_grad
 
 
 def test_float32_default_dtype():
     assert Tensor([1.0, 2.0]).data.dtype == np.float32
     assert Tensor(np.zeros(2, dtype=np.float64)).data.dtype == np.float64
+
+
+# the engine and the finite-difference oracle; every other public callable is an op the program runs
+ENGINE = {"Tensor", "backward", "no_grad", "op_probe", "OpProbe", "zero_grad", "grad_check", "GradReport"}
+# a Tensor operator overload is reached through its operator, not by name; the scan counts an
+# overload as used when its operator appears in another module at all, on tensors or not
+OVERLOADS = {"__add__": ast.Add, "__radd__": ast.Add, "__sub__": ast.Sub, "__rsub__": ast.Sub,
+             "__mul__": ast.Mult, "__rmul__": ast.Mult, "__truediv__": ast.Div, "__matmul__": ast.MatMult}
+
+
+def test_every_public_op_is_used_by_another_module():
+    src = pathlib.Path(ag.__file__).parent
+    tree = ast.parse((src / "autograd.py").read_text(encoding="utf-8"))
+    public = {n.name for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and not n.name.startswith("_")}
+    used, operators = set(), set()
+    for path in sorted(src.glob("*.py")):
+        if path.name == "autograd.py":
+            continue
+        nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+        aliases = set()
+        for node in nodes:
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "autograd":
+                used |= {a.name for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None:
+                aliases |= {a.asname or a.name for a in node.names if a.name == "autograd"}
+        for node in nodes:
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases:
+                used.add(node.attr)
+            elif isinstance(node, ast.BinOp):
+                operators.add(type(node.op))
+    tensor = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Tensor")
+    for method in tensor.body:
+        if isinstance(method, ast.FunctionDef) and OVERLOADS.get(method.name) in operators:
+            used |= {n.id for n in ast.walk(method) if isinstance(n, ast.Name)}
+    assert ENGINE <= public
+    assert sorted(public - ENGINE - used) == [], "move ops only the tests run into tests/composed.py"

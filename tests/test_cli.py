@@ -329,6 +329,16 @@ class TestCommands:
         assert os.path.exists(out + ".csv") and os.path.exists(out + ".pgm")
         assert "highest-3" in capsys.readouterr().out
 
+    def test_explain_with_negative_top_k_is_one_error_line(self, tiny_run, tmp_path, capsys):
+        out = str(tmp_path / "heat")
+        rc = main(["explain", "--paths.checkpoint", os.path.join(tiny_run["run_dir"], "best.ckpt"),
+                   "--paths.bag", os.path.join(tiny_run["data"], "bag0000.ccfb"), "--paths.out", out,
+                   "--top_k", "-1"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith("error: k=-1 is outside 0..") and captured.err.count("\n") == 1
+        assert captured.out == "" and not os.path.exists(out + ".csv") and not os.path.exists(out + ".pgm")
+
     def test_embed(self, tiny_run, tmp_path):
         out = str(tmp_path / "emb.csv")
         rc = main(["embed", "--paths.checkpoint", os.path.join(tiny_run["run_dir"], "best.ckpt"),
@@ -423,6 +433,16 @@ class TestCommands:
         assert rc == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("n_bags", ["0", "-3"])
+def test_synth_without_bags_is_one_error_line(tmp_path, capsys, n_bags):
+    out = tmp_path / "data"
+    rc = main(["synth", "--paths.out", str(out), "--data.n_bags", n_bags])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == f"error: n_bags must be >= 1, got {n_bags}\n" and captured.out == ""
+    assert not out.exists()
 
 
 class TestReproducibility:

@@ -328,6 +328,11 @@ class TestSyntheticGeneration:
         with pytest.raises(ConfigError):
             generate_synthetic(5, (10, 20), d_feature=4, grid=(3, 3), seed=0)
 
+    @pytest.mark.parametrize("n_bags", [0, -3])
+    def test_no_bags_rejected(self, n_bags):
+        with pytest.raises(ConfigError, match=f"n_bags must be >= 1, got {n_bags}"):
+            generate_synthetic(n_bags, (5, 8), d_feature=4, grid=(4, 4), seed=0)
+
     def test_patients_own_one_to_three_bags(self):
         ds = generate_synthetic(50, (5, 8), d_feature=4, grid=(4, 4), seed=7)
         counts = {}

@@ -176,6 +176,15 @@ class TestTopK:
         with pytest.raises(UsageError):
             top_k_patches(_map_with_scores([0.1]), 2)
 
+    @pytest.mark.parametrize("k", [-1, -4])
+    def test_negative_k(self, k):
+        # a negative slice bound would silently return n - |k| indices
+        with pytest.raises(UsageError, match=f"k={k} is outside 0..4"):
+            top_k_patches(_map_with_scores([0.1, 0.9, 0.5, 0.3]), k)
+
+    def test_k_zero_is_empty(self):
+        assert top_k_patches(_map_with_scores([0.1, 0.9]), 0) == ([], [])
+
 
 def _map_with_scores(scores, rows=None, cols=None, shape=(2, 2)):
     scores = np.asarray(scores, dtype=np.float64)

@@ -23,7 +23,7 @@ from ccan.data import (
     write_manifest,
 )
 from ccan.errors import ConfigError, DataError, MetricError, UsageError
-from ccan.model import BaselineConfig, BaselineModel, CCANConfig, CCANModel
+from ccan.model import BaselineConfig, BaselineModel, CCANConfig, CCANModel, load_checkpoint
 from ccan.training import (
     ADAMW_CHUNK,
     AdamWState,
@@ -32,15 +32,14 @@ from ccan.training import (
     auc_binary,
     auc_macro_ovr,
     bag_loss,
-    bce_loss,
     cosine_lr,
     data_efficiency_sweep,
     derive_seed,
     evaluate_auc,
-    total_loss,
     train,
     write_sweep_csv,
 )
+from composed import composed_bce
 
 
 def t64(data, requires_grad=False):
@@ -49,41 +48,45 @@ def t64(data, requires_grad=False):
 
 class TestBceLoss:
     def test_half_prob(self):
-        loss = bce_loss(t64([0.5]), [1.0])
+        loss = ag.bce([t64([0.5])], [1.0])
         np.testing.assert_allclose(loss.item(), math.log(2.0), atol=1e-12)
 
     def test_confident_correct_is_near_zero(self):
-        loss = bce_loss(t64([1.0, 0.0]), [1.0, 0.0])  # clamp keeps logs finite
+        loss = ag.bce([t64([1.0, 0.0])], [1.0, 0.0])  # clamp keeps logs finite
         assert 0 <= loss.item() < 1e-5
 
     def test_closed_form_pair(self):
-        loss = bce_loss(t64([0.9, 0.2]), [1.0, 0.0])
+        loss = ag.bce([t64([0.9, 0.2])], [1.0, 0.0])
         expected = (-math.log(0.9) - math.log(0.8)) / 2.0
         np.testing.assert_allclose(loss.item(), expected, atol=1e-12)
         assert abs(expected - 0.1643) < 1e-4
 
     def test_gradient(self):
         p = t64([0.3, 0.8, 0.6], requires_grad=True)
-        report = ag.grad_check(lambda: bce_loss(p, [1.0, 0.0, 1.0]), [("p", p)], eps=1e-5)
+        report = ag.grad_check(lambda: ag.bce([p], [1.0, 0.0, 1.0]), [("p", p)], eps=1e-5)
         assert report.max_rel_err < 1e-6
 
 
 class TestTotalLoss:
+    """The stage terms of ``ag.bce`` are summed, not averaged."""
+
     def test_sum(self):
-        losses = [t64(0.5), t64(0.25)]
-        np.testing.assert_allclose(total_loss(losses).item(), 0.75)
+        a, b = t64([0.9, 0.2]), t64([0.4, 0.7])
+        np.testing.assert_allclose(ag.bce([a, b], [1.0, 0.0]).item(),
+                                   ag.bce([a], [1.0, 0.0]).item() + ag.bce([b], [1.0, 0.0]).item(), atol=1e-12)
 
     def test_single_term_identity(self):
-        assert total_loss([t64(1.25)]).item() == 1.25
+        p = t64([0.3, 0.8])
+        assert ag.bce([p], [1.0, 0.0]).item() == composed_bce([p], [1.0, 0.0]).item()
 
     def test_six_stages_of_ln2(self):
-        losses = [t64(math.log(2.0))] * 6
-        np.testing.assert_allclose(total_loss(losses).item(), 6 * math.log(2.0), atol=1e-12)
+        loss = ag.bce([t64([0.5])] * 6, [0.0])
+        np.testing.assert_allclose(loss.item(), 6 * math.log(2.0), atol=1e-12)
 
     def test_sum_not_mean(self):
-        xs = [t64(0.3), t64(0.7)]
-        doubled = total_loss(xs + xs).item()
-        np.testing.assert_allclose(doubled, 2.0 * total_loss(xs).item(), atol=1e-12)
+        xs = [t64([0.3]), t64([0.7])]
+        doubled = ag.bce(xs + xs, [1.0]).item()
+        np.testing.assert_allclose(doubled, 2.0 * ag.bce(xs, [1.0]).item(), atol=1e-12)
 
 
 class TestAdamW:
@@ -278,6 +281,27 @@ class TestTrain:
         _, history = train(model, ds, plan.folds[0], cfg)
         assert history.best_val_auc >= 0.9
         assert history.best_val_auc == max(history.val_auc)
+
+    def test_three_class_trains_and_reloads_bit_identically(self, tmp_path):
+        # the one-vs-rest loss end to end: a TOY model with three sigmoid outputs
+        ds, plan = small_task(seed=40, n_bags=48, d_feature=64, n_classes=3)
+        model = small_model(seed=42, d_feature=64, p_dropout=0.0, num_classes=3)
+        fold = plan.folds[0]
+        for ids in (fold.val_ids, fold.test_ids):  # the macro AUC needs every class
+            assert {ds.by_id(i).label for i in ids} == {0, 1, 2}
+        ckpt = str(tmp_path / "best.ckpt")
+        _, history = train(model, ds, fold, TrainConfig(epochs=3, batch_size=8, lr_max=1e-3, seed=43),
+                           checkpoint_path=ckpt)
+        assert len(history.train_loss) == len(history.val_auc) == 3
+        assert np.isfinite(history.train_loss + history.val_auc + [history.test_auc_at_best]).all()
+        reloaded = load_checkpoint(ckpt)
+        assert reloaded.config.num_classes == 3
+        for bag in ds.bags[:8]:
+            a, b = model.forward(bag), reloaded.forward(bag)
+            assert a.averaged_probs.shape == (3,)
+            for got, want in zip([b.averaged_probs] + [s.probs for s in b.stages],
+                                 [a.averaged_probs] + [s.probs for s in a.stages], strict=True):
+                assert got.tobytes() == want.tobytes()
 
     def test_zero_lr_changes_nothing(self):
         ds, plan = small_task(seed=6, n_bags=20)
@@ -549,6 +573,49 @@ class TestSweep:
         assert [kind for kind, _ in sent] == ["init"] + ["cell"] * 4
         assert sent[0][1] > dataset_bytes
         assert all(size < dataset_bytes / 10 for kind, size in sent[1:])
+
+    @pytest.mark.parametrize("jobs, n_folds, fractions, pools", [
+        (500, 2, [0.5, 1.0], [4]),
+        (3, 2, [0.5, 1.0], [3]),
+        (8, 1, [1.0], []),  # one cell runs in this process
+    ], ids=["capped", "below", "one-cell"])
+    def test_pool_has_no_more_workers_than_cells(self, monkeypatch, jobs, n_folds, fractions, pools):
+        # a fork pool starts every worker at the first submit, so --jobs 500 must not mean 500 processes
+        made = []
+
+        class FakePool:
+            def __init__(self, max_workers, initializer, initargs):
+                made.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, cells):
+                return map(fn, cells)
+
+        def fake_cell(shared, cell):
+            return training.SweepRow(cell[1], cell[2], cell[3], 0, 0.5, 0.5)
+
+        monkeypatch.setattr("ccan.training.ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr("ccan.training._sweep_cell", fake_cell)
+        monkeypatch.setattr("ccan.training._worker_shared", None)
+        ds, plan = small_task(seed=30, n_bags=24, d_feature=8)
+        folds = type(plan)(k=n_folds, folds=plan.folds[:n_folds], seed=plan.seed)
+        rows = data_efficiency_sweep(ds, folds, fractions, TrainConfig(), small_model(d_feature=8).config,
+                                     models=("mean-pool",), jobs=jobs)
+        assert made == pools
+        assert len(rows) == n_folds * len(fractions)
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected_before_training(self, monkeypatch, jobs):
+        ds, plan = small_task(seed=21, n_bags=16)
+        monkeypatch.setattr("ccan.training._sweep_cell", lambda *args: pytest.fail("a cell trained"))
+        with pytest.raises(ConfigError, match=f"jobs must be >= 1, got {jobs}"):
+            data_efficiency_sweep(ds, plan, [1.0], TrainConfig(), small_model().config, jobs=jobs)
 
     def test_baseline_trains_on_null_task_to_chance(self):
         # no witness signal: a trained pooling model cannot beat chance
