@@ -1,4 +1,4 @@
-"""Scaled dot-product attention and the residual cross/self blocks.
+"""The residual cross and self attention blocks, each a graph node.
 
 Blocks are pre-norm transformer blocks: an attention sub-layer and a
 4x-expansion GELU MLP, both residual. Every attention call records its
@@ -8,16 +8,31 @@ The key projection has no bias. A key bias b would add q . b to every
 logit of a query row, and softmax removes any row-constant shift, so such
 a bias could change no output and its gradient would be exactly zero.
 
-All heads of a block's attention are one graph node,
-``autograd.attention``: head h is column group h of the query, key and
-value projections, read through views. The key projections write their
-output column-major, so the node reads K^T as a C-contiguous view
-instead of copying it, and head h's keys are rows of it. In float32
-these keys carry the same bits as a row-major projection at every shape
-tested (the tests pin TOY shapes and d=512 with N in {309, 513, 3091});
-in float64, which only the gradient oracle uses, BLAS rounds some large
-shapes differently. Cross and self blocks share one body; a self block
-takes its keys and values from its own normed input.
+A block is one graph node. Its forward runs LN -> Q/K/V -> attention ->
+output projection -> residual -> LN -> MLP -> residual with the kernels
+of ``autograd`` that its graph ops also call, and its hand-written
+backward reads only what the node keeps: both layer norms' ``xhat`` and
+``inv`` (their outputs are recomputed from these), Q, K, V, the softmax,
+the attention output, the GELU output and GELU's float64 derivative.
+Every operation runs in the order of the graph of separate linear,
+layer-norm, attention, GELU and add nodes, and each gradient is added
+into a shared input in the order that graph's tape adds it (a self
+block's normed input takes Q's, then K's, then V's), so float32 outputs,
+records and gradients keep that graph's bits; the graph is the oracle in
+``tests/composed.py``. A cross block's keys and values of its context are
+a second node, which the backward pass reaches only after every block
+downstream of it, as it reached the separate key and value nodes: so the
+projected input tokens, which several cross blocks read, take their
+gradients in the tape's order (block by block in forward order, keys
+before values).
+
+All heads share the node: head h is column group h of the queries and
+values and row group h of K^T, read through views. The keys are written
+column-major, so K^T is a C-contiguous view, not a copy. In float32 these
+keys carry the same bits as a row-major projection at every shape tested
+(the tests pin TOY shapes and d=512 with N in {309, 513, 3091}); in
+float64, which only the gradient oracle uses, BLAS rounds some large
+shapes differently.
 
 The default logit scale is sqrt(#query rows) ("per-paper" mode); the
 conventional sqrt(head dim) is available as "per-dim". Model configs
@@ -32,7 +47,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, ShapeError, UsageError
 
 SCALE_MODES = ("per-paper", "per-dim")
 
@@ -121,31 +136,119 @@ def attention_scale(scale_mode, n_query_rows, head_dim):
     raise ConfigError(f"unknown scale_mode {scale_mode!r}; expected one of {SCALE_MODES}")
 
 
-def _mlp(x, params):
-    h = ag.layer_norm(x, params.ln2_gamma, params.ln2_beta)
-    h = ag.gelu(ag.linear(h, params.w_m1, params.b_m1))
-    return ag.linear(h, params.w_m2, params.b_m2)
+def _kv_views(kv, d):
+    """K^T (d x N) and V (N x d), the two rows of a packed 2 x (N * d) array."""
+    n = kv.shape[1] // d
+    return kv[0].reshape(d, n), kv[1].reshape(n, d)
+
+
+def _project_kv(src, params):
+    """K = src @ w_k, written column-major, and V = src @ w_v + b_v, packed for ``_kv_views``."""
+    d = params.w_k.shape[1]
+    kv = np.empty((2, src.shape[0] * d), dtype=src.dtype)
+    kt, v = _kv_views(kv, d)
+    ag._matmul(src, params.w_k.data, kt.T)
+    ag._matmul(src, params.w_v.data, v)
+    v += params.b_v.data
+    return kv
+
+
+def _project_kv_backward(gkv, src, params, dx=True):
+    """Add the gradients of w_k, w_v and b_v; return K's and V's dL/dsrc if ``dx``."""
+    gkt, gv = _kv_views(gkv, params.w_k.shape[1])
+    # dL/dK is laid out like the column-major K; its GEMMs take it C-ordered
+    from_k = ag._linear_backward(np.ascontiguousarray(gkt.T), src, params.w_k, None, dx)
+    from_v = ag._linear_backward(gv, src, params.w_v, params.b_v, dx)
+    return from_k, from_v
+
+
+def _context_kv(context, params):
+    """A cross block's keys and values of ``context`` as one node, packed for ``_kv_views``."""
+    kv = Tensor(_project_kv(context.data, params))
+
+    def backward(g):
+        from_k, from_v = _project_kv_backward(g, context.data, params, dx=context.requires_grad)
+        if context.requires_grad:
+            ag._accum(context, from_k, owned=True)
+            ag._accum(context, from_v, owned=True)
+
+    return ag._make_node(kv, (context, params.w_k, params.w_v, params.b_v), backward)
+
+
+def _check_block(x, context, params, heads):
+    """The dtype, shape and head checks of a block's inputs."""
+    tensors = [x] + ([] if context is None else [context]) + [t for _, t in params.named_tensors()]
+    if len({t.dtype for t in tensors}) > 1:
+        raise UsageError(f"attention block: mixed dtypes {sorted({str(t.dtype) for t in tensors})}")
+    d = params.w_q.shape[0]
+    for name, t in (("input", x), ("context", context)):
+        if t is not None and (t.data.ndim != 2 or t.shape[1] != d):
+            raise ShapeError(f"attention block: {name} of shape {t.shape} is not n x {d}")
+    if context is not None and context.shape[0] < 1:
+        raise DataError("cross-attention requires a nonempty context")
+    if heads < 1 or d % heads:
+        raise ShapeError(f"attention block: width {d} does not split into {heads} heads")
 
 
 def _block(x, context, params, scale_mode, heads, kind):
-    """The pre-norm residual block both kinds share.
+    """The pre-norm residual block both kinds share, as one node (see the module docstring).
 
     Queries come from the normed ``x``; keys and values from ``context``,
     or from the normed ``x`` when ``context`` is None.
     """
-    if context is not None and context.shape[0] < 1:
-        raise DataError("cross-attention requires a nonempty context")
-    h = ag.layer_norm(x, params.ln1_gamma, params.ln1_beta)
-    kv = h if context is None else context
-    q = ag.linear(h, params.w_q, params.b_q)
-    k = ag.linear(kv, params.w_k, None, order="F")
-    v = ag.linear(kv, params.w_v, params.b_v)
-    scale = attention_scale(scale_mode, q.shape[0], q.shape[1] // heads)
-    attn_out, p = ag.attention(q, k, v, scale, heads)
-    x = x + ag.linear(attn_out, params.w_o, params.b_o)
-    x = x + _mlp(x, params)
-    # one head's record shares the softmax the node saved for its backward
-    return x, AttentionRecord(matrix=p[0] if heads == 1 else p.mean(axis=0), kind=kind)
+    _check_block(x, context, params, heads)
+    p, d = params, params.w_q.shape[0]
+    scale = attention_scale(scale_mode, x.shape[0], d // heads)
+    kv = None if context is None else _context_kv(context, params)
+    # kv goes last: the backward's graph walk then finishes it before this block's input
+    parents = [x] + [t for name, t in p.named_tensors() if kv is None or name not in ("w_k", "w_v", "b_v")]
+    parents += [] if kv is None else [kv]
+    keep = ag._recording(parents)
+
+    h, xhat1, inv1 = ag._layer_norm(x.data, p.ln1_gamma.data, p.ln1_beta.data)
+    q = ag._linear(h, p.w_q.data, p.b_q.data)
+    kvd = _project_kv(h, p) if kv is None else kv.data
+    del h
+    kt, v = _kv_views(kvd, d)
+    y, att = ag._attention(q, kt, v, scale, heads)
+    x1 = ag._linear(y, p.w_o.data, p.b_o.data)
+    np.add(x.data, x1, out=x1)  # the residual x + attention
+    h2, xhat2, inv2 = ag._layer_norm(x1, p.ln2_gamma.data, p.ln2_beta.data)
+    a = ag._linear(h2, p.w_m1.data, p.b_m1.data)
+    del h2
+    gl, dydx = ag._gelu(a, keep)
+    del a
+    out = ag._linear(gl, p.w_m2.data, p.b_m2.data)
+    np.add(x1, out, out=out)  # the residual x1 + MLP
+    del x1
+    # one head's record shares the softmax the node keeps for its backward
+    record = AttentionRecord(matrix=att[0] if heads == 1 else att.mean(axis=0), kind=kind)
+
+    def backward(g):
+        g_gl = ag._linear_backward(g, gl, p.w_m2, p.b_m2)
+        g_a = ag._gelu_backward(g_gl, dydx)
+        h2 = ag._layer_norm_affine(xhat2, p.ln2_gamma.data, p.ln2_beta.data)
+        g_h2 = ag._linear_backward(g_a, h2, p.w_m1, p.b_m1)
+        g_x1 = ag._layer_norm_backward(g_h2, xhat2, inv2, p.ln2_gamma, p.ln2_beta)
+        g_x1 += g  # the residual x1 + MLP
+        g_y = ag._linear_backward(g_x1, y, p.w_o, p.b_o)
+        gkv = np.empty_like(kvd)
+        gkt, gv = _kv_views(gkv, d)
+        gq = ag._attention_backward(g_y, q, kt, v, att, scale, heads, gkt, gv)
+        if x.requires_grad:
+            ag._accum(x, g_x1, owned=True)
+        h = ag._layer_norm_affine(xhat1, p.ln1_gamma.data, p.ln1_beta.data)
+        g_h = ag._linear_backward(gq, h, p.w_q, p.b_q)
+        if kv is None:
+            for part in _project_kv_backward(gkv, h, p):
+                g_h += part
+        else:
+            ag._accum(kv, gkv, owned=True)
+        g_x = ag._layer_norm_backward(g_h, xhat1, inv1, p.ln1_gamma, p.ln1_beta)
+        if x.requires_grad:
+            ag._accum(x, g_x, owned=True)
+
+    return ag._make_node(Tensor(out), parents, backward), record
 
 
 def cross_attention_block(latents, context, params, scale_mode="per-paper", heads=1):

@@ -1,25 +1,25 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 A deliberately small kernel surface, holding only what the model and
-its loss run: the fused affine map ``linear(x, W, b) = x @ W + b`` (one
-graph node; ``b=None`` gives the bias-free ``x @ W`` of the attention
-keys), fused attention, layer norm, GELU and sigmoid, the residual
-``add``, row pooling, row slicing and stacking, and the training loss
-``bce`` (one node for every stage's clipped binary cross entropy). No
-shape is broadcast implicitly: ``linear`` adds every bias, and any other
-shape mismatch is an error.
+its loss run. The graph ops are the fused affine map ``linear(x, W, b) =
+x @ W + b`` (one graph node; ``b=None`` gives a bias-free ``x @ W``),
+GELU and sigmoid, the residual ``add``, row pooling, row slicing and
+stacking, and the training loss ``bce`` (one node for every stage's
+clipped binary cross entropy). No shape is broadcast implicitly:
+``linear`` adds every bias, and any other shape mismatch is an error.
 
-``attention(q, k, v, scale, heads)`` is one graph node for
-``softmax(q @ k.T / scale) @ v`` in every head, head h working on column
-group h of q, k and v through views. It runs the same float operations
-as the per-head expression evaluated one operation at a time, in place
-and a block of rows at a time, so float32 results keep their bits. The
-composed form (per head: slice, attend, then join the outputs) is not
-part of this module: it lives in ``tests/test_attention.py`` as the
-oracle the node is compared with bit for bit. Given a column-major ``k``
-(``linear(..., order="F")``) the node reads ``k.T`` without a copy. Its
-saved heads x M x N softmax serves both the backward pass and the
-caller's attention record.
+Each attention block of the model is one graph node too, built in
+``attention.py`` from the numpy kernels here: ``_linear``, ``_gelu``,
+``_layer_norm`` and ``_attention``, each with its backward. The graph ops
+``linear`` and ``gelu`` call the same kernels, so each piece of
+arithmetic exists once. ``_attention`` runs ``softmax(q @ k.T / scale)
+@ v`` for every head, head h on column group h of q and v and row group
+h of K^T through views, scaling and normalizing in place a block of rows
+at a time; the GELU kernels run a block of elements at a time and keep
+the float64 derivative instead of the input. The graph ops the blocks
+were built from before, ``layer_norm`` and ``attention``, and the
+per-head attention graph live in ``tests/`` as the oracles the kernels
+and the block nodes are compared with bit for bit.
 
 Gradient buffers are owned, not zero-filled: a backward closure that
 computes a fresh array (``g @ W.T``, ``X.T @ g``, ``g.sum(0)``, an
@@ -149,8 +149,13 @@ def _accum(t, g, owned=False):
         t.grad[...] = g
 
 
+def _recording(parents):
+    """Whether a node over ``parents`` joins the graph: grad mode is on and one of them needs a grad."""
+    return _grad_enabled and any(p.requires_grad for p in parents)
+
+
 def _make_node(out, parents, backward):
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if _recording(parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward
@@ -158,7 +163,189 @@ def _make_node(out, parents, backward):
 
 
 # ---------------------------------------------------------------------------
-# elementwise and linear-algebra primitives
+# kernels: the arithmetic of the ops below and of the attention block nodes
+# (``attention.py``), on plain arrays. Only forward products count MACs.
+
+
+# Rows (or elements) that a kernel scales, normalizes or differentiates
+# together: a 256 KiB block stays in a core's L2.
+_BLOCK_BYTES = 1 << 18
+
+
+def _matmul(a, b, out):
+    """A forward product ``a @ b`` into ``out``; an active ``op_probe`` counts its MACs."""
+    if _probe is not None:
+        _probe.macs += a.size * b.shape[-1]
+    return np.matmul(a, b, out=out)
+
+
+def _linear(x, w, b):
+    """x @ w + b (just x @ w when ``b`` is None) into a fresh C-ordered array."""
+    y = _matmul(x, w, np.empty((x.shape[0], w.shape[1]), dtype=x.dtype))
+    if b is not None:
+        y += b
+    return y
+
+
+def _linear_backward(g, x, w, b, dx=True):
+    """Add the gradients of y = x @ w + b into the tensors ``w`` and ``b``; return dL/dx if ``dx``."""
+    if b is not None and b.requires_grad:
+        _accum(b, g.sum(axis=0), owned=True)
+    if w.requires_grad:
+        _accum(w, x.T @ g, owned=True)
+    return g @ w.data.T if dx else None
+
+
+def _row_mean(a):
+    """``a.mean(axis=-1, keepdims=True)``: numpy's two ufunc calls without its Python wrapper."""
+    s = np.add.reduce(a, axis=-1, keepdims=True)
+    return np.true_divide(s, np.intp(a.shape[-1]), out=s, casting="unsafe")
+
+
+def _layer_norm(x, gamma, beta, eps=1e-5):
+    """Each row of ``x`` to zero mean and unit variance, then affine; returns (y, xhat, inv)."""
+    mu = _row_mean(x)
+    xhat = x - mu  # centred once; scaled in place below
+    y = np.square(xhat)
+    var = _row_mean(y)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat *= inv
+    return _layer_norm_affine(xhat, gamma, beta, out=y), xhat, inv
+
+
+def _layer_norm_affine(xhat, gamma, beta, out=None):
+    """xhat * gamma + beta, with the ufuncs of the forward: a backward recomputes y from xhat."""
+    y = np.multiply(xhat, gamma, out=out)
+    y += beta
+    return y
+
+
+def _layer_norm_backward(g, xhat, inv, gamma, beta):
+    """Add the gradients of the tensors ``gamma`` and ``beta`` into them; return dL/dx."""
+    if beta.requires_grad:
+        _accum(beta, g.sum(axis=0), owned=True)
+    if gamma.requires_grad:
+        _accum(gamma, (g * xhat).sum(axis=0), owned=True)
+    gx = g * gamma.data
+    term1 = _row_mean(gx)
+    term2 = _row_mean(gx * xhat)
+    # inv * (gx - term1 - xhat * term2), one operation at a time, in place
+    gx -= term1
+    gx -= xhat * term2
+    gx *= inv
+    return gx
+
+
+def _gelu(d, derivative):
+    """Exact (erf-based) GELU of ``d``, and its derivative if asked; returns (y, dydx or None).
+
+    Phi(x) and x * Phi(x) are evaluated in float64 whatever the input
+    dtype, and rounded once into a ``y`` of the input's dtype. The
+    derivative Phi(x) + x * phi(x) is float64, with exp(-x^2 / 2) taken in
+    the input dtype. Both run a block of elements at a time.
+    """
+    y = np.empty(d.shape, dtype=d.dtype)
+    dydx = np.empty(d.shape, dtype=np.float64) if derivative else None
+    flat, flat_y = d.reshape(-1), y.reshape(-1)
+    step = _BLOCK_BYTES // 8
+    for lo in range(0, flat.size, step):
+        x = flat[lo : lo + step]
+        cdf = np.multiply(x, _INV_SQRT2, dtype=np.float64)
+        erf(cdf, out=cdf)
+        cdf += 1.0
+        cdf *= 0.5
+        np.multiply(x, cdf, out=flat_y[lo : lo + step], dtype=np.float64, casting="same_kind")
+        if dydx is not None:
+            e = np.multiply(x, -0.5, dtype=x.dtype)
+            e *= x
+            np.exp(e, out=e)
+            blk = np.multiply(e, _INV_SQRT_2PI, out=dydx.reshape(-1)[lo : lo + step], dtype=np.float64)
+            blk *= x
+            blk += cdf
+    return y, dydx
+
+
+def _gelu_backward(g, dydx):
+    """dL/dx = dydx * g, in float64 and rounded once into g's dtype, a block at a time."""
+    gx = np.empty(dydx.shape, dtype=g.dtype)
+    flat_g, flat_d, flat_gx = g.reshape(-1), dydx.reshape(-1), gx.reshape(-1)
+    step = _BLOCK_BYTES // 8
+    for lo in range(0, flat_gx.size, step):
+        np.multiply(flat_d[lo : lo + step], flat_g[lo : lo + step], out=flat_gx[lo : lo + step],
+                    dtype=np.float64, casting="same_kind")
+    return gx
+
+
+def _column_groups(a, heads):
+    """The ``heads`` column groups of a matrix as a heads x rows x width view."""
+    return a.reshape(a.shape[0], heads, a.shape[1] // heads).swapaxes(0, 1)
+
+
+def _attention(q, kt, v, scale, heads):
+    """softmax(q @ k.T / scale) @ v for every head; returns (output, softmax).
+
+    ``q`` is M x d, ``kt`` is K^T as a C-ordered d x N array, ``v`` is
+    N x d_v and ``scale`` > 0. Head h attends with column group h of ``q``
+    and ``v`` (d / heads and d_v / heads columns wide) and row group h of
+    ``kt``, and writes column group h of the output; every group is a
+    view, never a copy. Scaling, the finiteness check, the row-max shift,
+    exp and the row normalization then run in place, a block of rows at a
+    time, with the same ufuncs as the composed form: per head, slice the
+    column groups and evaluate ``softmax(q @ k.T * (1 / scale)) @ v`` one
+    operation at a time, then join the head outputs. So the output, the
+    softmax and every gradient carry its bits. The heads x M x N softmax
+    serves both the backward pass and the caller's attention record.
+    """
+    m, d = q.shape
+    n = kt.shape[1]
+    p = np.empty((heads, m, n), dtype=q.dtype)
+    _matmul(_column_groups(q, heads), kt.reshape(heads, d // heads, n), p)
+    s = np.asarray(1.0 / scale, dtype=p.dtype)
+    rows = max(1, _BLOCK_BYTES // (n * p.itemsize))
+    p_rows = p.reshape(heads * m, n)
+    for lo in range(0, heads * m, rows):
+        blk = p_rows[lo : lo + rows]
+        blk *= s
+        top = blk.max(axis=1, keepdims=True)
+        # NaN and +-inf propagate through max and min
+        if not (np.isfinite(top).all() and np.isfinite(blk.min())):
+            raise NumericError("attention: logits contain NaN or infinite entries")
+        blk -= top
+        np.exp(blk, out=blk)
+        blk /= blk.sum(axis=1, keepdims=True)
+    y = np.empty((m, v.shape[1]), dtype=p.dtype)
+    _matmul(p, _column_groups(v, heads), _column_groups(y, heads))
+    return y, p
+
+
+def _attention_backward(g, q, kt, v, p, scale, heads, gkt, gv):
+    """Write dL/dK^T into ``gkt`` and dL/dv into ``gv``, laid out like ``kt`` and ``v``; return dL/dq."""
+    m, d = q.shape
+    n = kt.shape[1]
+    gh = _column_groups(g, heads)
+    np.matmul(p.swapaxes(1, 2), gh, out=_column_groups(gv, heads))
+    # softmax then scale backward, in place on the fresh dL/dP
+    gp = np.empty_like(p)
+    np.matmul(gh, _column_groups(v, heads).swapaxes(1, 2), out=gp)
+    s = np.asarray(1.0 / scale, dtype=p.dtype)
+    rows = max(1, _BLOCK_BYTES // (n * p.itemsize))
+    gp_rows, p_rows = gp.reshape(heads * m, n), p.reshape(heads * m, n)
+    prod = np.empty((min(rows, heads * m), n), dtype=p.dtype)
+    for lo in range(0, heads * m, rows):
+        gb, yb = gp_rows[lo : lo + rows], p_rows[lo : lo + rows]
+        inner = np.multiply(gb, yb, out=prod[: len(gb)]).sum(axis=1, keepdims=True)
+        gb -= inner
+        gb *= yb
+        gb *= s
+    gq = np.empty((m, d), dtype=p.dtype)
+    kth = kt.reshape(heads, d // heads, n)
+    np.matmul(gp, kth.swapaxes(1, 2), out=_column_groups(gq, heads))
+    np.matmul(_column_groups(q, heads).swapaxes(1, 2), gp, out=gkt.reshape(heads, d // heads, n))
+    return gq
+
+
+# ---------------------------------------------------------------------------
+# graph ops
 
 
 def add(a, b):
@@ -177,14 +364,11 @@ def add(a, b):
     return _make_node(out, (a, b), backward)
 
 
-def linear(x, w, b, order="C"):
+def linear(x, w, b):
     """x @ w + b as one node: the product's backward plus the bias row sum.
 
     ``b=None`` is x @ w alone: no bias add, no bias parent, no bias
-    gradient. ``order="F"`` writes the output column-major; the attention
-    code does this for its keys, whose transpose is then C-contiguous.
-    Either way the backward runs on a C-ordered gradient, as for a
-    C-ordered output.
+    gradient.
     """
     _check_same_dtype(x, w, "linear")
     if b is not None:
@@ -194,187 +378,23 @@ def linear(x, w, b, order="C"):
         raise ShapeError(f"linear: expected 2-D x and w and 1-D b, got {x.data.shape}, {w.data.shape}, {b_shape}")
     if x.data.shape[1] != w.data.shape[0] or w.data.shape[1:] != b_shape:
         raise ShapeError(f"linear: shapes {x.data.shape}, {w.data.shape} and {b_shape} do not chain")
-    if _probe is not None:
-        m, k = x.data.shape
-        _probe.macs += m * k * w.data.shape[1]
-    y = np.empty((x.data.shape[0], w.data.shape[1]), dtype=x.data.dtype, order=order)
-    np.matmul(x.data, w.data, out=y)
-    if b is not None:
-        y += b.data
-    out = Tensor(y)
+    out = Tensor(_linear(x.data, w.data, None if b is None else b.data))
 
     def backward(g):
-        # a gradient laid out like a column-major output rounds differently
-        # in the GEMMs below, so it is made C-ordered first
-        g = np.ascontiguousarray(g)
-        if b is not None and b.requires_grad:
-            _accum(b, g.sum(axis=0), owned=True)
-        if x.requires_grad:
-            _accum(x, g @ w.data.T, owned=True)
-        if w.requires_grad:
-            _accum(w, x.data.T @ g, owned=True)
+        gx = _linear_backward(g, x.data, w, b, dx=x.requires_grad)
+        if gx is not None:
+            _accum(x, gx, owned=True)
 
     return _make_node(out, (x, w) if b is None else (x, w, b), backward)
 
 
-# Rows of the M x N attention logits that ``attention`` scales, normalizes
-# and differentiates together: a 256 KiB block stays in a core's L2.
-_ATTENTION_BLOCK_BYTES = 1 << 18
-
-
-def _column_groups(a, heads):
-    """The ``heads`` column groups of a matrix as a heads x rows x width view."""
-    return a.reshape(a.shape[0], heads, a.shape[1] // heads).swapaxes(0, 1)
-
-
-def attention(q, k, v, scale, heads=1):
-    """softmax(q @ k.T / scale) @ v for every head as one node; returns (output, softmax).
-
-    ``q`` is M x d, ``k`` is N x d, ``v`` is N x d_v and ``scale`` > 0.
-    Head h attends with column group h of ``q``, ``k`` and ``v`` (d / heads
-    and d_v / heads columns wide) and writes column group h of the
-    output; every group is a view, never a copy. The products read
-    ``k.T`` directly when ``k`` is column-major (otherwise a C-ordered
-    copy). Scaling, the finiteness check, the row-max shift, exp and the
-    row normalization then run in place, a block of rows at a time, with
-    the same ufuncs as the composed form: per head, slice the column
-    groups and evaluate ``softmax(q @ k.T * (1 / scale)) @ v`` one
-    operation at a time, then join the head outputs. So the output, the
-    softmax and every gradient carry its bits. That composed form is the
-    oracle in ``tests/test_attention.py``. The heads x M x N softmax is
-    saved for the backward pass and returned to the caller, which must
-    not modify it.
-    """
-    _check_same_dtype(q, k, "attention")
-    _check_same_dtype(q, v, "attention")
-    if q.data.ndim != 2 or k.data.ndim != 2 or v.data.ndim != 2:
-        raise ShapeError(f"attention: expected 2-D q, k, v, got {q.data.shape}, {k.data.shape}, {v.data.shape}")
-    if q.data.shape[1] != k.data.shape[1]:
-        raise ShapeError(f"attention: query dim {q.data.shape} does not match key dim {k.data.shape}")
-    if k.data.shape[0] != v.data.shape[0]:
-        raise ShapeError(f"attention: key rows {k.data.shape} do not match value rows {v.data.shape}")
-    if k.data.shape[0] < 1:
-        raise ShapeError("attention: needs at least one key")
-    m, d = q.data.shape
-    n, dv = v.data.shape
-    if heads < 1 or d % heads or dv % heads:
-        raise ShapeError(f"attention: widths {d} and {dv} do not split into {heads} heads")
-    if _probe is not None:
-        _probe.macs += m * d * n + m * n * dv
-    kt = np.ascontiguousarray(k.data.T)
-    kth = kt.reshape(heads, d // heads, n)  # head h's keys are rows of K^T
-    qh, vh = _column_groups(q.data, heads), _column_groups(v.data, heads)
-    p = np.empty((heads, m, n), dtype=q.data.dtype)
-    np.matmul(qh, kth, out=p)
-    s = np.asarray(1.0 / scale, dtype=p.dtype)
-    rows = max(1, _ATTENTION_BLOCK_BYTES // (n * p.itemsize))
-    p_rows = p.reshape(heads * m, n)
-    for lo in range(0, heads * m, rows):
-        blk = p_rows[lo : lo + rows]
-        blk *= s
-        top = blk.max(axis=1, keepdims=True)
-        # NaN and +-inf propagate through max and min
-        if not (np.isfinite(top).all() and np.isfinite(blk.min())):
-            raise NumericError("attention: logits contain NaN or infinite entries")
-        blk -= top
-        np.exp(blk, out=blk)
-        blk /= blk.sum(axis=1, keepdims=True)
-    y = np.empty((m, dv), dtype=p.dtype)
-    np.matmul(p, vh, out=_column_groups(y, heads))
-    out = Tensor(y)
-
-    def backward(g):
-        gh = _column_groups(g, heads)
-        if v.requires_grad:
-            gv = np.empty((n, dv), dtype=p.dtype)
-            np.matmul(p.swapaxes(1, 2), gh, out=_column_groups(gv, heads))
-            _accum(v, gv, owned=True)
-        if not (q.requires_grad or k.requires_grad):
-            return
-        # softmax then scale backward, in place on the fresh dL/dP
-        gp = np.empty_like(p)
-        np.matmul(gh, vh.swapaxes(1, 2), out=gp)
-        gp_rows = gp.reshape(heads * m, n)
-        prod = np.empty((min(rows, heads * m), n), dtype=p.dtype)
-        for lo in range(0, heads * m, rows):
-            gb, yb = gp_rows[lo : lo + rows], p_rows[lo : lo + rows]
-            inner = np.multiply(gb, yb, out=prod[: len(gb)]).sum(axis=1, keepdims=True)
-            gb -= inner
-            gb *= yb
-            gb *= s
-        if q.requires_grad:
-            gq = np.empty((m, d), dtype=p.dtype)
-            np.matmul(gp, kth.swapaxes(1, 2), out=_column_groups(gq, heads))
-            _accum(q, gq, owned=True)
-        if k.requires_grad:
-            gkt = np.empty((d, n), dtype=p.dtype)
-            np.matmul(qh.swapaxes(1, 2), gp, out=gkt.reshape(heads, d // heads, n))
-            _accum(k, gkt.T, owned=True)
-
-    return _make_node(out, (q, k, v), backward), p
-
-
-# ---------------------------------------------------------------------------
-# nonlinearities and normalization
-
-
-def layer_norm(x, gamma, beta, eps=1e-5):
-    """Normalize each row of a matrix to zero mean / unit variance, then affine."""
-    if x.data.ndim != 2 or x.data.shape[1] < 1:
-        raise ShapeError(f"layer_norm: expected a 2-D tensor with nonempty rows, got {x.data.shape}")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xhat = x.data - mu  # centred once; scaled in place below
-    y = np.square(xhat)
-    var = y.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat *= inv
-    np.multiply(xhat, gamma.data, out=y)
-    y += beta.data
-    out = Tensor(y)
-
-    def backward(g):
-        if beta.requires_grad:
-            _accum(beta, g.sum(axis=0), owned=True)
-        if gamma.requires_grad:
-            _accum(gamma, (g * xhat).sum(axis=0), owned=True)
-        if x.requires_grad:
-            gx = g * gamma.data
-            term1 = gx.mean(axis=-1, keepdims=True)
-            term2 = (gx * xhat).mean(axis=-1, keepdims=True)
-            _accum(x, inv * (gx - term1 - xhat * term2), owned=True)
-
-    return _make_node(out, (x, gamma, beta), backward)
-
-
 def gelu(x):
-    """Exact (erf-based) Gaussian error linear unit.
-
-    Phi(x) and x * Phi(x) are evaluated in float64 whatever the input
-    dtype, and rounded once into an output of the input's dtype. The
-    backward's exp(-x^2 / 2) runs in the input dtype; the rest of
-    Phi(x) + x * phi(x) and its product with the upstream gradient run in
-    float64.
-    """
-    d = x.data
-    cdf = np.multiply(d, _INV_SQRT2, dtype=np.float64)
-    erf(cdf, out=cdf)
-    cdf += 1.0
-    cdf *= 0.5
-    y = np.empty_like(d)
-    np.multiply(d, cdf, out=y, dtype=np.float64, casting="same_kind")
+    """Exact (erf-based) Gaussian error linear unit; ``_gelu`` gives its precision."""
+    y, dydx = _gelu(x.data, _recording((x,)))
     out = Tensor(y)
 
     def backward(g):
-        if x.requires_grad:
-            e = np.multiply(d, -0.5, dtype=d.dtype)
-            e *= d
-            np.exp(e, out=e)
-            dydx = np.multiply(e, _INV_SQRT_2PI, dtype=np.float64)
-            dydx *= d
-            dydx += cdf
-            gx = np.empty_like(d)
-            np.multiply(dydx, g, out=gx, dtype=np.float64, casting="same_kind")
-            _accum(x, gx, owned=True)
+        _accum(x, _gelu_backward(g, dydx), owned=True)
 
     return _make_node(out, (x,), backward)
 

@@ -42,6 +42,7 @@ from .netpbm import read_pnm
 from .preprocess import PreprocessConfig, RasterImage, read_sidecar, run_pipeline
 from .training import (
     TrainConfig,
+    check_sweep,
     data_efficiency_sweep,
     derive_seed,
     evaluate_auc,
@@ -362,15 +363,18 @@ def _cmd_sweep(cfg):
     dataset = _load_dataset(cfg, "sweep")
     plan = _load_plan(cfg, "sweep")
     run_dir = _require(cfg, "paths.run_dir", "sweep")
+    fractions, models = list(cfg["train.fractions"]), tuple(cfg["sweep.models"])
+    train_cfg, model_cfg = cfg.train_config(), cfg.model_config()
+    check_sweep(fractions, models, cfg["jobs"])  # a rejected sweep leaves no run directory
     os.makedirs(run_dir, exist_ok=True)
     cfg.echo(os.path.join(run_dir, "config.txt"))
     rows = data_efficiency_sweep(
         dataset,
         plan,
-        list(cfg["train.fractions"]),
-        cfg.train_config(),
-        cfg.model_config(),
-        models=tuple(cfg["sweep.models"]),
+        fractions,
+        train_cfg,
+        model_cfg,
+        models=models,
         jobs=cfg["jobs"],
         log=lambda msg: print(msg, flush=True),
     )

@@ -21,7 +21,7 @@ import numpy as np
 from . import autograd as ag
 from .data import atomic_write, subsample_fraction
 from .errors import ConfigError, DataError, MetricError, UsageError
-from .model import BaselineModel, CCANModel, _baseline_config, save_checkpoint
+from .model import BASELINE_KINDS, BaselineModel, CCANModel, _baseline_config, save_checkpoint
 
 
 @dataclass
@@ -389,6 +389,18 @@ def _worker_cell(cell):
     return _sweep_cell(_worker_shared, cell)
 
 
+def check_sweep(fractions, models, jobs):
+    """Raise ``ConfigError`` for arguments ``data_efficiency_sweep`` rejects, before any cell trains."""
+    if not fractions:
+        raise ConfigError("fractions must be nonempty")
+    if any(not 0 < f <= 1 for f in fractions):
+        raise ConfigError(f"fractions must lie in (0, 1], got {tuple(fractions)}")
+    if not models or any(m != "ccan" and m not in BASELINE_KINDS for m in models):
+        raise ConfigError(f"sweep models must be among {('ccan',) + BASELINE_KINDS}, got {tuple(models)}")
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+
+
 def data_efficiency_sweep(dataset, split_plan, fractions, cfg, ccan_config,
                           models=("ccan", "mean-pool", "max-pool"), jobs=1, log=None):
     """Train every model at every (fold, fraction) cell; returns SweepRows.
@@ -396,12 +408,7 @@ def data_efficiency_sweep(dataset, split_plan, fractions, cfg, ccan_config,
     Fraction subsets within a fold share one subsample seed, so smaller
     fractions are prefixes of larger ones.
     """
-    if not fractions:
-        raise ConfigError("fractions must be nonempty")
-    if any(not 0 < f <= 1 for f in fractions):
-        raise ConfigError(f"fractions must lie in (0, 1], got {tuple(fractions)}")
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    check_sweep(fractions, models, jobs)
     shared = (dataset, ccan_config, cfg)
     cells = [
         (split_plan.folds[i], i, float(fr), kind)

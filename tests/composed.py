@@ -1,17 +1,23 @@
-"""Elementwise graph ops that the program no longer runs, kept as test oracles.
+"""Graph ops that the program no longer runs, kept as test oracles.
 
 ``sub``, ``mul``, ``scale``, ``sum_all``, ``log`` and ``clip`` are the
 nodes the training loss was built from before ``ag.bce`` fused it; the
 composed loss ``bce_loss`` / ``total_loss`` below is the oracle that node
 is compared with bit for bit. Tests also use ``sum_all(mul(out, g))`` to
 inject an upstream gradient ``g`` into any node.
+
+``layer_norm`` and ``attention`` are the graph ops the attention blocks
+were built from before each block became one node; ``composed_block``
+builds a block from them, ``ag.linear`` and ``ag.gelu``, and is the
+oracle the block nodes are compared with bit for bit.
 """
 
 import numpy as np
 
 from ccan import autograd as ag
+from ccan.attention import AttentionRecord, attention_scale
 from ccan.autograd import Tensor
-from ccan.errors import ShapeError
+from ccan.errors import DataError, NumericError, ShapeError
 
 
 def _check_same_shape(a, b, op):
@@ -113,3 +119,130 @@ def total_loss(per_stage_losses):
 def composed_bce(probs, target):
     """The graph ``ag.bce(probs, target)`` replaces."""
     return total_loss([bce_loss(p, target) for p in probs])
+
+
+def layer_norm(x, gamma, beta, eps=1e-5):
+    """Normalize each row of a matrix to zero mean / unit variance, then affine."""
+    if x.data.ndim != 2 or x.data.shape[1] < 1:
+        raise ShapeError(f"layer_norm: expected a 2-D tensor with nonempty rows, got {x.data.shape}")
+    mu = x.data.mean(axis=-1, keepdims=True)
+    xhat = x.data - mu  # centred once; scaled in place below
+    y = np.square(xhat)
+    var = y.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat *= inv
+    np.multiply(xhat, gamma.data, out=y)
+    y += beta.data
+    out = Tensor(y)
+
+    def backward(g):
+        if beta.requires_grad:
+            ag._accum(beta, g.sum(axis=0), owned=True)
+        if gamma.requires_grad:
+            ag._accum(gamma, (g * xhat).sum(axis=0), owned=True)
+        if x.requires_grad:
+            gx = g * gamma.data
+            term1 = gx.mean(axis=-1, keepdims=True)
+            term2 = (gx * xhat).mean(axis=-1, keepdims=True)
+            ag._accum(x, inv * (gx - term1 - xhat * term2), owned=True)
+
+    return ag._make_node(out, (x, gamma, beta), backward)
+
+
+_ATTENTION_BLOCK_BYTES = 1 << 18
+
+
+def attention(q, k, v, scale, heads=1):
+    """softmax(q @ k.T / scale) @ v for every head as one node; returns (output, softmax).
+
+    Head h attends with column group h of ``q``, ``k`` and ``v`` through
+    views. Scaling, the finiteness check, the row-max shift, exp and the
+    row normalization run in place, a block of rows at a time, with the
+    ufuncs of the per-head form in ``tests/test_attention.py``.
+    """
+    ag._check_same_dtype(q, k, "attention")
+    ag._check_same_dtype(q, v, "attention")
+    if q.data.ndim != 2 or k.data.ndim != 2 or v.data.ndim != 2:
+        raise ShapeError(f"attention: expected 2-D q, k, v, got {q.data.shape}, {k.data.shape}, {v.data.shape}")
+    if q.data.shape[1] != k.data.shape[1]:
+        raise ShapeError(f"attention: query dim {q.data.shape} does not match key dim {k.data.shape}")
+    if k.data.shape[0] != v.data.shape[0]:
+        raise ShapeError(f"attention: key rows {k.data.shape} do not match value rows {v.data.shape}")
+    if k.data.shape[0] < 1:
+        raise ShapeError("attention: needs at least one key")
+    m, d = q.data.shape
+    n, dv = v.data.shape
+    if heads < 1 or d % heads or dv % heads:
+        raise ShapeError(f"attention: widths {d} and {dv} do not split into {heads} heads")
+    kt = np.ascontiguousarray(k.data.T)
+    kth = kt.reshape(heads, d // heads, n)  # head h's keys are rows of K^T
+    qh, vh = ag._column_groups(q.data, heads), ag._column_groups(v.data, heads)
+    p = np.empty((heads, m, n), dtype=q.data.dtype)
+    np.matmul(qh, kth, out=p)
+    s = np.asarray(1.0 / scale, dtype=p.dtype)
+    rows = max(1, _ATTENTION_BLOCK_BYTES // (n * p.itemsize))
+    p_rows = p.reshape(heads * m, n)
+    for lo in range(0, heads * m, rows):
+        blk = p_rows[lo : lo + rows]
+        blk *= s
+        top = blk.max(axis=1, keepdims=True)
+        if not (np.isfinite(top).all() and np.isfinite(blk.min())):
+            raise NumericError("attention: logits contain NaN or infinite entries")
+        blk -= top
+        np.exp(blk, out=blk)
+        blk /= blk.sum(axis=1, keepdims=True)
+    y = np.empty((m, dv), dtype=p.dtype)
+    np.matmul(p, vh, out=ag._column_groups(y, heads))
+    out = Tensor(y)
+
+    def backward(g):
+        gh = ag._column_groups(g, heads)
+        if v.requires_grad:
+            gv = np.empty((n, dv), dtype=p.dtype)
+            np.matmul(p.swapaxes(1, 2), gh, out=ag._column_groups(gv, heads))
+            ag._accum(v, gv, owned=True)
+        if not (q.requires_grad or k.requires_grad):
+            return
+        # softmax then scale backward, in place on the fresh dL/dP
+        gp = np.empty_like(p)
+        np.matmul(gh, vh.swapaxes(1, 2), out=gp)
+        gp_rows = gp.reshape(heads * m, n)
+        prod = np.empty((min(rows, heads * m), n), dtype=p.dtype)
+        for lo in range(0, heads * m, rows):
+            gb, yb = gp_rows[lo : lo + rows], p_rows[lo : lo + rows]
+            inner = np.multiply(gb, yb, out=prod[: len(gb)]).sum(axis=1, keepdims=True)
+            gb -= inner
+            gb *= yb
+            gb *= s
+        if q.requires_grad:
+            gq = np.empty((m, d), dtype=p.dtype)
+            np.matmul(gp, kth.swapaxes(1, 2), out=ag._column_groups(gq, heads))
+            ag._accum(q, gq, owned=True)
+        if k.requires_grad:
+            gkt = np.empty((d, n), dtype=p.dtype)
+            np.matmul(qh.swapaxes(1, 2), gp, out=gkt.reshape(heads, d // heads, n))
+            ag._accum(k, gkt.T, owned=True)
+
+    return ag._make_node(out, (q, k, v), backward), p
+
+
+def composed_block(x, context, params, scale_mode="per-paper", heads=1, key_bias=None):
+    """A cross (or, with ``context`` None, self) block as 12 graph nodes: the oracle of the block node.
+
+    Keys are projected row-major, with ``key_bias`` added when given.
+    Returns the block output and its ``AttentionRecord``.
+    """
+    if context is not None and context.shape[0] < 1:
+        raise DataError("cross-attention requires a nonempty context")
+    h = layer_norm(x, params.ln1_gamma, params.ln1_beta)
+    kv = h if context is None else context
+    q = ag.linear(h, params.w_q, params.b_q)
+    k = ag.linear(kv, params.w_k, key_bias)
+    v = ag.linear(kv, params.w_v, params.b_v)
+    scale = attention_scale(scale_mode, q.shape[0], q.shape[1] // heads)
+    attn_out, p = attention(q, k, v, scale, heads)
+    x = x + ag.linear(attn_out, params.w_o, params.b_o)
+    h = layer_norm(x, params.ln2_gamma, params.ln2_beta)
+    x = x + ag.linear(ag.gelu(ag.linear(h, params.w_m1, params.b_m1)), params.w_m2, params.b_m2)
+    return x, AttentionRecord(matrix=p[0] if heads == 1 else p.mean(axis=0),
+                              kind="self" if context is None else "cross")

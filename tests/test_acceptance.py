@@ -7,12 +7,16 @@ per-criterion lines.
 """
 
 import hashlib
+import json
 import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
+import ccan
 from ccan import autograd as ag
 from ccan.bench import bench_scaling, count_baseline_macs, count_macs, linear_fit, make_bench_bag
 from ccan.cli import main as cli_main
@@ -340,33 +344,56 @@ class TestCriterion9PreprocessingPinning:
                 f"(sha256 {digest[:12]}... matches golden), round trip exact ({elapsed:.1f}s)")
 
 
+def _criterion10_recipe(root):
+    """The synth, split and train argument lists of criterion 10, writing under ``root``."""
+    data, plan, run_dir = str(root / "data"), str(root / "plan.csv"), str(root / "run")
+    common = ["--seed", "77"]
+    return [
+        ["synth", "--paths.out", data, "--data.n_bags", "30",
+         "--model.D_f", "32", "--data.n_min", "8", "--data.n_max", "16",
+         "--data.grid_rows", "6", "--data.grid_cols", "6",
+         "--data.witness_min", "1", "--data.witness_max", "3", *common],
+        ["split", "--paths.data", data, "--paths.out", plan, "--data.k", "3", *common],
+        ["train", "--paths.data", data, "--paths.plan", plan,
+         "--fold", "0", "--paths.run_dir", run_dir,
+         "--model.J", "2", "--model.M", "8", "--model.D_l", "16",
+         "--model.D_f", "32", "--model.S", "1", "--model.I", "2",
+         "--model.p_do", "0.3", "--train.epochs", "3",
+         "--train.batch_size", "8", "--train.lr_max", "1e-3", *common],
+    ]
+
+
+def _criterion10_outputs(root):
+    run_dir = root / "run"
+    return (run_dir / "history.csv").read_bytes(), (run_dir / "best.ckpt").read_bytes()
+
+
 class TestCriterion10Reproducibility:
     def test_synth_split_train_twice_byte_identical(self, tmp_path):
         t0 = time.time()
 
         def run(root):
-            data = str(root / "data")
-            plan = str(root / "plan.csv")
-            run_dir = str(root / "run")
-            common = ["--seed", "77"]
-            assert cli_main(["synth", "--paths.out", data, "--data.n_bags", "30",
-                             "--model.D_f", "32", "--data.n_min", "8", "--data.n_max", "16",
-                             "--data.grid_rows", "6", "--data.grid_cols", "6",
-                             "--data.witness_min", "1", "--data.witness_max", "3", *common]) == 0
-            assert cli_main(["split", "--paths.data", data, "--paths.out", plan,
-                             "--data.k", "3", *common]) == 0
-            assert cli_main(["train", "--paths.data", data, "--paths.plan", plan,
-                             "--fold", "0", "--paths.run_dir", run_dir,
-                             "--model.J", "2", "--model.M", "8", "--model.D_l", "16",
-                             "--model.D_f", "32", "--model.S", "1", "--model.I", "2",
-                             "--model.p_do", "0.3", "--train.epochs", "3",
-                             "--train.batch_size", "8", "--train.lr_max", "1e-3", *common]) == 0
-            history = open(os.path.join(run_dir, "history.csv"), "rb").read()
-            checkpoint = open(os.path.join(run_dir, "best.ckpt"), "rb").read()
-            return history, checkpoint
+            for args in _criterion10_recipe(root):
+                assert cli_main(args) == 0
+            return _criterion10_outputs(root)
 
         a = run(tmp_path / "first")
         b = run(tmp_path / "second")
         elapsed = time.time() - t0
         verdict(10, a[0] == b[0] and a[1] == b[1],
                 f"history CSV and checkpoint byte-identical across two seeded runs ({elapsed:.1f}s)")
+
+    def test_same_bytes_at_one_and_two_blas_threads(self, tmp_path):
+        # byte identity holds per BLAS thread count; at this size the counts agree too.
+        # OpenBLAS reads the count when numpy loads, so each count runs in its own process.
+        script = "import json, sys\nfrom ccan.cli import main\nfor args in json.loads(sys.argv[1]):\n    if main(args):\n        sys.exit(1)\n"
+        src = os.path.dirname(os.path.dirname(ccan.__file__))
+        outputs = []
+        for threads in ("1", "2"):
+            root = tmp_path / f"threads{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            subprocess.run([sys.executable, "-c", script, json.dumps(_criterion10_recipe(root))],
+                           env=env, check=True, capture_output=True, timeout=120)
+            outputs.append(_criterion10_outputs(root))
+        assert outputs[0] == outputs[1]

@@ -10,8 +10,8 @@ from ccan.attention import (
     self_attention_block,
 )
 from ccan.autograd import Tensor
-from ccan.errors import ConfigError, DataError, NumericError, ShapeError
-from composed import mul, sum_all
+from ccan.errors import ConfigError, DataError, NumericError, ShapeError, UsageError
+from composed import attention, composed_block, mul, sum_all
 
 
 def t64(data, requires_grad=False):
@@ -22,29 +22,34 @@ def random_block(d, seed, dtype=np.float64):
     return init_block_params(d, np.random.default_rng(seed), dtype=dtype)
 
 
+def attend(q, k, v, scale, heads=1):
+    """The blocks' attention kernel on arrays, keys given N x d; returns (output, softmax)."""
+    q, k, v = (np.asarray(a, dtype=getattr(a, "dtype", np.float64)) for a in (q, k, v))
+    return ag._attention(q, np.ascontiguousarray(k.T), v, scale, heads)
+
+
 class TestScaledAttention:
     def test_single_key_is_identity_weighting(self):
-        q = t64(np.random.default_rng(0).normal(size=(4, 3)))
-        k = t64([[1.0, 2.0, 3.0]])
-        v = t64([[5.0, 6.0, 7.0]])
-        out, attn = ag.attention(q, k, v, 2.0)
+        q = np.random.default_rng(0).normal(size=(4, 3))
+        v = np.array([[5.0, 6.0, 7.0]])
+        out, attn = attend(q, [[1.0, 2.0, 3.0]], v, 2.0)
         np.testing.assert_allclose(attn, np.ones((1, 4, 1)))
-        np.testing.assert_allclose(out.data, np.tile(v.data, (4, 1)))
+        np.testing.assert_allclose(out, np.tile(v, (4, 1)))
 
     def test_zero_query_gives_uniform_rows(self):
         rng = np.random.default_rng(1)
-        k = t64(rng.normal(size=(5, 3)))
-        v = t64(rng.normal(size=(5, 3)))
-        out, attn = ag.attention(t64(np.zeros((2, 3))), k, v, 1.0)
+        k = rng.normal(size=(5, 3))
+        v = rng.normal(size=(5, 3))
+        out, attn = attend(np.zeros((2, 3)), k, v, 1.0)
         np.testing.assert_allclose(attn, np.full((1, 2, 5), 0.2), atol=1e-12)
-        np.testing.assert_allclose(out.data, np.tile(v.data.mean(axis=0), (2, 1)), atol=1e-12)
+        np.testing.assert_allclose(out, np.tile(v.mean(axis=0), (2, 1)), atol=1e-12)
 
     def test_scalar_closed_form(self):
         # logit gap 4 => weight sigma(4) on the first key
-        out, attn = ag.attention(t64([[2.0]]), t64([[1.0], [-1.0]]), t64([[1.0], [0.0]]), 1.0)
+        out, attn = attend([[2.0]], [[1.0], [-1.0]], [[1.0], [0.0]], 1.0)
         w = 1.0 / (1.0 + np.exp(-4.0))
         np.testing.assert_allclose(attn, [[[w, 1.0 - w]]], atol=1e-12)
-        np.testing.assert_allclose(out.data, [[w]], atol=1e-12)
+        np.testing.assert_allclose(out, [[w]], atol=1e-12)
         assert abs(w - 0.9820) < 1e-4
 
 
@@ -235,7 +240,7 @@ def composed_head(q, k, v, scale):
 
 
 def composed_attention(q, k, v, scale, heads=1):
-    """The oracle for ``ag.attention``: every head as its own graph.
+    """The per-head oracle of the attention kernel and of ``composed.attention``.
 
     Head h slices column group h of q, k and v into copies, attends with
     ``composed_head``, and the head outputs are joined column-wise; the
@@ -251,23 +256,20 @@ def composed_attention(q, k, v, scale, heads=1):
     return concat_cols(outs), np.stack(mats)
 
 
-def use_composed(monkeypatch):
-    """Run the blocks on the composed oracle with row-major key projections."""
-    linear = ag.linear
-    monkeypatch.setattr(ag, "attention", composed_attention)
-    monkeypatch.setattr(ag, "linear", lambda x, w, b, order="C": linear(x, w, b))
-
-
-def _block_run(block, m, n, d, heads, seed):
-    """Output, record and every gradient of one float32 block pass."""
+def _block_run(block, m, n, d, heads, seed, oracle=False, inputs_grad=True):
+    """Output, record and every gradient of one float32 block pass (the composed graph's if ``oracle``)."""
     rng = np.random.default_rng(seed)
     params = init_block_params(d, np.random.default_rng(seed + 1), dtype=np.float32)
-    x = Tensor(rng.normal(size=(m, d)).astype(np.float32), requires_grad=True)
-    leaves = [x] + [t for _, t in params.named_tensors()]
+    x = Tensor(rng.normal(size=(m, d)).astype(np.float32), requires_grad=inputs_grad)
+    leaves = [t for _, t in params.named_tensors()] + [x] * inputs_grad
     mode = "per-paper" if heads == 1 else "per-dim"
+    ctx = None
     if block == "cross":
-        ctx = Tensor(rng.normal(size=(n, d)).astype(np.float32), requires_grad=True)
-        leaves.append(ctx)
+        ctx = Tensor(rng.normal(size=(n, d)).astype(np.float32), requires_grad=inputs_grad)
+        leaves += [ctx] * inputs_grad
+    if oracle:
+        out, record = composed_block(x, ctx, params, scale_mode=mode, heads=heads)
+    elif block == "cross":
         out, record = cross_attention_block(x, ctx, params, scale_mode=mode, heads=heads)
     else:
         out, record = self_attention_block(x, params, scale_mode=mode, heads=heads)
@@ -285,6 +287,7 @@ def _assert_same_bits(fused, oracle):
 
 class TestFusedAttention:
     def test_node_bitwise_equal_to_composed_float32(self):
+        # the kernels against the per-head graph, and the graph op they replaced against it too
         rng = np.random.default_rng(30)
         values = [rng.normal(size=s).astype(np.float32) for s in ((9, 16), (37, 16), (37, 12))]
         upstream = rng.normal(size=(9, 12)).astype(np.float32)
@@ -295,73 +298,97 @@ class TestFusedAttention:
             ag.backward(sum_all(mul(out, Tensor(upstream))))
             return [out.data, attn, q.grad, k.grad, v.grad]
 
+        def kernels(heads):
+            q, k, v = values
+            kt = np.ascontiguousarray(k.T)
+            out, attn = ag._attention(q, kt, v, 4.0, heads)
+            gkt, gv = np.empty_like(kt), np.empty_like(v)
+            gq = ag._attention_backward(upstream, q, kt, v, attn, 4.0, heads, gkt, gv)
+            return [out, attn, gq, gkt.T, gv]
+
         for heads in (1, 2, 4):
-            _assert_same_bits(run(ag.attention, heads), run(composed_attention, heads))
+            oracle = run(composed_attention, heads)
+            _assert_same_bits(kernels(heads), oracle)
+            _assert_same_bits(run(attention, heads), oracle)
 
     @pytest.mark.parametrize("block", ["cross", "self"])
     @pytest.mark.parametrize("heads", [1, 2])
-    def test_toy_blocks_bitwise_equal_to_composed(self, monkeypatch, block, heads):
-        fused = _block_run(block, 9, 30, 16, heads, seed=31)
-        use_composed(monkeypatch)
-        _assert_same_bits(fused, _block_run(block, 9, 30, 16, heads, seed=31))
+    def test_toy_blocks_bitwise_equal_to_composed(self, block, heads):
+        _assert_same_bits(_block_run(block, 9, 30, 16, heads, seed=31),
+                          _block_run(block, 9, 30, 16, heads, seed=31, oracle=True))
+
+    @pytest.mark.parametrize("block", ["cross", "self"])
+    def test_inputs_without_grad_bitwise_equal_to_composed(self, block):
+        # only the parameters need gradients: the node skips the input's and the context's
+        _assert_same_bits(_block_run(block, 9, 30, 16, 1, seed=38, inputs_grad=False),
+                          _block_run(block, 9, 30, 16, 1, seed=38, oracle=True, inputs_grad=False))
 
     @pytest.mark.parametrize("n", [309, 3091])
     @pytest.mark.parametrize("heads", [1, 4])
-    def test_reference_cross_block_bitwise_equal_to_composed(self, monkeypatch, n, heads):
-        fused = _block_run("cross", 513, n, 512, heads, seed=32)
-        use_composed(monkeypatch)
-        _assert_same_bits(fused, _block_run("cross", 513, n, 512, heads, seed=32))
+    def test_reference_cross_block_bitwise_equal_to_composed(self, n, heads):
+        _assert_same_bits(_block_run("cross", 513, n, 512, heads, seed=32),
+                          _block_run("cross", 513, n, 512, heads, seed=32, oracle=True))
 
-    def test_reference_self_block_bitwise_equal_to_composed(self, monkeypatch):
-        fused = [_block_run("self", 513, 513, 512, heads, seed=33) for heads in (1, 4)]
-        use_composed(monkeypatch)
-        for heads, run in zip((1, 4), fused):
-            _assert_same_bits(run, _block_run("self", 513, 513, 512, heads, seed=33))
+    def test_reference_self_block_bitwise_equal_to_composed(self):
+        for heads in (1, 4):
+            _assert_same_bits(_block_run("self", 513, 513, 512, heads, seed=33),
+                              _block_run("self", 513, 513, 512, heads, seed=33, oracle=True))
 
     @pytest.mark.parametrize("heads", [1, 2])
     def test_keys_reach_the_node_column_major(self, monkeypatch, heads):
-        # so the node reads k.T without copying it, one head or several
+        # so the kernel reads K^T as a C-contiguous view of the keys, one head or several
         seen = []
-        attention = ag.attention
-        monkeypatch.setattr(ag, "attention",
-                            lambda q, k, v, s, heads: seen.append(k.data) or attention(q, k, v, s, heads))
+        kernel = ag._attention
+        monkeypatch.setattr(ag, "_attention", lambda q, kt, v, s, heads: seen.append(kt) or kernel(q, kt, v, s, heads))
         _block_run("cross", 4, 10, 8, heads, seed=34)
         _block_run("self", 4, 4, 8, heads, seed=35)
-        assert len(seen) == 2  # one node per block at any head count
-        assert all(k.flags.f_contiguous and not k.flags.c_contiguous for k in seen)
+        assert len(seen) == 2  # one attention per block at any head count
+        assert all(kt.flags.c_contiguous and kt.base is not None for kt in seen)
+
+    def test_one_node_per_self_block_and_two_per_cross_block(self):
+        params = random_block(4, seed=36)
+        x, ctx = (t64(np.ones((3, 4)), requires_grad=True) for _ in range(2))
+        out, _ = self_attention_block(x, params)
+        assert out._parents[0] is x and all(p._backward is None for p in out._parents)
+        out, _ = cross_attention_block(x, ctx, params)
+        kv = out._parents[-1]  # the context's keys and values, walked before the input
+        assert kv._parents[0] is ctx and all(p._backward is None for p in out._parents[:-1])
 
     def test_macs_equal_two_matmuls(self):
         rng = np.random.default_rng(37)
-        q, k, v = (Tensor(rng.normal(size=s).astype(np.float32)) for s in ((5, 4), (11, 4), (11, 3)))
+        q, k, v = (rng.normal(size=s).astype(np.float32) for s in ((5, 4), (11, 4), (11, 3)))
         with ag.op_probe() as fused:
-            ag.attention(q, k, v, 2.0)
+            attend(q, k, v, 2.0)
         assert fused.macs == 5 * 4 * 11 + 5 * 11 * 3
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_logits_raise(self, bad):
-        q = t64(np.ones((2, 3)))
-        q.data[1, 2] = bad
-        kv = t64(np.ones((4, 3)))
+        q = np.ones((2, 3))
+        q[1, 2] = bad
+        kv = np.ones((4, 3))
         with pytest.raises(NumericError), np.errstate(all="ignore"):
-            ag.attention(q, kv, kv, 1.0)
+            attend(q, kv, kv, 1.0)
 
     def test_one_overflowing_logit_raises(self):
         # logits [-inf, 0]: the row max is finite, the row min is not
-        q = Tensor(np.array([[1e30, 0.0]], dtype=np.float32))
-        k = Tensor(np.array([[-1e30, 0.0], [0.0, 0.0]], dtype=np.float32))
+        q = np.array([[1e30, 0.0]], dtype=np.float32)
+        k = np.array([[-1e30, 0.0], [0.0, 0.0]], dtype=np.float32)
         with pytest.raises(NumericError), np.errstate(all="ignore"):
-            ag.attention(q, k, k, 1.0)
+            attend(q, k, k, 1.0)
 
     def test_shape_errors(self):
-        with pytest.raises(ShapeError):
-            ag.attention(t64(np.zeros((2, 3))), t64(np.zeros((4, 2))), t64(np.zeros((4, 2))), 1.0)
-        with pytest.raises(ShapeError):
-            ag.attention(t64(np.zeros((2, 3))), t64(np.zeros((4, 3))), t64(np.zeros((5, 2))), 1.0)
-        with pytest.raises(ShapeError):
-            ag.attention(t64(np.zeros((2, 3))), t64(np.zeros((0, 3))), t64(np.zeros((0, 2))), 1.0)
-        # a width that does not split into the heads: d = 4, d_v = 3
-        with pytest.raises(ShapeError):
-            ag.attention(t64(np.zeros((2, 4))), t64(np.zeros((5, 4))), t64(np.zeros((5, 3))), 1.0, 2)
+        params = random_block(4, seed=39)
+        with pytest.raises(ShapeError, match="context"):
+            cross_attention_block(t64(np.zeros((2, 4))), t64(np.zeros((5, 3))), params)
+        with pytest.raises(ShapeError, match="input"):
+            self_attention_block(t64(np.zeros((2, 3))), params)
+        with pytest.raises(ShapeError, match="input"):
+            self_attention_block(t64(np.zeros(4)), params)
+        # a width that does not split into the heads: d = 4, 3 heads
+        with pytest.raises(ShapeError, match="heads"):
+            self_attention_block(t64(np.zeros((2, 4))), params, scale_mode="per-dim", heads=3)
+        with pytest.raises(UsageError, match="mixed dtypes"):
+            cross_attention_block(t64(np.zeros((2, 4))), Tensor(np.zeros((5, 4), dtype=np.float32)), params)
 
 
 class TestNoKeyBias:
@@ -372,12 +399,12 @@ class TestNoKeyBias:
 
     @pytest.mark.parametrize("block", ["cross", "self"])
     @pytest.mark.parametrize("heads", [1, 2])
-    def test_random_key_bias_changes_nothing_float64(self, monkeypatch, block, heads):
+    def test_random_key_bias_changes_nothing_float64(self, block, heads):
         # a key bias b adds q . b to every logit of a row, and softmax drops a row constant
         d = 6
         key_bias = t64(np.random.default_rng(50).normal(size=d), requires_grad=True)
 
-        def run():
+        def run(bias=None):
             rng = np.random.default_rng(51)
             params = random_block(d, seed=52)
             for _, t in params.named_tensors():
@@ -385,9 +412,13 @@ class TestNoKeyBias:
             x = t64(rng.normal(size=(5, d)), requires_grad=True)
             leaves = [x] + [t for _, t in params.named_tensors()]
             mode = "per-paper" if heads == 1 else "per-dim"
+            ctx = None
             if block == "cross":
                 ctx = t64(rng.normal(size=(9, d)), requires_grad=True)
                 leaves.append(ctx)
+            if bias is not None:  # the composed graph takes a key bias; the node has none
+                out, record = composed_block(x, ctx, params, scale_mode=mode, heads=heads, key_bias=bias)
+            elif block == "cross":
                 out, record = cross_attention_block(x, ctx, params, scale_mode=mode, heads=heads)
             else:
                 out, record = self_attention_block(x, params, scale_mode=mode, heads=heads)
@@ -396,12 +427,7 @@ class TestNoKeyBias:
             return [out.data, record.matrix] + [t.grad for t in leaves]
 
         bias_free = run()
-        linear = ag.linear
-        monkeypatch.setattr(ag, "attention", composed_attention)
-        # only the key projections write column-major, and only they get the bias
-        monkeypatch.setattr(ag, "linear",
-                            lambda x, w, b, order="C": linear(x, w, key_bias if order == "F" else b))
-        biased = run()
+        biased = run(key_bias)
         assert np.abs(key_bias.data).min() > 0.1
         for a, b in zip(bias_free, biased):
             np.testing.assert_allclose(b, a, rtol=1e-12, atol=1e-12)

@@ -9,7 +9,7 @@ from scipy.special import erf
 from ccan import autograd as ag
 from ccan.autograd import Tensor
 from ccan.errors import ShapeError, UsageError
-from composed import clip, composed_bce, mul, scale, sum_all
+from composed import attention, clip, composed_bce, layer_norm, mul, scale, sum_all
 
 
 def t64(data, requires_grad=False):
@@ -47,9 +47,9 @@ class TestMatmul:
 
 
 def node_softmax(logits):
-    """The row softmax inside ``ag.attention``: identity keys and values pass the logits through."""
-    eye = t64(np.eye(len(logits[0])))
-    return ag.attention(t64(logits), eye, eye, 1.0)[1][0]
+    """The row softmax inside the attention kernel: identity keys and values pass the logits through."""
+    eye = np.eye(len(logits[0]))
+    return ag._attention(np.asarray(logits, dtype=np.float64), eye, eye, 1.0, 1)[1][0]
 
 
 class TestSoftmax:
@@ -65,15 +65,15 @@ class TestSoftmax:
 
 
 class TestLayerNorm:
+    """The layer-norm kernel of the block nodes, and (for gradients) the graph op it replaced."""
+
     def test_constant_row_is_zero(self):
-        gamma, beta = t64(np.ones(4)), t64(np.zeros(4))
-        out = ag.layer_norm(t64([[5.0, 5.0, 5.0, 5.0]]), gamma, beta)
-        np.testing.assert_allclose(out.data, np.zeros((1, 4)))
+        out, _, _ = ag._layer_norm(np.full((1, 4), 5.0), np.ones(4), np.zeros(4))
+        np.testing.assert_allclose(out, np.zeros((1, 4)))
 
     def test_already_normalized(self):
-        gamma, beta = t64(np.ones(2)), t64(np.zeros(2))
-        out = ag.layer_norm(t64([[1.0, -1.0]]), gamma, beta, eps=1e-12)
-        np.testing.assert_allclose(out.data, [[1.0, -1.0]], atol=1e-9)
+        out, _, _ = ag._layer_norm(np.array([[1.0, -1.0]]), np.ones(2), np.zeros(2), eps=1e-12)
+        np.testing.assert_allclose(out, [[1.0, -1.0]], atol=1e-9)
 
     def test_gradient(self):
         rng = np.random.default_rng(2)
@@ -82,7 +82,7 @@ class TestLayerNorm:
         beta = t64(rng.normal(size=4), requires_grad=True)
 
         def f():
-            h = ag.layer_norm(x, gamma, beta)
+            h = layer_norm(x, gamma, beta)
             return sum_all(mul(h, h))
 
         report = ag.grad_check(f, [("x", x), ("gamma", gamma), ("beta", beta)], eps=1e-5)
@@ -92,13 +92,27 @@ class TestLayerNorm:
         # centring once must keep the bits of (x - mu) * inv * gamma + beta with x - mu formed twice
         rng = np.random.default_rng(13)
         x, gamma, beta = (rng.normal(size=s).astype(np.float32) for s in ((33, 48), 48, 48))
-        out = ag.layer_norm(Tensor(x), Tensor(gamma), Tensor(beta))
+        out, xhat, _ = ag._layer_norm(x, gamma, beta)
         mu = x.mean(axis=-1, keepdims=True)
         var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
         inv = 1.0 / np.sqrt(var + 1e-5)
         expected = (x - mu) * inv * gamma + beta
-        assert out.data.dtype == np.float32
-        np.testing.assert_array_equal(out.data.view(np.uint32), expected.view(np.uint32))
+        assert out.dtype == np.float32
+        np.testing.assert_array_equal(out.view(np.uint32), expected.view(np.uint32))
+        # a backward recomputes the output from xhat with the same bits
+        np.testing.assert_array_equal(ag._layer_norm_affine(xhat, gamma, beta).view(np.uint32), out.view(np.uint32))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_kernels_bitwise_equal_to_the_graph_op(self, dtype):
+        rng = np.random.default_rng(14)
+        x, gamma, beta, g = (rng.normal(size=s).astype(dtype) for s in ((33, 48), 48, 48, (33, 48)))
+        ts = [Tensor(v.copy(), requires_grad=True) for v in (x, gamma, beta)]
+        ag.backward(sum_all(mul(layer_norm(*ts), Tensor(g))))
+        gamma_t, beta_t = (Tensor(v.copy(), requires_grad=True) for v in (gamma, beta))
+        y, xhat, inv = ag._layer_norm(x, gamma, beta)
+        gx = ag._layer_norm_backward(g, xhat, inv, gamma_t, beta_t)
+        for got, want in zip((y, gx, gamma_t.grad, beta_t.grad), (layer_norm(*ts).data, *(t.grad for t in ts))):
+            assert got.dtype == dtype and got.tobytes() == want.tobytes()
 
 
 class TestGelu:
@@ -111,6 +125,21 @@ class TestGelu:
         out = ag.gelu(Tensor(x)).data
         assert out.dtype == np.float32
         np.testing.assert_array_equal(out.view(np.uint32), expected.view(np.uint32))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_blocked_kernels_bitwise_equal_to_whole_array_expression(self, dtype):
+        # 41 x 2000 entries span three blocks, the last one partial
+        rng = np.random.default_rng(8)
+        d, g = (rng.normal(scale=3.0, size=(41, 2000)).astype(dtype) for _ in range(2))
+        y, dydx = ag._gelu(d, True)
+        cdf = 0.5 * (1.0 + erf(np.multiply(d, 1.0 / np.sqrt(2.0), dtype=np.float64)))
+        e = np.exp(np.multiply(d, -0.5, dtype=dtype) * d)
+        want_dydx = np.multiply(e, 1.0 / np.sqrt(2.0 * np.pi), dtype=np.float64) * d + cdf
+        want_gx = np.multiply(want_dydx, g, dtype=np.float64).astype(dtype)
+        assert y.tobytes() == np.multiply(d, cdf, dtype=np.float64).astype(dtype).tobytes()
+        assert dydx.tobytes() == want_dydx.tobytes()
+        assert ag._gelu_backward(g, dydx).tobytes() == want_gx.tobytes()
+        assert ag._gelu(d, False)[1] is None  # no derivative without a backward to read it
 
     def test_zero(self):
         assert ag.gelu(t64([0.0])).data[0] == 0.0
@@ -265,10 +294,10 @@ def _op_cases(rng):
         ("linear", [("a", a), ("b", b), ("bias3", bias3)], lambda: sq(ag.linear(a, b, bias3))),
         ("linear_no_bias", [("a", a), ("b", b)], lambda: sq(ag.linear(a, b, None))),
         ("attention", [("a", a), ("keys", keys), ("values", values)],
-         lambda: sq(ag.attention(a, keys, values, 1.7)[0])),
+         lambda: sq(attention(a, keys, values, 1.7)[0])),
         ("attention_2_heads", [("a", a), ("keys", keys), ("values", values)],
-         lambda: sq(ag.attention(a, keys, values, 1.7, 2)[0])),
-        ("layer_norm", [("a", a), ("gamma", gamma), ("beta", beta)], lambda: sq(ag.layer_norm(a, gamma, beta))),
+         lambda: sq(attention(a, keys, values, 1.7, 2)[0])),
+        ("layer_norm", [("a", a), ("gamma", gamma), ("beta", beta)], lambda: sq(layer_norm(a, gamma, beta))),
         ("gelu", [("a", a)], lambda: sq(ag.gelu(a))),
         ("sigmoid", [("a", a)], lambda: sq(ag.sigmoid(a))),
         ("bce", stage_params, lambda: ag.bce(stage_probs, [0.0, 1.0, 0.0])),
@@ -326,15 +355,13 @@ class TestLinear:
         ag.backward(sum_all(mul(out, Tensor(g))))
         _assert_same_bits([out.data] + [t.grad for t in ts], [x @ w + bias, g @ w.T, x.T @ g, g.sum(axis=0)])
 
-    @pytest.mark.parametrize("order", ["C", "F"])
-    def test_no_bias_bitwise_equal_to_matmul_float32(self, order):
+    def test_no_bias_bitwise_equal_to_matmul_float32(self):
         rng = np.random.default_rng(12)
         x, w, g = (rng.normal(size=s).astype(np.float32) for s in ((37, 24), (24, 19), (37, 19)))
         ts = [Tensor(v.copy(), requires_grad=True) for v in (x, w)]
-        out = ag.linear(*ts, None, order=order)
+        out = ag.linear(*ts, None)
         ag.backward(sum_all(mul(out, Tensor(g))))
         assert len(out._parents) == 2  # no bias parent
-        assert out.data.flags.f_contiguous == (order == "F")
         _assert_same_bits([out.data] + [t.grad for t in ts], [x @ w, g @ w.T, x.T @ g])
 
     def test_shape_errors(self):

@@ -358,6 +358,21 @@ class TestCommands:
         assert lines[0] == "fold,fraction,model,best_epoch,val_auc,test_auc"
         assert len(lines) == 1 + 3  # one model x one fraction x three folds
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--jobs", "0", "error: jobs must be >= 1, got 0\n"),
+        ("--train.fractions", "1.5", "error: fractions must lie in (0, 1], got (1.5,)\n"),
+        ("--sweep.models", "ccan,mean-poo1", "error: sweep models must be among ('ccan', 'mean-pool', "
+                                              "'max-pool', 'full-self-attention'), got ('ccan', 'mean-poo1')\n"),
+    ], ids=["jobs", "fractions", "models"])
+    def test_rejected_sweep_is_one_error_line_and_no_run_dir(self, tiny_run, tmp_path, capsys, flag, value, message):
+        run_dir = tmp_path / "sweep_run"
+        rc = main(["sweep", "--paths.data", tiny_run["data"], "--paths.plan", tiny_run["plan"],
+                   "--paths.run_dir", str(run_dir), *tiny_run["model_flags"], "--train.epochs", "1",
+                   "--sweep.models", "mean-pool", flag, value])  # a repeated flag: the last one counts
+        assert rc == 1
+        assert capsys.readouterr().err == message
+        assert not run_dir.exists()
+
     def test_bench(self, tmp_path, capsys):
         out = str(tmp_path / "bench.csv")
         rc = main(["bench", "--model.J", "2", "--model.M", "8", "--model.D_l", "16",

@@ -183,7 +183,9 @@ class TestForward:
         # operation nodes reachable from one training loss of the TOY benchmark
         # config: 216 composed, 163 with the fused linear, 131 with the fused
         # attention, whose one node holds every head, 113 with the loss as one
-        # node over both stages. A rise here is a graph-size regression.
+        # node over both stages, 29 with each attention block one node (a cross
+        # block's context keys and values one more). A rise here is a graph-size
+        # regression.
         from ccan.training import bag_loss
 
         bag = generate_synthetic(1, (40, 40), d_feature=64, seed=0).bags[0]
@@ -198,7 +200,7 @@ class TestForward:
                     seen.add(id(node))
                     ops += node._backward is not None
                     stack.extend(node._parents)
-            assert ops == 113, f"{heads} heads"
+            assert ops == 29, f"{heads} heads"
 
     def test_eval_deterministic(self):
         model = CCANModel(toy_config(), seed=5)
@@ -208,6 +210,62 @@ class TestForward:
         np.testing.assert_array_equal(a.averaged_probs, b.averaged_probs)
         for sa, sb in zip(a.stages, b.stages):
             np.testing.assert_array_equal(sa.latents_out.data, sb.latents_out.data)
+
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_toy_training_bitwise_equal_to_composed_blocks(self, monkeypatch, heads):
+        # across blocks too: the projected input tokens, which three cross blocks read here,
+        # take their key and value gradients in the composed graph's order
+        from ccan import attention
+        from ccan.training import bag_loss
+        from composed import composed_block
+
+        bag = generate_synthetic(1, (40, 40), d_feature=64, seed=0).bags[0]
+        cfg = CCANConfig(n_stages=2, n_latents=16, compression=2, d_latent=32, d_feature=64, self_layers=1,
+                         n_frequencies=2, p_dropout=0.5, heads=heads, scale_mode="per-dim" if heads > 1 else "per-paper")
+
+        def run():
+            model = CCANModel(cfg, seed=0)
+            out = model.forward(bag, rng=np.random.default_rng(0), train_mode=True)
+            loss = bag_loss(out, bag.label, 2)
+            ag.backward(loss)
+            records = [rec.matrix for so in out.stages for rec in so.records]
+            return [loss.data, out.averaged_probs] + records + [t.grad for _, t in model.parameters()]
+
+        fused = run()
+        monkeypatch.setattr(attention, "_block", lambda x, context, params, scale_mode, heads, kind:
+                            composed_block(x, context, params, scale_mode, heads))
+        for got, want in zip(fused, run(), strict=True):
+            assert got.tobytes() == want.tobytes()
+
+    def test_training_graph_keeps_only_what_its_backward_reads(self):
+        # per attention block: both layer norms' xhat and inv, Q, K, V, the softmax, the
+        # attention output, the GELU output, GELU's float64 derivative and the block output.
+        # Outside the blocks: the encoded tokens, the context, each stage's class-token join,
+        # its two slices and the pooled skip and its sum; the head's few rows sit in the slack.
+        from ccan.training import bag_loss
+
+        cfg = CCANConfig(n_stages=2, n_latents=32, compression=2, d_latent=64, d_feature=64,
+                         self_layers=1, n_frequencies=2, p_dropout=0.5)
+        model = CCANModel(cfg, seed=0)
+        bag = make_bench_bag(400, 64, seed=2)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            out = model.forward(bag, rng=np.random.default_rng(0), train_mode=True)
+            loss = bag_loss(out, bag.label, 2)
+            retained = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        n, d = len(out.kept_indices), cfg.d_latent
+        bound = 4 * n * (cfg.d_encoded + d)
+        context = n
+        for j, m in enumerate(cfg.latent_counts()):
+            for rows, keys in [(m, context)] + [(m, m)] * cfg.self_layers + [(m + 1, n), (m + 1, m + 1)]:
+                bound += 4 * (2 * rows * (d + 1) + 3 * rows * d + 2 * keys * d + rows * keys + 4 * rows * d)
+                bound += 8 * 4 * rows * d
+            bound += 4 * (2 * (m + 1) * d + 2 * m * d * (j > 0))
+            context = m
+        assert loss.requires_grad and retained < bound + (64 << 10), (retained, bound)
 
     def test_eval_forward_frees_the_encoded_input(self):
         # N x d_encoded dwarfs everything the stages hold, so once the input projection has

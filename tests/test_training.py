@@ -515,6 +515,13 @@ class TestSweep:
         with pytest.raises(ConfigError, match=r"fractions must lie in \(0, 1\]"):
             data_efficiency_sweep(ds, plan, [1.0, bad], TrainConfig(), small_model().config)
 
+    @pytest.mark.parametrize("models", [("ccan", "mean-poo1"), ()])
+    def test_unknown_or_no_models_rejected_before_training(self, monkeypatch, models):
+        ds, plan = small_task(seed=21, n_bags=16)
+        monkeypatch.setattr("ccan.training._sweep_cell", lambda *args: pytest.fail("a cell trained"))
+        with pytest.raises(ConfigError, match="sweep models must be among"):
+            data_efficiency_sweep(ds, plan, [1.0], TrainConfig(), small_model().config, models=models)
+
     def test_train_config_has_no_fractions(self):
         assert "fractions" not in {f.name for f in dataclasses.fields(TrainConfig)}
 

@@ -1,0 +1,112 @@
+"""Print sha256 digests of a model's outputs, records and gradients.
+
+Two checkouts that print the same lines compute the same float bits for
+one seeded bag: the eval-mode probabilities, every ``AttentionRecord``
+of the eval and the training forward, the training loss, and every
+parameter gradient of one training bag. The BLAS thread count is printed
+too, because bit identity holds per thread count (see README).
+
+    PYTHONPATH=src python tools/hash_outputs.py --config ref --n 3091 --heads 4
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tools/hash_outputs.py --config toy
+
+``--config toy`` is the acceptance tests' TOY model; ``ref`` is
+``CCANConfig()`` (96.4M parameters, about 1.2 GB while its gradients are
+held). More than one head runs with per-dim scaling. ``--each`` prints a
+digest per record and per gradient as well.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ctypes
+import glob
+import hashlib
+import math
+import os
+import sys
+
+import numpy as np
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
+
+from ccan import autograd as ag  # noqa: E402
+from ccan.data import FeatureBag  # noqa: E402
+from ccan.model import CCANConfig, CCANModel  # noqa: E402
+from ccan.training import bag_loss  # noqa: E402
+
+TOY = dict(n_stages=2, n_latents=16, compression=2, d_latent=32, d_feature=64, self_layers=1, n_frequencies=2)
+
+
+def blas_threads():
+    """The thread count of numpy's bundled OpenBLAS, or None when it cannot be read."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*"))
+    for lib in libs:
+        handle = ctypes.CDLL(lib)
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                       "openblas_get_num_threads"):
+            if hasattr(handle, symbol):
+                return int(getattr(handle, symbol)())
+    return None
+
+
+def digest(arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a)
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a.data)
+    return h.hexdigest()
+
+
+def make_bag(n, d_feature, seed):
+    rng = np.random.default_rng(seed)
+    cols = math.ceil(math.sqrt(n))
+    idx = np.arange(n)
+    return FeatureBag("bag", "patient", 1, rng.normal(size=(n, d_feature)).astype(np.float32),
+                      idx // cols, idx % cols, math.ceil(n / cols), cols)
+
+
+def report(name, arrays, each_names=None):
+    print(f"{name:14s} {len(arrays):4d} {digest(arrays)}")
+    for label, a in zip(each_names or [], arrays):
+        print(f"  {label:40s} {digest([a])}")
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--config", choices=("toy", "ref"), default="toy")
+    ap.add_argument("--n", type=int, default=40, help="tokens in the bag")
+    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--heads", type=int, default=1)
+    ap.add_argument("--each", action="store_true", help="a digest per record and per gradient too")
+    args = ap.parse_args(argv)
+
+    kwargs = TOY if args.config == "toy" else {}
+    cfg = CCANConfig(**kwargs, heads=args.heads, scale_mode="per-paper" if args.heads == 1 else "per-dim",
+                     seed=args.seed)
+    model = CCANModel(cfg)
+    bag = make_bag(args.n, cfg.d_feature, args.seed + 1)
+    print(f"blas_threads   {blas_threads()}")
+    print(f"config         {args.config} n={args.n} seed={args.seed} heads={args.heads}")
+
+    with ag.no_grad():
+        out = model.forward(bag)
+    report("eval_probs", [out.averaged_probs] + [so.probs for so in out.stages])
+    records = [rec.matrix for so in out.stages for rec in so.records]
+    report("eval_records", records, [f"record{i}" for i in range(len(records))] if args.each else None)
+    del out, records
+
+    out = model.forward(bag, rng=np.random.default_rng(args.seed + 2), train_mode=True)
+    print(f"train_kept     {len(out.kept_indices)}")
+    loss = bag_loss(out, bag.label, cfg.num_classes)
+    ag.backward(loss)
+    report("train_loss", [loss.data])
+    records = [rec.matrix for so in out.stages for rec in so.records]
+    report("train_records", records)
+    del out, records
+    params = model.parameters()
+    report("grads", [t.grad for _, t in params], [n for n, _ in params] if args.each else None)
+
+
+if __name__ == "__main__":
+    main()
