@@ -1,8 +1,9 @@
 """The residual cross and self attention blocks, each a graph node.
 
 Blocks are pre-norm transformer blocks: an attention sub-layer and a
-4x-expansion GELU MLP, both residual. Every attention call records its
-row-stochastic softmax matrix so explanations can be assembled later.
+4x-expansion GELU MLP, both residual. A block returns its output and the
+heads x M x N softmax its node keeps for the backward; the model keeps
+only the softmaxes that explanations read, as ``AttentionRecord``s.
 
 The key projection has no bias. A key bias b would add q . b to every
 logit of a query row, and softmax removes any row-constant shift, so such
@@ -18,7 +19,7 @@ Every operation runs in the order of the graph of separate linear,
 layer-norm, attention, GELU and add nodes, and each gradient is added
 into a shared input in the order that graph's tape adds it (a self
 block's normed input takes Q's, then K's, then V's), so float32 outputs,
-records and gradients keep that graph's bits; the graph is the oracle in
+softmaxes and gradients keep that graph's bits; the graph is the oracle in
 ``tests/composed.py``. A cross block's keys and values of its context are
 a second node, which the backward pass reaches only after every block
 downstream of it, as it reached the separate key and value nodes: so the
@@ -54,10 +55,14 @@ SCALE_MODES = ("per-paper", "per-dim")
 
 @dataclass
 class AttentionRecord:
-    """One attention call's softmax matrix and the kind of block it came from."""
+    """One block's softmax, averaged over its heads."""
 
     matrix: np.ndarray  # Q_rows x K_rows, row-stochastic
-    kind: str  # "cross" | "self"
+
+    @classmethod
+    def of(cls, softmax):
+        """The record of a heads x Q_rows x K_rows softmax; one head's is a view of it."""
+        return cls(matrix=softmax[0] if len(softmax) == 1 else softmax.mean(axis=0))
 
 
 @dataclass
@@ -190,11 +195,12 @@ def _check_block(x, context, params, heads):
         raise ShapeError(f"attention block: width {d} does not split into {heads} heads")
 
 
-def _block(x, context, params, scale_mode, heads, kind):
+def _block(x, context, params, scale_mode, heads):
     """The pre-norm residual block both kinds share, as one node (see the module docstring).
 
     Queries come from the normed ``x``; keys and values from ``context``,
-    or from the normed ``x`` when ``context`` is None.
+    or from the normed ``x`` when ``context`` is None. Returns the node
+    and its heads x M x N softmax.
     """
     _check_block(x, context, params, heads)
     p, d = params, params.w_q.shape[0]
@@ -221,8 +227,6 @@ def _block(x, context, params, scale_mode, heads, kind):
     out = ag._linear(gl, p.w_m2.data, p.b_m2.data)
     np.add(x1, out, out=out)  # the residual x1 + MLP
     del x1
-    # one head's record shares the softmax the node keeps for its backward
-    record = AttentionRecord(matrix=att[0] if heads == 1 else att.mean(axis=0), kind=kind)
 
     def backward(g):
         g_gl = ag._linear_backward(g, gl, p.w_m2, p.b_m2)
@@ -248,7 +252,7 @@ def _block(x, context, params, scale_mode, heads, kind):
         if x.requires_grad:
             ag._accum(x, g_x, owned=True)
 
-    return ag._make_node(Tensor(out), parents, backward), record
+    return ag._make_node(Tensor(out), parents, backward), att
 
 
 def cross_attention_block(latents, context, params, scale_mode="per-paper", heads=1):
@@ -257,9 +261,9 @@ def cross_attention_block(latents, context, params, scale_mode="per-paper", head
     Residual form: attention onto normed latents with keys/values from
     the raw context, then the residual MLP sub-layer.
     """
-    return _block(latents, context, params, scale_mode, heads, "cross")
+    return _block(latents, context, params, scale_mode, heads)
 
 
 def self_attention_block(tokens, params, scale_mode="per-paper", heads=1):
-    """Pre-norm self-attention block; the recorded matrix is m x m."""
-    return _block(tokens, None, params, scale_mode, heads, "self")
+    """Pre-norm self-attention block; its softmax is heads x m x m."""
+    return _block(tokens, None, params, scale_mode, heads)

@@ -401,7 +401,8 @@ def gelu(x):
 
 def sigmoid(x):
     d = x.data
-    y = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))), np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
+    e = np.exp(-np.abs(d))
+    y = np.where(d >= 0, 1.0, e) / (1.0 + e)
     out = Tensor(y.astype(d.dtype))
 
     def backward(g):

@@ -4,9 +4,11 @@ The aggregator's cost is affine in the number of input tokens N at
 fixed config (every N-dependent term is a cross-attention projection or
 score product), while a plain self-attention aggregator pays an N^2
 attention term. ``count_macs`` enumerates exactly the matrix products
-the forward pass executes, so an instrumented run must agree with it;
-wall times are advisory medians. Each row also reports the traced peak
-of one more forward, run after the timed ones and not timed itself.
+the forward pass executes, so an instrumented run must agree with it:
+a row is ok only when every timed forward's probe counted exactly the
+closed-form MACs. Wall times are advisory medians. Each row also reports
+the traced peak of one more forward, run after the timed ones and not
+timed itself.
 """
 
 from __future__ import annotations
@@ -84,10 +86,9 @@ class BenchRow:
     model: str
     n_tokens: int
     wall_ms: float
-    macs: int
-    allocated_bytes: int  # bytes of all tensors one forward allocates (a sum, not a live peak)
+    macs: int  # closed form
     peak_bytes: int  # traced peak of one untimed forward, above what was allocated before it
-    ok: bool
+    ok: bool  # every timed forward's probe counted ``macs``; False too after a MemoryError
 
 
 @dataclass
@@ -118,20 +119,18 @@ class ScalingReport:
     def write_csv(self, path):
         with atomic_write(path, text=True) as fh:
             writer = csv.writer(fh)
-            writer.writerow(["model", "n_tokens", "wall_ms", "macs", "allocated_bytes", "peak_bytes", "ok"])
+            writer.writerow(["model", "n_tokens", "wall_ms", "macs", "peak_bytes", "ok"])
             for r in self.rows:
-                writer.writerow([r.model, r.n_tokens, repr(r.wall_ms), r.macs, r.allocated_bytes, r.peak_bytes,
-                                 int(r.ok)])
+                writer.writerow([r.model, r.n_tokens, repr(r.wall_ms), r.macs, r.peak_bytes, int(r.ok)])
 
     def summary(self):
         lines = [
-            f"{'model':<22}{'N':>7}{'median ms':>12}{'MACs':>16}{'allocated MB':>14}{'peak MB':>10}",
+            f"{'model':<22}{'N':>7}{'median ms':>12}{'MACs':>16}{'peak MB':>10}",
         ]
         for r in self.rows:
             status = "" if r.ok else "  FAILED"
             lines.append(
-                f"{r.model:<22}{r.n_tokens:>7}{r.wall_ms:>12.2f}{r.macs:>16}"
-                f"{r.allocated_bytes / 1e6:>14.1f}{r.peak_bytes / 1e6:>10.1f}{status}"
+                f"{r.model:<22}{r.n_tokens:>7}{r.wall_ms:>12.2f}{r.macs:>16}{r.peak_bytes / 1e6:>10.1f}{status}"
             )
         lines.append(
             f"aggregator time vs N: slope={self.time_fit.slope:.4g} ms/token, R^2={self.time_fit.r2:.5f}"
@@ -142,8 +141,8 @@ class ScalingReport:
 
 
 def _timed_forwards(model, bag, repeats, warmup):
-    times = []
-    allocated = 0
+    """Median wall ms of ``repeats`` eval forwards, and the MACs each one's probe counted."""
+    times, macs = [], []
     with ag.no_grad():
         for _ in range(warmup):
             model.forward(bag, train_mode=False)
@@ -152,8 +151,8 @@ def _timed_forwards(model, bag, repeats, warmup):
                 t0 = time.perf_counter()
                 model.forward(bag, train_mode=False)
                 times.append((time.perf_counter() - t0) * 1000.0)
-            allocated = max(allocated, probe.tensor_bytes)
-    return float(np.median(times)), allocated
+            macs.append(probe.macs)
+    return float(np.median(times)), macs
 
 
 def _traced_peak(model, bag):
@@ -184,15 +183,15 @@ def bench_scaling(config, ns, repeats=7, warmup=2, seed=0, include_baseline=True
         bag = make_bench_bag(n, config.d_feature, seed=seed)
         for name, model, macs in models:
             try:
-                wall, allocated = _timed_forwards(model, bag, repeats, warmup)
-                rows.append(BenchRow(name, n, wall, macs(n), allocated, _traced_peak(model, bag), True))
+                wall, probed = _timed_forwards(model, bag, repeats, warmup)
+                rows.append(BenchRow(name, n, wall, macs(n), _traced_peak(model, bag), set(probed) == {macs(n)}))
             except MemoryError:
-                rows.append(BenchRow(name, n, float("nan"), macs(n), 0, 0, False))
+                rows.append(BenchRow(name, n, float("nan"), macs(n), 0, False))
         if log is not None:
             log(f"N={n}: " + ", ".join(f"{r.model}={r.wall_ms:.1f}ms" for r in rows[-len(models) :]))
-    ccan_ok = [r for r in rows if r.model == "ccan" and r.ok]
-    time_fit = linear_fit([r.n_tokens for r in ccan_ok], [r.wall_ms for r in ccan_ok])
-    macs_fit = linear_fit([r.n_tokens for r in ccan_ok], [r.macs for r in ccan_ok])
+    ran = [r for r in rows if r.model == "ccan" and np.isfinite(r.wall_ms)]  # no MemoryError
+    time_fit = linear_fit([r.n_tokens for r in ran], [r.wall_ms for r in ran])
+    macs_fit = linear_fit([r.n_tokens for r in ran], [r.macs for r in ran])
     n0 = ns[0]
     ratio = count_baseline_macs(config, 2 * n0)["attention"] / count_baseline_macs(config, n0)["attention"]
     return ScalingReport(rows=rows, time_fit=time_fit, macs_fit=macs_fit, baseline_quad_ratio=ratio)

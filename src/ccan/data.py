@@ -407,9 +407,11 @@ class FoldSplit:
 
 @dataclass
 class SplitPlan:
-    k: int
     folds: list  # of FoldSplit
-    seed: int
+
+    @property
+    def k(self):
+        return len(self.folds)
 
     def write_csv(self, path):
         with atomic_write(path, text=True) as fh:
@@ -421,7 +423,7 @@ class SplitPlan:
                         writer.writerow([i, subset, bag_id])
 
     @classmethod
-    def read_csv(cls, path, seed=0):
+    def read_csv(cls, path):
         """Read a plan written by ``write_csv``; folds must be numbered 0..k-1."""
         folds = {}
         with _read_csv(path) as reader:
@@ -443,11 +445,7 @@ class SplitPlan:
         if sorted(folds) != list(range(len(folds))):
             raise FormatError(f"{path}: plan folds {sorted(folds)} are not numbered 0..k-1")
         ordered = [folds[i] for i in sorted(folds)]
-        return cls(
-            k=len(ordered),
-            folds=[FoldSplit(f["train"], f["val"], f["test"]) for f in ordered],
-            seed=seed,
-        )
+        return cls(folds=[FoldSplit(f["train"], f["val"], f["test"]) for f in ordered])
 
 
 def patient_grouped_kfold(bags, k, val_fraction=0.2, seed=0):
@@ -487,7 +485,7 @@ def patient_grouped_kfold(bags, k, val_fraction=0.2, seed=0):
             else:
                 train_ids.extend(by_patient[p])
         folds.append(FoldSplit(train_ids=train_ids, val_ids=val_ids, test_ids=test_ids))
-    return SplitPlan(k=k, folds=folds, seed=seed)
+    return SplitPlan(folds=folds)
 
 
 def subsample_fraction(train_ids, fraction, seed):

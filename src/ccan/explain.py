@@ -1,15 +1,15 @@
 """Attention rollout from recorded matrices, plus export helpers.
 
 Per stage, only the final cross-attention over the input tokens and the
-self-attention layer(s) after it are rolled out: each self matrix A is
-mixed with the identity (0.5*A + 0.5*I, rows renormalized) to account
-for the residual path, the mixed matrices are chained in execution
-order, and the class-token row of the chain is pushed through the cross
-matrix. The per-stage score vectors are averaged over stages and
-min-max normalized into a per-patch attention map.
+one self-attention block after it are rolled out (Abnar & Zuidema,
+arXiv 2005.00928): the self matrix A is mixed with the identity
+(0.5*A + 0.5*I, rows renormalized) to account for the residual path, and
+the class-token row of that mix is pushed through the cross matrix. Only
+the class row is formed. The per-stage score vectors are averaged over
+stages and min-max normalized into a per-patch attention map.
 
-Explanations are defined for eval-mode forwards; tokens dropped during
-training never appear here.
+Explanations are defined for eval-mode forwards of a CCAN model, whose
+stages carry exactly those two records; a baseline records nothing.
 """
 
 from __future__ import annotations
@@ -38,28 +38,16 @@ class AttentionMap:
     kept_mask: np.ndarray  # False where the token was dropped pre-forward
 
 
-def _residual_mix(matrix):
-    mixed = 0.5 * matrix + 0.5 * np.eye(matrix.shape[0])
-    return mixed / mixed.sum(axis=1, keepdims=True)
-
-
 def rollout_stage(stage):
-    """Class-token relevance over the stage's context tokens (length N_kept)."""
-    if not stage.records:
-        raise UsageError("stage has no recorded attention")
-    last_cross = None
-    for i, rec in enumerate(stage.records):
-        if rec.kind == "cross":
-            last_cross = i
-    if last_cross is None:
-        raise UsageError("stage records contain no cross-attention")
-    cross = stage.records[last_cross].matrix
-    chain = np.eye(cross.shape[0])
-    for rec in stage.records[last_cross + 1 :]:
-        if rec.kind == "self":
-            chain = _residual_mix(rec.matrix) @ chain
-    class_row = chain[-1]
-    return class_row @ cross
+    """Class-token relevance over the kept input tokens (length N_kept), as one row product."""
+    shapes = [rec.matrix.shape for rec in stage.records]
+    if len(shapes) != 2 or shapes[1] != (shapes[0][0],) * 2:
+        raise UsageError(f"rollout reads a CCAN stage's final cross (M x N) and self (M x M) attention "
+                         f"records; this stage has {shapes}")
+    cross, final_self = (rec.matrix for rec in stage.records)
+    m = len(final_self)
+    class_row = 0.5 * final_self[-1] + 0.5 * np.eye(1, m, m - 1)[0]  # the residual mix's class row
+    return (class_row / class_row.sum()) @ cross
 
 
 def aggregate_rollout(model_output, bag):
@@ -129,15 +117,21 @@ def export_class_embeddings(model, bags, path):
     """CSV of per-stage class-token embeddings: (bag_id, stage, e0..e{D-1}).
 
     ``bags`` holds bags or dataset entries; each is loaded for its forward only.
+    D is the width of the embedding itself (a pooling baseline's is
+    D_f); with no bags the header names no embedding columns.
     """
-    d = model.config.d_latent
+    header = ["bag_id", "stage"]
     with atomic_write(path, text=True) as fh:
         writer = csv.writer(fh)
-        writer.writerow(["bag_id", "stage"] + [f"e{i}" for i in range(d)])
         for bag in bags:
             with ag.no_grad():
                 out = model.forward(bag.load(), train_mode=False)
             for j, so in enumerate(out.stages, start=1):
                 emb = so.class_embedding.data.reshape(-1)
+                if header:
+                    writer.writerow(header + [f"e{i}" for i in range(emb.size)])
+                    header = None
                 writer.writerow([bag.bag_id, j] + [repr(float(v)) for v in emb])
+        if header:
+            writer.writerow(header)
     return path

@@ -11,6 +11,9 @@ tokens plus one final self-attention block; the class row feeds a head
 MLP shared by all stages. Stage predictions are averaged for the final
 output; training sums the per-stage losses.
 
+Each stage returns only the attention records its rollout reads, the
+final cross and final self blocks'; a baseline returns none.
+
 Bags are processed one at a time; anything batch-like happens upstream
 via gradient accumulation.
 """
@@ -26,6 +29,7 @@ import numpy as np
 from . import autograd as ag
 from .attention import (
     SCALE_MODES,
+    AttentionRecord,
     BlockParams,
     cross_attention_block,
     init_bias,
@@ -119,7 +123,7 @@ class StageOutput:
     class_embedding: object  # Tensor, 1 x D_l
     probs: np.ndarray  # out_units, detached
     probs_tensor: object  # Tensor, 1 x out_units, still in the graph
-    records: list  # AttentionRecord, in execution order
+    records: list  # AttentionRecord: the final cross ((M_j+1) x N), then the final self; none in a baseline
 
 
 @dataclass
@@ -210,23 +214,19 @@ class CCANModel:
             raise ConfigError(f"stage index {j} outside 1..{cfg.n_stages}")
         stage = self.stages[j - 1]
         stage_ctx = input_ctx if j == 1 else prev_latents
-        records = []
         x = stage.latents
         for z in range(cfg.block_repeats):
-            x, rec = cross_attention_block(x, stage_ctx, stage.cross_blocks[z], cfg.scale_mode, cfg.heads)
-            records.append(rec)
+            x = cross_attention_block(x, stage_ctx, stage.cross_blocks[z], cfg.scale_mode, cfg.heads)[0]
             for s in range(cfg.self_layers):
-                x, rec = self_attention_block(
-                    x, stage.self_blocks[z * cfg.self_layers + s], cfg.scale_mode, cfg.heads
-                )
-                records.append(rec)
+                block = stage.self_blocks[z * cfg.self_layers + s]
+                x = self_attention_block(x, block, cfg.scale_mode, cfg.heads)[0]
         if j > 1:
             x = x + pooled_skip(prev_latents, cfg.compression)
         x = ag.concat_rows([x, stage.class_token])
-        x, rec = cross_attention_block(x, input_ctx, stage.final_cross, cfg.scale_mode, cfg.heads)
-        records.append(rec)
-        x, rec = self_attention_block(x, stage.final_self, cfg.scale_mode, cfg.heads)
-        records.append(rec)
+        x, cross = cross_attention_block(x, input_ctx, stage.final_cross, cfg.scale_mode, cfg.heads)
+        cross = AttentionRecord.of(cross)
+        x, self_ = self_attention_block(x, stage.final_self, cfg.scale_mode, cfg.heads)
+        records = [cross, AttentionRecord.of(self_)]
         m = x.shape[0] - 1
         class_embedding = ag.slice_rows(x, m, m + 1)
         latents_out = ag.slice_rows(x, 0, m)
@@ -366,23 +366,20 @@ class BaselineModel:
         if bag.n_tokens < 1:
             raise DataError("cannot run a forward pass on an empty bag")
         tokens = Tensor(bag.tokens.astype(self.dtype))
-        records = []
         if cfg.kind == "mean-pool":
             pooled = ag.mean_rows(tokens)
         elif cfg.kind == "max-pool":
             pooled = ag.max_rows(tokens)
         else:
             x = ag.linear(tokens, self.input_proj_w, self.input_proj_b)
-            x, rec = self_attention_block(x, self.block, cfg.scale_mode, cfg.heads)
-            records.append(rec)
-            pooled = ag.mean_rows(x)
+            pooled = ag.mean_rows(self_attention_block(x, self.block, cfg.scale_mode, cfg.heads)[0])
         probs_tensor = ag.sigmoid(ag.linear(pooled, self.head_w, self.head_b))
         so = StageOutput(
             latents_out=pooled,
             class_embedding=pooled,
             probs=probs_tensor.data.reshape(-1).copy(),
             probs_tensor=probs_tensor,
-            records=records,
+            records=[],
         )
         return ModelOutput(
             stages=[so], averaged_probs=so.probs.copy(), kept_indices=np.arange(bag.n_tokens)

@@ -10,6 +10,12 @@ inject an upstream gradient ``g`` into any node.
 were built from before each block became one node; ``composed_block``
 builds a block from them, ``ag.linear`` and ``ag.gelu``, and is the
 oracle the block nodes are compared with bit for bit.
+
+``chain_rollout`` is the general attention rollout over every record of
+a stage (as ``record_every_block`` collects them), which
+``explain.rollout_stage`` reduced to one row product, and
+``sigmoid_values`` the expression ``ag.sigmoid`` evaluated before it
+took ``exp`` once.
 """
 
 import numpy as np
@@ -230,7 +236,7 @@ def composed_block(x, context, params, scale_mode="per-paper", heads=1, key_bias
     """A cross (or, with ``context`` None, self) block as 12 graph nodes: the oracle of the block node.
 
     Keys are projected row-major, with ``key_bias`` added when given.
-    Returns the block output and its ``AttentionRecord``.
+    Returns the block output and its heads x M x N softmax.
     """
     if context is not None and context.shape[0] < 1:
         raise DataError("cross-attention requires a nonempty context")
@@ -244,5 +250,51 @@ def composed_block(x, context, params, scale_mode="per-paper", heads=1, key_bias
     x = x + ag.linear(attn_out, params.w_o, params.b_o)
     h = layer_norm(x, params.ln2_gamma, params.ln2_beta)
     x = x + ag.linear(ag.gelu(ag.linear(h, params.w_m1, params.b_m1)), params.w_m2, params.b_m2)
-    return x, AttentionRecord(matrix=p[0] if heads == 1 else p.mean(axis=0),
-                              kind="self" if context is None else "cross")
+    return x, p
+
+
+def record_every_block(monkeypatch):
+    """A list that each attention block the model runs appends (kind, record matrix) to, in execution order.
+
+    These are the records a forward kept before it kept only each stage's last two.
+    """
+    from ccan import model
+
+    seen = []
+
+    def recorded(block, kind):
+        def run(*args, **kwargs):
+            out, softmax = block(*args, **kwargs)
+            seen.append((kind, AttentionRecord.of(softmax).matrix))
+            return out, softmax
+
+        return run
+
+    monkeypatch.setattr(model, "cross_attention_block", recorded(model.cross_attention_block, "cross"))
+    monkeypatch.setattr(model, "self_attention_block", recorded(model.self_attention_block, "self"))
+    return seen
+
+
+def _residual_mix(matrix):
+    mixed = 0.5 * matrix + 0.5 * np.eye(matrix.shape[0])
+    return mixed / mixed.sum(axis=1, keepdims=True)
+
+
+def chain_rollout(records):
+    """Rollout over a stage's (kind, matrix) records in execution order, kind "cross" or "self".
+
+    The identity-mixed self matrices after the last cross record are
+    chained, and the chain's class row is pushed through that cross matrix.
+    """
+    last_cross = max(i for i, (kind, _) in enumerate(records) if kind == "cross")
+    cross = records[last_cross][1]
+    chain = np.eye(cross.shape[0])
+    for kind, matrix in records[last_cross + 1 :]:
+        if kind == "self":
+            chain = _residual_mix(matrix) @ chain
+    return chain[-1] @ cross
+
+
+def sigmoid_values(d):
+    """The logistic of ``d`` as ``ag.sigmoid`` computed it with three ``exp`` calls."""
+    return np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))), np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))

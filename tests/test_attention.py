@@ -3,6 +3,7 @@ import pytest
 
 from ccan import autograd as ag
 from ccan.attention import (
+    AttentionRecord,
     BlockParams,
     attention_scale,
     cross_attention_block,
@@ -93,11 +94,11 @@ class TestCrossAttentionBlock:
     def test_record_shape(self):
         rng = np.random.default_rng(6)
         params = random_block(4, seed=7)
-        _, record = cross_attention_block(
+        _, softmax = cross_attention_block(
             t64(rng.normal(size=(8, 4))), t64(rng.normal(size=(100, 4))), params
         )
-        assert record.matrix.shape == (8, 100)
-        assert record.kind == "cross"
+        assert softmax.shape == (1, 8, 100)  # heads x latents x context tokens
+        assert AttentionRecord.of(softmax).matrix.shape == (8, 100)
 
     def test_empty_context_rejected(self):
         params = random_block(4, seed=8)
@@ -122,17 +123,17 @@ class TestCrossAttentionBlock:
 class TestSelfAttentionBlock:
     def test_single_token_attention_matrix(self):
         params = random_block(4, seed=10)
-        _, record = self_attention_block(t64(np.random.default_rng(11).normal(size=(1, 4))), params)
-        np.testing.assert_allclose(record.matrix, [[1.0]])
+        _, softmax = self_attention_block(t64(np.random.default_rng(11).normal(size=(1, 4))), params)
+        np.testing.assert_allclose(softmax, [[[1.0]]])
 
     def test_rows_stochastic(self):
         rng = np.random.default_rng(12)
         params = random_block(8, seed=13)
         for _ in range(10):
             tokens = t64(rng.normal(size=(6, 8)))
-            _, record = self_attention_block(tokens, params)
-            np.testing.assert_allclose(record.matrix.sum(axis=1), np.ones(6), atol=1e-5)
-            assert record.matrix.min() >= 0.0 and record.matrix.max() <= 1.0
+            _, softmax = self_attention_block(tokens, params)
+            np.testing.assert_allclose(softmax.sum(axis=-1), np.ones((1, 6)), atol=1e-5)
+            assert softmax.min() >= 0.0 and softmax.max() <= 1.0
 
     def test_full_block_gradient(self):
         rng = np.random.default_rng(14)
@@ -152,8 +153,11 @@ class TestMultiHead:
         rng = np.random.default_rng(16)
         params = random_block(8, seed=17)
         tokens = t64(rng.normal(size=(5, 8)))
-        out, record = self_attention_block(tokens, params, scale_mode="per-dim", heads=2)
+        out, softmax = self_attention_block(tokens, params, scale_mode="per-dim", heads=2)
         assert out.shape == (5, 8)
+        np.testing.assert_allclose(softmax.sum(axis=-1), np.ones((2, 5)), atol=1e-5)
+        record = AttentionRecord.of(softmax)
+        np.testing.assert_array_equal(record.matrix, softmax.mean(axis=0))
         np.testing.assert_allclose(record.matrix.sum(axis=1), np.ones(5), atol=1e-5)
 
     def test_head_gradients(self):
@@ -182,11 +186,11 @@ def test_every_record_row_stochastic_property(seed):
     params = random_block(d, seed=seed + 100)
     latents = t64(rng.normal(scale=rng.uniform(0.5, 3.0), size=(int(rng.integers(1, 8)), d)))
     context = t64(rng.normal(scale=rng.uniform(0.5, 3.0), size=(int(rng.integers(1, 30)), d)))
-    _, rec_cross = cross_attention_block(latents, context, params)
-    _, rec_self = self_attention_block(latents, params)
-    for rec in (rec_cross, rec_self):
-        np.testing.assert_allclose(rec.matrix.sum(axis=1), np.ones(rec.matrix.shape[0]), atol=1e-5)
-        assert (rec.matrix >= 0).all() and (rec.matrix <= 1).all()
+    _, p_cross = cross_attention_block(latents, context, params)
+    _, p_self = self_attention_block(latents, params)
+    for p in (p_cross, p_self):
+        np.testing.assert_allclose(p.sum(axis=-1), np.ones(p.shape[:2]), atol=1e-5)
+        assert (p >= 0).all() and (p <= 1).all()
 
 
 def slice_cols(x, start, stop):
@@ -257,7 +261,7 @@ def composed_attention(q, k, v, scale, heads=1):
 
 
 def _block_run(block, m, n, d, heads, seed, oracle=False, inputs_grad=True):
-    """Output, record and every gradient of one float32 block pass (the composed graph's if ``oracle``)."""
+    """Output, softmax and every gradient of one float32 block pass (the composed graph's if ``oracle``)."""
     rng = np.random.default_rng(seed)
     params = init_block_params(d, np.random.default_rng(seed + 1), dtype=np.float32)
     x = Tensor(rng.normal(size=(m, d)).astype(np.float32), requires_grad=inputs_grad)
@@ -268,14 +272,14 @@ def _block_run(block, m, n, d, heads, seed, oracle=False, inputs_grad=True):
         ctx = Tensor(rng.normal(size=(n, d)).astype(np.float32), requires_grad=inputs_grad)
         leaves += [ctx] * inputs_grad
     if oracle:
-        out, record = composed_block(x, ctx, params, scale_mode=mode, heads=heads)
+        out, softmax = composed_block(x, ctx, params, scale_mode=mode, heads=heads)
     elif block == "cross":
-        out, record = cross_attention_block(x, ctx, params, scale_mode=mode, heads=heads)
+        out, softmax = cross_attention_block(x, ctx, params, scale_mode=mode, heads=heads)
     else:
-        out, record = self_attention_block(x, params, scale_mode=mode, heads=heads)
+        out, softmax = self_attention_block(x, params, scale_mode=mode, heads=heads)
     upstream = Tensor(rng.normal(size=out.shape).astype(np.float32))
     ag.backward(sum_all(mul(out, upstream)))
-    return [out.data, record.matrix] + [t.grad for t in leaves]
+    return [out.data, softmax] + [t.grad for t in leaves]
 
 
 def _assert_same_bits(fused, oracle):
@@ -417,14 +421,14 @@ class TestNoKeyBias:
                 ctx = t64(rng.normal(size=(9, d)), requires_grad=True)
                 leaves.append(ctx)
             if bias is not None:  # the composed graph takes a key bias; the node has none
-                out, record = composed_block(x, ctx, params, scale_mode=mode, heads=heads, key_bias=bias)
+                out, softmax = composed_block(x, ctx, params, scale_mode=mode, heads=heads, key_bias=bias)
             elif block == "cross":
-                out, record = cross_attention_block(x, ctx, params, scale_mode=mode, heads=heads)
+                out, softmax = cross_attention_block(x, ctx, params, scale_mode=mode, heads=heads)
             else:
-                out, record = self_attention_block(x, params, scale_mode=mode, heads=heads)
+                out, softmax = self_attention_block(x, params, scale_mode=mode, heads=heads)
             upstream = t64(rng.normal(size=out.shape))
             ag.backward(sum_all(mul(out, upstream)))
-            return [out.data, record.matrix] + [t.grad for t in leaves]
+            return [out.data, softmax] + [t.grad for t in leaves]
 
         bias_free = run()
         biased = run(key_bias)

@@ -155,6 +155,18 @@ class TestGelu:
         assert report.max_rel_err < 1e-6
 
 
+class TestSigmoid:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bitwise_equal_to_three_exp_expression(self, dtype):
+        from composed import sigmoid_values
+
+        d = np.random.default_rng(9).normal(scale=30.0, size=100_000)
+        d = np.concatenate([d, [80.0, -80.0, 0.0, -0.0, 1e-30, -1e-30]]).astype(dtype)
+        y = ag.sigmoid(Tensor(d)).data
+        assert y.dtype == dtype
+        assert y.tobytes() == sigmoid_values(d).astype(dtype).tobytes()
+
+
 class TestBackward:
     def test_sum_gradient_is_ones(self):
         x = t64([1.0, 2.0, 3.0], requires_grad=True)

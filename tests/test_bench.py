@@ -98,16 +98,24 @@ class TestBenchScaling:
         models = {r.model for r in report.rows}
         assert models == {"ccan", "full-self-attention"}
         assert all(r.ok for r in report.rows)
-        assert all(r.allocated_bytes > 0 for r in report.rows)
         assert all(r.peak_bytes > 0 for r in report.rows)
         path = tmp_path / "report.csv"
         report.write_csv(path)
         lines = open(path).read().strip().splitlines()
-        assert lines[0] == "model,n_tokens,wall_ms,macs,allocated_bytes,peak_bytes,ok"
+        assert lines[0] == "model,n_tokens,wall_ms,macs,peak_bytes,ok"
         assert len(lines) == 1 + 6
+        assert all(line.endswith(",1") for line in lines[1:])
         summary = report.summary()
-        assert "MACs" in summary and "allocated MB" in summary and "peak MB" in summary
-        assert "baseline attention" in summary
+        assert "MACs" in summary and "peak MB" in summary and "allocated" not in summary
+        assert "baseline attention" in summary and "FAILED" not in summary
+
+    def test_closed_form_off_by_one_fails_the_row(self, monkeypatch):
+        from ccan import bench
+
+        monkeypatch.setattr(bench, "count_macs", lambda config, n: count_macs(config, n) + (n == 80))
+        report = bench_scaling(bench_config(), [40, 80], repeats=5, warmup=0, include_baseline=False)
+        assert [r.ok for r in report.rows] == [True, False]
+        assert [line.endswith("FAILED") for line in report.summary().splitlines()[1:3]] == [False, True]
 
     def test_rejects_unordered_ns(self):
         with pytest.raises(ConfigError):

@@ -217,6 +217,19 @@ class TestCommands:
         assert captured.err == "error: heads must be >= 1, got 0\n"
         assert "auc" not in captured.out
 
+    @pytest.mark.parametrize("kind", ["mean-pool", "full-self-attention"])
+    def test_explain_on_a_baseline_is_one_error_line(self, tiny_run, tmp_path, capsys, kind):
+        ckpt = tmp_path / "baseline.ckpt"
+        save_checkpoint(BaselineModel(BaselineConfig(kind=kind, d_feature=24, d_latent=4)), ckpt)
+        rc = main(["explain", "--paths.checkpoint", str(ckpt),
+                   "--paths.bag", os.path.join(tiny_run["data"], "bag0000.ccfb"),
+                   "--paths.out", str(tmp_path / "heat")])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == ("error: rollout reads a CCAN stage's final cross (M x N) and self (M x M) "
+                                "attention records; this stage has []\n")
+        assert not os.path.exists(tmp_path / "heat.csv")
+
     def test_non_utf8_parameter_name_is_one_error_line(self, tiny_run, tmp_path, capsys):
         blob = bytearray(open(os.path.join(tiny_run["run_dir"], "best.ckpt"), "rb").read())
         at = 10 + int.from_bytes(blob[6:10], "little") + 4 + 2  # first byte of the first name

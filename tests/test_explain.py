@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ccan import autograd as ag
 from ccan.attention import AttentionRecord
 from ccan.data import generate_synthetic
 from ccan.errors import UsageError
@@ -13,7 +14,7 @@ from ccan.explain import (
     rollout_stage,
     top_k_patches,
 )
-from ccan.model import CCANConfig, CCANModel, ModelOutput, StageOutput
+from ccan.model import BaselineConfig, BaselineModel, CCANConfig, CCANModel, ModelOutput, StageOutput
 
 
 def fake_stage(records):
@@ -22,11 +23,10 @@ def fake_stage(records):
 
 
 def cross(matrix):
-    return AttentionRecord(matrix=np.asarray(matrix, dtype=np.float64), kind="cross")
+    return AttentionRecord(matrix=np.asarray(matrix, dtype=np.float64))
 
 
-def self_rec(matrix):
-    return AttentionRecord(matrix=np.asarray(matrix, dtype=np.float64), kind="self")
+self_rec = cross  # a record carries no kind: its place in a stage's list says which block made it
 
 
 class TestRolloutStage:
@@ -65,18 +65,34 @@ class TestRolloutStage:
         expected = mixed[-1] @ c
         np.testing.assert_allclose(rollout_stage(stage), expected, atol=1e-12)
 
-    def test_multiple_self_layers_chain_in_order(self):
+    def test_longer_record_list_rejected(self):
+        # a stage keeps only its final cross and self records, so a longer chain is not a stage's
         a1 = np.array([[0.9, 0.1], [0.4, 0.6]])
         a2 = np.array([[0.2, 0.8], [0.7, 0.3]])
         c = np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5]])
-        stage = fake_stage([cross(c), self_rec(a1), self_rec(a2)])
+        with pytest.raises(UsageError, match=r"this stage has \[\(2, 3\), \(2, 2\), \(2, 2\)\]"):
+            rollout_stage(fake_stage([cross(c), self_rec(a1), self_rec(a2)]))
 
-        def mix(m):
-            m = 0.5 * m + 0.5 * np.eye(2)
-            return m / m.sum(axis=1, keepdims=True)
+    @pytest.mark.parametrize("heads", [1, 2])
+    @pytest.mark.parametrize("self_layers", [0, 2])
+    def test_bitwise_equal_to_chain_oracle(self, monkeypatch, heads, self_layers):
+        # the chain over every block's record, as forwards kept them, against the stage's last two
+        from composed import chain_rollout, record_every_block
 
-        expected = (mix(a2) @ mix(a1))[-1] @ c
-        np.testing.assert_allclose(rollout_stage(stage), expected, atol=1e-12)
+        seen = record_every_block(monkeypatch)
+        cfg = CCANConfig(n_stages=2, n_latents=16, compression=2, d_latent=32, d_feature=64, block_repeats=2,
+                         self_layers=self_layers, n_frequencies=2, heads=heads,
+                         scale_mode="per-dim" if heads > 1 else "per-paper")
+        per_stage = 2 * (1 + self_layers) + 2
+        for seed in range(3):
+            bag = generate_synthetic(1, (30, 40), d_feature=64, seed=seed).bags[0]
+            seen.clear()
+            with ag.no_grad():
+                out = CCANModel(cfg, seed=seed).forward(bag)
+            assert len(seen) == per_stage * cfg.n_stages
+            for j, stage in enumerate(out.stages):
+                want = chain_rollout(seen[j * per_stage : (j + 1) * per_stage])
+                assert rollout_stage(stage).tobytes() == want.tobytes()
 
     def test_scores_sum_to_one(self):
         rng = np.random.default_rng(0)
@@ -93,6 +109,8 @@ class TestRolloutStage:
             rollout_stage(fake_stage([self_rec(np.eye(2))]))
         with pytest.raises(UsageError):
             rollout_stage(fake_stage([]))
+        with pytest.raises(UsageError, match=r"this stage has \[\(2, 2\), \(2, 3\)\]"):
+            rollout_stage(fake_stage([self_rec(np.eye(2)), cross(np.full((2, 3), 1 / 3))]))
 
 
 def _bag(n=6, seed=0, d=8):
@@ -233,3 +251,18 @@ class TestExports:
         path2 = tmp_path / "emb2.csv"
         export_class_embeddings(model, bags, path2)
         assert open(path).read() == open(path2).read()
+
+    def test_pooling_baseline_embedding_is_d_feature_wide(self, tmp_path):
+        model = BaselineModel(BaselineConfig(kind="mean-pool", d_feature=64, d_latent=32))
+        bags = generate_synthetic(2, (5, 8), d_feature=64, seed=6).bags
+        path = tmp_path / "emb.csv"
+        export_class_embeddings(model, bags, path)
+        rows = [line.split(",") for line in open(path).read().strip().splitlines()]
+        assert [len(r) for r in rows] == [2 + 64] * 3  # header + one stage per bag
+        assert rows[0][-1] == "e63"
+
+    def test_no_bags_writes_the_bare_header(self, tmp_path):
+        model = CCANModel(CCANConfig(n_stages=1, n_latents=2, d_latent=8, d_feature=8, n_frequencies=2))
+        path = tmp_path / "emb.csv"
+        export_class_embeddings(model, [], path)
+        assert open(path).read().splitlines() == ["bag_id,stage"]

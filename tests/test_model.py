@@ -135,19 +135,30 @@ class TestPooledSkip:
 
 
 class TestStageForward:
-    def test_shapes_and_records(self):
-        model = CCANModel(toy_config(), seed=1)
+    def test_shapes_and_records(self, monkeypatch):
+        from composed import record_every_block
+
+        seen = record_every_block(monkeypatch)
         bag = toy_dataset(seed=4).bags[0]
-        out = model.forward(bag)
         n = bag.n_tokens
-        assert out.stages[0].latents_out.shape == (8, 16)
-        assert out.stages[1].latents_out.shape == (4, 16)
-        # Z=1 cross + S=1 self + final cross + final self per stage
-        assert [r.kind for r in out.stages[0].records] == ["cross", "self", "cross", "self"]
-        assert out.stages[0].records[-2].matrix.shape == (9, n)  # class token appended
-        assert out.stages[1].records[-2].matrix.shape == (5, n)
-        assert out.stages[0].records[0].matrix.shape == (8, n)
-        assert out.stages[1].records[0].matrix.shape == (4, 8)  # context is stage-1 latents
+        for repeats, self_layers, heads in [(1, 1, 1), (2, 0, 2), (2, 2, 2)]:
+            cfg = toy_config(block_repeats=repeats, self_layers=self_layers, heads=heads,
+                             scale_mode="per-dim" if heads > 1 else "per-paper")
+            seen.clear()
+            out = CCANModel(cfg, seed=1).forward(bag)
+            assert out.stages[0].latents_out.shape == (8, 16)
+            assert out.stages[1].latents_out.shape == (4, 16)
+            # each stage keeps its final cross record, class token appended, then its final self record
+            assert [r.matrix.shape for r in out.stages[0].records] == [(9, n), (9, 9)]
+            assert [r.matrix.shape for r in out.stages[1].records] == [(5, n), (5, 5)]
+            # per stage: Z repeats of one cross and S selves, then the final cross and self
+            kinds = (["cross"] + ["self"] * self_layers) * repeats + ["cross", "self"]
+            assert [kind for kind, _ in seen] == kinds * 2
+            assert seen[0][1].shape == (8, n)
+            assert seen[len(kinds)][1].shape == (4, 8)  # stage 2's context is stage 1's latents
+            for j, so in enumerate(out.stages, start=1):
+                last_two = seen[j * len(kinds) - 2 : j * len(kinds)]
+                assert [r.matrix.tobytes() for r in so.records] == [m.tobytes() for _, m in last_two]
 
     def test_skip_ablation_oracle(self):
         # zero every stage-2 block's output paths: the stage reduces to
@@ -232,8 +243,7 @@ class TestForward:
             return [loss.data, out.averaged_probs] + records + [t.grad for _, t in model.parameters()]
 
         fused = run()
-        monkeypatch.setattr(attention, "_block", lambda x, context, params, scale_mode, heads, kind:
-                            composed_block(x, context, params, scale_mode, heads))
+        monkeypatch.setattr(attention, "_block", composed_block)
         for got, want in zip(fused, run(), strict=True):
             assert got.tobytes() == want.tobytes()
 
@@ -305,15 +315,18 @@ class TestForward:
         # [0.8] and [0.6] average to [0.7]
         np.testing.assert_allclose(np.mean([[0.8], [0.6]], axis=0), [0.7])
 
-    def test_train_mode_uses_dropout_mask_everywhere(self):
+    def test_train_mode_uses_dropout_mask_everywhere(self, monkeypatch):
+        from composed import record_every_block
+
+        seen = record_every_block(monkeypatch)
         model = CCANModel(toy_config(p_dropout=0.6), seed=8)
         bag = toy_dataset(seed=11).bags[0]
         n_keep = max(1, round(bag.n_tokens * 0.4))
         out = model.forward(bag, rng=np.random.default_rng(0), train_mode=True)
         assert len(out.kept_indices) == n_keep
         for so in out.stages:
-            assert so.records[-2].matrix.shape[1] == n_keep  # final cross context
-        assert out.stages[0].records[0].matrix.shape[1] == n_keep  # stage-1 context
+            assert so.records[0].matrix.shape[1] == n_keep  # final cross context
+        assert seen[0][1].shape[1] == n_keep  # stage-1 context
 
     def test_feature_dim_mismatch(self):
         model = CCANModel(toy_config(), seed=9)

@@ -493,7 +493,7 @@ class TestLabelRange:
 class TestSweep:
     def test_single_cell_rows(self, tmp_path):
         ds, plan = small_task(seed=18, n_bags=24)
-        one_fold = type(plan)(k=1, folds=[plan.folds[0]], seed=plan.seed)
+        one_fold = type(plan)(folds=[plan.folds[0]])
         cfg = TrainConfig(epochs=1, batch_size=8, lr_max=1e-4, seed=19)
         ccan_cfg = small_model(seed=20).config
         rows = data_efficiency_sweep(ds, one_fold, [1.0], cfg, ccan_cfg,
@@ -527,7 +527,7 @@ class TestSweep:
 
     def test_logs_each_row_with_two_jobs(self):
         ds, plan = small_task(seed=26, n_bags=24, d_feature=8)
-        two_folds = type(plan)(k=2, folds=plan.folds[:2], seed=plan.seed)
+        two_folds = type(plan)(folds=plan.folds[:2])
         cfg = TrainConfig(epochs=1, batch_size=8, lr_max=1e-4, seed=27)
         lines = []
         rows = data_efficiency_sweep(ds, two_folds, [0.5, 1.0], cfg, small_model(d_feature=8).config,
@@ -538,7 +538,7 @@ class TestSweep:
 
     def test_two_jobs_write_the_same_rows_as_one(self, tmp_path):
         ds, plan = small_task(seed=28, n_bags=24, d_feature=8)
-        one_fold = type(plan)(k=1, folds=[plan.folds[0]], seed=plan.seed)
+        one_fold = type(plan)(folds=[plan.folds[0]])
         cfg = TrainConfig(epochs=1, batch_size=8, lr_max=1e-4, seed=29)
         args = (ds, one_fold, [0.5, 1.0], cfg, small_model(d_feature=8).config)
         for jobs in (1, 2):
@@ -571,7 +571,7 @@ class TestSweep:
         monkeypatch.setattr("ccan.training.ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr("ccan.training._worker_shared", None)
         ds, plan = small_task(seed=30, n_bags=24, d_feature=8)
-        two_folds = type(plan)(k=2, folds=plan.folds[:2], seed=plan.seed)
+        two_folds = type(plan)(folds=plan.folds[:2])
         cfg = TrainConfig(epochs=1, batch_size=8, lr_max=1e-4, seed=31)
         rows = data_efficiency_sweep(ds, two_folds, [0.5, 1.0], cfg, small_model(d_feature=8).config,
                                      models=("mean-pool",), jobs=2)
@@ -611,7 +611,7 @@ class TestSweep:
         monkeypatch.setattr("ccan.training._sweep_cell", fake_cell)
         monkeypatch.setattr("ccan.training._worker_shared", None)
         ds, plan = small_task(seed=30, n_bags=24, d_feature=8)
-        folds = type(plan)(k=n_folds, folds=plan.folds[:n_folds], seed=plan.seed)
+        folds = type(plan)(folds=plan.folds[:n_folds])
         rows = data_efficiency_sweep(ds, folds, fractions, TrainConfig(), small_model(d_feature=8).config,
                                      models=("mean-pool",), jobs=jobs)
         assert made == pools

@@ -1,10 +1,13 @@
 """Print sha256 digests of a model's outputs, records and gradients.
 
 Two checkouts that print the same lines compute the same float bits for
-one seeded bag: the eval-mode probabilities, every ``AttentionRecord``
-of the eval and the training forward, the training loss, and every
-parameter gradient of one training bag. The BLAS thread count is printed
-too, because bit identity holds per thread count (see README).
+one seeded bag: the eval-mode probabilities, the last two
+``AttentionRecord``s of each stage (its final cross and final self
+attention, the records rollout reads) in the eval and the training
+forward, the ``explain_bag`` scores, the training loss, and every
+parameter gradient of one training bag. Only the last two are hashed, so checkouts that keep more records
+per stage still compare. The BLAS thread count is printed too, because
+bit identity holds per thread count (see README).
 
     PYTHONPATH=src python tools/hash_outputs.py --config ref --n 3091 --heads 4
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tools/hash_outputs.py --config toy
@@ -31,6 +34,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.p
 
 from ccan import autograd as ag  # noqa: E402
 from ccan.data import FeatureBag  # noqa: E402
+from ccan.explain import explain_bag  # noqa: E402
 from ccan.model import CCANConfig, CCANModel  # noqa: E402
 from ccan.training import bag_loss  # noqa: E402
 
@@ -92,16 +96,17 @@ def main(argv=None):
     with ag.no_grad():
         out = model.forward(bag)
     report("eval_probs", [out.averaged_probs] + [so.probs for so in out.stages])
-    records = [rec.matrix for so in out.stages for rec in so.records]
+    records = [rec.matrix for so in out.stages for rec in so.records[-2:]]
     report("eval_records", records, [f"record{i}" for i in range(len(records))] if args.each else None)
     del out, records
+    report("explain_scores", [explain_bag(model, bag).scores])
 
     out = model.forward(bag, rng=np.random.default_rng(args.seed + 2), train_mode=True)
     print(f"train_kept     {len(out.kept_indices)}")
     loss = bag_loss(out, bag.label, cfg.num_classes)
     ag.backward(loss)
     report("train_loss", [loss.data])
-    records = [rec.matrix for so in out.stages for rec in so.records]
+    records = [rec.matrix for so in out.stages for rec in so.records[-2:]]
     report("train_records", records)
     del out, records
     params = model.parameters()
