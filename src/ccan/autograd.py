@@ -123,9 +123,6 @@ class Tensor:
     def item(self):
         return float(self.data)
 
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -572,7 +569,7 @@ def backward(loss):
 
 def zero_grad(params):
     for p in params:
-        p.zero_grad()
+        p.grad = None
 
 
 @dataclass

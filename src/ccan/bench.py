@@ -113,8 +113,6 @@ def linear_fit(xs, ys):
 class ScalingReport:
     rows: list  # of BenchRow
     time_fit: LinearFit  # aggregator wall time vs N
-    macs_fit: LinearFit  # aggregator MACs vs N
-    baseline_quad_ratio: float  # baseline attention MACs(2N)/MACs(N)
 
     def write_csv(self, path):
         with atomic_write(path, text=True) as fh:
@@ -135,8 +133,6 @@ class ScalingReport:
         lines.append(
             f"aggregator time vs N: slope={self.time_fit.slope:.4g} ms/token, R^2={self.time_fit.r2:.5f}"
         )
-        lines.append(f"aggregator MACs vs N: R^2={self.macs_fit.r2:.6f}")
-        lines.append(f"baseline attention MACs(2N)/MACs(N) = {self.baseline_quad_ratio:.2f}")
         return "\n".join(lines)
 
 
@@ -191,7 +187,4 @@ def bench_scaling(config, ns, repeats=7, warmup=2, seed=0, include_baseline=True
             log(f"N={n}: " + ", ".join(f"{r.model}={r.wall_ms:.1f}ms" for r in rows[-len(models) :]))
     ran = [r for r in rows if r.model == "ccan" and np.isfinite(r.wall_ms)]  # no MemoryError
     time_fit = linear_fit([r.n_tokens for r in ran], [r.wall_ms for r in ran])
-    macs_fit = linear_fit([r.n_tokens for r in ran], [r.macs for r in ran])
-    n0 = ns[0]
-    ratio = count_baseline_macs(config, 2 * n0)["attention"] / count_baseline_macs(config, n0)["attention"]
-    return ScalingReport(rows=rows, time_fit=time_fit, macs_fit=macs_fit, baseline_quad_ratio=ratio)
+    return ScalingReport(rows=rows, time_fit=time_fit)

@@ -6,8 +6,8 @@ defaults < config file < command-line flags. Files are line-based UTF-8
 typos never pass silently. A key that sets a field of ``CCANConfig``,
 ``TrainConfig`` or ``PreprocessConfig`` takes its type and default from
 that field, and one that sets an argument of ``generate_synthetic``,
-``patient_grouped_kfold`` or ``bench_scaling`` from that argument's
-default. Every command echoes its fully resolved
+``patient_grouped_kfold``, ``bench_scaling`` or ``data_efficiency_sweep``
+from that argument's default. Every command echoes its fully resolved
 configuration into the run directory (or next to its output), and that
 echo is itself a valid config file that reproduces the run.
 
@@ -108,7 +108,7 @@ SCHEMA = {
     "bench.ns": ("ints", (250, 500, 1000, 2000, 4000)),
     "bench.repeats": _library_default(bench_mod.bench_scaling, "repeats"),
     "bench.baseline": _library_default(bench_mod.bench_scaling, "include_baseline"),
-    "sweep.models": ("strs", ("ccan", "mean-pool", "max-pool")),
+    "sweep.models": ("strs", _library_default(data_efficiency_sweep, "models")[1]),
     "paths.image": ("str", ""),
     "paths.meta": ("str", ""),
     "paths.data": ("str", ""),
@@ -120,7 +120,7 @@ SCHEMA = {
     "seed": ("int", 0),
     "fold": ("int", 0),
     "subset": ("str", "test"),
-    "jobs": ("int", 1),
+    "jobs": _library_default(data_efficiency_sweep, "jobs"),
     "top_k": ("int", 5),
 }
 
@@ -328,9 +328,10 @@ def _cmd_train(cfg):
     plan = _load_plan(cfg, "train")
     fold_idx = _fold_index(cfg, plan)
     run_dir = _require(cfg, "paths.run_dir", "train")
-    os.makedirs(run_dir, exist_ok=True)
-    model = CCANModel(cfg.model_config(seed=derive_seed(cfg["seed"], f"model-fold{fold_idx}")))
+    model_cfg = cfg.model_config(seed=derive_seed(cfg["seed"], f"model-fold{fold_idx}"))
     train_cfg = cfg.train_config(seed=derive_seed(cfg["seed"], f"train-fold{fold_idx}"))
+    os.makedirs(run_dir, exist_ok=True)  # a rejected config leaves no run directory
+    model = CCANModel(model_cfg)
     cfg.echo(os.path.join(run_dir, "config.txt"))
     checkpoint = os.path.join(run_dir, "best.ckpt")
     _, history = train(
@@ -440,18 +441,12 @@ _DISPATCH = {
 COMMANDS = tuple(_DISPATCH)
 
 
-def dispatch(command, run_config):
-    if command not in _DISPATCH:
-        raise UsageError(f"unknown command {command!r}; commands: {', '.join(COMMANDS)}")
-    return _DISPATCH[command](run_config)
-
-
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         command, config_file, overrides = _parse_argv(argv)
         run_config = parse_config(config_file, overrides)
-        return dispatch(command, run_config)
+        return _DISPATCH[command](run_config)
     except (CCANError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

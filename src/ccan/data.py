@@ -277,9 +277,6 @@ class Dataset:
     def by_id(self, bag_id):
         return self.entry(bag_id).load()
 
-    def bag_ids(self):
-        return [b.bag_id for b in self.bags]
-
 
 def generate_synthetic(
     n_bags,

@@ -35,7 +35,6 @@ class AttentionMap:
     rows_total: int
     cols_total: int
     normalization: str  # "raw" | "minmax"
-    kept_mask: np.ndarray  # False where the token was dropped pre-forward
 
 
 def rollout_stage(stage):
@@ -58,8 +57,6 @@ def aggregate_rollout(model_output, bag):
     mean_scores = stage_scores.mean(axis=0)
     scores = np.zeros(n, dtype=np.float64)
     scores[kept] = mean_scores
-    kept_mask = np.zeros(n, dtype=bool)
-    kept_mask[kept] = True
     span = scores.max() - scores.min()
     if n >= 2 and span > 0:
         scores = (scores - scores.min()) / span
@@ -73,7 +70,6 @@ def aggregate_rollout(model_output, bag):
         rows_total=bag.rows_total,
         cols_total=bag.cols_total,
         normalization=normalization,
-        kept_mask=kept_mask,
     )
 
 

@@ -98,8 +98,8 @@ class CCANConfig:
         if self.num_classes < 2:
             raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
         _check_heads(self)
-        if self.n_frequencies < 1 or self.f_max < 1:
-            raise ConfigError(f"need n_frequencies >= 1 and f_max >= 1, got {self.n_frequencies}, {self.f_max}")
+        if self.n_frequencies < 1 or not 1 <= self.f_max < np.inf:
+            raise ConfigError(f"need n_frequencies >= 1 and a finite f_max >= 1, got {self.n_frequencies}, {self.f_max}")
         return self
 
     def latent_counts(self):
@@ -144,10 +144,10 @@ class _Stage:
 
 
 class CCANModel:
-    """Holds config plus every learnable tensor; see module docstring."""
+    """Holds config plus every learnable tensor, drawn from ``config.seed``; see module docstring."""
 
-    def __init__(self, config, seed=None, dtype=np.float32):
-        self._build(config, np.random.default_rng(config.seed if seed is None else seed), dtype)
+    def __init__(self, config, dtype=np.float32):
+        self._build(config, np.random.default_rng(config.seed), dtype)
 
     def _build(self, config, rng, dtype):
         """Lay out every parameter, weights drawn from ``rng`` (unfilled if None)."""
@@ -331,8 +331,8 @@ class BaselineModel:
     mean-pools, and applies a linear head.
     """
 
-    def __init__(self, config, seed=None, dtype=np.float32):
-        self._build(config, np.random.default_rng(config.seed if seed is None else seed), dtype)
+    def __init__(self, config, dtype=np.float32):
+        self._build(config, np.random.default_rng(config.seed), dtype)
 
     def _build(self, config, rng, dtype):
         """Lay out every parameter, weights drawn from ``rng`` (unfilled if None)."""

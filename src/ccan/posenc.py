@@ -22,12 +22,9 @@ def frequency_ladder(count, f_max):
     """Equidistant frequencies from 1 to f_max inclusive, as a read-only float64 array."""
     if count < 1:
         raise ConfigError(f"frequency count must be >= 1, got {count}")
-    if f_max < 1:
-        raise ConfigError(f"f_max must be >= 1, got {f_max}")
-    if count == 1:
-        freqs = np.array([1.0])
-    else:
-        freqs = np.linspace(1.0, float(f_max), count)
+    if not 1 <= f_max < np.inf:
+        raise ConfigError(f"f_max must be finite and >= 1, got {f_max}")
+    freqs = np.linspace(1.0, float(f_max), count)
     freqs.flags.writeable = False
     return freqs
 

@@ -61,7 +61,6 @@ class PatchRecord:
     pixels: np.ndarray  # 256x256x3 uint8
     row: int
     col: int
-    source_rect: tuple  # (y0, x0, side, side) in source pixels
 
 
 # every patch is resized to this edge length, the stub extractor's input
@@ -74,7 +73,6 @@ class PreprocessConfig:
     white_threshold: float = 224.0
     blur_fraction: float = 0.02
     canny_sigma: float = 1.4
-    canny_kernel: int = 5
     canny_low: float = 50.0
     canny_high: float = 100.0
     d_feature: int = 2048
@@ -84,8 +82,6 @@ class PreprocessConfig:
             raise ConfigError(f"patch_microns must be positive and finite, got {self.patch_microns}")
         if not 0 < self.canny_sigma < math.inf:
             raise ConfigError(f"canny_sigma must be positive and finite, got {self.canny_sigma}")
-        if self.canny_kernel < 1:
-            raise ConfigError(f"canny_kernel must be >= 1, got {self.canny_kernel}")
         # a NaN threshold compares false everywhere, which silently turns its filter off
         for name in ("white_threshold", "blur_fraction", "canny_low", "canny_high"):
             if math.isnan(getattr(self, name)):
@@ -168,7 +164,7 @@ def tessellate(image, config=None):
                 crop = bilinear_resize(crop, PATCH_PIXELS, PATCH_PIXELS)
             else:
                 crop = crop.copy()
-            patches.append(PatchRecord(pixels=crop, row=r, col=c, source_rect=(y0, x0, side, side)))
+            patches.append(PatchRecord(pixels=crop, row=r, col=c))
     return patches
 
 
@@ -189,9 +185,9 @@ def is_white(patch_pixels, threshold=224.0):
     return bool(grayscale(patch_pixels).mean() > threshold)
 
 
-def _gaussian_kernel(size, sigma):
-    half = (size - 1) / 2.0
-    ax = np.arange(size) - half
+def _gaussian_kernel(sigma):
+    """The 5x5 Gaussian, normalized to sum 1."""
+    ax = np.arange(5) - 2.0
     g = np.exp(-(ax**2) / (2.0 * sigma**2))
     kernel = np.outer(g, g)
     return kernel / kernel.sum()
@@ -207,7 +203,7 @@ def canny_edges(patch_pixels, config=None):
     config = config or PreprocessConfig()
     gray = grayscale(patch_pixels)
     # correlation, not convolution; past the border the edge pixels repeat
-    smoothed = ndimage.correlate(gray, _gaussian_kernel(config.canny_kernel, config.canny_sigma), mode="nearest")
+    smoothed = ndimage.correlate(gray, _gaussian_kernel(config.canny_sigma), mode="nearest")
     gx = ndimage.correlate(smoothed, _SOBEL_X, mode="nearest")
     gy = ndimage.correlate(smoothed, _SOBEL_Y, mode="nearest")
     magnitude = np.hypot(gx, gy)
@@ -325,8 +321,7 @@ def run_pipeline(image, out_path, label, bag_id, patient_id, seed=0, config=None
         rows_total=n_rows,
         cols_total=n_cols,
     )
-    if out_path is not None:
-        write_bag(bag, out_path)
+    write_bag(bag, out_path)
     return bag, qc
 
 

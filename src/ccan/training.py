@@ -41,6 +41,16 @@ class TrainConfig:
             raise ConfigError(f"need 0 <= lr_min <= lr_max, got {self.lr_min}, {self.lr_max}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be >= 1")
+        # outside these ranges AdamW follows another update rule or diverges; NaN fails every comparison
+        for name, ok, want in (
+            ("lr_max", self.lr_max < math.inf, "finite"),
+            ("weight_decay", 0 <= self.weight_decay < math.inf, "finite and >= 0"),
+            ("beta1", 0 <= self.beta1 < 1, "in [0, 1)"),
+            ("beta2", 0 <= self.beta2 < 1, "in [0, 1)"),
+            ("eps", 0 < self.eps < math.inf, "finite and > 0"),
+        ):
+            if not ok:
+                raise ConfigError(f"{name} must be {want}, got {getattr(self, name)}")
         return self
 
 
@@ -181,16 +191,12 @@ def auc_binary(scores, labels):
         raise MetricError(f"auc_binary labels must be 0 or 1, got {sorted(set(labels.tolist()) - {0, 1})}")
     if n_pos == 0 or n_neg == 0:
         raise MetricError("auc_binary needs both classes present")
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(len(scores), dtype=np.float64)
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0  # midrank, 1-based
-        i = j + 1
+    if not np.isfinite(scores).all():
+        raise MetricError(f"auc_binary scores must be finite, got {scores[~np.isfinite(scores)][0]}")
+    # a run of equal scores holds the 1-based ranks ends - counts + 1 .. ends; each gets their mean
+    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    ranks = (ends - 0.5 * (counts - 1))[inverse]
     rank_sum = ranks[labels == 1].sum()
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 

@@ -2,18 +2,18 @@ import csv
 import hashlib
 import inspect
 import os
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from ccan.bench import bench_scaling
-from ccan.cli import SCHEMA, main, parse_config
+from ccan.cli import _FIELDS, SCHEMA, main, parse_config
 from ccan.data import generate_synthetic, patient_grouped_kfold
 from ccan.errors import ConfigError, UsageError
 from ccan.model import BaselineConfig, BaselineModel, CCANConfig, save_checkpoint
 from ccan.preprocess import PreprocessConfig
-from ccan.training import TrainConfig
+from ccan.training import TrainConfig, data_efficiency_sweep
 
 
 class TestParseConfig:
@@ -65,6 +65,22 @@ class TestParseConfig:
         }
         for key, value in expected.items():
             assert SCHEMA[key] == (type(value).__name__, value), key
+
+    def test_sweep_defaults_are_the_library_defaults(self):
+        params = inspect.signature(data_efficiency_sweep).parameters
+        assert SCHEMA["sweep.models"] == ("strs", params["models"].default)
+        assert SCHEMA["jobs"] == ("int", params["jobs"].default)
+
+    def test_every_config_field_is_set_by_a_key(self, monkeypatch):
+        # a field no key sets cannot change any run; the rest are RunConfig._build's extras
+        monkeypatch.delenv("CCAN_SEED", raising=False)
+        extras = {CCANConfig: {"seed"}, TrainConfig: {"seed"}, PreprocessConfig: {"d_feature"}}
+        for cls, extra in extras.items():
+            keyed = {name for owner, name in _FIELDS.values() if owner is cls}
+            assert keyed.isdisjoint(extra) and keyed | extra == {f.name for f in fields(cls)}, cls.__name__
+        cfg = parse_config(None, [("seed", "7"), ("model.D_f", "5")])
+        assert cfg.model_config().seed == cfg.train_config().seed == 7
+        assert cfg.preprocess_config().d_feature == 5
 
     def test_flag_overrides_file(self, tmp_path):
         f = tmp_path / "c.cfg"
@@ -324,6 +340,20 @@ class TestCommands:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (run_dir / "best.ckpt").exists()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--model.heads", "0", "error: heads must be >= 1, got 0\n"),
+        ("--train.epochs", "0", "error: epochs and batch_size must be >= 1\n"),
+        ("--train.beta2", "1.5", "error: beta2 must be in [0, 1), got 1.5\n"),
+    ], ids=["heads", "epochs", "beta2"])
+    def test_rejected_train_config_is_one_error_line_and_no_run_dir(self, tiny_run, tmp_path, capsys,
+                                                                    flag, value, message):
+        run_dir = tmp_path / "run"
+        rc = main(["train", "--paths.data", tiny_run["data"], "--paths.plan", tiny_run["plan"], "--fold", "0",
+                   "--paths.run_dir", str(run_dir), *tiny_run["model_flags"], "--train.epochs", "1", flag, value])
+        assert rc == 1
+        assert capsys.readouterr().err == message
+        assert not run_dir.exists()
+
     def test_eval_of_an_empty_subset_is_one_error_line(self, tiny_run, tmp_path, capsys):
         rc = main(["eval", "--paths.checkpoint", os.path.join(tiny_run["run_dir"], "best.ckpt"),
                    "--paths.data", tiny_run["data"], "--paths.plan", self._plan_without(tiny_run, tmp_path, "val"),
@@ -393,7 +423,7 @@ class TestCommands:
                    "--bench.ns", "20,40", "--bench.repeats", "5", "--paths.out", out])
         assert rc == 0
         assert os.path.exists(out)
-        assert "baseline attention MACs" in capsys.readouterr().out
+        assert "aggregator time vs N" in capsys.readouterr().out
 
     def test_preprocess(self, tmp_path, capsys):
         from ccan.netpbm import write_ppm

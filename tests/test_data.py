@@ -352,7 +352,7 @@ class TestManifest:
         manifest = tmp_path / "manifest.csv"
         write_manifest(ds, paths, manifest)
         loaded = load_manifest(manifest)
-        assert loaded.bag_ids() == ds.bag_ids()
+        assert [b.bag_id for b in loaded.bags] == [b.bag_id for b in ds.bags]
 
     def test_missing_path_column(self, tmp_path):
         manifest = tmp_path / "manifest.csv"

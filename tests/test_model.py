@@ -1,3 +1,4 @@
+import inspect
 import json
 import struct
 import tracemalloc
@@ -66,6 +67,13 @@ class TestConfig:
         assert toy_config().out_units == 1
         assert toy_config(num_classes=3).out_units == 3
 
+    @pytest.mark.parametrize("f_max", [float("nan"), float("inf"), 0.5])
+    @pytest.mark.parametrize("n_frequencies", [1, 2])
+    def test_f_max_must_be_finite_and_at_least_one(self, n_frequencies, f_max):
+        # with one frequency f_max reaches no output, so a NaN used to pass silently into the checkpoint
+        with pytest.raises(ConfigError, match="a finite f_max >= 1"):
+            CCANModel(toy_config(n_frequencies=n_frequencies, f_max=f_max))
+
 
 class TestInitModel:
     def test_stage_latent_shapes(self):
@@ -73,15 +81,28 @@ class TestInitModel:
         assert [s.latents.shape for s in model.stages] == [(8, 16), (4, 16), (2, 16)]
 
     def test_deterministic_given_seed(self):
-        a = CCANModel(toy_config(), seed=5)
-        b = CCANModel(toy_config(), seed=5)
+        a = CCANModel(toy_config(seed=5))
+        b = CCANModel(toy_config(seed=5))
         for (na, pa), (nb, pb) in zip(a.parameters(), b.parameters()):
             assert na == nb
             np.testing.assert_array_equal(pa.data, pb.data)
 
+    def test_weights_are_drawn_from_the_configs_seed(self, tmp_path):
+        # the saved config is enough to draw the same weights again
+        for cls in (CCANModel, BaselineModel):
+            assert "seed" not in inspect.signature(cls).parameters
+        path = tmp_path / "m.ckpt"
+        for model in (CCANModel(toy_config(seed=5)),
+                      BaselineModel(BaselineConfig(kind="full-self-attention", d_feature=6, d_latent=8, seed=5))):
+            save_checkpoint(model, path)
+            config = load_checkpoint(path).config
+            assert config == model.config and config.seed == 5
+            for (_, a), (_, b) in zip(model.parameters(), type(model)(config).parameters()):
+                np.testing.assert_array_equal(a.data, b.data)
+
     def test_different_seeds_differ(self):
-        a = CCANModel(toy_config(), seed=1)
-        b = CCANModel(toy_config(), seed=2)
+        a = CCANModel(toy_config(seed=1))
+        b = CCANModel(toy_config(seed=2))
         assert any(
             not np.array_equal(pa.data, pb.data)
             for (_, pa), (_, pb) in zip(a.parameters(), b.parameters())
@@ -145,7 +166,7 @@ class TestStageForward:
             cfg = toy_config(block_repeats=repeats, self_layers=self_layers, heads=heads,
                              scale_mode="per-dim" if heads > 1 else "per-paper")
             seen.clear()
-            out = CCANModel(cfg, seed=1).forward(bag)
+            out = CCANModel(replace(cfg, seed=1)).forward(bag)
             assert out.stages[0].latents_out.shape == (8, 16)
             assert out.stages[1].latents_out.shape == (4, 16)
             # each stage keeps its final cross record, class token appended, then its final self record
@@ -163,7 +184,7 @@ class TestStageForward:
     def test_skip_ablation_oracle(self):
         # zero every stage-2 block's output paths: the stage reduces to
         # its initial latents plus the pooled stage-1 output
-        model = CCANModel(toy_config(), seed=2)
+        model = CCANModel(toy_config(seed=2))
         bag = toy_dataset(seed=5).bags[1]
         stage2 = model.stages[1]
         for blk in [*stage2.cross_blocks, *stage2.self_blocks, stage2.final_cross, stage2.final_self]:
@@ -176,7 +197,7 @@ class TestStageForward:
         np.testing.assert_allclose(out.stages[1].latents_out.data, expected, atol=1e-6)
 
     def test_probs_in_unit_interval(self):
-        model = CCANModel(toy_config(num_classes=3), seed=3)
+        model = CCANModel(toy_config(num_classes=3, seed=3))
         for bag in toy_dataset(seed=6, n_classes=3).bags:
             out = model.forward(bag)
             for so in out.stages:
@@ -184,7 +205,7 @@ class TestStageForward:
                 assert (so.probs >= 0).all() and (so.probs <= 1).all()
 
     def test_bad_stage_index(self):
-        model = CCANModel(toy_config(), seed=4)
+        model = CCANModel(toy_config(seed=4))
         with pytest.raises(ConfigError):
             model.stage_forward(3, None, Tensor(np.zeros((4, 16), dtype=np.float32)))
 
@@ -203,7 +224,7 @@ class TestForward:
         for heads, scale_mode in ((1, "per-paper"), (2, "per-dim")):
             cfg = CCANConfig(n_stages=2, n_latents=16, compression=2, d_latent=32, d_feature=64,
                              self_layers=1, n_frequencies=2, heads=heads, scale_mode=scale_mode)
-            out = CCANModel(cfg, seed=0).forward(bag, rng=np.random.default_rng(0), train_mode=True)
+            out = CCANModel(cfg).forward(bag, rng=np.random.default_rng(0), train_mode=True)
             seen, stack, ops = set(), [bag_loss(out, bag.label, 2)], 0
             while stack:
                 node = stack.pop()
@@ -214,7 +235,7 @@ class TestForward:
             assert ops == 29, f"{heads} heads"
 
     def test_eval_deterministic(self):
-        model = CCANModel(toy_config(), seed=5)
+        model = CCANModel(toy_config(seed=5))
         bag = toy_dataset(seed=7).bags[0]
         a = model.forward(bag)
         b = model.forward(bag)
@@ -235,7 +256,7 @@ class TestForward:
                          n_frequencies=2, p_dropout=0.5, heads=heads, scale_mode="per-dim" if heads > 1 else "per-paper")
 
         def run():
-            model = CCANModel(cfg, seed=0)
+            model = CCANModel(cfg)
             out = model.forward(bag, rng=np.random.default_rng(0), train_mode=True)
             loss = bag_loss(out, bag.label, 2)
             ag.backward(loss)
@@ -256,7 +277,7 @@ class TestForward:
 
         cfg = CCANConfig(n_stages=2, n_latents=32, compression=2, d_latent=64, d_feature=64,
                          self_layers=1, n_frequencies=2, p_dropout=0.5)
-        model = CCANModel(cfg, seed=0)
+        model = CCANModel(cfg)
         bag = make_bench_bag(400, 64, seed=2)
         tracemalloc.start()
         try:
@@ -280,7 +301,7 @@ class TestForward:
     def test_eval_forward_frees_the_encoded_input(self):
         # N x d_encoded dwarfs everything the stages hold, so once the input projection has
         # run the peak stays at its input and output, not those plus the stages' working set
-        model = CCANModel(toy_config(d_feature=128), seed=9)
+        model = CCANModel(toy_config(d_feature=128, seed=9))
         bag = make_bench_bag(20000, 128, seed=1)
         tracemalloc.start()
         try:
@@ -293,7 +314,7 @@ class TestForward:
         assert peak < encoded + 2 * projected
 
     def test_permutation_invariance(self):
-        model = CCANModel(toy_config(), seed=6)
+        model = CCANModel(toy_config(seed=6))
         rng = np.random.default_rng(8)
         for bag in toy_dataset(n_bags=5, seed=9).bags:
             base = model.forward(bag).averaged_probs
@@ -307,7 +328,7 @@ class TestForward:
             assert np.abs(base - permuted).max() < 1e-4
 
     def test_averaging_is_arithmetic_mean(self):
-        model = CCANModel(toy_config(), seed=7)
+        model = CCANModel(toy_config(seed=7))
         out = model.forward(toy_dataset(seed=10).bags[0])
         np.testing.assert_allclose(
             out.averaged_probs, np.mean([so.probs for so in out.stages], axis=0), atol=1e-7
@@ -319,7 +340,7 @@ class TestForward:
         from composed import record_every_block
 
         seen = record_every_block(monkeypatch)
-        model = CCANModel(toy_config(p_dropout=0.6), seed=8)
+        model = CCANModel(toy_config(p_dropout=0.6, seed=8))
         bag = toy_dataset(seed=11).bags[0]
         n_keep = max(1, round(bag.n_tokens * 0.4))
         out = model.forward(bag, rng=np.random.default_rng(0), train_mode=True)
@@ -329,7 +350,7 @@ class TestForward:
         assert seen[0][1].shape[1] == n_keep  # stage-1 context
 
     def test_feature_dim_mismatch(self):
-        model = CCANModel(toy_config(), seed=9)
+        model = CCANModel(toy_config(seed=9))
         bag = toy_dataset(d_feature=11, seed=12).bags[0]
         with pytest.raises(ShapeError):
             model.forward(bag)
@@ -430,7 +451,7 @@ class TestCheckpoint:
         assert not any(n.endswith(".b_k") for n in names)
 
     def test_round_trip_bitwise(self, tmp_path):
-        model = CCANModel(toy_config(), seed=10)
+        model = CCANModel(toy_config(seed=10))
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
         loaded = load_checkpoint(path)
@@ -442,7 +463,7 @@ class TestCheckpoint:
     def test_forward_identical_after_reload(self, tmp_path):
         bag = toy_dataset(seed=13).bags[0]
         for config in (toy_config(), toy_config(num_classes=3, heads=2, scale_mode="per-dim")):
-            model = CCANModel(config, seed=11)
+            model = CCANModel(replace(config, seed=11))
             before = model.forward(bag).averaged_probs
             path = tmp_path / "model.ckpt"
             save_checkpoint(model, path)
@@ -451,7 +472,7 @@ class TestCheckpoint:
             np.testing.assert_array_equal(before, after)
 
     def test_save_is_deterministic(self, tmp_path):
-        model = CCANModel(toy_config(), seed=12)
+        model = CCANModel(toy_config(seed=12))
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
         save_checkpoint(model, p1)
         save_checkpoint(model, p2)
@@ -472,7 +493,7 @@ class TestCheckpoint:
         assert [p.name for p in tmp_path.iterdir()] == ["pool.ckpt"]
 
     def test_save_streams_each_parameter(self, tmp_path):
-        model = CCANModel(toy_config(d_feature=64, d_latent=32, n_stages=3, n_latents=16), seed=6)
+        model = CCANModel(toy_config(d_feature=64, d_latent=32, n_stages=3, n_latents=16, seed=6))
         total = sum(p.data.nbytes for _, p in model.parameters())
         assert max(p.data.nbytes for _, p in model.parameters()) < total / 10
         tracemalloc.start()
@@ -485,7 +506,7 @@ class TestCheckpoint:
         assert peak < total / 2
 
     def test_load_holds_the_parameters_not_the_file(self, tmp_path):
-        model = CCANModel(toy_config(d_feature=256, d_latent=64, n_stages=2, n_latents=16), seed=6)
+        model = CCANModel(toy_config(d_feature=256, d_latent=64, n_stages=2, n_latents=16, seed=6))
         total = sum(p.data.nbytes for _, p in model.parameters())
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
@@ -508,7 +529,7 @@ class TestCheckpoint:
         assert str(err.value) == "truncated file while reading magic (at byte offset 0)"
 
     @pytest.mark.parametrize("save, make", [
-        (save_checkpoint, lambda seed: CCANModel(toy_config(), seed=seed)),
+        (save_checkpoint, lambda seed: CCANModel(toy_config(seed=seed))),
         (write_bag, lambda seed: toy_dataset(n_bags=1, d_feature=64, seed=seed).bags[0]),
         (write_ppm, lambda seed: np.random.default_rng(seed).integers(0, 256, (30, 40, 3)).astype(np.uint8)),
         (lambda plan, path: plan.write_csv(path),
@@ -556,7 +577,7 @@ class TestCheckpoint:
     def _with_config(self, tmp_path, edit):
         """A saved TOY checkpoint whose config bytes are replaced by ``edit(bytes)``."""
         path = tmp_path / "model.ckpt"
-        save_checkpoint(CCANModel(toy_config(), seed=14), path)
+        save_checkpoint(CCANModel(toy_config(seed=14)), path)
         blob = path.read_bytes()
         (length,) = struct.unpack("<I", blob[6:10])
         payload = edit(blob[10 : 10 + length])
@@ -574,7 +595,7 @@ class TestCheckpoint:
     def test_version_1_rejected(self, tmp_path):
         # v1 carried a key bias per block, which no output depended on; v2 has none
         path = tmp_path / "model.ckpt"
-        save_checkpoint(CCANModel(toy_config(), seed=15), path)
+        save_checkpoint(CCANModel(toy_config(seed=15)), path)
         blob = path.read_bytes()
         assert struct.unpack("<H", blob[4:6]) == (2,)
         path.write_bytes(blob[:4] + struct.pack("<H", 1) + blob[6:])
@@ -583,7 +604,7 @@ class TestCheckpoint:
         assert err.value.offset == 4
 
     def test_float64_load_equals_saved_values_after_cast(self, tmp_path):
-        model = CCANModel(toy_config(), seed=17)
+        model = CCANModel(toy_config(seed=17))
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
         twin = load_checkpoint(path, dtype=np.float64)
@@ -594,7 +615,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize("kind", ["ccan", "full-self-attention"])
     def test_load_draws_no_random_values(self, tmp_path, monkeypatch, kind):
         if kind == "ccan":
-            model = CCANModel(toy_config(), seed=18)
+            model = CCANModel(toy_config(seed=18))
         else:
             model = BaselineModel(BaselineConfig(kind=kind, d_feature=6, d_latent=8, seed=18))
         path = tmp_path / "model.ckpt"
@@ -610,7 +631,7 @@ class TestCheckpoint:
 
     def test_repeated_parameter_name_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"
-        save_checkpoint(CCANModel(toy_config(), seed=19), path)
+        save_checkpoint(CCANModel(toy_config(seed=19)), path)
         blob = path.read_bytes()
         at = blob.index(b"stage1.cross0.w_k")
         path.write_bytes(blob[:at] + b"stage1.cross0.w_q" + blob[at + 17 :])
@@ -620,14 +641,14 @@ class TestCheckpoint:
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "model.ckpt"
-        save_checkpoint(CCANModel(toy_config(), seed=20), path)
+        save_checkpoint(CCANModel(toy_config(seed=20)), path)
         path.write_bytes(b"NOPE" + path.read_bytes()[4:])
         with pytest.raises(FormatError) as err:
             load_checkpoint(path)
         assert str(err.value) == "bad checkpoint magic (at byte offset 0)" and err.value.offset == 0
 
     def test_truncated_values(self, tmp_path):
-        model = CCANModel(toy_config(), seed=21)
+        model = CCANModel(toy_config(seed=21))
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
         blob = path.read_bytes()
@@ -640,7 +661,7 @@ class TestCheckpoint:
 
     def test_non_utf8_parameter_name(self, tmp_path):
         path = tmp_path / "model.ckpt"
-        save_checkpoint(CCANModel(toy_config(), seed=16), path)
+        save_checkpoint(CCANModel(toy_config(seed=16)), path)
         blob = bytearray(path.read_bytes())
         (length,) = struct.unpack("<I", blob[6:10])
         at = 10 + length + 4 + 2 + 3  # fourth byte of the first parameter name
@@ -688,7 +709,7 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_empty_bag_forward_rejected(self):
-        model = CCANModel(toy_config(), seed=13)
+        model = CCANModel(toy_config(seed=13))
 
         class FakeBag:
             n_tokens = 0

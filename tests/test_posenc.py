@@ -41,9 +41,11 @@ class TestFrequencyLadder:
         assert np.abs(diffs - diffs[0]).max() < 1e-9
 
     def test_degenerate_single_frequency(self):
-        np.testing.assert_allclose(frequency_ladder(1, 5), [1.0])
+        ladder = frequency_ladder(1, 5)
+        assert ladder.dtype == np.float64 and ladder.tobytes() == np.array([1.0]).tobytes()
+        assert not ladder.flags.writeable
 
-    @pytest.mark.parametrize("count,f_max", [(0, 10), (3, 0.5)])
+    @pytest.mark.parametrize("count,f_max", [(0, 10), (3, 0.5), (1, float("nan")), (3, float("nan")), (1, float("inf"))])
     def test_invalid_config(self, count, f_max):
         with pytest.raises(ConfigError):
             frequency_ladder(count, f_max)

@@ -77,7 +77,7 @@ def reference_canny_edges(patch_pixels, config=None):
     """Canny with one boolean mask per suppression sector and np.isin over the strong labels."""
     config = config or PreprocessConfig()
     gray = grayscale(patch_pixels)
-    smoothed = ndimage.correlate(gray, _gaussian_kernel(config.canny_kernel, config.canny_sigma), mode="nearest")
+    smoothed = ndimage.correlate(gray, _gaussian_kernel(config.canny_sigma), mode="nearest")
     gx = ndimage.correlate(smoothed, _SOBEL_X, mode="nearest")
     gy = ndimage.correlate(smoothed, _SOBEL_Y, mode="nearest")
     magnitude = np.hypot(gx, gy)
@@ -163,8 +163,7 @@ class TestTessellate:
     def test_patch_side_from_microns(self):
         img = RasterImage(pixels=np.zeros((1024, 1024, 3), np.uint8), microns_per_pixel=0.5)
         patches = tessellate(img)
-        assert len(patches) == 4  # 1024 / 512 per axis
-        assert patches[0].source_rect == (0, 0, 512, 512)
+        assert [(p.row, p.col) for p in patches] == [(0, 0), (0, 1), (1, 0), (1, 1)]  # 1024 / 512 per axis
         assert patches[0].pixels.shape == (256, 256, 3)
 
     def test_edge_remainder_dropped(self):
@@ -203,10 +202,9 @@ class TestTessellate:
         patches = tessellate(img)
         coords = {(p.row, p.col) for p in patches}
         assert len(coords) == len(patches) == 12
-        rects = [p.source_rect for p in patches]
-        for i, (y0, x0, h, w) in enumerate(rects):
-            for y1, x1, h2, w2 in rects[i + 1 :]:
-                assert y0 + h <= y1 or y1 + h2 <= y0 or x0 + w <= x1 or x1 + w2 <= x0
+        for p in patches:  # at 1.0 um/px each patch is its own 256 px grid cell, copied
+            np.testing.assert_array_equal(p.pixels, img.pixels[p.row * 256 : (p.row + 1) * 256,
+                                                               p.col * 256 : (p.col + 1) * 256])
 
 
 class TestBilinearResize:
@@ -286,7 +284,7 @@ class TestCanny:
         step[:, 20:] = 200
         for patch in (step, noise_patch(seed=5, shape=(64, 48, 3)), noise_patch(seed=6, shape=(7, 3, 1))):
             canny_edge_fraction(patch)
-            canny_edge_fraction(patch, PreprocessConfig(canny_kernel=4, canny_sigma=1.0))
+            canny_edge_fraction(patch, PreprocessConfig(canny_sigma=1.0))
         assert len(calls) == 18  # Gaussian, Sobel x and Sobel y per call
         for img, kernel, out in calls:
             np.testing.assert_array_equal(out.view(np.uint64), edge_padded_correlation(img, kernel).view(np.uint64))
@@ -315,9 +313,9 @@ class TestCanny:
 
     @pytest.mark.parametrize("config", [
         PreprocessConfig(),
-        PreprocessConfig(canny_kernel=4, canny_sigma=1.0),
+        PreprocessConfig(canny_sigma=1.0),
         PreprocessConfig(canny_low=120.0, canny_high=60.0),  # strong pixels outside every weak component
-    ], ids=["default", "kernel4", "low-above-high"])
+    ], ids=["default", "sigma1", "low-above-high"])
     @pytest.mark.parametrize("patch", [
         noise_patch(seed=30),
         step_patch(),
@@ -484,7 +482,7 @@ class TestPipeline:
         ({"patch_microns": float("nan")}, "patch_microns must be positive and finite, got nan"),
         ({"patch_microns": 0.0}, "patch_microns must be positive and finite, got 0.0"),
         ({"canny_sigma": 0.0}, "canny_sigma must be positive and finite, got 0.0"),
-        ({"canny_kernel": 0}, "canny_kernel must be >= 1, got 0"),
+        ({"canny_sigma": float("inf")}, "canny_sigma must be positive and finite, got inf"),
         ({"white_threshold": float("nan")}, "white_threshold must be a number, got nan"),
         ({"blur_fraction": float("nan")}, "blur_fraction must be a number, got nan"),
         ({"canny_low": float("nan")}, "canny_low must be a number, got nan"),

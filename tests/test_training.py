@@ -152,6 +152,33 @@ class TestAdamW:
         np.testing.assert_array_equal(theta, [5.0])
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("change, message", [
+        ({"beta1": 1.0}, "beta1 must be in [0, 1), got 1.0"),
+        ({"beta1": -0.1}, "beta1 must be in [0, 1), got -0.1"),
+        ({"beta2": 1.5}, "beta2 must be in [0, 1), got 1.5"),
+        ({"beta2": float("nan")}, "beta2 must be in [0, 1), got nan"),
+        ({"eps": -1e-3}, "eps must be finite and > 0, got -0.001"),
+        ({"eps": 0.0}, "eps must be finite and > 0, got 0.0"),
+        ({"weight_decay": -1.0}, "weight_decay must be finite and >= 0, got -1.0"),
+        ({"weight_decay": float("nan")}, "weight_decay must be finite and >= 0, got nan"),
+        ({"lr_max": float("inf")}, "lr_max must be finite, got inf"),
+    ])
+    def test_optimizer_settings_outside_their_range_rejected(self, change, message):
+        assert TrainConfig(beta1=0.0, beta2=0.0, weight_decay=0.0).validate()
+        with pytest.raises(ConfigError) as err:
+            TrainConfig(**change).validate()
+        assert str(err.value) == message
+
+    def test_rejected_before_the_first_step(self):
+        ds, plan = small_task(seed=1, n_bags=24)
+        model = small_model(seed=2)
+        before = [p.data.copy() for _, p in model.parameters()]
+        with pytest.raises(ConfigError, match="beta1"):
+            train(model, ds, plan.folds[0], TrainConfig(epochs=1, batch_size=2, beta1=1.0))
+        assert all(np.array_equal(a, p.data) for a, (_, p) in zip(before, model.parameters()))
+
+
 class TestCosineLR:
     def test_start_is_max(self):
         assert cosine_lr(0, 100, 1e-3, 1e-5) == 1e-3
@@ -202,6 +229,17 @@ class TestAucBinary:
     def test_single_class_rejected(self):
         with pytest.raises(MetricError):
             auc_binary([0.1, 0.2], [1, 1])
+
+    def test_tied_runs_take_their_midranks(self):
+        # ranks 1.5, 1.5, 4, 4, 4, 6: positives sum to 1.5 + 4 + 6, so AUC = (11.5 - 6) / 9
+        scores, labels = [0.2, 0.7, 0.2, 0.7, 0.9, 0.7], [1, 1, 0, 0, 1, 0]
+        assert auc_binary(scores, labels) == 5.5 / 9 == pairwise_auc(scores, labels)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_score_rejected(self, bad):
+        # a NaN used to sort above every score and count as the top rank (AUC 1.0 here)
+        with pytest.raises(MetricError, match=f"scores must be finite, got {bad}"):
+            auc_binary([0.1, bad, 0.3, 0.9], [0, 1, 0, 1])
 
     def test_matches_pairwise_oracle_on_random_instances(self):
         rng = np.random.default_rng(0)
