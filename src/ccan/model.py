@@ -54,6 +54,8 @@ def _check_heads(config):
         raise ConfigError(f"heads must be >= 1, got {config.heads}")
     if config.heads > 1 and config.scale_mode == "per-paper":
         raise ConfigError("heads > 1 requires scale_mode='per-dim'")
+    if config.d_latent < 1:
+        raise ConfigError(f"d_latent must be >= 1, got {config.d_latent}")
     if config.d_latent % config.heads != 0:
         raise ConfigError(f"d_latent={config.d_latent} not divisible by heads={config.heads}")
 

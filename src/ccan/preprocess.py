@@ -13,7 +13,9 @@ The Canny detector is the classic pipeline: 5x5 Gaussian smoothing
 (sigma 1.4), Sobel gradients, 4-direction non-maximum suppression, and
 double-threshold hysteresis (low 50 / high 100 on the gradient
 magnitude clamped to 8 bits). Borders are edge-replicated for the
-convolutions. Golden tests pin the exact behavior.
+convolutions. Golden tests and oracles pin every bit: the Sobel taps are
+slices summed in ndimage.correlate's order, the angle folds into % 180's
+sector by adding 180 to negative angles, and block means come from integer sums.
 """
 
 from __future__ import annotations
@@ -82,10 +84,11 @@ class PreprocessConfig:
             raise ConfigError(f"patch_microns must be positive and finite, got {self.patch_microns}")
         if not 0 < self.canny_sigma < math.inf:
             raise ConfigError(f"canny_sigma must be positive and finite, got {self.canny_sigma}")
-        # a NaN threshold compares false everywhere, which silently turns its filter off
+        # a NaN or infinite threshold compares the same everywhere, which silently turns its filter off
         for name in ("white_threshold", "blur_fraction", "canny_low", "canny_high"):
-            if math.isnan(getattr(self, name)):
-                raise ConfigError(f"{name} must be a number, got nan")
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be {'a number' if math.isnan(value) else 'finite'}, got {value}")
         if self.d_feature < 1:
             raise ConfigError(f"d_feature must be >= 1, got {self.d_feature}")
         return self
@@ -174,10 +177,11 @@ def tessellate(image, config=None):
 
 def grayscale(patch_pixels):
     """BT.601 luma in float64."""
-    p = np.asarray(patch_pixels, dtype=np.float64)
-    if p.ndim == 3 and p.shape[2] == 3:
-        return 0.299 * p[:, :, 0] + 0.587 * p[:, :, 1] + 0.114 * p[:, :, 2]
-    return p.reshape(p.shape[0], p.shape[1])
+    p = np.asarray(patch_pixels)
+    if p.ndim == 3 and p.shape[2] == 3:  # each product casts a uint8 channel to float64 exactly: no float64 copy
+        c = p if p.dtype == np.uint8 else np.asarray(p, dtype=np.float64)
+        return 0.299 * c[:, :, 0] + 0.587 * c[:, :, 1] + 0.114 * c[:, :, 2]
+    return np.asarray(p, dtype=np.float64).reshape(p.shape[0], p.shape[1])
 
 
 def is_white(patch_pixels, threshold=224.0):
@@ -195,36 +199,53 @@ def _gaussian_kernel(sigma):
 
 _SOBEL_X = np.array([[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]], dtype=np.float64)
 _SOBEL_Y = np.array([[-1, -2, -1], [0, 0, 0], [1, 2, 1]], dtype=np.float64)
-_SECTOR_EDGES = (22.5, 67.5, 112.5, 157.5)
+
+
+def _sobel_gradients(smoothed):
+    """Sobel x and y with the edge pixels repeated, bit for bit as ndimage.correlate sums them:
+    each kernel's nonzero taps in row-major order onto 0.0, here as slices of one padded copy."""
+    h, w = smoothed.shape
+    padded = np.pad(smoothed, 1, mode="edge")
+    scaled = {1: padded, 2: padded * 2.0}  # doubling is exact
+    gradients = [np.zeros((h, w)), np.zeros((h, w))]
+    for g, kernel in zip(gradients, (_SOBEL_X, _SOBEL_Y)):
+        for (dy, dx), weight in np.ndenumerate(kernel):
+            if weight:  # subtracting a tap equals adding its negation
+                (np.add if weight > 0 else np.subtract)(g, scaled[abs(weight)][dy : dy + h, dx : dx + w], out=g)
+    return gradients
+
+
+def _sectors(angle):
+    """Each arctan2 angle's sector, the edges at or below angle % 180.0: 0 E/W, 1 SW/NE, 2 S/N, 3 SE/NW, 4 E/W.
+
+    On [-180, 180] that remainder adds 180 to a negative angle, rounded the same, and keeps any other angle
+    but 180, which it maps to 0; here 180 stays and counts 4 edges, so both give E/W."""
+    angle += (angle < 0) * 180.0
+    return sum((angle >= edge).view(np.uint8) for edge in (22.5, 67.5, 112.5, 157.5)) & 3
 
 
 def canny_edges(patch_pixels, config=None):
     """Boolean edge mask from the classic Canny pipeline."""
     config = config or PreprocessConfig()
-    gray = grayscale(patch_pixels)
     # correlation, not convolution; past the border the edge pixels repeat
-    smoothed = ndimage.correlate(gray, _gaussian_kernel(config.canny_sigma), mode="nearest")
-    gx = ndimage.correlate(smoothed, _SOBEL_X, mode="nearest")
-    gy = ndimage.correlate(smoothed, _SOBEL_Y, mode="nearest")
-    magnitude = np.hypot(gx, gy)
-    angle = np.degrees(np.arctan2(gy, gx)) % 180.0
+    smoothed = ndimage.correlate(grayscale(patch_pixels), _gaussian_kernel(config.canny_sigma), mode="nearest")
+    gx, gy = _sobel_gradients(smoothed)
+    m = np.hypot(gx, gy)
 
-    # non-maximum suppression against the two neighbors along the gradient;
-    # the sector counts the edges at or below the angle: 0 E/W, 1 SW/NE,
-    # 2 S/N, 3 SE/NW, and 4 (from 157.5 degrees) wraps to E/W
-    h, w = magnitude.shape
-    sector = sum((angle >= edge).view(np.uint8) for edge in _SECTOR_EDGES)
-    mag_p = np.pad(magnitude, 1, mode="constant")
-    # each sector's neighbors as flat offsets into the zero-padded magnitude
-    step = np.array([1, w + 1, w + 2, w + 3, 1])[sector]
-    center = (np.arange(1, h + 1) * (w + 2))[:, None] + np.arange(1, w + 1)
-    keep = (magnitude >= mag_p.take(center + step)) & (magnitude >= mag_p.take(center - step))
-    suppressed = np.where(keep, magnitude, 0.0)
-    suppressed[0, :] = suppressed[-1, :] = 0.0
-    suppressed[:, 0] = suppressed[:, -1] = 0.0
+    # non-maximum suppression against the two neighbors along the gradient, for the interior only (the
+    # border is suppressed); a NaN neighbor gives a NaN maximum, which fails the comparison as it would
+    inner = (slice(1, -1), slice(1, -1))
+    sector = _sectors(np.degrees(np.arctan2(gy[inner], gx[inner])))
+    neighbors = ((m[1:-1, 2:], m[1:-1, :-2]), (m[2:, :-2], m[:-2, 2:]),
+                 (m[2:, 1:-1], m[:-2, 1:-1]), (m[2:, 2:], m[:-2, :-2]))
+    keep = np.zeros(sector.shape, dtype=bool)
+    for s, (a, b) in enumerate(neighbors):
+        keep |= (sector == s) & (m[inner] >= np.maximum(a, b))
+    suppressed = np.zeros_like(m)
+    np.copyto(suppressed[inner], m[inner], where=keep)
 
     # thresholds are defined on the magnitude clamped to 8 bits
-    suppressed = np.clip(suppressed, 0.0, 255.0)
+    np.clip(suppressed, 0.0, 255.0, out=suppressed)
     strong = suppressed >= config.canny_high
     weak = suppressed >= config.canny_low
     # hysteresis: keep weak components 8-connected to a strong pixel
@@ -269,10 +290,12 @@ def stub_features(patch_pixels, d_feature=2048, seed=0):
     p = np.asarray(patch_pixels)
     if p.shape != (PATCH_PIXELS, PATCH_PIXELS, 3):
         raise DataError(f"stub extractor expects {PATCH_PIXELS}x{PATCH_PIXELS}x3 patches, got {p.shape}")
+    if p.dtype != np.uint8:  # any wider value could wrap in the integer sums below
+        raise DataError(f"stub extractor expects 8-bit pixels, got {p.dtype}")
     block = PATCH_PIXELS // 16
-    # block means: the sums of 8-bit values are exact integers, so this equals mean() of a float64 copy
-    small = p.reshape(16, block, 16, block, 3).sum(axis=(1, 3), dtype=np.float64) / block**2 / 255.0
-    flat = small.reshape(-1)
+    # exact block sums, so the means equal mean() of a float64 copy; 8-bit values add in uint16, then uint32
+    sums = p.reshape(16, block, 16, block, 3).sum(axis=1, dtype=np.uint16).sum(axis=2, dtype=np.uint32)
+    flat = (sums / block**2 / 255.0).reshape(-1)
     return np.tanh(flat @ _projection_matrix(d_feature, seed)).astype(np.float32)
 
 

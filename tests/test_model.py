@@ -402,6 +402,8 @@ class TestBaselines:
         ({"heads": 0}, "heads must be >= 1, got 0"),
         ({"heads": 2, "scale_mode": "per-paper"}, "heads > 1 requires scale_mode='per-dim'"),
         ({"scale_mode": "bogus"}, "scale_mode must be one of"),
+        ({"d_latent": 0}, "d_latent must be >= 1, got 0"),
+        ({"d_latent": -4}, "d_latent must be >= 1, got -4"),
     ])
     def test_head_and_scale_checks_match_ccan(self, tmp_path, change, message):
         cfg = BaselineConfig(kind="full-self-attention", d_feature=6, d_latent=4, seed=3)
@@ -417,7 +419,8 @@ class TestBaselines:
             load_checkpoint(tmp_path / "bad.ckpt")
 
     @pytest.mark.parametrize("kind", ["mean-pool", "max-pool"])
-    @pytest.mark.parametrize("change", [{"heads": 0}, {"heads": 2, "scale_mode": "per-paper"}, {"scale_mode": "bogus"}])
+    @pytest.mark.parametrize("change", [{"heads": 0}, {"heads": 2, "scale_mode": "per-paper"}, {"scale_mode": "bogus"},
+                                        {"d_latent": 0}])
     def test_pooling_ignores_head_settings(self, tmp_path, kind, change):
         # pooling never reads heads, scale_mode or d_latent, so none of them can reject it
         bag = _const_bag(np.random.default_rng(5).normal(size=(9, 6)).astype(np.float32))

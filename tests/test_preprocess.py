@@ -15,6 +15,7 @@ from ccan.preprocess import (
     RasterImage,
     _gaussian_kernel,
     _projection_matrix,
+    _sectors,
     bilinear_resize,
     canny_edge_fraction,
     canny_edges,
@@ -258,6 +259,16 @@ class TestWhiteFilter:
         patch[..., 0] = 100
         np.testing.assert_allclose(grayscale(patch), np.full((2, 2), 29.9))
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.float32, np.float64])
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_luma_equals_the_float64_reference(self, dtype, channels):
+        patch = noise_patch(seed=36, shape=(40, 30, channels)).astype(dtype)
+        p = np.asarray(patch, dtype=np.float64)  # the reference reads every input as a float64 copy
+        want = 0.299 * p[:, :, 0] + 0.587 * p[:, :, 1] + 0.114 * p[:, :, 2] if channels == 3 else p[:, :, 0]
+        got = grayscale(patch)
+        assert got.dtype == np.float64 and got.shape == (40, 30)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
 
 def edge_padded_correlation(img, kernel):
     """The reference for the Canny filters: each kernel tap summed over edge-replicated padding."""
@@ -273,20 +284,29 @@ def edge_padded_correlation(img, kernel):
 class TestCanny:
     def test_filters_equal_the_loop_reference(self, monkeypatch):
         calls = []
-        correlate = ndimage.correlate
+        correlate, sobel = ndimage.correlate, preprocess._sobel_gradients
 
-        def spy(img, kernel, **kwargs):
+        def correlate_spy(img, kernel, **kwargs):
             calls.append((img, kernel, correlate(img, kernel, **kwargs)))
             return calls[-1][2]
 
-        monkeypatch.setattr(ndimage, "correlate", spy)
+        def sobel_spy(smoothed):
+            gx, gy = sobel(smoothed)
+            calls.extend([(smoothed, _SOBEL_X, gx), (smoothed, _SOBEL_Y, gy)])
+            return gx, gy
+
+        monkeypatch.setattr(ndimage, "correlate", correlate_spy)
+        monkeypatch.setattr(preprocess, "_sobel_gradients", sobel_spy)
         step = np.zeros((64, 48, 3), np.uint8)
         step[:, 20:] = 200
-        for patch in (step, noise_patch(seed=5, shape=(64, 48, 3)), noise_patch(seed=6, shape=(7, 3, 1))):
+        for patch in (step, noise_patch(seed=5, shape=(64, 48, 3)), noise_patch(seed=6, shape=(7, 3, 1)),
+                      noise_patch(seed=7, shape=(1, 9, 1)), np.full((5, 4, 3), 90, np.uint8)):
             canny_edge_fraction(patch)
             canny_edge_fraction(patch, PreprocessConfig(canny_sigma=1.0))
-        assert len(calls) == 18  # Gaussian, Sobel x and Sobel y per call
+        # per call the Gaussian through ndimage, then Sobel x and y
+        assert [kernel.shape for _, kernel, _ in calls] == [(5, 5), (3, 3), (3, 3)] * 10
         for img, kernel, out in calls:
+            assert out.shape == img.shape
             np.testing.assert_array_equal(out.view(np.uint64), edge_padded_correlation(img, kernel).view(np.uint64))
 
     def test_constant_patch_has_no_edges(self):
@@ -348,10 +368,28 @@ class TestCanny:
             gx[where], gy[where] = 64.0, 64.0 * exact
         angle = np.degrees(np.arctan2(gy, gx)) % 180.0
         assert np.isin(angle, [22.5, 67.5, 112.5, 157.5]).sum() == on_edge.sum()
+        # the program's gradients come from its Sobel function, the reference's from ndimage; the Gaussian passes
+        monkeypatch.setattr(preprocess, "_sobel_gradients", lambda smoothed: (gx.copy(), gy.copy()))
         monkeypatch.setattr(ndimage, "correlate",
                             lambda img, kernel, **kw: gx if kernel is _SOBEL_X else gy if kernel is _SOBEL_Y else img)
         patch = np.zeros((32, 32, 1), np.uint8)
         np.testing.assert_array_equal(canny_edges(patch), reference_canny_edges(patch))
+
+    def test_fold_gives_the_sectors_of_the_remainder(self):
+        # every float within 5,000 ulps of 0, each sector edge and 180, of either sign, and a uniform spread of
+        # [-180, 180], the range of degrees(arctan2)
+        sweeps = [c + np.arange(-5000, 5001) * np.spacing(c) for c in (0.0, 22.5, 67.5, 112.5, 157.5, 180.0)]
+        angles = np.concatenate(sweeps + [-s for s in sweeps]
+                                + [np.random.default_rng(51).uniform(-180.0, 180.0, 1_000_000), [-0.0]])
+        angles = angles[np.abs(angles) <= 180.0]
+        folded = angles % 180.0
+        want = sum((folded >= edge).astype(np.uint8) for edge in (22.5, 67.5, 112.5, 157.5))
+        want[want == 4] = 0  # from 157.5 degrees the E/W sector again
+        got = _sectors(angles.copy())
+        assert got.dtype == np.uint8
+        np.testing.assert_array_equal(got, want)
+        for edge in (22.5, 67.5, 112.5, 157.5):  # the sweep crosses each edge from both sides
+            assert (folded == edge).any() and ((folded > edge - 1e-9) & (folded < edge)).any()
 
     def test_luma_input_gives_the_same_edges(self):
         patch = noise_patch(seed=35)
@@ -393,6 +431,11 @@ class TestStubFeatures:
     def test_wrong_shape_rejected(self):
         with pytest.raises(DataError):
             stub_features(np.zeros((128, 128, 3), np.uint8))
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.uint16, np.float64])
+    def test_wider_pixels_rejected(self, dtype):
+        with pytest.raises(DataError, match=f"8-bit pixels, got {np.dtype(dtype)}"):
+            stub_features(np.full((256, 256, 3), 255, dtype))
 
     @pytest.mark.parametrize("patch", [
         noise_patch(seed=40), step_patch(), checker_patch(), np.full((256, 256, 3), 255, np.uint8),
@@ -489,6 +532,11 @@ class TestPipeline:
         ({"canny_high": float("nan")}, "canny_high must be a number, got nan"),
         ({"d_feature": 0}, "d_feature must be >= 1, got 0"),
         ({"d_feature": -5}, "d_feature must be >= 1, got -5"),
+        ({"white_threshold": float("inf")}, "white_threshold must be finite, got inf"),
+        ({"white_threshold": -float("inf")}, "white_threshold must be finite, got -inf"),
+        ({"blur_fraction": float("inf")}, "blur_fraction must be finite, got inf"),
+        ({"canny_low": -float("inf")}, "canny_low must be finite, got -inf"),
+        ({"canny_high": float("inf")}, "canny_high must be finite, got inf"),
     ])
     def test_bad_config_rejected_before_any_work(self, tmp_path, change, message):
         assert PreprocessConfig().validate() == PreprocessConfig()

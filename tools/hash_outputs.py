@@ -9,6 +9,11 @@ parameter gradient of one training bag. Only the last two are hashed, so checkou
 per stage still compare. The BLAS thread count is printed too, because
 bit identity holds per thread count (see README).
 
+Every run also hashes preprocessing, which no model setting reaches: for
+a seeded raster of white, blurred and sharp tissue cells at 0.5 and at
+1.0 microns per pixel, the QC counts and CCFB bytes of ``run_pipeline``
+and the Canny mask of each patch.
+
     PYTHONPATH=src python tools/hash_outputs.py --config ref --n 3091 --heads 4
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tools/hash_outputs.py --config toy
 
@@ -27,8 +32,10 @@ import hashlib
 import math
 import os
 import sys
+import tempfile
 
 import numpy as np
+from scipy import ndimage
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
 
@@ -36,6 +43,7 @@ from ccan import autograd as ag  # noqa: E402
 from ccan.data import FeatureBag  # noqa: E402
 from ccan.explain import explain_bag  # noqa: E402
 from ccan.model import CCANConfig, CCANModel  # noqa: E402
+from ccan.preprocess import RasterImage, canny_edges, run_pipeline, tessellate  # noqa: E402
 from ccan.training import bag_loss  # noqa: E402
 
 TOY = dict(n_stages=2, n_latents=16, compression=2, d_latent=32, d_feature=64, self_layers=1, n_frequencies=2)
@@ -70,6 +78,38 @@ def make_bag(n, d_feature, seed):
                       idx // cols, idx % cols, math.ceil(n / cols), cols)
 
 
+def stained_raster(mpp, seed):
+    """One row of patch cells, each near-white, blurred tissue or sharp tissue."""
+    rng = np.random.default_rng(seed)
+    side = round(256 / mpp)
+    cells = []
+    for kind in ("white", "sharp", "blur", "sharp", "white", "blur", "sharp", "blur"):
+        if kind == "white":
+            cells.append(rng.normal(246.0, 3.0, (side, side, 3)))
+            continue
+        grain = round((2.0 if kind == "sharp" else 32.0) / mpp)
+        texture = np.kron(rng.normal(0.0, 1.0, (side // grain + 1, side // grain + 1, 1)),
+                          np.ones((grain, grain, 1)))[:side, :side]
+        if kind == "blur":
+            texture = ndimage.gaussian_filter(texture, (8.0 / mpp, 8.0 / mpp, 0), mode="nearest")
+        cells.append(np.array([196.0, 118.0, 168.0]) + 36.0 * texture * np.array([1.0, 1.2, 0.8]))
+    pixels = np.rint(np.clip(np.concatenate(cells, axis=1), 0, 255)).astype(np.uint8)
+    return RasterImage(pixels=pixels, microns_per_pixel=mpp)
+
+
+def report_preprocess(seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        for mpp in (0.5, 1.0):
+            image = stained_raster(mpp, seed)
+            path = os.path.join(tmp, "bag.ccfb")
+            _, qc = run_pipeline(image, path, 1, "bag", "patient", seed=seed)
+            print(f"{f'qc_{mpp}um':14s} {qc.total:4d} total, {qc.white_rejected} white, {qc.blur_rejected} blurry, "
+                  f"{qc.kept} kept")
+            with open(path, "rb") as fh:
+                report(f"ccfb_{mpp}um", [np.frombuffer(fh.read(), np.uint8)])
+            report(f"canny_{mpp}um", [canny_edges(p.pixels) for p in tessellate(image)])
+
+
 def report(name, arrays, each_names=None):
     print(f"{name:14s} {len(arrays):4d} {digest(arrays)}")
     for label, a in zip(each_names or [], arrays):
@@ -92,6 +132,7 @@ def main(argv=None):
     bag = make_bag(args.n, cfg.d_feature, args.seed + 1)
     print(f"blas_threads   {blas_threads()}")
     print(f"config         {args.config} n={args.n} seed={args.seed} heads={args.heads}")
+    report_preprocess(args.seed)
 
     with ag.no_grad():
         out = model.forward(bag)
