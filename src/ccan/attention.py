@@ -90,13 +90,14 @@ class BlockParams:
 
 
 def init_weight(rng, shape, dtype):
-    """A trainable Normal(0, 0.02) weight drawn from ``rng``; unfilled when ``rng`` is None.
+    """A trainable Normal(0, 0.02) weight drawn from ``rng``; a placeholder when ``rng`` is None.
 
     A checkpoint load passes None: it writes every value itself, so
-    drawing them first would only cost time.
+    drawing them first would only cost time. The placeholder is a
+    broadcast zero, which holds no memory until the model's pack.
     """
     if rng is None:
-        return Tensor(np.empty(shape, dtype=dtype), requires_grad=True)
+        return Tensor(np.broadcast_to(np.zeros((), dtype=dtype), shape), requires_grad=True)
     return Tensor(rng.normal(0.0, 0.02, size=shape).astype(dtype), requires_grad=True)
 
 
@@ -108,7 +109,7 @@ def init_bias(n, dtype):
 def init_block_params(d_latent, rng, dtype=np.float32):
     """Normal(0, 0.02) projections, zero biases, identity layer norms.
 
-    With ``rng`` None the projections are left unfilled (see ``init_weight``).
+    With ``rng`` None the projections are placeholders (see ``init_weight``).
 
     Blocks always operate at width d_latent; contexts wider than that are
     projected down before reaching any block.

@@ -25,9 +25,11 @@ Gradient buffers are owned, not zero-filled: a backward closure that
 computes a fresh array (``g @ W.T``, ``X.T @ g``, ``g.sum(0)``, an
 elementwise product) hands it to ``_accum`` with ``owned=True``, and the
 first write into a tensor adopts it as ``grad`` when it is laid out like
-``data``. Any other first write copies once into an array laid out like
-``data``; later writes add in place. A gradient is therefore never shared
-between two tensors, and the sums equal those of zero-fill-then-add.
+``data``. Any other first write copies once; later writes add in place.
+So no gradient is shared between two tensors, and the sums equal those of
+zero-fill-then-add. Inside ``training.train`` each parameter's ``grad`` is
+preset to a zeroed view of the window's gradient array, so every write
+into it adds.
 
 Tensors are float32 by default. Entire graphs may instead run in float64
 (pass float64 arrays in), which is how the finite-difference oracle in
@@ -93,7 +95,8 @@ class Tensor:
     """A real-valued array, optionally a node in a differentiation graph.
 
     Immutable after construction except for the ``grad`` accumulator;
-    ``grad``, when present, always matches ``data`` in shape.
+    ``grad``, when present, always matches ``data`` in shape. A model
+    parameter's ``data`` is rebound once, by the pack into ``values``.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")

@@ -46,6 +46,22 @@ CHECKPOINT_MAGIC = b"CCAN"
 CHECKPOINT_VERSION = 2
 
 
+def _views(flat, tensors):
+    """Views of the 1-D ``flat``, end to end, shaped like each tensor's ``data``."""
+    ends = np.cumsum([t.data.size for t in tensors])
+    return [flat[end - t.data.size:end].reshape(t.data.shape) for t, end in zip(tensors, ends)]
+
+
+def _pack(model, fill):
+    """Make each parameter a view of ``model.values``, one flat array in ``parameters()`` order."""
+    params = [t for _, t in model.parameters()]
+    model.values = np.empty(sum(t.data.size for t in params), model.dtype)
+    for t, view in zip(params, _views(model.values, params)):
+        if fill:  # off for a checkpoint load, which writes every value itself
+            view[...] = t.data
+        t.data = view
+
+
 def _check_heads(config):
     """The attention head and scale checks every model config shares."""
     if config.scale_mode not in SCALE_MODES:
@@ -146,7 +162,7 @@ class _Stage:
 
 
 class CCANModel:
-    """Holds config plus every learnable tensor, drawn from ``config.seed``; see module docstring."""
+    """Config and every learnable tensor (views of one flat ``values``), drawn from ``config.seed``; see module docstring."""
 
     def __init__(self, config, dtype=np.float32):
         self._build(config, np.random.default_rng(config.seed), dtype)
@@ -179,6 +195,7 @@ class CCANModel:
         self.head_b1 = init_bias(d, dt)
         self.head_w2 = init_weight(rng, (d, config.out_units), dt)
         self.head_b2 = init_bias(config.out_units, dt)
+        _pack(self, fill=rng is not None)
 
     def parameters(self):
         """(name, tensor) pairs in a fixed, checkpoint-stable order."""
@@ -354,6 +371,7 @@ class BaselineModel:
             head_in = config.d_feature
         self.head_w = init_weight(rng, (head_in, config.out_units), dt)
         self.head_b = init_bias(config.out_units, dt)
+        _pack(self, fill=rng is not None)
 
     def parameters(self):
         out = []
@@ -487,7 +505,7 @@ def _read_checkpoint(r, dtype):
         if shape != target.data.shape:
             raise FormatError(f"parameter {name!r} has shape {shape}, expected {target.data.shape}", offset=r.offset)
         what = f"values of {name!r}"
-        if target.data.dtype == np.dtype("<f4") and target.data.flags.c_contiguous:
+        if target.data.dtype == np.dtype("<f4"):  # every parameter is a C-contiguous view of ``values``
             r.readinto(target.data, what)
         else:
             target.data[...] = r.array(shape, "<f4", what)

@@ -21,7 +21,7 @@ import numpy as np
 from . import autograd as ag
 from .data import atomic_write, subsample_fraction
 from .errors import ConfigError, DataError, MetricError, UsageError
-from .model import BASELINE_KINDS, BaselineModel, CCANModel, _baseline_config, save_checkpoint
+from .model import BASELINE_KINDS, BaselineModel, CCANModel, _baseline_config, _views, save_checkpoint
 
 
 @dataclass
@@ -101,68 +101,61 @@ def bag_loss(model_output, label, num_classes):
 
 @dataclass
 class AdamWState:
-    m: list
-    v: list
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
     @classmethod
     def for_params(cls, params):
-        return cls(m=[np.zeros_like(p) for p in params], v=[np.zeros_like(p) for p in params])
+        """Zero moments for the arrays ``params`` packed end to end."""
+        size, dtype = sum(p.size for p in params), np.result_type(*params)
+        # written here: calloc's pages would be faulted in, and zeroed, inside the first step
+        return cls(m=np.full(size, 0, dtype), v=np.full(size, 0, dtype))
 
 
 ADAMW_CHUNK = 32 * 1024  # elements per pass of adamw_step
 
 
-def _flat_view(a, what):
-    if not a.flags.c_contiguous:
-        raise UsageError(f"adamw_step: {what} arrays must be C-contiguous to update in place")
-    return a.reshape(-1)
-
-
 def adamw_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.01):
-    """One decoupled-weight-decay Adam step; mutates ``params`` in place.
+    """One decoupled-weight-decay Adam step on the 1-D array ``params``, in place.
 
     Per element this is exactly
     ``m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g; p -= (lr*wd)*p;
     p -= (lr*m_hat) / (sqrt(v_hat) + eps)``, with the bias-corrected
-    ``m_hat = m/bc1`` and ``v_hat = v/bc2``, in the parameter's dtype and
-    in this order. Each parameter is walked in ADAMW_CHUNK-element chunks
-    through two scratch buffers, so the step allocates no full-size
-    temporaries.
+    ``m_hat = m/bc1`` and ``v_hat = v/bc2``, in the parameters' dtype and
+    in this order, so the bits do not depend on how values are packed.
+    The arrays are walked in ADAMW_CHUNK-element chunks through two scratch
+    buffers, so the step allocates no full-size temporaries.
     """
+    arrays = {"parameters": params, "gradient": grads, "m": state.m, "v": state.v}
+    if params.ndim != 1 or any(a.shape != params.shape or a.dtype != params.dtype for a in arrays.values()):
+        got = ", ".join(f"{k} {a.dtype}{a.shape}" for k, a in arrays.items())
+        raise UsageError(f"adamw_step: needs 1-D arrays of one shape and dtype, got {got}")
     state.t += 1
     bc1 = 1.0 - beta1 ** state.t
     bc2 = 1.0 - beta2 ** state.t
-    scratch = {}
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        if g.shape != p.shape or g.dtype != p.dtype:
-            raise UsageError(f"adamw_step: gradient {g.dtype}{g.shape} does not match parameter {p.dtype}{p.shape}")
-        if p.dtype not in scratch:
-            scratch[p.dtype] = (np.empty(ADAMW_CHUNK, p.dtype), np.empty(ADAMW_CHUNK, p.dtype))
-        buf1, buf2 = scratch[p.dtype]
-        p, m, v = _flat_view(p, "parameter"), _flat_view(m, "moment"), _flat_view(v, "moment")
-        g = np.ravel(g)
-        for lo in range(0, p.size, ADAMW_CHUNK):
-            hi = min(lo + ADAMW_CHUNK, p.size)
-            pc, gc, mc, vc = p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
-            t1, t2 = buf1[: hi - lo], buf2[: hi - lo]
-            mc *= beta1
-            np.multiply(gc, 1.0 - beta1, out=t1)
-            mc += t1
-            vc *= beta2
-            np.multiply(gc, 1.0 - beta2, out=t1)
-            t1 *= gc
-            vc += t1
-            if weight_decay:
-                np.multiply(pc, lr * weight_decay, out=t1)
-                pc -= t1
-            np.divide(mc, bc1, out=t1)
-            t1 *= lr
-            np.divide(vc, bc2, out=t2)
-            np.sqrt(t2, out=t2)
-            t2 += eps
-            t1 /= t2
+    buf1, buf2 = np.empty(ADAMW_CHUNK, params.dtype), np.empty(ADAMW_CHUNK, params.dtype)
+    for lo in range(0, params.size, ADAMW_CHUNK):
+        hi = min(lo + ADAMW_CHUNK, params.size)
+        pc, gc, mc, vc = params[lo:hi], grads[lo:hi], state.m[lo:hi], state.v[lo:hi]
+        t1, t2 = buf1[: hi - lo], buf2[: hi - lo]
+        mc *= beta1
+        np.multiply(gc, 1.0 - beta1, out=t1)
+        mc += t1
+        vc *= beta2
+        np.multiply(gc, 1.0 - beta2, out=t1)
+        t1 *= gc
+        vc += t1
+        if weight_decay:
+            np.multiply(pc, lr * weight_decay, out=t1)
             pc -= t1
+        np.divide(mc, bc1, out=t1)
+        t1 *= lr
+        np.divide(vc, bc2, out=t2)
+        np.sqrt(t2, out=t2)
+        t2 += eps
+        t1 /= t2
+        pc -= t1
     return state
 
 
@@ -235,20 +228,6 @@ def evaluate_auc(model, bags):
 # training loop
 
 
-def _snapshot(model, into=None):
-    """Copy every parameter, into the arrays of an earlier snapshot when given."""
-    if into is None:
-        return {name: p.data.copy() for name, p in model.parameters()}
-    for name, p in model.parameters():
-        np.copyto(into[name], p.data)
-    return into
-
-
-def _restore(model, snapshot):
-    for name, p in model.parameters():
-        p.data[...] = snapshot[name]
-
-
 def _bag_step(model, bag, rng, num_classes):
     """Forward, loss and backward of one training bag; returns the loss value.
 
@@ -260,22 +239,23 @@ def _bag_step(model, bag, rng, num_classes):
     return loss.item()
 
 
-def _window_grads(tensors, window):
-    """Yield each parameter's gradient as a mean over the window (zeros where none flowed)."""
-    for p in tensors:
-        if p.grad is None:
-            yield np.zeros_like(p.data)
-        else:
-            p.grad /= window  # each leaf owns its grad buffer
-            yield p.grad
+def _zeroed_grads(model, params):
+    """One window's zero gradient array, with each parameter's ``grad`` its view."""
+    # Set here, not in train, where a loop's last view would keep the array alive after zero_grad.
+    # np.zeros is calloc: no page is written before the backward adds into it. A window's first
+    # gradient is 0 + g, not g: it differs only where g is -0.0. For beta1 > 0.5 AdamW's m (from
+    # +0) never holds -0, so either zero adds the same to m, and g*g the same +0 to v.
+    grads = np.zeros(model.values.size, model.dtype)
+    for p, view in zip(params, _views(grads, params)):
+        p.grad = view
+    return grads
 
 
 def train(model, dataset, fold, cfg, checkpoint_path=None, log=None):
-    """Train one model on one fold; returns (best parameter snapshot, history).
+    """Train one model on one fold; returns (best, history), ``best`` laid out like ``model.values``.
 
-    The model is left holding the best-validation parameters, and the
-    test AUC at that point is recorded in the history. Fully
-    deterministic given (seed, config, dataset, fold).
+    The model is left holding the best values, and the test AUC at that point
+    is recorded in the history. Fully deterministic given (seed, config, dataset, fold).
     """
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
@@ -289,44 +269,40 @@ def train(model, dataset, fold, cfg, checkpoint_path=None, log=None):
     num_classes = model.config.num_classes
     check_labels(train_bags + val_bags + test_bags, num_classes)
 
-    named = model.parameters()
-    tensors = [p for _, p in named]
-    arrays = [p.data for p in tensors]
-    state = AdamWState.for_params(arrays)
-    steps_per_epoch = max(1, math.ceil(len(train_bags) / cfg.batch_size))
-    total_steps = cfg.epochs * steps_per_epoch
+    params = [p for _, p in model.parameters()]
+    state = AdamWState.for_params([model.values])
+    total_steps = cfg.epochs * math.ceil(len(train_bags) / cfg.batch_size)
 
     history = TrainHistory()
     # AUC is finite (midranks of any scores), so epoch 0 always beats -inf and fills best
     best = None
-    step = 0
     for epoch in range(cfg.epochs):
         order = rng.permutation(len(train_bags))
         epoch_losses = []
-        window = 0
-        ag.zero_grad(tensors)
-        for pos, idx in enumerate(order):
-            epoch_losses.append(_bag_step(model, train_bags[idx].load(), rng, num_classes))
-            window += 1
-            if window == cfg.batch_size or pos == len(order) - 1:
-                lr = cosine_lr(step, total_steps, cfg.lr_max, cfg.lr_min)
-                adamw_step(arrays, _window_grads(tensors, window), state, lr,
-                           cfg.beta1, cfg.beta2, cfg.eps, cfg.weight_decay)
-                ag.zero_grad(tensors)
-                step += 1
-                window = 0
+        for lo in range(0, len(order), cfg.batch_size):
+            window = order[lo:lo + cfg.batch_size]
+            grads = _zeroed_grads(model, params)
+            for idx in window:
+                epoch_losses.append(_bag_step(model, train_bags[idx].load(), rng, num_classes))
+            lr = cosine_lr(state.t, total_steps, cfg.lr_max, cfg.lr_min)  # t: the steps taken so far
+            grads /= len(window)
+            adamw_step(model.values, grads, state, lr, cfg.beta1, cfg.beta2, cfg.eps, cfg.weight_decay)
+            ag.zero_grad(params)
+            del grads  # with the views gone, the window's array is freed here
         val_auc = evaluate_auc(model, val_bags)
         history.train_loss.append(float(np.mean(epoch_losses)))
         history.val_auc.append(float(val_auc))
         if val_auc > history.best_val_auc:
             history.best_val_auc = float(val_auc)
             history.best_epoch = epoch
-            best = _snapshot(model, into=best)
+            if best is None:
+                best = np.empty_like(model.values)
+            np.copyto(best, model.values)
             if checkpoint_path is not None:
                 save_checkpoint(model, checkpoint_path)
         if log is not None:
             log(f"epoch {epoch}: train_loss={history.train_loss[-1]:.4f} val_auc={val_auc:.4f}")
-    _restore(model, best)
+    np.copyto(model.values, best)
     if test_bags:
         history.test_auc_at_best = float(evaluate_auc(model, test_bags))
     return best, history

@@ -109,6 +109,49 @@ class TestInitModel:
         )
 
 
+TOY = dict(n_stages=2, n_latents=16, compression=2, d_latent=32, d_feature=64, self_layers=1, n_frequencies=2)
+
+
+def assert_packed(model):
+    """``model.values`` is one flat array, and each parameter a view of it at the running offset."""
+    values = model.values
+    assert values.ndim == 1 and values.flags.c_contiguous and values.dtype == model.dtype
+    start, offset = values.__array_interface__["data"][0], 0
+    for name, t in model.parameters():
+        assert t.data.base is values, name
+        assert t.data.flags.c_contiguous and t.data.dtype == values.dtype, name
+        assert t.data.__array_interface__["data"][0] == start + offset * values.itemsize, name
+        offset += t.data.size
+    assert offset == values.size
+
+
+class TestParameterLayout:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_ccan(self, dtype):
+        model = CCANModel(CCANConfig(**TOY, seed=3), dtype=dtype)
+        assert_packed(model)
+        # the pack moved the drawn values: they are the ones a fresh draw gives
+        drawn = np.random.default_rng(3).normal(0.0, 0.02, size=model.input_proj_w.shape).astype(dtype)
+        np.testing.assert_array_equal(model.input_proj_w.data, drawn)
+        np.testing.assert_array_equal(model.stages[0].final_self.ln1_gamma.data, 1.0)
+
+    @pytest.mark.parametrize("kind", BASELINE_KINDS)
+    def test_baselines(self, kind):
+        assert_packed(BaselineModel(BaselineConfig(kind=kind, d_feature=12, d_latent=8, seed=3)))
+
+    @pytest.mark.parametrize("make", [
+        lambda: CCANModel(CCANConfig(**TOY, seed=3)),
+        lambda: BaselineModel(BaselineConfig(kind="full-self-attention", d_feature=12, d_latent=8, seed=3)),
+    ], ids=["ccan", "full-self-attention"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_load_checkpoint(self, tmp_path, make, dtype):
+        model = make()
+        save_checkpoint(model, tmp_path / "m.ckpt")
+        loaded = load_checkpoint(tmp_path / "m.ckpt", dtype=dtype)
+        assert_packed(loaded)
+        np.testing.assert_array_equal(loaded.values, model.values.astype(dtype))
+
+
 class TestTokenDropout:
     def test_keep_count(self):
         tokens = np.zeros((100, 4), dtype=np.float32)

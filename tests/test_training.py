@@ -3,6 +3,7 @@ import hashlib
 import math
 import pickle
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -89,40 +90,44 @@ class TestTotalLoss:
         np.testing.assert_allclose(doubled, 2.0 * ag.bce(xs, [1.0]).item(), atol=1e-12)
 
 
+def adamw_reference_step(p, g, m, v, t, lr, beta1, beta2, eps, weight_decay):
+    """The whole-array expression adamw_step walks chunk by chunk."""
+    m *= beta1
+    m += (1.0 - beta1) * g
+    v *= beta2
+    v += (1.0 - beta2) * g * g
+    m_hat = m / (1.0 - beta1 ** t)
+    v_hat = v / (1.0 - beta2 ** t)
+    if weight_decay:
+        p -= (lr * weight_decay) * p
+    p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def bits(a):
+    return a.view(np.uint32 if a.dtype == np.float32 else np.uint64)
+
+
 class TestAdamW:
     def test_one_step_closed_form(self):
         theta = np.array([0.0])
         state = AdamWState.for_params([theta])
-        adamw_step([theta], [np.array([1.0])], state, lr=0.1, beta1=0.9, beta2=0.999,
-                   eps=1e-8, weight_decay=0.0)
+        adamw_step(theta, np.array([1.0]), state, lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.0)
         np.testing.assert_allclose(theta, [-0.1], atol=1e-8)
 
     def test_decay_only_path(self):
         theta = np.array([2.0])
         state = AdamWState.for_params([theta])
-        adamw_step([theta], [np.array([0.0])], state, lr=0.1, weight_decay=0.5)
+        adamw_step(theta, np.array([0.0]), state, lr=0.1, weight_decay=0.5)
         np.testing.assert_allclose(theta, [2.0 * (1.0 - 0.1 * 0.5)], atol=1e-15)
 
     def test_zero_lr_is_identity(self):
         theta = np.array([1.0, -2.0])
         state = AdamWState.for_params([theta])
         for _ in range(2):
-            adamw_step([theta], [np.array([3.0, -1.0])], state, lr=0.0, weight_decay=0.01)
+            adamw_step(theta, np.array([3.0, -1.0]), state, lr=0.0, weight_decay=0.01)
         np.testing.assert_array_equal(theta, [1.0, -2.0])
 
     def test_chunked_step_matches_whole_array_reference_bitwise(self):
-        def reference_step(p, g, m, v, t, lr, beta1, beta2, eps, weight_decay):
-            # the whole-array expression adamw_step walks chunk by chunk
-            m *= beta1
-            m += (1.0 - beta1) * g
-            v *= beta2
-            v += (1.0 - beta2) * g * g
-            m_hat = m / (1.0 - beta1 ** t)
-            v_hat = v / (1.0 - beta2 ** t)
-            if weight_decay:
-                p -= (lr * weight_decay) * p
-            p -= lr * m_hat / (np.sqrt(v_hat) + eps)
-
         rng = np.random.default_rng(12)
         n = 3 * ADAMW_CHUNK + 7
         theta = rng.normal(size=n).astype(np.float32)
@@ -131,24 +136,59 @@ class TestAdamW:
         for t in range(1, 4):
             g = (rng.normal(size=n) * 10.0 ** rng.uniform(-9, 0, size=n)).astype(np.float32)
             lr = 1e-3 / t
-            adamw_step([theta], [g], state, lr, 0.9, 0.999, 1e-8, 0.01)
-            reference_step(ref, g, ref_m, ref_v, t, lr, 0.9, 0.999, 1e-8, 0.01)
-        assert theta.dtype == np.float32
-        np.testing.assert_array_equal(theta.view(np.uint32), ref.view(np.uint32))
-        np.testing.assert_array_equal(state.m[0].view(np.uint32), ref_m.view(np.uint32))
-        np.testing.assert_array_equal(state.v[0].view(np.uint32), ref_v.view(np.uint32))
+            adamw_step(theta, g, state, lr, 0.9, 0.999, 1e-8, 0.01)
+            adamw_reference_step(ref, g, ref_m, ref_v, t, lr, 0.9, 0.999, 1e-8, 0.01)
+        assert theta.dtype == state.m.dtype == state.v.dtype == np.float32
+        np.testing.assert_array_equal(bits(theta), bits(ref))
+        np.testing.assert_array_equal(bits(state.m), bits(ref_m))
+        np.testing.assert_array_equal(bits(state.v), bits(ref_v))
+
+    def test_packed_tensors_step_like_each_alone(self):
+        # the boundary between the two tensors falls inside a chunk, and the second spans two chunks
+        rng = np.random.default_rng(13)
+        sizes = (ADAMW_CHUNK // 2 + 3, ADAMW_CHUNK + 11)
+        alone = [rng.normal(size=k).astype(np.float32) for k in sizes]
+        packed = np.concatenate(alone)
+        states = [AdamWState.for_params([a]) for a in alone]
+        state = AdamWState.for_params(alone)
+        assert state.m.shape == state.v.shape == packed.shape
+        for t in range(1, 4):
+            gs = [(rng.normal(size=k) * 10.0 ** rng.uniform(-9, 0, size=k)).astype(np.float32) for k in sizes]
+            for a, g, st_ in zip(alone, gs, states):
+                adamw_step(a, g, st_, 1e-3 / t, 0.9, 0.999, 1e-8, 0.01)
+            adamw_step(packed, np.concatenate(gs), state, 1e-3 / t, 0.9, 0.999, 1e-8, 0.01)
+        np.testing.assert_array_equal(bits(packed), bits(np.concatenate(alone)))
+        np.testing.assert_array_equal(bits(state.m), bits(np.concatenate([st_.m for st_ in states])))
+        np.testing.assert_array_equal(bits(state.v), bits(np.concatenate([st_.v for st_ in states])))
 
     def test_mismatched_gradient_rejected(self):
         theta = np.zeros(3, dtype=np.float32)
         state = AdamWState.for_params([theta])
-        with pytest.raises(UsageError):
-            adamw_step([theta], [np.zeros(3)], state, lr=0.1)
+        for grads in (np.zeros(3), np.zeros(4, np.float32)):
+            with pytest.raises(UsageError, match=r"one shape and dtype, got parameters float32\(3,\), gradient"):
+                adamw_step(theta, grads, state, lr=0.1)
+        assert state.t == 0
+
+    @pytest.mark.parametrize("moment", ["m", "v"])
+    def test_mismatched_moment_rejected(self, moment):
+        theta = np.zeros(3, dtype=np.float32)
+        for wrong in (np.zeros(3), np.zeros(2, np.float32)):
+            state = AdamWState.for_params([theta])
+            setattr(state, moment, wrong)
+            with pytest.raises(UsageError, match=f"one shape and dtype, got .* {moment} {wrong.dtype}"):
+                adamw_step(theta, np.zeros_like(theta), state, lr=0.1)
+
+    def test_parameters_must_be_one_flat_array(self):
+        theta = np.zeros((2, 3), dtype=np.float32)
+        state = AdamWState(m=np.zeros_like(theta), v=np.zeros_like(theta))
+        with pytest.raises(UsageError, match=r"needs 1-D arrays .* parameters float32\(2, 3\)"):
+            adamw_step(theta, np.zeros_like(theta), state, lr=0.1)
 
     def test_no_decay_reduces_to_adam(self):
         # with wd=0 and g=0 the step is exactly the identity
         theta = np.array([5.0])
         state = AdamWState.for_params([theta])
-        adamw_step([theta], [np.array([0.0])], state, lr=0.3, weight_decay=0.0)
+        adamw_step(theta, np.array([0.0]), state, lr=0.3, weight_decay=0.0)
         np.testing.assert_array_equal(theta, [5.0])
 
 
@@ -368,8 +408,8 @@ class TestTrain:
         model = small_model(seed=13)
         cfg = TrainConfig(epochs=3, batch_size=4, lr_max=5e-4, seed=14)
         best, history = train(model, ds, plan.folds[0], cfg, checkpoint_path=tmp_path / "best.ckpt")
-        for name, p in model.parameters():
-            np.testing.assert_array_equal(p.data, best[name])
+        assert best.shape == model.values.shape and not np.shares_memory(best, model.values)
+        np.testing.assert_array_equal(model.values, best)
         test_bags = [ds.by_id(i) for i in plan.folds[0].test_ids]
         np.testing.assert_allclose(evaluate_auc(model, test_bags), history.test_auc_at_best)
         assert (tmp_path / "best.ckpt").exists()
@@ -383,17 +423,16 @@ class TestTrain:
         seen = []  # the parameters at the end of each epoch
 
         def log(line):
-            seen.append({name: p.data.copy() for name, p in model.parameters()})
+            seen.append(model.values.copy())
 
         cfg = TrainConfig(epochs=3, batch_size=4, lr_max=1e-3, seed=20)
         best, history = train(model, ds, plan.folds[0], cfg, log=log)
         assert history.best_epoch == best_epoch
         assert history.test_auc_at_best == 0.6
-        assert any(not np.array_equal(seen[best_epoch][n], seen[-1][n]) for n in best)
-        for name, p in model.parameters():
-            np.testing.assert_array_equal(p.data, seen[best_epoch][name])
-            np.testing.assert_array_equal(best[name], seen[best_epoch][name])
-            assert not np.shares_memory(best[name], p.data)
+        assert not np.array_equal(seen[best_epoch], seen[-1])
+        np.testing.assert_array_equal(model.values, seen[best_epoch])
+        np.testing.assert_array_equal(best, seen[best_epoch])
+        assert not np.shares_memory(best, model.values)
 
     def test_memory_of_a_step_is_moments_grads_and_one_bag(self):
         # parameters dominate this model's activations; live during training are the two
@@ -416,6 +455,54 @@ class TestTrain:
             tracemalloc.stop()
         assert len(fold.train_ids) > 2 * 2
         assert peak < 3.5 * param_bytes + one_bag
+
+    def test_no_gradient_array_outlives_its_window(self, monkeypatch):
+        # a window's gradient array is as large as the parameters; alive during evaluation,
+        # next to the snapshot, it would raise the peak by one parameter set
+        ds, plan = small_task(seed=50, n_bags=20)
+        model = small_model(seed=51)
+        params = [p for _, p in model.parameters()]
+        windows, evaluated = [], []
+        step, evaluate = training.adamw_step, training.evaluate_auc
+
+        def recording_step(values, grads, *args):
+            assert values is model.values and all(p.grad.base is grads for p in params)
+            windows.append(weakref.ref(grads))
+            return step(values, grads, *args)
+
+        def checking_evaluate(m, bags):
+            assert all(p.grad is None for p in params)
+            assert windows and all(w() is None for w in windows)
+            evaluated.append(len(windows))
+            return evaluate(m, bags)
+
+        monkeypatch.setattr(training, "adamw_step", recording_step)
+        monkeypatch.setattr(training, "evaluate_auc", checking_evaluate)
+        train(model, ds, plan.folds[0], TrainConfig(epochs=2, batch_size=4, lr_max=1e-3, seed=52))
+        per_epoch = math.ceil(len(plan.folds[0].train_ids) / 4)
+        assert evaluated == [per_epoch, 2 * per_epoch, 2 * per_epoch]  # two epochs, then the test bags
+
+    def test_parameter_without_gradient_steps_with_zeros(self, monkeypatch):
+        ds, plan = small_task(seed=53, n_bags=20)
+        model = small_model(seed=54)
+        frozen = model.head_w2
+        frozen.requires_grad = False  # the backward never writes its gradient
+        start = frozen.data.__array_interface__["data"][0] - model.values.__array_interface__["data"][0]
+        block = slice(start // frozen.data.itemsize, start // frozen.data.itemsize + frozen.data.size)
+        initial, alone = frozen.data.copy(), AdamWState.for_params([frozen.data])
+        step, steps = training.adamw_step, []
+
+        def checking_step(values, grads, state, lr, *args):
+            want = values[block].copy()
+            step(want, np.zeros_like(want), alone, lr, *args)  # the block alone, with a zero gradient
+            assert not grads[block].any()
+            step(values, grads, state, lr, *args)
+            np.testing.assert_array_equal(values[block], want)
+            steps.append(lr)
+
+        monkeypatch.setattr(training, "adamw_step", checking_step)
+        train(model, ds, plan.folds[0], TrainConfig(epochs=1, batch_size=4, lr_max=1e-3, seed=55))
+        assert len(steps) > 1 and not np.array_equal(frozen.data, initial)  # weight decay moved it
 
     def test_previous_bag_graph_released_before_the_next_forward(self):
         # activations dominate this model's parameters; a step over two bags must not hold

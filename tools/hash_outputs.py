@@ -12,7 +12,11 @@ bit identity holds per thread count (see README).
 Every run also hashes preprocessing, which no model setting reaches: for
 a seeded raster of white, blurred and sharp tissue cells at 0.5 and at
 1.0 microns per pixel, the QC counts and CCFB bytes of ``run_pipeline``
-and the Canny mask of each patch.
+and the Canny mask of each patch. And it hashes a short seeded TOY
+``training.train`` (3 epochs in windows of 8 bags on synthetic witness
+bags), which runs AdamW, the window mean and the best-epoch snapshot and
+restore: its history, the returned best values, the final parameters and
+the bytes of its ``best.ckpt``.
 
     PYTHONPATH=src python tools/hash_outputs.py --config ref --n 3091 --heads 4
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tools/hash_outputs.py --config toy
@@ -40,11 +44,11 @@ from scipy import ndimage
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
 
 from ccan import autograd as ag  # noqa: E402
-from ccan.data import FeatureBag  # noqa: E402
+from ccan.data import FeatureBag, generate_synthetic, patient_grouped_kfold  # noqa: E402
 from ccan.explain import explain_bag  # noqa: E402
 from ccan.model import CCANConfig, CCANModel  # noqa: E402
 from ccan.preprocess import RasterImage, canny_edges, run_pipeline, tessellate  # noqa: E402
-from ccan.training import bag_loss  # noqa: E402
+from ccan.training import TrainConfig, bag_loss, train  # noqa: E402
 
 TOY = dict(n_stages=2, n_latents=16, compression=2, d_latent=32, d_feature=64, self_layers=1, n_frequencies=2)
 
@@ -110,6 +114,21 @@ def report_preprocess(seed):
             report(f"canny_{mpp}um", [canny_edges(p.pixels) for p in tessellate(image)])
 
 
+def report_train(seed):
+    dataset = generate_synthetic(40, n_per_bag_range=(20, 40), d_feature=TOY["d_feature"], seed=seed)
+    fold = patient_grouped_kfold(dataset.bags, k=4, seed=seed).folds[0]
+    model = CCANModel(CCANConfig(**TOY, seed=seed))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "best.ckpt")
+        best, history = train(model, dataset, fold, TrainConfig(epochs=3, batch_size=8, lr_max=1e-3, seed=seed),
+                              checkpoint_path=path)
+        with open(path, "rb") as fh:
+            checkpoint = np.frombuffer(fh.read(), np.uint8)
+    summary = [history.best_epoch, history.best_val_auc, history.test_auc_at_best]
+    report("train", [np.array(history.train_loss), np.array(history.val_auc), np.array(summary), best,
+                     *(t.data for _, t in model.parameters()), checkpoint])
+
+
 def report(name, arrays, each_names=None):
     print(f"{name:14s} {len(arrays):4d} {digest(arrays)}")
     for label, a in zip(each_names or [], arrays):
@@ -133,6 +152,7 @@ def main(argv=None):
     print(f"blas_threads   {blas_threads()}")
     print(f"config         {args.config} n={args.n} seed={args.seed} heads={args.heads}")
     report_preprocess(args.seed)
+    report_train(args.seed)
 
     with ag.no_grad():
         out = model.forward(bag)
