@@ -11,9 +11,8 @@ from that argument's default. Every command echoes its fully resolved
 configuration into the run directory (or next to its output), and that
 echo is itself a valid config file that reproduces the run.
 
-The root seed comes from ``seed`` (or the CCAN_SEED environment
-variable); each concern derives its own sub-seed by hashing the root
-with a purpose string.
+The root seed comes from ``seed``; each concern derives its own sub-seed
+by hashing the root with a purpose string.
 """
 
 from __future__ import annotations
@@ -189,11 +188,8 @@ def _parse_value(key, tag, raw):
 
 
 def parse_config(file_path=None, flag_overrides=None):
-    """Resolve defaults < environment seed < config file < flags."""
+    """Resolve defaults < config file < flags."""
     values = {key: default for key, (_, default) in SCHEMA.items()}
-    env_seed = os.environ.get("CCAN_SEED")
-    if env_seed is not None:
-        values["seed"] = _parse_value("seed", "int", env_seed)
     layers = []
     if file_path:
         layers.append(read_key_values(file_path))

@@ -52,14 +52,39 @@ def _views(flat, tensors):
     return [flat[end - t.data.size:end].reshape(t.data.shape) for t, end in zip(tensors, ends)]
 
 
-def _pack(model, fill):
-    """Make each parameter a view of ``model.values``, one flat array in ``parameters()`` order."""
-    params = [t for _, t in model.parameters()]
-    model.values = np.empty(sum(t.data.size for t in params), model.dtype)
-    for t, view in zip(params, _views(model.values, params)):
-        if fill:  # off for a checkpoint load, which writes every value itself
-            view[...] = t.data
-        t.data = view
+class _Layout:
+    """Makes a model's parameters, weights drawn from ``rng`` (unfilled if None), and names each one.
+
+    ``named`` keeps the making order: the draw order, ``parameters()``, ``values`` and the checkpoint's.
+    """
+
+    def __init__(self, rng, dtype):
+        self.rng, self.dtype, self.named = rng, dtype, []
+
+    def weight(self, name, shape):
+        return self._add(name, init_weight(self.rng, shape, self.dtype))
+
+    def bias(self, name, n):
+        return self._add(name, init_bias(n, self.dtype))
+
+    def block(self, prefix, d):
+        params = init_block_params(d, self.rng, self.dtype)
+        self.named += [(f"{prefix}.{n}", t) for n, t in params.named_tensors()]
+        return params
+
+    def _add(self, name, tensor):
+        self.named.append((name, tensor))
+        return tensor
+
+    def pack(self, model):
+        """Give ``model`` the list, and make each parameter a view of ``model.values``, one flat array in its order."""
+        model._parameters = self.named
+        params = [t for _, t in self.named]
+        model.values = np.empty(sum(t.data.size for t in params), model.dtype)
+        for t, view in zip(params, _views(model.values, params)):
+            if self.rng is not None:  # a checkpoint load writes every value itself
+                view[...] = t.data
+            t.data = view
 
 
 def _check_heads(config):
@@ -173,51 +198,34 @@ class CCANModel:
         self.config = config
         self.dtype = np.dtype(dtype)
         self.ladder = frequency_ladder(config.n_frequencies, config.f_max)
-        d, dt = config.d_latent, self.dtype
-        self.input_proj_w = init_weight(rng, (config.d_encoded, d), dt)
-        self.input_proj_b = init_bias(d, dt)
+        d, made = config.d_latent, _Layout(rng, self.dtype)
+        self.input_proj_w = made.weight("input_proj.w", (config.d_encoded, d))
+        self.input_proj_b = made.bias("input_proj.b", d)
         self.stages = []
-        for count in config.latent_counts():
+        for j, count in enumerate(config.latent_counts(), start=1):
+            # keyword arguments run left to right, so this is the making order
             self.stages.append(
                 _Stage(
-                    latents=init_weight(rng, (count, d), dt),
-                    class_token=init_weight(rng, (1, d), dt),
-                    cross_blocks=[init_block_params(d, rng, dt) for _ in range(config.block_repeats)],
+                    latents=made.weight(f"stage{j}.latents", (count, d)),
+                    class_token=made.weight(f"stage{j}.class_token", (1, d)),
+                    cross_blocks=[made.block(f"stage{j}.cross{z}", d) for z in range(config.block_repeats)],
                     self_blocks=[
-                        init_block_params(d, rng, dt)
-                        for _ in range(config.block_repeats * config.self_layers)
+                        made.block(f"stage{j}.self{i}", d)
+                        for i in range(config.block_repeats * config.self_layers)
                     ],
-                    final_cross=init_block_params(d, rng, dt),
-                    final_self=init_block_params(d, rng, dt),
+                    final_cross=made.block(f"stage{j}.final_cross", d),
+                    final_self=made.block(f"stage{j}.final_self", d),
                 )
             )
-        self.head_w1 = init_weight(rng, (d, d), dt)
-        self.head_b1 = init_bias(d, dt)
-        self.head_w2 = init_weight(rng, (d, config.out_units), dt)
-        self.head_b2 = init_bias(config.out_units, dt)
-        _pack(self, fill=rng is not None)
+        self.head_w1 = made.weight("head.w1", (d, d))
+        self.head_b1 = made.bias("head.b1", d)
+        self.head_w2 = made.weight("head.w2", (d, config.out_units))
+        self.head_b2 = made.bias("head.b2", config.out_units)
+        made.pack(self)
 
     def parameters(self):
-        """(name, tensor) pairs in a fixed, checkpoint-stable order."""
-        out = [("input_proj.w", self.input_proj_w), ("input_proj.b", self.input_proj_b)]
-        for j, stage in enumerate(self.stages, start=1):
-            out.append((f"stage{j}.latents", stage.latents))
-            out.append((f"stage{j}.class_token", stage.class_token))
-            for z, blk in enumerate(stage.cross_blocks):
-                out.extend((f"stage{j}.cross{z}.{n}", t) for n, t in blk.named_tensors())
-            for i, blk in enumerate(stage.self_blocks):
-                out.extend((f"stage{j}.self{i}.{n}", t) for n, t in blk.named_tensors())
-            out.extend((f"stage{j}.final_cross.{n}", t) for n, t in stage.final_cross.named_tensors())
-            out.extend((f"stage{j}.final_self.{n}", t) for n, t in stage.final_self.named_tensors())
-        out.extend(
-            [
-                ("head.w1", self.head_w1),
-                ("head.b1", self.head_b1),
-                ("head.w2", self.head_w2),
-                ("head.b2", self.head_b2),
-            ]
-        )
-        return out
+        """(name, tensor) pairs in the order ``_build`` made them, a fixed, checkpoint-stable order."""
+        return list(self._parameters)
 
     # -- forward ----------------------------------------------------------
 
@@ -358,28 +366,21 @@ class BaselineModel:
         config.validate()
         self.config = config
         self.dtype = np.dtype(dtype)
-        dt = self.dtype
+        made = _Layout(rng, self.dtype)
         if config.kind == "full-self-attention":
-            self.input_proj_w = init_weight(rng, (config.d_feature, config.d_latent), dt)
-            self.input_proj_b = init_bias(config.d_latent, dt)
-            self.block = init_block_params(config.d_latent, rng, dt)
+            self.input_proj_w = made.weight("input_proj.w", (config.d_feature, config.d_latent))
+            self.input_proj_b = made.bias("input_proj.b", config.d_latent)
+            self.block = made.block("block", config.d_latent)
             head_in = config.d_latent
         else:
-            self.input_proj_w = None
-            self.input_proj_b = None
-            self.block = None
+            self.input_proj_w = self.input_proj_b = self.block = None
             head_in = config.d_feature
-        self.head_w = init_weight(rng, (head_in, config.out_units), dt)
-        self.head_b = init_bias(config.out_units, dt)
-        _pack(self, fill=rng is not None)
+        self.head_w = made.weight("head.w", (head_in, config.out_units))
+        self.head_b = made.bias("head.b", config.out_units)
+        made.pack(self)
 
     def parameters(self):
-        out = []
-        if self.block is not None:
-            out.extend([("input_proj.w", self.input_proj_w), ("input_proj.b", self.input_proj_b)])
-            out.extend((f"block.{n}", t) for n, t in self.block.named_tensors())
-        out.extend([("head.w", self.head_w), ("head.b", self.head_b)])
-        return out
+        return list(self._parameters)
 
     def forward(self, bag, rng=None, train_mode=False):
         cfg = self.config

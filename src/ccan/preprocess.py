@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .data import FeatureBag, atomic_write, read_key_values
+from .data import FeatureBag, atomic_write, read_key_values, write_bag
 from .errors import ConfigError, DataError
 
 
@@ -165,8 +165,6 @@ def tessellate(image, config=None):
             crop = pixels[y0 : y0 + side, x0 : x0 + side]
             if side != PATCH_PIXELS:
                 crop = bilinear_resize(crop, PATCH_PIXELS, PATCH_PIXELS)
-            else:
-                crop = crop.copy()
             patches.append(PatchRecord(pixels=crop, row=r, col=c))
     return patches
 
@@ -310,8 +308,6 @@ def run_pipeline(image, out_path, label, bag_id, patient_id, seed=0, config=None
     not double-counted by the blur filter; a patch is kept iff it is
     neither white nor blurry.
     """
-    from .data import write_bag
-
     config = (config or PreprocessConfig()).validate()
     patches = tessellate(image, config)
     kept = []

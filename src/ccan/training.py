@@ -240,11 +240,12 @@ def _bag_step(model, bag, rng, num_classes):
 
 
 def _zeroed_grads(model, params):
-    """One window's zero gradient array, with each parameter's ``grad`` its view."""
+    """One epoch's zero gradient array, with each parameter's ``grad`` its view."""
     # Set here, not in train, where a loop's last view would keep the array alive after zero_grad.
-    # np.zeros is calloc: no page is written before the backward adds into it. A window's first
-    # gradient is 0 + g, not g: it differs only where g is -0.0. For beta1 > 0.5 AdamW's m (from
-    # +0) never holds -0, so either zero adds the same to m, and g*g the same +0 to v.
+    # np.zeros is calloc: no page is written before the backward adds into it, and fill(0) between
+    # windows writes the same +0. A window's first gradient is 0 + g, not g: it differs only where
+    # g is -0.0. For beta1 > 0.5 AdamW's m (from +0) never holds -0, so either zero adds the same
+    # to m, and g*g the same +0 to v.
     grads = np.zeros(model.values.size, model.dtype)
     for p, view in zip(params, _views(grads, params)):
         p.grad = view
@@ -279,16 +280,18 @@ def train(model, dataset, fold, cfg, checkpoint_path=None, log=None):
     for epoch in range(cfg.epochs):
         order = rng.permutation(len(train_bags))
         epoch_losses = []
+        grads = _zeroed_grads(model, params)  # one array per epoch: its pages are mapped once, not per window
         for lo in range(0, len(order), cfg.batch_size):
+            if lo:
+                grads.fill(0)
             window = order[lo:lo + cfg.batch_size]
-            grads = _zeroed_grads(model, params)
             for idx in window:
                 epoch_losses.append(_bag_step(model, train_bags[idx].load(), rng, num_classes))
             lr = cosine_lr(state.t, total_steps, cfg.lr_max, cfg.lr_min)  # t: the steps taken so far
             grads /= len(window)
             adamw_step(model.values, grads, state, lr, cfg.beta1, cfg.beta2, cfg.eps, cfg.weight_decay)
-            ag.zero_grad(params)
-            del grads  # with the views gone, the window's array is freed here
+        ag.zero_grad(params)
+        del grads  # with the views gone, the epoch's array is freed here, before evaluation
         val_auc = evaluate_auc(model, val_bags)
         history.train_loss.append(float(np.mean(epoch_losses)))
         history.val_auc.append(float(val_auc))

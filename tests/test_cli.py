@@ -17,8 +17,7 @@ from ccan.training import TrainConfig, data_efficiency_sweep
 
 
 class TestParseConfig:
-    def test_defaults_match_reference_table(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("CCAN_SEED", raising=False)
+    def test_defaults_match_reference_table(self, tmp_path):
         empty = tmp_path / "empty.cfg"
         empty.write_text("# nothing here\n")
         cfg = parse_config(str(empty), [])
@@ -40,8 +39,7 @@ class TestParseConfig:
         assert cfg.preprocess_config() == PreprocessConfig()
         assert cfg["seed"] == CCANConfig().seed == TrainConfig().seed
 
-    def test_default_echo_is_pinned(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("CCAN_SEED", raising=False)
+    def test_default_echo_is_pinned(self, tmp_path):
         echo = tmp_path / "echo.cfg"
         parse_config(None, []).echo(str(echo))
         digest = hashlib.sha256(echo.read_bytes()).hexdigest()
@@ -71,9 +69,8 @@ class TestParseConfig:
         assert SCHEMA["sweep.models"] == ("strs", params["models"].default)
         assert SCHEMA["jobs"] == ("int", params["jobs"].default)
 
-    def test_every_config_field_is_set_by_a_key(self, monkeypatch):
+    def test_every_config_field_is_set_by_a_key(self):
         # a field no key sets cannot change any run; the rest are RunConfig._build's extras
-        monkeypatch.delenv("CCAN_SEED", raising=False)
         extras = {CCANConfig: {"seed"}, TrainConfig: {"seed"}, PreprocessConfig: {"d_feature"}}
         for cls, extra in extras.items():
             keyed = {name for owner, name in _FIELDS.values() if owner is cls}
@@ -98,11 +95,6 @@ class TestParseConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="model.Q"):
             parse_config(None, [("model.Q", "1")])
-
-    def test_env_seed_default(self, monkeypatch):
-        monkeypatch.setenv("CCAN_SEED", "123")
-        assert parse_config(None, [])["seed"] == 123
-        assert parse_config(None, [("seed", "9")])["seed"] == 9
 
     def test_echo_round_trips(self, tmp_path):
         cfg = parse_config(None, [("model.J", "3"), ("train.lr_max", "0.001"),

@@ -2,7 +2,7 @@ import inspect
 import json
 import struct
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -125,7 +125,87 @@ def assert_packed(model):
     assert offset == values.size
 
 
+def walked_names(model):
+    """The names of the hand-written walk that ``parameters()`` once was, in its order: the oracle."""
+    if isinstance(model, BaselineModel):
+        out = []
+        if model.block is not None:
+            out += ["input_proj.w", "input_proj.b"] + [f"block.{n}" for n, _ in model.block.named_tensors()]
+        return out + ["head.w", "head.b"]
+    out = ["input_proj.w", "input_proj.b"]
+    for j, stage in enumerate(model.stages, start=1):
+        out += [f"stage{j}.latents", f"stage{j}.class_token"]
+        for z, blk in enumerate(stage.cross_blocks):
+            out += [f"stage{j}.cross{z}.{n}" for n, _ in blk.named_tensors()]
+        for i, blk in enumerate(stage.self_blocks):
+            out += [f"stage{j}.self{i}.{n}" for n, _ in blk.named_tensors()]
+        out += [f"stage{j}.final_cross.{n}" for n, _ in stage.final_cross.named_tensors()]
+        out += [f"stage{j}.final_self.{n}" for n, _ in stage.final_self.named_tensors()]
+    return out + ["head.w1", "head.b1", "head.w2", "head.b2"]
+
+
+def reachable_tensors(model):
+    """Every ``Tensor`` in the model's attributes, its stages and their blocks, once per path."""
+    found, todo = [], [v for k, v in vars(model).items() if k != "_parameters"]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, Tensor):
+            found.append(x)
+        elif isinstance(x, list):
+            todo += x
+        elif is_dataclass(x):
+            todo += [getattr(x, f.name) for f in fields(x)]
+    return found
+
+
+def assert_named_once(model):
+    """Every reachable tensor is in ``parameters()`` exactly once, under the oracle's name and position."""
+    params = model.parameters()
+    reachable = reachable_tensors(model)
+    assert sorted(map(id, reachable)) == sorted(id(t) for _, t in params)
+    assert len({id(t) for t in reachable}) == len(reachable) == len(params)
+    assert [n for n, _ in params] == walked_names(model)
+    # the walk's tensors, not only its names: stage j's z-th cross block is the one named cross{z}
+    named = dict(params)
+    for j, stage in enumerate(getattr(model, "stages", []), start=1):
+        for z, blk in enumerate(stage.cross_blocks):
+            assert named[f"stage{j}.cross{z}.w_q"] is blk.w_q
+        for i, blk in enumerate(stage.self_blocks):
+            assert named[f"stage{j}.self{i}.w_m2"] is blk.w_m2
+        assert named[f"stage{j}.final_self.b_o"] is stage.final_self.b_o
+
+
+LAYOUTS = [
+    lambda: CCANModel(toy_config(n_stages=3, n_latents=8, d_latent=4, d_feature=6, block_repeats=2,
+                                 self_layers=2, seed=7)),
+    *[lambda kind=kind: BaselineModel(BaselineConfig(kind=kind, d_feature=6, d_latent=4, seed=7))
+      for kind in BASELINE_KINDS],
+]
+LAYOUT_IDS = ["ccan-J3-Z2-S2", *BASELINE_KINDS]
+
+
 class TestParameterLayout:
+    @pytest.mark.parametrize("make", LAYOUTS, ids=LAYOUT_IDS)
+    def test_every_tensor_named_once_in_making_order(self, make):
+        model = make()
+        assert_named_once(model)
+        # the list order is the draw order: replaying the seed's draws over it gives every weight
+        rng = np.random.default_rng(7)
+        for name, t in model.parameters():
+            leaf = name.rsplit(".", 1)[-1]
+            if leaf.startswith("w") or leaf in ("latents", "class_token"):
+                np.testing.assert_array_equal(t.data, rng.normal(0.0, 0.02, t.shape).astype(t.data.dtype), name)
+
+    @pytest.mark.parametrize("make", LAYOUTS, ids=LAYOUT_IDS)
+    def test_loaded_model_names_every_tensor_once(self, tmp_path, make):
+        model = make()
+        save_checkpoint(model, tmp_path / "m.ckpt")
+        loaded = load_checkpoint(tmp_path / "m.ckpt")
+        assert_named_once(loaded)
+        assert_packed(loaded)
+        assert [n for n, _ in loaded.parameters()] == [n for n, _ in model.parameters()]
+        np.testing.assert_array_equal(loaded.values, model.values)
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_ccan(self, dtype):
         model = CCANModel(CCANConfig(**TOY, seed=3), dtype=dtype)

@@ -1,7 +1,10 @@
 """Print sha256 digests of a model's outputs, records and gradients.
 
-Two checkouts that print the same lines compute the same float bits for
-one seeded bag: the eval-mode probabilities, the last two
+The first line after the config is the model's layout: the digest of
+every parameter's name and shape in ``parameters()`` order and of the
+freshly drawn ``values``. Two checkouts that print the same lines make
+the same parameters in the same order from the same draws, and compute
+the same float bits for one seeded bag: the eval-mode probabilities, the last two
 ``AttentionRecord``s of each stage (its final cross and final self
 attention, the records rollout reads) in the eval and the training
 forward, the ``explain_bag`` scores, the training loss, and every
@@ -151,6 +154,9 @@ def main(argv=None):
     bag = make_bag(args.n, cfg.d_feature, args.seed + 1)
     print(f"blas_threads   {blas_threads()}")
     print(f"config         {args.config} n={args.n} seed={args.seed} heads={args.heads}")
+    params = model.parameters()
+    names = "".join(f"{name} {t.data.shape}\n" for name, t in params).encode()
+    print(f"{'layout':14s} {len(params):4d} {digest([np.frombuffer(names, np.uint8), model.values])}")
     report_preprocess(args.seed)
     report_train(args.seed)
 
@@ -170,7 +176,6 @@ def main(argv=None):
     records = [rec.matrix for so in out.stages for rec in so.records[-2:]]
     report("train_records", records)
     del out, records
-    params = model.parameters()
     report("grads", [t.grad for _, t in params], [n for n, _ in params] if args.each else None)
 
 
