@@ -89,48 +89,47 @@ class BlockParams:
         return [(f.name, getattr(self, f.name)) for f in self.__dataclass_fields__.values()]
 
 
-def init_weight(rng, shape, dtype):
-    """A trainable Normal(0, 0.02) weight drawn from ``rng``; a placeholder when ``rng`` is None.
+def init_param(rng, shape, dtype, fill=None):
+    """A trainable tensor of Normal(0, 0.02) draws from ``rng``, or of ``fill``; a placeholder when ``rng`` is None.
 
     A checkpoint load passes None: it writes every value itself, so
-    drawing them first would only cost time. The placeholder is a
-    broadcast zero, which holds no memory until the model's pack.
+    drawing or filling them first would only cost time. The placeholder is
+    a broadcast zero, which holds no memory until the model's pack.
     """
     if rng is None:
-        return Tensor(np.broadcast_to(np.zeros((), dtype=dtype), shape), requires_grad=True)
-    return Tensor(rng.normal(0.0, 0.02, size=shape).astype(dtype), requires_grad=True)
-
-
-def init_bias(n, dtype):
-    """A trainable zero bias (no draw from any rng)."""
-    return Tensor(np.zeros(n, dtype=dtype), requires_grad=True)
+        data = np.broadcast_to(np.zeros((), dtype=dtype), shape)
+    elif fill is None:
+        data = rng.normal(0.0, 0.02, size=shape).astype(dtype)
+    else:
+        data = np.full(shape, fill, dtype=dtype)
+    return Tensor(data, requires_grad=True)
 
 
 def init_block_params(d_latent, rng, dtype=np.float32):
     """Normal(0, 0.02) projections, zero biases, identity layer norms.
 
-    With ``rng`` None the projections are placeholders (see ``init_weight``).
+    With ``rng`` None every tensor is a placeholder (see ``init_param``).
 
     Blocks always operate at width d_latent; contexts wider than that are
     projected down before reaching any block.
     """
     d = d_latent
     return BlockParams(
-        w_q=init_weight(rng, (d, d), dtype),
-        b_q=init_bias(d, dtype),
-        w_k=init_weight(rng, (d, d), dtype),
-        w_v=init_weight(rng, (d, d), dtype),
-        b_v=init_bias(d, dtype),
-        w_o=init_weight(rng, (d, d), dtype),
-        b_o=init_bias(d, dtype),
-        ln1_gamma=Tensor(np.ones(d, dtype=dtype), requires_grad=True),
-        ln1_beta=init_bias(d, dtype),
-        ln2_gamma=Tensor(np.ones(d, dtype=dtype), requires_grad=True),
-        ln2_beta=init_bias(d, dtype),
-        w_m1=init_weight(rng, (d, 4 * d), dtype),
-        b_m1=init_bias(4 * d, dtype),
-        w_m2=init_weight(rng, (4 * d, d), dtype),
-        b_m2=init_bias(d, dtype),
+        w_q=init_param(rng, (d, d), dtype),
+        b_q=init_param(rng, d, dtype, fill=0.0),
+        w_k=init_param(rng, (d, d), dtype),
+        w_v=init_param(rng, (d, d), dtype),
+        b_v=init_param(rng, d, dtype, fill=0.0),
+        w_o=init_param(rng, (d, d), dtype),
+        b_o=init_param(rng, d, dtype, fill=0.0),
+        ln1_gamma=init_param(rng, d, dtype, fill=1.0),
+        ln1_beta=init_param(rng, d, dtype, fill=0.0),
+        ln2_gamma=init_param(rng, d, dtype, fill=1.0),
+        ln2_beta=init_param(rng, d, dtype, fill=0.0),
+        w_m1=init_param(rng, (d, 4 * d), dtype),
+        b_m1=init_param(rng, 4 * d, dtype, fill=0.0),
+        w_m2=init_param(rng, (4 * d, d), dtype),
+        b_m2=init_param(rng, d, dtype, fill=0.0),
     )
 
 

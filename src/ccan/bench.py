@@ -23,7 +23,7 @@ import numpy as np
 from . import autograd as ag
 from .data import FeatureBag, atomic_write
 from .errors import ConfigError
-from .model import BaselineModel, CCANModel, _baseline_config
+from .model import make_model
 
 
 def _cross_block_macs(m, n, d):
@@ -169,10 +169,12 @@ def bench_scaling(config, ns, repeats=7, warmup=2, seed=0, include_baseline=True
         raise ConfigError(f"need at least 5 repeats, got {repeats}")
     if not ns or any(a >= b for a, b in zip(ns, ns[1:])):
         raise ConfigError(f"token counts must be strictly increasing, got {ns}")
+    if ns[0] < 1:
+        raise ConfigError(f"token counts must be >= 1, got {ns}")
     # (name, model, MACs of one forward at N tokens)
-    models = [("ccan", CCANModel(config), lambda n: count_macs(config, n))]
+    models = [("ccan", make_model("ccan", config, config.seed), lambda n: count_macs(config, n))]
     if include_baseline:
-        baseline = BaselineModel(_baseline_config("full-self-attention", config, config.seed))
+        baseline = make_model("full-self-attention", config, config.seed)
         models.append(("full-self-attention", baseline, lambda n: count_baseline_macs(config, n)["total"]))
     rows = []
     for n in ns:

@@ -421,8 +421,8 @@ class SplitPlan:
 
     @classmethod
     def read_csv(cls, path):
-        """Read a plan written by ``write_csv``; folds must be numbered 0..k-1."""
-        folds = {}
+        """Read a plan written by ``write_csv``; folds must be numbered 0..k-1 and list each bag at most once."""
+        folds, listed = {}, set()
         with _read_csv(path) as reader:
             missing = [c for c in ("fold", "subset", "bag_id") if c not in (reader.fieldnames or ())]
             if missing:
@@ -438,6 +438,9 @@ class SplitPlan:
                 fold = folds.setdefault(index, {"train": [], "val": [], "test": []})
                 if row["subset"] not in fold:
                     raise FormatError(f"{where}: unknown subset {row['subset']!r}; expected train, val or test")
+                if (index, row["bag_id"]) in listed:
+                    raise FormatError(f"{where}: bag {row['bag_id']!r} is listed twice in fold {index}")
+                listed.add((index, row["bag_id"]))
                 fold[row["subset"]].append(row["bag_id"])
         if sorted(folds) != list(range(len(folds))):
             raise FormatError(f"{path}: plan folds {sorted(folds)} are not numbered 0..k-1")

@@ -21,6 +21,7 @@ via gradient accumulation.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass, fields
 
@@ -32,9 +33,8 @@ from .attention import (
     AttentionRecord,
     BlockParams,
     cross_attention_block,
-    init_bias,
     init_block_params,
-    init_weight,
+    init_param,
     self_attention_block,
 )
 from .autograd import Tensor
@@ -46,49 +46,60 @@ CHECKPOINT_MAGIC = b"CCAN"
 CHECKPOINT_VERSION = 2
 
 
-def _views(flat, tensors):
-    """Views of the 1-D ``flat``, end to end, shaped like each tensor's ``data``."""
-    ends = np.cumsum([t.data.size for t in tensors])
-    return [flat[end - t.data.size:end].reshape(t.data.shape) for t, end in zip(tensors, ends)]
+def _views(flat, named):
+    """Views of the 1-D ``flat``, end to end, shaped like the ``data`` of each (name, tensor) pair's tensor."""
+    ends = np.cumsum([t.data.size for _, t in named])
+    return [flat[end - t.data.size:end].reshape(t.data.shape) for (_, t), end in zip(named, ends)]
 
 
 class _Layout:
-    """Makes a model's parameters, weights drawn from ``rng`` (unfilled if None), and names each one.
+    """Makes a model's parameters, weights drawn from ``rng``, and names each one.
 
     ``named`` keeps the making order: the draw order, ``parameters()``, ``values`` and the checkpoint's.
+    With ``rng`` None each tensor is a placeholder for a file that holds ``room`` bytes of values from
+    byte ``at`` on, and a layout needing more is a FormatError before anything is allocated.
     """
 
-    def __init__(self, rng, dtype):
-        self.rng, self.dtype, self.named = rng, dtype, []
+    def __init__(self, rng, dtype, room=None, at=None):
+        self.rng, self.dtype, self.named, self.size, self.room, self.at = rng, dtype, [], 0, room, at
 
-    def weight(self, name, shape):
-        return self._add(name, init_weight(self.rng, shape, self.dtype))
-
-    def bias(self, name, n):
-        return self._add(name, init_bias(n, self.dtype))
+    def param(self, name, shape, fill=None):
+        """A weight drawn from ``rng``, or with ``fill`` a constant such as a zero bias; see ``init_param``."""
+        self._count(name, math.prod(shape))  # before the placeholder: numpy cannot shape 2^63 values
+        self.named.append((name, init_param(self.rng, shape, self.dtype, fill)))
+        return self.named[-1][1]
 
     def block(self, prefix, d):
-        params = init_block_params(d, self.rng, self.dtype)
-        self.named += [(f"{prefix}.{n}", t) for n, t in params.named_tensors()]
+        params = init_block_params(d, self.rng, self.dtype)  # placeholders take no memory, and d was counted
+        for n, t in params.named_tensors():
+            self._count(f"{prefix}.{n}", t.data.size)
+            self.named.append((f"{prefix}.{n}", t))
         return params
 
-    def _add(self, name, tensor):
-        self.named.append((name, tensor))
-        return tensor
+    def _count(self, name, size):
+        self.size += size
+        if self.room is not None and 4 * self.size > self.room:
+            raise FormatError(f"checkpoint config needs {4 * self.size} bytes of float32 values up to parameter "
+                              f"{name!r}, but {self.room} bytes follow it", offset=self.at)
 
     def pack(self, model):
-        """Give ``model`` the list, and make each parameter a view of ``model.values``, one flat array in its order."""
+        """Give ``model`` the list, and make each parameter a view of ``model.values``, one array in its order."""
         model._parameters = self.named
-        params = [t for _, t in self.named]
-        model.values = np.empty(sum(t.data.size for t in params), model.dtype)
-        for t, view in zip(params, _views(model.values, params)):
+        model.values = np.empty(self.size, model.dtype)
+        for (_, t), view in zip(self.named, _views(model.values, self.named)):
             if self.rng is not None:  # a checkpoint load writes every value itself
                 view[...] = t.data
             t.data = view
 
 
-def _check_heads(config):
-    """The attention head and scale checks every model config shares."""
+def _check_shared(config, attention=True):
+    """The width and class checks every model config shares, and with ``attention`` the head and scale checks."""
+    if config.d_feature < 1:
+        raise ConfigError(f"d_feature must be >= 1, got {config.d_feature}")
+    if config.num_classes < 2:
+        raise ConfigError(f"num_classes must be >= 2, got {config.num_classes}")
+    if not attention:
+        return
     if config.scale_mode not in SCALE_MODES:
         raise ConfigError(f"scale_mode must be one of {SCALE_MODES}, got {config.scale_mode!r}")
     if config.heads < 1:
@@ -126,27 +137,32 @@ class CCANConfig:
             raise ConfigError(f"n_stages must be >= 1, got {self.n_stages}")
         if self.compression < 1:
             raise ConfigError(f"compression must be >= 1, got {self.compression}")
-        denom = self.compression ** (self.n_stages - 1)
-        if self.n_latents % denom != 0 or self.n_latents // denom < 1:
-            raise ConfigError(
-                f"n_latents={self.n_latents} is not divisible by "
-                f"compression^(n_stages-1)={denom} down to >= 1 latent"
-            )
+        if self.n_latents < 1:
+            raise ConfigError(f"n_latents must be >= 1, got {self.n_latents}")
+        # stage by stage: for C >= 2 a count that does not divide comes within log2(M) + 1 stages; C = 1 divides all
+        count, stage = self.n_latents, 1
+        while self.compression > 1 and stage < self.n_stages:
+            if count % self.compression:
+                raise ConfigError(f"n_latents={self.n_latents} does not divide by compression={self.compression} "
+                                  f"down to stage {stage + 1}: stage {stage} holds {count}")
+            count, stage = count // self.compression, stage + 1
         if self.block_repeats < 1 or self.self_layers < 0:
             raise ConfigError(
                 f"need block_repeats >= 1 and self_layers >= 0, got {self.block_repeats}, {self.self_layers}"
             )
         if not 0 <= self.p_dropout < 1:
             raise ConfigError(f"p_dropout must be in [0, 1), got {self.p_dropout}")
-        if self.num_classes < 2:
-            raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
-        _check_heads(self)
+        _check_shared(self)
         if self.n_frequencies < 1 or not 1 <= self.f_max < np.inf:
             raise ConfigError(f"need n_frequencies >= 1 and a finite f_max >= 1, got {self.n_frequencies}, {self.f_max}")
         return self
 
     def latent_counts(self):
-        return [self.n_latents // self.compression ** j for j in range(self.n_stages)]
+        """Each stage's latent count, first to last, one at a time."""
+        count = self.n_latents
+        for _ in range(self.n_stages):
+            yield count
+            count //= self.compression
 
     @property
     def out_units(self):
@@ -186,46 +202,73 @@ class _Stage:
     final_self: BlockParams
 
 
-class CCANModel:
-    """Config and every learnable tensor (views of one flat ``values``), drawn from ``config.seed``; see module docstring."""
+class _Model:
+    """What every model kind shares; a subclass's ``_make(made)`` makes its parameters, in order, through ``made``."""
 
     def __init__(self, config, dtype=np.float32):
-        self._build(config, np.random.default_rng(config.seed), dtype)
+        self._lay_out(config, _Layout(np.random.default_rng(config.seed), np.dtype(dtype)))
 
-    def _build(self, config, rng, dtype):
-        """Lay out every parameter, weights drawn from ``rng`` (unfilled if None)."""
+    @classmethod
+    def _unfilled(cls, config, dtype, room, at):
+        """The model of ``config``, no value drawn or filled, for a file with ``room`` bytes for them from ``at``."""
+        model = cls.__new__(cls)
+        model._lay_out(config, _Layout(None, np.dtype(dtype), room, at))
+        return model
+
+    def _lay_out(self, config, made):
         config.validate()
-        self.config = config
-        self.dtype = np.dtype(dtype)
-        self.ladder = frequency_ladder(config.n_frequencies, config.f_max)
-        d, made = config.d_latent, _Layout(rng, self.dtype)
-        self.input_proj_w = made.weight("input_proj.w", (config.d_encoded, d))
-        self.input_proj_b = made.bias("input_proj.b", d)
-        self.stages = []
-        for j, count in enumerate(config.latent_counts(), start=1):
-            # keyword arguments run left to right, so this is the making order
-            self.stages.append(
-                _Stage(
-                    latents=made.weight(f"stage{j}.latents", (count, d)),
-                    class_token=made.weight(f"stage{j}.class_token", (1, d)),
-                    cross_blocks=[made.block(f"stage{j}.cross{z}", d) for z in range(config.block_repeats)],
-                    self_blocks=[
-                        made.block(f"stage{j}.self{i}", d)
-                        for i in range(config.block_repeats * config.self_layers)
-                    ],
-                    final_cross=made.block(f"stage{j}.final_cross", d),
-                    final_self=made.block(f"stage{j}.final_self", d),
-                )
-            )
-        self.head_w1 = made.weight("head.w1", (d, d))
-        self.head_b1 = made.bias("head.b1", d)
-        self.head_w2 = made.weight("head.w2", (d, config.out_units))
-        self.head_b2 = made.bias("head.b2", config.out_units)
+        self.config, self.dtype = config, made.dtype
+        self._make(made)
         made.pack(self)
 
     def parameters(self):
-        """(name, tensor) pairs in the order ``_build`` made them, a fixed, checkpoint-stable order."""
+        """(name, tensor) pairs in the order the model made them, a fixed, checkpoint-stable order."""
         return list(self._parameters)
+
+    def zeroed_grads(self):
+        """A zero gradient array laid out like ``values``, with each parameter's ``grad`` its view."""
+        # np.zeros is calloc: no page is written before the backward adds into it, and fill(0) between windows
+        # writes the same +0. A window's first gradient is 0 + g, not g: it differs only where g is -0.0. For
+        # beta1 > 0.5 AdamW's m (from +0) never holds -0, so either zero adds the same to m, and g*g the same to v.
+        grads = np.zeros(self.values.size, self.dtype)
+        for (_, t), view in zip(self._parameters, _views(grads, self._parameters)):
+            t.grad = view
+        return grads
+
+    def _check_bag(self, bag):
+        if bag.n_tokens < 1:
+            raise DataError("cannot run a forward pass on an empty bag")
+        if bag.d_feature != self.config.d_feature:
+            raise ShapeError(f"bag feature dim {bag.d_feature} != configured {self.config.d_feature}")
+
+
+class CCANModel(_Model):
+    """Config and every learnable tensor (views of one flat ``values``), drawn from ``config.seed``; see module docstring."""
+
+    __init__ = _Model.__init__  # in the class body, so a tracer of the class's own methods times construction
+
+    def _make(self, made):
+        config, d = self.config, self.config.d_latent
+        self.input_proj_w = made.param("input_proj.w", (config.d_encoded, d))
+        self.input_proj_b = made.param("input_proj.b", (d,), fill=0.0)
+        self.stages = []
+        for j, count in enumerate(config.latent_counts(), start=1):
+            # keyword arguments run left to right, so this is the making order
+            self.stages.append(_Stage(
+                latents=made.param(f"stage{j}.latents", (count, d)),
+                class_token=made.param(f"stage{j}.class_token", (1, d)),
+                cross_blocks=[made.block(f"stage{j}.cross{z}", d) for z in range(config.block_repeats)],
+                self_blocks=[made.block(f"stage{j}.self{i}", d)
+                             for i in range(config.block_repeats * config.self_layers)],
+                final_cross=made.block(f"stage{j}.final_cross", d),
+                final_self=made.block(f"stage{j}.final_self", d),
+            ))
+        self.head_w1 = made.param("head.w1", (d, d))
+        self.head_b1 = made.param("head.b1", (d,), fill=0.0)
+        self.head_w2 = made.param("head.w2", (d, config.out_units))
+        self.head_b2 = made.param("head.b2", (config.out_units,), fill=0.0)
+        # after the layout, which bounds n_frequencies by the file's size in a checkpoint load
+        self.ladder = frequency_ladder(config.n_frequencies, config.f_max)
 
     # -- forward ----------------------------------------------------------
 
@@ -269,10 +312,7 @@ class CCANModel:
     def forward(self, bag, rng=None, train_mode=False):
         """Full pass over one bag; deterministic whenever train_mode is off."""
         cfg = self.config
-        if bag.n_tokens < 1:
-            raise DataError("cannot run a forward pass on an empty bag")
-        if bag.d_feature != cfg.d_feature:
-            raise ShapeError(f"bag feature dim {bag.d_feature} != configured {cfg.d_feature}")
+        self._check_bag(bag)
         # dropout first: the encoding is per row, so only kept rows are encoded
         kept, kept_indices = token_dropout(bag.tokens, cfg.p_dropout, rng, train_mode)
         encoded = attach_encodings(
@@ -331,25 +371,13 @@ class BaselineConfig:
     def validate(self):
         if self.kind not in BASELINE_KINDS:
             raise ConfigError(f"baseline kind must be one of {BASELINE_KINDS}, got {self.kind!r}")
-        if self.num_classes < 2:
-            raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
-        if self.kind == "full-self-attention":
-            _check_heads(self)
+        _check_shared(self, attention=self.kind == "full-self-attention")
         return self
 
-    @property
-    def out_units(self):
-        return 1 if self.num_classes == 2 else self.num_classes
+    out_units = CCANConfig.out_units
 
 
-def _baseline_config(kind, config, seed):
-    """The ``kind`` baseline sized and scaled like the CCAN ``config``."""
-    return BaselineConfig(kind=kind, d_feature=config.d_feature, d_latent=config.d_latent,
-                          num_classes=config.num_classes, scale_mode=config.scale_mode,
-                          heads=config.heads, seed=seed)
-
-
-class BaselineModel:
+class BaselineModel(_Model):
     """Mean/max pooling over raw tokens, or one self-attention block.
 
     Pooling baselines pool the D_f tokens directly and apply a linear
@@ -358,34 +386,22 @@ class BaselineModel:
     mean-pools, and applies a linear head.
     """
 
-    def __init__(self, config, dtype=np.float32):
-        self._build(config, np.random.default_rng(config.seed), dtype)
-
-    def _build(self, config, rng, dtype):
-        """Lay out every parameter, weights drawn from ``rng`` (unfilled if None)."""
-        config.validate()
-        self.config = config
-        self.dtype = np.dtype(dtype)
-        made = _Layout(rng, self.dtype)
+    def _make(self, made):
+        config = self.config
         if config.kind == "full-self-attention":
-            self.input_proj_w = made.weight("input_proj.w", (config.d_feature, config.d_latent))
-            self.input_proj_b = made.bias("input_proj.b", config.d_latent)
+            self.input_proj_w = made.param("input_proj.w", (config.d_feature, config.d_latent))
+            self.input_proj_b = made.param("input_proj.b", (config.d_latent,), fill=0.0)
             self.block = made.block("block", config.d_latent)
             head_in = config.d_latent
         else:
             self.input_proj_w = self.input_proj_b = self.block = None
             head_in = config.d_feature
-        self.head_w = made.weight("head.w", (head_in, config.out_units))
-        self.head_b = made.bias("head.b", config.out_units)
-        made.pack(self)
-
-    def parameters(self):
-        return list(self._parameters)
+        self.head_w = made.param("head.w", (head_in, config.out_units))
+        self.head_b = made.param("head.b", (config.out_units,), fill=0.0)
 
     def forward(self, bag, rng=None, train_mode=False):
         cfg = self.config
-        if bag.n_tokens < 1:
-            raise DataError("cannot run a forward pass on an empty bag")
+        self._check_bag(bag)
         tokens = Tensor(bag.tokens.astype(self.dtype))
         if cfg.kind == "mean-pool":
             pooled = ag.mean_rows(tokens)
@@ -395,25 +411,25 @@ class BaselineModel:
             x = ag.linear(tokens, self.input_proj_w, self.input_proj_b)
             pooled = ag.mean_rows(self_attention_block(x, self.block, cfg.scale_mode, cfg.heads)[0])
         probs_tensor = ag.sigmoid(ag.linear(pooled, self.head_w, self.head_b))
-        so = StageOutput(
-            latents_out=pooled,
-            class_embedding=pooled,
-            probs=probs_tensor.data.reshape(-1).copy(),
-            probs_tensor=probs_tensor,
-            records=[],
-        )
-        return ModelOutput(
-            stages=[so], averaged_probs=so.probs.copy(), kept_indices=np.arange(bag.n_tokens)
-        )
+        so = StageOutput(latents_out=pooled, class_embedding=pooled, probs=probs_tensor.data.reshape(-1).copy(),
+                         probs_tensor=probs_tensor, records=[])
+        return ModelOutput(stages=[so], averaged_probs=so.probs.copy(), kept_indices=np.arange(bag.n_tokens))
+
+
+MODEL_KINDS = {"ccan": (CCANModel, CCANConfig), **{kind: (BaselineModel, BaselineConfig) for kind in BASELINE_KINDS}}
+
+
+def make_model(kind, ccan_config, seed):
+    """A ``kind`` model drawn from ``seed``; every other field of its config is the CCAN ``ccan_config``'s."""
+    if kind not in MODEL_KINDS:
+        raise ConfigError(f"model kind must be one of {tuple(MODEL_KINDS)}, got {kind!r}")
+    model_cls, config_cls = MODEL_KINDS[kind]
+    values = {f.name: kind if f.name == "kind" else getattr(ccan_config, f.name) for f in fields(config_cls)}
+    return model_cls(config_cls(**{**values, "seed": seed}))
 
 
 # ---------------------------------------------------------------------------
 # checkpoints
-
-
-def _config_payload(model):
-    kind = "ccan" if isinstance(model, CCANModel) else model.config.kind
-    return {"model_kind": kind, "config": asdict(model.config)}
 
 
 def save_checkpoint(model, path):
@@ -423,7 +439,8 @@ def save_checkpoint(model, path):
     not copied) through ``atomic_write``, so an interrupted save leaves the
     previous checkpoint in place.
     """
-    payload = json.dumps(_config_payload(model), sort_keys=True).encode("utf-8")
+    kind = "ccan" if isinstance(model, CCANModel) else model.config.kind
+    payload = json.dumps({"model_kind": kind, "config": asdict(model.config)}, sort_keys=True).encode("utf-8")
     params = model.parameters()
     with atomic_write(path) as fh:
         fh.write(CHECKPOINT_MAGIC)
@@ -470,46 +487,38 @@ def _read_checkpoint(r, dtype):
     text = r.text(payload_len, "checkpoint config")
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        at = start + len(text[: exc.pos].encode("utf-8"))
-        raise FormatError(f"checkpoint config is not valid JSON: {exc.msg}", offset=at) from None
+    except (ValueError, RecursionError) as exc:  # also an integer past int()'s digit limit, or nesting past the stack
+        at = start + len(text[: getattr(exc, "pos", 0)].encode("utf-8"))
+        raise FormatError(f"checkpoint config is not valid JSON: {getattr(exc, 'msg', exc)}", offset=at) from None
     if not isinstance(payload, dict) or set(payload) != {"model_kind", "config"}:
         raise FormatError("checkpoint config must hold exactly 'model_kind' and 'config'", offset=start)
     kind = payload["model_kind"]
-    if kind == "ccan":
-        cls, config_cls = CCANModel, CCANConfig
-    elif kind in BASELINE_KINDS:
-        cls, config_cls = BaselineModel, BaselineConfig
-    else:
+    if not isinstance(kind, str) or kind not in MODEL_KINDS:
         raise FormatError(f"unknown model_kind {kind!r} in checkpoint config", offset=start)
+    cls, config_cls = MODEL_KINDS[kind]
     config = _config_from_json(config_cls, payload["config"], start)
-    # the file writes every weight, so the layout is built without drawing them
-    model = cls.__new__(cls)
-    model._build(config, None, dtype)
+    if getattr(config, "kind", kind) != kind:
+        raise FormatError(f"checkpoint model_kind {kind!r} but config kind {config.kind!r}", offset=start)
+    # the file writes every value, so the layout is made without drawing or filling any
+    model = cls._unfilled(config, dtype, room=r.size - r.offset, at=r.offset)
+    params = model.parameters()
     (n_params,) = r.unpack("<I", "parameter count")
-    params = dict(model.parameters())
     if n_params != len(params):
         raise FormatError(f"expected {len(params)} parameters, found {n_params}", offset=r.offset)
-    # n_params distinct known names cover every parameter, so none stays unfilled
-    seen = set()
-    for _ in range(n_params):
+    for name, tensor in params:  # the records come in this order, the one save_checkpoint writes
         (name_len,) = r.unpack("<H", "parameter name length")
-        name = r.text(name_len, "parameter name")
-        if name not in params:
-            raise FormatError(f"unknown parameter {name!r}", offset=r.offset)
-        if name in seen:
-            raise FormatError(f"parameter {name!r} appears more than once", offset=r.offset)
-        seen.add(name)
+        found = r.text(name_len, "parameter name")
+        if found != name:
+            raise FormatError(f"parameter {found!r} where {name!r} belongs", offset=r.offset)
         (ndim,) = r.unpack("<B", "parameter rank")
         shape = r.unpack(f"<{ndim}I", "parameter extents")
-        target = params[name]
-        if shape != target.data.shape:
-            raise FormatError(f"parameter {name!r} has shape {shape}, expected {target.data.shape}", offset=r.offset)
+        if shape != tensor.shape:
+            raise FormatError(f"parameter {name!r} has shape {shape}, expected {tensor.shape}", offset=r.offset)
         what = f"values of {name!r}"
-        if target.data.dtype == np.dtype("<f4"):  # every parameter is a C-contiguous view of ``values``
-            r.readinto(target.data, what)
+        if tensor.data.dtype == np.dtype("<f4"):  # every parameter is a C-contiguous view of ``values``
+            r.readinto(tensor.data, what)
         else:
-            target.data[...] = r.array(shape, "<f4", what)
+            tensor.data[...] = r.array(shape, "<f4", what)
     if r.offset != r.size:
         raise FormatError("trailing bytes after parameters", offset=r.offset)
     return model

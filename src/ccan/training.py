@@ -21,7 +21,7 @@ import numpy as np
 from . import autograd as ag
 from .data import atomic_write, subsample_fraction
 from .errors import ConfigError, DataError, MetricError, UsageError
-from .model import BASELINE_KINDS, BaselineModel, CCANModel, _baseline_config, _views, save_checkpoint
+from .model import MODEL_KINDS, make_model, save_checkpoint
 
 
 @dataclass
@@ -239,19 +239,6 @@ def _bag_step(model, bag, rng, num_classes):
     return loss.item()
 
 
-def _zeroed_grads(model, params):
-    """One epoch's zero gradient array, with each parameter's ``grad`` its view."""
-    # Set here, not in train, where a loop's last view would keep the array alive after zero_grad.
-    # np.zeros is calloc: no page is written before the backward adds into it, and fill(0) between
-    # windows writes the same +0. A window's first gradient is 0 + g, not g: it differs only where
-    # g is -0.0. For beta1 > 0.5 AdamW's m (from +0) never holds -0, so either zero adds the same
-    # to m, and g*g the same +0 to v.
-    grads = np.zeros(model.values.size, model.dtype)
-    for p, view in zip(params, _views(grads, params)):
-        p.grad = view
-    return grads
-
-
 def train(model, dataset, fold, cfg, checkpoint_path=None, log=None):
     """Train one model on one fold; returns (best, history), ``best`` laid out like ``model.values``.
 
@@ -270,7 +257,6 @@ def train(model, dataset, fold, cfg, checkpoint_path=None, log=None):
     num_classes = model.config.num_classes
     check_labels(train_bags + val_bags + test_bags, num_classes)
 
-    params = [p for _, p in model.parameters()]
     state = AdamWState.for_params([model.values])
     total_steps = cfg.epochs * math.ceil(len(train_bags) / cfg.batch_size)
 
@@ -280,7 +266,7 @@ def train(model, dataset, fold, cfg, checkpoint_path=None, log=None):
     for epoch in range(cfg.epochs):
         order = rng.permutation(len(train_bags))
         epoch_losses = []
-        grads = _zeroed_grads(model, params)  # one array per epoch: its pages are mapped once, not per window
+        grads = model.zeroed_grads()  # one array per epoch: its pages are mapped once, not per window
         for lo in range(0, len(order), cfg.batch_size):
             if lo:
                 grads.fill(0)
@@ -290,7 +276,7 @@ def train(model, dataset, fold, cfg, checkpoint_path=None, log=None):
             lr = cosine_lr(state.t, total_steps, cfg.lr_max, cfg.lr_min)  # t: the steps taken so far
             grads /= len(window)
             adamw_step(model.values, grads, state, lr, cfg.beta1, cfg.beta2, cfg.eps, cfg.weight_decay)
-        ag.zero_grad(params)
+        ag.zero_grad(t for _, t in model.parameters())
         del grads  # with the views gone, the epoch's array is freed here, before evaluation
         val_auc = evaluate_auc(model, val_bags)
         history.train_loss.append(float(np.mean(epoch_losses)))
@@ -336,12 +322,6 @@ def write_sweep_csv(rows, path):
             )
 
 
-def _build_model(kind, ccan_config, seed):
-    if kind == "ccan":
-        return CCANModel(replace(ccan_config, seed=seed))
-    return BaselineModel(_baseline_config(kind, ccan_config, seed))
-
-
 def _sweep_cell(shared, cell):
     dataset, ccan_config, cfg = shared
     plan_fold, fold_idx, fraction, kind = cell
@@ -349,7 +329,7 @@ def _sweep_cell(shared, cell):
     train_ids = subsample_fraction(plan_fold.train_ids, fraction, sub_seed)
     fold = replace(plan_fold, train_ids=train_ids)
     model_seed = derive_seed(cfg.seed, f"model-{kind}-fold{fold_idx}-frac{fraction}")
-    model = _build_model(kind, ccan_config, model_seed)
+    model = make_model(kind, ccan_config, model_seed)
     run_cfg = replace(cfg, seed=derive_seed(cfg.seed, f"train-{kind}-fold{fold_idx}-frac{fraction}"))
     _, history = train(model, dataset, fold, run_cfg)
     return SweepRow(
@@ -380,8 +360,8 @@ def check_sweep(fractions, models, jobs):
         raise ConfigError("fractions must be nonempty")
     if any(not 0 < f <= 1 for f in fractions):
         raise ConfigError(f"fractions must lie in (0, 1], got {tuple(fractions)}")
-    if not models or any(m != "ccan" and m not in BASELINE_KINDS for m in models):
-        raise ConfigError(f"sweep models must be among {('ccan',) + BASELINE_KINDS}, got {tuple(models)}")
+    if not models or any(m not in MODEL_KINDS for m in models):
+        raise ConfigError(f"sweep models must be among {tuple(MODEL_KINDS)}, got {tuple(models)}")
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
 

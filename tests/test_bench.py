@@ -119,6 +119,15 @@ class TestBenchScaling:
         with pytest.raises(ConfigError):
             bench_scaling(bench_config(), [100, 50], repeats=5)
 
+    @pytest.mark.parametrize("ns", [[-5, 10], [0, 10]])
+    def test_rejects_token_counts_below_one(self, ns, monkeypatch):
+        from ccan import bench
+
+        # checked before either model is built
+        monkeypatch.setattr(bench, "make_model", None)
+        with pytest.raises(ConfigError, match=r"token counts must be >= 1, got \[" + str(ns[0])):
+            bench_scaling(bench_config(), ns, repeats=5)
+
     def test_rejects_too_few_repeats(self):
         with pytest.raises(ConfigError):
             bench_scaling(bench_config(), [50], repeats=2)

@@ -1,8 +1,10 @@
 import csv
 import hashlib
 import inspect
+import json
 import os
-from dataclasses import fields, replace
+import struct
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -212,6 +214,32 @@ class TestCommands:
         n_tokens = int.from_bytes(blob[6:10], "little")
         assert err == f"error: bag 'bag0000': token row {n_tokens - 1} has a NaN or infinite value\n"
 
+    @pytest.mark.parametrize("seed", ["0", "1" + "0" * 5000])
+    def test_config_its_file_cannot_back_is_one_error_line(self, tiny_run, tmp_path, capsys, seed):
+        # a TOY-sized config but for its latent width, then a parameter count of 0
+        config = asdict(CCANConfig(n_stages=2, n_latents=8, d_latent=2**22, d_feature=24, self_layers=1,
+                                   n_frequencies=2))
+        payload = json.dumps({"model_kind": "ccan", "config": config}).replace('"seed": 0', f'"seed": {seed}').encode()
+        ckpt = tmp_path / "huge.ckpt"
+        ckpt.write_bytes(b"CCAN" + struct.pack("<HI", 2, len(payload)) + payload + struct.pack("<I", 0))
+        rc = main(["eval", "--paths.checkpoint", str(ckpt), "--paths.data", tiny_run["data"],
+                   "--paths.plan", tiny_run["plan"], "--fold", "0", "--subset", "val"])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.startswith("error: checkpoint config ") and err.count("\n") == 1
+        assert err.endswith(f"(at byte offset {10 + len(payload) if seed == '0' else 10})\n")
+
+    def test_bag_listed_twice_in_a_plan_is_one_error_line(self, tiny_run, tmp_path, capsys):
+        # a training bag listed for testing too would be trained on and then scored
+        plan = tmp_path / "plan.csv"
+        lines = open(tiny_run["plan"]).read().splitlines()
+        train_row = next(line for line in lines if line.startswith("0,train,"))
+        plan.write_text("\n".join(lines + [train_row.replace(",train,", ",test,")]) + "\n")
+        rc = main(["train", "--paths.data", tiny_run["data"], "--paths.plan", str(plan), "--fold", "0",
+                   "--paths.run_dir", str(tmp_path / "run"), *tiny_run["model_flags"], "--train.epochs", "1"])
+        bag_id = train_row.split(",")[2]
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {plan}:{len(lines) + 1}: bag {bag_id!r} is listed twice in fold 0\n"
+
     def test_bad_baseline_heads_is_one_error_line(self, tiny_run, tmp_path, capsys):
         cfg = BaselineConfig(kind="full-self-attention", d_feature=24, d_latent=4)
         model = BaselineModel(cfg)
@@ -416,6 +444,13 @@ class TestCommands:
         assert rc == 0
         assert os.path.exists(out)
         assert "aggregator time vs N" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("ns", ["-5,10", "0,10"])
+    def test_bench_token_counts_below_one_are_one_error_line(self, capsys, ns):
+        rc = main(["bench", "--model.J", "2", "--model.M", "8", "--model.D_l", "16", "--model.D_f", "24",
+                   "--model.S", "1", "--model.I", "2", "--bench.ns", ns, "--bench.repeats", "5"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: token counts must be >= 1, got [{ns.replace(',', ', ')}]\n"
 
     def test_preprocess(self, tmp_path, capsys):
         from ccan.netpbm import write_ppm

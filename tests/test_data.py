@@ -518,6 +518,17 @@ class TestPlanCsvErrors:
         with pytest.raises(FormatError, match=rf"{re.escape(path)}:2: plan row has fewer than 3 fields"):
             SplitPlan.read_csv(path)
 
+    @pytest.mark.parametrize("second", ["0,test,a", "0,train,a"])
+    def test_bag_listed_twice_in_a_fold(self, tmp_path, second):
+        # a training bag also listed for testing would be scored on, and one listed twice trained twice
+        path = self._plan(tmp_path, f"fold,subset,bag_id\n0,train,a\n0,val,b\n{second}\n")
+        with pytest.raises(FormatError, match=rf"{re.escape(path)}:4: bag 'a' is listed twice in fold 0"):
+            SplitPlan.read_csv(path)
+
+    def test_bag_listed_once_in_each_fold(self, tmp_path):
+        path = self._plan(tmp_path, "fold,subset,bag_id\n0,train,a\n0,test,b\n1,test,a\n1,train,b\n")
+        assert [f.test_ids for f in SplitPlan.read_csv(path).folds] == [["b"], ["a"]]
+
     def test_fold_numbers_must_start_at_zero_without_gaps(self, tmp_path):
         path = self._plan(tmp_path, "fold,subset,bag_id\n0,train,b0\n2,train,b1\n")
         with pytest.raises(FormatError, match=r"not numbered 0..k-1"):

@@ -1,6 +1,7 @@
 import inspect
 import json
 import struct
+import time
 import tracemalloc
 from dataclasses import fields, is_dataclass, replace
 
@@ -16,11 +17,13 @@ from ccan.data import generate_synthetic, patient_grouped_kfold, write_bag, writ
 from ccan.errors import ConfigError, DataError, FormatError, ShapeError
 from ccan.model import (
     BASELINE_KINDS,
+    MODEL_KINDS,
     BaselineConfig,
     BaselineModel,
     CCANConfig,
     CCANModel,
     load_checkpoint,
+    make_model,
     pooled_skip,
     save_checkpoint,
     token_dropout,
@@ -46,17 +49,33 @@ def toy_dataset(n_bags=6, d_feature=12, seed=0, **kwargs):
 
 class TestConfig:
     def test_table_defaults_latent_counts(self):
-        assert CCANConfig().latent_counts() == [512, 256, 128, 64, 32, 16]
+        assert list(CCANConfig().latent_counts()) == [512, 256, 128, 64, 32, 16]
 
     def test_single_stage(self):
-        assert CCANConfig(n_stages=1).latent_counts() == [512]
+        assert list(CCANConfig(n_stages=1).latent_counts()) == [512]
 
     def test_no_compression(self):
-        assert toy_config(compression=1, n_stages=3).latent_counts() == [8, 8, 8]
+        assert list(toy_config(compression=1, n_stages=3).latent_counts()) == [8, 8, 8]
 
     def test_indivisible_latents_rejected(self):
         with pytest.raises(ConfigError):
             toy_config(n_latents=10, compression=2, n_stages=3).validate()
+
+    def test_deep_cascade_is_checked_stage_by_stage(self):
+        # 512 halves to 1 by stage 10; no power of the compression is formed, so 10^9 stages cost 11 steps
+        start = time.perf_counter()
+        with pytest.raises(ConfigError, match="down to stage 11: stage 10 holds 1"):
+            toy_config(n_stages=10**9, n_latents=512, compression=2).validate()
+        assert time.perf_counter() - start < 1.0
+        toy_config(n_stages=10**9, compression=1).validate()
+
+    @pytest.mark.parametrize("d_feature", [0, -40])
+    def test_feature_width_below_one_rejected(self, d_feature):
+        with pytest.raises(ConfigError, match=f"d_feature must be >= 1, got {d_feature}"):
+            CCANModel(toy_config(d_feature=d_feature))
+        for kind in BASELINE_KINDS:
+            with pytest.raises(ConfigError, match=f"d_feature must be >= 1, got {d_feature}"):
+                BaselineModel(BaselineConfig(kind=kind, d_feature=d_feature, d_latent=4))
 
     def test_heads_require_per_dim(self):
         with pytest.raises(ConfigError):
@@ -230,6 +249,31 @@ class TestParameterLayout:
         loaded = load_checkpoint(tmp_path / "m.ckpt", dtype=dtype)
         assert_packed(loaded)
         np.testing.assert_array_equal(loaded.values, model.values.astype(dtype))
+
+
+class TestModelKinds:
+    @pytest.mark.parametrize("kind", list(MODEL_KINDS))
+    def test_sized_and_scaled_like_the_ccan_config(self, kind):
+        cfg = toy_config(num_classes=3, heads=2, scale_mode="per-dim", seed=1)
+        model = make_model(kind, cfg, seed=9)
+        model_cls, config_cls = MODEL_KINDS[kind]
+        assert type(model) is model_cls and type(model.config) is config_cls
+        assert model.config.seed == 9 and getattr(model.config, "kind", "ccan") == kind
+        for f in fields(config_cls):
+            if f.name not in ("kind", "seed"):
+                assert getattr(model.config, f.name) == getattr(cfg, f.name), f.name
+
+    def test_same_draws_as_each_class_from_the_seed(self):
+        cfg = toy_config(seed=1)
+        np.testing.assert_array_equal(make_model("ccan", cfg, 4).values, CCANModel(replace(cfg, seed=4)).values)
+        for kind in BASELINE_KINDS:
+            want = BaselineModel(BaselineConfig(kind=kind, d_feature=12, d_latent=16, seed=4))
+            np.testing.assert_array_equal(make_model(kind, cfg, 4).values, want.values)
+
+    def test_unknown_kind(self):
+        with pytest.raises(ConfigError, match="model kind must be one of"):
+            make_model("median-pool", toy_config(), 0)
+        assert list(MODEL_KINDS) == ["ccan", *BASELINE_KINDS]
 
 
 class TestTokenDropout:
@@ -541,6 +585,19 @@ class TestBaselines:
         with pytest.raises(ConfigError, match=message):
             load_checkpoint(tmp_path / "bad.ckpt")
 
+    @pytest.mark.parametrize("kind", BASELINE_KINDS)
+    def test_wrong_feature_width_is_a_shape_error(self, kind):
+        # a pooling head used to report it only as a linear layer whose shapes do not chain
+        model = BaselineModel(BaselineConfig(kind=kind, d_feature=6, d_latent=4))
+        with pytest.raises(ShapeError, match="bag feature dim 5 != configured 6"):
+            model.forward(_const_bag(np.zeros((3, 5), np.float32)))
+
+        class EmptyBag:
+            n_tokens, d_feature = 0, 6
+
+        with pytest.raises(DataError, match="empty bag"):
+            model.forward(EmptyBag())
+
     @pytest.mark.parametrize("kind", ["mean-pool", "max-pool"])
     @pytest.mark.parametrize("change", [{"heads": 0}, {"heads": 2, "scale_mode": "per-paper"}, {"scale_mode": "bogus"},
                                         {"d_latent": 0}])
@@ -761,9 +818,66 @@ class TestCheckpoint:
         blob = path.read_bytes()
         at = blob.index(b"stage1.cross0.w_k")
         path.write_bytes(blob[:at] + b"stage1.cross0.w_q" + blob[at + 17 :])
-        with pytest.raises(FormatError, match="parameter 'stage1.cross0.w_q' appears more than once") as err:
+        with pytest.raises(FormatError, match="parameter 'stage1.cross0.w_q' where 'stage1.cross0.w_k' belongs") as err:
             load_checkpoint(path)
         assert err.value.offset == at + 17
+
+    def test_records_must_come_in_parameters_order(self, tmp_path):
+        # the loader walks parameters() and reads each record into its view; a reordered file is an error
+        model = BaselineModel(BaselineConfig(kind="mean-pool", d_feature=3, seed=4))
+        path = tmp_path / "pool.ckpt"
+        save_checkpoint(model, path)
+        blob = path.read_bytes()
+        head_w, head_b = blob.index(b"\x06\x00head.w"), blob.index(b"\x06\x00head.b")
+        path.write_bytes(blob[:head_w] + blob[head_b:] + blob[head_w:head_b])
+        with pytest.raises(FormatError, match="parameter 'head.b' where 'head.w' belongs") as err:
+            load_checkpoint(path)
+        assert err.value.offset == head_w + 2 + 6
+
+    def test_record_extents_must_match(self, tmp_path):
+        model = BaselineModel(BaselineConfig(kind="mean-pool", d_feature=3, seed=4))
+        path = tmp_path / "pool.ckpt"
+        save_checkpoint(model, path)
+        blob = path.read_bytes()
+        at = blob.index(b"head.w") + 6
+        # the same number of values, laid out 1 x 3 instead of 3 x 1
+        path.write_bytes(blob[:at] + struct.pack("<B2I", 2, 1, 3) + blob[at + 9:])
+        with pytest.raises(FormatError, match=r"parameter 'head.w' has shape \(1, 3\), expected \(3, 1\)") as err:
+            load_checkpoint(path)
+        assert err.value.offset == at + 9
+
+    @pytest.mark.parametrize("change", [
+        {"d_latent": 2**22},
+        {"d_latent": 2**62},  # more values than numpy can even shape
+        {"n_frequencies": 2**40},
+        {"n_stages": 2**31, "compression": 1},
+        {"block_repeats": 2**31},
+        {"num_classes": 2**40},
+    ], ids=["d_latent", "d_latent-2^62", "n_frequencies", "n_stages", "block_repeats", "num_classes"])
+    def test_config_its_file_cannot_back_rejected_before_allocation(self, tmp_path, change):
+        path = self._config_json(tmp_path, lambda p: p["config"].update(change))
+        blob = path.read_bytes()
+        after_config = 10 + struct.unpack("<I", blob[6:10])[0]
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match=f"but {len(blob) - after_config} bytes follow it") as err:
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 1.0
+        assert peak < 1e6 and err.value.offset == after_config
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda raw: raw.replace(b'"seed": 14', b'"seed": 1' + b"0" * 5000), "digits"),
+        (lambda raw: b"[" * 100_000 + b"]" * 100_000, "recursion"),
+    ], ids=["integer-digits", "nesting"])
+    def test_config_json_beyond_the_parsers_limits(self, tmp_path, edit, message):
+        path = self._with_config(tmp_path, edit)
+        with pytest.raises(FormatError, match=f"not valid JSON: .*{message}") as err:
+            load_checkpoint(path)
+        assert err.value.offset == 10
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "model.ckpt"
@@ -828,6 +942,18 @@ class TestCheckpoint:
         path = self._config_json(tmp_path, lambda p: p.update(model_kind="median-pool"))
         with pytest.raises(FormatError, match="unknown model_kind 'median-pool'"):
             load_checkpoint(path)
+
+    def test_model_kind_must_match_the_config_kind(self, tmp_path):
+        # the kind picks the model class and the config's kind its forward; they must name one model
+        path = tmp_path / "pool.ckpt"
+        save_checkpoint(BaselineModel(BaselineConfig(kind="max-pool", d_feature=3, seed=4)), path)
+        blob = path.read_bytes()
+        (length,) = struct.unpack("<I", blob[6:10])
+        payload = blob[10 : 10 + length].replace(b'"model_kind": "max-pool"', b'"model_kind": "mean-pool"')
+        path.write_bytes(blob[:6] + struct.pack("<I", len(payload)) + payload + blob[10 + length :])
+        with pytest.raises(FormatError, match="model_kind 'mean-pool' but config kind 'max-pool'") as err:
+            load_checkpoint(path)
+        assert err.value.offset == 10
 
     def test_missing_model_kind(self, tmp_path):
         path = self._config_json(tmp_path, lambda p: p.pop("model_kind"))

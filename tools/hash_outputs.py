@@ -19,7 +19,12 @@ and the Canny mask of each patch. And it hashes a short seeded TOY
 ``training.train`` (3 epochs in windows of 8 bags on synthetic witness
 bags), which runs AdamW, the window mean and the best-epoch snapshot and
 restore: its history, the returned best values, the final parameters and
-the bytes of its ``best.ckpt``.
+the bytes of its ``best.ckpt``. Its ``kinds`` line covers every model kind,
+CCAN at TOY and each baseline at TOY widths: per kind, the layout, the
+eval-mode probabilities and every gradient of one seeded bag, the
+``save_checkpoint`` bytes and the ``values`` that ``load_checkpoint`` reads
+back. These runs use only names every checkout has, so the tool can hash
+an older checkout for comparison.
 
     PYTHONPATH=src python tools/hash_outputs.py --config ref --n 3091 --heads 4
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tools/hash_outputs.py --config toy
@@ -49,7 +54,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.p
 from ccan import autograd as ag  # noqa: E402
 from ccan.data import FeatureBag, generate_synthetic, patient_grouped_kfold  # noqa: E402
 from ccan.explain import explain_bag  # noqa: E402
-from ccan.model import CCANConfig, CCANModel  # noqa: E402
+from ccan.model import BaselineConfig, BaselineModel, CCANConfig, CCANModel, load_checkpoint, save_checkpoint  # noqa: E402
 from ccan.preprocess import RasterImage, canny_edges, run_pipeline, tessellate  # noqa: E402
 from ccan.training import TrainConfig, bag_loss, train  # noqa: E402
 
@@ -132,6 +137,41 @@ def report_train(seed):
                      *(t.data for _, t in model.parameters()), checkpoint])
 
 
+def layout(model):
+    """The digest input of a model's layout: each parameter's name and shape in order, then ``values``."""
+    names = "".join(f"{name} {t.data.shape}\n" for name, t in model.parameters()).encode()
+    return [np.frombuffer(names, np.uint8), model.values]
+
+
+def report_kinds(seed, each):
+    bag = make_bag(40, TOY["d_feature"], seed + 1)
+    models = {"ccan": CCANModel(CCANConfig(**TOY, seed=seed))}
+    for kind in ("mean-pool", "max-pool", "full-self-attention"):
+        models[kind] = BaselineModel(BaselineConfig(kind=kind, d_feature=TOY["d_feature"], d_latent=TOY["d_latent"],
+                                                    seed=seed))
+    arrays, labels = [], []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.ckpt")
+        for kind, model in models.items():
+            with ag.no_grad():
+                probs = model.forward(bag).averaged_probs
+            out = model.forward(bag, rng=np.random.default_rng(seed + 2), train_mode=True)
+            ag.backward(bag_loss(out, bag.label, model.config.num_classes))
+            grads = [t.grad for _, t in model.parameters()]
+            save_checkpoint(model, path)
+            with open(path, "rb") as fh:
+                checkpoint = np.frombuffer(fh.read(), np.uint8)
+            parts = {"layout": layout(model), "eval_probs": [probs], "grads": grads, "checkpoint": [checkpoint],
+                     "reloaded": [load_checkpoint(path).values]}
+            for part, items in parts.items():
+                arrays += items
+                labels += [f"{kind} {part}"] * len(items)
+    report("kinds", arrays)
+    if each:
+        for label in dict.fromkeys(labels):
+            print(f"  {label:40s} {digest([a for a, at in zip(arrays, labels) if at == label])}")
+
+
 def report(name, arrays, each_names=None):
     print(f"{name:14s} {len(arrays):4d} {digest(arrays)}")
     for label, a in zip(each_names or [], arrays):
@@ -155,10 +195,10 @@ def main(argv=None):
     print(f"blas_threads   {blas_threads()}")
     print(f"config         {args.config} n={args.n} seed={args.seed} heads={args.heads}")
     params = model.parameters()
-    names = "".join(f"{name} {t.data.shape}\n" for name, t in params).encode()
-    print(f"{'layout':14s} {len(params):4d} {digest([np.frombuffer(names, np.uint8), model.values])}")
+    print(f"{'layout':14s} {len(params):4d} {digest(layout(model))}")
     report_preprocess(args.seed)
     report_train(args.seed)
+    report_kinds(args.seed, args.each)
 
     with ag.no_grad():
         out = model.forward(bag)
