@@ -42,7 +42,7 @@ reject more than one head with per-paper scaling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -65,72 +65,56 @@ class AttentionRecord:
         return cls(matrix=softmax[0] if len(softmax) == 1 else softmax.mean(axis=0))
 
 
+def _param(shape, fill=None):
+    """A ``BlockParams`` field: its shape in units of the block width d, and its ``fill_param`` fill."""
+    return field(metadata={"shape": shape, "fill": fill})
+
+
 @dataclass
 class BlockParams:
-    """Learned parameters of one attention block."""
+    """Learned parameters of one attention block: Normal(0, 0.02) projections, zero biases, identity layer norms.
 
-    w_q: Tensor
-    b_q: Tensor
-    w_k: Tensor
-    w_v: Tensor
-    b_v: Tensor
-    w_o: Tensor
-    b_o: Tensor
-    ln1_gamma: Tensor
-    ln1_beta: Tensor
-    ln2_gamma: Tensor
-    ln2_beta: Tensor
-    w_m1: Tensor
-    b_m1: Tensor
-    w_m2: Tensor
-    b_m2: Tensor
+    Blocks always operate at width d_latent; contexts wider than that are
+    projected down before reaching any block.
+    """
+
+    w_q: Tensor = _param((1, 1))
+    b_q: Tensor = _param((1,), 0.0)
+    w_k: Tensor = _param((1, 1))
+    w_v: Tensor = _param((1, 1))
+    b_v: Tensor = _param((1,), 0.0)
+    w_o: Tensor = _param((1, 1))
+    b_o: Tensor = _param((1,), 0.0)
+    ln1_gamma: Tensor = _param((1,), 1.0)
+    ln1_beta: Tensor = _param((1,), 0.0)
+    ln2_gamma: Tensor = _param((1,), 1.0)
+    ln2_beta: Tensor = _param((1,), 0.0)
+    w_m1: Tensor = _param((1, 4))
+    b_m1: Tensor = _param((4,), 0.0)
+    w_m2: Tensor = _param((4, 1))
+    b_m2: Tensor = _param((1,), 0.0)
+
+    @staticmethod
+    def layout(d):
+        """(name, shape, fill) of each tensor of a width-``d`` block, in field order."""
+        return [(f.name, tuple(d * k for k in f.metadata["shape"]), f.metadata["fill"]) for f in fields(BlockParams)]
 
     def named_tensors(self):
         return [(f.name, getattr(self, f.name)) for f in self.__dataclass_fields__.values()]
 
 
-def init_param(rng, shape, dtype, fill=None):
-    """A trainable tensor of Normal(0, 0.02) draws from ``rng``, or of ``fill``; a placeholder when ``rng`` is None.
-
-    A checkpoint load passes None: it writes every value itself, so
-    drawing or filling them first would only cost time. The placeholder is
-    a broadcast zero, which holds no memory until the model's pack.
-    """
-    if rng is None:
-        data = np.broadcast_to(np.zeros((), dtype=dtype), shape)
-    elif fill is None:
-        data = rng.normal(0.0, 0.02, size=shape).astype(dtype)
-    else:
-        data = np.full(shape, fill, dtype=dtype)
-    return Tensor(data, requires_grad=True)
+def fill_param(out, fill, rng):
+    """Fill a parameter's array ``out`` whole: Normal(0, 0.02) draws from ``rng`` if ``fill`` is None, else ``fill``."""
+    out[...] = rng.normal(0.0, 0.02, out.shape) if fill is None else fill
 
 
 def init_block_params(d_latent, rng, dtype=np.float32):
-    """Normal(0, 0.02) projections, zero biases, identity layer norms.
-
-    With ``rng`` None every tensor is a placeholder (see ``init_param``).
-
-    Blocks always operate at width d_latent; contexts wider than that are
-    projected down before reaching any block.
-    """
-    d = d_latent
-    return BlockParams(
-        w_q=init_param(rng, (d, d), dtype),
-        b_q=init_param(rng, d, dtype, fill=0.0),
-        w_k=init_param(rng, (d, d), dtype),
-        w_v=init_param(rng, (d, d), dtype),
-        b_v=init_param(rng, d, dtype, fill=0.0),
-        w_o=init_param(rng, (d, d), dtype),
-        b_o=init_param(rng, d, dtype, fill=0.0),
-        ln1_gamma=init_param(rng, d, dtype, fill=1.0),
-        ln1_beta=init_param(rng, d, dtype, fill=0.0),
-        ln2_gamma=init_param(rng, d, dtype, fill=1.0),
-        ln2_beta=init_param(rng, d, dtype, fill=0.0),
-        w_m1=init_param(rng, (d, 4 * d), dtype),
-        b_m1=init_param(rng, 4 * d, dtype, fill=0.0),
-        w_m2=init_param(rng, (4 * d, d), dtype),
-        b_m2=init_param(rng, d, dtype, fill=0.0),
-    )
+    """A width-``d_latent`` block of its own tensors, filled in ``BlockParams.layout`` order from ``rng``."""
+    params = {}
+    for name, shape, fill in BlockParams.layout(d_latent):
+        params[name] = Tensor(np.empty(shape, dtype), requires_grad=True)
+        fill_param(params[name].data, fill, rng)
+    return BlockParams(**params)
 
 
 def attention_scale(scale_mode, n_query_rows, head_dim):

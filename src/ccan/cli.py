@@ -326,8 +326,8 @@ def _cmd_train(cfg):
     run_dir = _require(cfg, "paths.run_dir", "train")
     model_cfg = cfg.model_config(seed=derive_seed(cfg["seed"], f"model-fold{fold_idx}"))
     train_cfg = cfg.train_config(seed=derive_seed(cfg["seed"], f"train-fold{fold_idx}"))
-    os.makedirs(run_dir, exist_ok=True)  # a rejected config leaves no run directory
     model = CCANModel(model_cfg)
+    os.makedirs(run_dir, exist_ok=True)  # a rejected config, or one that cannot be allocated, leaves no run directory
     cfg.echo(os.path.join(run_dir, "config.txt"))
     checkpoint = os.path.join(run_dir, "best.ckpt")
     _, history = train(

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 import struct
 from dataclasses import asdict, dataclass, fields
 
@@ -33,8 +34,7 @@ from .attention import (
     AttentionRecord,
     BlockParams,
     cross_attention_block,
-    init_block_params,
-    init_param,
+    fill_param,
     self_attention_block,
 )
 from .autograd import Tensor
@@ -43,52 +43,52 @@ from .errors import ConfigError, DataError, FormatError, ShapeError
 from .posenc import attach_encodings, encoding_width, frequency_ladder
 
 CHECKPOINT_MAGIC = b"CCAN"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
-def _views(flat, named):
-    """Views of the 1-D ``flat``, end to end, shaped like the ``data`` of each (name, tensor) pair's tensor."""
-    ends = np.cumsum([t.data.size for _, t in named])
-    return [flat[end - t.data.size:end].reshape(t.data.shape) for (_, t), end in zip(named, ends)]
+def _views(flat, shapes):
+    """Views of the 1-D ``flat``, end to end, one of each shape."""
+    ends = np.cumsum([math.prod(shape) for shape in shapes])
+    return [flat[end - math.prod(shape):end].reshape(shape) for shape, end in zip(shapes, ends)]
 
 
 class _Layout:
-    """Makes a model's parameters, weights drawn from ``rng``, and names each one.
+    """A model's parameters as it makes them: each one's name, shape and fill, and a zero-memory placeholder.
 
     ``named`` keeps the making order: the draw order, ``parameters()``, ``values`` and the checkpoint's.
-    With ``rng`` None each tensor is a placeholder for a file that holds ``room`` bytes of values from
-    byte ``at`` on, and a layout needing more is a FormatError before anything is allocated.
+    ``pack`` then allocates ``values`` once and makes each parameter its view, for the seed's draws or one
+    read of a checkpoint to fill whole. For a load, the layout may need at most ``room`` bytes of float32
+    values, the bytes its file holds from byte ``at`` on: needing more is a FormatError before any allocation.
     """
 
-    def __init__(self, rng, dtype, room=None, at=None):
-        self.rng, self.dtype, self.named, self.size, self.room, self.at = rng, dtype, [], 0, room, at
+    def __init__(self, dtype, room=None, at=None):
+        self.dtype, self.room, self.at = dtype, room, at
+        self.named, self.shapes, self.fills, self.size = [], [], [], 0
 
     def param(self, name, shape, fill=None):
-        """A weight drawn from ``rng``, or with ``fill`` a constant such as a zero bias; see ``init_param``."""
-        self._count(name, math.prod(shape))  # before the placeholder: numpy cannot shape 2^63 values
-        self.named.append((name, init_param(self.rng, shape, self.dtype, fill)))
-        return self.named[-1][1]
-
-    def block(self, prefix, d):
-        params = init_block_params(d, self.rng, self.dtype)  # placeholders take no memory, and d was counted
-        for n, t in params.named_tensors():
-            self._count(f"{prefix}.{n}", t.data.size)
-            self.named.append((f"{prefix}.{n}", t))
-        return params
-
-    def _count(self, name, size):
-        self.size += size
+        """A placeholder for a tensor of ``shape`` that ``fill_param`` fills: drawn, or with ``fill`` a constant."""
+        self.size += math.prod(shape)
         if self.room is not None and 4 * self.size > self.room:
             raise FormatError(f"checkpoint config needs {4 * self.size} bytes of float32 values up to parameter "
                               f"{name!r}, but {self.room} bytes follow it", offset=self.at)
+        self.named.append((name, Tensor(np.zeros((), self.dtype), requires_grad=True)))
+        self.shapes.append(shape)
+        self.fills.append(fill)
+        return self.named[-1][1]
+
+    def block(self, prefix, d):
+        return BlockParams(**{name: self.param(f"{prefix}.{name}", shape, fill)
+                              for name, shape, fill in BlockParams.layout(d)})
 
     def pack(self, model):
         """Give ``model`` the list, and make each parameter a view of ``model.values``, one array in its order."""
         model._parameters = self.named
-        model.values = np.empty(self.size, model.dtype)
-        for (_, t), view in zip(self.named, _views(model.values, self.named)):
-            if self.rng is not None:  # a checkpoint load writes every value itself
-                view[...] = t.data
+        try:
+            model.values = np.empty(self.size, self.dtype)
+        except (MemoryError, ValueError):  # ValueError: more bytes than numpy can address
+            raise ConfigError(f"the model's {self.size} parameter values need {self.size * self.dtype.itemsize} "
+                              "bytes, more than can be allocated") from None
+        for (_, t), view in zip(self.named, _views(model.values, self.shapes)):
             t.data = view
 
 
@@ -206,13 +206,16 @@ class _Model:
     """What every model kind shares; a subclass's ``_make(made)`` makes its parameters, in order, through ``made``."""
 
     def __init__(self, config, dtype=np.float32):
-        self._lay_out(config, _Layout(np.random.default_rng(config.seed), np.dtype(dtype)))
+        made = self._lay_out(config, _Layout(np.dtype(dtype)))
+        rng = np.random.default_rng(config.seed)
+        for (_, t), fill in zip(self._parameters, made.fills):  # in making order: one draw at a time
+            fill_param(t.data, fill, rng)
 
     @classmethod
     def _unfilled(cls, config, dtype, room, at):
         """The model of ``config``, no value drawn or filled, for a file with ``room`` bytes for them from ``at``."""
         model = cls.__new__(cls)
-        model._lay_out(config, _Layout(None, np.dtype(dtype), room, at))
+        model._lay_out(config, _Layout(np.dtype(dtype), room, at))
         return model
 
     def _lay_out(self, config, made):
@@ -220,6 +223,7 @@ class _Model:
         self.config, self.dtype = config, made.dtype
         self._make(made)
         made.pack(self)
+        return made
 
     def parameters(self):
         """(name, tensor) pairs in the order the model made them, a fixed, checkpoint-stable order."""
@@ -231,7 +235,7 @@ class _Model:
         # writes the same +0. A window's first gradient is 0 + g, not g: it differs only where g is -0.0. For
         # beta1 > 0.5 AdamW's m (from +0) never holds -0, so either zero adds the same to m, and g*g the same to v.
         grads = np.zeros(self.values.size, self.dtype)
-        for (_, t), view in zip(self._parameters, _views(grads, self._parameters)):
+        for (_, t), view in zip(self._parameters, _views(grads, [t.shape for _, t in self._parameters])):
             t.grad = view
         return grads
 
@@ -267,8 +271,11 @@ class CCANModel(_Model):
         self.head_b1 = made.param("head.b1", (d,), fill=0.0)
         self.head_w2 = made.param("head.w2", (d, config.out_units))
         self.head_b2 = made.param("head.b2", (config.out_units,), fill=0.0)
-        # after the layout, which bounds n_frequencies by the file's size in a checkpoint load
-        self.ladder = frequency_ladder(config.n_frequencies, config.f_max)
+
+    @property
+    def ladder(self):
+        # made per forward, so never before ``values``, whose input projection bounds n_frequencies
+        return frequency_ladder(self.config.n_frequencies, self.config.f_max)
 
     # -- forward ----------------------------------------------------------
 
@@ -432,27 +439,24 @@ def make_model(kind, ccan_config, seed):
 # checkpoints
 
 
-def save_checkpoint(model, path):
-    """Versioned binary container: header, config JSON, named float32 blobs.
+def _layout(model):
+    """Each parameter's name and extents, in ``parameters()`` order: the checkpoint's ``layout``."""
+    return [[name, list(t.shape)] for name, t in model.parameters()]
 
-    Each record is written straight to the file (a float32 parameter is
+
+def save_checkpoint(model, path):
+    """Versioned binary container: header, config JSON with the layout, then ``values`` as one float32 record.
+
+    The values are written straight from ``values`` (a float32 model's is
     not copied) through ``atomic_write``, so an interrupted save leaves the
     previous checkpoint in place.
     """
     kind = "ccan" if isinstance(model, CCANModel) else model.config.kind
-    payload = json.dumps({"model_kind": kind, "config": asdict(model.config)}, sort_keys=True).encode("utf-8")
-    params = model.parameters()
+    payload = json.dumps({"model_kind": kind, "config": asdict(model.config), "layout": _layout(model)},
+                         sort_keys=True).encode("utf-8")
     with atomic_write(path) as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<HI", CHECKPOINT_VERSION, len(payload)))
-        fh.write(payload)
-        fh.write(struct.pack("<I", len(params)))
-        for name, tensor in params:
-            raw = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(raw)))
-            fh.write(raw)
-            fh.write(struct.pack(f"<B{tensor.data.ndim}I", tensor.data.ndim, *tensor.data.shape))
-            fh.write(np.ascontiguousarray(tensor.data, dtype="<f4").data)
+        fh.write(CHECKPOINT_MAGIC + struct.pack("<HI", CHECKPOINT_VERSION, len(payload)) + payload)
+        fh.write(np.asarray(model.values, "<f4").data)
 
 
 def _config_from_json(cls, values, offset):
@@ -490,8 +494,8 @@ def _read_checkpoint(r, dtype):
     except (ValueError, RecursionError) as exc:  # also an integer past int()'s digit limit, or nesting past the stack
         at = start + len(text[: getattr(exc, "pos", 0)].encode("utf-8"))
         raise FormatError(f"checkpoint config is not valid JSON: {getattr(exc, 'msg', exc)}", offset=at) from None
-    if not isinstance(payload, dict) or set(payload) != {"model_kind", "config"}:
-        raise FormatError("checkpoint config must hold exactly 'model_kind' and 'config'", offset=start)
+    if not isinstance(payload, dict) or set(payload) != {"model_kind", "config", "layout"}:
+        raise FormatError("checkpoint config must hold exactly 'model_kind', 'config' and 'layout'", offset=start)
     kind = payload["model_kind"]
     if not isinstance(kind, str) or kind not in MODEL_KINDS:
         raise FormatError(f"unknown model_kind {kind!r} in checkpoint config", offset=start)
@@ -501,24 +505,17 @@ def _read_checkpoint(r, dtype):
         raise FormatError(f"checkpoint model_kind {kind!r} but config kind {config.kind!r}", offset=start)
     # the file writes every value, so the layout is made without drawing or filling any
     model = cls._unfilled(config, dtype, room=r.size - r.offset, at=r.offset)
-    params = model.parameters()
-    (n_params,) = r.unpack("<I", "parameter count")
-    if n_params != len(params):
-        raise FormatError(f"expected {len(params)} parameters, found {n_params}", offset=r.offset)
-    for name, tensor in params:  # the records come in this order, the one save_checkpoint writes
-        (name_len,) = r.unpack("<H", "parameter name length")
-        found = r.text(name_len, "parameter name")
-        if found != name:
-            raise FormatError(f"parameter {found!r} where {name!r} belongs", offset=r.offset)
-        (ndim,) = r.unpack("<B", "parameter rank")
-        shape = r.unpack(f"<{ndim}I", "parameter extents")
-        if shape != tensor.shape:
-            raise FormatError(f"parameter {name!r} has shape {shape}, expected {tensor.shape}", offset=r.offset)
-        what = f"values of {name!r}"
-        if tensor.data.dtype == np.dtype("<f4"):  # every parameter is a C-contiguous view of ``values``
-            r.readinto(tensor.data, what)
-        else:
-            tensor.data[...] = r.array(shape, "<f4", what)
+    listed, want = payload["layout"], _layout(model)
+    if listed != want:  # name the first entry that differs, or the first one missing or extra
+        listed = listed if isinstance(listed, list) else [listed]
+        i = next((i for i, (a, b) in enumerate(zip(listed, want)) if a != b), min(len(listed), len(want)))
+        found = reprlib.repr(listed[i]) if i < len(listed) else "nothing"
+        raise FormatError(f"checkpoint layout has {found} at entry {i}, where "
+                          f"{want[i] if i < len(want) else 'nothing'} belongs", offset=start)
+    if model.values.dtype == np.dtype("<f4"):
+        r.readinto(model.values, "parameter values")
+    else:
+        model.values[...] = r.array(model.values.shape, "<f4", "parameter values")
     if r.offset != r.size:
         raise FormatError("trailing bytes after parameters", offset=r.offset)
     return model

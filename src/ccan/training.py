@@ -83,6 +83,13 @@ def check_labels(bags, num_classes):
             raise DataError(f"bag {bag.bag_id!r} has label {bag.label}, outside 0..{num_classes - 1}")
 
 
+def check_classes(bags, num_classes, subset):
+    """Raise DataError if a nonempty ``subset`` of bags lacks a class, so its AUC could not be computed."""
+    missing = sorted(set(range(num_classes)) - {bag.label for bag in bags})
+    if bags and missing:
+        raise DataError(f"the fold's {subset} bags lack classes {missing}; AUC needs every class present")
+
+
 def bag_loss(model_output, label, num_classes):
     """Summed per-stage BCE against the bag label (one-vs-rest when num_classes > 2)."""
     if not 0 <= label < num_classes:
@@ -256,6 +263,8 @@ def train(model, dataset, fold, cfg, checkpoint_path=None, log=None):
     test_bags = [dataset.entry(i) for i in fold.test_ids]
     num_classes = model.config.num_classes
     check_labels(train_bags + val_bags + test_bags, num_classes)
+    check_classes(val_bags, num_classes, "validation")  # before the first step, not after the epochs
+    check_classes(test_bags, num_classes, "test")
 
     state = AdamWState.for_params([model.values])
     total_steps = cfg.epochs * math.ceil(len(train_bags) / cfg.batch_size)

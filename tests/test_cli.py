@@ -3,7 +3,10 @@ import hashlib
 import inspect
 import json
 import os
+import re
+import resource
 import struct
+import time
 from dataclasses import asdict, fields, replace
 
 import numpy as np
@@ -216,12 +219,13 @@ class TestCommands:
 
     @pytest.mark.parametrize("seed", ["0", "1" + "0" * 5000])
     def test_config_its_file_cannot_back_is_one_error_line(self, tiny_run, tmp_path, capsys, seed):
-        # a TOY-sized config but for its latent width, then a parameter count of 0
+        # a TOY-sized config but for its latent width, and no values after it
         config = asdict(CCANConfig(n_stages=2, n_latents=8, d_latent=2**22, d_feature=24, self_layers=1,
                                    n_frequencies=2))
-        payload = json.dumps({"model_kind": "ccan", "config": config}).replace('"seed": 0', f'"seed": {seed}').encode()
+        payload = json.dumps({"model_kind": "ccan", "config": config, "layout": []})
+        payload = payload.replace('"seed": 0', f'"seed": {seed}').encode()
         ckpt = tmp_path / "huge.ckpt"
-        ckpt.write_bytes(b"CCAN" + struct.pack("<HI", 2, len(payload)) + payload + struct.pack("<I", 0))
+        ckpt.write_bytes(b"CCAN" + struct.pack("<HI", 3, len(payload)) + payload)
         rc = main(["eval", "--paths.checkpoint", str(ckpt), "--paths.data", tiny_run["data"],
                    "--paths.plan", tiny_run["plan"], "--fold", "0", "--subset", "val"])
         err = capsys.readouterr().err
@@ -268,7 +272,7 @@ class TestCommands:
 
     def test_non_utf8_parameter_name_is_one_error_line(self, tiny_run, tmp_path, capsys):
         blob = bytearray(open(os.path.join(tiny_run["run_dir"], "best.ckpt"), "rb").read())
-        at = 10 + int.from_bytes(blob[6:10], "little") + 4 + 2  # first byte of the first name
+        at = blob.index(b'"input_proj.w"') + 1  # first byte of the first name in the layout
         blob[at] = 0xFF
         ckpt = tmp_path / "flipped.ckpt"
         ckpt.write_bytes(bytes(blob))
@@ -277,7 +281,16 @@ class TestCommands:
                    "--paths.out", str(tmp_path / "heat")])
         err = capsys.readouterr().err
         assert rc == 1
-        assert err == f"error: parameter name is not UTF-8 (at byte offset {at})\n"
+        assert err == f"error: checkpoint config is not UTF-8 (at byte offset {at})\n"
+
+    def test_version_2_checkpoint_is_one_error_line(self, tiny_run, tmp_path, capsys):
+        blob = open(os.path.join(tiny_run["run_dir"], "best.ckpt"), "rb").read()
+        ckpt = tmp_path / "v2.ckpt"
+        ckpt.write_bytes(blob[:4] + struct.pack("<H", 2) + blob[6:])
+        rc = main(["eval", "--paths.checkpoint", str(ckpt), "--paths.data", tiny_run["data"],
+                   "--paths.plan", tiny_run["plan"], "--fold", "0", "--subset", "val"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: unsupported checkpoint version 2 (at byte offset 4)\n"
 
     def test_manifest_without_path_is_one_error_line(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.csv"
@@ -372,6 +385,30 @@ class TestCommands:
                    "--paths.run_dir", str(run_dir), *tiny_run["model_flags"], "--train.epochs", "1", flag, value])
         assert rc == 1
         assert capsys.readouterr().err == message
+        assert not run_dir.exists()
+
+    # 2^40 frequencies: an input projection of 16 * 2^40 * 16 bytes (256 TiB)
+    HUGE_MODEL = ["--model.I", "1099511627776", "--model.J", "2", "--model.M", "8", "--model.D_l", "16",
+                  "--model.D_f", "24", "--model.S", "1"]
+
+    @pytest.mark.parametrize("command", ["bench", "train"])
+    def test_model_that_cannot_be_allocated_is_one_error_line(self, tiny_run, tmp_path, capsys, command):
+        run_dir = tmp_path / "run"
+        paths = {"bench": ["--bench.ns", "20,40", "--bench.repeats", "5"],
+                 "train": ["--paths.data", tiny_run["data"], "--paths.plan", tiny_run["plan"],
+                           "--paths.run_dir", str(run_dir)]}[command]
+        start = time.perf_counter()
+        # capped at 64 TiB of address space, so that no kernel that overcommits can grant it and then fault it in
+        soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+        resource.setrlimit(resource.RLIMIT_AS, (2**46 if hard == resource.RLIM_INFINITY else min(2**46, hard), hard))
+        try:
+            rc = main([command, *self.HUGE_MODEL, *paths])
+        finally:
+            resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+        assert rc == 1 and time.perf_counter() - start < 5.0
+        err = re.fullmatch(r"error: the model's (\d+) parameter values need (\d+) bytes, more than can be allocated\n",
+                           capsys.readouterr().err)
+        assert err and int(err[2]) == 4 * int(err[1]) > 16 * 2**40 * 16
         assert not run_dir.exists()
 
     def test_eval_of_an_empty_subset_is_one_error_line(self, tiny_run, tmp_path, capsys):

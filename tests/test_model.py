@@ -1,12 +1,17 @@
+import functools
 import inspect
 import json
+import os
 import struct
+import tempfile
 import time
 import tracemalloc
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import asdict, fields, is_dataclass, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccan import autograd as ag
 from ccan import data as data_module
@@ -14,7 +19,7 @@ from ccan.autograd import Tensor
 from ccan.bench import make_bench_bag
 from ccan.cli import parse_config
 from ccan.data import generate_synthetic, patient_grouped_kfold, write_bag, write_manifest
-from ccan.errors import ConfigError, DataError, FormatError, ShapeError
+from ccan.errors import CCANError, ConfigError, DataError, FormatError, ShapeError
 from ccan.model import (
     BASELINE_KINDS,
     MODEL_KINDS,
@@ -118,6 +123,18 @@ class TestInitModel:
             assert config == model.config and config.seed == 5
             for (_, a), (_, b) in zip(model.parameters(), type(model)(config).parameters()):
                 np.testing.assert_array_equal(a.data, b.data)
+
+    def test_drawing_holds_the_values_once(self):
+        # each tensor is drawn in float64 straight into its view of ``values``; no parameter is held twice
+        tracemalloc.start()
+        try:
+            model = CCANModel(toy_config(d_feature=256, d_latent=64, n_stages=2, n_latents=16, seed=6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        largest = max(t.data.size for _, t in model.parameters()) * 8
+        assert model.values.nbytes > 10 * largest
+        assert peak <= model.values.nbytes + 2 * largest
 
     def test_different_seeds_differ(self):
         a = CCANModel(toy_config(seed=1))
@@ -667,11 +684,10 @@ class TestCheckpoint:
         save_checkpoint(model, path)
         payload = json.dumps({"model_kind": "mean-pool", "config": {
             "kind": "mean-pool", "d_feature": 3, "d_latent": 512, "num_classes": 2,
-            "scale_mode": "per-paper", "heads": 1, "seed": 4}}, sort_keys=True).encode()
-        want = b"CCAN" + struct.pack("<HI", 2, len(payload)) + payload + struct.pack("<I", 2)
-        for name, shape, values in [("head.w", (3, 1), model.head_w.data), ("head.b", (1,), model.head_b.data)]:
-            want += struct.pack("<H", len(name)) + name.encode() + struct.pack(f"<B{len(shape)}I", len(shape), *shape)
-            want += values.astype("<f4").tobytes()
+            "scale_mode": "per-paper", "heads": 1, "seed": 4}, "layout": [["head.w", [3, 1]], ["head.b", [1]]]},
+            sort_keys=True).encode()
+        want = b"CCAN" + struct.pack("<HI", 3, len(payload)) + payload
+        want += np.concatenate([model.head_w.data.ravel(), model.head_b.data]).astype("<f4").tobytes()
         assert path.read_bytes() == want
         assert [p.name for p in tmp_path.iterdir()] == ["pool.ckpt"]
 
@@ -685,7 +701,7 @@ class TestCheckpoint:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # no whole-file buffer: the records go to the file one at a time
+        # no whole-file buffer: ``values`` goes to the file as it is
         assert peak < total / 2
 
     def test_load_holds_the_parameters_not_the_file(self, tmp_path):
@@ -699,7 +715,7 @@ class TestCheckpoint:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # each payload goes straight into its parameter; no buffer holds the whole file
+        # the values are read straight into ``values``; no buffer holds the whole file
         assert peak < 1.2 * total
         for (_, pa), (_, pb) in zip(model.parameters(), loaded.parameters()):
             np.testing.assert_array_equal(pa.data, pb.data)
@@ -757,10 +773,11 @@ class TestCheckpoint:
         assert isinstance(loaded, BaselineModel)
         assert loaded.config == model.config
 
-    def _with_config(self, tmp_path, edit):
-        """A saved TOY checkpoint whose config bytes are replaced by ``edit(bytes)``."""
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(CCANModel(toy_config(seed=14)), path)
+    def _with_config(self, tmp_path, edit, name=None):
+        """A saved TOY checkpoint, or the one at ``tmp_path / name``, with its config bytes replaced by ``edit``."""
+        path = tmp_path / (name or "model.ckpt")
+        if name is None:
+            save_checkpoint(CCANModel(toy_config(seed=14)), path)
         blob = path.read_bytes()
         (length,) = struct.unpack("<I", blob[6:10])
         payload = edit(blob[10 : 10 + length])
@@ -776,13 +793,23 @@ class TestCheckpoint:
         return self._with_config(tmp_path, edit)
 
     def test_version_1_rejected(self, tmp_path):
-        # v1 carried a key bias per block, which no output depended on; v2 has none
+        # v1 carried a key bias per block, which no output depended on; v2 and v3 have none
         path = tmp_path / "model.ckpt"
         save_checkpoint(CCANModel(toy_config(seed=15)), path)
         blob = path.read_bytes()
-        assert struct.unpack("<H", blob[4:6]) == (2,)
+        assert struct.unpack("<H", blob[4:6]) == (3,)
         path.write_bytes(blob[:4] + struct.pack("<H", 1) + blob[6:])
         with pytest.raises(FormatError, match="unsupported checkpoint version 1") as err:
+            load_checkpoint(path)
+        assert err.value.offset == 4
+
+    def test_version_2_rejected(self, tmp_path):
+        # v2 framed each parameter as its own record; v3 lists the layout in the config and stores ``values`` whole
+        path = tmp_path / "model.ckpt"
+        payload = json.dumps({"model_kind": "mean-pool", "config": asdict(BaselineConfig(d_feature=3))}).encode()
+        record = struct.pack("<H", 6) + b"head.b" + struct.pack("<BI", 1, 1) + struct.pack("<f", 0.0)
+        path.write_bytes(b"CCAN" + struct.pack("<HI", 2, len(payload)) + payload + struct.pack("<I", 1) + record)
+        with pytest.raises(FormatError, match="unsupported checkpoint version 2") as err:
             load_checkpoint(path)
         assert err.value.offset == 4
 
@@ -816,35 +843,47 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(CCANModel(toy_config(seed=19)), path)
         blob = path.read_bytes()
-        at = blob.index(b"stage1.cross0.w_k")
-        path.write_bytes(blob[:at] + b"stage1.cross0.w_q" + blob[at + 17 :])
-        with pytest.raises(FormatError, match="parameter 'stage1.cross0.w_q' where 'stage1.cross0.w_k' belongs") as err:
+        at = blob.index(b'"stage1.cross0.w_k"')
+        path.write_bytes(blob[:at] + b'"stage1.cross0.w_q"' + blob[at + 19 :])
+        with pytest.raises(FormatError, match=r"layout has \['stage1.cross0.w_q', \[16, 16\]\] at entry 6, "
+                                              r"where \['stage1.cross0.w_k', \[16, 16\]\] belongs") as err:
             load_checkpoint(path)
-        assert err.value.offset == at + 17
+        assert err.value.offset == 10
+
+    def _pool_with_layout(self, tmp_path, old, new):
+        """A saved mean-pool checkpoint whose layout JSON has ``old`` replaced by ``new``."""
+        save_checkpoint(BaselineModel(BaselineConfig(kind="mean-pool", d_feature=3, seed=4)), tmp_path / "pool.ckpt")
+        return self._with_config(tmp_path, lambda raw: raw.replace(old, new), name="pool.ckpt")
 
     def test_records_must_come_in_parameters_order(self, tmp_path):
-        # the loader walks parameters() and reads each record into its view; a reordered file is an error
-        model = BaselineModel(BaselineConfig(kind="mean-pool", d_feature=3, seed=4))
-        path = tmp_path / "pool.ckpt"
-        save_checkpoint(model, path)
-        blob = path.read_bytes()
-        head_w, head_b = blob.index(b"\x06\x00head.w"), blob.index(b"\x06\x00head.b")
-        path.write_bytes(blob[:head_w] + blob[head_b:] + blob[head_w:head_b])
-        with pytest.raises(FormatError, match="parameter 'head.b' where 'head.w' belongs") as err:
+        # the layout lists parameters() in order, so a reordered layout is an error
+        path = self._pool_with_layout(tmp_path, b'["head.w", [3, 1]], ["head.b", [1]]',
+                                      b'["head.b", [1]], ["head.w", [3, 1]]')
+        with pytest.raises(FormatError, match=r"layout has \['head.b', \[1\]\] at entry 0, "
+                                              r"where \['head.w', \[3, 1\]\] belongs") as err:
             load_checkpoint(path)
-        assert err.value.offset == head_w + 2 + 6
+        assert err.value.offset == 10
 
     def test_record_extents_must_match(self, tmp_path):
-        model = BaselineModel(BaselineConfig(kind="mean-pool", d_feature=3, seed=4))
-        path = tmp_path / "pool.ckpt"
-        save_checkpoint(model, path)
-        blob = path.read_bytes()
-        at = blob.index(b"head.w") + 6
         # the same number of values, laid out 1 x 3 instead of 3 x 1
-        path.write_bytes(blob[:at] + struct.pack("<B2I", 2, 1, 3) + blob[at + 9:])
-        with pytest.raises(FormatError, match=r"parameter 'head.w' has shape \(1, 3\), expected \(3, 1\)") as err:
+        path = self._pool_with_layout(tmp_path, b'["head.w", [3, 1]]', b'["head.w", [1, 3]]')
+        with pytest.raises(FormatError, match=r"layout has \['head.w', \[1, 3\]\] at entry 0, "
+                                              r"where \['head.w', \[3, 1\]\] belongs") as err:
             load_checkpoint(path)
-        assert err.value.offset == at + 9
+        assert err.value.offset == 10
+
+    @pytest.mark.parametrize("old, new, message", [
+        (b', ["head.b", [1]]', b"", r"layout has nothing at entry 1, where \['head.b', \[1\]\] belongs"),
+        (b'["head.b", [1]]', b'["head.b", [1]], ["head.c", [1]]',
+         r"layout has \['head.c', \[1\]\] at entry 2, where nothing belongs"),
+        (b'[["head.w", [3, 1]], ["head.b", [1]]]', b'{"head.w": [3, 1]}',
+         r"layout has \{'head.w': \[3, 1\]\} at entry 0, where \['head.w', \[3, 1\]\] belongs"),
+    ], ids=["missing", "extra", "not-a-list"])
+    def test_layout_entries_missing_or_extra(self, tmp_path, old, new, message):
+        # the values that follow are the model's own, so only the layout is at fault
+        with pytest.raises(FormatError, match=message) as err:
+            load_checkpoint(self._pool_with_layout(tmp_path, old, new))
+        assert err.value.offset == 10
 
     @pytest.mark.parametrize("change", [
         {"d_latent": 2**22},
@@ -892,22 +931,21 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
         blob = path.read_bytes()
-        head_b2 = model.parameters()[-1][1].data
-        start = len(blob) - head_b2.nbytes  # the last parameter's values
-        path.write_bytes(blob[: start + 2])
+        values = model.values.nbytes
+        path.write_bytes(blob[:-2])  # half of the last parameter's value
         with pytest.raises(FormatError) as err:
             load_checkpoint(path)
-        assert str(err.value) == f"truncated file while reading values of 'head.b2' (at byte offset {start})"
+        assert str(err.value) == (f"checkpoint config needs {values} bytes of float32 values up to parameter "
+                                  f"'head.b2', but {values - 2} bytes follow it (at byte offset {len(blob) - values})")
 
     def test_non_utf8_parameter_name(self, tmp_path):
         path = tmp_path / "model.ckpt"
         save_checkpoint(CCANModel(toy_config(seed=16)), path)
         blob = bytearray(path.read_bytes())
-        (length,) = struct.unpack("<I", blob[6:10])
-        at = 10 + length + 4 + 2 + 3  # fourth byte of the first parameter name
+        at = blob.index(b'"input_proj.w"') + 4  # fourth byte of the first parameter name
         blob[at] = 0xFF
         path.write_bytes(bytes(blob))
-        with pytest.raises(FormatError, match="parameter name is not UTF-8") as err:
+        with pytest.raises(FormatError, match="checkpoint config is not UTF-8") as err:
             load_checkpoint(path)
         assert err.value.offset == at
 
@@ -957,7 +995,7 @@ class TestCheckpoint:
 
     def test_missing_model_kind(self, tmp_path):
         path = self._config_json(tmp_path, lambda p: p.pop("model_kind"))
-        with pytest.raises(FormatError, match="exactly 'model_kind' and 'config'"):
+        with pytest.raises(FormatError, match="exactly 'model_kind', 'config' and 'layout'"):
             load_checkpoint(path)
 
     def test_empty_bag_forward_rejected(self):
@@ -969,3 +1007,55 @@ class TestCheckpoint:
 
         with pytest.raises(DataError):
             model.forward(FakeBag())
+
+
+@functools.cache
+def toy_checkpoint():
+    """The bytes of a saved TOY checkpoint, and the offset its values start at."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.ckpt")
+        save_checkpoint(CCANModel(CCANConfig(**TOY, seed=24)), path)
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    return blob, 10 + struct.unpack("<I", blob[6:10])[0]
+
+
+def load_bytes(blob):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.ckpt")
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        return load_checkpoint(path)
+
+
+class TestCheckpointProperties:
+    """Damaged TOY checkpoints: each fault is a typed error, never another exception or other values."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_truncation_at_any_offset(self, data):
+        blob, _ = toy_checkpoint()
+        cut = data.draw(st.integers(0, len(blob) - 1), label="cut")
+        with pytest.raises(FormatError):
+            load_bytes(blob[:cut])
+
+    @settings(max_examples=100, deadline=None)
+    @given(length=st.integers(0, 2**32 - 1))
+    def test_corrupted_config_length(self, length):
+        blob, start = toy_checkpoint()
+        if length == start - 10:
+            length += 1
+        with pytest.raises(FormatError):
+            load_bytes(blob[:6] + struct.pack("<I", length) + blob[10:])
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_one_byte_changed_before_the_values(self, data):
+        blob, start = toy_checkpoint()
+        at = data.draw(st.integers(0, start - 1), label="at")
+        byte = data.draw(st.integers(0, 255).filter(lambda b: b != blob[at]), label="byte")
+        try:
+            model = load_bytes(blob[:at] + bytes([byte]) + blob[at + 1:])
+        except CCANError:
+            return
+        np.testing.assert_array_equal(model.values, np.frombuffer(blob, "<f4", offset=start))

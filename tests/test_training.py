@@ -614,6 +614,23 @@ class TestLabelRange:
         with pytest.raises(DataError, match=f"bag '{bag.bag_id}' has label 7"):
             train(small_model(seed=35), ds, plan.folds[0], TrainConfig(epochs=1, batch_size=4))
 
+    @pytest.mark.parametrize("subset, ids", [("validation", "val_ids"), ("test", "test_ids")])
+    def test_train_rejects_a_subset_without_a_class_before_the_first_step(self, monkeypatch, subset, ids):
+        # evaluate_auc would raise MetricError only once the epochs had run
+        ds, plan = small_task(seed=36, n_bags=24)
+        fold = plan.folds[0]
+        positives = [i for i in getattr(fold, ids) if ds.by_id(i).label == 1]
+        assert positives and len(positives) < len(getattr(fold, ids))
+        monkeypatch.setattr("ccan.training._bag_step", lambda *a, **k: pytest.fail("trained"))
+        with pytest.raises(DataError, match=f"the fold's {subset} bags lack classes \\[0\\]"):
+            train(small_model(seed=37), ds, dataclasses.replace(fold, **{ids: positives}), TrainConfig(epochs=1))
+
+    def test_train_without_test_bags_runs(self):
+        ds, plan = small_task(seed=36, n_bags=24)
+        fold = dataclasses.replace(plan.folds[0], test_ids=[])
+        _, history = train(small_model(seed=37), ds, fold, TrainConfig(epochs=1, batch_size=8))
+        assert history.best_epoch == 0 and math.isnan(history.test_auc_at_best)
+
 
 class TestSweep:
     def test_single_cell_rows(self, tmp_path):

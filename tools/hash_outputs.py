@@ -18,13 +18,15 @@ a seeded raster of white, blurred and sharp tissue cells at 0.5 and at
 and the Canny mask of each patch. And it hashes a short seeded TOY
 ``training.train`` (3 epochs in windows of 8 bags on synthetic witness
 bags), which runs AdamW, the window mean and the best-epoch snapshot and
-restore: its history, the returned best values, the final parameters and
-the bytes of its ``best.ckpt``. Its ``kinds`` line covers every model kind,
-CCAN at TOY and each baseline at TOY widths: per kind, the layout, the
-eval-mode probabilities and every gradient of one seeded bag, the
-``save_checkpoint`` bytes and the ``values`` that ``load_checkpoint`` reads
-back. These runs use only names every checkout has, so the tool can hash
-an older checkout for comparison.
+restore: its history, the returned best values and the final parameters.
+Its ``kinds`` line covers every model kind, CCAN at TOY and each baseline
+at TOY widths: per kind, the layout, the eval-mode probabilities and
+every gradient of one seeded bag, and the ``values`` that
+``load_checkpoint`` reads back from its ``save_checkpoint`` file. The
+checkpoint files' bytes have lines of their own, ``train_ckpt`` and
+``kinds_ckpt``, so checkouts that write another checkpoint format still
+compare on every other line. These runs use only names every checkout
+has, so the tool can hash an older checkout for comparison.
 
     PYTHONPATH=src python tools/hash_outputs.py --config ref --n 3091 --heads 4
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tools/hash_outputs.py --config toy
@@ -134,7 +136,8 @@ def report_train(seed):
             checkpoint = np.frombuffer(fh.read(), np.uint8)
     summary = [history.best_epoch, history.best_val_auc, history.test_auc_at_best]
     report("train", [np.array(history.train_loss), np.array(history.val_auc), np.array(summary), best,
-                     *(t.data for _, t in model.parameters()), checkpoint])
+                     *(t.data for _, t in model.parameters())])
+    report("train_ckpt", [checkpoint])
 
 
 def layout(model):
@@ -149,7 +152,7 @@ def report_kinds(seed, each):
     for kind in ("mean-pool", "max-pool", "full-self-attention"):
         models[kind] = BaselineModel(BaselineConfig(kind=kind, d_feature=TOY["d_feature"], d_latent=TOY["d_latent"],
                                                     seed=seed))
-    arrays, labels = [], []
+    arrays, labels, checkpoints = [], [], []
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "model.ckpt")
         for kind, model in models.items():
@@ -160,8 +163,8 @@ def report_kinds(seed, each):
             grads = [t.grad for _, t in model.parameters()]
             save_checkpoint(model, path)
             with open(path, "rb") as fh:
-                checkpoint = np.frombuffer(fh.read(), np.uint8)
-            parts = {"layout": layout(model), "eval_probs": [probs], "grads": grads, "checkpoint": [checkpoint],
+                checkpoints.append(np.frombuffer(fh.read(), np.uint8))
+            parts = {"layout": layout(model), "eval_probs": [probs], "grads": grads,
                      "reloaded": [load_checkpoint(path).values]}
             for part, items in parts.items():
                 arrays += items
@@ -170,6 +173,7 @@ def report_kinds(seed, each):
     if each:
         for label in dict.fromkeys(labels):
             print(f"  {label:40s} {digest([a for a, at in zip(arrays, labels) if at == label])}")
+    report("kinds_ckpt", checkpoints, list(models) if each else None)
 
 
 def report(name, arrays, each_names=None):
