@@ -41,6 +41,7 @@ from .netpbm import read_pnm
 from .preprocess import PreprocessConfig, RasterImage, read_sidecar, run_pipeline
 from .training import (
     TrainConfig,
+    check_fold,
     check_sweep,
     data_efficiency_sweep,
     derive_seed,
@@ -326,8 +327,9 @@ def _cmd_train(cfg):
     run_dir = _require(cfg, "paths.run_dir", "train")
     model_cfg = cfg.model_config(seed=derive_seed(cfg["seed"], f"model-fold{fold_idx}"))
     train_cfg = cfg.train_config(seed=derive_seed(cfg["seed"], f"train-fold{fold_idx}"))
+    check_fold(dataset, plan.folds[fold_idx], model_cfg.num_classes)
     model = CCANModel(model_cfg)
-    os.makedirs(run_dir, exist_ok=True)  # a rejected config, or one that cannot be allocated, leaves no run directory
+    os.makedirs(run_dir, exist_ok=True)  # a rejected config or fold, or a model too big to allocate, leaves none
     cfg.echo(os.path.join(run_dir, "config.txt"))
     checkpoint = os.path.join(run_dir, "best.ckpt")
     _, history = train(

@@ -8,6 +8,8 @@ and turns survivors into feature tokens via a deterministic random
 projection. Partial edge patches are discarded. Each patch's luma is
 computed once and read by both filters; the projection is drawn once
 per (d_feature, seed), cached and shared read-only by later runs.
+Patches are resized and filtered on every usable CPU, with the same bag
+bytes at any CPU count; projections run on the calling thread.
 
 The Canny detector is the classic pipeline: 5x5 Gaussian smoothing
 (sigma 1.4), Sobel gradients, 4-direction non-maximum suppression, and
@@ -21,7 +23,10 @@ sector by adding 180 to negative angles, and block means come from integer sums.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +44,13 @@ class RasterImage:
     microns_per_pixel: float
 
     def __post_init__(self):
-        self.pixels = np.asarray(self.pixels, dtype=np.uint8)
+        raw = np.asarray(self.pixels)
+        if raw.dtype != np.uint8:  # a cast would wrap 256 to 0 and -1 to 255, and truncate 300.7 to 44
+            numeric = raw.dtype.kind in "biuf"  # NaN fails every comparison below
+            fits = (np.floor(raw) == raw) & (raw >= 0) & (raw <= 255) if numeric else np.zeros(raw.shape, bool)
+            if not fits.all():
+                raise DataError(f"pixel value {raw[~fits].flat[0]} is not an integer in 0..255")
+        self.pixels = np.asarray(raw, dtype=np.uint8)
         if self.pixels.ndim == 2:
             self.pixels = self.pixels[:, :, None]
         if self.pixels.ndim != 3 or self.pixels.shape[2] not in (1, 3):
@@ -130,17 +141,22 @@ def bilinear_resize(pixels, out_h, out_w):
     # exactly, and the (row, column x channel) layout keeps every loop long
     channels = pixels.shape[2]
     wx0, wx1 = np.repeat(1 - fx, channels), np.repeat(fx, channels)
-    rows0, rows1 = pixels[y0], pixels[y1]
-    top = rows0.take(x0, axis=1).reshape(out_h, -1) * wx0
-    top += rows0.take(x1, axis=1).reshape(out_h, -1) * wx1
-    bot = rows1.take(x0, axis=1).reshape(out_h, -1) * wx0
-    bot += rows1.take(x1, axis=1).reshape(out_h, -1) * wx1
-    top *= (1 - fy)[:, None]
-    bot *= fy[:, None]
-    top += bot
-    np.rint(top, out=top)
-    np.clip(top, 0, 255, out=top)
-    return top.astype(np.uint8).reshape(out_h, out_w, channels)
+    out = np.empty((out_h, out_w * channels), dtype=np.uint8)
+    # a block of rows at a time keeps the float64 rows small; each element takes the same operations
+    for lo in range(0, out_h, 16):
+        block = slice(lo, lo + 16)
+        rows0, rows1 = pixels[y0[block]], pixels[y1[block]]
+        n = len(rows0)
+        top = rows0.take(x0, axis=1).reshape(n, -1) * wx0
+        top += rows0.take(x1, axis=1).reshape(n, -1) * wx1
+        bot = rows1.take(x0, axis=1).reshape(n, -1) * wx0
+        bot += rows1.take(x1, axis=1).reshape(n, -1) * wx1
+        top *= (1 - fy[block])[:, None]
+        bot *= fy[block][:, None]
+        top += bot
+        np.rint(top, out=top)
+        out[block] = np.clip(top, 0, 255, out=top)
+    return out.reshape(out_h, out_w, channels)
 
 
 def tessellate(image, config=None):
@@ -158,15 +174,41 @@ def tessellate(image, config=None):
     pixels = image.pixels
     if pixels.shape[2] == 1:
         pixels = np.repeat(pixels, 3, axis=2)
-    patches = []
-    for r in range(n_rows):
-        for c in range(n_cols):
-            y0, x0 = r * side, c * side
-            crop = pixels[y0 : y0 + side, x0 : x0 + side]
-            if side != PATCH_PIXELS:
-                crop = bilinear_resize(crop, PATCH_PIXELS, PATCH_PIXELS)
-            patches.append(PatchRecord(pixels=crop, row=r, col=c))
-    return patches
+    cells = [(r, c) for r in range(n_rows) for c in range(n_cols)]
+    crops = [pixels[r * side : (r + 1) * side, c * side : (c + 1) * side] for r, c in cells]
+    if side != PATCH_PIXELS:
+        crops = _map_patches(functools.partial(bilinear_resize, out_h=PATCH_PIXELS, out_w=PATCH_PIXELS), crops)
+    return [PatchRecord(pixels=crop, row=r, col=c) for crop, (r, c) in zip(crops, cells)]
+
+
+def _map_patches(fn, items):
+    """``list(map(fn, items))`` on the calling thread and a thread per further usable CPU, at most one per item.
+
+    Each thread takes the next untaken item; a failure raises the first failing item's exception. Callers map
+    BLAS-free work, so no thread waits on OpenBLAS's spinning workers; the calling thread works too, so one
+    thread fewer holds a malloc arena; the pool is joined, so a forked sweep worker inherits no thread.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(cpus, len(items))
+    if workers < 2:
+        return list(map(fn, items))
+    results, errors = [None] * len(items), {}
+    claims = itertools.count()  # next() on it is atomic, so each item goes to exactly one thread
+
+    def drain():
+        while (i := next(claims)) < len(items):
+            try:
+                results[i] = fn(items[i])
+            except Exception as err:  # the rest still run, so which error is raised does not depend on timing
+                errors[i] = err
+
+    with ThreadPoolExecutor(workers - 1) as pool:
+        helpers = pool.map(lambda _: drain(), range(workers - 1))  # submitted here, awaited below
+        drain()
+        list(helpers)
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -310,18 +352,14 @@ def run_pipeline(image, out_path, label, bag_id, patient_id, seed=0, config=None
     """
     config = (config or PreprocessConfig()).validate()
     patches = tessellate(image, config)
-    kept = []
-    n_white = 0
-    n_blur = 0
-    for patch in patches:
+
+    def verdict(patch):
         gray = grayscale(patch.pixels)  # both filters read the same luma
-        if is_white(gray, config.white_threshold):
-            n_white += 1
-            continue
-        if is_blurry(gray, config):
-            n_blur += 1
-            continue
-        kept.append(patch)
+        return "white" if is_white(gray, config.white_threshold) else "blurry" if is_blurry(gray, config) else "kept"
+
+    verdicts = _map_patches(verdict, patches)
+    kept = [patch for patch, v in zip(patches, verdicts) if v == "kept"]
+    n_white, n_blur = verdicts.count("white"), verdicts.count("blurry")
     qc = QCReport(total=len(patches), white_rejected=n_white, blur_rejected=n_blur, kept=len(kept))
     if not kept:
         raise DataError(

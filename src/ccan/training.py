@@ -83,11 +83,20 @@ def check_labels(bags, num_classes):
             raise DataError(f"bag {bag.bag_id!r} has label {bag.label}, outside 0..{num_classes - 1}")
 
 
-def check_classes(bags, num_classes, subset):
-    """Raise DataError if a nonempty ``subset`` of bags lacks a class, so its AUC could not be computed."""
-    missing = sorted(set(range(num_classes)) - {bag.label for bag in bags})
-    if bags and missing:
-        raise DataError(f"the fold's {subset} bags lack classes {missing}; AUC needs every class present")
+def check_fold(dataset, fold, num_classes):
+    """The fold's (training, validation, test) dataset entries; DataError if it has no training or validation
+    bags, a label outside the task, or validation or test bags without a class (no AUC after the epochs)."""
+    # dataset entries: a bag's tokens are read right before its use and dropped after it
+    subsets = [[dataset.entry(i) for i in ids] for ids in (fold.train_ids, fold.val_ids, fold.test_ids)]
+    for name, bags in zip(("training", "validation"), subsets):
+        if not bags:
+            raise DataError(f"the fold has no {name} bags")
+    check_labels([bag for bags in subsets for bag in bags], num_classes)
+    for name, bags in zip(("validation", "test"), subsets[1:]):
+        missing = sorted(set(range(num_classes)) - {bag.label for bag in bags})
+        if bags and missing:
+            raise DataError(f"the fold's {name} bags lack classes {missing}; AUC needs every class present")
+    return subsets
 
 
 def bag_loss(model_output, label, num_classes):
@@ -254,17 +263,8 @@ def train(model, dataset, fold, cfg, checkpoint_path=None, log=None):
     """
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
-    # dataset entries: a bag's tokens are read right before its use and dropped after it
-    train_bags = [dataset.entry(i) for i in fold.train_ids]
-    val_bags = [dataset.entry(i) for i in fold.val_ids]
-    for subset, bags in (("training", train_bags), ("validation", val_bags)):
-        if not bags:
-            raise DataError(f"the fold has no {subset} bags")
-    test_bags = [dataset.entry(i) for i in fold.test_ids]
     num_classes = model.config.num_classes
-    check_labels(train_bags + val_bags + test_bags, num_classes)
-    check_classes(val_bags, num_classes, "validation")  # before the first step, not after the epochs
-    check_classes(test_bags, num_classes, "test")
+    train_bags, val_bags, test_bags = check_fold(dataset, fold, num_classes)  # before the first step
 
     state = AdamWState.for_params([model.values])
     total_steps = cfg.epochs * math.ceil(len(train_bags) / cfg.batch_size)

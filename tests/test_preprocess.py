@@ -1,4 +1,9 @@
+import itertools
+import sys
+import threading
 import tracemalloc
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -192,6 +197,31 @@ class TestTessellate:
         with pytest.raises(DataError, match="positive and finite"):
             RasterImage(pixels=np.zeros((4, 4, 3), np.uint8), microns_per_pixel=mpp)
 
+    @pytest.mark.parametrize("pixels, value", [
+        (np.array([[1.0, 300.7]]), "300.7"),
+        (np.array([[0.5, 2.0]]), "0.5"),
+        (np.array([[7, -1]]), "-1"),
+        (np.array([[256, 0]]), "256"),
+        (np.array([[1.0, float("nan")]]), "nan"),
+        (np.array([[float("inf")]]), "inf"),
+        (np.array([["7"]]), "7"),
+        (np.array([[None]]), "None"),
+        (np.array([[1 + 2j]]), "(1+2j)"),
+    ], ids=["300.7", "0.5", "-1", "256", "nan", "inf", "text", "object", "complex"])
+    def test_pixel_values_uint8_cannot_hold_rejected(self, pixels, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a cast would warn on NaN only, and wrap or truncate the rest silently
+            with pytest.raises(DataError) as err:
+                RasterImage(pixels=pixels, microns_per_pixel=1.0)
+        assert str(err.value) == f"pixel value {value} is not an integer in 0..255"
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64, np.uint16, bool])
+    def test_integer_pixel_values_in_range_load(self, dtype):
+        pixels = np.array([[0, 1], [254, 255]]).astype(dtype)
+        img = RasterImage(pixels=pixels, microns_per_pixel=1.0)
+        assert img.pixels.dtype == np.uint8 and img.pixels.shape == (2, 2, 1)
+        np.testing.assert_array_equal(img.pixels[:, :, 0], pixels.astype(np.int64))
+
     def test_grayscale_input_replicated(self):
         img = RasterImage(pixels=np.full((256, 256), 80, np.uint8), microns_per_pixel=1.0)
         patches = tessellate(img)
@@ -240,6 +270,19 @@ class TestBilinearResize:
         got = bilinear_resize(pixels, out_h, out_w)
         assert got.dtype == np.uint8 and got.shape == (out_h, out_w, pixels.shape[2])
         np.testing.assert_array_equal(got, reference_bilinear_resize(pixels, out_h, out_w))
+
+    def test_holds_a_block_of_float_rows_at_a_time(self):
+        pixels = noise_patch(seed=28, shape=(512, 512, 3))
+        bilinear_resize(pixels, 256, 256)
+        tracemalloc.start()
+        try:
+            out = bilinear_resize(pixels, 256, 256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the whole-image float64 rows took 5.9 MB; the 8-bit output alone is 0.2 MB
+        assert peak < 1_000_000, peak
+        assert out.nbytes == 256 * 256 * 3
 
 
 class TestWhiteFilter:
@@ -549,6 +592,100 @@ class TestPipeline:
         # a patch that is both white and blurry counts as white, never kept
         patch = np.full((256, 256, 3), 255, np.uint8)
         assert is_white(patch) and is_blurry(patch)
+
+
+class TestThreads:
+    @staticmethod
+    def usable_cpus(monkeypatch, n):
+        monkeypatch.setattr(preprocess.os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+    @staticmethod
+    def spy_pools(monkeypatch):
+        """The worker count of every pool made, in order."""
+        pools = []
+
+        class Spy(ThreadPoolExecutor):
+            def __init__(self, workers):
+                pools.append(workers)
+                super().__init__(workers)
+
+        monkeypatch.setattr(preprocess, "ThreadPoolExecutor", Spy)
+        return pools
+
+    @pytest.mark.parametrize("mpp, pools_at_4", [(0.5, [3, 3]), (1.0, [3])])
+    def test_bag_bytes_and_qc_do_not_depend_on_the_cpu_count(self, tmp_path, monkeypatch, mpp, pools_at_4):
+        img = stained_raster(mpp, ["white", "sharp", "blur", "sharp", "white", "blur", "sharp"], seed=44)
+        pools = self.spy_pools(monkeypatch)
+        threads = threading.active_count()
+        got = {}
+        for cpus in (1, 4):
+            self.usable_cpus(monkeypatch, cpus)
+            pools.clear()
+            path = tmp_path / f"{cpus}.ccfb"
+            _, qc = run_pipeline(img, path, 1, "b", "p", seed=5)
+            got[cpus] = (qc.total, qc.white_rejected, qc.blur_rejected, qc.kept, path.read_bytes())
+            # one CPU starts no thread; four run the calling thread and three more, in resizing and filtering
+            assert pools == {1: [], 4: pools_at_4}[cpus]
+            assert threading.active_count() == threads  # no thread outlives the call
+        assert got[1] == got[4]
+        assert got[1][:4] == (7, 2, 2, 3)
+
+    def test_more_cpus_than_patches_and_the_cpu_count_fallback(self, monkeypatch):
+        pools = self.spy_pools(monkeypatch)
+        img = stained_raster(0.5, ["sharp", "blur"], seed=46)
+        self.usable_cpus(monkeypatch, 8)
+        tessellate(img)
+        monkeypatch.delattr(preprocess.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(preprocess.os, "cpu_count", lambda: None)  # unknown: one thread
+        tessellate(img)
+        monkeypatch.setattr(preprocess.os, "cpu_count", lambda: 3)
+        tessellate(stained_raster(0.5, ["sharp"] * 3, seed=47))
+        assert pools == [1, 2]
+
+    def test_a_worker_error_reaches_the_caller_and_writes_no_bag(self, tmp_path, monkeypatch):
+        self.usable_cpus(monkeypatch, 4)
+        calls = itertools.count()
+        edges = preprocess.canny_edges
+
+        def failing(pixels, config=None):
+            if next(calls) == 2:
+                raise DataError("this patch cannot be filtered")
+            return edges(pixels, config)
+
+        monkeypatch.setattr(preprocess, "canny_edges", failing)
+        with pytest.raises(DataError, match="^this patch cannot be filtered$"):
+            run_pipeline(stained_raster(1.0, ["sharp"] * 6, seed=45), tmp_path / "bag.ccfb", 1, "b", "p")
+        assert next(calls) == 6  # every patch was filtered, and none twice
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_results_keep_the_order_and_the_first_failing_item_raises(self, monkeypatch, cpus):
+        self.usable_cpus(monkeypatch, cpus)
+        items = list(range(50))
+        assert preprocess._map_patches(lambda i: i * i, items) == [i * i for i in items]
+
+        def fn(i):
+            if i in (13, 31):
+                raise ValueError(f"item {i}")
+            return i
+
+        for _ in range(5):
+            with pytest.raises(ValueError, match="^item 13$"):
+                preprocess._map_patches(fn, items)
+
+    def test_every_item_runs_once_under_frequent_thread_switches(self, monkeypatch):
+        self.usable_cpus(monkeypatch, 8)  # more threads than this machine's cores
+        calls = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                calls.clear()
+                items = list(range(500))
+                assert preprocess._map_patches(lambda i: calls.append(i) or -i, items) == [-i for i in items]
+                assert sorted(calls) == items  # a lost or repeated claim shows here
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestNetpbm:

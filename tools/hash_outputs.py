@@ -10,7 +10,9 @@ attention, the records rollout reads) in the eval and the training
 forward, the ``explain_bag`` scores, the training loss, and every
 parameter gradient of one training bag. Only the last two are hashed, so checkouts that keep more records
 per stage still compare. The BLAS thread count is printed too, because
-bit identity holds per thread count (see README).
+bit identity holds per thread count (see README), and beside it the
+usable CPU count, the number of threads preprocessing resizes and
+filters patches on, which its lines do not depend on.
 
 Every run also hashes preprocessing, which no model setting reaches: for
 a seeded raster of white, blurred and sharp tissue cells at 0.5 and at
@@ -196,7 +198,8 @@ def main(argv=None):
                      seed=args.seed)
     model = CCANModel(cfg)
     bag = make_bag(args.n, cfg.d_feature, args.seed + 1)
-    print(f"blas_threads   {blas_threads()}")
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    print(f"blas_threads   {blas_threads()}  usable_cpus {cpus}")
     print(f"config         {args.config} n={args.n} seed={args.seed} heads={args.heads}")
     params = model.parameters()
     print(f"{'layout':14s} {len(params):4d} {digest(layout(model))}")
