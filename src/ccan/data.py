@@ -100,10 +100,15 @@ def _encode_id(s):
     return struct.pack("<B", len(raw)) + raw
 
 
+def _encode_identity(label, bag_id, patient_id):
+    """The two length-prefixed ids ``write_bag`` writes, after its check that they and the label fit."""
+    if not 0 <= label <= 255:
+        raise DataError(f"label {label} does not fit in one byte")
+    return _encode_id(bag_id), _encode_id(patient_id)
+
+
 def write_bag(bag, path):
-    if not 0 <= bag.label <= 255:
-        raise DataError(f"label {bag.label} does not fit in one byte")
-    bag_id, patient_id = _encode_id(bag.bag_id), _encode_id(bag.patient_id)
+    bag_id, patient_id = _encode_identity(bag.label, bag.bag_id, bag.patient_id)
     coords = np.empty((bag.n_tokens, 2), dtype="<u4")
     coords[:, 0] = bag.rows
     coords[:, 1] = bag.cols

@@ -8,8 +8,9 @@ and turns survivors into feature tokens via a deterministic random
 projection. Partial edge patches are discarded. Each patch's luma is
 computed once and read by both filters; the projection is drawn once
 per (d_feature, seed), cached and shared read-only by later runs.
-Patches are resized and filtered on every usable CPU, with the same bag
-bytes at any CPU count; projections run on the calling thread.
+Patches are resized (8-bit ones at whole scale factors by integer means,
+the float path's bytes) and filtered on every usable CPU, with the same
+bag bytes at any CPU count; projections run on the calling thread.
 
 The Canny detector is the classic pipeline: 5x5 Gaussian smoothing
 (sigma 1.4), Sobel gradients, 4-direction non-maximum suppression, and
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .data import FeatureBag, atomic_write, read_key_values, write_bag
+from .data import FeatureBag, _encode_identity, atomic_write, read_key_values, write_bag
 from .errors import ConfigError, DataError
 
 
@@ -123,9 +124,27 @@ class QCReport:
 
 
 def bilinear_resize(pixels, out_h, out_w):
-    """Half-pixel-center bilinear resize; exact copy at identity scale."""
+    """Half-pixel-center bilinear resize; exact copy at identity scale.
+
+    8-bit pixels at a whole factor k >= 1 per axis take integer arithmetic with the float path's bytes. On such an
+    axis coords = (j + 0.5) * k - 0.5 is exact. Its fraction is 0 for odd k (weights 1.0 and 0.0: sample
+    k*j + (k-1)/2) and 0.5 for even k (weights 0.5 on samples k*j + k/2 - 1 and k*j + k/2). Every product and
+    sum is then a multiple of 1/4 below 256, so exact, and np.rint rounds half to even the exact mean of 1, 2
+    or 4 samples. Counting an odd axis's one sample twice, each output is the mean of 2^a = 4 samples, and with
+    their uint16 sum s that rounding is (s + 2^(a-1) - 1 + ((s >> a) & 1)) >> a: the parity of s >> a breaks ties.
+    """
     pixels = np.asarray(pixels)
     in_h, in_w = pixels.shape[:2]
+    k_h, k_w = in_h // out_h, in_w // out_w
+    if pixels.dtype == np.uint8 and min(k_h, k_w) > 0 and (k_h * out_h, k_w * out_w) == (in_h, in_w):
+        out = np.empty((out_h, out_w, pixels.shape[2]), dtype=np.uint8)
+        for lo in range(0, out_h, 32):  # 32 output rows at a time keep the uint16 sums small
+            rows = pixels[lo * k_h : (lo + 32) * k_h]
+            s = np.add(rows[(k_h - 1) // 2 :: k_h], rows[k_h // 2 :: k_h], dtype=np.uint16)
+            s = s[:, (k_w - 1) // 2 :: k_w] + s[:, k_w // 2 :: k_w]
+            s += ((s >> 2) & 1) + 1
+            np.right_shift(s, 2, out=out[lo : lo + 32], casting="unsafe")
+        return out
 
     def axis_coords(out_n, in_n):
         coords = (np.arange(out_n) + 0.5) * (in_n / out_n) - 0.5
@@ -162,9 +181,11 @@ def bilinear_resize(pixels, out_h, out_w):
 def tessellate(image, config=None):
     """Cut the image into full square patches of patch_microns edge length."""
     config = config or PreprocessConfig()
-    side = round(config.patch_microns / image.microns_per_pixel)
-    if side < 1:
-        raise DataError(f"patch side rounds to {side} px at {image.microns_per_pixel} microns/px")
+    side = config.patch_microns / image.microns_per_pixel
+    if not 0.5 < side < math.inf:  # round() would give 0 px, or fail on inf or nan
+        raise DataError(f"patch side {side} px ({config.patch_microns} microns at {image.microns_per_pixel} "
+                        "microns/px) must be finite and round to at least 1 px")
+    side = round(side)
     n_rows = image.height // side
     n_cols = image.width // side
     if n_rows < 1 or n_cols < 1:
@@ -351,6 +372,7 @@ def run_pipeline(image, out_path, label, bag_id, patient_id, seed=0, config=None
     neither white nor blurry.
     """
     config = (config or PreprocessConfig()).validate()
+    _encode_identity(label, bag_id, patient_id)  # a label or id write_bag refuses fails before any patch is cut
     patches = tessellate(image, config)
 
     def verdict(patch):

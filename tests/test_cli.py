@@ -533,6 +533,23 @@ class TestCommands:
         assert rc == 1
         assert capsys.readouterr().err == f"error: {meta_path}: sidecar {message}\n"
 
+    @pytest.mark.parametrize("mpp, flags, side", [
+        ("1e-308", [], "inf px (256.0 microns at 1e-308 microns/px)"),
+        ("0.5", ["--preprocess.patch_microns", "1e308"], "inf px (1e+308 microns at 0.5 microns/px)"),
+    ], ids=["sidecar", "flag"])
+    def test_patch_side_that_overflows_is_one_error_line(self, tmp_path, capsys, mpp, flags, side):
+        from ccan.netpbm import write_ppm
+
+        img_path = str(tmp_path / "slide.ppm")
+        write_ppm(np.full((256, 256, 3), 100, np.uint8), img_path)
+        meta_path = tmp_path / "slide.txt"
+        meta_path.write_text(f"microns_per_pixel = {mpp}\nlabel = 1\nbag_id = s0\npatient_id = p0\n")
+        rc = main(["preprocess", "--paths.image", img_path, "--paths.meta", str(meta_path),
+                   "--paths.out", str(tmp_path / "slide.ccfb"), *flags])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: patch side {side} must be finite and round to at least 1 px\n"
+        assert not (tmp_path / "slide.ccfb").exists()
+
     @pytest.mark.parametrize("key, value, message", [
         ("model.D_f", "-5", "d_feature must be >= 1, got -5"),
         ("model.D_f", "0", "d_feature must be >= 1, got 0"),

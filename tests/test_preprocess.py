@@ -1,4 +1,6 @@
 import itertools
+import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -7,11 +9,14 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import ndimage
 
 from ccan import preprocess
 from ccan.data import FeatureBag, write_bag
-from ccan.errors import ConfigError, DataError, FormatError
+from ccan.errors import CCANError, ConfigError, DataError, FormatError
 from ccan.netpbm import read_pnm, write_pgm, write_ppm
 from ccan.preprocess import (
     _SOBEL_X,
@@ -57,6 +62,14 @@ def checker_patch(shape=(256, 256, 3), cell=8):
     return np.repeat((cells * 255).astype(np.uint8)[:, :, None], shape[2], axis=2)
 
 
+def tie_patch(seed, shape=(512, 512, 3)):
+    """2x2 blocks of (a, a, a, a + 2): every block sums to 4a + 2, a tie between a and a + 1, over both parities of a."""
+    blocks = np.random.default_rng(seed).integers(0, 254, size=(shape[0] // 2, shape[1] // 2, shape[2]))
+    pixels = np.kron(blocks, np.ones((2, 2, 1), np.int64))
+    pixels[1::2, 1::2] += 2
+    return pixels.astype(np.uint8)
+
+
 # the oracles below are the preprocessing steps as first written; the
 # program's versions must give the same bits with less work
 
@@ -77,6 +90,53 @@ def reference_bilinear_resize(pixels, out_h, out_w):
     bot = src[y1][:, x0] * (1 - fx)[None, :, None] + src[y1][:, x1] * fx[None, :, None]
     out = top * (1 - fy)[:, None, None] + bot * fy[:, None, None]
     return np.clip(np.rint(out), 0, 255).astype(np.uint8)
+
+
+# one PNM header field: whitespace and '#' comments (each to its line's end), the field, and the byte ending it
+_PNM_FIELD = rb"(?:\s|#[^\n]*+\n?)*+(\S++)(?:\s|\Z)"
+
+
+def reference_read_pnm(data):
+    """The pixels a P5 or P6 file's bytes hold, as (height, width, channels) uint8, or None if they hold none."""
+    m = re.match(_PNM_FIELD * 4, data)
+    if not m or m[1] not in (b"P5", b"P6") or not all(f.isdigit() for f in m.groups()[1:]) or int(m[4]) != 255:
+        return None
+    shape = (int(m[3]), int(m[2]), 1 if m[1] == b"P5" else 3)
+    payload = data[m.end() : m.end() + math.prod(shape)]  # bytes after the pixels are ignored
+    return np.frombuffer(payload, np.uint8).reshape(shape) if len(payload) == math.prod(shape) else None
+
+
+def reference_read_sidecar(data):
+    """A sidecar's metadata from its bytes, or None if they hold none."""
+    pairs = {}
+    for raw in data.splitlines():
+        try:
+            line = raw.decode("utf-8").split("#", 1)[0].strip()
+        except UnicodeDecodeError:
+            return None
+        if not line:
+            continue
+        if "=" not in line:
+            return None
+        key, value = line.split("=", 1)
+        pairs[key.strip()] = value.strip()
+    try:
+        meta = {"microns_per_pixel": float(pairs["microns_per_pixel"]), "label": int(pairs["label"]),
+                "bag_id": pairs["bag_id"], "patient_id": pairs["patient_id"]}
+    except (KeyError, ValueError):
+        return None
+    return meta if 0 < meta["microns_per_pixel"] < math.inf else None
+
+
+# flips: (position, nonzero XOR mask) pairs, the position taken modulo the file's length
+byte_flips = st.lists(st.tuples(st.integers(0, 1 << 16), st.integers(1, 255)), min_size=1, max_size=3)
+
+
+def flipped(data, flips):
+    data = bytearray(data)
+    for position, mask in flips:
+        data[position % len(data)] ^= mask
+    return bytes(data)
 
 
 def reference_canny_edges(patch_pixels, config=None):
@@ -192,10 +252,13 @@ class TestTessellate:
         with pytest.raises(DataError):
             tessellate(img)
 
-    @pytest.mark.parametrize("mpp", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("mpp", [0.0, -1.0, float("nan"), float("inf"), 1e-308])
     def test_pixel_size_must_be_positive_and_finite(self, mpp):
-        with pytest.raises(DataError, match="positive and finite"):
-            RasterImage(pixels=np.zeros((4, 4, 3), np.uint8), microns_per_pixel=mpp)
+        with pytest.raises(DataError) as err:  # 1e-308 is a finite pixel size, but a patch then spans inf px
+            tessellate(RasterImage(pixels=np.zeros((4, 4, 3), np.uint8), microns_per_pixel=mpp))
+        assert str(err.value) == (
+            "patch side inf px (256.0 microns at 1e-308 microns/px) must be finite and round to at least 1 px"
+            if mpp == 1e-308 else f"microns_per_pixel must be positive and finite, got {mpp}")
 
     @pytest.mark.parametrize("pixels, value", [
         (np.array([[1.0, 300.7]]), "300.7"),
@@ -265,24 +328,41 @@ class TestBilinearResize:
         (noise_patch(seed=25, shape=(1, 41, 3)), 256, 256),
         (noise_patch(seed=26, shape=(41, 1, 3)), 256, 256),
         (noise_patch(seed=27, shape=(256, 256, 3)), 256, 256),  # identity
-    ], ids=["noise", "step", "checker", "300x200", "1-channel", "7x3", "64x48", "1xN", "Nx1", "identity"])
+        (noise_patch(seed=29, shape=(768, 768, 3)), 256, 256),  # whole factors take the integer path
+        (noise_patch(seed=30, shape=(1024, 1024, 3)), 256, 256),
+        (noise_patch(seed=31, shape=(512, 768, 3)), 256, 256),
+        (noise_patch(seed=32, shape=(512, 512, 1)), 256, 256),
+        (tie_patch(seed=33), 256, 256),
+        (noise_patch(seed=34, shape=(128, 128, 3)), 256, 256),  # a whole upscale stays on the float path
+    ], ids=["noise", "step", "checker", "300x200", "1-channel", "7x3", "64x48", "1xN", "Nx1", "identity",
+            "k3", "k4", "k2xk3", "1-channel-k2", "ties", "upscale"])
     def test_equals_the_reference(self, pixels, out_h, out_w):
         got = bilinear_resize(pixels, out_h, out_w)
         assert got.dtype == np.uint8 and got.shape == (out_h, out_w, pixels.shape[2])
         np.testing.assert_array_equal(got, reference_bilinear_resize(pixels, out_h, out_w))
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.integers(1, 4), st.integers(1, 4), st.integers(1, 16), st.integers(1, 16),
+           st.sampled_from([1, 3]))
+    def test_whole_factors_equal_the_reference(self, data, k_h, k_w, out_h, out_w, channels):
+        pixels = data.draw(hnp.arrays(np.uint8, (k_h * out_h, k_w * out_w, channels)))
+        np.testing.assert_array_equal(bilinear_resize(pixels, out_h, out_w),
+                                      reference_bilinear_resize(pixels, out_h, out_w))
+
     def test_holds_a_block_of_float_rows_at_a_time(self):
-        pixels = noise_patch(seed=28, shape=(512, 512, 3))
-        bilinear_resize(pixels, 256, 256)
-        tracemalloc.start()
-        try:
-            out = bilinear_resize(pixels, 256, 256)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # the whole-image float64 rows took 5.9 MB; the 8-bit output alone is 0.2 MB
-        assert peak < 1_000_000, peak
-        assert out.nbytes == 256 * 256 * 3
+        # 512 px takes the integer path; 1016 px (0.252 microns/px) the float path
+        for side in (512, 1016):
+            pixels = noise_patch(seed=28, shape=(side, side, 3))
+            bilinear_resize(pixels, 256, 256)
+            tracemalloc.start()
+            try:
+                out = bilinear_resize(pixels, 256, 256)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # the whole-image float64 rows took 5.9 MB; the 8-bit output alone is 0.2 MB
+            assert peak < 1_000_000, (side, peak)
+            assert out.nbytes == 256 * 256 * 3
 
 
 class TestWhiteFilter:
@@ -588,6 +668,22 @@ class TestPipeline:
         assert str(err.value) == message
         assert not (tmp_path / "bag.ccfb").exists()
 
+    @pytest.mark.parametrize("label, bag_id, patient_id, message", [
+        (300, "b", "p", "label 300 does not fit in one byte"),
+        (-1, "b", "p", "label -1 does not fit in one byte"),
+        (1, "b" * 256, "p", f"identifier longer than 255 UTF-8 bytes: {'b' * 32!r}..."),
+        (1, "b", "é" * 128, f"identifier longer than 255 UTF-8 bytes: {'é' * 32!r}..."),  # 256 bytes
+    ], ids=["300", "-1", "bag_id", "patient_id"])
+    def test_bad_label_or_id_rejected_before_any_patch_is_cut(self, tmp_path, monkeypatch, label, bag_id,
+                                                              patient_id, message):
+        def cut(*args):
+            raise AssertionError("tessellate called")
+
+        monkeypatch.setattr(preprocess, "tessellate", cut)
+        with pytest.raises(DataError) as err:
+            run_pipeline(tissue_image(256, 256), tmp_path / "bag.ccfb", label, bag_id, patient_id)
+        assert str(err.value) == message
+
     def test_white_and_blur_filters_order_independent(self):
         # a patch that is both white and blurry counts as white, never kept
         patch = np.full((256, 256, 3), 255, np.uint8)
@@ -744,6 +840,22 @@ class TestNetpbm:
         with pytest.raises(FormatError):
             read_pnm(path)
 
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.sampled_from([b"P5\n# a 3x2 slide\n3 2\n255\n" + bytes(range(40, 46)),
+                            b"P6 3\t2 # P6\n255\n" + bytes(range(100, 118))]), byte_flips)
+    def test_byte_flips_raise_a_typed_error_or_read_what_the_bytes_hold(self, tmp_path, data, flips):
+        data = flipped(data, flips)
+        path = tmp_path / "img.pnm"
+        path.write_bytes(data)
+        want = reference_read_pnm(data)
+        try:
+            pixels, channels = read_pnm(path)
+        except CCANError:
+            assert want is None
+        else:
+            assert want is not None and channels == want.shape[2]
+            np.testing.assert_array_equal(pixels, want, strict=True)
+
 
 class TestSidecar:
     def test_round_trip(self, tmp_path):
@@ -773,3 +885,15 @@ class TestSidecar:
         with pytest.raises(ConfigError) as err:
             read_sidecar(path)
         assert str(err.value) == f"{path}: sidecar {message}"
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(byte_flips)
+    def test_byte_flips_raise_a_typed_error_or_read_what_the_bytes_hold(self, tmp_path, flips):
+        data = flipped(b"# slide\nmicrons_per_pixel = 0.5\nlabel=1\r\nbag_id = s1 # id\npatient_id= p9\n", flips)
+        path = tmp_path / "meta.txt"
+        path.write_bytes(data)
+        want = reference_read_sidecar(data)
+        try:
+            assert read_sidecar(path) == want
+        except CCANError:
+            assert want is None

@@ -15,12 +15,14 @@ usable CPU count, the number of threads preprocessing resizes and
 filters patches on, which its lines do not depend on.
 
 Every run also hashes preprocessing, which no model setting reaches: for
-a seeded raster of white, blurred and sharp tissue cells at 0.5 and at
-1.0 microns per pixel, the QC counts and CCFB bytes of ``run_pipeline``
-and the Canny mask of each patch. And it hashes a short seeded TOY
-``training.train`` (3 epochs in windows of 8 bags on synthetic witness
-bags), which runs AdamW, the window mean and the best-epoch snapshot and
-restore: its history, the returned best values and the final parameters.
+a seeded raster of white, blurred and sharp tissue cells at 0.5 and 1.0
+microns per pixel, then at 0.25 and 1/3 (the other whole resize factors,
+4 and 3) and at 0.3 (853 px patches, a fractional factor), the QC counts
+and CCFB bytes of ``run_pipeline`` and the Canny mask of each patch. And
+it hashes a short seeded TOY ``training.train`` (3 epochs in windows of
+8 bags on synthetic witness bags), which runs AdamW, the window mean and
+the best-epoch snapshot and restore: its history, the returned best
+values and the final parameters.
 Its ``kinds`` line covers every model kind, CCAN at TOY and each baseline
 at TOY widths: per kind, the layout, the eval-mode probabilities and
 every gradient of one seeded bag, and the ``values`` that
@@ -101,29 +103,29 @@ def stained_raster(mpp, seed):
     cells = []
     for kind in ("white", "sharp", "blur", "sharp", "white", "blur", "sharp", "blur"):
         if kind == "white":
-            cells.append(rng.normal(246.0, 3.0, (side, side, 3)))
-            continue
-        grain = round((2.0 if kind == "sharp" else 32.0) / mpp)
-        texture = np.kron(rng.normal(0.0, 1.0, (side // grain + 1, side // grain + 1, 1)),
-                          np.ones((grain, grain, 1)))[:side, :side]
-        if kind == "blur":
-            texture = ndimage.gaussian_filter(texture, (8.0 / mpp, 8.0 / mpp, 0), mode="nearest")
-        cells.append(np.array([196.0, 118.0, 168.0]) + 36.0 * texture * np.array([1.0, 1.2, 0.8]))
-    pixels = np.rint(np.clip(np.concatenate(cells, axis=1), 0, 255)).astype(np.uint8)
-    return RasterImage(pixels=pixels, microns_per_pixel=mpp)
+            cell = rng.normal(246.0, 3.0, (side, side, 3))
+        else:
+            grain = round((2.0 if kind == "sharp" else 32.0) / mpp)
+            texture = np.kron(rng.normal(0.0, 1.0, (side // grain + 1, side // grain + 1, 1)),
+                              np.ones((grain, grain, 1)))[:side, :side]
+            if kind == "blur":
+                texture = ndimage.gaussian_filter(texture, (8.0 / mpp, 8.0 / mpp, 0), mode="nearest")
+            cell = np.array([196.0, 118.0, 168.0]) + 36.0 * texture * np.array([1.0, 1.2, 0.8])
+        cells.append(np.rint(np.clip(cell, 0, 255)).astype(np.uint8))  # 8-bit cells keep 0.25 um/px small
+    return RasterImage(pixels=np.concatenate(cells, axis=1), microns_per_pixel=mpp)
 
 
 def report_preprocess(seed):
     with tempfile.TemporaryDirectory() as tmp:
-        for mpp in (0.5, 1.0):
+        for mpp, name in ((0.5, "0.5"), (1.0, "1.0"), (0.25, "0.25"), (1 / 3, "0.333"), (0.3, "0.3")):
             image = stained_raster(mpp, seed)
             path = os.path.join(tmp, "bag.ccfb")
             _, qc = run_pipeline(image, path, 1, "bag", "patient", seed=seed)
-            print(f"{f'qc_{mpp}um':14s} {qc.total:4d} total, {qc.white_rejected} white, {qc.blur_rejected} blurry, "
+            print(f"{f'qc_{name}um':14s} {qc.total:4d} total, {qc.white_rejected} white, {qc.blur_rejected} blurry, "
                   f"{qc.kept} kept")
             with open(path, "rb") as fh:
-                report(f"ccfb_{mpp}um", [np.frombuffer(fh.read(), np.uint8)])
-            report(f"canny_{mpp}um", [canny_edges(p.pixels) for p in tessellate(image)])
+                report(f"ccfb_{name}um", [np.frombuffer(fh.read(), np.uint8)])
+            report(f"canny_{name}um", [canny_edges(p.pixels) for p in tessellate(image)])
 
 
 def report_train(seed):
