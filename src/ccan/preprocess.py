@@ -16,9 +16,17 @@ The Canny detector is the classic pipeline: 5x5 Gaussian smoothing
 (sigma 1.4), Sobel gradients, 4-direction non-maximum suppression, and
 double-threshold hysteresis (low 50 / high 100 on the gradient
 magnitude clamped to 8 bits). Borders are edge-replicated for the
-convolutions. Golden tests and oracles pin every bit: the Sobel taps are
-slices summed in ndimage.correlate's order, the angle folds into % 180's
-sector by adding 180 to negative angles, and block means come from integer sums.
+convolutions; the Gaussian is made once per sigma, and at either end of
+the accepted range it is its limit (uniform, or a unit impulse). Golden
+tests and oracles pin every bit: the Sobel taps are slices summed in
+ndimage.correlate's order, the angle folds into % 180's sector by adding
+180 to negative angles, and block means come from integer sums.
+
+The blur filter stops at the first exact bound on the edge count that
+decides its verdict: the magnitudes not below the low threshold (upper),
+then, 32 suppressed rows at a time, the pixels both strong and weak
+(lower), then the weak pixels (upper). Hysteresis labelling runs only when
+none decides; canny_edges runs the same stages to the end.
 """
 
 from __future__ import annotations
@@ -250,12 +258,23 @@ def is_white(patch_pixels, threshold=224.0):
     return bool(grayscale(patch_pixels).mean() > threshold)
 
 
+@functools.lru_cache(maxsize=1)
 def _gaussian_kernel(sigma):
-    """The 5x5 Gaussian, normalized to sum 1."""
+    """The 5x5 Gaussian, normalized to sum 1, made once per sigma and shared read-only.
+
+    Where 2 sigma^2 overflows, the kernel is the uniform limit (each tap's exponent is -0); where it underflows to 0,
+    the unit-impulse limit (1/ulp(0) overflows to inf, whose exp is 0). Every other sigma keeps its bits."""
     ax = np.arange(5) - 2.0
-    g = np.exp(-(ax**2) / (2.0 * sigma**2))
+    try:
+        spread = max(2.0 * sigma**2, math.ulp(0.0))
+    except OverflowError:
+        spread = math.inf
+    with np.errstate(over="ignore"):
+        g = np.exp(-(ax**2) / spread)
     kernel = np.outer(g, g)
-    return kernel / kernel.sum()
+    kernel /= kernel.sum()
+    kernel.setflags(write=False)
+    return kernel
 
 
 _SOBEL_X = np.array([[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]], dtype=np.float64)
@@ -285,36 +304,53 @@ def _sectors(angle):
     return sum((angle >= edge).view(np.uint8) for edge in (22.5, 67.5, 112.5, 157.5)) & 3
 
 
-def canny_edges(patch_pixels, config=None):
-    """Boolean edge mask from the classic Canny pipeline."""
-    config = config or PreprocessConfig()
+def _canny_bounds(patch_pixels, config):
+    """Canny in stages, yielding after each the (lower, upper) bounds it gives on the edge fraction, and the mask
+    after the last (else None). An edge is a weak pixel whose component holds a strong one, so a pixel both strong
+    and weak is an edge, and an edge is weak: its clamped magnitude is not below canny_low, or NaN, or a suppressed
+    zero that is weak. Counts below 2^53 over the one size keep their order, so each bound is exact against a cutoff."""
     # correlation, not convolution; past the border the edge pixels repeat
     smoothed = ndimage.correlate(grayscale(patch_pixels), _gaussian_kernel(config.canny_sigma), mode="nearest")
     gx, gy = _sobel_gradients(smoothed)
     m = np.hypot(gx, gy)
+    h, size = m.shape[0], m.size
+    upper = float(size - np.count_nonzero(np.clip(m, 0.0, 255.0) < config.canny_low)) / size
+    yield 0.0, upper, None
 
-    # non-maximum suppression against the two neighbors along the gradient, for the interior only (the
-    # border is suppressed); a NaN neighbor gives a NaN maximum, which fails the comparison as it would
-    inner = (slice(1, -1), slice(1, -1))
-    sector = _sectors(np.degrees(np.arctan2(gy[inner], gx[inner])))
-    neighbors = ((m[1:-1, 2:], m[1:-1, :-2]), (m[2:, :-2], m[:-2, 2:]),
-                 (m[2:, 1:-1], m[:-2, 1:-1]), (m[2:, 2:], m[:-2, :-2]))
-    keep = np.zeros(sector.shape, dtype=bool)
-    for s, (a, b) in enumerate(neighbors):
-        keep |= (sector == s) & (m[inner] >= np.maximum(a, b))
-    suppressed = np.zeros_like(m)
-    np.copyto(suppressed[inner], m[inner], where=keep)
+    # non-maximum suppression against the two neighbors along the gradient, 32 interior rows at a time (the border
+    # is suppressed); a NaN neighbor gives a NaN maximum, which fails the comparison as it would. The thresholds
+    # are defined on the magnitude clamped to 8 bits, so a suppressed pixel is weak or strong iff 0.0 is
+    weak, strong = np.full(m.shape, 0.0 >= config.canny_low), np.full(m.shape, 0.0 >= config.canny_high)
+    both = 0
+    for top in range(1, h - 1, 32):
+        above, rows, below = (slice(top + d, min(top + 32, h - 1) + d) for d in (-1, 0, 1))
+        sector = _sectors(np.degrees(np.arctan2(gy[rows, 1:-1], gx[rows, 1:-1])))
+        centre = m[rows, 1:-1]
+        neighbors = ((m[rows, 2:], m[rows, :-2]), (m[below, :-2], m[above, 2:]),
+                     (m[below, 1:-1], m[above, 1:-1]), (m[below, 2:], m[above, :-2]))
+        keep = np.zeros(sector.shape, dtype=bool)
+        for s, (a, b) in enumerate(neighbors):
+            keep |= (sector == s) & (centre >= np.maximum(a, b))
+        suppressed = np.clip(np.where(keep, centre, 0.0), 0.0, 255.0)
+        weak[rows, 1:-1], strong[rows, 1:-1] = suppressed >= config.canny_low, suppressed >= config.canny_high
+        both += np.count_nonzero(weak[rows] & strong[rows])
+        yield float(both) / size, upper, None
+    yield float(both) / size, float(np.count_nonzero(weak)) / size, None
 
-    # thresholds are defined on the magnitude clamped to 8 bits
-    np.clip(suppressed, 0.0, 255.0, out=suppressed)
-    strong = suppressed >= config.canny_high
-    weak = suppressed >= config.canny_low
     # hysteresis: keep weak components 8-connected to a strong pixel
     labels, n_labels = ndimage.label(weak, structure=np.ones((3, 3), dtype=np.int64))
     has_strong = np.zeros(n_labels + 1, dtype=bool)
     has_strong[labels[strong]] = True
     has_strong[0] = False
-    return has_strong[labels]
+    edges = has_strong[labels]
+    fraction = float(edges.sum()) / size
+    yield fraction, fraction, edges
+
+
+def canny_edges(patch_pixels, config=None):
+    """Boolean edge mask from the classic Canny pipeline."""
+    *_, (_, _, edges) = _canny_bounds(patch_pixels, config or PreprocessConfig())
+    return edges
 
 
 def canny_edge_fraction(patch_pixels, config=None):
@@ -323,9 +359,13 @@ def canny_edge_fraction(patch_pixels, config=None):
 
 
 def is_blurry(patch_pixels, config=None):
-    """True iff the edge-pixel fraction is strictly below the cutoff."""
+    """True iff the edge-pixel fraction is strictly below the cutoff, from the first of Canny's bounds that decides."""
     config = config or PreprocessConfig()
-    return canny_edge_fraction(patch_pixels, config) < config.blur_fraction
+    for lower, upper, _ in _canny_bounds(patch_pixels, config):
+        if upper < config.blur_fraction:
+            return True
+        if not lower < config.blur_fraction:
+            return False
 
 
 # ---------------------------------------------------------------------------

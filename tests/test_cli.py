@@ -7,6 +7,7 @@ import re
 import resource
 import struct
 import time
+import warnings
 from dataclasses import asdict, fields, replace
 
 import numpy as np
@@ -511,6 +512,23 @@ class TestCommands:
         bag = read_bag(out)
         assert bag.n_tokens == 4 and bag.d_feature == 32
 
+
+    @pytest.mark.parametrize("sigma", ["1e300", "1e-200"])
+    def test_preprocess_at_either_end_of_the_sigma_range(self, tmp_path, capsys, sigma):
+        from ccan.netpbm import write_ppm
+
+        blocks = np.random.default_rng(0).integers(30, 220, size=(65, 65, 3))
+        pixels = np.repeat(np.repeat(blocks, 8, axis=0), 8, axis=1)[:512, :512].astype(np.uint8)
+        pixels[:256, :256] = 250  # white
+        write_ppm(pixels, str(tmp_path / "slide.ppm"))
+        (tmp_path / "slide.txt").write_text("microns_per_pixel = 1.0\nlabel = 1\nbag_id = s0\npatient_id = p0\n")
+        out = str(tmp_path / "slide.ccfb")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["preprocess", "--paths.image", str(tmp_path / "slide.ppm"), "--paths.meta",
+                       str(tmp_path / "slide.txt"), "--paths.out", out, "--preprocess.canny_sigma", sigma])
+        assert rc == 0
+        assert capsys.readouterr() == (f"wrote {out}: N=3 (total 4, white 1, blur 0)\n", "")
 
     @pytest.mark.parametrize("line, message", [
         ("microns_per_pixel = nan", "microns_per_pixel = nan must be positive and finite"),

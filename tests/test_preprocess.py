@@ -6,6 +6,7 @@ import threading
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -60,6 +61,12 @@ def step_patch(shape=(256, 256, 3)):
 def checker_patch(shape=(256, 256, 3), cell=8):
     cells = (np.indices(shape[:2]).sum(axis=0) // cell) % 2
     return np.repeat((cells * 255).astype(np.uint8)[:, :, None], shape[2], axis=2)
+
+
+def blurred_patch(shape=(256, 256, 3), seed=0):
+    texture = ndimage.gaussian_filter(np.random.default_rng(seed).normal(0.0, 1.0, shape[:2]), 6.0, mode="nearest")
+    texture *= 30.0 / max(texture.std(), 1e-12)  # blurry, but only hysteresis decides it at the default config
+    return np.repeat(np.rint(np.clip(128.0 + texture, 0, 255)).astype(np.uint8)[:, :, None], shape[2], axis=2)
 
 
 def tie_patch(seed, shape=(512, 512, 3)):
@@ -514,15 +521,95 @@ class TestCanny:
         for edge in (22.5, 67.5, 112.5, 157.5):  # the sweep crosses each edge from both sides
             assert (folded == edge).any() and ((folded > edge - 1e-9) & (folded < edge)).any()
 
+    @pytest.mark.parametrize("sigma", [1.4, 1.0, 0.3, 7.0, 1e-160, 1e100])
+    def test_gaussian_kernel_keeps_its_bits_and_is_made_once(self, sigma):
+        ax = np.arange(5) - 2.0
+        with np.errstate(over="ignore"):  # at 1e-160 the outer taps overflow to -inf, as first written
+            g = np.exp(-(ax**2) / (2.0 * sigma**2))
+        want = np.outer(g, g) / np.outer(g, g).sum()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kernel = _gaussian_kernel(sigma)
+        np.testing.assert_array_equal(kernel.view(np.uint64), want.view(np.uint64))
+        assert _gaussian_kernel(sigma) is kernel and not kernel.flags.writeable
+
+    @pytest.mark.parametrize("sigma", [1e300, 1.7e308, 1e154, 1e-200, 5e-324])
+    def test_gaussian_kernel_at_the_ends_of_the_range_is_its_limit(self, sigma):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kernel = _gaussian_kernel(sigma)
+        impulse = np.zeros((5, 5))
+        impulse[2, 2] = 1.0
+        np.testing.assert_array_equal(kernel, np.full((5, 5), 0.04) if sigma > 1 else impulse)
+
     def test_luma_input_gives_the_same_edges(self):
         patch = noise_patch(seed=35)
         np.testing.assert_array_equal(grayscale(grayscale(patch)).view(np.uint64), grayscale(patch).view(np.uint64))
         np.testing.assert_array_equal(canny_edges(grayscale(patch)), canny_edges(patch))
 
 
+# the default, then the bounds' edge cases: strong pixels that are not weak (low above high), every pixel weak
+# (low <= 0), every pixel strong (high <= 0), and cutoffs that every fraction, or none, lies below
+BLUR_CONFIGS = [PreprocessConfig(), PreprocessConfig(canny_low=120.0, canny_high=60.0),
+                PreprocessConfig(canny_low=0.0), PreprocessConfig(canny_low=-5.0, canny_high=30.0),
+                PreprocessConfig(canny_high=0.0), PreprocessConfig(canny_low=20.0, canny_high=-1.0),
+                PreprocessConfig(blur_fraction=0.0), PreprocessConfig(blur_fraction=1.0),
+                PreprocessConfig(blur_fraction=1.5)]
+
+
+def assert_blur_verdicts_equal_the_reference(patch, configs):
+    for config in configs:
+        fraction = reference_canny_edges(patch, config).mean()
+        for c in (config, replace(config, blur_fraction=float(fraction))):  # the second is the patch's own fraction
+            assert is_blurry(patch, c) is bool(fraction < c.blur_fraction), (c, fraction)
+
+
 class TestBlurFilter:
     def test_constant_is_blurry(self):
         assert is_blurry(np.full((256, 256, 3), 50, np.uint8)) is True
+
+    @pytest.mark.parametrize("shape", [(256, 256), (1, 1), (2, 2), (3, 3), (1, 256), (256, 1), (3, 40), (37, 5)],
+                             ids=lambda shape: f"{shape[0]}x{shape[1]}")
+    @pytest.mark.parametrize("kind", [
+        lambda shape: np.full(shape, 90, np.uint8), lambda shape: noise_patch(seed=60, shape=shape), blurred_patch,
+        step_patch, checker_patch,
+    ], ids=["flat", "noise", "blurred", "step", "checker"])
+    def test_verdicts_equal_the_reference(self, kind, shape):
+        assert_blur_verdicts_equal_the_reference(kind((*shape, 3)), BLUR_CONFIGS)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf - inf, in both
+    @pytest.mark.parametrize("seed", range(3))
+    def test_luma_with_nan_and_inf_gives_the_reference_verdicts(self, seed):
+        rng = np.random.default_rng(70 + seed)
+        luma = ndimage.gaussian_filter(rng.normal(120.0, 60.0, (48, 40)), 2.0 * seed)
+        for value, share in ((np.nan, 0.002), (np.inf, 0.002), (-np.inf, 0.002)):
+            luma[rng.random(luma.shape) < share] = value
+        lone_nan = np.full((40, 40), 90.0)
+        lone_nan[20, 20] = np.nan
+        for patch in (luma, lone_nan, np.full((9, 9), np.inf), np.full((9, 9), np.nan)):
+            assert_blur_verdicts_equal_the_reference(patch, BLUR_CONFIGS)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.integers(1, 40), st.integers(1, 40), st.sampled_from([0, 1, 8, 64, 255]),
+           st.floats(-20.0, 300.0), st.floats(-20.0, 300.0), st.floats(-0.1, 1.6))
+    def test_verdicts_equal_the_reference_for_any_shape_and_thresholds(self, data, h, w, amplitude, low, high,
+                                                                         blur_fraction):
+        pixels = data.draw(hnp.arrays(np.uint8, (h, w, 1), elements=st.integers(0, 255)))
+        patch = (pixels.astype(np.int64) * amplitude // 255).astype(np.uint8)
+        config = PreprocessConfig(canny_low=low, canny_high=high, blur_fraction=blur_fraction)
+        assert_blur_verdicts_equal_the_reference(patch, [config])
+
+    def test_bounds_decide_before_hysteresis(self, monkeypatch):
+        def label(*args, **kwargs):
+            raise AssertionError("hysteresis ran")
+
+        monkeypatch.setattr(ndimage, "label", label)
+        ramp = np.repeat(np.clip(np.arange(256) * 10 - 1180, 0, 200).astype(np.uint8)[None, :, None], 256, axis=0)
+        assert is_blurry(np.full((256, 256, 3), 90, np.uint8)) is True  # no magnitude reaches canny_low
+        assert is_blurry(np.repeat(ramp, 3, axis=2)) is True  # a wide band reaches it, one line of it is kept
+        assert is_blurry(checker_patch()) is False  # the strong pixels alone pass the cutoff
+        with pytest.raises(AssertionError, match="hysteresis ran"):
+            canny_edges(checker_patch())
 
     def test_cutoff_is_strict(self):
         step = np.zeros((256, 256, 3), np.uint8)
@@ -741,14 +828,14 @@ class TestThreads:
     def test_a_worker_error_reaches_the_caller_and_writes_no_bag(self, tmp_path, monkeypatch):
         self.usable_cpus(monkeypatch, 4)
         calls = itertools.count()
-        edges = preprocess.canny_edges
+        blurry = preprocess.is_blurry
 
         def failing(pixels, config=None):
             if next(calls) == 2:
                 raise DataError("this patch cannot be filtered")
-            return edges(pixels, config)
+            return blurry(pixels, config)
 
-        monkeypatch.setattr(preprocess, "canny_edges", failing)
+        monkeypatch.setattr(preprocess, "is_blurry", failing)
         with pytest.raises(DataError, match="^this patch cannot be filtered$"):
             run_pipeline(stained_raster(1.0, ["sharp"] * 6, seed=45), tmp_path / "bag.ccfb", 1, "b", "p")
         assert next(calls) == 6  # every patch was filtered, and none twice

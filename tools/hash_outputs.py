@@ -18,7 +18,10 @@ Every run also hashes preprocessing, which no model setting reaches: for
 a seeded raster of white, blurred and sharp tissue cells at 0.5 and 1.0
 microns per pixel, then at 0.25 and 1/3 (the other whole resize factors,
 4 and 3) and at 0.3 (853 px patches, a fractional factor), the QC counts
-and CCFB bytes of ``run_pipeline`` and the Canny mask of each patch. And
+and CCFB bytes of ``run_pipeline``, the Canny mask of each patch, and the
+``is_blurry`` verdict of each non-white patch under the default config and
+three the pipeline's defaults never reach (``canny_low`` above
+``canny_high``, ``canny_low`` 0 and ``canny_high`` 0). And
 it hashes a short seeded TOY ``training.train`` (3 epochs in windows of
 8 bags on synthetic witness bags), which runs AdamW, the window mean and
 the best-epoch snapshot and restore: its history, the returned best
@@ -61,9 +64,13 @@ from ccan import autograd as ag  # noqa: E402
 from ccan.data import FeatureBag, generate_synthetic, patient_grouped_kfold  # noqa: E402
 from ccan.explain import explain_bag  # noqa: E402
 from ccan.model import BaselineConfig, BaselineModel, CCANConfig, CCANModel, load_checkpoint, save_checkpoint  # noqa: E402
-from ccan.preprocess import RasterImage, canny_edges, run_pipeline, tessellate  # noqa: E402
+from ccan.preprocess import (  # noqa: E402
+    PreprocessConfig, RasterImage, canny_edges, is_blurry, is_white, run_pipeline, tessellate)
 from ccan.training import TrainConfig, bag_loss, train  # noqa: E402
 
+# the blur verdict under the default thresholds and at each edge: low above high, every pixel weak, every pixel strong
+BLUR_CONFIGS = (PreprocessConfig(), PreprocessConfig(canny_low=120.0, canny_high=60.0),
+                PreprocessConfig(canny_low=0.0), PreprocessConfig(canny_high=0.0))
 TOY = dict(n_stages=2, n_latents=16, compression=2, d_latent=32, d_feature=64, self_layers=1, n_frequencies=2)
 
 
@@ -125,7 +132,10 @@ def report_preprocess(seed):
                   f"{qc.kept} kept")
             with open(path, "rb") as fh:
                 report(f"ccfb_{name}um", [np.frombuffer(fh.read(), np.uint8)])
-            report(f"canny_{name}um", [canny_edges(p.pixels) for p in tessellate(image)])
+            patches = tessellate(image)
+            report(f"canny_{name}um", [canny_edges(p.pixels) for p in patches])
+            tissue = [p.pixels for p in patches if not is_white(p.pixels)]
+            report(f"blur_{name}um", [np.array([is_blurry(p, c) for p in tissue]) for c in BLUR_CONFIGS])
 
 
 def report_train(seed):
