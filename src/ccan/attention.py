@@ -108,15 +108,6 @@ def fill_param(out, fill, rng):
     out[...] = rng.normal(0.0, 0.02, out.shape) if fill is None else fill
 
 
-def init_block_params(d_latent, rng, dtype=np.float32):
-    """A width-``d_latent`` block of its own tensors, filled in ``BlockParams.layout`` order from ``rng``."""
-    params = {}
-    for name, shape, fill in BlockParams.layout(d_latent):
-        params[name] = Tensor(np.empty(shape, dtype), requires_grad=True)
-        fill_param(params[name].data, fill, rng)
-    return BlockParams(**params)
-
-
 def attention_scale(scale_mode, n_query_rows, head_dim):
     if scale_mode == "per-paper":
         return float(np.sqrt(n_query_rows))

@@ -32,17 +32,13 @@ preset to a zeroed view of the window's gradient array, so every write
 into it adds.
 
 Tensors are float32 by default. Entire graphs may instead run in float64
-(pass float64 arrays in), which is how the finite-difference oracle in
-``grad_check`` reaches full precision: it uses the five-point central
-stencil, whose truncation error is O(h^4), so at the usual h = 1e-3 the
-stencil error sits near roundoff rather than near the size of a small
-gradient.
+(pass float64 arrays in), which is how the finite-difference oracle
+``grad_check`` in ``tests/composed.py`` reaches full precision.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import erf
@@ -573,76 +569,3 @@ def backward(loss):
 def zero_grad(params):
     for p in params:
         p.grad = None
-
-
-@dataclass
-class GradReport:
-    """Outcome of an analytic-vs-finite-difference comparison."""
-
-    max_abs_err: float
-    max_rel_err: float
-    per_parameter: list = field(default_factory=list)
-
-
-def grad_check(f, params, eps=1e-3, max_coords_per_param=None, rng=None):
-    """Compare analytic gradients of ``f()`` against central finite differences.
-
-    The oracle is the five-point central stencil
-    ``(-f(x+2h) + 8f(x+h) - 8f(x-h) + f(x-2h)) / 12h`` with ``h = eps``.
-    Its truncation error is O(h^4) (it is exact for cubics), so even
-    coordinates with small gradients are resolved at eps=1e-3; ``f`` is
-    called four times per checked coordinate, without graph construction.
-
-    ``f`` is a zero-argument function returning a scalar tensor and must be
-    deterministic (disable dropout); ``params`` is a list of (name, Tensor)
-    leaves it closes over.  For large parameters, ``max_coords_per_param``
-    limits the check to a random coordinate subset.  Run the model in
-    float64 for full oracle precision.
-    """
-    if eps <= 0:
-        raise UsageError("grad_check: eps must be positive")
-    rng = rng or np.random.default_rng(0)
-
-    first = f()
-    if abs(f().item() - first.item()) > 0:
-        raise UsageError("grad_check: f is not deterministic; disable stochastic layers")
-
-    zero_grad([t for _, t in params])
-    backward(f())
-    analytic = {name: (t.grad.copy() if t.grad is not None else np.zeros_like(t.data)) for name, t in params}
-
-    def f_at(t, idx, value):
-        t.data[idx] = value
-        with no_grad():  # the perturbed evaluations need no graph
-            return f().item()
-
-    max_abs = 0.0
-    max_rel = 0.0
-    per_parameter = []
-    for name, t in params:
-        n = t.data.size
-        if max_coords_per_param is not None and n > max_coords_per_param:
-            coords = rng.choice(n, size=max_coords_per_param, replace=False)
-        else:
-            coords = np.arange(n)
-        p_abs = 0.0
-        p_rel = 0.0
-        grad_flat = analytic[name].reshape(-1)
-        for i in coords:
-            idx = np.unravel_index(i, t.data.shape)
-            orig = t.data[idx]
-            f_p2 = f_at(t, idx, orig + 2.0 * eps)
-            f_p1 = f_at(t, idx, orig + eps)
-            f_m1 = f_at(t, idx, orig - eps)
-            f_m2 = f_at(t, idx, orig - 2.0 * eps)
-            t.data[idx] = orig
-            numeric = (-f_p2 + 8.0 * f_p1 - 8.0 * f_m1 + f_m2) / (12.0 * eps)
-            a = float(grad_flat[i])
-            abs_err = abs(a - numeric)
-            rel_err = abs_err / max(abs(a), abs(numeric), 1e-8)
-            p_abs = max(p_abs, abs_err)
-            p_rel = max(p_rel, rel_err)
-        per_parameter.append((name, p_abs, p_rel))
-        max_abs = max(max_abs, p_abs)
-        max_rel = max(max_rel, p_rel)
-    return GradReport(max_abs_err=max_abs, max_rel_err=max_rel, per_parameter=per_parameter)

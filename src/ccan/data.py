@@ -283,6 +283,13 @@ class Dataset:
         return self.entry(bag_id).load()
 
 
+def seeded_rng(seed):
+    """numpy's generator for ``seed``, which must be >= 0 (numpy's own error for a negative one is a ValueError)."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def generate_synthetic(
     n_bags,
     n_per_bag_range=(20, 50),

@@ -38,12 +38,12 @@ from .attention import (
     self_attention_block,
 )
 from .autograd import Tensor
-from .data import BinaryReader, atomic_write
+from .data import BinaryReader, atomic_write, seeded_rng
 from .errors import ConfigError, DataError, FormatError, ShapeError
 from .posenc import attach_encodings, encoding_width, frequency_ladder
 
 CHECKPOINT_MAGIC = b"CCAN"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 def _views(flat, shapes):
@@ -203,11 +203,15 @@ class _Stage:
 
 
 class _Model:
-    """What every model kind shares; a subclass's ``_make(made)`` makes its parameters, in order, through ``made``."""
+    """What every model kind shares.
+
+    A subclass names its ``kind`` and ``config_class``, and its ``_make(made)`` makes its parameters, in order,
+    through ``made``.
+    """
 
     def __init__(self, config, dtype=np.float32):
+        rng = seeded_rng(config.seed)
         made = self._lay_out(config, _Layout(np.dtype(dtype)))
-        rng = np.random.default_rng(config.seed)
         for (_, t), fill in zip(self._parameters, made.fills):  # in making order: one draw at a time
             fill_param(t.data, fill, rng)
 
@@ -249,6 +253,8 @@ class _Model:
 class CCANModel(_Model):
     """Config and every learnable tensor (views of one flat ``values``), drawn from ``config.seed``; see module docstring."""
 
+    kind = "ccan"
+    config_class = CCANConfig
     __init__ = _Model.__init__  # in the class body, so a tracer of the class's own methods times construction
 
     def _make(self, made):
@@ -298,7 +304,7 @@ class CCANModel(_Model):
                 block = stage.self_blocks[z * cfg.self_layers + s]
                 x = self_attention_block(x, block, cfg.scale_mode, cfg.heads)[0]
         if j > 1:
-            x = x + pooled_skip(prev_latents, cfg.compression)
+            x = x + ag.avg_pool_rows(prev_latents, cfg.compression)  # the pooled skip
         x = ag.concat_rows([x, stage.class_token])
         x, cross = cross_attention_block(x, input_ctx, stage.final_cross, cfg.scale_mode, cfg.heads)
         cross = AttentionRecord.of(cross)
@@ -353,86 +359,95 @@ def token_dropout(tokens, p_dropout, rng, train_mode):
     return tokens[kept_indices], kept_indices
 
 
-def pooled_skip(prev_tokens, compression):
-    """Average each run of ``compression`` consecutive tokens."""
-    return ag.avg_pool_rows(prev_tokens, compression)
-
-
 # ---------------------------------------------------------------------------
 # baseline aggregators
 
 
-BASELINE_KINDS = ("mean-pool", "max-pool", "full-self-attention")
-
-
 @dataclass
-class BaselineConfig:
-    kind: str = "mean-pool"
+class PoolConfig:
+    """A pooling baseline's config: it pools the raw D_f tokens, so width and classes are all it has."""
+
     d_feature: int = 2048
-    d_latent: int = 512  # used by full-self-attention only
     num_classes: int = 2
-    scale_mode: str = "per-paper"  # used by full-self-attention only
-    heads: int = 1  # used by full-self-attention only
     seed: int = 0
 
     def validate(self):
-        if self.kind not in BASELINE_KINDS:
-            raise ConfigError(f"baseline kind must be one of {BASELINE_KINDS}, got {self.kind!r}")
-        _check_shared(self, attention=self.kind == "full-self-attention")
+        _check_shared(self, attention=False)
         return self
 
     out_units = CCANConfig.out_units
 
 
-class BaselineModel(_Model):
-    """Mean/max pooling over raw tokens, or one self-attention block.
+@dataclass
+class SelfAttentionConfig(PoolConfig):
+    """The full-self-attention baseline's config: a pooling config's, and width, scaling and heads as in CCAN's."""
 
-    Pooling baselines pool the D_f tokens directly and apply a linear
-    head; the full-self-attention reference projects tokens to D_l,
-    runs one self-attention block over all N of them (the O(N^2) path),
-    mean-pools, and applies a linear head.
-    """
+    d_latent: int = 512
+    scale_mode: str = "per-paper"
+    heads: int = 1
 
-    def _make(self, made):
-        config = self.config
-        if config.kind == "full-self-attention":
-            self.input_proj_w = made.param("input_proj.w", (config.d_feature, config.d_latent))
-            self.input_proj_b = made.param("input_proj.b", (config.d_latent,), fill=0.0)
-            self.block = made.block("block", config.d_latent)
-            head_in = config.d_latent
-        else:
-            self.input_proj_w = self.input_proj_b = self.block = None
-            head_in = config.d_feature
-        self.head_w = made.param("head.w", (head_in, config.out_units))
-        self.head_b = made.param("head.b", (config.out_units,), fill=0.0)
+    def validate(self):
+        _check_shared(self)
+        return self
+
+
+class _Pooling(_Model):
+    """A baseline: ``_pool`` reduces the bag's raw D_f tokens to one row, and a linear head maps it to the output."""
+
+    config_class = PoolConfig
+
+    def _make(self, made, width=None):
+        self.head_w = made.param("head.w", (width or self.config.d_feature, self.config.out_units))
+        self.head_b = made.param("head.b", (self.config.out_units,), fill=0.0)
 
     def forward(self, bag, rng=None, train_mode=False):
-        cfg = self.config
         self._check_bag(bag)
-        tokens = Tensor(bag.tokens.astype(self.dtype))
-        if cfg.kind == "mean-pool":
-            pooled = ag.mean_rows(tokens)
-        elif cfg.kind == "max-pool":
-            pooled = ag.max_rows(tokens)
-        else:
-            x = ag.linear(tokens, self.input_proj_w, self.input_proj_b)
-            pooled = ag.mean_rows(self_attention_block(x, self.block, cfg.scale_mode, cfg.heads)[0])
+        pooled = self._pool(Tensor(bag.tokens.astype(self.dtype)))
         probs_tensor = ag.sigmoid(ag.linear(pooled, self.head_w, self.head_b))
         so = StageOutput(latents_out=pooled, class_embedding=pooled, probs=probs_tensor.data.reshape(-1).copy(),
                          probs_tensor=probs_tensor, records=[])
         return ModelOutput(stages=[so], averaged_probs=so.probs.copy(), kept_indices=np.arange(bag.n_tokens))
 
 
-MODEL_KINDS = {"ccan": (CCANModel, CCANConfig), **{kind: (BaselineModel, BaselineConfig) for kind in BASELINE_KINDS}}
+class MeanPoolModel(_Pooling):
+    kind = "mean-pool"
+    _pool = staticmethod(ag.mean_rows)
+
+
+class MaxPoolModel(_Pooling):
+    kind = "max-pool"
+    _pool = staticmethod(ag.max_rows)
+
+
+class SelfAttentionModel(_Pooling):
+    """The O(N^2) reference: tokens projected to D_l, one self-attention block over all N of them, then a mean."""
+
+    kind = "full-self-attention"
+    config_class = SelfAttentionConfig
+
+    def _make(self, made):
+        d = self.config.d_latent
+        self.input_proj_w = made.param("input_proj.w", (self.config.d_feature, d))
+        self.input_proj_b = made.param("input_proj.b", (d,), fill=0.0)
+        self.block = made.block("block", d)
+        super()._make(made, d)
+
+    def _pool(self, tokens):
+        cfg = self.config
+        x = ag.linear(tokens, self.input_proj_w, self.input_proj_b)
+        return ag.mean_rows(self_attention_block(x, self.block, cfg.scale_mode, cfg.heads)[0])
+
+
+MODEL_KINDS = {cls.kind: cls for cls in (CCANModel, MeanPoolModel, MaxPoolModel, SelfAttentionModel)}
 
 
 def make_model(kind, ccan_config, seed):
     """A ``kind`` model drawn from ``seed``; every other field of its config is the CCAN ``ccan_config``'s."""
     if kind not in MODEL_KINDS:
         raise ConfigError(f"model kind must be one of {tuple(MODEL_KINDS)}, got {kind!r}")
-    model_cls, config_cls = MODEL_KINDS[kind]
-    values = {f.name: kind if f.name == "kind" else getattr(ccan_config, f.name) for f in fields(config_cls)}
-    return model_cls(config_cls(**{**values, "seed": seed}))
+    cls = MODEL_KINDS[kind]
+    values = {f.name: getattr(ccan_config, f.name) for f in fields(cls.config_class)}
+    return cls(cls.config_class(**{**values, "seed": seed}))
 
 
 # ---------------------------------------------------------------------------
@@ -451,8 +466,7 @@ def save_checkpoint(model, path):
     not copied) through ``atomic_write``, so an interrupted save leaves the
     previous checkpoint in place.
     """
-    kind = "ccan" if isinstance(model, CCANModel) else model.config.kind
-    payload = json.dumps({"model_kind": kind, "config": asdict(model.config), "layout": _layout(model)},
+    payload = json.dumps({"model_kind": model.kind, "config": asdict(model.config), "layout": _layout(model)},
                          sort_keys=True).encode("utf-8")
     with atomic_write(path) as fh:
         fh.write(CHECKPOINT_MAGIC + struct.pack("<HI", CHECKPOINT_VERSION, len(payload)) + payload)
@@ -499,10 +513,8 @@ def _read_checkpoint(r, dtype):
     kind = payload["model_kind"]
     if not isinstance(kind, str) or kind not in MODEL_KINDS:
         raise FormatError(f"unknown model_kind {kind!r} in checkpoint config", offset=start)
-    cls, config_cls = MODEL_KINDS[kind]
-    config = _config_from_json(config_cls, payload["config"], start)
-    if getattr(config, "kind", kind) != kind:
-        raise FormatError(f"checkpoint model_kind {kind!r} but config kind {config.kind!r}", offset=start)
+    cls = MODEL_KINDS[kind]
+    config = _config_from_json(cls.config_class, payload["config"], start)
     # the file writes every value, so the layout is made without drawing or filling any
     model = cls._unfilled(config, dtype, room=r.size - r.offset, at=r.offset)
     listed, want = payload["layout"], _layout(model)

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .data import FeatureBag, _encode_identity, atomic_write, read_key_values, write_bag
+from .data import FeatureBag, _encode_identity, atomic_write, read_key_values, seeded_rng, write_bag
 from .errors import ConfigError, DataError
 
 
@@ -353,11 +353,6 @@ def canny_edges(patch_pixels, config=None):
     return edges
 
 
-def canny_edge_fraction(patch_pixels, config=None):
-    edges = canny_edges(patch_pixels, config)
-    return float(edges.sum()) / edges.size
-
-
 def is_blurry(patch_pixels, config=None):
     """True iff the edge-pixel fraction is strictly below the cutoff, from the first of Canny's bounds that decides."""
     config = config or PreprocessConfig()
@@ -375,7 +370,7 @@ def is_blurry(patch_pixels, config=None):
 @functools.lru_cache(maxsize=1)
 def _projection_matrix(d_feature, seed):
     """The seed's projection, drawn once and shared read-only by every later call."""
-    matrix = np.random.default_rng(seed).standard_normal((768, d_feature))
+    matrix = seeded_rng(seed).standard_normal((768, d_feature))
     matrix /= np.sqrt(768.0)
     matrix.setflags(write=False)
     return matrix

@@ -19,7 +19,7 @@ from functools import partial
 import numpy as np
 
 from . import autograd as ag
-from .data import atomic_write, subsample_fraction
+from .data import atomic_write, seeded_rng, subsample_fraction
 from .errors import ConfigError, DataError, MetricError, UsageError
 from .model import MODEL_KINDS, make_model, save_checkpoint
 
@@ -262,7 +262,7 @@ def train(model, dataset, fold, cfg, checkpoint_path=None, log=None):
     is recorded in the history. Fully deterministic given (seed, config, dataset, fold).
     """
     cfg.validate()
-    rng = np.random.default_rng(cfg.seed)
+    rng = seeded_rng(cfg.seed)
     num_classes = model.config.num_classes
     train_bags, val_bags, test_bags = check_fold(dataset, fold, num_classes)  # before the first step
 

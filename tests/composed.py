@@ -1,4 +1,4 @@
-"""Graph ops that the program no longer runs, kept as test oracles.
+"""Graph ops and checks that the program does not run, kept as test oracles.
 
 ``sub``, ``mul``, ``scale``, ``sum_all``, ``log`` and ``clip`` are the
 nodes the training loss was built from before ``ag.bce`` fused it; the
@@ -9,21 +9,30 @@ inject an upstream gradient ``g`` into any node.
 ``layer_norm`` and ``attention`` are the graph ops the attention blocks
 were built from before each block became one node; ``composed_block``
 builds a block from them, ``ag.linear`` and ``ag.gelu``, and is the
-oracle the block nodes are compared with bit for bit.
+oracle the block nodes are compared with bit for bit. ``init_block_params``
+gives a test a block of its own tensors, outside any model's ``values``.
 
 ``chain_rollout`` is the general attention rollout over every record of
 a stage (as ``record_every_block`` collects them), which
 ``explain.rollout_stage`` reduced to one row product, and
 ``sigmoid_values`` the expression ``ag.sigmoid`` evaluated before it
 took ``exp`` once.
+
+``grad_check`` is the finite-difference oracle every analytic gradient is
+checked with, and ``GradReport`` its outcome. It uses the five-point
+central stencil, whose truncation error is O(h^4), so at the usual
+h = 1e-3 the stencil error sits near roundoff rather than near the size
+of a small gradient; run the graph in float64 for full precision.
 """
+
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ccan import autograd as ag
-from ccan.attention import AttentionRecord, attention_scale
+from ccan.attention import AttentionRecord, BlockParams, attention_scale, fill_param
 from ccan.autograd import Tensor
-from ccan.errors import DataError, NumericError, ShapeError
+from ccan.errors import DataError, NumericError, ShapeError, UsageError
 
 
 def _check_same_shape(a, b, op):
@@ -253,6 +262,15 @@ def composed_block(x, context, params, scale_mode="per-paper", heads=1, key_bias
     return x, p
 
 
+def init_block_params(d_latent, rng, dtype=np.float32):
+    """A width-``d_latent`` block of its own tensors, filled in ``BlockParams.layout`` order from ``rng``."""
+    params = {}
+    for name, shape, fill in BlockParams.layout(d_latent):
+        params[name] = Tensor(np.empty(shape, dtype), requires_grad=True)
+        fill_param(params[name].data, fill, rng)
+    return BlockParams(**params)
+
+
 def record_every_block(monkeypatch):
     """A list that each attention block the model runs appends (kind, record matrix) to, in execution order.
 
@@ -298,3 +316,76 @@ def chain_rollout(records):
 def sigmoid_values(d):
     """The logistic of ``d`` as ``ag.sigmoid`` computed it with three ``exp`` calls."""
     return np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))), np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
+
+
+@dataclass
+class GradReport:
+    """Outcome of an analytic-vs-finite-difference comparison."""
+
+    max_abs_err: float
+    max_rel_err: float
+    per_parameter: list = field(default_factory=list)
+
+
+def grad_check(f, params, eps=1e-3, max_coords_per_param=None, rng=None):
+    """Compare analytic gradients of ``f()`` against central finite differences.
+
+    The oracle is the five-point central stencil
+    ``(-f(x+2h) + 8f(x+h) - 8f(x-h) + f(x-2h)) / 12h`` with ``h = eps``.
+    Its truncation error is O(h^4) (it is exact for cubics), so even
+    coordinates with small gradients are resolved at eps=1e-3; ``f`` is
+    called four times per checked coordinate, without graph construction.
+
+    ``f`` is a zero-argument function returning a scalar tensor and must be
+    deterministic (disable dropout); ``params`` is a list of (name, Tensor)
+    leaves it closes over.  For large parameters, ``max_coords_per_param``
+    limits the check to a random coordinate subset.  Run the model in
+    float64 for full oracle precision.
+    """
+    if eps <= 0:
+        raise UsageError("grad_check: eps must be positive")
+    rng = rng or np.random.default_rng(0)
+
+    first = f()
+    if abs(f().item() - first.item()) > 0:
+        raise UsageError("grad_check: f is not deterministic; disable stochastic layers")
+
+    ag.zero_grad([t for _, t in params])
+    ag.backward(f())
+    analytic = {name: (t.grad.copy() if t.grad is not None else np.zeros_like(t.data)) for name, t in params}
+
+    def f_at(t, idx, value):
+        t.data[idx] = value
+        with ag.no_grad():  # the perturbed evaluations need no graph
+            return f().item()
+
+    max_abs = 0.0
+    max_rel = 0.0
+    per_parameter = []
+    for name, t in params:
+        n = t.data.size
+        if max_coords_per_param is not None and n > max_coords_per_param:
+            coords = rng.choice(n, size=max_coords_per_param, replace=False)
+        else:
+            coords = np.arange(n)
+        p_abs = 0.0
+        p_rel = 0.0
+        grad_flat = analytic[name].reshape(-1)
+        for i in coords:
+            idx = np.unravel_index(i, t.data.shape)
+            orig = t.data[idx]
+            f_p2 = f_at(t, idx, orig + 2.0 * eps)
+            f_p1 = f_at(t, idx, orig + eps)
+            f_m1 = f_at(t, idx, orig - eps)
+            f_m2 = f_at(t, idx, orig - 2.0 * eps)
+            t.data[idx] = orig
+            numeric = (-f_p2 + 8.0 * f_p1 - 8.0 * f_m1 + f_m2) / (12.0 * eps)
+            a = float(grad_flat[i])
+            abs_err = abs(a - numeric)
+            rel_err = abs_err / max(abs(a), abs(numeric), 1e-8)
+            p_abs = max(p_abs, abs_err)
+            p_rel = max(p_rel, rel_err)
+        per_parameter.append((name, p_abs, p_rel))
+        max_abs = max(max_abs, p_abs)
+        max_rel = max(max_rel, p_rel)
+    return GradReport(max_abs_err=max_abs, max_rel_err=max_rel, per_parameter=per_parameter)

@@ -22,7 +22,7 @@ from ccan.bench import bench_scaling, count_baseline_macs, count_macs, linear_fi
 from ccan.cli import main as cli_main
 from ccan.data import generate_synthetic, patient_grouped_kfold, read_bag
 from ccan.explain import explain_bag, rollout_stage
-from ccan.model import BaselineConfig, BaselineModel, CCANConfig, CCANModel
+from ccan.model import CCANConfig, CCANModel, MeanPoolModel, PoolConfig
 from ccan.preprocess import PreprocessConfig, RasterImage, is_blurry, is_white, run_pipeline
 from ccan.training import (
     TrainConfig,
@@ -33,6 +33,7 @@ from ccan.training import (
     derive_seed,
     train,
 )
+from composed import grad_check
 
 
 def verdict(number, ok, detail):
@@ -90,7 +91,7 @@ class TestCriterion1GradientCorrectness:
             def f():
                 return bag_loss(model.forward(bag), bag.label, num_classes=2)
 
-            report = ag.grad_check(f, model.parameters(), eps=1e-3,
+            report = grad_check(f, model.parameters(), eps=1e-3,
                                    max_coords_per_param=4, rng=np.random.default_rng(seed))
             worst = max(worst, report.max_rel_err)
         elapsed = time.time() - t0
@@ -205,7 +206,7 @@ class TestCriterion5Learnability:
                 if kind == "ccan":
                     model = CCANModel(CCANConfig(**TOY, p_dropout=0.0, seed=seed))
                 else:
-                    model = BaselineModel(BaselineConfig(kind=kind, d_feature=64, seed=seed))
+                    model = MeanPoolModel(PoolConfig(d_feature=64, seed=seed))
                 tc = TrainConfig(epochs=60, batch_size=8, lr_max=1e-3,
                                  seed=derive_seed(101, f"hard-{kind}-fold{i}"))
                 _, history = train(model, dataset, fold, tc)

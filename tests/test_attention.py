@@ -7,12 +7,11 @@ from ccan.attention import (
     BlockParams,
     attention_scale,
     cross_attention_block,
-    init_block_params,
     self_attention_block,
 )
 from ccan.autograd import Tensor
 from ccan.errors import ConfigError, DataError, NumericError, ShapeError, UsageError
-from composed import attention, composed_block, mul, sum_all
+from composed import attention, composed_block, grad_check, init_block_params, mul, sum_all
 
 
 def t64(data, requires_grad=False):
@@ -144,7 +143,7 @@ class TestSelfAttentionBlock:
             out, _ = self_attention_block(tokens, params)
             return sum_all(mul(out, out))
 
-        report = ag.grad_check(f, params.named_tensors(), eps=1e-3, max_coords_per_param=6)
+        report = grad_check(f, params.named_tensors(), eps=1e-3, max_coords_per_param=6)
         assert report.max_rel_err < 1e-3
 
 
@@ -170,7 +169,7 @@ class TestMultiHead:
             out, _ = cross_attention_block(latents, context, params, scale_mode="per-dim", heads=2)
             return sum_all(mul(out, out))
 
-        report = ag.grad_check(f, params.named_tensors(), eps=1e-3, max_coords_per_param=6)
+        report = grad_check(f, params.named_tensors(), eps=1e-3, max_coords_per_param=6)
         assert report.max_rel_err < 1e-3
 
     def test_indivisible_heads_rejected(self):

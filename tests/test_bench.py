@@ -65,11 +65,11 @@ class TestBaselineMacs:
             assert ratio == 4.0
 
     def test_total_matches_probe(self):
-        from ccan.model import BaselineConfig, BaselineModel
+        from ccan.model import SelfAttentionConfig, SelfAttentionModel
 
         cfg = bench_config()
-        model = BaselineModel(BaselineConfig(kind="full-self-attention", d_feature=cfg.d_feature,
-                                             d_latent=cfg.d_latent, num_classes=2, seed=0))
+        model = SelfAttentionModel(SelfAttentionConfig(d_feature=cfg.d_feature, d_latent=cfg.d_latent, num_classes=2,
+                                                       seed=0))
         bag = make_bench_bag(90, cfg.d_feature, seed=3)
         with ag.no_grad(), ag.op_probe() as probe:
             model.forward(bag)

@@ -17,7 +17,14 @@ from ccan.bench import bench_scaling
 from ccan.cli import _FIELDS, SCHEMA, main, parse_config
 from ccan.data import generate_synthetic, patient_grouped_kfold
 from ccan.errors import ConfigError, UsageError
-from ccan.model import BaselineConfig, BaselineModel, CCANConfig, save_checkpoint
+from ccan.model import (
+    CHECKPOINT_VERSION,
+    CCANConfig,
+    SelfAttentionConfig,
+    SelfAttentionModel,
+    make_model,
+    save_checkpoint,
+)
 from ccan.preprocess import PreprocessConfig
 from ccan.training import TrainConfig, data_efficiency_sweep
 
@@ -226,7 +233,7 @@ class TestCommands:
         payload = json.dumps({"model_kind": "ccan", "config": config, "layout": []})
         payload = payload.replace('"seed": 0', f'"seed": {seed}').encode()
         ckpt = tmp_path / "huge.ckpt"
-        ckpt.write_bytes(b"CCAN" + struct.pack("<HI", 3, len(payload)) + payload)
+        ckpt.write_bytes(b"CCAN" + struct.pack("<HI", CHECKPOINT_VERSION, len(payload)) + payload)
         rc = main(["eval", "--paths.checkpoint", str(ckpt), "--paths.data", tiny_run["data"],
                    "--paths.plan", tiny_run["plan"], "--fold", "0", "--subset", "val"])
         err = capsys.readouterr().err
@@ -246,8 +253,8 @@ class TestCommands:
         assert capsys.readouterr().err == f"error: {plan}:{len(lines) + 1}: bag {bag_id!r} is listed twice in fold 0\n"
 
     def test_bad_baseline_heads_is_one_error_line(self, tiny_run, tmp_path, capsys):
-        cfg = BaselineConfig(kind="full-self-attention", d_feature=24, d_latent=4)
-        model = BaselineModel(cfg)
+        cfg = SelfAttentionConfig(d_feature=24, d_latent=4)
+        model = SelfAttentionModel(cfg)
         model.config = replace(cfg, heads=0)
         ckpt = tmp_path / "heads0.ckpt"
         save_checkpoint(model, ckpt)
@@ -261,7 +268,7 @@ class TestCommands:
     @pytest.mark.parametrize("kind", ["mean-pool", "full-self-attention"])
     def test_explain_on_a_baseline_is_one_error_line(self, tiny_run, tmp_path, capsys, kind):
         ckpt = tmp_path / "baseline.ckpt"
-        save_checkpoint(BaselineModel(BaselineConfig(kind=kind, d_feature=24, d_latent=4)), ckpt)
+        save_checkpoint(make_model(kind, CCANConfig(d_feature=24, d_latent=4), seed=0), ckpt)
         rc = main(["explain", "--paths.checkpoint", str(ckpt),
                    "--paths.bag", os.path.join(tiny_run["data"], "bag0000.ccfb"),
                    "--paths.out", str(tmp_path / "heat")])
@@ -483,6 +490,23 @@ class TestCommands:
         assert os.path.exists(out)
         assert "aggregator time vs N" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["preprocess", "bench"])
+    def test_negative_seed_is_one_error_line(self, tmp_path, capsys, command):
+        # both start a generator from the root seed itself: preprocess for its stub projection, bench for its models
+        from ccan.netpbm import write_ppm
+
+        write_ppm(np.random.default_rng(1).integers(0, 256, (256, 256, 3)).astype(np.uint8), tmp_path / "slide.ppm")
+        (tmp_path / "slide.txt").write_text("microns_per_pixel = 1.0\nlabel = 1\nbag_id = s0\npatient_id = p0\n")
+        out = tmp_path / "out"
+        flags = {"preprocess": ["--paths.image", str(tmp_path / "slide.ppm"), "--paths.meta", str(tmp_path / "slide.txt"),
+                                "--model.D_f", "8"],
+                 "bench": ["--model.J", "2", "--model.M", "8", "--model.D_l", "16", "--model.D_f", "24",
+                           "--model.S", "1", "--model.I", "2", "--bench.ns", "20,40", "--bench.repeats", "5"]}[command]
+        rc = main([command, *flags, "--paths.out", str(out), "--seed", "-1"])
+        assert rc == 1
+        assert capsys.readouterr() == ("", "error: seed must be >= 0, got -1\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["slide.ppm", "slide.txt"]
+
     @pytest.mark.parametrize("ns", ["-5,10", "0,10"])
     def test_bench_token_counts_below_one_are_one_error_line(self, capsys, ns):
         rc = main(["bench", "--model.J", "2", "--model.M", "8", "--model.D_l", "16", "--model.D_f", "24",
@@ -590,6 +614,20 @@ class TestCommands:
         assert rc == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not os.path.exists(out)
+
+
+def test_negative_root_seed_runs_where_only_sub_seeds_are_drawn_from(tmp_path, capsys):
+    # synth, split and train derive every generator's seed from the root, so any integer root works
+    data, plan = str(tmp_path / "data"), str(tmp_path / "plan.csv")
+    assert main(["synth", "--paths.out", data, "--data.n_bags", "24", "--model.D_f", "8", "--data.n_min", "4",
+                 "--data.n_max", "6", "--data.grid_rows", "4", "--data.grid_cols", "4", "--data.witness_min", "1",
+                 "--data.witness_max", "2", "--seed", "-1"]) == 0
+    assert main(["split", "--paths.data", data, "--paths.out", plan, "--data.k", "3", "--seed", "-1"]) == 0
+    assert main(["train", "--paths.data", data, "--paths.plan", plan, "--fold", "0",
+                 "--paths.run_dir", str(tmp_path / "run"), "--model.J", "1", "--model.M", "4", "--model.D_l", "8",
+                 "--model.D_f", "8", "--model.S", "0", "--model.I", "1", "--train.epochs", "1",
+                 "--train.batch_size", "8", "--seed", "-1"]) == 0
+    assert "error" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("n_bags", ["0", "-3"])

@@ -24,7 +24,7 @@ from ccan.data import (
     write_manifest,
 )
 from ccan.errors import CCANError, ConfigError, DataError, FormatError
-from ccan.model import BaselineConfig, BaselineModel, load_checkpoint, save_checkpoint
+from ccan.model import CCANConfig, load_checkpoint, make_model, save_checkpoint
 from ccan.netpbm import read_pnm, write_pgm, write_ppm
 from ccan.training import auc_binary
 
@@ -191,10 +191,13 @@ def _ccfb(tmp_path):
     return path, read_bag
 
 
-def _checkpoint(dtype):
+def _checkpoint(dtype, kind="mean-pool"):
+    # every kind at its smallest widths: v4 configs differ by kind
+    tiny = CCANConfig(n_stages=1, n_latents=2, d_latent=2, d_feature=3, self_layers=0, n_frequencies=1)
+
     def build(tmp_path):
-        path = tmp_path / "pool.ckpt"
-        save_checkpoint(BaselineModel(BaselineConfig(kind="mean-pool", d_feature=3, seed=4)), path)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(make_model(kind, tiny, seed=4), path)
         return path, lambda p: load_checkpoint(p, dtype=dtype)
 
     return build
@@ -223,7 +226,9 @@ class TestBinaryFiles:
 
     @pytest.mark.parametrize("build", [
         _ccfb, _checkpoint(np.float32), _checkpoint(np.float64), _pnm(write_ppm, (3, 4, 3)), _pnm(write_pgm, (3, 4, 1)),
-    ], ids=["ccfb", "checkpoint", "checkpoint-float64", "ppm", "pgm"])
+        *(_checkpoint(np.float32, kind) for kind in ("max-pool", "full-self-attention", "ccan")),
+    ], ids=["ccfb", "checkpoint", "checkpoint-float64", "ppm", "pgm",
+            "checkpoint-max-pool", "checkpoint-full-self-attention", "checkpoint-ccan"])
     def test_every_cut_is_a_ccan_error(self, tmp_path, build):
         path, read = build(tmp_path)
         blob = path.read_bytes()

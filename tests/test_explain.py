@@ -16,7 +16,7 @@ from ccan.explain import (
     rollout_stage,
     top_k_patches,
 )
-from ccan.model import BaselineConfig, BaselineModel, CCANConfig, CCANModel, ModelOutput, StageOutput
+from ccan.model import CCANConfig, CCANModel, MeanPoolModel, ModelOutput, PoolConfig, StageOutput
 
 
 def fake_stage(records):
@@ -253,7 +253,7 @@ class TestExports:
         assert open(path).read() == open(path2).read()
 
     def test_pooling_baseline_embedding_is_d_feature_wide(self, tmp_path):
-        model = BaselineModel(BaselineConfig(kind="mean-pool", d_feature=64, d_latent=32))
+        model = MeanPoolModel(PoolConfig(d_feature=64))
         bags = generate_synthetic(2, (5, 8), d_feature=64, seed=6).bags
         path = tmp_path / "emb.csv"
         export_class_embeddings(model, bags, path)

@@ -6,7 +6,7 @@ import struct
 import tempfile
 import time
 import tracemalloc
-from dataclasses import asdict, fields, is_dataclass, replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -21,19 +21,22 @@ from ccan.cli import parse_config
 from ccan.data import generate_synthetic, patient_grouped_kfold, write_bag, write_manifest
 from ccan.errors import CCANError, ConfigError, DataError, FormatError, ShapeError
 from ccan.model import (
-    BASELINE_KINDS,
     MODEL_KINDS,
-    BaselineConfig,
-    BaselineModel,
     CCANConfig,
     CCANModel,
+    MaxPoolModel,
+    MeanPoolModel,
+    PoolConfig,
+    SelfAttentionConfig,
+    SelfAttentionModel,
     load_checkpoint,
     make_model,
-    pooled_skip,
     save_checkpoint,
     token_dropout,
 )
 from ccan.netpbm import write_ppm
+
+BASELINE_KINDS = ("mean-pool", "max-pool", "full-self-attention")
 
 
 def toy_config(**kwargs):
@@ -43,6 +46,11 @@ def toy_config(**kwargs):
     )
     base.update(kwargs)
     return CCANConfig(**base)
+
+
+def baseline(kind, d_feature, d_latent=4, seed=0):
+    """A ``kind`` baseline of width ``d_feature``; only full self-attention's config has a ``d_latent``."""
+    return make_model(kind, toy_config(d_feature=d_feature, d_latent=d_latent), seed)
 
 
 def toy_dataset(n_bags=6, d_feature=12, seed=0, **kwargs):
@@ -80,7 +88,7 @@ class TestConfig:
             CCANModel(toy_config(d_feature=d_feature))
         for kind in BASELINE_KINDS:
             with pytest.raises(ConfigError, match=f"d_feature must be >= 1, got {d_feature}"):
-                BaselineModel(BaselineConfig(kind=kind, d_feature=d_feature, d_latent=4))
+                baseline(kind, d_feature)
 
     def test_heads_require_per_dim(self):
         with pytest.raises(ConfigError):
@@ -113,11 +121,10 @@ class TestInitModel:
 
     def test_weights_are_drawn_from_the_configs_seed(self, tmp_path):
         # the saved config is enough to draw the same weights again
-        for cls in (CCANModel, BaselineModel):
+        for cls in MODEL_KINDS.values():
             assert "seed" not in inspect.signature(cls).parameters
         path = tmp_path / "m.ckpt"
-        for model in (CCANModel(toy_config(seed=5)),
-                      BaselineModel(BaselineConfig(kind="full-self-attention", d_feature=6, d_latent=8, seed=5))):
+        for model in (CCANModel(toy_config(seed=5)), baseline("full-self-attention", 6, d_latent=8, seed=5)):
             save_checkpoint(model, path)
             config = load_checkpoint(path).config
             assert config == model.config and config.seed == 5
@@ -135,6 +142,14 @@ class TestInitModel:
         largest = max(t.data.size for _, t in model.parameters()) * 8
         assert model.values.nbytes > 10 * largest
         assert peak <= model.values.nbytes + 2 * largest
+
+    @pytest.mark.parametrize("kind", list(MODEL_KINDS))
+    def test_negative_seed_is_a_config_error(self, kind):
+        # the seed starts the draws' generator, and numpy's own error for a negative one is a ValueError
+        with pytest.raises(ConfigError, match=r"seed must be >= 0, got -1"):
+            make_model(kind, toy_config(), seed=-1)
+        with pytest.raises(ConfigError, match=r"seed must be >= 0, got -3"):
+            MODEL_KINDS[kind](replace(make_model(kind, toy_config(), seed=0).config, seed=-3))
 
     def test_different_seeds_differ(self):
         a = CCANModel(toy_config(seed=1))
@@ -163,11 +178,11 @@ def assert_packed(model):
 
 def walked_names(model):
     """The names of the hand-written walk that ``parameters()`` once was, in its order: the oracle."""
-    if isinstance(model, BaselineModel):
-        out = []
-        if model.block is not None:
-            out += ["input_proj.w", "input_proj.b"] + [f"block.{n}" for n, _ in model.block.named_tensors()]
-        return out + ["head.w", "head.b"]
+    if isinstance(model, SelfAttentionModel):
+        return ["input_proj.w", "input_proj.b", *(f"block.{n}" for n, _ in model.block.named_tensors()),
+                "head.w", "head.b"]
+    if not isinstance(model, CCANModel):
+        return ["head.w", "head.b"]
     out = ["input_proj.w", "input_proj.b"]
     for j, stage in enumerate(model.stages, start=1):
         out += [f"stage{j}.latents", f"stage{j}.class_token"]
@@ -214,8 +229,7 @@ def assert_named_once(model):
 LAYOUTS = [
     lambda: CCANModel(toy_config(n_stages=3, n_latents=8, d_latent=4, d_feature=6, block_repeats=2,
                                  self_layers=2, seed=7)),
-    *[lambda kind=kind: BaselineModel(BaselineConfig(kind=kind, d_feature=6, d_latent=4, seed=7))
-      for kind in BASELINE_KINDS],
+    *[lambda kind=kind: baseline(kind, 6, seed=7) for kind in BASELINE_KINDS],
 ]
 LAYOUT_IDS = ["ccan-J3-Z2-S2", *BASELINE_KINDS]
 
@@ -253,11 +267,11 @@ class TestParameterLayout:
 
     @pytest.mark.parametrize("kind", BASELINE_KINDS)
     def test_baselines(self, kind):
-        assert_packed(BaselineModel(BaselineConfig(kind=kind, d_feature=12, d_latent=8, seed=3)))
+        assert_packed(baseline(kind, 12, d_latent=8, seed=3))
 
     @pytest.mark.parametrize("make", [
         lambda: CCANModel(CCANConfig(**TOY, seed=3)),
-        lambda: BaselineModel(BaselineConfig(kind="full-self-attention", d_feature=12, d_latent=8, seed=3)),
+        lambda: baseline("full-self-attention", 12, d_latent=8, seed=3),
     ], ids=["ccan", "full-self-attention"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_load_checkpoint(self, tmp_path, make, dtype):
@@ -273,18 +287,27 @@ class TestModelKinds:
     def test_sized_and_scaled_like_the_ccan_config(self, kind):
         cfg = toy_config(num_classes=3, heads=2, scale_mode="per-dim", seed=1)
         model = make_model(kind, cfg, seed=9)
-        model_cls, config_cls = MODEL_KINDS[kind]
-        assert type(model) is model_cls and type(model.config) is config_cls
-        assert model.config.seed == 9 and getattr(model.config, "kind", "ccan") == kind
-        for f in fields(config_cls):
-            if f.name not in ("kind", "seed"):
+        assert type(model) is MODEL_KINDS[kind] and model.kind == kind
+        assert type(model.config) is model.config_class and model.config.seed == 9
+        for f in fields(model.config_class):
+            if f.name != "seed":
                 assert getattr(model.config, f.name) == getattr(cfg, f.name), f.name
+
+    def test_each_config_holds_only_what_its_kind_reads(self):
+        # the fields of each kind: a pooling baseline has no width, scale or heads to set
+        names = {kind: [f.name for f in fields(cls.config_class)] for kind, cls in MODEL_KINDS.items()}
+        assert names["mean-pool"] == names["max-pool"] == ["d_feature", "num_classes", "seed"]
+        assert sorted(names["full-self-attention"]) == ["d_feature", "d_latent", "heads", "num_classes",
+                                                        "scale_mode", "seed"]
+        assert len(names["ccan"]) == 15
 
     def test_same_draws_as_each_class_from_the_seed(self):
         cfg = toy_config(seed=1)
         np.testing.assert_array_equal(make_model("ccan", cfg, 4).values, CCANModel(replace(cfg, seed=4)).values)
-        for kind in BASELINE_KINDS:
-            want = BaselineModel(BaselineConfig(kind=kind, d_feature=12, d_latent=16, seed=4))
+        wants = {"mean-pool": MeanPoolModel(PoolConfig(d_feature=12, seed=4)),
+                 "max-pool": MaxPoolModel(PoolConfig(d_feature=12, seed=4)),
+                 "full-self-attention": SelfAttentionModel(SelfAttentionConfig(d_feature=12, d_latent=16, seed=4))}
+        for kind, want in wants.items():
             np.testing.assert_array_equal(make_model(kind, cfg, 4).values, want.values)
 
     def test_unknown_kind(self):
@@ -321,22 +344,22 @@ class TestTokenDropout:
 class TestPooledSkip:
     def test_identity_when_c1(self):
         x = Tensor(np.arange(8, dtype=np.float32).reshape(4, 2))
-        np.testing.assert_array_equal(pooled_skip(x, 1).data, x.data)
+        np.testing.assert_array_equal(ag.avg_pool_rows(x, 1).data, x.data)
 
     def test_hand_values(self):
         x = Tensor(np.array([[2.0], [4.0], [10.0], [0.0]], dtype=np.float32))
-        np.testing.assert_allclose(pooled_skip(x, 2).data, [[3.0], [5.0]])
+        np.testing.assert_allclose(ag.avg_pool_rows(x, 2).data, [[3.0], [5.0]])
 
     def test_index_oracle(self):
         rng = np.random.default_rng(3)
         x_val = rng.normal(size=(16, 8)).astype(np.float32)
-        out = pooled_skip(Tensor(x_val), 2)
+        out = ag.avg_pool_rows(Tensor(x_val), 2)
         for k in range(8):
             np.testing.assert_allclose(out.data[k], x_val[2 * k : 2 * k + 2].mean(axis=0), atol=1e-6)
 
     def test_indivisible_rejected(self):
         with pytest.raises(ShapeError):
-            pooled_skip(Tensor(np.zeros((5, 2), dtype=np.float32)), 2)
+            ag.avg_pool_rows(Tensor(np.zeros((5, 2), dtype=np.float32)), 2)
 
 
 class TestStageForward:
@@ -377,7 +400,7 @@ class TestStageForward:
             blk.w_m2.data[...] = 0.0
             blk.b_m2.data[...] = 0.0
         out = model.forward(bag)
-        expected = stage2.latents.data + pooled_skip(out.stages[0].latents_out, 2).data
+        expected = stage2.latents.data + ag.avg_pool_rows(out.stages[0].latents_out, 2).data
         np.testing.assert_allclose(out.stages[1].latents_out.data, expected, atol=1e-6)
 
     def test_probs_in_unit_interval(self):
@@ -542,8 +565,7 @@ class TestForward:
 
 class TestBaselines:
     def test_mean_pool_identical_tokens(self):
-        cfg = BaselineConfig(kind="mean-pool", d_feature=6, num_classes=2, seed=0)
-        model = BaselineModel(cfg)
+        model = MeanPoolModel(PoolConfig(d_feature=6, num_classes=2, seed=0))
         token = np.random.default_rng(0).normal(size=6).astype(np.float32)
         bag_many = _const_bag(np.tile(token, (7, 1)))
         bag_one = _const_bag(token[None, :])
@@ -552,8 +574,7 @@ class TestBaselines:
         )
 
     def test_max_pool_dominant_token(self):
-        cfg = BaselineConfig(kind="max-pool", d_feature=4, num_classes=2, seed=1)
-        model = BaselineModel(cfg)
+        model = MaxPoolModel(PoolConfig(d_feature=4, num_classes=2, seed=1))
         rng = np.random.default_rng(1)
         tokens = rng.normal(size=(10, 4)).astype(np.float32)
         huge = np.full((1, 4), 1e6, dtype=np.float32)
@@ -562,8 +583,7 @@ class TestBaselines:
         np.testing.assert_allclose(out_with, out_only, atol=1e-6)
 
     def test_full_self_attention_quadratic_macs(self):
-        cfg = BaselineConfig(kind="full-self-attention", d_feature=8, d_latent=8, num_classes=2, seed=2)
-        model = BaselineModel(cfg)
+        model = SelfAttentionModel(SelfAttentionConfig(d_feature=8, d_latent=8, num_classes=2, seed=2))
         rng = np.random.default_rng(2)
 
         def attn_macs(n):
@@ -578,9 +598,10 @@ class TestBaselines:
         assert abs(attn_macs(200) / attn_macs(100) - 4.0) < 1e-9
 
     def test_unknown_kind(self):
-        with pytest.raises(ConfigError):
-            BaselineConfig(kind="median-pool").validate()
-        assert set(BASELINE_KINDS) == {"mean-pool", "max-pool", "full-self-attention"}
+        # each kind is a class that names itself, so a name no class carries builds nothing
+        with pytest.raises(ConfigError, match="model kind must be one of"):
+            make_model("median-pool", toy_config(), 0)
+        assert [cls.kind for cls in (MeanPoolModel, MaxPoolModel, SelfAttentionModel)] == list(BASELINE_KINDS)
 
     @pytest.mark.parametrize("change,message", [
         ({"heads": 0}, "heads must be >= 1, got 0"),
@@ -590,13 +611,13 @@ class TestBaselines:
         ({"d_latent": -4}, "d_latent must be >= 1, got -4"),
     ])
     def test_head_and_scale_checks_match_ccan(self, tmp_path, change, message):
-        cfg = BaselineConfig(kind="full-self-attention", d_feature=6, d_latent=4, seed=3)
+        cfg = SelfAttentionConfig(d_feature=6, d_latent=4, seed=3)
         with pytest.raises(ConfigError, match=message):
-            BaselineModel(replace(cfg, **change))
+            SelfAttentionModel(replace(cfg, **change))
         with pytest.raises(ConfigError, match=message):
             CCANModel(replace(toy_config(), **change))
         # a checkpoint that carries the setting fails at load, not at the first forward
-        model = BaselineModel(cfg)
+        model = SelfAttentionModel(cfg)
         model.config = replace(cfg, **change)
         save_checkpoint(model, tmp_path / "bad.ckpt")
         with pytest.raises(ConfigError, match=message):
@@ -605,7 +626,7 @@ class TestBaselines:
     @pytest.mark.parametrize("kind", BASELINE_KINDS)
     def test_wrong_feature_width_is_a_shape_error(self, kind):
         # a pooling head used to report it only as a linear layer whose shapes do not chain
-        model = BaselineModel(BaselineConfig(kind=kind, d_feature=6, d_latent=4))
+        model = baseline(kind, 6)
         with pytest.raises(ShapeError, match="bag feature dim 5 != configured 6"):
             model.forward(_const_bag(np.zeros((3, 5), np.float32)))
 
@@ -615,20 +636,10 @@ class TestBaselines:
         with pytest.raises(DataError, match="empty bag"):
             model.forward(EmptyBag())
 
-    @pytest.mark.parametrize("kind", ["mean-pool", "max-pool"])
-    @pytest.mark.parametrize("change", [{"heads": 0}, {"heads": 2, "scale_mode": "per-paper"}, {"scale_mode": "bogus"},
-                                        {"d_latent": 0}])
-    def test_pooling_ignores_head_settings(self, tmp_path, kind, change):
-        # pooling never reads heads, scale_mode or d_latent, so none of them can reject it
-        bag = _const_bag(np.random.default_rng(5).normal(size=(9, 6)).astype(np.float32))
-        model = BaselineModel(BaselineConfig(kind=kind, d_feature=6, seed=3, **change))
-        plain = BaselineModel(BaselineConfig(kind=kind, d_feature=6, seed=3))
-        save_checkpoint(model, tmp_path / "pool.ckpt")
-        loaded = load_checkpoint(tmp_path / "pool.ckpt")
-        assert loaded.config == model.config
-        want = plain.forward(bag).averaged_probs
-        np.testing.assert_array_equal(model.forward(bag).averaged_probs, want)
-        np.testing.assert_array_equal(loaded.forward(bag).averaged_probs, want)
+
+# a v3 pooling config: its kind a second time, and three fields no pooling output reads
+V3_POOL_CONFIG = {"kind": "mean-pool", "d_feature": 3, "d_latent": 512, "num_classes": 2, "scale_mode": "per-paper",
+                  "heads": 1, "seed": 0}
 
 
 def _const_bag(tokens):
@@ -679,14 +690,13 @@ class TestCheckpoint:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_file_layout(self, tmp_path):
-        model = BaselineModel(BaselineConfig(kind="mean-pool", d_feature=3, seed=4))
+        model = MeanPoolModel(PoolConfig(d_feature=3, seed=4))
         path = tmp_path / "pool.ckpt"
         save_checkpoint(model, path)
-        payload = json.dumps({"model_kind": "mean-pool", "config": {
-            "kind": "mean-pool", "d_feature": 3, "d_latent": 512, "num_classes": 2,
-            "scale_mode": "per-paper", "heads": 1, "seed": 4}, "layout": [["head.w", [3, 1]], ["head.b", [1]]]},
-            sort_keys=True).encode()
-        want = b"CCAN" + struct.pack("<HI", 3, len(payload)) + payload
+        # the kind is recorded once, and the config holds only what a pooling baseline reads
+        payload = json.dumps({"model_kind": "mean-pool", "config": {"d_feature": 3, "num_classes": 2, "seed": 4},
+                              "layout": [["head.w", [3, 1]], ["head.b", [1]]]}, sort_keys=True).encode()
+        want = b"CCAN" + struct.pack("<HI", 4, len(payload)) + payload
         want += np.concatenate([model.head_w.data.ravel(), model.head_b.data]).astype("<f4").tobytes()
         assert path.read_bytes() == want
         assert [p.name for p in tmp_path.iterdir()] == ["pool.ckpt"]
@@ -766,11 +776,11 @@ class TestCheckpoint:
         assert [p.name for p in tmp_path.iterdir()] == ["best.ckpt"]
 
     def test_baseline_round_trip(self, tmp_path):
-        model = BaselineModel(BaselineConfig(kind="full-self-attention", d_feature=6, d_latent=8, seed=4))
+        model = SelfAttentionModel(SelfAttentionConfig(d_feature=6, d_latent=8, seed=4))
         path = tmp_path / "baseline.ckpt"
         save_checkpoint(model, path)
         loaded = load_checkpoint(path)
-        assert isinstance(loaded, BaselineModel)
+        assert isinstance(loaded, SelfAttentionModel)
         assert loaded.config == model.config
 
     def _with_config(self, tmp_path, edit, name=None):
@@ -793,11 +803,11 @@ class TestCheckpoint:
         return self._with_config(tmp_path, edit)
 
     def test_version_1_rejected(self, tmp_path):
-        # v1 carried a key bias per block, which no output depended on; v2 and v3 have none
+        # v1 carried a key bias per block, which no output depended on; later versions have none
         path = tmp_path / "model.ckpt"
         save_checkpoint(CCANModel(toy_config(seed=15)), path)
         blob = path.read_bytes()
-        assert struct.unpack("<H", blob[4:6]) == (3,)
+        assert struct.unpack("<H", blob[4:6]) == (4,)
         path.write_bytes(blob[:4] + struct.pack("<H", 1) + blob[6:])
         with pytest.raises(FormatError, match="unsupported checkpoint version 1") as err:
             load_checkpoint(path)
@@ -806,10 +816,20 @@ class TestCheckpoint:
     def test_version_2_rejected(self, tmp_path):
         # v2 framed each parameter as its own record; v3 lists the layout in the config and stores ``values`` whole
         path = tmp_path / "model.ckpt"
-        payload = json.dumps({"model_kind": "mean-pool", "config": asdict(BaselineConfig(d_feature=3))}).encode()
+        payload = json.dumps({"model_kind": "mean-pool", "config": V3_POOL_CONFIG}).encode()
         record = struct.pack("<H", 6) + b"head.b" + struct.pack("<BI", 1, 1) + struct.pack("<f", 0.0)
         path.write_bytes(b"CCAN" + struct.pack("<HI", 2, len(payload)) + payload + struct.pack("<I", 1) + record)
         with pytest.raises(FormatError, match="unsupported checkpoint version 2") as err:
+            load_checkpoint(path)
+        assert err.value.offset == 4
+
+    def test_version_3_rejected(self, tmp_path):
+        # v3 saved a pooling baseline's kind twice and the width, scale and heads it never read; v4 has neither
+        path = tmp_path / "model.ckpt"
+        payload = json.dumps({"model_kind": "mean-pool", "config": V3_POOL_CONFIG,
+                              "layout": [["head.w", [3, 1]], ["head.b", [1]]]}, sort_keys=True).encode()
+        path.write_bytes(b"CCAN" + struct.pack("<HI", 3, len(payload)) + payload + np.zeros(4, "<f4").tobytes())
+        with pytest.raises(FormatError, match="unsupported checkpoint version 3") as err:
             load_checkpoint(path)
         assert err.value.offset == 4
 
@@ -827,7 +847,7 @@ class TestCheckpoint:
         if kind == "ccan":
             model = CCANModel(toy_config(seed=18))
         else:
-            model = BaselineModel(BaselineConfig(kind=kind, d_feature=6, d_latent=8, seed=18))
+            model = baseline(kind, 6, d_latent=8, seed=18)
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
 
@@ -852,7 +872,7 @@ class TestCheckpoint:
 
     def _pool_with_layout(self, tmp_path, old, new):
         """A saved mean-pool checkpoint whose layout JSON has ``old`` replaced by ``new``."""
-        save_checkpoint(BaselineModel(BaselineConfig(kind="mean-pool", d_feature=3, seed=4)), tmp_path / "pool.ckpt")
+        save_checkpoint(MeanPoolModel(PoolConfig(d_feature=3, seed=4)), tmp_path / "pool.ckpt")
         return self._with_config(tmp_path, lambda raw: raw.replace(old, new), name="pool.ckpt")
 
     def test_records_must_come_in_parameters_order(self, tmp_path):
@@ -981,15 +1001,15 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="unknown model_kind 'median-pool'"):
             load_checkpoint(path)
 
-    def test_model_kind_must_match_the_config_kind(self, tmp_path):
-        # the kind picks the model class and the config's kind its forward; they must name one model
+    def test_model_kind_must_match_the_config(self, tmp_path):
+        # the kind, recorded once, picks the model class and so the config class its config must fill
         path = tmp_path / "pool.ckpt"
-        save_checkpoint(BaselineModel(BaselineConfig(kind="max-pool", d_feature=3, seed=4)), path)
+        save_checkpoint(MaxPoolModel(PoolConfig(d_feature=3, seed=4)), path)
         blob = path.read_bytes()
         (length,) = struct.unpack("<I", blob[6:10])
-        payload = blob[10 : 10 + length].replace(b'"model_kind": "max-pool"', b'"model_kind": "mean-pool"')
+        payload = blob[10 : 10 + length].replace(b'"model_kind": "max-pool"', b'"model_kind": "full-self-attention"')
         path.write_bytes(blob[:6] + struct.pack("<I", len(payload)) + payload + blob[10 + length :])
-        with pytest.raises(FormatError, match="model_kind 'mean-pool' but config kind 'max-pool'") as err:
+        with pytest.raises(FormatError, match=r"missing keys \['d_latent', 'heads', 'scale_mode'\]") as err:
             load_checkpoint(path)
         assert err.value.offset == 10
 
@@ -1010,11 +1030,11 @@ class TestCheckpoint:
 
 
 @functools.cache
-def toy_checkpoint():
-    """The bytes of a saved TOY checkpoint, and the offset its values start at."""
+def toy_checkpoint(kind):
+    """The bytes of a saved ``kind`` checkpoint at TOY widths, and the offset its values start at."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "model.ckpt")
-        save_checkpoint(CCANModel(CCANConfig(**TOY, seed=24)), path)
+        save_checkpoint(make_model(kind, CCANConfig(**TOY), seed=24), path)
         with open(path, "rb") as fh:
             blob = fh.read()
     return blob, 10 + struct.unpack("<I", blob[6:10])[0]
@@ -1029,33 +1049,38 @@ def load_bytes(blob):
 
 
 class TestCheckpointProperties:
-    """Damaged TOY checkpoints: each fault is a typed error, never another exception or other values."""
+    """Damaged TOY checkpoints: each fault is a typed error, never another exception or other values.
+
+    Every example damages a checkpoint of each model kind, so each kind sees every example.
+    """
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_truncation_at_any_offset(self, data):
-        blob, _ = toy_checkpoint()
-        cut = data.draw(st.integers(0, len(blob) - 1), label="cut")
-        with pytest.raises(FormatError):
-            load_bytes(blob[:cut])
+        for kind in MODEL_KINDS:
+            blob, _ = toy_checkpoint(kind)
+            cut = data.draw(st.integers(0, len(blob) - 1), label=f"{kind} cut")
+            with pytest.raises(FormatError):
+                load_bytes(blob[:cut])
 
     @settings(max_examples=100, deadline=None)
     @given(length=st.integers(0, 2**32 - 1))
     def test_corrupted_config_length(self, length):
-        blob, start = toy_checkpoint()
-        if length == start - 10:
-            length += 1
-        with pytest.raises(FormatError):
-            load_bytes(blob[:6] + struct.pack("<I", length) + blob[10:])
+        for kind in MODEL_KINDS:
+            blob, start = toy_checkpoint(kind)
+            wrong = length + 1 if length == start - 10 else length
+            with pytest.raises(FormatError):
+                load_bytes(blob[:6] + struct.pack("<I", wrong) + blob[10:])
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_one_byte_changed_before_the_values(self, data):
-        blob, start = toy_checkpoint()
-        at = data.draw(st.integers(0, start - 1), label="at")
-        byte = data.draw(st.integers(0, 255).filter(lambda b: b != blob[at]), label="byte")
-        try:
-            model = load_bytes(blob[:at] + bytes([byte]) + blob[at + 1:])
-        except CCANError:
-            return
-        np.testing.assert_array_equal(model.values, np.frombuffer(blob, "<f4", offset=start))
+        for kind in MODEL_KINDS:
+            blob, start = toy_checkpoint(kind)
+            at = data.draw(st.integers(0, start - 1), label=f"{kind} at")
+            byte = data.draw(st.integers(0, 255).filter(lambda b: b != blob[at]), label=f"{kind} byte")
+            try:
+                model = load_bytes(blob[:at] + bytes([byte]) + blob[at + 1:])
+            except CCANError:
+                continue
+            np.testing.assert_array_equal(model.values, np.frombuffer(blob, "<f4", offset=start))

@@ -28,7 +28,6 @@ from ccan.preprocess import (
     _projection_matrix,
     _sectors,
     bilinear_resize,
-    canny_edge_fraction,
     canny_edges,
     grayscale,
     is_blurry,
@@ -431,8 +430,8 @@ class TestCanny:
         step[:, 20:] = 200
         for patch in (step, noise_patch(seed=5, shape=(64, 48, 3)), noise_patch(seed=6, shape=(7, 3, 1)),
                       noise_patch(seed=7, shape=(1, 9, 1)), np.full((5, 4, 3), 90, np.uint8)):
-            canny_edge_fraction(patch)
-            canny_edge_fraction(patch, PreprocessConfig(canny_sigma=1.0))
+            canny_edges(patch)
+            canny_edges(patch, PreprocessConfig(canny_sigma=1.0))
         # per call the Gaussian through ndimage, then Sobel x and y
         assert [kernel.shape for _, kernel, _ in calls] == [(5, 5), (3, 3), (3, 3)] * 10
         for img, kernel, out in calls:
@@ -440,17 +439,17 @@ class TestCanny:
             np.testing.assert_array_equal(out.view(np.uint64), edge_padded_correlation(img, kernel).view(np.uint64))
 
     def test_constant_patch_has_no_edges(self):
-        assert canny_edge_fraction(np.full((256, 256, 3), 120, np.uint8)) == 0.0
+        assert canny_edges(np.full((256, 256, 3), 120, np.uint8)).mean() == 0.0
 
     def test_step_edge_thinned(self):
         step = np.zeros((256, 256, 3), np.uint8)
         step[:, 128:] = 200
-        fraction = canny_edge_fraction(step)
+        fraction = canny_edges(step).mean()
         assert 0.0 < fraction < 0.08
         assert fraction == 254 / 65536  # golden: one-column edge, borders zeroed
 
     def test_noise_well_above_blur_cutoff(self):
-        fraction = canny_edge_fraction(noise_patch(seed=0))
+        fraction = canny_edges(noise_patch(seed=0)).mean()
         assert fraction > 0.02
         assert fraction == pytest.approx(0.078857421875, abs=1e-12)  # golden
 
@@ -458,7 +457,7 @@ class TestCanny:
         cells = (np.indices((256, 256)).sum(axis=0) // 8) % 2
         checker = np.repeat((cells * 255).astype(np.uint8)[:, :, None], 3, axis=2)
         assert is_blurry(checker) is False
-        assert canny_edge_fraction(checker) == pytest.approx(0.9538726806640625, abs=1e-12)
+        assert canny_edges(checker).mean() == pytest.approx(0.9538726806640625, abs=1e-12)
 
 
     @pytest.mark.parametrize("config", [
@@ -614,7 +613,7 @@ class TestBlurFilter:
     def test_cutoff_is_strict(self):
         step = np.zeros((256, 256, 3), np.uint8)
         step[:, 128:] = 200
-        fraction = canny_edge_fraction(step)
+        fraction = canny_edges(step).mean()
         at_cutoff = PreprocessConfig(blur_fraction=fraction)
         below_cutoff = PreprocessConfig(blur_fraction=fraction + 1e-9)
         assert is_blurry(step, at_cutoff) is False  # fraction == cutoff keeps
@@ -665,6 +664,11 @@ class TestProjection:
         assert not matrix.flags.writeable
         with pytest.raises(ValueError):
             matrix[0, 0] = 0.0
+
+    def test_negative_seed_is_a_config_error(self):
+        # numpy's own error for it is a ValueError, which the CLI would print as a traceback
+        with pytest.raises(ConfigError, match=r"seed must be >= 0, got -1"):
+            stub_features(noise_patch(seed=1), 8, seed=-1)
 
     def test_drawn_once_across_runs(self, tmp_path, monkeypatch):
         img = tissue_image(512, 512, seed=41)

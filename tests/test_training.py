@@ -24,7 +24,15 @@ from ccan.data import (
     write_manifest,
 )
 from ccan.errors import ConfigError, DataError, MetricError, UsageError
-from ccan.model import BaselineConfig, BaselineModel, CCANConfig, CCANModel, load_checkpoint
+from ccan.model import (
+    CCANConfig,
+    CCANModel,
+    MeanPoolModel,
+    PoolConfig,
+    SelfAttentionConfig,
+    SelfAttentionModel,
+    load_checkpoint,
+)
 from ccan.training import (
     ADAMW_CHUNK,
     AdamWState,
@@ -40,7 +48,7 @@ from ccan.training import (
     train,
     write_sweep_csv,
 )
-from composed import composed_bce
+from composed import composed_bce, grad_check
 
 
 def t64(data, requires_grad=False):
@@ -64,7 +72,7 @@ class TestBceLoss:
 
     def test_gradient(self):
         p = t64([0.3, 0.8, 0.6], requires_grad=True)
-        report = ag.grad_check(lambda: ag.bce([p], [1.0, 0.0, 1.0]), [("p", p)], eps=1e-5)
+        report = grad_check(lambda: ag.bce([p], [1.0, 0.0, 1.0]), [("p", p)], eps=1e-5)
         assert report.max_rel_err < 1e-6
 
 
@@ -217,6 +225,15 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match="beta1"):
             train(model, ds, plan.folds[0], TrainConfig(epochs=1, batch_size=2, beta1=1.0))
         assert all(np.array_equal(a, p.data) for a, (_, p) in zip(before, model.parameters()))
+
+    def test_negative_seed_rejected_before_the_first_step(self):
+        # the seed starts train's generator; numpy's own error for a negative one is a ValueError
+        ds, plan = small_task(seed=1, n_bags=24)
+        model = small_model(seed=2)
+        before = model.values.copy()
+        with pytest.raises(ConfigError, match=r"seed must be >= 0, got -1"):
+            train(model, ds, plan.folds[0], TrainConfig(epochs=1, batch_size=2, seed=-1))
+        np.testing.assert_array_equal(model.values, before)
 
 
 class TestCosineLR:
@@ -440,7 +457,7 @@ class TestTrain:
         ds = generate_synthetic(24, n_per_bag_range=(4, 6), d_feature=512, witness_shift=4.0,
                                 witness_count_range=(1, 2), grid=(4, 4), seed=1)
         fold = patient_grouped_kfold(ds.bags, k=4, val_fraction=0.2, seed=2).folds[0]
-        model = BaselineModel(BaselineConfig(kind="full-self-attention", d_feature=512, d_latent=256, seed=3))
+        model = SelfAttentionModel(SelfAttentionConfig(d_feature=512, d_latent=256, seed=3))
         param_bytes = sum(p.data.nbytes for _, p in model.parameters())
         bag = max((ds.by_id(i) for i in fold.train_ids), key=lambda b: b.n_tokens)
         tracemalloc.start()
@@ -771,7 +788,7 @@ class TestSweep:
         ds = generate_synthetic(80, (10, 20), d_feature=16, witness_shift=0.0,
                                 witness_count_range=(1, 2), grid=(8, 8), seed=22)
         plan = patient_grouped_kfold(ds.bags, k=4, val_fraction=0.2, seed=23)
-        model = BaselineModel(BaselineConfig(kind="mean-pool", d_feature=16, seed=24))
+        model = MeanPoolModel(PoolConfig(d_feature=16, seed=24))
         cfg = TrainConfig(epochs=10, batch_size=8, lr_max=1e-3, seed=25)
         _, history = train(model, ds, plan.folds[0], cfg)
         assert abs(history.test_auc_at_best - 0.5) <= 0.35  # wide: tiny test split

@@ -63,7 +63,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.p
 from ccan import autograd as ag  # noqa: E402
 from ccan.data import FeatureBag, generate_synthetic, patient_grouped_kfold  # noqa: E402
 from ccan.explain import explain_bag  # noqa: E402
-from ccan.model import BaselineConfig, BaselineModel, CCANConfig, CCANModel, load_checkpoint, save_checkpoint  # noqa: E402
+from ccan.model import MODEL_KINDS, CCANConfig, CCANModel, load_checkpoint, make_model, save_checkpoint  # noqa: E402
 from ccan.preprocess import (  # noqa: E402
     PreprocessConfig, RasterImage, canny_edges, is_blurry, is_white, run_pipeline, tessellate)
 from ccan.training import TrainConfig, bag_loss, train  # noqa: E402
@@ -162,10 +162,7 @@ def layout(model):
 
 def report_kinds(seed, each):
     bag = make_bag(40, TOY["d_feature"], seed + 1)
-    models = {"ccan": CCANModel(CCANConfig(**TOY, seed=seed))}
-    for kind in ("mean-pool", "max-pool", "full-self-attention"):
-        models[kind] = BaselineModel(BaselineConfig(kind=kind, d_feature=TOY["d_feature"], d_latent=TOY["d_latent"],
-                                                    seed=seed))
+    models = {kind: make_model(kind, CCANConfig(**TOY), seed) for kind in MODEL_KINDS}
     arrays, labels, checkpoints = [], [], []
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "model.ckpt")
