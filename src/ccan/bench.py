@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autograd as ag
-from .data import FeatureBag, atomic_write
+from .data import FeatureBag, atomic_write, seeded_rng
 from .errors import ConfigError
 from .model import make_model
 
@@ -67,7 +67,7 @@ def count_baseline_macs(config, n_tokens):
 
 def make_bench_bag(n_tokens, d_feature, seed=0):
     side = int(np.ceil(np.sqrt(n_tokens)))
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     cells = np.arange(n_tokens)
     return FeatureBag(
         bag_id=f"bench{n_tokens}",

@@ -321,7 +321,7 @@ def generate_synthetic(
     if w_min < 1 or w_max < w_min or w_max > n_min:
         raise ConfigError(f"bad witness count range {witness_count_range} for bag sizes {n_per_bag_range}")
 
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     bags = []
     witness_indices = {}
     patient_idx = 0
@@ -476,7 +476,7 @@ def patient_grouped_kfold(bags, k, val_fraction=0.2, seed=0):
     patients = sorted(by_patient)
     if k > len(patients):
         raise ConfigError(f"cannot make {k} folds from {len(patients)} patients")
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     order = [patients[i] for i in rng.permutation(len(patients))]
     test_groups = [order[i::k] for i in range(k)]
 
@@ -487,7 +487,7 @@ def patient_grouped_kfold(bags, k, val_fraction=0.2, seed=0):
         rest = [p for p in order if p not in test_patients]
         rest_bag_count = sum(len(by_patient[p]) for p in rest)
         val_target = round(val_fraction * rest_bag_count)
-        fold_rng = np.random.default_rng(seed + 7919 * (i + 1))
+        fold_rng = seeded_rng(seed + 7919 * (i + 1))
         rest_shuffled = [rest[j] for j in fold_rng.permutation(len(rest))]
         val_ids = []
         train_ids = []
@@ -507,7 +507,7 @@ def subsample_fraction(train_ids, fraction, seed):
     train_ids = list(train_ids)
     if fraction == 1:
         return train_ids
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     order = [train_ids[i] for i in rng.permutation(len(train_ids))]
     keep = math.ceil(fraction * len(train_ids))
     return order[:keep]

@@ -515,6 +515,8 @@ def _read_checkpoint(r, dtype):
         raise FormatError(f"unknown model_kind {kind!r} in checkpoint config", offset=start)
     cls = MODEL_KINDS[kind]
     config = _config_from_json(cls.config_class, payload["config"], start)
+    if config.seed < 0:  # the config could not draw its initial weights again
+        raise FormatError(f"checkpoint config 'seed' is {config.seed}, expected >= 0", offset=start)
     # the file writes every value, so the layout is made without drawing or filling any
     model = cls._unfilled(config, dtype, room=r.size - r.offset, at=r.offset)
     listed, want = payload["layout"], _layout(model)

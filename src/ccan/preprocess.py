@@ -7,10 +7,10 @@ BT.601 luma > 224), drops blurry patches (Canny edge fraction < 2%),
 and turns survivors into feature tokens via a deterministic random
 projection. Partial edge patches are discarded. Each patch's luma is
 computed once and read by both filters; the projection is drawn once
-per (d_feature, seed), cached and shared read-only by later runs.
+per (d_feature, seed) as 128-column slabs, cached and shared read-only.
 Patches are resized (8-bit ones at whole scale factors by integer means,
 the float path's bytes) and filtered on every usable CPU, with the same
-bag bytes at any CPU count; projections run on the calling thread.
+bag bytes at any CPU count; the projection runs on the calling thread.
 
 The Canny detector is the classic pipeline: 5x5 Gaussian smoothing
 (sigma 1.4), Sobel gradients, 4-direction non-maximum suppression, and
@@ -87,6 +87,9 @@ class PatchRecord:
 
 # every patch is resized to this edge length, the stub extractor's input
 PATCH_PIXELS = 256
+# a 768 x 128 float64 slab (786 KB) stays in L2 across a raster's patches, and its GEMV is below OpenBLAS's
+# threading cutoff: no BLAS worker wakes, so none spins on into the next raster's filters
+_SLAB_COLUMNS = 128
 
 
 @dataclass
@@ -368,31 +371,46 @@ def is_blurry(patch_pixels, config=None):
 
 
 @functools.lru_cache(maxsize=1)
-def _projection_matrix(d_feature, seed):
-    """The seed's projection, drawn once and shared read-only by every later call."""
-    matrix = seeded_rng(seed).standard_normal((768, d_feature))
-    matrix /= np.sqrt(768.0)
-    matrix.setflags(write=False)
-    return matrix
+def _projection_slabs(d_feature, seed):
+    """The seed's (768, d_feature) projection as read-only C-contiguous slabs of _SLAB_COLUMNS columns (the last
+    may be narrower), drawn once and shared. Rows come 64 at a time with one draw's bits; no full copy is held."""
+    rng = seeded_rng(seed)
+    starts = range(0, d_feature, _SLAB_COLUMNS)
+    slabs = [np.empty((768, min(_SLAB_COLUMNS, d_feature - c))) for c in starts]
+    for r in range(0, 768, 64):
+        rows = rng.standard_normal((64, d_feature))
+        rows /= np.sqrt(768.0)
+        for c, slab in zip(starts, slabs):
+            slab[r : r + 64] = rows[:, c : c + _SLAB_COLUMNS]
+    for slab in slabs:
+        slab.setflags(write=False)
+    return slabs
 
 
-def stub_features(patch_pixels, d_feature=2048, seed=0):
-    """Deterministic stand-in for a pretrained extractor.
+def stub_features(patches, d_feature=2048, seed=0):
+    """Deterministic stand-in for a pretrained extractor: a k x d_feature float32 array for k patches.
 
-    Block-averages the patch to 16x16x3, flattens, applies a fixed
-    seeded random projection, and squashes with tanh, so outputs are
-    bounded in (-1, 1) and identical patches map to identical tokens.
+    Block-averages each patch to 16x16x3, flattens, applies a fixed seeded random projection, and squashes
+    with tanh, so outputs are bounded in (-1, 1) and identical patches map to identical tokens. The projection
+    runs slab by slab on the calling thread; a slab's GEMV keeps each output's sum order, so a token's bits do
+    not depend on the other patches.
     """
-    p = np.asarray(patch_pixels)
-    if p.shape != (PATCH_PIXELS, PATCH_PIXELS, 3):
-        raise DataError(f"stub extractor expects {PATCH_PIXELS}x{PATCH_PIXELS}x3 patches, got {p.shape}")
-    if p.dtype != np.uint8:  # any wider value could wrap in the integer sums below
-        raise DataError(f"stub extractor expects 8-bit pixels, got {p.dtype}")
+    flats = np.empty((len(patches), 768))
     block = PATCH_PIXELS // 16
-    # exact block sums, so the means equal mean() of a float64 copy; 8-bit values add in uint16, then uint32
-    sums = p.reshape(16, block, 16, block, 3).sum(axis=1, dtype=np.uint16).sum(axis=2, dtype=np.uint32)
-    flat = (sums / block**2 / 255.0).reshape(-1)
-    return np.tanh(flat @ _projection_matrix(d_feature, seed)).astype(np.float32)
+    for flat, patch in zip(flats, patches):
+        p = np.asarray(patch)
+        if p.shape != (PATCH_PIXELS, PATCH_PIXELS, 3):
+            raise DataError(f"stub extractor expects {PATCH_PIXELS}x{PATCH_PIXELS}x3 patches, got {p.shape}")
+        if p.dtype != np.uint8:  # any wider value could wrap in the integer sums below
+            raise DataError(f"stub extractor expects 8-bit pixels, got {p.dtype}")
+        # exact block sums, so the means equal mean() of a float64 copy; 8-bit values add in uint16, then uint32
+        sums = p.reshape(16, block, 16, block, 3).sum(axis=1, dtype=np.uint16).sum(axis=2, dtype=np.uint32)
+        flat[:] = (sums / block**2 / 255.0).reshape(-1)
+    out = np.empty((len(flats), d_feature))
+    for c, slab in zip(range(0, d_feature, _SLAB_COLUMNS), _projection_slabs(d_feature, seed)):
+        for flat, row in zip(flats, out):  # slab-outer: each slab is read from L2 by every patch
+            np.matmul(flat, slab, out=row[c : c + slab.shape[1]])
+    return np.tanh(out, out=out).astype(np.float32)
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +440,7 @@ def run_pipeline(image, out_path, label, bag_id, patient_id, seed=0, config=None
         raise DataError(
             f"no patches survived filtering ({n_white} white, {n_blur} blurry of {len(patches)})"
         )
-    tokens = np.stack([stub_features(p.pixels, config.d_feature, seed) for p in kept])
+    tokens = stub_features([p.pixels for p in kept], config.d_feature, seed)
     n_rows = max(p.row for p in patches) + 1
     n_cols = max(p.col for p in patches) + 1
     bag = FeatureBag(

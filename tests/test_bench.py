@@ -135,3 +135,9 @@ class TestBenchScaling:
     def test_without_baseline(self):
         report = bench_scaling(bench_config(), [40, 80], repeats=5, warmup=0, include_baseline=False)
         assert {r.model for r in report.rows} == {"ccan"}
+
+
+def test_bench_bag_negative_seed_is_a_config_error():
+    # numpy's own error for it is a ValueError, which a library caller could not tell from a bug
+    with pytest.raises(ConfigError, match=r"seed must be >= 0, got -1"):
+        make_bench_bag(5, 3, seed=-1)

@@ -338,6 +338,11 @@ class TestSyntheticGeneration:
         with pytest.raises(ConfigError, match=f"n_bags must be >= 1, got {n_bags}"):
             generate_synthetic(n_bags, (5, 8), d_feature=4, grid=(4, 4), seed=0)
 
+    def test_negative_seed_is_a_config_error(self):
+        # numpy's own error for it is a ValueError, which a library caller could not tell from a bug
+        with pytest.raises(ConfigError, match=r"seed must be >= 0, got -1"):
+            generate_synthetic(4, (5, 8), d_feature=4, grid=(4, 4), seed=-1)
+
     def test_patients_own_one_to_three_bags(self):
         ds = generate_synthetic(50, (5, 8), d_feature=4, grid=(4, 4), seed=7)
         counts = {}
@@ -486,6 +491,11 @@ class TestPatientGroupedKFold:
         with pytest.raises(ConfigError):
             patient_grouped_kfold(bags, k=2, seed=0)
 
+    def test_negative_seed_is_a_config_error(self):
+        bags = [make_bag(bag_id=f"b{i}", patient_id=f"p{i}", seed=i) for i in range(4)]
+        with pytest.raises(ConfigError, match=r"seed must be >= 0, got -1"):
+            patient_grouped_kfold(bags, k=2, seed=-1)
+
     def test_plan_csv_round_trip(self, tmp_path):
         bags = [make_bag(bag_id=f"b{i}", patient_id=f"p{i}", seed=i) for i in range(8)]
         plan = patient_grouped_kfold(bags, k=2, val_fraction=0.25, seed=4)
@@ -559,6 +569,10 @@ class TestSubsampleFraction:
     def test_bad_fraction(self):
         with pytest.raises(ConfigError):
             subsample_fraction(["a"], 0.0, seed=0)
+
+    def test_negative_seed_is_a_config_error(self):
+        with pytest.raises(ConfigError, match=r"seed must be >= 0, got -1"):
+            subsample_fraction(["a", "b"], 0.5, seed=-1)
 
     @settings(max_examples=20, deadline=None)
     @given(n=st.integers(2, 80), seed=st.integers(0, 1000))

@@ -996,6 +996,15 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="'n_stages' is '2', expected int"):
             load_checkpoint(path)
 
+    def test_negative_seed_rejected(self, tmp_path):
+        # such a config loads but cannot draw its initial weights again: type(model)(model.config) would raise
+        path = tmp_path / "pool.ckpt"
+        save_checkpoint(MeanPoolModel(PoolConfig(d_feature=3, seed=4)), path)
+        self._with_config(tmp_path, lambda raw: raw.replace(b'"seed": 4', b'"seed": -4'), name="pool.ckpt")
+        with pytest.raises(FormatError, match=r"checkpoint config 'seed' is -4, expected >= 0") as err:
+            load_checkpoint(path)
+        assert err.value.offset == 10
+
     def test_unknown_model_kind(self, tmp_path):
         path = self._config_json(tmp_path, lambda p: p.update(model_kind="median-pool"))
         with pytest.raises(FormatError, match="unknown model_kind 'median-pool'"):

@@ -25,7 +25,7 @@ from ccan.preprocess import (
     PreprocessConfig,
     RasterImage,
     _gaussian_kernel,
-    _projection_matrix,
+    _projection_slabs,
     _sectors,
     bilinear_resize,
     canny_edges,
@@ -623,52 +623,68 @@ class TestBlurFilter:
 class TestStubFeatures:
     def test_deterministic(self):
         patch = noise_patch(seed=4)
-        np.testing.assert_array_equal(stub_features(patch, 64, seed=1), stub_features(patch, 64, seed=1))
+        np.testing.assert_array_equal(stub_features([patch], 64, seed=1), stub_features([patch], 64, seed=1))
 
     def test_default_dimension(self):
-        assert stub_features(noise_patch(seed=5)).shape == (2048,)
+        assert stub_features([noise_patch(seed=5)]).shape == (1, 2048)
 
     def test_bounded_by_tanh(self):
-        token = stub_features(noise_patch(seed=6), 128, seed=2)
+        token = stub_features([noise_patch(seed=6)], 128, seed=2)
         assert (np.abs(token) < 1.0).all()
 
     def test_distinct_patches_distinct_tokens(self):
-        a = stub_features(noise_patch(seed=7), 64, seed=3)
-        b = stub_features(noise_patch(seed=8), 64, seed=3)
+        a = stub_features([noise_patch(seed=7)], 64, seed=3)
+        b = stub_features([noise_patch(seed=8)], 64, seed=3)
         assert np.abs(a - b).max() > 1e-3
 
     def test_wrong_shape_rejected(self):
         with pytest.raises(DataError):
-            stub_features(np.zeros((128, 128, 3), np.uint8))
+            stub_features([np.zeros((128, 128, 3), np.uint8)])
 
     @pytest.mark.parametrize("dtype", [np.int16, np.uint16, np.float64])
     def test_wider_pixels_rejected(self, dtype):
         with pytest.raises(DataError, match=f"8-bit pixels, got {np.dtype(dtype)}"):
-            stub_features(np.full((256, 256, 3), 255, dtype))
+            stub_features([np.full((256, 256, 3), 255, dtype)])
+
+    def test_a_bad_patch_after_good_ones_is_rejected(self):
+        with pytest.raises(DataError, match=r"got \(256, 256\)$"):
+            stub_features([noise_patch(seed=9), noise_patch(seed=10)[:, :, 0]])
 
     @pytest.mark.parametrize("patch", [
         noise_patch(seed=40), step_patch(), checker_patch(), np.full((256, 256, 3), 255, np.uint8),
     ], ids=["noise", "step", "checker", "white"])
     def test_equals_the_reference(self, patch):
-        got = stub_features(patch, 96, seed=4)
+        (got,) = stub_features([patch], 96, seed=4)
         assert got.dtype == np.float32
         np.testing.assert_array_equal(got.view(np.uint32), reference_stub_features(patch, 96, 4).view(np.uint32))
+
+    # a single slab, a partial last slab (96, 129, 300) and whole ones only (128, 2048)
+    @pytest.mark.parametrize("d_feature", [1, 96, 128, 129, 300, 2048])
+    def test_each_token_equals_the_reference_over_slabs(self, d_feature):
+        patches = [noise_patch(seed=41), step_patch(), checker_patch()]
+        got = stub_features(patches, d_feature, seed=6)
+        assert got.shape == (3, d_feature) and got.dtype == np.float32
+        want = np.stack([reference_stub_features(p, d_feature, 6) for p in patches])
+        np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
 
 
 class TestProjection:
     def test_equals_a_fresh_draw_and_is_read_only(self):
-        matrix = _projection_matrix(48, 5)
-        fresh = np.random.default_rng(5).standard_normal((768, 48)) / np.sqrt(768.0)
-        assert matrix.dtype == np.float64
-        np.testing.assert_array_equal(matrix.view(np.uint64), fresh.view(np.uint64))
-        assert not matrix.flags.writeable
-        with pytest.raises(ValueError):
-            matrix[0, 0] = 0.0
+        slabs = _projection_slabs(300, 5)
+        fresh = np.random.default_rng(5).standard_normal((768, 300)) / np.sqrt(768.0)
+        assert [s.shape[1] for s in slabs] == [128, 128, 44]
+        joined = np.concatenate(slabs, axis=1)
+        assert joined.dtype == np.float64
+        np.testing.assert_array_equal(joined.view(np.uint64), fresh.view(np.uint64))
+        for slab in slabs:
+            assert slab.flags.c_contiguous and not slab.flags.writeable
+            with pytest.raises(ValueError):
+                slab[0, 0] = 0.0
 
     def test_negative_seed_is_a_config_error(self):
         # numpy's own error for it is a ValueError, which the CLI would print as a traceback
         with pytest.raises(ConfigError, match=r"seed must be >= 0, got -1"):
-            stub_features(noise_patch(seed=1), 8, seed=-1)
+            stub_features([noise_patch(seed=1)], 8, seed=-1)
 
     def test_drawn_once_across_runs(self, tmp_path, monkeypatch):
         img = tissue_image(512, 512, seed=41)

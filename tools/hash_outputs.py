@@ -18,7 +18,8 @@ Every run also hashes preprocessing, which no model setting reaches: for
 a seeded raster of white, blurred and sharp tissue cells at 0.5 and 1.0
 microns per pixel, then at 0.25 and 1/3 (the other whole resize factors,
 4 and 3) and at 0.3 (853 px patches, a fractional factor), the QC counts
-and CCFB bytes of ``run_pipeline``, the Canny mask of each patch, and the
+and CCFB bytes of ``run_pipeline`` (at 0.5 also with 300 features, which
+end in a partial 128-column projection slab), the Canny mask of each patch, and the
 ``is_blurry`` verdict of each non-white patch under the default config and
 three the pipeline's defaults never reach (``canny_low`` above
 ``canny_high``, ``canny_low`` 0 and ``canny_high`` 0). And
@@ -132,6 +133,10 @@ def report_preprocess(seed):
                   f"{qc.kept} kept")
             with open(path, "rb") as fh:
                 report(f"ccfb_{name}um", [np.frombuffer(fh.read(), np.uint8)])
+            if name == "0.5":
+                run_pipeline(image, path, 1, "bag", "patient", seed=seed, config=PreprocessConfig(d_feature=300))
+                with open(path, "rb") as fh:
+                    report("ccfb_0.5um_300", [np.frombuffer(fh.read(), np.uint8)])
             patches = tessellate(image)
             report(f"canny_{name}um", [canny_edges(p.pixels) for p in patches])
             tissue = [p.pixels for p in patches if not is_white(p.pixels)]
