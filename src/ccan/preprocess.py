@@ -23,10 +23,13 @@ ndimage.correlate's order, the angle folds into % 180's sector by adding
 180 to negative angles, and block means come from integer sums.
 
 The blur filter stops at the first exact bound on the edge count that
-decides its verdict: the magnitudes not below the low threshold (upper),
-then, 32 suppressed rows at a time, the pixels both strong and weak
-(lower), then the weak pixels (upper). Hysteresis labelling runs only when
-none decides; canny_edges runs the same stages to the end.
+decides its verdict. Gradient rows are made top-down, only as far as the
+next bound needs them, with the whole patch's bits (a row reads the luma
+rows within 3 of it). Suppression runs 32 rows at a time and counts the
+pixels both strong and weak (lower); the whole patch's magnitudes not below
+the low threshold (upper) come first only when the counts so far fall
+short of the cutoff's rate, then the weak pixels (upper). Hysteresis
+labelling runs only when none decides; canny_edges runs every stage.
 """
 
 from __future__ import annotations
@@ -203,13 +206,12 @@ def tessellate(image, config=None):
         raise DataError(
             f"image {image.width}x{image.height} px is smaller than one {side} px patch"
         )
-    pixels = image.pixels
-    if pixels.shape[2] == 1:
-        pixels = np.repeat(pixels, 3, axis=2)
     cells = [(r, c) for r in range(n_rows) for c in range(n_cols)]
-    crops = [pixels[r * side : (r + 1) * side, c * side : (c + 1) * side] for r, c in cells]
+    crops = [image.pixels[r * side : (r + 1) * side, c * side : (c + 1) * side] for r, c in cells]
     if side != PATCH_PIXELS:
         crops = _map_patches(functools.partial(bilinear_resize, out_h=PATCH_PIXELS, out_w=PATCH_PIXELS), crops)
+    if image.pixels.shape[2] == 1:  # each channel resizes alike, so one is cut and resized, then repeated
+        crops = [np.repeat(crop, 3, axis=2) for crop in crops]
     return [PatchRecord(pixels=crop, row=r, col=c) for crop, (r, c) in zip(crops, cells)]
 
 
@@ -284,18 +286,16 @@ _SOBEL_X = np.array([[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]], dtype=np.float64)
 _SOBEL_Y = np.array([[-1, -2, -1], [0, 0, 0], [1, 2, 1]], dtype=np.float64)
 
 
-def _sobel_gradients(smoothed):
-    """Sobel x and y with the edge pixels repeated, bit for bit as ndimage.correlate sums them:
-    each kernel's nonzero taps in row-major order onto 0.0, here as slices of one padded copy."""
-    h, w = smoothed.shape
-    padded = np.pad(smoothed, 1, mode="edge")
+def _sobel_gradients(padded, gx, gy):
+    """Sobel x and y into gx and gy from smoothed rows padded one pixel beyond theirs on every side, bit for bit as
+    ndimage.correlate sums them: each kernel's nonzero taps in row-major order onto 0.0, here as slices of padded."""
+    h, w = gx.shape
     scaled = {1: padded, 2: padded * 2.0}  # doubling is exact
-    gradients = [np.zeros((h, w)), np.zeros((h, w))]
-    for g, kernel in zip(gradients, (_SOBEL_X, _SOBEL_Y)):
+    for g, kernel in zip((gx, gy), (_SOBEL_X, _SOBEL_Y)):
+        g[...] = 0.0
         for (dy, dx), weight in np.ndenumerate(kernel):
             if weight:  # subtracting a tap equals adding its negation
                 (np.add if weight > 0 else np.subtract)(g, scaled[abs(weight)][dy : dy + h, dx : dx + w], out=g)
-    return gradients
 
 
 def _sectors(angle):
@@ -312,21 +312,45 @@ def _canny_bounds(patch_pixels, config):
     after the last (else None). An edge is a weak pixel whose component holds a strong one, so a pixel both strong
     and weak is an edge, and an edge is weak: its clamped magnitude is not below canny_low, or NaN, or a suppressed
     zero that is weak. Counts below 2^53 over the one size keep their order, so each bound is exact against a cutoff."""
-    # correlation, not convolution; past the border the edge pixels repeat
-    smoothed = ndimage.correlate(grayscale(patch_pixels), _gaussian_kernel(config.canny_sigma), mode="nearest")
-    gx, gy = _sobel_gradients(smoothed)
-    m = np.hypot(gx, gy)
-    h, size = m.shape[0], m.size
-    upper = float(size - np.count_nonzero(np.clip(m, 0.0, 255.0) < config.canny_low)) / size
-    yield 0.0, upper, None
+    gray = grayscale(patch_pixels)
+    h, w = gray.shape
+    size = h * w
+    gx, gy, m = np.empty((3, h, w))
+    made = reach = 0  # gradient rows made, top-down, and how many of their magnitudes are not below canny_low
+
+    def make(upto):
+        """Gradient rows up to upto. A gradient row reads luma rows within 3 of it, so each piece correlates those
+        (correlation, not convolution) into the inside of one buffer that holds a smoothed row and column beyond
+        each of theirs; only those past the patch's own border are repeated edge pixels."""
+        nonlocal made, reach
+        if upto > made:
+            lo, hi, rows = max(made - 3, 0), min(upto + 3, h), slice(made, upto)
+            padded = np.empty((hi - lo + 2, w + 2))  # smoothed rows lo - 1 to hi
+            ndimage.correlate(gray[lo:hi], _gaussian_kernel(config.canny_sigma), output=padded[1:-1, 1:-1],
+                              mode="nearest")
+            padded[:, 0], padded[:, -1] = padded[:, 1], padded[:, -2]
+            padded[0], padded[-1] = padded[1], padded[-2]
+            _sobel_gradients(padded[made - lo : upto + 2 - lo], gx[rows], gy[rows])
+            del padded  # before the piece's magnitudes are made
+            np.hypot(gx[rows], gy[rows], out=m[rows])
+            reach += m[rows].size - np.count_nonzero(np.clip(m[rows], 0.0, 255.0) < config.canny_low)
+            made = upto
 
     # non-maximum suppression against the two neighbors along the gradient, 32 interior rows at a time (the border
     # is suppressed); a NaN neighbor gives a NaN maximum, which fails the comparison as it would. The thresholds
     # are defined on the magnitude clamped to 8 bits, so a suppressed pixel is weak or strong iff 0.0 is
-    weak, strong = np.full(m.shape, 0.0 >= config.canny_low), np.full(m.shape, 0.0 >= config.canny_high)
-    both = 0
+    weak, strong = np.full((h, w), 0.0 >= config.canny_low), np.full((h, w), 0.0 >= config.canny_high)
+    both, upper = 0, None
     for top in range(1, h - 1, 32):
         above, rows, below = (slice(top + d, min(top + 32, h - 1) + d) for d in (-1, 0, 1))
+        make(below.stop)
+        # the whole patch's magnitudes not below canny_low (upper) go first only when the rows so far count fewer
+        # than the cutoff's rate: those magnitudes before the first slab, then the pixels both strong and weak
+        count, counted = (reach, made) if top == 1 else (both, top)
+        if upper is None and count < config.blur_fraction * w * counted:
+            make(h)
+            upper = float(reach) / size
+            yield float(both) / size, upper, None
         sector = _sectors(np.degrees(np.arctan2(gy[rows, 1:-1], gx[rows, 1:-1])))
         centre = m[rows, 1:-1]
         neighbors = ((m[rows, 2:], m[rows, :-2]), (m[below, :-2], m[above, 2:]),
@@ -337,7 +361,7 @@ def _canny_bounds(patch_pixels, config):
         suppressed = np.clip(np.where(keep, centre, 0.0), 0.0, 255.0)
         weak[rows, 1:-1], strong[rows, 1:-1] = suppressed >= config.canny_low, suppressed >= config.canny_high
         both += np.count_nonzero(weak[rows] & strong[rows])
-        yield float(both) / size, upper, None
+        yield float(both) / size, 1.0 if upper is None else upper, None
     yield float(both) / size, float(np.count_nonzero(weak)) / size, None
 
     # hysteresis: keep weak components 8-connected to a strong pixel

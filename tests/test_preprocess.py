@@ -23,6 +23,7 @@ from ccan.preprocess import (
     _SOBEL_X,
     _SOBEL_Y,
     PreprocessConfig,
+    QCReport,
     RasterImage,
     _gaussian_kernel,
     _projection_slabs,
@@ -419,24 +420,37 @@ class TestCanny:
             calls.append((img, kernel, correlate(img, kernel, **kwargs)))
             return calls[-1][2]
 
-        def sobel_spy(smoothed):
-            gx, gy = sobel(smoothed)
-            calls.extend([(smoothed, _SOBEL_X, gx), (smoothed, _SOBEL_Y, gy)])
-            return gx, gy
+        def sobel_spy(padded, gx, gy):
+            sobel(padded, gx, gy)
+            calls.extend([(padded, _SOBEL_X, gx.copy()), (padded, _SOBEL_Y, gy.copy())])
 
         monkeypatch.setattr(ndimage, "correlate", correlate_spy)
         monkeypatch.setattr(preprocess, "_sobel_gradients", sobel_spy)
         step = np.zeros((64, 48, 3), np.uint8)
         step[:, 20:] = 200
+        pieces = []
         for patch in (step, noise_patch(seed=5, shape=(64, 48, 3)), noise_patch(seed=6, shape=(7, 3, 1)),
                       noise_patch(seed=7, shape=(1, 9, 1)), np.full((5, 4, 3), 90, np.uint8)):
-            canny_edges(patch)
-            canny_edges(patch, PreprocessConfig(canny_sigma=1.0))
-        # per call the Gaussian through ndimage, then Sobel x and y
-        assert [kernel.shape for _, kernel, _ in calls] == [(5, 5), (3, 3), (3, 3)] * 10
+            h = patch.shape[0]
+            for config in (PreprocessConfig(), PreprocessConfig(canny_sigma=1.0)):
+                first = len(calls)
+                canny_edges(patch, config)
+                # per piece of gradient rows, top-down: the Gaussian through ndimage on the luma rows within 3 of the
+                # piece's, then Sobel x and y; the pieces make every row once (a patch under 3 rows is all border)
+                call = calls[first:]
+                assert [kernel.shape for _, kernel, _ in call] == [(5, 5), (3, 3), (3, 3)] * (len(call) // 3)
+                made = 0
+                for (luma, _, _), (_, _, gx) in zip(call[::3], call[1::3]):
+                    assert len(luma) == min(made + len(gx) + 3, h) - max(made - 3, 0)
+                    made += len(gx)
+                assert made == (h if h > 2 else 0)
+                pieces.append(len(call) // 3)
+        assert pieces == [2, 2, 2, 2, 1, 1, 0, 0, 1, 1]
         for img, kernel, out in calls:
-            assert out.shape == img.shape
-            np.testing.assert_array_equal(out.view(np.uint64), edge_padded_correlation(img, kernel).view(np.uint64))
+            want = edge_padded_correlation(img, kernel)
+            if kernel.shape == (3, 3):  # Sobel reads one padded pixel beyond its rows and columns on every side
+                want = want[1:-1, 1:-1]
+            np.testing.assert_array_equal(out.view(np.uint64), want.view(np.uint64))
 
     def test_constant_patch_has_no_edges(self):
         assert canny_edges(np.full((256, 256, 3), 120, np.uint8)).mean() == 0.0
@@ -498,7 +512,10 @@ class TestCanny:
         angle = np.degrees(np.arctan2(gy, gx)) % 180.0
         assert np.isin(angle, [22.5, 67.5, 112.5, 157.5]).sum() == on_edge.sum()
         # the program's gradients come from its Sobel function, the reference's from ndimage; the Gaussian passes
-        monkeypatch.setattr(preprocess, "_sobel_gradients", lambda smoothed: (gx.copy(), gy.copy()))
+        def sobel(padded, gx_rows, gy_rows):  # a 32-row patch makes its gradient rows in one piece
+            gx_rows[...], gy_rows[...] = gx, gy
+
+        monkeypatch.setattr(preprocess, "_sobel_gradients", sobel)
         monkeypatch.setattr(ndimage, "correlate",
                             lambda img, kernel, **kw: gx if kernel is _SOBEL_X else gy if kernel is _SOBEL_Y else img)
         patch = np.zeros((32, 32, 1), np.uint8)
@@ -588,12 +605,15 @@ class TestBlurFilter:
         for patch in (luma, lone_nan, np.full((9, 9), np.inf), np.full((9, 9), np.nan)):
             assert_blur_verdicts_equal_the_reference(patch, BLUR_CONFIGS)
 
+    # tall, narrow patches run up to 5 slabs, so draws take the whole-patch bound before any slab and a cut at each
     @settings(max_examples=150, deadline=None)
-    @given(st.data(), st.integers(1, 40), st.integers(1, 40), st.sampled_from([0, 1, 8, 64, 255]),
-           st.floats(-20.0, 300.0), st.floats(-20.0, 300.0), st.floats(-0.1, 1.6))
-    def test_verdicts_equal_the_reference_for_any_shape_and_thresholds(self, data, h, w, amplitude, low, high,
+    @given(st.data(), st.tuples(st.integers(1, 40), st.integers(1, 40)) | st.tuples(st.integers(1, 160),
+                                                                                    st.integers(1, 12)),
+           st.sampled_from([0, 1, 8, 64, 255]), st.floats(-20.0, 300.0), st.floats(-20.0, 300.0),
+           st.floats(-0.1, 1.6))
+    def test_verdicts_equal_the_reference_for_any_shape_and_thresholds(self, data, shape, amplitude, low, high,
                                                                          blur_fraction):
-        pixels = data.draw(hnp.arrays(np.uint8, (h, w, 1), elements=st.integers(0, 255)))
+        pixels = data.draw(hnp.arrays(np.uint8, (*shape, 1), elements=st.integers(0, 255)))
         patch = (pixels.astype(np.int64) * amplitude // 255).astype(np.uint8)
         config = PreprocessConfig(canny_low=low, canny_high=high, blur_fraction=blur_fraction)
         assert_blur_verdicts_equal_the_reference(patch, [config])
@@ -607,8 +627,29 @@ class TestBlurFilter:
         assert is_blurry(np.full((256, 256, 3), 90, np.uint8)) is True  # no magnitude reaches canny_low
         assert is_blurry(np.repeat(ramp, 3, axis=2)) is True  # a wide band reaches it, one line of it is kept
         assert is_blurry(checker_patch()) is False  # the strong pixels alone pass the cutoff
+        # a blurred tissue cell: its top rows reach canny_low too rarely, so the whole patch's upper bound decides
+        assert is_blurry(stained_raster(1.0, ["blur"]).pixels) is True
         with pytest.raises(AssertionError, match="hysteresis ran"):
             canny_edges(checker_patch())
+
+    def test_gradient_rows_are_made_as_the_bounds_need_them(self, monkeypatch):
+        heights, correlate = [], ndimage.correlate
+
+        def spy(img, kernel, **kwargs):
+            heights.append(len(img))
+            return correlate(img, kernel, **kwargs)
+
+        def luma_rows(fn, patch):
+            heights.clear()
+            fn(patch)
+            return sum(heights)
+
+        monkeypatch.setattr(ndimage, "correlate", spy)
+        assert luma_rows(is_blurry, checker_patch()) <= 72  # a sharp patch decides from its top rows
+        # the mask needs every row: each is read once, and the 3 rows on either side of each cut again
+        assert luma_rows(canny_edges, checker_patch()) == 256 + 6 * (len(heights) - 1) and len(heights) > 1
+        blurred = stained_raster(1.0, ["blur"]).pixels
+        assert luma_rows(is_blurry, blurred) == 256 + 6 and len(heights) == 2  # the top rows, then the rest
 
     def test_cutoff_is_strict(self):
         step = np.zeros((256, 256, 3), np.uint8)
@@ -790,6 +831,19 @@ class TestPipeline:
         with pytest.raises(DataError) as err:
             run_pipeline(tissue_image(256, 256), tmp_path / "bag.ccfb", label, bag_id, patient_id)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("mpp", [1.0, 0.5, 0.3])
+    def test_single_channel_raster_equals_its_three_channel_copy(self, tmp_path, mpp):
+        green = stained_raster(mpp, ["white", "sharp", "blur"], seed=44).pixels[:, :, 1]
+        write_pgm(green, tmp_path / "gray.pgm")
+        write_ppm(np.repeat(green[:, :, None], 3, axis=2), tmp_path / "rgb.ppm")
+        results = []
+        for name in ("gray.pgm", "rgb.ppm"):
+            pixels, _ = read_pnm(tmp_path / name)
+            _, qc = run_pipeline(RasterImage(pixels, mpp), tmp_path / f"{name}.ccfb", 1, "b", "p")
+            results.append((qc, (tmp_path / f"{name}.ccfb").read_bytes()))
+        assert results[0][0] == QCReport(total=3, white_rejected=1, blur_rejected=1, kept=1)
+        assert results[0] == results[1]
 
     def test_white_and_blur_filters_order_independent(self):
         # a patch that is both white and blurry counts as white, never kept

@@ -19,10 +19,12 @@ a seeded raster of white, blurred and sharp tissue cells at 0.5 and 1.0
 microns per pixel, then at 0.25 and 1/3 (the other whole resize factors,
 4 and 3) and at 0.3 (853 px patches, a fractional factor), the QC counts
 and CCFB bytes of ``run_pipeline`` (at 0.5 also with 300 features, which
-end in a partial 128-column projection slab), the Canny mask of each patch, and the
+end in a partial 128-column projection slab, and on a single-channel copy of
+the raster's rounded luma, as a P5 file holds it), the Canny mask of each patch, and the
 ``is_blurry`` verdict of each non-white patch under the default config and
-three the pipeline's defaults never reach (``canny_low`` above
-``canny_high``, ``canny_low`` 0 and ``canny_high`` 0). And
+four the pipeline's defaults never reach (``canny_low`` above
+``canny_high``, ``canny_low`` 0, ``canny_high`` 0, and a cutoff of 0.15,
+which sharp patches reach only after many slabs). And
 it hashes a short seeded TOY ``training.train`` (3 epochs in windows of
 8 bags on synthetic witness bags), which runs AdamW, the window mean and
 the best-epoch snapshot and restore: its history, the returned best
@@ -66,12 +68,13 @@ from ccan.data import FeatureBag, generate_synthetic, patient_grouped_kfold  # n
 from ccan.explain import explain_bag  # noqa: E402
 from ccan.model import MODEL_KINDS, CCANConfig, CCANModel, load_checkpoint, make_model, save_checkpoint  # noqa: E402
 from ccan.preprocess import (  # noqa: E402
-    PreprocessConfig, RasterImage, canny_edges, is_blurry, is_white, run_pipeline, tessellate)
+    PreprocessConfig, RasterImage, canny_edges, grayscale, is_blurry, is_white, run_pipeline, tessellate)
 from ccan.training import TrainConfig, bag_loss, train  # noqa: E402
 
-# the blur verdict under the default thresholds and at each edge: low above high, every pixel weak, every pixel strong
+# the blur verdict under the default thresholds, at each edge (low above high, every pixel weak, every pixel strong)
+# and at a cutoff that sharp patches reach only after many slabs
 BLUR_CONFIGS = (PreprocessConfig(), PreprocessConfig(canny_low=120.0, canny_high=60.0),
-                PreprocessConfig(canny_low=0.0), PreprocessConfig(canny_high=0.0))
+                PreprocessConfig(canny_low=0.0), PreprocessConfig(canny_high=0.0), PreprocessConfig(blur_fraction=0.15))
 TOY = dict(n_stages=2, n_latents=16, compression=2, d_latent=32, d_feature=64, self_layers=1, n_frequencies=2)
 
 
@@ -125,18 +128,22 @@ def stained_raster(mpp, seed):
 
 def report_preprocess(seed):
     with tempfile.TemporaryDirectory() as tmp:
-        for mpp, name in ((0.5, "0.5"), (1.0, "1.0"), (0.25, "0.25"), (1 / 3, "0.333"), (0.3, "0.3")):
-            image = stained_raster(mpp, seed)
-            path = os.path.join(tmp, "bag.ccfb")
-            _, qc = run_pipeline(image, path, 1, "bag", "patient", seed=seed)
-            print(f"{f'qc_{name}um':14s} {qc.total:4d} total, {qc.white_rejected} white, {qc.blur_rejected} blurry, "
+        path = os.path.join(tmp, "bag.ccfb")
+
+        def pipeline(name, image, config=None):
+            _, qc = run_pipeline(image, path, 1, "bag", "patient", seed=seed, config=config)
+            print(f"{f'qc_{name}':14s} {qc.total:4d} total, {qc.white_rejected} white, {qc.blur_rejected} blurry, "
                   f"{qc.kept} kept")
             with open(path, "rb") as fh:
-                report(f"ccfb_{name}um", [np.frombuffer(fh.read(), np.uint8)])
+                report(f"ccfb_{name}", [np.frombuffer(fh.read(), np.uint8)])
+
+        for mpp, name in ((0.5, "0.5"), (1.0, "1.0"), (0.25, "0.25"), (1 / 3, "0.333"), (0.3, "0.3")):
+            image = stained_raster(mpp, seed)
+            pipeline(f"{name}um", image)
             if name == "0.5":
-                run_pipeline(image, path, 1, "bag", "patient", seed=seed, config=PreprocessConfig(d_feature=300))
-                with open(path, "rb") as fh:
-                    report("ccfb_0.5um_300", [np.frombuffer(fh.read(), np.uint8)])
+                pipeline("0.5um_300", image, PreprocessConfig(d_feature=300))
+                luma = np.rint(grayscale(image.pixels)).astype(np.uint8)  # the raster as a P5 file would hold it
+                pipeline("0.5um_p5", RasterImage(pixels=luma, microns_per_pixel=mpp))
             patches = tessellate(image)
             report(f"canny_{name}um", [canny_edges(p.pixels) for p in patches])
             tissue = [p.pixels for p in patches if not is_white(p.pixels)]
