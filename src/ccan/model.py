@@ -45,6 +45,10 @@ from .posenc import attach_encodings, encoding_width, frequency_ladder
 CHECKPOINT_MAGIC = b"CCAN"
 CHECKPOINT_VERSION = 4
 
+# rows a forward that does not record encodes and projects at a time; a row block of a product has the
+# whole product's bits unless it is one row (a GEMV)
+PROJECTION_ROWS = 1024
+
 
 def _views(flat, shapes):
     """Views of the 1-D ``flat``, end to end, one of each shape."""
@@ -322,18 +326,40 @@ class CCANModel(_Model):
             records=records,
         )
 
+    def _input_context(self, tokens, rows, cols, grid):
+        """The rows ``tokens`` at cells (``rows``, ``cols``) encoded and projected, N x D_l. A recording projection
+        encodes them whole, as its weight gradient reads them; otherwise equal blocks of at most PROJECTION_ROWS
+        rows are encoded and projected into one array and the bias added once, so N x D_e never exists whole."""
+        w, b, ladder, n = self.input_proj_w, self.input_proj_b, self.ladder, tokens.shape[0]
+
+        def encoded(lo, hi):
+            return attach_encodings(tokens[lo:hi].astype(self.dtype, copy=False), rows[lo:hi], cols[lo:hi],
+                                    *grid, ladder, self.config.append_raw_coords)
+
+        if ag._recording((w, b)):
+            return ag.linear(Tensor(encoded(0, n)), w, b)
+        ctx = np.empty((n, w.shape[1]), self.dtype)
+        k = -(-n // PROJECTION_ROWS)
+        for i in range(k):  # bounds at n*i//k: more than one block means 512 rows or more each
+            lo, hi = n * i // k, n * (i + 1) // k
+            ag._matmul(encoded(lo, hi), w.data, ctx[lo:hi])
+        ctx += b.data
+        return Tensor(ctx)
+
     def forward(self, bag, rng=None, train_mode=False):
-        """Full pass over one bag; deterministic whenever train_mode is off."""
+        """Full pass over one bag; deterministic whenever train_mode is off.
+
+        The forward drops the bag once its kept rows are projected, so a caller that passes ``entry.load()``
+        inline has the raw tokens freed before stage 1 (on CPython >= 3.11, whose frames own their arguments).
+        """
         cfg = self.config
         self._check_bag(bag)
         # dropout first: the encoding is per row, so only kept rows are encoded
         kept, kept_indices = token_dropout(bag.tokens, cfg.p_dropout, rng, train_mode)
-        encoded = attach_encodings(
-            kept.astype(self.dtype, copy=False), bag.rows[kept_indices], bag.cols[kept_indices],
-            bag.rows_total, bag.cols_total, self.ladder, cfg.append_raw_coords,
-        )
-        ctx = ag.linear(Tensor(encoded), self.input_proj_w, self.input_proj_b)
-        del encoded  # under no_grad nothing else reads it; in training the graph keeps it
+        rows, cols, grid = bag.rows[kept_indices], bag.cols[kept_indices], (bag.rows_total, bag.cols_total)
+        del bag
+        ctx = self._input_context(kept, rows, cols, grid)
+        del kept, rows, cols  # in eval ``kept`` is the bag's own tokens
         stages = []
         prev = None
         for j in range(1, cfg.n_stages + 1):

@@ -244,13 +244,14 @@ def evaluate_auc(model, bags):
 # training loop
 
 
-def _bag_step(model, bag, rng, num_classes):
-    """Forward, loss and backward of one training bag; returns the loss value.
+def _bag_step(model, entry, rng, num_classes):
+    """Forward, loss and backward of one training bag or dataset entry; returns the loss value.
 
-    The bag's graph is dropped on return, before the next bag's forward.
+    The bag is loaded inside the forward's call, so its raw tokens are freed once the kept rows are
+    projected; the graph is dropped on return, before the next bag's forward.
     """
-    out = model.forward(bag, rng=rng, train_mode=True)
-    loss = bag_loss(out, bag.label, num_classes)
+    out = model.forward(entry.load(), rng=rng, train_mode=True)
+    loss = bag_loss(out, entry.label, num_classes)
     ag.backward(loss)
     return loss.item()
 
@@ -281,7 +282,7 @@ def train(model, dataset, fold, cfg, checkpoint_path=None, log=None):
                 grads.fill(0)
             window = order[lo:lo + cfg.batch_size]
             for idx in window:
-                epoch_losses.append(_bag_step(model, train_bags[idx].load(), rng, num_classes))
+                epoch_losses.append(_bag_step(model, train_bags[idx], rng, num_classes))
             lr = cosine_lr(state.t, total_steps, cfg.lr_max, cfg.lr_min)  # t: the steps taken so far
             grads /= len(window)
             adamw_step(model.values, grads, state, lr, cfg.beta1, cfg.beta2, cfg.eps, cfg.weight_decay)

@@ -3,9 +3,11 @@ import inspect
 import json
 import os
 import struct
+import sys
 import tempfile
 import time
 import tracemalloc
+import weakref
 from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 from ccan import autograd as ag
 from ccan import data as data_module
 from ccan.autograd import Tensor
-from ccan.bench import make_bench_bag
+from ccan.bench import count_macs, make_bench_bag
 from ccan.cli import parse_config
 from ccan.data import generate_synthetic, patient_grouped_kfold, write_bag, write_manifest
 from ccan.errors import CCANError, ConfigError, DataError, FormatError, ShapeError
@@ -561,6 +563,94 @@ class TestForward:
         bag = toy_dataset(d_feature=11, seed=12).bags[0]
         with pytest.raises(ShapeError):
             model.forward(bag)
+
+
+TOY = dict(n_stages=2, n_latents=16, compression=2, d_latent=32, d_feature=64, self_layers=1, n_frequencies=2)
+INLINE_ARGUMENTS = pytest.mark.skipif(
+    sys.version_info < (3, 11),
+    reason="before CPython 3.11 the caller's frame holds a call's arguments until it returns, "
+           "so a bag passed inline lives as long as the forward",
+)
+
+
+class TestInputRows:
+    """A forward holds the raw tokens only until its kept rows are projected, and a forward that does not
+    record projects them in row blocks with the recording forward's bits."""
+
+    class Entry:
+        """A dataset entry whose every ``load`` makes a new bag and keeps a weak reference to its tokens."""
+
+        def __init__(self, n_tokens, seed):
+            self.n_tokens, self.seed, self.label, self.tokens = n_tokens, seed, 0, []
+
+        def load(self):
+            bag = make_bench_bag(self.n_tokens, TOY["d_feature"], seed=self.seed)
+            self.tokens.append(weakref.ref(bag.tokens))
+            return bag
+
+    @staticmethod
+    def tokens_alive_at_stage1(monkeypatch, entry):
+        """Whether the last loaded bag's tokens are alive when each stage 1 starts, one per forward."""
+        seen, stage_forward = [], CCANModel.stage_forward
+
+        def spy(self, j, prev_latents, input_ctx):
+            if j == 1:
+                seen.append(entry.tokens[-1]() is not None)
+            return stage_forward(self, j, prev_latents, input_ctx)
+
+        monkeypatch.setattr(CCANModel, "stage_forward", spy)
+        return seen
+
+    @INLINE_ARGUMENTS
+    def test_training_step_frees_the_raw_tokens_before_stage_1(self, monkeypatch):
+        from ccan.training import _bag_step
+
+        entry, model = self.Entry(300, seed=1), CCANModel(CCANConfig(**TOY, p_dropout=0.5))
+        seen = self.tokens_alive_at_stage1(monkeypatch, entry)
+        _bag_step(model, entry, np.random.default_rng(0), 2)
+        assert seen == [False]
+
+    @INLINE_ARGUMENTS
+    def test_eval_forward_of_an_inline_load_frees_the_raw_tokens_before_stage_1(self, monkeypatch):
+        entry, model = self.Entry(300, seed=2), CCANModel(CCANConfig(**TOY))
+        seen = self.tokens_alive_at_stage1(monkeypatch, entry)
+        with ag.no_grad():
+            model.forward(entry.load())
+        assert seen == [False]
+
+    @pytest.mark.parametrize("train_mode", [False, True])
+    def test_a_bag_the_caller_holds_stays_alive(self, monkeypatch, train_mode):
+        entry, model = self.Entry(300, seed=3), CCANModel(CCANConfig(**TOY, p_dropout=0.5))
+        seen = self.tokens_alive_at_stage1(monkeypatch, entry)
+        bag = entry.load()
+        with ag.no_grad():
+            model.forward(bag, rng=np.random.default_rng(0), train_mode=train_mode)
+        assert seen == [True]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [1, 3, 1025, 2049])
+    def test_blocked_projection_equals_the_recording_forward(self, monkeypatch, n, dtype):
+        # 1,025 and 2,049 rows run in two and three blocks; the recording forward projects them whole
+        model, bag = CCANModel(CCANConfig(**TOY), dtype=dtype), make_bench_bag(n, TOY["d_feature"], seed=n)
+        projected, matmul = [], ag._matmul
+
+        def spy(a, b, out):
+            if b is model.input_proj_w.data:
+                projected.append(a.shape[0])
+            return matmul(a, b, out)
+
+        monkeypatch.setattr(ag, "_matmul", spy)
+        with ag.no_grad(), ag.op_probe() as probe:
+            blocked = model.forward(bag)
+        assert projected == {1: [1], 3: [3], 1025: [512, 513], 2049: [683] * 3}[n]
+        whole = model.forward(bag)
+        assert whole.stages[0].probs_tensor.requires_grad and not blocked.stages[0].probs_tensor.requires_grad
+        assert probe.macs == count_macs(model.config, n)
+        assert blocked.averaged_probs.tobytes() == whole.averaged_probs.tobytes()
+        for a, b in zip(blocked.stages, whole.stages, strict=True):
+            assert a.probs.tobytes() == b.probs.tobytes()
+            for ra, rb in zip(a.records, b.records, strict=True):
+                assert ra.matrix.dtype == dtype and ra.matrix.tobytes() == rb.matrix.tobytes()
 
 
 class TestBaselines:

@@ -696,13 +696,18 @@ class TestSweep:
         assert lines[-1].startswith("fold 1 fraction 1.0 mean-pool: test_auc=")
 
     def test_two_jobs_write_the_same_rows_as_one(self, tmp_path):
-        ds, plan = small_task(seed=28, n_bags=24, d_feature=8)
+        # at the acceptance tests' TOY model (small_model at D_f 64) over two epochs, a worker's rows equal
+        # the calling process's, every float included
+        ds, plan = small_task(seed=28, n_bags=24, d_feature=64)
         one_fold = type(plan)(folds=[plan.folds[0]])
-        cfg = TrainConfig(epochs=1, batch_size=8, lr_max=1e-4, seed=29)
-        args = (ds, one_fold, [0.5, 1.0], cfg, small_model(d_feature=8).config)
+        cfg = TrainConfig(epochs=2, batch_size=8, lr_max=1e-3, seed=29)
+        args = (ds, one_fold, [0.5, 1.0], cfg, small_model(d_feature=64).config)
+        rows = {}
         for jobs in (1, 2):
-            rows = data_efficiency_sweep(*args, models=("ccan", "mean-pool"), jobs=jobs)
-            write_sweep_csv(rows, tmp_path / f"jobs{jobs}.csv")
+            rows[jobs] = data_efficiency_sweep(*args, models=("ccan", "mean-pool"), jobs=jobs)
+            write_sweep_csv(rows[jobs], tmp_path / f"jobs{jobs}.csv")
+        assert len(rows[1]) == 4 and all(math.isfinite(r.test_auc) for r in rows[1])
+        assert rows[2] == rows[1]
         assert (tmp_path / "jobs1.csv").read_bytes() == (tmp_path / "jobs2.csv").read_bytes()
 
     def test_pool_is_sent_the_dataset_once(self, monkeypatch):
