@@ -35,9 +35,9 @@ keys carry the same bits as a row-major projection at every shape tested
 float64, which only the gradient oracle uses, BLAS rounds some large
 shapes differently.
 
-The default logit scale is sqrt(#query rows) ("per-paper" mode); the
-conventional sqrt(head dim) is available as "per-dim". Model configs
-reject more than one head with per-paper scaling.
+The logit scale follows from the head count: one head divides by
+sqrt(#query rows), as the paper does, and more than one by the usual
+sqrt(head dim).
 """
 
 from __future__ import annotations
@@ -48,9 +48,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .errors import ConfigError, DataError, ShapeError, UsageError
-
-SCALE_MODES = ("per-paper", "per-dim")
+from .errors import DataError, ShapeError, UsageError
 
 
 @dataclass
@@ -108,14 +106,6 @@ def fill_param(out, fill, rng):
     out[...] = rng.normal(0.0, 0.02, out.shape) if fill is None else fill
 
 
-def attention_scale(scale_mode, n_query_rows, head_dim):
-    if scale_mode == "per-paper":
-        return float(np.sqrt(n_query_rows))
-    if scale_mode == "per-dim":
-        return float(np.sqrt(head_dim))
-    raise ConfigError(f"unknown scale_mode {scale_mode!r}; expected one of {SCALE_MODES}")
-
-
 def _kv_views(kv, d):
     """K^T (d x N) and V (N x d), the two rows of a packed 2 x (N * d) array."""
     n = kv.shape[1] // d
@@ -170,7 +160,7 @@ def _check_block(x, context, params, heads):
         raise ShapeError(f"attention block: width {d} does not split into {heads} heads")
 
 
-def _block(x, context, params, scale_mode, heads):
+def _block(x, context, params, heads):
     """The pre-norm residual block both kinds share, as one node (see the module docstring).
 
     Queries come from the normed ``x``; keys and values from ``context``,
@@ -179,7 +169,7 @@ def _block(x, context, params, scale_mode, heads):
     """
     _check_block(x, context, params, heads)
     p, d = params, params.w_q.shape[0]
-    scale = attention_scale(scale_mode, x.shape[0], d // heads)
+    scale = float(np.sqrt(x.shape[0] if heads == 1 else d // heads))
     kv = None if context is None else _context_kv(context, params)
     # kv goes last: the backward's graph walk then finishes it before this block's input
     parents = [x] + [t for name, t in p.named_tensors() if kv is None or name not in ("w_k", "w_v", "b_v")]
@@ -230,15 +220,15 @@ def _block(x, context, params, scale_mode, heads):
     return ag._make_node(Tensor(out), parents, backward), att
 
 
-def cross_attention_block(latents, context, params, scale_mode="per-paper", heads=1):
+def cross_attention_block(latents, context, params, heads=1):
     """Latents attend to a (possibly much larger) context set.
 
     Residual form: attention onto normed latents with keys/values from
     the raw context, then the residual MLP sub-layer.
     """
-    return _block(latents, context, params, scale_mode, heads)
+    return _block(latents, context, params, heads)
 
 
-def self_attention_block(tokens, params, scale_mode="per-paper", heads=1):
+def self_attention_block(tokens, params, heads=1):
     """Pre-norm self-attention block; its softmax is heads x m x m."""
-    return _block(tokens, None, params, scale_mode, heads)
+    return _block(tokens, None, params, heads)

@@ -63,13 +63,10 @@ _FIELDS = {
     "model.num_classes": (CCANConfig, "num_classes"),
     "model.I": (CCANConfig, "n_frequencies"),
     "model.f_max": (CCANConfig, "f_max"),
-    "model.scale_mode": (CCANConfig, "scale_mode"),
     "model.heads": (CCANConfig, "heads"),
-    "model.append_raw_coords": (CCANConfig, "append_raw_coords"),
     "train.epochs": (TrainConfig, "epochs"),
     "train.batch_size": (TrainConfig, "batch_size"),
     "train.lr_max": (TrainConfig, "lr_max"),
-    "train.lr_min": (TrainConfig, "lr_min"),
     "train.weight_decay": (TrainConfig, "weight_decay"),
     "train.beta1": (TrainConfig, "beta1"),
     "train.beta2": (TrainConfig, "beta2"),

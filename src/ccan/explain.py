@@ -99,13 +99,18 @@ def export_heatmap(attention_map, path_base):
     """
     csv_path = f"{path_base}.csv"
     pgm_path = f"{path_base}.pgm"
+    grid = (attention_map.rows_total, attention_map.cols_total)
+    try:  # before either file is written, so a grid too large for one raster leaves neither
+        raster = np.zeros(grid, dtype=np.uint8)
+    except (MemoryError, ValueError):  # ValueError: more bytes than numpy can address
+        raise DataError(f"the {grid[0]} x {grid[1]} grid's heatmap needs {grid[0] * grid[1]} bytes, "
+                        "more than can be allocated") from None
     with atomic_write(csv_path, text=True) as fh:
         writer = csv.writer(fh)
         for r, c, s in zip(attention_map.rows, attention_map.cols, attention_map.scores):
             writer.writerow([int(r), int(c), repr(float(s))])
-    raster = np.zeros((attention_map.rows_total, attention_map.cols_total), dtype=np.float64)
-    raster[attention_map.rows, attention_map.cols] = np.clip(attention_map.scores, 0.0, 1.0)
-    write_pgm(np.rint(raster * 255.0).astype(np.uint8), pgm_path)
+    raster[attention_map.rows, attention_map.cols] = np.rint(np.clip(attention_map.scores, 0.0, 1.0) * 255.0)
+    write_pgm(raster, pgm_path)
     return csv_path, pgm_path
 
 

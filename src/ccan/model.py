@@ -29,21 +29,14 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import autograd as ag
-from .attention import (
-    SCALE_MODES,
-    AttentionRecord,
-    BlockParams,
-    cross_attention_block,
-    fill_param,
-    self_attention_block,
-)
+from .attention import AttentionRecord, BlockParams, cross_attention_block, fill_param, self_attention_block
 from .autograd import Tensor
 from .data import BinaryReader, atomic_write, seeded_rng
 from .errors import ConfigError, DataError, FormatError, ShapeError
-from .posenc import attach_encodings, encoding_width, frequency_ladder
+from .posenc import attach_encodings, frequency_ladder
 
 CHECKPOINT_MAGIC = b"CCAN"
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 # rows a forward that does not record encodes and projects at a time; a row block of a product has the
 # whole product's bits unless it is one row (a GEMV)
@@ -97,19 +90,15 @@ class _Layout:
 
 
 def _check_shared(config, attention=True):
-    """The width and class checks every model config shares, and with ``attention`` the head and scale checks."""
+    """The width and class checks every model config shares, and with ``attention`` the head checks."""
     if config.d_feature < 1:
         raise ConfigError(f"d_feature must be >= 1, got {config.d_feature}")
     if config.num_classes < 2:
         raise ConfigError(f"num_classes must be >= 2, got {config.num_classes}")
     if not attention:
         return
-    if config.scale_mode not in SCALE_MODES:
-        raise ConfigError(f"scale_mode must be one of {SCALE_MODES}, got {config.scale_mode!r}")
     if config.heads < 1:
         raise ConfigError(f"heads must be >= 1, got {config.heads}")
-    if config.heads > 1 and config.scale_mode == "per-paper":
-        raise ConfigError("heads > 1 requires scale_mode='per-dim'")
     if config.d_latent < 1:
         raise ConfigError(f"d_latent must be >= 1, got {config.d_latent}")
     if config.d_latent % config.heads != 0:
@@ -131,9 +120,7 @@ class CCANConfig:
     num_classes: int = 2
     n_frequencies: int = 6  # I
     f_max: float = 10.0
-    scale_mode: str = "per-paper"
-    heads: int = 1
-    append_raw_coords: bool = False
+    heads: int = 1  # one head scales logits by sqrt(#query rows), several by sqrt(head dim)
     seed: int = 0
 
     def validate(self):
@@ -175,7 +162,7 @@ class CCANConfig:
 
     @property
     def d_encoded(self):
-        return self.d_feature + encoding_width(self.n_frequencies, self.append_raw_coords)
+        return self.d_feature + 4 * self.n_frequencies
 
 
 @dataclass
@@ -303,16 +290,16 @@ class CCANModel(_Model):
         stage_ctx = input_ctx if j == 1 else prev_latents
         x = stage.latents
         for z in range(cfg.block_repeats):
-            x = cross_attention_block(x, stage_ctx, stage.cross_blocks[z], cfg.scale_mode, cfg.heads)[0]
+            x = cross_attention_block(x, stage_ctx, stage.cross_blocks[z], cfg.heads)[0]
             for s in range(cfg.self_layers):
                 block = stage.self_blocks[z * cfg.self_layers + s]
-                x = self_attention_block(x, block, cfg.scale_mode, cfg.heads)[0]
+                x = self_attention_block(x, block, cfg.heads)[0]
         if j > 1:
             x = x + ag.avg_pool_rows(prev_latents, cfg.compression)  # the pooled skip
         x = ag.concat_rows([x, stage.class_token])
-        x, cross = cross_attention_block(x, input_ctx, stage.final_cross, cfg.scale_mode, cfg.heads)
+        x, cross = cross_attention_block(x, input_ctx, stage.final_cross, cfg.heads)
         cross = AttentionRecord.of(cross)
-        x, self_ = self_attention_block(x, stage.final_self, cfg.scale_mode, cfg.heads)
+        x, self_ = self_attention_block(x, stage.final_self, cfg.heads)
         records = [cross, AttentionRecord.of(self_)]
         m = x.shape[0] - 1
         class_embedding = ag.slice_rows(x, m, m + 1)
@@ -334,7 +321,7 @@ class CCANModel(_Model):
 
         def encoded(lo, hi):
             return attach_encodings(tokens[lo:hi].astype(self.dtype, copy=False), rows[lo:hi], cols[lo:hi],
-                                    *grid, ladder, self.config.append_raw_coords)
+                                    *grid, ladder)
 
         if ag._recording((w, b)):
             return ag.linear(Tensor(encoded(0, n)), w, b)
@@ -406,10 +393,9 @@ class PoolConfig:
 
 @dataclass
 class SelfAttentionConfig(PoolConfig):
-    """The full-self-attention baseline's config: a pooling config's, and width, scaling and heads as in CCAN's."""
+    """The full-self-attention baseline's config: a pooling config's, and width and heads as in CCAN's."""
 
     d_latent: int = 512
-    scale_mode: str = "per-paper"
     heads: int = 1
 
     def validate(self):
@@ -461,7 +447,7 @@ class SelfAttentionModel(_Pooling):
     def _pool(self, tokens):
         cfg = self.config
         x = ag.linear(tokens, self.input_proj_w, self.input_proj_b)
-        return ag.mean_rows(self_attention_block(x, self.block, cfg.scale_mode, cfg.heads)[0])
+        return ag.mean_rows(self_attention_block(x, self.block, cfg.heads)[0])
 
 
 MODEL_KINDS = {cls.kind: cls for cls in (CCANModel, MeanPoolModel, MaxPoolModel, SelfAttentionModel)}

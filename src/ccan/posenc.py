@@ -29,30 +29,23 @@ def frequency_ladder(count, f_max):
     return freqs
 
 
-def encoding_width(count, append_raw_coords=False):
-    return 4 * count + (2 if append_raw_coords else 0)
-
-
-def encode_grid(rows, cols, rows_total, cols_total, ladder, append_raw_coords=False):
-    """Encode arrays of row/col indices: N x 4I (N x (4I + 2) with raw coordinates)."""
+def encode_grid(rows, cols, rows_total, cols_total, ladder):
+    """Encode arrays of row/col indices: N x 4I."""
     rows = np.asarray(rows)
     cols = np.asarray(cols)
     x_hat = np.zeros(cols.shape) if cols_total == 1 else 2.0 * cols / (cols_total - 1) - 1.0
     y_hat = np.zeros(rows.shape) if rows_total == 1 else 2.0 * rows / (rows_total - 1) - 1.0
     n, count = rows.shape[0], len(ladder)
-    out = np.empty((n, encoding_width(count, append_raw_coords)), dtype=np.float64)
+    out = np.empty((n, 4 * count), dtype=np.float64)
     for axis_idx, a_hat in enumerate((x_hat, y_hat)):
         angles = a_hat[:, None] * (ladder * np.pi)[None, :]
         base = 2 * count * axis_idx
         out[:, base + 0 : base + 2 * count : 2] = np.sin(angles)
         out[:, base + 1 : base + 2 * count : 2] = np.cos(angles)
-    if append_raw_coords:
-        out[:, -2] = x_hat
-        out[:, -1] = y_hat
     return out
 
 
-def attach_encodings(tokens, rows, cols, rows_total, cols_total, ladder, append_raw_coords=False):
+def attach_encodings(tokens, rows, cols, rows_total, cols_total, ladder):
     """Append each token's positional encoding: N x D_f -> N x (D_f + 4I).
 
     Token i sits at grid cell (rows[i], cols[i]) of a rows_total x
@@ -66,5 +59,5 @@ def attach_encodings(tokens, rows, cols, rows_total, cols_total, ladder, append_
         raise DataError(f"expected a 2-D token matrix, got shape {tokens.shape}")
     if rows.shape != (tokens.shape[0],) or cols.shape != (tokens.shape[0],):
         raise DataError(f"{tokens.shape[0]} tokens but {rows.shape} rows and {cols.shape} cols")
-    enc = encode_grid(rows, cols, rows_total, cols_total, ladder, append_raw_coords)
+    enc = encode_grid(rows, cols, rows_total, cols_total, ladder)
     return np.concatenate([tokens, enc], axis=1, dtype=tokens.dtype, casting="same_kind")

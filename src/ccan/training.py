@@ -29,7 +29,6 @@ class TrainConfig:
     epochs: int = 100
     batch_size: int = 30  # gradient-accumulation window
     lr_max: float = 5e-6
-    lr_min: float = 0.0
     weight_decay: float = 0.01
     beta1: float = 0.9
     beta2: float = 0.999
@@ -37,13 +36,11 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self):
-        if not 0 <= self.lr_min <= self.lr_max:
-            raise ConfigError(f"need 0 <= lr_min <= lr_max, got {self.lr_min}, {self.lr_max}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be >= 1")
         # outside these ranges AdamW follows another update rule or diverges; NaN fails every comparison
         for name, ok, want in (
-            ("lr_max", self.lr_max < math.inf, "finite"),
+            ("lr_max", 0 <= self.lr_max < math.inf, "finite and >= 0"),
             ("weight_decay", 0 <= self.weight_decay < math.inf, "finite and >= 0"),
             ("beta1", 0 <= self.beta1 < 1, "in [0, 1)"),
             ("beta2", 0 <= self.beta2 < 1, "in [0, 1)"),
@@ -175,11 +172,11 @@ def adamw_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8, weigh
     return state
 
 
-def cosine_lr(step, total, lr_max, lr_min=0.0):
-    """Cosine annealing from lr_max at step 0 to lr_min at step ``total``."""
+def cosine_lr(step, total, lr_max):
+    """Cosine annealing from lr_max at step 0 to 0 at step ``total``."""
     if total < 1 or not 0 <= step <= total:
         raise ConfigError(f"need 0 <= step <= total with total >= 1, got {step}/{total}")
-    return lr_min + 0.5 * (lr_max - lr_min) * (1.0 + math.cos(math.pi * step / total))
+    return 0.5 * lr_max * (1.0 + math.cos(math.pi * step / total))
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +280,7 @@ def train(model, dataset, fold, cfg, checkpoint_path=None, log=None):
             window = order[lo:lo + cfg.batch_size]
             for idx in window:
                 epoch_losses.append(_bag_step(model, train_bags[idx], rng, num_classes))
-            lr = cosine_lr(state.t, total_steps, cfg.lr_max, cfg.lr_min)  # t: the steps taken so far
+            lr = cosine_lr(state.t, total_steps, cfg.lr_max)  # t: the steps taken so far
             grads /= len(window)
             adamw_step(model.values, grads, state, lr, cfg.beta1, cfg.beta2, cfg.eps, cfg.weight_decay)
         ag.zero_grad(t for _, t in model.parameters())

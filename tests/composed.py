@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ccan import autograd as ag
-from ccan.attention import AttentionRecord, BlockParams, attention_scale, fill_param
+from ccan.attention import AttentionRecord, BlockParams, fill_param
 from ccan.autograd import Tensor
 from ccan.errors import DataError, NumericError, ShapeError, UsageError
 
@@ -241,10 +241,11 @@ def attention(q, k, v, scale, heads=1):
     return ag._make_node(out, (q, k, v), backward), p
 
 
-def composed_block(x, context, params, scale_mode="per-paper", heads=1, key_bias=None):
+def composed_block(x, context, params, heads=1, key_bias=None):
     """A cross (or, with ``context`` None, self) block as 12 graph nodes: the oracle of the block node.
 
-    Keys are projected row-major, with ``key_bias`` added when given.
+    Keys are projected row-major, with ``key_bias`` added when given. The
+    logit scale is sqrt(#query rows) at one head and sqrt(head dim) at more.
     Returns the block output and its heads x M x N softmax.
     """
     if context is not None and context.shape[0] < 1:
@@ -254,7 +255,7 @@ def composed_block(x, context, params, scale_mode="per-paper", heads=1, key_bias
     q = ag.linear(h, params.w_q, params.b_q)
     k = ag.linear(kv, params.w_k, key_bias)
     v = ag.linear(kv, params.w_v, params.b_v)
-    scale = attention_scale(scale_mode, q.shape[0], q.shape[1] // heads)
+    scale = float(np.sqrt(q.shape[0])) if heads == 1 else float(np.sqrt(q.shape[1] // heads))
     attn_out, p = attention(q, k, v, scale, heads)
     x = x + ag.linear(attn_out, params.w_o, params.b_o)
     h = layer_norm(x, params.ln2_gamma, params.ln2_beta)

@@ -5,12 +5,11 @@ from ccan import autograd as ag
 from ccan.attention import (
     AttentionRecord,
     BlockParams,
-    attention_scale,
     cross_attention_block,
     self_attention_block,
 )
 from ccan.autograd import Tensor
-from ccan.errors import ConfigError, DataError, NumericError, ShapeError, UsageError
+from ccan.errors import DataError, NumericError, ShapeError, UsageError
 from composed import attention, composed_block, grad_check, init_block_params, mul, sum_all
 
 
@@ -53,16 +52,31 @@ class TestScaledAttention:
         assert abs(w - 0.9820) < 1e-4
 
 
+def assert_softmax_divides_by(heads, s):
+    """A cross block's softmax over 9 query rows of width 16 equals numpy's softmax(q k^T / s) per head."""
+    rng = np.random.default_rng(21)
+    params = random_block(16, seed=22)
+    x = t64(rng.normal(size=(9, 16)))
+    context = rng.normal(size=(7, 16))
+    _, softmax = cross_attention_block(x, t64(context), params, heads=heads)
+    normed = (x.data - x.data.mean(axis=1, keepdims=True)) / np.sqrt(x.data.var(axis=1, keepdims=True) + 1e-5)
+    q, k = normed @ params.w_q.data, context @ params.w_k.data  # identity layer norm, zero b_q
+    w = 16 // heads
+    for h in range(heads):
+        logits = q[:, h * w:(h + 1) * w] @ k[:, h * w:(h + 1) * w].T / s
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        np.testing.assert_allclose(softmax[h], e / e.sum(axis=1, keepdims=True), rtol=1e-10, atol=1e-12)
+
+
 class TestAttentionScale:
     def test_per_paper_uses_query_rows(self):
-        assert attention_scale("per-paper", 16, 64) == 4.0
+        # one head: the paper's sqrt(#query rows)
+        assert_softmax_divides_by(1, 3.0)
 
     def test_per_dim_uses_head_dim(self):
-        assert attention_scale("per-dim", 16, 64) == 8.0
-
-    def test_unknown_mode(self):
-        with pytest.raises(ConfigError):
-            attention_scale("wat", 1, 1)
+        # more than one head: sqrt(head dim), 16 / heads columns each
+        assert_softmax_divides_by(2, np.sqrt(8.0))
+        assert_softmax_divides_by(4, 2.0)
 
 
 class TestCrossAttentionBlock:
@@ -152,7 +166,7 @@ class TestMultiHead:
         rng = np.random.default_rng(16)
         params = random_block(8, seed=17)
         tokens = t64(rng.normal(size=(5, 8)))
-        out, softmax = self_attention_block(tokens, params, scale_mode="per-dim", heads=2)
+        out, softmax = self_attention_block(tokens, params, heads=2)
         assert out.shape == (5, 8)
         np.testing.assert_allclose(softmax.sum(axis=-1), np.ones((2, 5)), atol=1e-5)
         record = AttentionRecord.of(softmax)
@@ -166,7 +180,7 @@ class TestMultiHead:
         context = t64(rng.normal(size=(6, 4)))
 
         def f():
-            out, _ = cross_attention_block(latents, context, params, scale_mode="per-dim", heads=2)
+            out, _ = cross_attention_block(latents, context, params, heads=2)
             return sum_all(mul(out, out))
 
         report = grad_check(f, params.named_tensors(), eps=1e-3, max_coords_per_param=6)
@@ -175,7 +189,7 @@ class TestMultiHead:
     def test_indivisible_heads_rejected(self):
         params = random_block(6, seed=20)
         with pytest.raises(ShapeError):
-            self_attention_block(t64(np.zeros((2, 6))), params, scale_mode="per-dim", heads=4)
+            self_attention_block(t64(np.zeros((2, 6))), params, heads=4)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -265,17 +279,16 @@ def _block_run(block, m, n, d, heads, seed, oracle=False, inputs_grad=True):
     params = init_block_params(d, np.random.default_rng(seed + 1), dtype=np.float32)
     x = Tensor(rng.normal(size=(m, d)).astype(np.float32), requires_grad=inputs_grad)
     leaves = [t for _, t in params.named_tensors()] + [x] * inputs_grad
-    mode = "per-paper" if heads == 1 else "per-dim"
     ctx = None
     if block == "cross":
         ctx = Tensor(rng.normal(size=(n, d)).astype(np.float32), requires_grad=inputs_grad)
         leaves += [ctx] * inputs_grad
     if oracle:
-        out, softmax = composed_block(x, ctx, params, scale_mode=mode, heads=heads)
+        out, softmax = composed_block(x, ctx, params, heads=heads)
     elif block == "cross":
-        out, softmax = cross_attention_block(x, ctx, params, scale_mode=mode, heads=heads)
+        out, softmax = cross_attention_block(x, ctx, params, heads=heads)
     else:
-        out, softmax = self_attention_block(x, params, scale_mode=mode, heads=heads)
+        out, softmax = self_attention_block(x, params, heads=heads)
     upstream = Tensor(rng.normal(size=out.shape).astype(np.float32))
     ag.backward(sum_all(mul(out, upstream)))
     return [out.data, softmax] + [t.grad for t in leaves]
@@ -389,7 +402,7 @@ class TestFusedAttention:
             self_attention_block(t64(np.zeros(4)), params)
         # a width that does not split into the heads: d = 4, 3 heads
         with pytest.raises(ShapeError, match="heads"):
-            self_attention_block(t64(np.zeros((2, 4))), params, scale_mode="per-dim", heads=3)
+            self_attention_block(t64(np.zeros((2, 4))), params, heads=3)
         with pytest.raises(UsageError, match="mixed dtypes"):
             cross_attention_block(t64(np.zeros((2, 4))), Tensor(np.zeros((5, 4), dtype=np.float32)), params)
 
@@ -414,17 +427,16 @@ class TestNoKeyBias:
                 t.data[...] += rng.normal(scale=0.5, size=t.shape)  # logits far from uniform
             x = t64(rng.normal(size=(5, d)), requires_grad=True)
             leaves = [x] + [t for _, t in params.named_tensors()]
-            mode = "per-paper" if heads == 1 else "per-dim"
             ctx = None
             if block == "cross":
                 ctx = t64(rng.normal(size=(9, d)), requires_grad=True)
                 leaves.append(ctx)
             if bias is not None:  # the composed graph takes a key bias; the node has none
-                out, softmax = composed_block(x, ctx, params, scale_mode=mode, heads=heads, key_bias=bias)
+                out, softmax = composed_block(x, ctx, params, heads=heads, key_bias=bias)
             elif block == "cross":
-                out, softmax = cross_attention_block(x, ctx, params, scale_mode=mode, heads=heads)
+                out, softmax = cross_attention_block(x, ctx, params, heads=heads)
             else:
-                out, softmax = self_attention_block(x, params, scale_mode=mode, heads=heads)
+                out, softmax = self_attention_block(x, params, heads=heads)
             upstream = t64(rng.normal(size=out.shape))
             ag.backward(sum_all(mul(out, upstream)))
             return [out.data, softmax] + [t.grad for t in leaves]

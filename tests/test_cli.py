@@ -56,7 +56,7 @@ class TestParseConfig:
         echo = tmp_path / "echo.cfg"
         parse_config(None, []).echo(str(echo))
         digest = hashlib.sha256(echo.read_bytes()).hexdigest()
-        assert digest == "4455c612159227d5923a68e3f0719ee85bc425572c131e6ba12da04011130db7"
+        assert digest == "a6e487453f0e8ce178c13bfe5a670ae482ffba16f6e3eecd80ae70508becc460"
 
     def test_data_and_bench_defaults_are_the_library_defaults(self):
         def default(fn, name):
@@ -125,6 +125,19 @@ class TestParseConfig:
 
 
 class TestArgv:
+    @pytest.mark.parametrize("source", ["--model.scale_mode per-dim", "--model.append_raw_coords true",
+                                        "train.lr_min = 1e-5"])
+    def test_removed_key_is_one_error_line(self, tmp_path, capsys, source):
+        # the logit scale follows from the head count; raw coordinates and a nonzero final rate had no caller
+        if source.startswith("--"):
+            args = source.split()
+        else:
+            (tmp_path / "run.cfg").write_text(source + "\n")
+            args = ["--config", str(tmp_path / "run.cfg")]
+        assert main(["split", *args]) == 1
+        key = source.lstrip("-").split()[0]
+        assert capsys.readouterr().err == f"error: unknown configuration key {key!r}\n"
+
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 1
         assert "commands:" in capsys.readouterr().err
@@ -445,6 +458,22 @@ class TestCommands:
         captured = capsys.readouterr()
         assert rc == 1
         assert captured.err.startswith("error: k=-1 is outside 0..") and captured.err.count("\n") == 1
+        assert captured.out == "" and not os.path.exists(out + ".csv") and not os.path.exists(out + ".pgm")
+
+    @pytest.mark.parametrize("side", [3_000_000_000, 2**32 - 1])  # a MemoryError, then more bytes than numpy addresses
+    def test_explain_of_a_grid_too_large_to_raster_is_one_error_line(self, tiny_run, tmp_path, capsys, side):
+        from ccan.data import FeatureBag, write_bag
+
+        bag = FeatureBag(bag_id="big", patient_id="p", label=1, tokens=np.ones((1, 24), np.float32),
+                         rows=np.array([side - 1]), cols=np.array([0]), rows_total=side, cols_total=side)
+        write_bag(bag, tmp_path / "big.ccfb")
+        out = str(tmp_path / "heat")
+        rc = main(["explain", "--paths.checkpoint", os.path.join(tiny_run["run_dir"], "best.ckpt"),
+                   "--paths.bag", str(tmp_path / "big.ccfb"), "--paths.out", out, "--top_k", "1"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == (f"error: the {side} x {side} grid's heatmap needs {side * side} bytes, "
+                                "more than can be allocated\n")
         assert captured.out == "" and not os.path.exists(out + ".csv") and not os.path.exists(out + ".pgm")
 
     def test_embed(self, tiny_run, tmp_path):

@@ -83,8 +83,7 @@ class TestRolloutStage:
 
         seen = record_every_block(monkeypatch)
         cfg = CCANConfig(n_stages=2, n_latents=16, compression=2, d_latent=32, d_feature=64, block_repeats=2,
-                         self_layers=self_layers, n_frequencies=2, heads=heads,
-                         scale_mode="per-dim" if heads > 1 else "per-paper")
+                         self_layers=self_layers, n_frequencies=2, heads=heads)
         per_stage = 2 * (1 + self_layers) + 2
         for seed in range(3):
             bag = generate_synthetic(1, (30, 40), d_feature=64, seed=seed).bags[0]

@@ -92,11 +92,6 @@ class TestConfig:
             with pytest.raises(ConfigError, match=f"d_feature must be >= 1, got {d_feature}"):
                 baseline(kind, d_feature)
 
-    def test_heads_require_per_dim(self):
-        with pytest.raises(ConfigError):
-            toy_config(heads=2).validate()
-        toy_config(heads=2, scale_mode="per-dim").validate()
-
     def test_out_units(self):
         assert toy_config().out_units == 1
         assert toy_config(num_classes=3).out_units == 3
@@ -287,7 +282,7 @@ class TestParameterLayout:
 class TestModelKinds:
     @pytest.mark.parametrize("kind", list(MODEL_KINDS))
     def test_sized_and_scaled_like_the_ccan_config(self, kind):
-        cfg = toy_config(num_classes=3, heads=2, scale_mode="per-dim", seed=1)
+        cfg = toy_config(num_classes=3, heads=2, seed=1)
         model = make_model(kind, cfg, seed=9)
         assert type(model) is MODEL_KINDS[kind] and model.kind == kind
         assert type(model.config) is model.config_class and model.config.seed == 9
@@ -296,12 +291,11 @@ class TestModelKinds:
                 assert getattr(model.config, f.name) == getattr(cfg, f.name), f.name
 
     def test_each_config_holds_only_what_its_kind_reads(self):
-        # the fields of each kind: a pooling baseline has no width, scale or heads to set
+        # the fields of each kind: a pooling baseline has no width or heads to set
         names = {kind: [f.name for f in fields(cls.config_class)] for kind, cls in MODEL_KINDS.items()}
         assert names["mean-pool"] == names["max-pool"] == ["d_feature", "num_classes", "seed"]
-        assert sorted(names["full-self-attention"]) == ["d_feature", "d_latent", "heads", "num_classes",
-                                                        "scale_mode", "seed"]
-        assert len(names["ccan"]) == 15
+        assert sorted(names["full-self-attention"]) == ["d_feature", "d_latent", "heads", "num_classes", "seed"]
+        assert len(names["ccan"]) == 13
 
     def test_same_draws_as_each_class_from_the_seed(self):
         cfg = toy_config(seed=1)
@@ -372,8 +366,7 @@ class TestStageForward:
         bag = toy_dataset(seed=4).bags[0]
         n = bag.n_tokens
         for repeats, self_layers, heads in [(1, 1, 1), (2, 0, 2), (2, 2, 2)]:
-            cfg = toy_config(block_repeats=repeats, self_layers=self_layers, heads=heads,
-                             scale_mode="per-dim" if heads > 1 else "per-paper")
+            cfg = toy_config(block_repeats=repeats, self_layers=self_layers, heads=heads)
             seen.clear()
             out = CCANModel(replace(cfg, seed=1)).forward(bag)
             assert out.stages[0].latents_out.shape == (8, 16)
@@ -430,9 +423,9 @@ class TestForward:
         from ccan.training import bag_loss
 
         bag = generate_synthetic(1, (40, 40), d_feature=64, seed=0).bags[0]
-        for heads, scale_mode in ((1, "per-paper"), (2, "per-dim")):
+        for heads in (1, 2):
             cfg = CCANConfig(n_stages=2, n_latents=16, compression=2, d_latent=32, d_feature=64,
-                             self_layers=1, n_frequencies=2, heads=heads, scale_mode=scale_mode)
+                             self_layers=1, n_frequencies=2, heads=heads)
             out = CCANModel(cfg).forward(bag, rng=np.random.default_rng(0), train_mode=True)
             seen, stack, ops = set(), [bag_loss(out, bag.label, 2)], 0
             while stack:
@@ -462,7 +455,7 @@ class TestForward:
 
         bag = generate_synthetic(1, (40, 40), d_feature=64, seed=0).bags[0]
         cfg = CCANConfig(n_stages=2, n_latents=16, compression=2, d_latent=32, d_feature=64, self_layers=1,
-                         n_frequencies=2, p_dropout=0.5, heads=heads, scale_mode="per-dim" if heads > 1 else "per-paper")
+                         n_frequencies=2, p_dropout=0.5, heads=heads)
 
         def run():
             model = CCANModel(cfg)
@@ -695,8 +688,8 @@ class TestBaselines:
 
     @pytest.mark.parametrize("change,message", [
         ({"heads": 0}, "heads must be >= 1, got 0"),
-        ({"heads": 2, "scale_mode": "per-paper"}, "heads > 1 requires scale_mode='per-dim'"),
-        ({"scale_mode": "bogus"}, "scale_mode must be one of"),
+        ({"heads": -2}, "heads must be >= 1, got -2"),  # which both widths would divide by
+        ({"heads": 3}, "not divisible by heads=3"),
         ({"d_latent": 0}, "d_latent must be >= 1, got 0"),
         ({"d_latent": -4}, "d_latent must be >= 1, got -4"),
     ])
@@ -763,7 +756,7 @@ class TestCheckpoint:
 
     def test_forward_identical_after_reload(self, tmp_path):
         bag = toy_dataset(seed=13).bags[0]
-        for config in (toy_config(), toy_config(num_classes=3, heads=2, scale_mode="per-dim")):
+        for config in (toy_config(), toy_config(num_classes=3, heads=2)):
             model = CCANModel(replace(config, seed=11))
             before = model.forward(bag).averaged_probs
             path = tmp_path / "model.ckpt"
@@ -786,7 +779,7 @@ class TestCheckpoint:
         # the kind is recorded once, and the config holds only what a pooling baseline reads
         payload = json.dumps({"model_kind": "mean-pool", "config": {"d_feature": 3, "num_classes": 2, "seed": 4},
                               "layout": [["head.w", [3, 1]], ["head.b", [1]]]}, sort_keys=True).encode()
-        want = b"CCAN" + struct.pack("<HI", 4, len(payload)) + payload
+        want = b"CCAN" + struct.pack("<HI", 5, len(payload)) + payload
         want += np.concatenate([model.head_w.data.ravel(), model.head_b.data]).astype("<f4").tobytes()
         assert path.read_bytes() == want
         assert [p.name for p in tmp_path.iterdir()] == ["pool.ckpt"]
@@ -897,7 +890,7 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(CCANModel(toy_config(seed=15)), path)
         blob = path.read_bytes()
-        assert struct.unpack("<H", blob[4:6]) == (4,)
+        assert struct.unpack("<H", blob[4:6]) == (5,)
         path.write_bytes(blob[:4] + struct.pack("<H", 1) + blob[6:])
         with pytest.raises(FormatError, match="unsupported checkpoint version 1") as err:
             load_checkpoint(path)
@@ -920,6 +913,20 @@ class TestCheckpoint:
                               "layout": [["head.w", [3, 1]], ["head.b", [1]]]}, sort_keys=True).encode()
         path.write_bytes(b"CCAN" + struct.pack("<HI", 3, len(payload)) + payload + np.zeros(4, "<f4").tobytes())
         with pytest.raises(FormatError, match="unsupported checkpoint version 3") as err:
+            load_checkpoint(path)
+        assert err.value.offset == 4
+
+    def test_version_4_rejected(self, tmp_path):
+        # v4 saved a scale mode, which v5 derives from the head count, and an unused raw-coordinate switch
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(CCANModel(toy_config(seed=16)), path)
+        blob = path.read_bytes()
+        (length,) = struct.unpack("<I", blob[6:10])
+        payload = json.loads(blob[10 : 10 + length])
+        payload["config"].update(scale_mode="per-paper", append_raw_coords=False)
+        payload = json.dumps(payload, sort_keys=True).encode()
+        path.write_bytes(b"CCAN" + struct.pack("<HI", 4, len(payload)) + payload + blob[10 + length :])
+        with pytest.raises(FormatError, match="unsupported checkpoint version 4") as err:
             load_checkpoint(path)
         assert err.value.offset == 4
 
@@ -1108,7 +1115,7 @@ class TestCheckpoint:
         (length,) = struct.unpack("<I", blob[6:10])
         payload = blob[10 : 10 + length].replace(b'"model_kind": "max-pool"', b'"model_kind": "full-self-attention"')
         path.write_bytes(blob[:6] + struct.pack("<I", len(payload)) + payload + blob[10 + length :])
-        with pytest.raises(FormatError, match=r"missing keys \['d_latent', 'heads', 'scale_mode'\]") as err:
+        with pytest.raises(FormatError, match=r"missing keys \['d_latent', 'heads'\]") as err:
             load_checkpoint(path)
         assert err.value.offset == 10
 

@@ -2,30 +2,28 @@ import numpy as np
 import pytest
 
 from ccan.errors import ConfigError, DataError
-from ccan.posenc import attach_encodings, encode_grid, encoding_width, frequency_ladder
+from ccan.posenc import attach_encodings, encode_grid, frequency_ladder
 
 
-def encode_one(row, col, rows_total, cols_total, ladder, append_raw_coords=False):
+def encode_one(row, col, rows_total, cols_total, ladder):
     """``encode_grid`` for a single coordinate."""
-    return encode_grid(np.array([row]), np.array([col]), rows_total, cols_total, ladder, append_raw_coords)[0]
+    return encode_grid(np.array([row]), np.array([col]), rows_total, cols_total, ladder)[0]
 
 
 def normalized(row, col, rows_total, cols_total):
-    """(x_hat, y_hat) of one coordinate, read from the appended raw coordinates."""
-    return tuple(encode_one(row, col, rows_total, cols_total, frequency_ladder(1, 1), True)[-2:])
+    """(x_hat, y_hat) of one coordinate, read back from its sines at frequency 1/2, which are monotone on [-1, 1]."""
+    sines = encode_one(row, col, rows_total, cols_total, np.array([0.5]))[[0, 2]]
+    return tuple(float(a) for a in np.arcsin(sines) * 2.0 / np.pi)
 
 
-def scalar_encoding(row, col, rows_total, cols_total, ladder, append_raw_coords=False):
+def scalar_encoding(row, col, rows_total, cols_total, ladder):
     """The oracle for ``encode_grid``: one coordinate, one axis at a time."""
-    parts, hats = [], []
+    parts = []
     for index, total in ((col, cols_total), (row, rows_total)):
         # a single row or column has no extent; it maps to the axis center
         a_hat = 0.0 if total == 1 else 2.0 * index / (total - 1) - 1.0
         angles = ladder * np.pi * a_hat
         parts.append(np.stack([np.sin(angles), np.cos(angles)], axis=1).ravel())
-        hats.append(a_hat)
-    if append_raw_coords:
-        parts.append(np.array(hats))
     return np.concatenate(parts)
 
 
@@ -88,11 +86,6 @@ class TestEncodePosition:
             for c in range(7):
                 assert (np.abs(encode_one(r, c, 9, 7, ladder)) <= 1.0 + 1e-12).all()
 
-    def test_append_raw_coords(self):
-        enc = encode_one(0, 0, 4, 4, frequency_ladder(1, 10), append_raw_coords=True)
-        assert enc.shape == (6,)
-        np.testing.assert_allclose(enc[-2:], [-1.0, -1.0])
-
     def test_injective_on_grid(self):
         # distinct coordinates on a 32x32 grid give distinct encodings
         ladder = frequency_ladder(6, 10)
@@ -105,9 +98,9 @@ class TestEncodePosition:
         rng = np.random.default_rng(0)
         rows = rng.integers(0, 5, size=10)
         cols = rng.integers(0, 6, size=10)
-        batch = encode_grid(rows, cols, 5, 6, ladder, append_raw_coords=True)
+        batch = encode_grid(rows, cols, 5, 6, ladder)
         for i in range(10):
-            single = scalar_encoding(int(rows[i]), int(cols[i]), 5, 6, ladder, True)
+            single = scalar_encoding(int(rows[i]), int(cols[i]), 5, 6, ladder)
             np.testing.assert_array_equal(batch[i], single)
 
 
@@ -119,7 +112,7 @@ class TestAttachEncodings:
 
     def test_empty_bag(self):
         out = attach_encodings(np.empty((0, 3), dtype=np.float32), [], [], 4, 4, frequency_ladder(2, 10))
-        assert out.shape == (0, 3 + encoding_width(2))
+        assert out.shape == (0, 3 + 4 * 2)
 
     def test_prefix_preserved_exactly(self):
         rng = np.random.default_rng(1)

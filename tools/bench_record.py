@@ -8,8 +8,9 @@ process of its own, and the file that run writes, ``perfbench/out/<W>-seed<S>-tr
 under ``workloads``. ``scaling`` holds the rows and time fit of
 ``bench_scaling(CCANConfig(), [3091, 20000, 50000], include_baseline=False)``, run in this process after the
 workloads; a row's ``peak_bytes`` is the traced peak of one eval forward. ``tier1_s`` is the tier-1 wall time in
-seconds, measured by hand and entered with ``--tier1-s`` (null without it). Neither ``src/`` nor ``perfbench/``
-is changed; the result files are made by perfbench itself.
+seconds, measured by hand and entered with ``--tier1-s`` (null without it). ``toy_nodes_per_loss`` counts the
+graph nodes reachable from one seeded TOY training loss. Neither ``src/`` nor ``perfbench/`` is changed; the
+result files are made by perfbench itself.
 
 ``--check A B`` compares the two files' fields that are not measurements: everything except the tag, a
 metric's ``value`` (a time, a rate or the resident peak), the raw ``samples``, ``measured_s``, a scaling row's
@@ -26,7 +27,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+TOY = dict(n_stages=2, n_latents=16, compression=2, d_latent=32, d_feature=64, self_layers=1, n_frequencies=2)
 SCALING_NS = [3091, 20000, 50000]
 UNCOMPARED = {"tag", "samples", "measured_s", "wall_ms", "time_fit", "tier1_s"}  # see the docstring
 
@@ -46,7 +51,6 @@ def run_workload(name, seed):
 
 
 def scaling():
-    sys.path.insert(0, os.path.join(ROOT, "src"))
     from ccan.bench import bench_scaling
     from ccan.model import CCANConfig
 
@@ -55,10 +59,27 @@ def scaling():
     return {"rows": [dataclasses.asdict(r) for r in report.rows], "time_fit": dataclasses.asdict(report.time_fit)}
 
 
+def toy_nodes_per_loss():
+    """Operation nodes reachable from the loss of one TOY training forward, as ``tests/test_model.py`` counts them."""
+    from ccan.data import generate_synthetic
+    from ccan.model import CCANConfig, CCANModel
+    from ccan.training import bag_loss
+
+    bag = generate_synthetic(1, (40, 40), d_feature=64, seed=0).bags[0]
+    out = CCANModel(CCANConfig(**TOY)).forward(bag, rng=np.random.default_rng(0), train_mode=True)
+    ops, stack = {}, [bag_loss(out, bag.label, 2)]
+    while stack:
+        node = stack.pop()
+        if id(node) not in ops:
+            ops[id(node)] = node._backward is not None
+            stack.extend(node._parents)
+    return sum(ops.values())
+
+
 def record(tag, seed, tier1_s):
     out = {"tag": tag, "seed": seed, "tier1_s": tier1_s,
            "workloads": {name: run_workload(name, seed) for name in workload_names()},
-           "scaling": scaling()}
+           "scaling": scaling(), "toy_nodes_per_loss": toy_nodes_per_loss()}
     path = os.path.join(ROOT, f"BENCH_{tag}.json")
     with open(path, "w") as fh:
         json.dump(out, fh, indent=1)

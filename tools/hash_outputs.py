@@ -43,7 +43,8 @@ has, so the tool can hash an older checkout for comparison.
 
 ``--config toy`` is the acceptance tests' TOY model; ``ref`` is
 ``CCANConfig()`` (96.4M parameters, about 1.2 GB while its gradients are
-held). More than one head runs with per-dim scaling. ``--each`` prints a
+held). More than one head scales logits by sqrt(head dim), which a checkout
+whose config still has ``scale_mode`` is told to do. ``--each`` prints a
 digest per record and per gradient as well.
 """
 
@@ -215,8 +216,8 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     kwargs = TOY if args.config == "toy" else {}
-    cfg = CCANConfig(**kwargs, heads=args.heads, scale_mode="per-paper" if args.heads == 1 else "per-dim",
-                     seed=args.seed)
+    older = {"scale_mode": "per-dim"} if args.heads > 1 and "scale_mode" in CCANConfig.__dataclass_fields__ else {}
+    cfg = CCANConfig(**kwargs, **older, heads=args.heads, seed=args.seed)
     model = CCANModel(cfg)
     bag = make_bag(args.n, cfg.d_feature, args.seed + 1)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
