@@ -12,9 +12,11 @@ a bias could change no output and its gradient would be exactly zero.
 A block is one graph node. Its forward runs LN -> Q/K/V -> attention ->
 output projection -> residual -> LN -> MLP -> residual with the kernels
 of ``autograd`` that its graph ops also call, and its hand-written
-backward reads only what the node keeps: both layer norms' ``xhat`` and
-``inv`` (their outputs are recomputed from these), Q, K, V, the softmax,
-the attention output, the GELU output and GELU's float64 derivative.
+backward reads only what the node keeps: the first layer norm's row means
+and ``inv`` (its ``xhat`` is remade from these and the block input), the
+second's ``xhat`` and ``inv`` (both outputs are remade from ``xhat``), Q,
+K, V, the softmax, the attention output, the GELU output and GELU's
+float64 derivative.
 Every operation runs in the order of the graph of separate linear,
 layer-norm, attention, GELU and add nodes, and each gradient is added
 into a shared input in the order that graph's tape adds it (a self
@@ -176,7 +178,8 @@ def _block(x, context, params, heads):
     parents += [] if kv is None else [kv]
     keep = ag._recording(parents)
 
-    h, xhat1, inv1 = ag._layer_norm(x.data, p.ln1_gamma.data, p.ln1_beta.data)
+    h, xhat1, inv1, mu1 = ag._layer_norm(x.data, p.ln1_gamma.data, p.ln1_beta.data)
+    del xhat1  # the backward makes it again from the block input, which the graph holds anyway
     q = ag._linear(h, p.w_q.data, p.b_q.data)
     kvd = _project_kv(h, p) if kv is None else kv.data
     del h
@@ -184,7 +187,7 @@ def _block(x, context, params, heads):
     y, att = ag._attention(q, kt, v, scale, heads)
     x1 = ag._linear(y, p.w_o.data, p.b_o.data)
     np.add(x.data, x1, out=x1)  # the residual x + attention
-    h2, xhat2, inv2 = ag._layer_norm(x1, p.ln2_gamma.data, p.ln2_beta.data)
+    h2, xhat2, inv2, _ = ag._layer_norm(x1, p.ln2_gamma.data, p.ln2_beta.data)
     a = ag._linear(h2, p.w_m1.data, p.b_m1.data)
     del h2
     gl, dydx = ag._gelu(a, keep)
@@ -206,6 +209,8 @@ def _block(x, context, params, heads):
         gq = ag._attention_backward(g_y, q, kt, v, att, scale, heads, gkt, gv)
         if x.requires_grad:
             ag._accum(x, g_x1, owned=True)
+        xhat1 = x.data - mu1
+        xhat1 *= inv1
         h = ag._layer_norm_affine(xhat1, p.ln1_gamma.data, p.ln1_beta.data)
         g_h = ag._linear_backward(gq, h, p.w_q, p.b_q)
         if kv is None:

@@ -29,7 +29,8 @@ first write into a tensor adopts it as ``grad`` when it is laid out like
 So no gradient is shared between two tensors, and the sums equal those of
 zero-fill-then-add. Inside ``training.train`` each parameter's ``grad`` is
 preset to a zeroed view of the window's gradient array, so every write
-into it adds.
+into it adds. A graph is backpropagated once: ``backward`` frees what each
+node saved as soon as the node's closure has run.
 
 Tensors are float32 by default. Entire graphs may instead run in float64
 (pass float64 arrays in), which is how the finite-difference oracle
@@ -90,9 +91,10 @@ def no_grad():
 class Tensor:
     """A real-valued array, optionally a node in a differentiation graph.
 
-    Immutable after construction except for the ``grad`` accumulator;
-    ``grad``, when present, always matches ``data`` in shape. A model
-    parameter's ``data`` is rebound once, by the pack into ``values``.
+    Immutable after construction except for the ``grad`` accumulator and
+    the graph links that ``backward`` releases; ``grad``, when present,
+    always matches ``data`` in shape. A model parameter's ``data`` is
+    rebound once, by the pack into ``values``.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
@@ -199,14 +201,14 @@ def _row_mean(a):
 
 
 def _layer_norm(x, gamma, beta, eps=1e-5):
-    """Each row of ``x`` to zero mean and unit variance, then affine; returns (y, xhat, inv)."""
+    """Each row of ``x`` to zero mean and unit variance, then affine; returns (y, xhat, inv, row means)."""
     mu = _row_mean(x)
     xhat = x - mu  # centred once; scaled in place below
     y = np.square(xhat)
     var = _row_mean(y)
     inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv
-    return _layer_norm_affine(xhat, gamma, beta, out=y), xhat, inv
+    return _layer_norm_affine(xhat, gamma, beta, out=y), xhat, inv, mu
 
 
 def _layer_norm_affine(xhat, gamma, beta, out=None):
@@ -531,9 +533,13 @@ def bce(probs, target):
 
 
 def backward(loss):
-    """Populate grads of every reachable tensor with requires_grad.
+    """Populate grads of every reachable tensor with requires_grad, and release the graph.
 
-    Repeated calls accumulate into existing grads; call ``zero_grad`` on
+    A graph is backpropagated once: each node drops its closure, with what
+    it saved, and its parents as soon as its closure has run, so the pass
+    frees the graph as it goes. A later pass that reaches a released node
+    is a UsageError; run the forward again. Leaves keep their grads, and
+    passes over new graphs accumulate into them; call ``zero_grad`` on
     parameters between passes.
     """
     if loss.data.size != 1:
@@ -549,6 +555,8 @@ def backward(loss):
             continue
         if id(node) in visited:
             continue
+        if node._parents is None:
+            raise UsageError("backward: this graph was already backpropagated; run the forward again")
         visited.add(id(node))
         stack.append((node, True))
         for parent in node._parents:
@@ -559,11 +567,14 @@ def backward(loss):
     # reverse topological order: every consumer of a node has run before it,
     # so its grad is complete here and nothing reads it afterwards. Interior
     # grads are scratch space, released as soon as they are passed on; only
-    # leaves keep theirs.
-    for node in reversed(topo):
-        if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
-            node.grad = None
+    # leaves keep theirs. A node leaves the walk as it runs, so once its
+    # consumers have run too nothing of the graph holds it.
+    while topo:
+        node = topo.pop()
+        if node._backward is not None:
+            if node.grad is not None:
+                node._backward(node.grad)
+            node.grad = node._backward = node._parents = None
 
 
 def zero_grad(params):

@@ -126,7 +126,7 @@ def export_class_embeddings(model, bags, path):
         writer = csv.writer(fh)
         for bag in bags:
             with ag.no_grad():
-                out = model.forward(bag.load(), train_mode=False)
+                out = model.forward(bag, train_mode=False)
             for j, so in enumerate(out.stages, start=1):
                 emb = so.class_embedding.data.reshape(-1)
                 if header:

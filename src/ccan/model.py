@@ -334,12 +334,13 @@ class CCANModel(_Model):
         return Tensor(ctx)
 
     def forward(self, bag, rng=None, train_mode=False):
-        """Full pass over one bag; deterministic whenever train_mode is off.
+        """Full pass over one bag or dataset entry; deterministic whenever train_mode is off.
 
-        The forward drops the bag once its kept rows are projected, so a caller that passes ``entry.load()``
-        inline has the raw tokens freed before stage 1 (on CPython >= 3.11, whose frames own their arguments).
+        The forward loads the bag itself and drops it once its kept rows are projected, so the raw tokens of an
+        entry are freed before stage 1, whoever holds the call's arguments; a bag the caller holds stays.
         """
         cfg = self.config
+        bag = bag.load()
         self._check_bag(bag)
         # dropout first: the encoding is per row, so only kept rows are encoded
         kept, kept_indices = token_dropout(bag.tokens, cfg.p_dropout, rng, train_mode)
@@ -413,8 +414,9 @@ class _Pooling(_Model):
         self.head_b = made.param("head.b", (self.config.out_units,), fill=0.0)
 
     def forward(self, bag, rng=None, train_mode=False):
+        bag = bag.load()
         self._check_bag(bag)
-        pooled = self._pool(Tensor(bag.tokens.astype(self.dtype)))
+        pooled = self._pool(Tensor(bag.tokens.astype(self.dtype, copy=False)))
         probs_tensor = ag.sigmoid(ag.linear(pooled, self.head_w, self.head_b))
         so = StageOutput(latents_out=pooled, class_embedding=pooled, probs=probs_tensor.data.reshape(-1).copy(),
                          probs_tensor=probs_tensor, records=[])

@@ -223,7 +223,7 @@ def auc_macro_ovr(score_matrix, labels):
 def evaluate_auc(model, bags):
     """Eval-mode AUC of a model over a list of bags or dataset entries (binary or macro one-vs-rest).
 
-    Each bag is loaded right before its forward and dropped after it.
+    Each forward loads its bag and drops it.
     """
     if not bags:
         raise DataError("cannot evaluate AUC on an empty bag list")
@@ -231,7 +231,7 @@ def evaluate_auc(model, bags):
     check_labels(bags, num_classes)
     labels = np.array([b.label for b in bags])
     with ag.no_grad():
-        scores = np.stack([model.forward(b.load(), train_mode=False).averaged_probs for b in bags])
+        scores = np.stack([model.forward(b, train_mode=False).averaged_probs for b in bags])
     if num_classes == 2:
         return auc_binary(scores[:, 0], labels)
     return auc_macro_ovr(scores, labels)
@@ -244,10 +244,10 @@ def evaluate_auc(model, bags):
 def _bag_step(model, entry, rng, num_classes):
     """Forward, loss and backward of one training bag or dataset entry; returns the loss value.
 
-    The bag is loaded inside the forward's call, so its raw tokens are freed once the kept rows are
-    projected; the graph is dropped on return, before the next bag's forward.
+    The forward loads the bag and frees its raw tokens once the kept rows are projected; the backward frees
+    each node's saved arrays once they are read, and the rest of the graph is dropped on return.
     """
-    out = model.forward(entry.load(), rng=rng, train_mode=True)
+    out = model.forward(entry, rng=rng, train_mode=True)
     loss = bag_loss(out, entry.label, num_classes)
     ag.backward(loss)
     return loss.item()

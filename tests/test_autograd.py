@@ -68,11 +68,11 @@ class TestLayerNorm:
     """The layer-norm kernel of the block nodes, and (for gradients) the graph op it replaced."""
 
     def test_constant_row_is_zero(self):
-        out, _, _ = ag._layer_norm(np.full((1, 4), 5.0), np.ones(4), np.zeros(4))
+        out, *_ = ag._layer_norm(np.full((1, 4), 5.0), np.ones(4), np.zeros(4))
         np.testing.assert_allclose(out, np.zeros((1, 4)))
 
     def test_already_normalized(self):
-        out, _, _ = ag._layer_norm(np.array([[1.0, -1.0]]), np.ones(2), np.zeros(2), eps=1e-12)
+        out, *_ = ag._layer_norm(np.array([[1.0, -1.0]]), np.ones(2), np.zeros(2), eps=1e-12)
         np.testing.assert_allclose(out, [[1.0, -1.0]], atol=1e-9)
 
     def test_gradient(self):
@@ -92,7 +92,7 @@ class TestLayerNorm:
         # centring once must keep the bits of (x - mu) * inv * gamma + beta with x - mu formed twice
         rng = np.random.default_rng(13)
         x, gamma, beta = (rng.normal(size=s).astype(np.float32) for s in ((33, 48), 48, 48))
-        out, xhat, _ = ag._layer_norm(x, gamma, beta)
+        out, xhat, inv_k, mu_k = ag._layer_norm(x, gamma, beta)
         mu = x.mean(axis=-1, keepdims=True)
         var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
         inv = 1.0 / np.sqrt(var + 1e-5)
@@ -101,6 +101,10 @@ class TestLayerNorm:
         np.testing.assert_array_equal(out.view(np.uint32), expected.view(np.uint32))
         # a backward recomputes the output from xhat with the same bits
         np.testing.assert_array_equal(ag._layer_norm_affine(xhat, gamma, beta).view(np.uint32), out.view(np.uint32))
+        # and xhat from the row means and inverse deviations, as a block's backward does
+        again = x - mu_k
+        again *= inv_k
+        np.testing.assert_array_equal(again.view(np.uint32), xhat.view(np.uint32))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_kernels_bitwise_equal_to_the_graph_op(self, dtype):
@@ -109,7 +113,7 @@ class TestLayerNorm:
         ts = [Tensor(v.copy(), requires_grad=True) for v in (x, gamma, beta)]
         ag.backward(sum_all(mul(layer_norm(*ts), Tensor(g))))
         gamma_t, beta_t = (Tensor(v.copy(), requires_grad=True) for v in (gamma, beta))
-        y, xhat, inv = ag._layer_norm(x, gamma, beta)
+        y, xhat, inv, _ = ag._layer_norm(x, gamma, beta)
         gx = ag._layer_norm_backward(g, xhat, inv, gamma_t, beta_t)
         for got, want in zip((y, gx, gamma_t.grad, beta_t.grad), (layer_norm(*ts).data, *(t.grad for t in ts))):
             assert got.dtype == dtype and got.tobytes() == want.tobytes()
@@ -188,6 +192,17 @@ class TestBackward:
         ag.backward(sum_all(x))
         ag.backward(sum_all(x))
         np.testing.assert_allclose(x.grad, [2.0, 2.0])
+
+    def test_a_graph_backpropagates_once(self):
+        x = t64([1.0, 2.0], requires_grad=True)
+        y = mul(x, x)
+        loss = sum_all(y)
+        ag.backward(loss)
+        np.testing.assert_allclose(x.grad, [2.0, 4.0])
+        for again in (loss, sum_all(y)):  # the loss itself, or a new graph over a released node
+            with pytest.raises(UsageError, match="already backpropagated; run the forward again"):
+                ag.backward(again)
+            np.testing.assert_allclose(x.grad, [2.0, 4.0])
 
     def test_reuse_sums_both_paths(self):
         # y used twice: grad equals the sum of the single-use decompositions
@@ -372,8 +387,8 @@ class TestLinear:
         x, w, g = (rng.normal(size=s).astype(np.float32) for s in ((37, 24), (24, 19), (37, 19)))
         ts = [Tensor(v.copy(), requires_grad=True) for v in (x, w)]
         out = ag.linear(*ts, None)
+        assert len(out._parents) == 2  # no bias parent; the backward releases the node's parents
         ag.backward(sum_all(mul(out, Tensor(g))))
-        assert len(out._parents) == 2  # no bias parent
         _assert_same_bits([out.data] + [t.grad for t in ts], [x @ w, g @ w.T, x.T @ g])
 
     def test_shape_errors(self):

@@ -3,7 +3,6 @@ import inspect
 import json
 import os
 import struct
-import sys
 import tempfile
 import time
 import tracemalloc
@@ -21,7 +20,7 @@ from ccan.autograd import Tensor
 from ccan.bench import count_macs, make_bench_bag
 from ccan.cli import parse_config
 from ccan.data import generate_synthetic, patient_grouped_kfold, write_bag, write_manifest
-from ccan.errors import CCANError, ConfigError, DataError, FormatError, ShapeError
+from ccan.errors import CCANError, ConfigError, DataError, FormatError, ShapeError, UsageError
 from ccan.model import (
     MODEL_KINDS,
     CCANConfig,
@@ -471,8 +470,9 @@ class TestForward:
             assert got.tobytes() == want.tobytes()
 
     def test_training_graph_keeps_only_what_its_backward_reads(self):
-        # per attention block: both layer norms' xhat and inv, Q, K, V, the softmax, the
-        # attention output, the GELU output, GELU's float64 derivative and the block output.
+        # per attention block: the first layer norm's row means and inv, the second's xhat and
+        # inv, Q, K, V, the softmax, the attention output, the GELU output, GELU's float64
+        # derivative and the block output.
         # Outside the blocks: the encoded tokens, the context, each stage's class-token join,
         # its two slices and the pooled skip and its sum; the head's few rows sit in the slack.
         from ccan.training import bag_loss
@@ -494,11 +494,35 @@ class TestForward:
         context = n
         for j, m in enumerate(cfg.latent_counts()):
             for rows, keys in [(m, context)] + [(m, m)] * cfg.self_layers + [(m + 1, n), (m + 1, m + 1)]:
-                bound += 4 * (2 * rows * (d + 1) + 3 * rows * d + 2 * keys * d + rows * keys + 4 * rows * d)
+                bound += 4 * (rows * (d + 3) + 3 * rows * d + 2 * keys * d + rows * keys + 4 * rows * d)
                 bound += 8 * 4 * rows * d
             bound += 4 * (2 * (m + 1) * d + 2 * m * d * (j > 0))
             context = m
         assert loss.requires_grad and retained < bound + (64 << 10), (retained, bound)
+
+    def test_backward_frees_what_the_graph_saved_and_runs_once(self, monkeypatch):
+        # the caller still holds the loss and the output, as the graph's root and its stage outputs
+        from ccan.training import bag_loss
+
+        saved, gelu = [], ag._gelu
+
+        def spy(d, derivative):
+            y, dydx = gelu(d, derivative)
+            if dydx is not None:
+                saved.append(weakref.ref(dydx))
+            return y, dydx
+
+        monkeypatch.setattr(ag, "_gelu", spy)
+        model, bag = CCANModel(CCANConfig(**TOY, p_dropout=0.5)), make_bench_bag(300, TOY["d_feature"], seed=3)
+        out = model.forward(bag, rng=np.random.default_rng(0), train_mode=True)
+        loss = bag_loss(out, bag.label, 2)
+        assert saved[0]() is not None  # stage 1's first cross block
+        ag.backward(loss)
+        assert saved[0]() is None and all(ref() is None for ref in saved)
+        grads = [t.grad.copy() for _, t in model.parameters()]
+        with pytest.raises(UsageError, match="already backpropagated"):
+            ag.backward(loss)
+        assert all(np.array_equal(t.grad, g) for (_, t), g in zip(model.parameters(), grads))
 
     def test_eval_forward_frees_the_encoded_input(self):
         # N x d_encoded dwarfs everything the stages hold, so once the input projection has
@@ -559,11 +583,6 @@ class TestForward:
 
 
 TOY = dict(n_stages=2, n_latents=16, compression=2, d_latent=32, d_feature=64, self_layers=1, n_frequencies=2)
-INLINE_ARGUMENTS = pytest.mark.skipif(
-    sys.version_info < (3, 11),
-    reason="before CPython 3.11 the caller's frame holds a call's arguments until it returns, "
-           "so a bag passed inline lives as long as the forward",
-)
 
 
 class TestInputRows:
@@ -573,8 +592,8 @@ class TestInputRows:
     class Entry:
         """A dataset entry whose every ``load`` makes a new bag and keeps a weak reference to its tokens."""
 
-        def __init__(self, n_tokens, seed):
-            self.n_tokens, self.seed, self.label, self.tokens = n_tokens, seed, 0, []
+        def __init__(self, n_tokens, seed, label=0, tokens=None):
+            self.n_tokens, self.seed, self.label, self.tokens = n_tokens, seed, label, [] if tokens is None else tokens
 
         def load(self):
             bag = make_bench_bag(self.n_tokens, TOY["d_feature"], seed=self.seed)
@@ -594,7 +613,6 @@ class TestInputRows:
         monkeypatch.setattr(CCANModel, "stage_forward", spy)
         return seen
 
-    @INLINE_ARGUMENTS
     def test_training_step_frees_the_raw_tokens_before_stage_1(self, monkeypatch):
         from ccan.training import _bag_step
 
@@ -603,13 +621,27 @@ class TestInputRows:
         _bag_step(model, entry, np.random.default_rng(0), 2)
         assert seen == [False]
 
-    @INLINE_ARGUMENTS
     def test_eval_forward_of_an_inline_load_frees_the_raw_tokens_before_stage_1(self, monkeypatch):
         entry, model = self.Entry(300, seed=2), CCANModel(CCANConfig(**TOY))
         seen = self.tokens_alive_at_stage1(monkeypatch, entry)
         with ag.no_grad():
-            model.forward(entry.load())
+            model.forward(entry)
         assert seen == [False]
+
+    @pytest.mark.parametrize("caller", ["_bag_step", "evaluate_auc"])
+    def test_a_wrapper_that_holds_the_arguments_still_frees_the_raw_tokens(self, monkeypatch, caller):
+        # as a tracer's wrapper does: its frame holds the call's arguments until the forward returns
+        from ccan import training
+
+        entry, model = self.Entry(300, seed=4), CCANModel(CCANConfig(**TOY, p_dropout=0.5))
+        forward = CCANModel.forward
+        monkeypatch.setattr(CCANModel, "forward", lambda self, *args, **kwargs: forward(self, *args, **kwargs))
+        seen = self.tokens_alive_at_stage1(monkeypatch, entry)
+        if caller == "_bag_step":
+            training._bag_step(model, entry, np.random.default_rng(0), 2)
+        else:
+            training.evaluate_auc(model, [entry, self.Entry(300, seed=5, label=1, tokens=entry.tokens)])
+        assert seen == [False] * (1 if caller == "_bag_step" else 2)
 
     @pytest.mark.parametrize("train_mode", [False, True])
     def test_a_bag_the_caller_holds_stays_alive(self, monkeypatch, train_mode):
@@ -665,6 +697,19 @@ class TestBaselines:
         out_only = model.forward(_const_bag(huge)).averaged_probs
         np.testing.assert_allclose(out_with, out_only, atol=1e-6)
 
+    def test_a_float32_mean_pool_reads_the_tokens_in_place(self):
+        # float32 tokens into a float32 model are not copied; a float64 model converts them
+        model, bag = baseline("mean-pool", 64), make_bench_bag(5000, 64, seed=6)
+        tracemalloc.start()
+        try:
+            probs = model.forward(bag).averaged_probs
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bag.tokens.nbytes
+        wide = MeanPoolModel(model.config, dtype=np.float64).forward(bag).averaged_probs
+        assert wide.dtype == np.float64 and np.abs(wide - probs).max() < 1e-6
+
     def test_full_self_attention_quadratic_macs(self):
         model = SelfAttentionModel(SelfAttentionConfig(d_feature=8, d_latent=8, num_classes=2, seed=2))
         rng = np.random.default_rng(2)
@@ -715,6 +760,9 @@ class TestBaselines:
 
         class EmptyBag:
             n_tokens, d_feature = 0, 6
+
+            def load(self):
+                return self
 
         with pytest.raises(DataError, match="empty bag"):
             model.forward(EmptyBag())
@@ -1130,6 +1178,9 @@ class TestCheckpoint:
         class FakeBag:
             n_tokens = 0
             d_feature = 12
+
+            def load(self):
+                return self
 
         with pytest.raises(DataError):
             model.forward(FakeBag())

@@ -9,8 +9,9 @@ under ``workloads``. ``scaling`` holds the rows and time fit of
 ``bench_scaling(CCANConfig(), [3091, 20000, 50000], include_baseline=False)``, run in this process after the
 workloads; a row's ``peak_bytes`` is the traced peak of one eval forward. ``tier1_s`` is the tier-1 wall time in
 seconds, measured by hand and entered with ``--tier1-s`` (null without it). ``toy_nodes_per_loss`` counts the
-graph nodes reachable from one seeded TOY training loss. Neither ``src/`` nor ``perfbench/`` is changed; the
-result files are made by perfbench itself.
+graph nodes reachable from one seeded TOY training loss. ``blas_core`` names the kernels OpenBLAS selected at run
+time (its ``DYNAMIC_ARCH`` build picks them for the CPU), which ``numpy.show_config()`` does not show. Neither
+``src/`` nor ``perfbench/`` is changed; the result files are made by perfbench itself.
 
 ``--check A B`` compares the two files' fields that are not measurements: everything except the tag, a
 metric's ``value`` (a time, a rate or the resident peak), the raw ``samples``, ``measured_s``, a scaling row's
@@ -21,7 +22,9 @@ records of one tree on one machine agree on all of them.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
+import glob
 import json
 import os
 import subprocess
@@ -76,10 +79,22 @@ def toy_nodes_per_loss():
     return sum(ops.values())
 
 
+def blas_core():
+    """The OpenBLAS core name, read from numpy's bundled library as perfbench reads its thread count; None if absent."""
+    for lib in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")):
+        handle = ctypes.CDLL(lib)
+        for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename64_", "openblas_get_corename"):
+            if hasattr(handle, symbol):
+                corename = getattr(handle, symbol)
+                corename.argtypes, corename.restype = [], ctypes.c_char_p
+                return corename().decode()
+    return None
+
+
 def record(tag, seed, tier1_s):
     out = {"tag": tag, "seed": seed, "tier1_s": tier1_s,
            "workloads": {name: run_workload(name, seed) for name in workload_names()},
-           "scaling": scaling(), "toy_nodes_per_loss": toy_nodes_per_loss()}
+           "scaling": scaling(), "toy_nodes_per_loss": toy_nodes_per_loss(), "blas_core": blas_core()}
     path = os.path.join(ROOT, f"BENCH_{tag}.json")
     with open(path, "w") as fh:
         json.dump(out, fh, indent=1)
