@@ -2,8 +2,8 @@
 
 Blocks are pre-norm transformer blocks: an attention sub-layer and a
 4x-expansion GELU MLP, both residual. A block returns its output and the
-heads x M x N softmax its node keeps for the backward; the model keeps
-only the softmaxes that explanations read, as ``AttentionRecord``s.
+M x N softmax its node keeps for the backward; the model keeps only the
+softmaxes that explanations read, as ``AttentionRecord``s.
 
 The key projection has no bias. A key bias b would add q . b to every
 logit of a query row, and softmax removes any row-constant shift, so such
@@ -29,17 +29,13 @@ projected input tokens, which several cross blocks read, take their
 gradients in the tape's order (block by block in forward order, keys
 before values).
 
-All heads share the node: head h is column group h of the queries and
-values and row group h of K^T, read through views. The keys are written
-column-major, so K^T is a C-contiguous view, not a copy. In float32 these
-keys carry the same bits as a row-major projection at every shape tested
-(the tests pin TOY shapes and d=512 with N in {309, 513, 3091}); in
-float64, which only the gradient oracle uses, BLAS rounds some large
-shapes differently.
+Attention has one head. The keys are written column-major, so K^T is a
+C-contiguous view, not a copy. In float32 these keys carry the same bits
+as a row-major projection at every shape tested (the tests pin TOY shapes
+and d=512 with N in {309, 513, 3091}); in float64, which only the
+gradient oracle uses, BLAS rounds some large shapes differently.
 
-The logit scale follows from the head count: one head divides by
-sqrt(#query rows), as the paper does, and more than one by the usual
-sqrt(head dim).
+The logits are divided by sqrt(#query rows), as the paper does.
 """
 
 from __future__ import annotations
@@ -55,14 +51,9 @@ from .errors import DataError, ShapeError, UsageError
 
 @dataclass
 class AttentionRecord:
-    """One block's softmax, averaged over its heads."""
+    """One block's softmax."""
 
     matrix: np.ndarray  # Q_rows x K_rows, row-stochastic
-
-    @classmethod
-    def of(cls, softmax):
-        """The record of a heads x Q_rows x K_rows softmax; one head's is a view of it."""
-        return cls(matrix=softmax[0] if len(softmax) == 1 else softmax.mean(axis=0))
 
 
 def _param(shape, fill=None):
@@ -147,8 +138,8 @@ def _context_kv(context, params):
     return ag._make_node(kv, (context, params.w_k, params.w_v, params.b_v), backward)
 
 
-def _check_block(x, context, params, heads):
-    """The dtype, shape and head checks of a block's inputs."""
+def _check_block(x, context, params):
+    """The dtype and shape checks of a block's inputs."""
     tensors = [x] + ([] if context is None else [context]) + [t for _, t in params.named_tensors()]
     if len({t.dtype for t in tensors}) > 1:
         raise UsageError(f"attention block: mixed dtypes {sorted({str(t.dtype) for t in tensors})}")
@@ -158,20 +149,18 @@ def _check_block(x, context, params, heads):
             raise ShapeError(f"attention block: {name} of shape {t.shape} is not n x {d}")
     if context is not None and context.shape[0] < 1:
         raise DataError("cross-attention requires a nonempty context")
-    if heads < 1 or d % heads:
-        raise ShapeError(f"attention block: width {d} does not split into {heads} heads")
 
 
-def _block(x, context, params, heads):
+def _block(x, context, params):
     """The pre-norm residual block both kinds share, as one node (see the module docstring).
 
     Queries come from the normed ``x``; keys and values from ``context``,
     or from the normed ``x`` when ``context`` is None. Returns the node
-    and its heads x M x N softmax.
+    and its M x N softmax.
     """
-    _check_block(x, context, params, heads)
+    _check_block(x, context, params)
     p, d = params, params.w_q.shape[0]
-    scale = float(np.sqrt(x.shape[0] if heads == 1 else d // heads))
+    scale = float(np.sqrt(x.shape[0]))
     kv = None if context is None else _context_kv(context, params)
     # kv goes last: the backward's graph walk then finishes it before this block's input
     parents = [x] + [t for name, t in p.named_tensors() if kv is None or name not in ("w_k", "w_v", "b_v")]
@@ -184,7 +173,7 @@ def _block(x, context, params, heads):
     kvd = _project_kv(h, p) if kv is None else kv.data
     del h
     kt, v = _kv_views(kvd, d)
-    y, att = ag._attention(q, kt, v, scale, heads)
+    y, att = ag._attention(q, kt, v, scale)
     x1 = ag._linear(y, p.w_o.data, p.b_o.data)
     np.add(x.data, x1, out=x1)  # the residual x + attention
     h2, xhat2, inv2, _ = ag._layer_norm(x1, p.ln2_gamma.data, p.ln2_beta.data)
@@ -206,7 +195,7 @@ def _block(x, context, params, heads):
         g_y = ag._linear_backward(g_x1, y, p.w_o, p.b_o)
         gkv = np.empty_like(kvd)
         gkt, gv = _kv_views(gkv, d)
-        gq = ag._attention_backward(g_y, q, kt, v, att, scale, heads, gkt, gv)
+        gq = ag._attention_backward(g_y, q, kt, v, att, scale, gkt, gv)
         if x.requires_grad:
             ag._accum(x, g_x1, owned=True)
         xhat1 = x.data - mu1
@@ -225,15 +214,15 @@ def _block(x, context, params, heads):
     return ag._make_node(Tensor(out), parents, backward), att
 
 
-def cross_attention_block(latents, context, params, heads=1):
+def cross_attention_block(latents, context, params):
     """Latents attend to a (possibly much larger) context set.
 
     Residual form: attention onto normed latents with keys/values from
     the raw context, then the residual MLP sub-layer.
     """
-    return _block(latents, context, params, heads)
+    return _block(latents, context, params)
 
 
-def self_attention_block(tokens, params, heads=1):
-    """Pre-norm self-attention block; its softmax is heads x m x m."""
-    return _block(tokens, None, params, heads)
+def self_attention_block(tokens, params):
+    """Pre-norm self-attention block; its softmax is m x m."""
+    return _block(tokens, None, params)

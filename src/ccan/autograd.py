@@ -13,13 +13,12 @@ Each attention block of the model is one graph node too, built in
 ``_layer_norm`` and ``_attention``, each with its backward. The graph ops
 ``linear`` and ``gelu`` call the same kernels, so each piece of
 arithmetic exists once. ``_attention`` runs ``softmax(q @ k.T / scale)
-@ v`` for every head, head h on column group h of q and v and row group
-h of K^T through views, scaling and normalizing in place a block of rows
-at a time; the GELU kernels run a block of elements at a time and keep
-the float64 derivative instead of the input. The graph ops the blocks
-were built from before, ``layer_norm`` and ``attention``, and the
-per-head attention graph live in ``tests/`` as the oracles the kernels
-and the block nodes are compared with bit for bit.
+@ v`` as plain 2-D products, scaling and normalizing in place a block of
+rows at a time; the GELU kernels run a block of elements at a time and
+keep the float64 derivative instead of the input. The graph ops the
+blocks were built from before, ``layer_norm`` and ``attention``, live in
+``tests/`` as the oracles the kernels and the block nodes are compared
+with bit for bit.
 
 Gradient buffers are owned, not zero-filled: a backward closure that
 computes a fresh array (``g @ W.T``, ``X.T @ g``, ``g.sum(0)``, an
@@ -274,35 +273,24 @@ def _gelu_backward(g, dydx):
     return gx
 
 
-def _column_groups(a, heads):
-    """The ``heads`` column groups of a matrix as a heads x rows x width view."""
-    return a.reshape(a.shape[0], heads, a.shape[1] // heads).swapaxes(0, 1)
-
-
-def _attention(q, kt, v, scale, heads):
-    """softmax(q @ k.T / scale) @ v for every head; returns (output, softmax).
+def _attention(q, kt, v, scale):
+    """softmax(q @ k.T / scale) @ v; returns (output, softmax).
 
     ``q`` is M x d, ``kt`` is K^T as a C-ordered d x N array, ``v`` is
-    N x d_v and ``scale`` > 0. Head h attends with column group h of ``q``
-    and ``v`` (d / heads and d_v / heads columns wide) and row group h of
-    ``kt``, and writes column group h of the output; every group is a
-    view, never a copy. Scaling, the finiteness check, the row-max shift,
-    exp and the row normalization then run in place, a block of rows at a
-    time, with the same ufuncs as the composed form: per head, slice the
-    column groups and evaluate ``softmax(q @ k.T * (1 / scale)) @ v`` one
-    operation at a time, then join the head outputs. So the output, the
-    softmax and every gradient carry its bits. The heads x M x N softmax
-    serves both the backward pass and the caller's attention record.
+    N x d_v and ``scale`` > 0. Scaling, the finiteness check, the row-max
+    shift, exp and the row normalization run in place on the M x N logits,
+    a block of rows at a time, with the same ufuncs as the composed form
+    ``softmax(q @ k.T * (1 / scale)) @ v`` evaluated one operation at a
+    time, so the output, the softmax and every gradient carry its bits.
+    The M x N softmax serves both the backward pass and the caller's
+    attention record.
     """
-    m, d = q.shape
-    n = kt.shape[1]
-    p = np.empty((heads, m, n), dtype=q.dtype)
-    _matmul(_column_groups(q, heads), kt.reshape(heads, d // heads, n), p)
+    m, n = q.shape[0], kt.shape[1]
+    p = _matmul(q, kt, np.empty((m, n), dtype=q.dtype))
     s = np.asarray(1.0 / scale, dtype=p.dtype)
     rows = max(1, _BLOCK_BYTES // (n * p.itemsize))
-    p_rows = p.reshape(heads * m, n)
-    for lo in range(0, heads * m, rows):
-        blk = p_rows[lo : lo + rows]
+    for lo in range(0, m, rows):
+        blk = p[lo : lo + rows]
         blk *= s
         top = blk.max(axis=1, keepdims=True)
         # NaN and +-inf propagate through max and min
@@ -311,34 +299,26 @@ def _attention(q, kt, v, scale, heads):
         blk -= top
         np.exp(blk, out=blk)
         blk /= blk.sum(axis=1, keepdims=True)
-    y = np.empty((m, v.shape[1]), dtype=p.dtype)
-    _matmul(p, _column_groups(v, heads), _column_groups(y, heads))
-    return y, p
+    return _matmul(p, v, np.empty((m, v.shape[1]), dtype=p.dtype)), p
 
 
-def _attention_backward(g, q, kt, v, p, scale, heads, gkt, gv):
+def _attention_backward(g, q, kt, v, p, scale, gkt, gv):
     """Write dL/dK^T into ``gkt`` and dL/dv into ``gv``, laid out like ``kt`` and ``v``; return dL/dq."""
-    m, d = q.shape
-    n = kt.shape[1]
-    gh = _column_groups(g, heads)
-    np.matmul(p.swapaxes(1, 2), gh, out=_column_groups(gv, heads))
+    m, n = p.shape
+    np.matmul(p.T, g, out=gv)
     # softmax then scale backward, in place on the fresh dL/dP
-    gp = np.empty_like(p)
-    np.matmul(gh, _column_groups(v, heads).swapaxes(1, 2), out=gp)
+    gp = np.matmul(g, v.T, out=np.empty_like(p))
     s = np.asarray(1.0 / scale, dtype=p.dtype)
     rows = max(1, _BLOCK_BYTES // (n * p.itemsize))
-    gp_rows, p_rows = gp.reshape(heads * m, n), p.reshape(heads * m, n)
-    prod = np.empty((min(rows, heads * m), n), dtype=p.dtype)
-    for lo in range(0, heads * m, rows):
-        gb, yb = gp_rows[lo : lo + rows], p_rows[lo : lo + rows]
+    prod = np.empty((min(rows, m), n), dtype=p.dtype)
+    for lo in range(0, m, rows):
+        gb, yb = gp[lo : lo + rows], p[lo : lo + rows]
         inner = np.multiply(gb, yb, out=prod[: len(gb)]).sum(axis=1, keepdims=True)
         gb -= inner
         gb *= yb
         gb *= s
-    gq = np.empty((m, d), dtype=p.dtype)
-    kth = kt.reshape(heads, d // heads, n)
-    np.matmul(gp, kth.swapaxes(1, 2), out=_column_groups(gq, heads))
-    np.matmul(_column_groups(q, heads).swapaxes(1, 2), gp, out=gkt.reshape(heads, d // heads, n))
+    gq = np.matmul(gp, kt.T, out=np.empty(q.shape, dtype=p.dtype))
+    np.matmul(q.T, gp, out=gkt)
     return gq
 
 
@@ -467,13 +447,23 @@ def max_rows(x):
     """Column-wise max over all rows; gradient flows to the first argmax."""
     if x.data.ndim != 2 or x.data.shape[0] < 1:
         raise ShapeError(f"max_rows: expected a nonempty 2-D tensor, got {x.data.shape}")
-    idx = x.data.argmax(axis=0)
-    out = Tensor(x.data[idx, np.arange(x.data.shape[1])][None, :].copy())
+    a, cols = x.data, np.arange(x.data.shape[1])
+    # a.argmax(axis=0) would copy the whole array; a block of rows at a time, a later block wins only where it
+    # is strictly greater, or NaN (argmax's maximum) over a number, so each column keeps its first maximum
+    step = max(1, _BLOCK_BYTES // max(1, a[0].nbytes))
+    idx = a[:step].argmax(axis=0)
+    top = a[idx, cols]
+    for lo in range(step, a.shape[0], step):
+        i = a[lo : lo + step].argmax(axis=0) + lo
+        t = a[i, cols]
+        wins = (t > top) | (np.isnan(t) & ~np.isnan(top))
+        idx[wins], top[wins] = i[wins], t[wins]
+    out = Tensor(top[None, :])
 
     def backward(g):
         if x.requires_grad:
             gx = np.zeros_like(x.data)
-            np.add.at(gx, (idx, np.arange(x.data.shape[1])), g[0])
+            np.add.at(gx, (idx, cols), g[0])
             _accum(x, gx, owned=True)
 
     return _make_node(out, (x,), backward)

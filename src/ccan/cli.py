@@ -63,14 +63,9 @@ _FIELDS = {
     "model.num_classes": (CCANConfig, "num_classes"),
     "model.I": (CCANConfig, "n_frequencies"),
     "model.f_max": (CCANConfig, "f_max"),
-    "model.heads": (CCANConfig, "heads"),
     "train.epochs": (TrainConfig, "epochs"),
     "train.batch_size": (TrainConfig, "batch_size"),
     "train.lr_max": (TrainConfig, "lr_max"),
-    "train.weight_decay": (TrainConfig, "weight_decay"),
-    "train.beta1": (TrainConfig, "beta1"),
-    "train.beta2": (TrainConfig, "beta2"),
-    "train.eps": (TrainConfig, "eps"),
     "preprocess.patch_microns": (PreprocessConfig, "patch_microns"),
     "preprocess.white_threshold": (PreprocessConfig, "white_threshold"),
     "preprocess.blur_fraction": (PreprocessConfig, "blur_fraction"),

@@ -36,7 +36,7 @@ from .errors import ConfigError, DataError, FormatError, ShapeError
 from .posenc import attach_encodings, frequency_ladder
 
 CHECKPOINT_MAGIC = b"CCAN"
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 
 # rows a forward that does not record encodes and projects at a time; a row block of a product has the
 # whole product's bits unless it is one row (a GEMV)
@@ -90,19 +90,13 @@ class _Layout:
 
 
 def _check_shared(config, attention=True):
-    """The width and class checks every model config shares, and with ``attention`` the head checks."""
+    """The width and class checks every model config shares, and with ``attention`` the latent width's."""
     if config.d_feature < 1:
         raise ConfigError(f"d_feature must be >= 1, got {config.d_feature}")
     if config.num_classes < 2:
         raise ConfigError(f"num_classes must be >= 2, got {config.num_classes}")
-    if not attention:
-        return
-    if config.heads < 1:
-        raise ConfigError(f"heads must be >= 1, got {config.heads}")
-    if config.d_latent < 1:
+    if attention and config.d_latent < 1:
         raise ConfigError(f"d_latent must be >= 1, got {config.d_latent}")
-    if config.d_latent % config.heads != 0:
-        raise ConfigError(f"d_latent={config.d_latent} not divisible by heads={config.heads}")
 
 
 @dataclass
@@ -120,7 +114,6 @@ class CCANConfig:
     num_classes: int = 2
     n_frequencies: int = 6  # I
     f_max: float = 10.0
-    heads: int = 1  # one head scales logits by sqrt(#query rows), several by sqrt(head dim)
     seed: int = 0
 
     def validate(self):
@@ -227,8 +220,8 @@ class _Model:
     def zeroed_grads(self):
         """A zero gradient array laid out like ``values``, with each parameter's ``grad`` its view."""
         # np.zeros is calloc: no page is written before the backward adds into it, and fill(0) between windows
-        # writes the same +0. A window's first gradient is 0 + g, not g: it differs only where g is -0.0. For
-        # beta1 > 0.5 AdamW's m (from +0) never holds -0, so either zero adds the same to m, and g*g the same to v.
+        # writes the same +0. A window's first gradient is 0 + g, not g: it differs only where g is -0.0. With
+        # AdamW's beta1 0.9 > 0.5, m (from +0) never holds -0, so either zero adds the same to m, and g*g to v.
         grads = np.zeros(self.values.size, self.dtype)
         for (_, t), view in zip(self._parameters, _views(grads, [t.shape for _, t in self._parameters])):
             t.grad = view
@@ -290,17 +283,16 @@ class CCANModel(_Model):
         stage_ctx = input_ctx if j == 1 else prev_latents
         x = stage.latents
         for z in range(cfg.block_repeats):
-            x = cross_attention_block(x, stage_ctx, stage.cross_blocks[z], cfg.heads)[0]
+            x = cross_attention_block(x, stage_ctx, stage.cross_blocks[z])[0]
             for s in range(cfg.self_layers):
                 block = stage.self_blocks[z * cfg.self_layers + s]
-                x = self_attention_block(x, block, cfg.heads)[0]
+                x = self_attention_block(x, block)[0]
         if j > 1:
             x = x + ag.avg_pool_rows(prev_latents, cfg.compression)  # the pooled skip
         x = ag.concat_rows([x, stage.class_token])
-        x, cross = cross_attention_block(x, input_ctx, stage.final_cross, cfg.heads)
-        cross = AttentionRecord.of(cross)
-        x, self_ = self_attention_block(x, stage.final_self, cfg.heads)
-        records = [cross, AttentionRecord.of(self_)]
+        x, cross = cross_attention_block(x, input_ctx, stage.final_cross)
+        x, self_ = self_attention_block(x, stage.final_self)
+        records = [AttentionRecord(cross), AttentionRecord(self_)]
         m = x.shape[0] - 1
         class_embedding = ag.slice_rows(x, m, m + 1)
         latents_out = ag.slice_rows(x, 0, m)
@@ -394,10 +386,9 @@ class PoolConfig:
 
 @dataclass
 class SelfAttentionConfig(PoolConfig):
-    """The full-self-attention baseline's config: a pooling config's, and width and heads as in CCAN's."""
+    """The full-self-attention baseline's config: a pooling config's, and a width as in CCAN's."""
 
     d_latent: int = 512
-    heads: int = 1
 
     def validate(self):
         _check_shared(self)
@@ -447,9 +438,8 @@ class SelfAttentionModel(_Pooling):
         super()._make(made, d)
 
     def _pool(self, tokens):
-        cfg = self.config
         x = ag.linear(tokens, self.input_proj_w, self.input_proj_b)
-        return ag.mean_rows(self_attention_block(x, self.block, cfg.heads)[0])
+        return ag.mean_rows(self_attention_block(x, self.block)[0])
 
 
 MODEL_KINDS = {cls.kind: cls for cls in (CCANModel, MeanPoolModel, MaxPoolModel, SelfAttentionModel)}

@@ -29,25 +29,13 @@ class TrainConfig:
     epochs: int = 100
     batch_size: int = 30  # gradient-accumulation window
     lr_max: float = 5e-6
-    weight_decay: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
 
     def validate(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be >= 1")
-        # outside these ranges AdamW follows another update rule or diverges; NaN fails every comparison
-        for name, ok, want in (
-            ("lr_max", 0 <= self.lr_max < math.inf, "finite and >= 0"),
-            ("weight_decay", 0 <= self.weight_decay < math.inf, "finite and >= 0"),
-            ("beta1", 0 <= self.beta1 < 1, "in [0, 1)"),
-            ("beta2", 0 <= self.beta2 < 1, "in [0, 1)"),
-            ("eps", 0 < self.eps < math.inf, "finite and > 0"),
-        ):
-            if not ok:
-                raise ConfigError(f"{name} must be {want}, got {getattr(self, name)}")
+        if not 0 <= self.lr_max < math.inf:  # NaN fails every comparison
+            raise ConfigError(f"lr_max must be finite and >= 0, got {self.lr_max}")
         return self
 
 
@@ -127,14 +115,17 @@ class AdamWState:
 
 
 ADAMW_CHUNK = 32 * 1024  # elements per pass of adamw_step
+# AdamW's fixed hyperparameters: the stock moment decays, epsilon and weight decay
+BETA1, BETA2, EPS, WEIGHT_DECAY = 0.9, 0.999, 1e-8, 0.01
 
 
-def adamw_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.01):
+def adamw_step(params, grads, state, lr):
     """One decoupled-weight-decay Adam step on the 1-D array ``params``, in place.
 
     Per element this is exactly
     ``m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g; p -= (lr*wd)*p;
-    p -= (lr*m_hat) / (sqrt(v_hat) + eps)``, with the bias-corrected
+    p -= (lr*m_hat) / (sqrt(v_hat) + eps)``, with b1, b2, eps and wd the
+    module's BETA1, BETA2, EPS and WEIGHT_DECAY and the bias-corrected
     ``m_hat = m/bc1`` and ``v_hat = v/bc2``, in the parameters' dtype and
     in this order, so the bits do not depend on how values are packed.
     The arrays are walked in ADAMW_CHUNK-element chunks through two scratch
@@ -145,28 +136,27 @@ def adamw_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8, weigh
         got = ", ".join(f"{k} {a.dtype}{a.shape}" for k, a in arrays.items())
         raise UsageError(f"adamw_step: needs 1-D arrays of one shape and dtype, got {got}")
     state.t += 1
-    bc1 = 1.0 - beta1 ** state.t
-    bc2 = 1.0 - beta2 ** state.t
+    bc1 = 1.0 - BETA1 ** state.t
+    bc2 = 1.0 - BETA2 ** state.t
     buf1, buf2 = np.empty(ADAMW_CHUNK, params.dtype), np.empty(ADAMW_CHUNK, params.dtype)
     for lo in range(0, params.size, ADAMW_CHUNK):
         hi = min(lo + ADAMW_CHUNK, params.size)
         pc, gc, mc, vc = params[lo:hi], grads[lo:hi], state.m[lo:hi], state.v[lo:hi]
         t1, t2 = buf1[: hi - lo], buf2[: hi - lo]
-        mc *= beta1
-        np.multiply(gc, 1.0 - beta1, out=t1)
+        mc *= BETA1
+        np.multiply(gc, 1.0 - BETA1, out=t1)
         mc += t1
-        vc *= beta2
-        np.multiply(gc, 1.0 - beta2, out=t1)
+        vc *= BETA2
+        np.multiply(gc, 1.0 - BETA2, out=t1)
         t1 *= gc
         vc += t1
-        if weight_decay:
-            np.multiply(pc, lr * weight_decay, out=t1)
-            pc -= t1
+        np.multiply(pc, lr * WEIGHT_DECAY, out=t1)
+        pc -= t1
         np.divide(mc, bc1, out=t1)
         t1 *= lr
         np.divide(vc, bc2, out=t2)
         np.sqrt(t2, out=t2)
-        t2 += eps
+        t2 += EPS
         t1 /= t2
         pc -= t1
     return state
@@ -282,7 +272,7 @@ def train(model, dataset, fold, cfg, checkpoint_path=None, log=None):
                 epoch_losses.append(_bag_step(model, train_bags[idx], rng, num_classes))
             lr = cosine_lr(state.t, total_steps, cfg.lr_max)  # t: the steps taken so far
             grads /= len(window)
-            adamw_step(model.values, grads, state, lr, cfg.beta1, cfg.beta2, cfg.eps, cfg.weight_decay)
+            adamw_step(model.values, grads, state, lr)
         ag.zero_grad(t for _, t in model.parameters())
         del grads  # with the views gone, the epoch's array is freed here, before evaluation
         val_auc = evaluate_auc(model, val_bags)

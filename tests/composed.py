@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ccan import autograd as ag
-from ccan.attention import AttentionRecord, BlockParams, fill_param
+from ccan.attention import BlockParams, fill_param
 from ccan.autograd import Tensor
 from ccan.errors import DataError, NumericError, ShapeError, UsageError
 
@@ -167,13 +167,12 @@ def layer_norm(x, gamma, beta, eps=1e-5):
 _ATTENTION_BLOCK_BYTES = 1 << 18
 
 
-def attention(q, k, v, scale, heads=1):
-    """softmax(q @ k.T / scale) @ v for every head as one node; returns (output, softmax).
+def attention(q, k, v, scale):
+    """softmax(q @ k.T / scale) @ v as one node; returns (output, softmax).
 
-    Head h attends with column group h of ``q``, ``k`` and ``v`` through
-    views. Scaling, the finiteness check, the row-max shift, exp and the
-    row normalization run in place, a block of rows at a time, with the
-    ufuncs of the per-head form in ``tests/test_attention.py``.
+    Scaling, the finiteness check, the row-max shift, exp and the row
+    normalization run in place, a block of rows at a time, with the ufuncs
+    of the one-operation-at-a-time form in ``tests/test_attention.py``.
     """
     ag._check_same_dtype(q, k, "attention")
     ag._check_same_dtype(q, v, "attention")
@@ -187,18 +186,13 @@ def attention(q, k, v, scale, heads=1):
         raise ShapeError("attention: needs at least one key")
     m, d = q.data.shape
     n, dv = v.data.shape
-    if heads < 1 or d % heads or dv % heads:
-        raise ShapeError(f"attention: widths {d} and {dv} do not split into {heads} heads")
     kt = np.ascontiguousarray(k.data.T)
-    kth = kt.reshape(heads, d // heads, n)  # head h's keys are rows of K^T
-    qh, vh = ag._column_groups(q.data, heads), ag._column_groups(v.data, heads)
-    p = np.empty((heads, m, n), dtype=q.data.dtype)
-    np.matmul(qh, kth, out=p)
+    p = np.empty((m, n), dtype=q.data.dtype)
+    np.matmul(q.data, kt, out=p)
     s = np.asarray(1.0 / scale, dtype=p.dtype)
     rows = max(1, _ATTENTION_BLOCK_BYTES // (n * p.itemsize))
-    p_rows = p.reshape(heads * m, n)
-    for lo in range(0, heads * m, rows):
-        blk = p_rows[lo : lo + rows]
+    for lo in range(0, m, rows):
+        blk = p[lo : lo + rows]
         blk *= s
         top = blk.max(axis=1, keepdims=True)
         if not (np.isfinite(top).all() and np.isfinite(blk.min())):
@@ -207,46 +201,44 @@ def attention(q, k, v, scale, heads=1):
         np.exp(blk, out=blk)
         blk /= blk.sum(axis=1, keepdims=True)
     y = np.empty((m, dv), dtype=p.dtype)
-    np.matmul(p, vh, out=ag._column_groups(y, heads))
+    np.matmul(p, v.data, out=y)
     out = Tensor(y)
 
     def backward(g):
-        gh = ag._column_groups(g, heads)
         if v.requires_grad:
             gv = np.empty((n, dv), dtype=p.dtype)
-            np.matmul(p.swapaxes(1, 2), gh, out=ag._column_groups(gv, heads))
+            np.matmul(p.T, g, out=gv)
             ag._accum(v, gv, owned=True)
         if not (q.requires_grad or k.requires_grad):
             return
         # softmax then scale backward, in place on the fresh dL/dP
         gp = np.empty_like(p)
-        np.matmul(gh, vh.swapaxes(1, 2), out=gp)
-        gp_rows = gp.reshape(heads * m, n)
-        prod = np.empty((min(rows, heads * m), n), dtype=p.dtype)
-        for lo in range(0, heads * m, rows):
-            gb, yb = gp_rows[lo : lo + rows], p_rows[lo : lo + rows]
+        np.matmul(g, v.data.T, out=gp)
+        prod = np.empty((min(rows, m), n), dtype=p.dtype)
+        for lo in range(0, m, rows):
+            gb, yb = gp[lo : lo + rows], p[lo : lo + rows]
             inner = np.multiply(gb, yb, out=prod[: len(gb)]).sum(axis=1, keepdims=True)
             gb -= inner
             gb *= yb
             gb *= s
         if q.requires_grad:
             gq = np.empty((m, d), dtype=p.dtype)
-            np.matmul(gp, kth.swapaxes(1, 2), out=ag._column_groups(gq, heads))
+            np.matmul(gp, kt.T, out=gq)
             ag._accum(q, gq, owned=True)
         if k.requires_grad:
             gkt = np.empty((d, n), dtype=p.dtype)
-            np.matmul(qh.swapaxes(1, 2), gp, out=gkt.reshape(heads, d // heads, n))
+            np.matmul(q.data.T, gp, out=gkt)
             ag._accum(k, gkt.T, owned=True)
 
     return ag._make_node(out, (q, k, v), backward), p
 
 
-def composed_block(x, context, params, heads=1, key_bias=None):
+def composed_block(x, context, params, key_bias=None):
     """A cross (or, with ``context`` None, self) block as 12 graph nodes: the oracle of the block node.
 
     Keys are projected row-major, with ``key_bias`` added when given. The
-    logit scale is sqrt(#query rows) at one head and sqrt(head dim) at more.
-    Returns the block output and its heads x M x N softmax.
+    logits are divided by sqrt(#query rows). Returns the block output and
+    its M x N softmax.
     """
     if context is not None and context.shape[0] < 1:
         raise DataError("cross-attention requires a nonempty context")
@@ -255,8 +247,7 @@ def composed_block(x, context, params, heads=1, key_bias=None):
     q = ag.linear(h, params.w_q, params.b_q)
     k = ag.linear(kv, params.w_k, key_bias)
     v = ag.linear(kv, params.w_v, params.b_v)
-    scale = float(np.sqrt(q.shape[0])) if heads == 1 else float(np.sqrt(q.shape[1] // heads))
-    attn_out, p = attention(q, k, v, scale, heads)
+    attn_out, p = attention(q, k, v, float(np.sqrt(q.shape[0])))
     x = x + ag.linear(attn_out, params.w_o, params.b_o)
     h = layer_norm(x, params.ln2_gamma, params.ln2_beta)
     x = x + ag.linear(ag.gelu(ag.linear(h, params.w_m1, params.b_m1)), params.w_m2, params.b_m2)
@@ -284,7 +275,7 @@ def record_every_block(monkeypatch):
     def recorded(block, kind):
         def run(*args, **kwargs):
             out, softmax = block(*args, **kwargs)
-            seen.append((kind, AttentionRecord.of(softmax).matrix))
+            seen.append((kind, softmax))
             return out, softmax
 
         return run

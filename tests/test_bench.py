@@ -36,8 +36,8 @@ class TestCountMacs:
                 model.forward(bag)
             assert probe.macs == count_macs(cfg, n)
 
-    def test_probe_matches_with_heads_and_repeats(self):
-        cfg = bench_config(block_repeats=2, self_layers=2, heads=2)
+    def test_probe_matches_with_repeats(self):
+        cfg = bench_config(block_repeats=2, self_layers=2)
         model = CCANModel(cfg)
         bag = make_bench_bag(60, cfg.d_feature, seed=2)
         with ag.no_grad(), ag.op_probe() as probe:

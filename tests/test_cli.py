@@ -56,7 +56,7 @@ class TestParseConfig:
         echo = tmp_path / "echo.cfg"
         parse_config(None, []).echo(str(echo))
         digest = hashlib.sha256(echo.read_bytes()).hexdigest()
-        assert digest == "a6e487453f0e8ce178c13bfe5a670ae482ffba16f6e3eecd80ae70508becc460"
+        assert digest == "76d372147a77a0babe88c71af50a722e36ec9fa929e99e5906050990103737f4"
 
     def test_data_and_bench_defaults_are_the_library_defaults(self):
         def default(fn, name):
@@ -126,9 +126,13 @@ class TestParseConfig:
 
 class TestArgv:
     @pytest.mark.parametrize("source", ["--model.scale_mode per-dim", "--model.append_raw_coords true",
-                                        "train.lr_min = 1e-5"])
+                                        "train.lr_min = 1e-5", "--model.heads 2", "model.heads = 2",
+                                        "--train.beta1 0.8", "train.beta1 = 0.8", "--train.beta2 0.99",
+                                        "train.beta2 = 0.99", "--train.eps 1e-6", "train.eps = 1e-6",
+                                        "--train.weight_decay 0", "train.weight_decay = 0"])
     def test_removed_key_is_one_error_line(self, tmp_path, capsys, source):
-        # the logit scale follows from the head count; raw coordinates and a nonzero final rate had no caller
+        # attention has one head, whose logit scale is sqrt(#query rows), and AdamW's betas, epsilon and decay
+        # are constants; raw coordinates and a nonzero final rate had no caller
         if source.startswith("--"):
             args = source.split()
         else:
@@ -265,17 +269,17 @@ class TestCommands:
         assert rc == 1
         assert capsys.readouterr().err == f"error: {plan}:{len(lines) + 1}: bag {bag_id!r} is listed twice in fold 0\n"
 
-    def test_bad_baseline_heads_is_one_error_line(self, tiny_run, tmp_path, capsys):
+    def test_bad_baseline_width_is_one_error_line(self, tiny_run, tmp_path, capsys):
         cfg = SelfAttentionConfig(d_feature=24, d_latent=4)
         model = SelfAttentionModel(cfg)
-        model.config = replace(cfg, heads=0)
-        ckpt = tmp_path / "heads0.ckpt"
+        model.config = replace(cfg, d_latent=0)
+        ckpt = tmp_path / "width0.ckpt"
         save_checkpoint(model, ckpt)
         rc = main(["eval", "--paths.checkpoint", str(ckpt), "--paths.data", tiny_run["data"],
                    "--paths.plan", tiny_run["plan"], "--fold", "0", "--subset", "val"])
         captured = capsys.readouterr()
         assert rc == 1
-        assert captured.err == "error: heads must be >= 1, got 0\n"
+        assert captured.err == "error: d_latent must be >= 1, got 0\n"
         assert "auc" not in captured.out
 
     @pytest.mark.parametrize("kind", ["mean-pool", "full-self-attention"])
@@ -395,10 +399,10 @@ class TestCommands:
         assert not run_dir.exists()  # the fold is checked before the run directory is made
 
     @pytest.mark.parametrize("flag, value, message", [
-        ("--model.heads", "0", "error: heads must be >= 1, got 0\n"),
+        ("--model.D_l", "0", "error: d_latent must be >= 1, got 0\n"),
         ("--train.epochs", "0", "error: epochs and batch_size must be >= 1\n"),
-        ("--train.beta2", "1.5", "error: beta2 must be in [0, 1), got 1.5\n"),
-    ], ids=["heads", "epochs", "beta2"])
+        ("--train.lr_max", "nan", "error: lr_max must be finite and >= 0, got nan\n"),
+    ], ids=["d_latent", "epochs", "lr_max"])
     def test_rejected_train_config_is_one_error_line_and_no_run_dir(self, tiny_run, tmp_path, capsys,
                                                                     flag, value, message):
         run_dir = tmp_path / "run"

@@ -75,15 +75,14 @@ class TestRolloutStage:
         with pytest.raises(UsageError, match=r"this stage has \[\(2, 3\), \(2, 2\), \(2, 2\)\]"):
             rollout_stage(fake_stage([cross(c), self_rec(a1), self_rec(a2)]))
 
-    @pytest.mark.parametrize("heads", [1, 2])
     @pytest.mark.parametrize("self_layers", [0, 2])
-    def test_bitwise_equal_to_chain_oracle(self, monkeypatch, heads, self_layers):
+    def test_bitwise_equal_to_chain_oracle(self, monkeypatch, self_layers):
         # the chain over every block's record, as forwards kept them, against the stage's last two
         from composed import chain_rollout, record_every_block
 
         seen = record_every_block(monkeypatch)
         cfg = CCANConfig(n_stages=2, n_latents=16, compression=2, d_latent=32, d_feature=64, block_repeats=2,
-                         self_layers=self_layers, n_frequencies=2, heads=heads)
+                         self_layers=self_layers, n_frequencies=2)
         per_stage = 2 * (1 + self_layers) + 2
         for seed in range(3):
             bag = generate_synthetic(1, (30, 40), d_feature=64, seed=seed).bags[0]

@@ -281,7 +281,7 @@ class TestParameterLayout:
 class TestModelKinds:
     @pytest.mark.parametrize("kind", list(MODEL_KINDS))
     def test_sized_and_scaled_like_the_ccan_config(self, kind):
-        cfg = toy_config(num_classes=3, heads=2, seed=1)
+        cfg = toy_config(num_classes=3, seed=1)
         model = make_model(kind, cfg, seed=9)
         assert type(model) is MODEL_KINDS[kind] and model.kind == kind
         assert type(model.config) is model.config_class and model.config.seed == 9
@@ -290,11 +290,11 @@ class TestModelKinds:
                 assert getattr(model.config, f.name) == getattr(cfg, f.name), f.name
 
     def test_each_config_holds_only_what_its_kind_reads(self):
-        # the fields of each kind: a pooling baseline has no width or heads to set
+        # the fields of each kind: a pooling baseline has no width to set
         names = {kind: [f.name for f in fields(cls.config_class)] for kind, cls in MODEL_KINDS.items()}
         assert names["mean-pool"] == names["max-pool"] == ["d_feature", "num_classes", "seed"]
-        assert sorted(names["full-self-attention"]) == ["d_feature", "d_latent", "heads", "num_classes", "seed"]
-        assert len(names["ccan"]) == 13
+        assert sorted(names["full-self-attention"]) == ["d_feature", "d_latent", "num_classes", "seed"]
+        assert len(names["ccan"]) == 12
 
     def test_same_draws_as_each_class_from_the_seed(self):
         cfg = toy_config(seed=1)
@@ -364,8 +364,8 @@ class TestStageForward:
         seen = record_every_block(monkeypatch)
         bag = toy_dataset(seed=4).bags[0]
         n = bag.n_tokens
-        for repeats, self_layers, heads in [(1, 1, 1), (2, 0, 2), (2, 2, 2)]:
-            cfg = toy_config(block_repeats=repeats, self_layers=self_layers, heads=heads)
+        for repeats, self_layers in [(1, 1), (2, 0), (2, 2)]:
+            cfg = toy_config(block_repeats=repeats, self_layers=self_layers)
             seen.clear()
             out = CCANModel(replace(cfg, seed=1)).forward(bag)
             assert out.stages[0].latents_out.shape == (8, 16)
@@ -415,25 +415,24 @@ class TestForward:
     def test_graph_nodes_per_toy_training_bag(self):
         # operation nodes reachable from one training loss of the TOY benchmark
         # config: 216 composed, 163 with the fused linear, 131 with the fused
-        # attention, whose one node holds every head, 113 with the loss as one
+        # attention, once one node for every head, 113 with the loss as one
         # node over both stages, 29 with each attention block one node (a cross
         # block's context keys and values one more). A rise here is a graph-size
         # regression.
         from ccan.training import bag_loss
 
         bag = generate_synthetic(1, (40, 40), d_feature=64, seed=0).bags[0]
-        for heads in (1, 2):
-            cfg = CCANConfig(n_stages=2, n_latents=16, compression=2, d_latent=32, d_feature=64,
-                             self_layers=1, n_frequencies=2, heads=heads)
-            out = CCANModel(cfg).forward(bag, rng=np.random.default_rng(0), train_mode=True)
-            seen, stack, ops = set(), [bag_loss(out, bag.label, 2)], 0
-            while stack:
-                node = stack.pop()
-                if id(node) not in seen:
-                    seen.add(id(node))
-                    ops += node._backward is not None
-                    stack.extend(node._parents)
-            assert ops == 29, f"{heads} heads"
+        cfg = CCANConfig(n_stages=2, n_latents=16, compression=2, d_latent=32, d_feature=64,
+                         self_layers=1, n_frequencies=2)
+        out = CCANModel(cfg).forward(bag, rng=np.random.default_rng(0), train_mode=True)
+        seen, stack, ops = set(), [bag_loss(out, bag.label, 2)], 0
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                ops += node._backward is not None
+                stack.extend(node._parents)
+        assert ops == 29
 
     def test_eval_deterministic(self):
         model = CCANModel(toy_config(seed=5))
@@ -444,8 +443,7 @@ class TestForward:
         for sa, sb in zip(a.stages, b.stages):
             np.testing.assert_array_equal(sa.latents_out.data, sb.latents_out.data)
 
-    @pytest.mark.parametrize("heads", [1, 2])
-    def test_toy_training_bitwise_equal_to_composed_blocks(self, monkeypatch, heads):
+    def test_toy_training_bitwise_equal_to_composed_blocks(self, monkeypatch):
         # across blocks too: the projected input tokens, which three cross blocks read here,
         # take their key and value gradients in the composed graph's order
         from ccan import attention
@@ -454,7 +452,7 @@ class TestForward:
 
         bag = generate_synthetic(1, (40, 40), d_feature=64, seed=0).bags[0]
         cfg = CCANConfig(n_stages=2, n_latents=16, compression=2, d_latent=32, d_feature=64, self_layers=1,
-                         n_frequencies=2, p_dropout=0.5, heads=heads)
+                         n_frequencies=2, p_dropout=0.5)
 
         def run():
             model = CCANModel(cfg)
@@ -710,6 +708,20 @@ class TestBaselines:
         wide = MeanPoolModel(model.config, dtype=np.float64).forward(bag).averaged_probs
         assert wide.dtype == np.float64 and np.abs(wide - probs).max() < 1e-6
 
+    def test_a_float32_max_pool_reads_the_tokens_in_place(self):
+        # each column's first maximum is found a block of rows at a time, so the bag is never copied whole
+        model, bag = baseline("max-pool", 64), make_bench_bag(5000, 64, seed=6)
+        tracemalloc.start()
+        try:
+            probs = model.forward(bag).averaged_probs
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bag.tokens.nbytes
+        pooled = bag.tokens.max(axis=0, keepdims=True)
+        want = ag.sigmoid(ag.linear(Tensor(pooled), model.head_w, model.head_b)).data.reshape(-1)
+        np.testing.assert_array_equal(probs, want)
+
     def test_full_self_attention_quadratic_macs(self):
         model = SelfAttentionModel(SelfAttentionConfig(d_feature=8, d_latent=8, num_classes=2, seed=2))
         rng = np.random.default_rng(2)
@@ -732,13 +744,10 @@ class TestBaselines:
         assert [cls.kind for cls in (MeanPoolModel, MaxPoolModel, SelfAttentionModel)] == list(BASELINE_KINDS)
 
     @pytest.mark.parametrize("change,message", [
-        ({"heads": 0}, "heads must be >= 1, got 0"),
-        ({"heads": -2}, "heads must be >= 1, got -2"),  # which both widths would divide by
-        ({"heads": 3}, "not divisible by heads=3"),
         ({"d_latent": 0}, "d_latent must be >= 1, got 0"),
         ({"d_latent": -4}, "d_latent must be >= 1, got -4"),
     ])
-    def test_head_and_scale_checks_match_ccan(self, tmp_path, change, message):
+    def test_width_checks_match_ccan(self, tmp_path, change, message):
         cfg = SelfAttentionConfig(d_feature=6, d_latent=4, seed=3)
         with pytest.raises(ConfigError, match=message):
             SelfAttentionModel(replace(cfg, **change))
@@ -804,7 +813,7 @@ class TestCheckpoint:
 
     def test_forward_identical_after_reload(self, tmp_path):
         bag = toy_dataset(seed=13).bags[0]
-        for config in (toy_config(), toy_config(num_classes=3, heads=2)):
+        for config in (toy_config(), toy_config(num_classes=3)):
             model = CCANModel(replace(config, seed=11))
             before = model.forward(bag).averaged_probs
             path = tmp_path / "model.ckpt"
@@ -827,7 +836,7 @@ class TestCheckpoint:
         # the kind is recorded once, and the config holds only what a pooling baseline reads
         payload = json.dumps({"model_kind": "mean-pool", "config": {"d_feature": 3, "num_classes": 2, "seed": 4},
                               "layout": [["head.w", [3, 1]], ["head.b", [1]]]}, sort_keys=True).encode()
-        want = b"CCAN" + struct.pack("<HI", 5, len(payload)) + payload
+        want = b"CCAN" + struct.pack("<HI", 6, len(payload)) + payload
         want += np.concatenate([model.head_w.data.ravel(), model.head_b.data]).astype("<f4").tobytes()
         assert path.read_bytes() == want
         assert [p.name for p in tmp_path.iterdir()] == ["pool.ckpt"]
@@ -938,7 +947,7 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(CCANModel(toy_config(seed=15)), path)
         blob = path.read_bytes()
-        assert struct.unpack("<H", blob[4:6]) == (5,)
+        assert struct.unpack("<H", blob[4:6]) == (6,)
         path.write_bytes(blob[:4] + struct.pack("<H", 1) + blob[6:])
         with pytest.raises(FormatError, match="unsupported checkpoint version 1") as err:
             load_checkpoint(path)
@@ -971,10 +980,24 @@ class TestCheckpoint:
         blob = path.read_bytes()
         (length,) = struct.unpack("<I", blob[6:10])
         payload = json.loads(blob[10 : 10 + length])
-        payload["config"].update(scale_mode="per-paper", append_raw_coords=False)
+        payload["config"].update(scale_mode="per-paper", append_raw_coords=False, heads=1)
         payload = json.dumps(payload, sort_keys=True).encode()
         path.write_bytes(b"CCAN" + struct.pack("<HI", 4, len(payload)) + payload + blob[10 + length :])
         with pytest.raises(FormatError, match="unsupported checkpoint version 4") as err:
+            load_checkpoint(path)
+        assert err.value.offset == 4
+
+    def test_version_5_rejected(self, tmp_path):
+        # v5 saved a head count, which v6 fixes at one
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(CCANModel(toy_config(seed=16)), path)
+        blob = path.read_bytes()
+        (length,) = struct.unpack("<I", blob[6:10])
+        payload = json.loads(blob[10 : 10 + length])
+        payload["config"].update(heads=1)
+        payload = json.dumps(payload, sort_keys=True).encode()
+        path.write_bytes(b"CCAN" + struct.pack("<HI", 5, len(payload)) + payload + blob[10 + length :])
+        with pytest.raises(FormatError, match="unsupported checkpoint version 5") as err:
             load_checkpoint(path)
         assert err.value.offset == 4
 
@@ -1163,7 +1186,7 @@ class TestCheckpoint:
         (length,) = struct.unpack("<I", blob[6:10])
         payload = blob[10 : 10 + length].replace(b'"model_kind": "max-pool"', b'"model_kind": "full-self-attention"')
         path.write_bytes(blob[:6] + struct.pack("<I", len(payload)) + payload + blob[10 + length :])
-        with pytest.raises(FormatError, match=r"missing keys \['d_latent', 'heads'\]") as err:
+        with pytest.raises(FormatError, match=r"missing keys \['d_latent'\]") as err:
             load_checkpoint(path)
         assert err.value.offset == 10
 

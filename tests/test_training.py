@@ -35,6 +35,10 @@ from ccan.model import (
 )
 from ccan.training import (
     ADAMW_CHUNK,
+    BETA1,
+    BETA2,
+    EPS,
+    WEIGHT_DECAY,
     AdamWState,
     TrainConfig,
     adamw_step,
@@ -98,17 +102,16 @@ class TestTotalLoss:
         np.testing.assert_allclose(doubled, 2.0 * ag.bce(xs, [1.0]).item(), atol=1e-12)
 
 
-def adamw_reference_step(p, g, m, v, t, lr, beta1, beta2, eps, weight_decay):
+def adamw_reference_step(p, g, m, v, t, lr):
     """The whole-array expression adamw_step walks chunk by chunk."""
-    m *= beta1
-    m += (1.0 - beta1) * g
-    v *= beta2
-    v += (1.0 - beta2) * g * g
-    m_hat = m / (1.0 - beta1 ** t)
-    v_hat = v / (1.0 - beta2 ** t)
-    if weight_decay:
-        p -= (lr * weight_decay) * p
-    p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    m *= BETA1
+    m += (1.0 - BETA1) * g
+    v *= BETA2
+    v += (1.0 - BETA2) * g * g
+    m_hat = m / (1.0 - BETA1 ** t)
+    v_hat = v / (1.0 - BETA2 ** t)
+    p -= (lr * WEIGHT_DECAY) * p
+    p -= lr * m_hat / (np.sqrt(v_hat) + EPS)
 
 
 def bits(a):
@@ -116,23 +119,28 @@ def bits(a):
 
 
 class TestAdamW:
+    def test_the_stock_hyperparameters(self):
+        assert (BETA1, BETA2, EPS, WEIGHT_DECAY) == (0.9, 0.999, 1e-8, 0.01)
+
     def test_one_step_closed_form(self):
+        # from theta = 0 decay adds nothing, and the bias-corrected moments of the first step are g and g*g
         theta = np.array([0.0])
         state = AdamWState.for_params([theta])
-        adamw_step(theta, np.array([1.0]), state, lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.0)
-        np.testing.assert_allclose(theta, [-0.1], atol=1e-8)
+        adamw_step(theta, np.array([1.0]), state, lr=0.1)
+        np.testing.assert_allclose(theta, [-0.1 / (1.0 + EPS)], rtol=1e-15)
 
     def test_decay_only_path(self):
+        # a zero gradient leaves both moments zero, so the step is the decay alone
         theta = np.array([2.0])
         state = AdamWState.for_params([theta])
-        adamw_step(theta, np.array([0.0]), state, lr=0.1, weight_decay=0.5)
-        np.testing.assert_allclose(theta, [2.0 * (1.0 - 0.1 * 0.5)], atol=1e-15)
+        adamw_step(theta, np.array([0.0]), state, lr=0.1)
+        np.testing.assert_array_equal(theta, [2.0 - 2.0 * (0.1 * WEIGHT_DECAY)])
 
     def test_zero_lr_is_identity(self):
         theta = np.array([1.0, -2.0])
         state = AdamWState.for_params([theta])
         for _ in range(2):
-            adamw_step(theta, np.array([3.0, -1.0]), state, lr=0.0, weight_decay=0.01)
+            adamw_step(theta, np.array([3.0, -1.0]), state, lr=0.0)
         np.testing.assert_array_equal(theta, [1.0, -2.0])
 
     def test_chunked_step_matches_whole_array_reference_bitwise(self):
@@ -144,8 +152,8 @@ class TestAdamW:
         for t in range(1, 4):
             g = (rng.normal(size=n) * 10.0 ** rng.uniform(-9, 0, size=n)).astype(np.float32)
             lr = 1e-3 / t
-            adamw_step(theta, g, state, lr, 0.9, 0.999, 1e-8, 0.01)
-            adamw_reference_step(ref, g, ref_m, ref_v, t, lr, 0.9, 0.999, 1e-8, 0.01)
+            adamw_step(theta, g, state, lr)
+            adamw_reference_step(ref, g, ref_m, ref_v, t, lr)
         assert theta.dtype == state.m.dtype == state.v.dtype == np.float32
         np.testing.assert_array_equal(bits(theta), bits(ref))
         np.testing.assert_array_equal(bits(state.m), bits(ref_m))
@@ -163,8 +171,8 @@ class TestAdamW:
         for t in range(1, 4):
             gs = [(rng.normal(size=k) * 10.0 ** rng.uniform(-9, 0, size=k)).astype(np.float32) for k in sizes]
             for a, g, st_ in zip(alone, gs, states):
-                adamw_step(a, g, st_, 1e-3 / t, 0.9, 0.999, 1e-8, 0.01)
-            adamw_step(packed, np.concatenate(gs), state, 1e-3 / t, 0.9, 0.999, 1e-8, 0.01)
+                adamw_step(a, g, st_, 1e-3 / t)
+            adamw_step(packed, np.concatenate(gs), state, 1e-3 / t)
         np.testing.assert_array_equal(bits(packed), bits(np.concatenate(alone)))
         np.testing.assert_array_equal(bits(state.m), bits(np.concatenate([st_.m for st_ in states])))
         np.testing.assert_array_equal(bits(state.v), bits(np.concatenate([st_.v for st_ in states])))
@@ -192,29 +200,15 @@ class TestAdamW:
         with pytest.raises(UsageError, match=r"needs 1-D arrays .* parameters float32\(2, 3\)"):
             adamw_step(theta, np.zeros_like(theta), state, lr=0.1)
 
-    def test_no_decay_reduces_to_adam(self):
-        # with wd=0 and g=0 the step is exactly the identity
-        theta = np.array([5.0])
-        state = AdamWState.for_params([theta])
-        adamw_step(theta, np.array([0.0]), state, lr=0.3, weight_decay=0.0)
-        np.testing.assert_array_equal(theta, [5.0])
-
 
 class TestTrainConfig:
     @pytest.mark.parametrize("change, message", [
-        ({"beta1": 1.0}, "beta1 must be in [0, 1), got 1.0"),
-        ({"beta1": -0.1}, "beta1 must be in [0, 1), got -0.1"),
-        ({"beta2": 1.5}, "beta2 must be in [0, 1), got 1.5"),
-        ({"beta2": float("nan")}, "beta2 must be in [0, 1), got nan"),
-        ({"eps": -1e-3}, "eps must be finite and > 0, got -0.001"),
-        ({"eps": 0.0}, "eps must be finite and > 0, got 0.0"),
-        ({"weight_decay": -1.0}, "weight_decay must be finite and >= 0, got -1.0"),
-        ({"weight_decay": float("nan")}, "weight_decay must be finite and >= 0, got nan"),
         ({"lr_max": float("inf")}, "lr_max must be finite and >= 0, got inf"),
         ({"lr_max": -1e-3}, "lr_max must be finite and >= 0, got -0.001"),
+        ({"lr_max": float("nan")}, "lr_max must be finite and >= 0, got nan"),
     ])
     def test_optimizer_settings_outside_their_range_rejected(self, change, message):
-        assert TrainConfig(beta1=0.0, beta2=0.0, weight_decay=0.0).validate()
+        assert TrainConfig(lr_max=0.0).validate()
         with pytest.raises(ConfigError) as err:
             TrainConfig(**change).validate()
         assert str(err.value) == message
@@ -223,8 +217,8 @@ class TestTrainConfig:
         ds, plan = small_task(seed=1, n_bags=24)
         model = small_model(seed=2)
         before = [p.data.copy() for _, p in model.parameters()]
-        with pytest.raises(ConfigError, match="beta1"):
-            train(model, ds, plan.folds[0], TrainConfig(epochs=1, batch_size=2, beta1=1.0))
+        with pytest.raises(ConfigError, match="lr_max"):
+            train(model, ds, plan.folds[0], TrainConfig(epochs=1, batch_size=2, lr_max=-1.0))
         assert all(np.array_equal(a, p.data) for a, (_, p) in zip(before, model.parameters()))
 
     def test_negative_seed_rejected_before_the_first_step(self):
@@ -403,7 +397,7 @@ class TestTrain:
         ds, plan = small_task(seed=6, n_bags=20)
         model = small_model(seed=7)
         before = {name: p.data.copy() for name, p in model.parameters()}
-        cfg = TrainConfig(epochs=2, batch_size=4, lr_max=0.0, weight_decay=0.0, seed=8)
+        cfg = TrainConfig(epochs=2, batch_size=4, lr_max=0.0, seed=8)
         _, history = train(model, ds, plan.folds[0], cfg)
         for name, p in model.parameters():
             np.testing.assert_array_equal(p.data, before[name])
@@ -510,11 +504,11 @@ class TestTrain:
         initial, alone = frozen.data.copy(), AdamWState.for_params([frozen.data])
         step, steps = training.adamw_step, []
 
-        def checking_step(values, grads, state, lr, *args):
+        def checking_step(values, grads, state, lr):
             want = values[block].copy()
-            step(want, np.zeros_like(want), alone, lr, *args)  # the block alone, with a zero gradient
+            step(want, np.zeros_like(want), alone, lr)  # the block alone, with a zero gradient
             assert not grads[block].any()
-            step(values, grads, state, lr, *args)
+            step(values, grads, state, lr)
             np.testing.assert_array_equal(values[block], want)
             steps.append(lr)
 

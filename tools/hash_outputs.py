@@ -36,16 +36,15 @@ every gradient of one seeded bag, and the ``values`` that
 checkpoint files' bytes have lines of their own, ``train_ckpt`` and
 ``kinds_ckpt``, so checkouts that write another checkpoint format still
 compare on every other line. These runs use only names every checkout
-has, so the tool can hash an older checkout for comparison.
+has, and set only config fields every checkout has, so the tool can hash
+an older checkout for comparison.
 
-    PYTHONPATH=src python tools/hash_outputs.py --config ref --n 3091 --heads 4
+    PYTHONPATH=src python tools/hash_outputs.py --config ref --n 3091
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tools/hash_outputs.py --config toy
 
 ``--config toy`` is the acceptance tests' TOY model; ``ref`` is
 ``CCANConfig()`` (96.4M parameters, about 1.2 GB while its gradients are
-held). More than one head scales logits by sqrt(head dim), which a checkout
-whose config still has ``scale_mode`` is told to do. ``--each`` prints a
-digest per record and per gradient as well.
+held). ``--each`` prints a digest per record and per gradient as well.
 """
 
 from __future__ import annotations
@@ -211,18 +210,16 @@ def main(argv=None):
     ap.add_argument("--config", choices=("toy", "ref"), default="toy")
     ap.add_argument("--n", type=int, default=40, help="tokens in the bag")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--heads", type=int, default=1)
     ap.add_argument("--each", action="store_true", help="a digest per record and per gradient too")
     args = ap.parse_args(argv)
 
     kwargs = TOY if args.config == "toy" else {}
-    older = {"scale_mode": "per-dim"} if args.heads > 1 and "scale_mode" in CCANConfig.__dataclass_fields__ else {}
-    cfg = CCANConfig(**kwargs, **older, heads=args.heads, seed=args.seed)
+    cfg = CCANConfig(**kwargs, seed=args.seed)
     model = CCANModel(cfg)
     bag = make_bag(args.n, cfg.d_feature, args.seed + 1)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     print(f"blas_threads   {blas_threads()}  usable_cpus {cpus}")
-    print(f"config         {args.config} n={args.n} seed={args.seed} heads={args.heads}")
+    print(f"config         {args.config} n={args.n} seed={args.seed}")
     params = model.parameters()
     print(f"{'layout':14s} {len(params):4d} {digest(layout(model))}")
     report_preprocess(args.seed)
