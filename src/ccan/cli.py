@@ -3,13 +3,13 @@
 Configuration is a flat dotted-key namespace resolved as
 defaults < config file < command-line flags. Files are line-based UTF-8
 ``key = value`` text with ``#`` comments. Unknown keys are errors, so
-typos never pass silently. A key that sets a field of ``CCANConfig``,
-``TrainConfig`` or ``PreprocessConfig`` takes its type and default from
-that field, and one that sets an argument of ``generate_synthetic``,
-``patient_grouped_kfold``, ``bench_scaling`` or ``data_efficiency_sweep``
-from that argument's default. Every command echoes its fully resolved
-configuration into the run directory (or next to its output), and that
-echo is itself a valid config file that reproduces the run.
+typos never pass silently. A key that sets a field of ``CCANConfig`` or
+``TrainConfig`` takes its type and default from that field, and one that
+sets an argument of ``generate_synthetic``, ``patient_grouped_kfold``,
+``bench_scaling`` or ``data_efficiency_sweep`` from that argument's
+default. Every command echoes its fully resolved configuration into the
+run directory (or next to its output), and that echo is itself a valid
+config file that reproduces the run.
 
 The root seed comes from ``seed``; each concern derives its own sub-seed
 by hashing the root with a purpose string.
@@ -38,7 +38,7 @@ from .data import (
 from .errors import CCANError, ConfigError, UsageError
 from .model import CCANConfig, CCANModel, load_checkpoint
 from .netpbm import read_pnm
-from .preprocess import PreprocessConfig, RasterImage, read_sidecar, run_pipeline
+from .preprocess import RasterImage, read_sidecar, run_pipeline
 from .training import (
     TrainConfig,
     check_fold,
@@ -66,12 +66,6 @@ _FIELDS = {
     "train.epochs": (TrainConfig, "epochs"),
     "train.batch_size": (TrainConfig, "batch_size"),
     "train.lr_max": (TrainConfig, "lr_max"),
-    "preprocess.patch_microns": (PreprocessConfig, "patch_microns"),
-    "preprocess.white_threshold": (PreprocessConfig, "white_threshold"),
-    "preprocess.blur_fraction": (PreprocessConfig, "blur_fraction"),
-    "preprocess.canny_sigma": (PreprocessConfig, "canny_sigma"),
-    "preprocess.canny_low": (PreprocessConfig, "canny_low"),
-    "preprocess.canny_high": (PreprocessConfig, "canny_high"),
 }
 
 
@@ -136,9 +130,6 @@ class RunConfig:
 
     def train_config(self, seed=None):
         return self._build(TrainConfig, seed=self["seed"] if seed is None else seed)
-
-    def preprocess_config(self):
-        return self._build(PreprocessConfig, d_feature=self["model.D_f"])
 
     def echo(self, path):
         with atomic_write(path, text=True) as fh:
@@ -261,7 +252,7 @@ def _cmd_preprocess(cfg):
         bag_id=meta["bag_id"],
         patient_id=meta["patient_id"],
         seed=cfg["seed"],
-        config=cfg.preprocess_config(),
+        d_feature=cfg["model.D_f"],
     )
     qc.write_csv(out + ".qc.csv")
     cfg.echo(out + ".config.txt")
@@ -337,14 +328,14 @@ def _cmd_train(cfg):
 
 
 def _cmd_eval(cfg):
+    subset = cfg["subset"]
+    if subset not in ("train", "val", "test"):  # before the checkpoint is read and every bag indexed
+        raise UsageError(f"subset must be train/val/test, got {subset!r}")
     model = load_checkpoint(_require(cfg, "paths.checkpoint", "eval"))
     dataset = _load_dataset(cfg, "eval")
     plan = _load_plan(cfg, "eval")
     fold = plan.folds[_fold_index(cfg, plan)]
-    subset = cfg["subset"]
-    ids = {"train": fold.train_ids, "val": fold.val_ids, "test": fold.test_ids}.get(subset)
-    if ids is None:
-        raise UsageError(f"subset must be train/val/test, got {subset!r}")
+    ids = {"train": fold.train_ids, "val": fold.val_ids, "test": fold.test_ids}[subset]
     auc = evaluate_auc(model, [dataset.entry(i) for i in ids])
     print(f"{subset} auc: {auc:.6f}")
     return 0
@@ -376,6 +367,8 @@ def _cmd_sweep(cfg):
 
 
 def _cmd_explain(cfg):
+    if cfg["top_k"] < 0:  # before the checkpoint is read and the bag run
+        raise UsageError(f"top_k must be >= 0, got {cfg['top_k']}")
     model = load_checkpoint(_require(cfg, "paths.checkpoint", "explain"))
     bag = read_bag(_require(cfg, "paths.bag", "explain"))
     out = _require(cfg, "paths.out", "explain")

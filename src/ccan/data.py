@@ -388,15 +388,20 @@ def load_manifest(manifest_path):
             raise FormatError(f"{manifest_path}:1: manifest has no column path")
         checked = [c for c in ("bag_id", "patient_id", "label") if c in reader.fieldnames]
         for row in reader:
-            path = row["path"]
+            where, path = f"{manifest_path}:{reader.line_num}", row["path"]
             if path is None:
-                raise FormatError(f"{manifest_path}:{reader.line_num}: manifest row has no path field")
+                raise FormatError(f"{where}: manifest row has no path field")
+            if "\0" in path:  # which open() refuses with a ValueError
+                raise FormatError(f"{where}: path {path!r} holds a NUL byte")
             if not os.path.isabs(path):
                 path = os.path.join(base, path)
-            bag = read_bag(path)
+            try:
+                bag = read_bag(path)
+            except OSError as exc:  # a listed file that is missing, a directory or unreadable
+                raise DataError(f"{where}: {exc}") from None
             for column in checked:
                 if row[column] != str(getattr(bag, column)):
-                    raise FormatError(f"{manifest_path}:{reader.line_num}: column {column} is {row[column]!r}, "
+                    raise FormatError(f"{where}: column {column} is {row[column]!r}, "
                                       f"but {path} has {getattr(bag, column)!r}")
             entries.append(BagEntry(bag.bag_id, bag.patient_id, bag.label, bag.n_tokens, path))
             del bag  # before the next file is read

@@ -1,11 +1,13 @@
 """Raster-image preprocessing into feature bags.
 
 The pipeline tessellates a calibrated image into non-overlapping square
-patches with a fixed physical edge length (default 256 microns),
-resizes each to 256x256 px, drops predominantly-white patches (mean
-BT.601 luma > 224), drops blurry patches (Canny edge fraction < 2%),
-and turns survivors into feature tokens via a deterministic random
-projection. Partial edge patches are discarded. Each patch's luma is
+patches of PATCH_MICRONS (256 microns) edge length, resizes each to
+256x256 px, drops predominantly-white patches (mean BT.601 luma above
+WHITE_THRESHOLD, 224), drops blurry patches (a Canny edge fraction below
+BLUR_FRACTION, 2%), and turns survivors into feature tokens via a
+deterministic random projection. Partial edge patches are discarded.
+These settings are constants: the tokens come from a seeded stub, not a
+pretrained extractor, so no result rests on them. Each patch's luma is
 computed once and read by both filters; the projection is drawn once
 per (d_feature, seed) as 128-column slabs, cached and shared read-only.
 Patches are resized (8-bit ones at whole scale factors by integer means,
@@ -13,12 +15,11 @@ the float path's bytes) and filtered on every usable CPU, with the same
 bag bytes at any CPU count; the projection runs on the calling thread.
 
 The Canny detector is the classic pipeline: 5x5 Gaussian smoothing
-(sigma 1.4), Sobel gradients, 4-direction non-maximum suppression, and
-double-threshold hysteresis (low 50 / high 100 on the gradient
-magnitude clamped to 8 bits). Borders are edge-replicated for the
-convolutions; the Gaussian is made once per sigma, and at either end of
-the accepted range it is its limit (uniform, or a unit impulse). Golden
-tests and oracles pin every bit: the Sobel taps are slices summed in
+(CANNY_SIGMA 1.4), Sobel gradients, 4-direction non-maximum suppression,
+and double-threshold hysteresis (CANNY_LOW 50 / CANNY_HIGH 100 on the
+gradient magnitude clamped to 8 bits). Borders are edge-replicated for
+the convolutions; the Gaussian is made once, at import. Golden tests and
+oracles pin every bit: the Sobel taps are slices summed in
 ndimage.correlate's order, the angle folds into % 180's sector by adding
 180 to negative angles, and block means come from integer sums.
 
@@ -90,34 +91,17 @@ class PatchRecord:
 
 # every patch is resized to this edge length, the stub extractor's input
 PATCH_PIXELS = 256
+# a patch's physical edge; the white filter's mean-luma cutoff; the blur filter's edge-fraction cutoff; Canny's
+# Gaussian sigma and its low and high thresholds on the 8-bit magnitude (Canny, IEEE TPAMI 8(6), 1986)
+PATCH_MICRONS = 256.0
+WHITE_THRESHOLD = 224.0
+BLUR_FRACTION = 0.02
+CANNY_SIGMA = 1.4
+CANNY_LOW = 50.0
+CANNY_HIGH = 100.0
 # a 768 x 128 float64 slab (786 KB) stays in L2 across a raster's patches, and its GEMV is below OpenBLAS's
 # threading cutoff: no BLAS worker wakes, so none spins on into the next raster's filters
 _SLAB_COLUMNS = 128
-
-
-@dataclass
-class PreprocessConfig:
-    patch_microns: float = 256.0
-    white_threshold: float = 224.0
-    blur_fraction: float = 0.02
-    canny_sigma: float = 1.4
-    canny_low: float = 50.0
-    canny_high: float = 100.0
-    d_feature: int = 2048
-
-    def validate(self):
-        if not 0 < self.patch_microns < math.inf:
-            raise ConfigError(f"patch_microns must be positive and finite, got {self.patch_microns}")
-        if not 0 < self.canny_sigma < math.inf:
-            raise ConfigError(f"canny_sigma must be positive and finite, got {self.canny_sigma}")
-        # a NaN or infinite threshold compares the same everywhere, which silently turns its filter off
-        for name in ("white_threshold", "blur_fraction", "canny_low", "canny_high"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ConfigError(f"{name} must be {'a number' if math.isnan(value) else 'finite'}, got {value}")
-        if self.d_feature < 1:
-            raise ConfigError(f"d_feature must be >= 1, got {self.d_feature}")
-        return self
 
 
 @dataclass
@@ -192,12 +176,11 @@ def bilinear_resize(pixels, out_h, out_w):
     return out.reshape(out_h, out_w, channels)
 
 
-def tessellate(image, config=None):
-    """Cut the image into full square patches of patch_microns edge length."""
-    config = config or PreprocessConfig()
-    side = config.patch_microns / image.microns_per_pixel
-    if not 0.5 < side < math.inf:  # round() would give 0 px, or fail on inf or nan
-        raise DataError(f"patch side {side} px ({config.patch_microns} microns at {image.microns_per_pixel} "
+def tessellate(image):
+    """Cut the image into full square patches of PATCH_MICRONS edge length."""
+    side = PATCH_MICRONS / image.microns_per_pixel
+    if not 0.5 < side < math.inf:  # round() would give 0 px, or fail on inf; a sidecar's pixel size can do either
+        raise DataError(f"patch side {side} px ({PATCH_MICRONS} microns at {image.microns_per_pixel} "
                         "microns/px) must be finite and round to at least 1 px")
     side = round(side)
     n_rows = image.height // side
@@ -258,28 +241,16 @@ def grayscale(patch_pixels):
     return np.asarray(p, dtype=np.float64).reshape(p.shape[0], p.shape[1])
 
 
-def is_white(patch_pixels, threshold=224.0):
-    """True iff the mean grayscale value strictly exceeds the threshold."""
-    return bool(grayscale(patch_pixels).mean() > threshold)
+def is_white(patch_pixels):
+    """True iff the mean grayscale value strictly exceeds WHITE_THRESHOLD."""
+    return bool(grayscale(patch_pixels).mean() > WHITE_THRESHOLD)
 
 
-@functools.lru_cache(maxsize=1)
-def _gaussian_kernel(sigma):
-    """The 5x5 Gaussian, normalized to sum 1, made once per sigma and shared read-only.
-
-    Where 2 sigma^2 overflows, the kernel is the uniform limit (each tap's exponent is -0); where it underflows to 0,
-    the unit-impulse limit (1/ulp(0) overflows to inf, whose exp is 0). Every other sigma keeps its bits."""
-    ax = np.arange(5) - 2.0
-    try:
-        spread = max(2.0 * sigma**2, math.ulp(0.0))
-    except OverflowError:
-        spread = math.inf
-    with np.errstate(over="ignore"):
-        g = np.exp(-(ax**2) / spread)
-    kernel = np.outer(g, g)
-    kernel /= kernel.sum()
-    kernel.setflags(write=False)
-    return kernel
+# the 5x5 Gaussian at CANNY_SIGMA, normalized to sum 1, shared read-only
+_GAUSSIAN = np.exp(-((np.arange(5) - 2.0) ** 2) / (2.0 * CANNY_SIGMA**2))
+_GAUSSIAN = np.outer(_GAUSSIAN, _GAUSSIAN)
+_GAUSSIAN /= _GAUSSIAN.sum()
+_GAUSSIAN.setflags(write=False)
 
 
 _SOBEL_X = np.array([[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]], dtype=np.float64)
@@ -307,16 +278,16 @@ def _sectors(angle):
     return sum((angle >= edge).view(np.uint8) for edge in (22.5, 67.5, 112.5, 157.5)) & 3
 
 
-def _canny_bounds(patch_pixels, config):
+def _canny_bounds(patch_pixels):
     """Canny in stages, yielding after each the (lower, upper) bounds it gives on the edge fraction, and the mask
     after the last (else None). An edge is a weak pixel whose component holds a strong one, so a pixel both strong
-    and weak is an edge, and an edge is weak: its clamped magnitude is not below canny_low, or NaN, or a suppressed
-    zero that is weak. Counts below 2^53 over the one size keep their order, so each bound is exact against a cutoff."""
+    and weak is an edge, and an edge is weak: its clamped magnitude is not below CANNY_LOW, or NaN. Counts below
+    2^53 over the one size keep their order, so each bound is exact against a cutoff."""
     gray = grayscale(patch_pixels)
     h, w = gray.shape
     size = h * w
     gx, gy, m = np.empty((3, h, w))
-    made = reach = 0  # gradient rows made, top-down, and how many of their magnitudes are not below canny_low
+    made = reach = 0  # gradient rows made, top-down, and how many of their magnitudes are not below CANNY_LOW
 
     def make(upto):
         """Gradient rows up to upto. A gradient row reads luma rows within 3 of it, so each piece correlates those
@@ -326,28 +297,27 @@ def _canny_bounds(patch_pixels, config):
         if upto > made:
             lo, hi, rows = max(made - 3, 0), min(upto + 3, h), slice(made, upto)
             padded = np.empty((hi - lo + 2, w + 2))  # smoothed rows lo - 1 to hi
-            ndimage.correlate(gray[lo:hi], _gaussian_kernel(config.canny_sigma), output=padded[1:-1, 1:-1],
-                              mode="nearest")
+            ndimage.correlate(gray[lo:hi], _GAUSSIAN, output=padded[1:-1, 1:-1], mode="nearest")
             padded[:, 0], padded[:, -1] = padded[:, 1], padded[:, -2]
             padded[0], padded[-1] = padded[1], padded[-2]
             _sobel_gradients(padded[made - lo : upto + 2 - lo], gx[rows], gy[rows])
             del padded  # before the piece's magnitudes are made
             np.hypot(gx[rows], gy[rows], out=m[rows])
-            reach += m[rows].size - np.count_nonzero(np.clip(m[rows], 0.0, 255.0) < config.canny_low)
+            reach += m[rows].size - np.count_nonzero(np.clip(m[rows], 0.0, 255.0) < CANNY_LOW)
             made = upto
 
     # non-maximum suppression against the two neighbors along the gradient, 32 interior rows at a time (the border
     # is suppressed); a NaN neighbor gives a NaN maximum, which fails the comparison as it would. The thresholds
-    # are defined on the magnitude clamped to 8 bits, so a suppressed pixel is weak or strong iff 0.0 is
-    weak, strong = np.full((h, w), 0.0 >= config.canny_low), np.full((h, w), 0.0 >= config.canny_high)
+    # are defined on the magnitude clamped to 8 bits, and both are above 0, so a suppressed pixel is neither
+    weak, strong = np.zeros((2, h, w), dtype=bool)
     both, upper = 0, None
     for top in range(1, h - 1, 32):
         above, rows, below = (slice(top + d, min(top + 32, h - 1) + d) for d in (-1, 0, 1))
         make(below.stop)
-        # the whole patch's magnitudes not below canny_low (upper) go first only when the rows so far count fewer
+        # the whole patch's magnitudes not below CANNY_LOW (upper) go first only when the rows so far count fewer
         # than the cutoff's rate: those magnitudes before the first slab, then the pixels both strong and weak
         count, counted = (reach, made) if top == 1 else (both, top)
-        if upper is None and count < config.blur_fraction * w * counted:
+        if upper is None and count < BLUR_FRACTION * w * counted:
             make(h)
             upper = float(reach) / size
             yield float(both) / size, upper, None
@@ -359,7 +329,7 @@ def _canny_bounds(patch_pixels, config):
         for s, (a, b) in enumerate(neighbors):
             keep |= (sector == s) & (centre >= np.maximum(a, b))
         suppressed = np.clip(np.where(keep, centre, 0.0), 0.0, 255.0)
-        weak[rows, 1:-1], strong[rows, 1:-1] = suppressed >= config.canny_low, suppressed >= config.canny_high
+        weak[rows, 1:-1], strong[rows, 1:-1] = suppressed >= CANNY_LOW, suppressed >= CANNY_HIGH
         both += np.count_nonzero(weak[rows] & strong[rows])
         yield float(both) / size, 1.0 if upper is None else upper, None
     yield float(both) / size, float(np.count_nonzero(weak)) / size, None
@@ -374,19 +344,19 @@ def _canny_bounds(patch_pixels, config):
     yield fraction, fraction, edges
 
 
-def canny_edges(patch_pixels, config=None):
+def canny_edges(patch_pixels):
     """Boolean edge mask from the classic Canny pipeline."""
-    *_, (_, _, edges) = _canny_bounds(patch_pixels, config or PreprocessConfig())
+    *_, (_, _, edges) = _canny_bounds(patch_pixels)
     return edges
 
 
-def is_blurry(patch_pixels, config=None):
-    """True iff the edge-pixel fraction is strictly below the cutoff, from the first of Canny's bounds that decides."""
-    config = config or PreprocessConfig()
-    for lower, upper, _ in _canny_bounds(patch_pixels, config):
-        if upper < config.blur_fraction:
+def is_blurry(patch_pixels):
+    """True iff the edge-pixel fraction is strictly below BLUR_FRACTION, from the first of Canny's bounds that
+    decides."""
+    for lower, upper, _ in _canny_bounds(patch_pixels):
+        if upper < BLUR_FRACTION:
             return True
-        if not lower < config.blur_fraction:
+        if not lower < BLUR_FRACTION:
             return False
 
 
@@ -441,20 +411,21 @@ def stub_features(patches, d_feature=2048, seed=0):
 # pipeline
 
 
-def run_pipeline(image, out_path, label, bag_id, patient_id, seed=0, config=None):
-    """Tessellate, filter, extract features, and write a CCFB bag.
+def run_pipeline(image, out_path, label, bag_id, patient_id, seed=0, d_feature=2048):
+    """Tessellate, filter, extract d_feature-wide features, and write a CCFB bag.
 
     Returns (bag, qc_report). A patch rejected by the white filter is
     not double-counted by the blur filter; a patch is kept iff it is
     neither white nor blurry.
     """
-    config = (config or PreprocessConfig()).validate()
+    if d_feature < 1:  # 0 would write a zero-width bag, and a negative width fail inside numpy
+        raise ConfigError(f"d_feature must be >= 1, got {d_feature}")
     _encode_identity(label, bag_id, patient_id)  # a label or id write_bag refuses fails before any patch is cut
-    patches = tessellate(image, config)
+    patches = tessellate(image)
 
     def verdict(patch):
         gray = grayscale(patch.pixels)  # both filters read the same luma
-        return "white" if is_white(gray, config.white_threshold) else "blurry" if is_blurry(gray, config) else "kept"
+        return "white" if is_white(gray) else "blurry" if is_blurry(gray) else "kept"
 
     verdicts = _map_patches(verdict, patches)
     kept = [patch for patch, v in zip(patches, verdicts) if v == "kept"]
@@ -464,7 +435,7 @@ def run_pipeline(image, out_path, label, bag_id, patient_id, seed=0, config=None
         raise DataError(
             f"no patches survived filtering ({n_white} white, {n_blur} blurry of {len(patches)})"
         )
-    tokens = stub_features([p.pixels for p in kept], config.d_feature, seed)
+    tokens = stub_features([p.pixels for p in kept], d_feature, seed)
     n_rows = max(p.row for p in patches) + 1
     n_cols = max(p.col for p in patches) + 1
     bag = FeatureBag(

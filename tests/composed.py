@@ -23,11 +23,16 @@ checked with, and ``GradReport`` its outcome. It uses the five-point
 central stencil, whose truncation error is O(h^4), so at the usual
 h = 1e-3 the stencil error sits near roundoff rather than near the size
 of a small gradient; run the graph in float64 for full precision.
+
+``byte_flips`` and ``flipped`` damage a file's bytes for the readers'
+Hypothesis properties: each damaged file must raise a ``CCANError`` or
+read exactly what its bytes hold.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
+from hypothesis import strategies as st
 
 from ccan import autograd as ag
 from ccan.attention import BlockParams, fill_param
@@ -381,3 +386,14 @@ def grad_check(f, params, eps=1e-3, max_coords_per_param=None, rng=None):
         max_abs = max(max_abs, p_abs)
         max_rel = max(max_rel, p_rel)
     return GradReport(max_abs_err=max_abs, max_rel_err=max_rel, per_parameter=per_parameter)
+
+
+# flips: (position, nonzero XOR mask) pairs, the position taken modulo the file's length
+byte_flips = st.lists(st.tuples(st.integers(0, 1 << 16), st.integers(1, 255)), min_size=1, max_size=3)
+
+
+def flipped(data, flips):
+    data = bytearray(data)
+    for position, mask in flips:
+        data[position % len(data)] ^= mask
+    return bytes(data)

@@ -23,7 +23,7 @@ from ccan.cli import main as cli_main
 from ccan.data import generate_synthetic, patient_grouped_kfold, read_bag
 from ccan.explain import explain_bag, rollout_stage
 from ccan.model import CCANConfig, CCANModel, MeanPoolModel, PoolConfig
-from ccan.preprocess import PreprocessConfig, RasterImage, is_blurry, is_white, run_pipeline
+from ccan.preprocess import RasterImage, is_blurry, is_white, run_pipeline
 from ccan.training import (
     TrainConfig,
     auc_binary,
@@ -327,10 +327,9 @@ class TestCriterion9PreprocessingPinning:
         white = is_white(np.full((256, 256, 3), 255, np.uint8))
         blurry = is_blurry(np.full((256, 256, 3), 130, np.uint8))
 
-        cfg = PreprocessConfig(d_feature=32)
         paths = [tmp_path / "a.ccfb", tmp_path / "b.ccfb"]
         for path in paths:
-            bag, qc = run_pipeline(_fixture_image(), path, 1, "fixture", "p0", seed=9, config=cfg)
+            bag, qc = run_pipeline(_fixture_image(), path, 1, "fixture", "p0", seed=9, d_feature=32)
         assert qc.total == 4 and qc.white_rejected == 1 and qc.blur_rejected == 1 and qc.kept == 2
         blobs = [p.read_bytes() for p in paths]
         digest = hashlib.sha256(blobs[0]).hexdigest()

@@ -7,13 +7,13 @@ import re
 import resource
 import struct
 import time
-import warnings
 from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
 
 from ccan.bench import bench_scaling
+from ccan import cli
 from ccan.cli import _FIELDS, SCHEMA, main, parse_config
 from ccan.data import generate_synthetic, patient_grouped_kfold
 from ccan.errors import ConfigError, UsageError
@@ -25,7 +25,6 @@ from ccan.model import (
     make_model,
     save_checkpoint,
 )
-from ccan.preprocess import PreprocessConfig
 from ccan.training import TrainConfig, data_efficiency_sweep
 
 
@@ -49,14 +48,13 @@ class TestParseConfig:
         assert cfg["train.fractions"] == (0.02, 0.05, 0.10, 0.25, 0.50, 0.75, 1.00)
         assert cfg.model_config() == CCANConfig()
         assert cfg.train_config() == TrainConfig()
-        assert cfg.preprocess_config() == PreprocessConfig()
         assert cfg["seed"] == CCANConfig().seed == TrainConfig().seed
 
     def test_default_echo_is_pinned(self, tmp_path):
         echo = tmp_path / "echo.cfg"
         parse_config(None, []).echo(str(echo))
         digest = hashlib.sha256(echo.read_bytes()).hexdigest()
-        assert digest == "76d372147a77a0babe88c71af50a722e36ec9fa929e99e5906050990103737f4"
+        assert digest == "a9836ee90c3c4ae4ee93dcf5089e2547b0820722d3c69d4b9e1c7a1894d2c1a6"
 
     def test_data_and_bench_defaults_are_the_library_defaults(self):
         def default(fn, name):
@@ -84,13 +82,12 @@ class TestParseConfig:
 
     def test_every_config_field_is_set_by_a_key(self):
         # a field no key sets cannot change any run; the rest are RunConfig._build's extras
-        extras = {CCANConfig: {"seed"}, TrainConfig: {"seed"}, PreprocessConfig: {"d_feature"}}
+        extras = {CCANConfig: {"seed"}, TrainConfig: {"seed"}}
         for cls, extra in extras.items():
             keyed = {name for owner, name in _FIELDS.values() if owner is cls}
             assert keyed.isdisjoint(extra) and keyed | extra == {f.name for f in fields(cls)}, cls.__name__
-        cfg = parse_config(None, [("seed", "7"), ("model.D_f", "5")])
+        cfg = parse_config(None, [("seed", "7")])
         assert cfg.model_config().seed == cfg.train_config().seed == 7
-        assert cfg.preprocess_config().d_feature == 5
 
     def test_flag_overrides_file(self, tmp_path):
         f = tmp_path / "c.cfg"
@@ -129,10 +126,17 @@ class TestArgv:
                                         "train.lr_min = 1e-5", "--model.heads 2", "model.heads = 2",
                                         "--train.beta1 0.8", "train.beta1 = 0.8", "--train.beta2 0.99",
                                         "train.beta2 = 0.99", "--train.eps 1e-6", "train.eps = 1e-6",
-                                        "--train.weight_decay 0", "train.weight_decay = 0"])
+                                        "--train.weight_decay 0", "train.weight_decay = 0",
+                                        "--preprocess.patch_microns 128", "preprocess.patch_microns = 128",
+                                        "--preprocess.white_threshold 200", "preprocess.white_threshold = 200",
+                                        "--preprocess.blur_fraction 0.05", "preprocess.blur_fraction = 0.05",
+                                        "--preprocess.canny_sigma 1.0", "preprocess.canny_sigma = 1.0",
+                                        "--preprocess.canny_low 40", "preprocess.canny_low = 40",
+                                        "--preprocess.canny_high 90", "preprocess.canny_high = 90"])
     def test_removed_key_is_one_error_line(self, tmp_path, capsys, source):
         # attention has one head, whose logit scale is sqrt(#query rows), and AdamW's betas, epsilon and decay
-        # are constants; raw coordinates and a nonzero final rate had no caller
+        # are constants, as are preprocessing's patch size, cutoffs and Canny settings; raw coordinates and a
+        # nonzero final rate had no caller
         if source.startswith("--"):
             args = source.split()
         else:
@@ -156,6 +160,10 @@ class TestArgv:
     def test_missing_required_path(self, capsys):
         assert main(["explain"]) == 1
         assert "paths.checkpoint" in capsys.readouterr().err
+
+
+def unread(*args):
+    raise AssertionError("a file was read before the flags were checked")
 
 
 @pytest.fixture(scope="module")
@@ -436,6 +444,15 @@ class TestCommands:
         assert err and int(err[2]) == 4 * int(err[1]) > 16 * 2**40 * 16
         assert not run_dir.exists()
 
+    def test_eval_of_an_unknown_subset_is_one_error_line_before_any_file_is_read(self, tiny_run, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "load_checkpoint", unread)
+        monkeypatch.setattr(cli, "load_manifest", unread)
+        rc = main(["eval", "--paths.checkpoint", os.path.join(tiny_run["run_dir"], "best.ckpt"),
+                   "--paths.data", tiny_run["data"], "--paths.plan", tiny_run["plan"], "--fold", "0",
+                   "--subset", "tset"])
+        assert rc == 1
+        assert capsys.readouterr() == ("", "error: subset must be train/val/test, got 'tset'\n")
+
     def test_eval_of_an_empty_subset_is_one_error_line(self, tiny_run, tmp_path, capsys):
         rc = main(["eval", "--paths.checkpoint", os.path.join(tiny_run["run_dir"], "best.ckpt"),
                    "--paths.data", tiny_run["data"], "--paths.plan", self._plan_without(tiny_run, tmp_path, "val"),
@@ -454,14 +471,15 @@ class TestCommands:
         assert os.path.exists(out + ".csv") and os.path.exists(out + ".pgm")
         assert "highest-3" in capsys.readouterr().out
 
-    def test_explain_with_negative_top_k_is_one_error_line(self, tiny_run, tmp_path, capsys):
+    def test_explain_with_negative_top_k_is_one_error_line(self, tiny_run, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "load_checkpoint", unread)  # rejected before the checkpoint is read
         out = str(tmp_path / "heat")
         rc = main(["explain", "--paths.checkpoint", os.path.join(tiny_run["run_dir"], "best.ckpt"),
                    "--paths.bag", os.path.join(tiny_run["data"], "bag0000.ccfb"), "--paths.out", out,
                    "--top_k", "-1"])
         captured = capsys.readouterr()
         assert rc == 1
-        assert captured.err.startswith("error: k=-1 is outside 0..") and captured.err.count("\n") == 1
+        assert captured.err == "error: top_k must be >= 0, got -1\n"
         assert captured.out == "" and not os.path.exists(out + ".csv") and not os.path.exists(out + ".pgm")
 
     @pytest.mark.parametrize("side", [3_000_000_000, 2**32 - 1])  # a MemoryError, then more bytes than numpy addresses
@@ -570,23 +588,6 @@ class TestCommands:
         assert bag.n_tokens == 4 and bag.d_feature == 32
 
 
-    @pytest.mark.parametrize("sigma", ["1e300", "1e-200"])
-    def test_preprocess_at_either_end_of_the_sigma_range(self, tmp_path, capsys, sigma):
-        from ccan.netpbm import write_ppm
-
-        blocks = np.random.default_rng(0).integers(30, 220, size=(65, 65, 3))
-        pixels = np.repeat(np.repeat(blocks, 8, axis=0), 8, axis=1)[:512, :512].astype(np.uint8)
-        pixels[:256, :256] = 250  # white
-        write_ppm(pixels, str(tmp_path / "slide.ppm"))
-        (tmp_path / "slide.txt").write_text("microns_per_pixel = 1.0\nlabel = 1\nbag_id = s0\npatient_id = p0\n")
-        out = str(tmp_path / "slide.ccfb")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rc = main(["preprocess", "--paths.image", str(tmp_path / "slide.ppm"), "--paths.meta",
-                       str(tmp_path / "slide.txt"), "--paths.out", out, "--preprocess.canny_sigma", sigma])
-        assert rc == 0
-        assert capsys.readouterr() == (f"wrote {out}: N=3 (total 4, white 1, blur 0)\n", "")
-
     @pytest.mark.parametrize("line, message", [
         ("microns_per_pixel = nan", "microns_per_pixel = nan must be positive and finite"),
         ("microns_per_pixel = abc", "microns_per_pixel = 'abc' cannot be read as float"),
@@ -608,11 +609,8 @@ class TestCommands:
         assert rc == 1
         assert capsys.readouterr().err == f"error: {meta_path}: sidecar {message}\n"
 
-    @pytest.mark.parametrize("mpp, flags, side", [
-        ("1e-308", [], "inf px (256.0 microns at 1e-308 microns/px)"),
-        ("0.5", ["--preprocess.patch_microns", "1e308"], "inf px (1e+308 microns at 0.5 microns/px)"),
-    ], ids=["sidecar", "flag"])
-    def test_patch_side_that_overflows_is_one_error_line(self, tmp_path, capsys, mpp, flags, side):
+    @pytest.mark.parametrize("mpp", ["1e-308", "1e-307"], ids=["sidecar", "sidecar-normal"])  # subnormal, normal
+    def test_patch_side_that_overflows_is_one_error_line(self, tmp_path, capsys, mpp):
         from ccan.netpbm import write_ppm
 
         img_path = str(tmp_path / "slide.ppm")
@@ -620,18 +618,15 @@ class TestCommands:
         meta_path = tmp_path / "slide.txt"
         meta_path.write_text(f"microns_per_pixel = {mpp}\nlabel = 1\nbag_id = s0\npatient_id = p0\n")
         rc = main(["preprocess", "--paths.image", img_path, "--paths.meta", str(meta_path),
-                   "--paths.out", str(tmp_path / "slide.ccfb"), *flags])
+                   "--paths.out", str(tmp_path / "slide.ccfb")])
         assert rc == 1
-        assert capsys.readouterr().err == f"error: patch side {side} must be finite and round to at least 1 px\n"
+        assert capsys.readouterr().err == (f"error: patch side inf px (256.0 microns at {float(mpp)} microns/px) "
+                                           "must be finite and round to at least 1 px\n")
         assert not (tmp_path / "slide.ccfb").exists()
 
     @pytest.mark.parametrize("key, value, message", [
         ("model.D_f", "-5", "d_feature must be >= 1, got -5"),
         ("model.D_f", "0", "d_feature must be >= 1, got 0"),
-        ("preprocess.patch_microns", "nan", "patch_microns must be positive and finite, got nan"),
-        ("preprocess.blur_fraction", "nan", "blur_fraction must be a number, got nan"),
-        ("preprocess.white_threshold", "nan", "white_threshold must be a number, got nan"),
-        ("preprocess.canny_sigma", "0", "canny_sigma must be positive and finite, got 0.0"),
     ])
     def test_bad_preprocess_setting_is_one_error_line(self, tmp_path, capsys, key, value, message):
         from ccan.netpbm import write_ppm
@@ -646,7 +641,7 @@ class TestCommands:
                    "--paths.out", out, f"--{key}", value])
         assert rc == 1
         assert capsys.readouterr().err == f"error: {message}\n"
-        assert not os.path.exists(out)
+        assert not any(os.path.exists(out + suffix) for suffix in ("", ".qc.csv", ".config.txt"))
 
 
 def test_negative_root_seed_runs_where_only_sub_seeds_are_drawn_from(tmp_path, capsys):

@@ -1,4 +1,6 @@
 import ast
+import csv
+import io
 import pathlib
 import re
 import struct
@@ -6,10 +8,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ccan
+from ccan.cli import SCHEMA, parse_config
 from ccan.data import (
     FeatureBag,
     Dataset,
@@ -27,6 +30,7 @@ from ccan.errors import CCANError, ConfigError, DataError, FormatError
 from ccan.model import CCANConfig, load_checkpoint, make_model, save_checkpoint
 from ccan.netpbm import read_pnm, write_pgm, write_ppm
 from ccan.training import auc_binary
+from composed import byte_flips, flipped
 
 
 def make_bag(bag_id="b0", patient_id="p0", label=1, n=4, d=3, seed=0, grid=(4, 5)):
@@ -412,6 +416,19 @@ class TestManifest:
         with pytest.raises(FormatError, match=re.escape(f"{manifest}:3: column {column} is ")):
             load_manifest(manifest)
 
+    @pytest.mark.parametrize("path, error, message", [
+        ("b9.ccfb", DataError, "[Errno 2] No such file or directory: '{dir}/b9.ccfb'"),
+        (".", DataError, "[Errno 21] Is a directory: '{dir}/.'"),
+        ("b\0.ccfb", FormatError, "path 'b\\x00.ccfb' holds a NUL byte"),
+    ], ids=["missing", "directory", "nul"])
+    def test_unreadable_path_is_a_typed_error(self, tmp_path, path, error, message):
+        # each was an OSError or, for the NUL byte, a ValueError from open()
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(f"path\n{path}\n")
+        with pytest.raises(error) as err:
+            load_manifest(manifest)
+        assert str(err.value) == f"{manifest}:2: " + message.format(dir=tmp_path)
+
     def test_file_fault_is_raised_at_load(self, tmp_path):
         _, manifest = self.written(tmp_path)
         path = tmp_path / "bag0002.ccfb"
@@ -591,3 +608,169 @@ def test_dataset_unknown_id_is_data_error():
 def test_dataset_rejects_duplicate_ids():
     with pytest.raises(DataError):
         Dataset(bags=[make_bag(bag_id="x"), make_bag(bag_id="x", seed=1)])
+
+
+# the oracles below read a file's bytes as its format states, independently of the reader under test; each gives
+# what the bytes hold, or None where they hold no valid content
+
+def reference_read_bag(data):
+    """(bag_id, patient_id, label, rows_total, cols_total, coordinates, tokens) of a CCFB file."""
+    if data[:4] != b"CCFB" or len(data) < 23 or struct.unpack_from("<H", data, 4)[0] != 1:
+        return None
+    n, d, rows_total, cols_total, label = struct.unpack_from("<IIIIB", data, 6)
+    ids, at = [], 23
+    for _ in range(2):
+        if at >= len(data) or at + 1 + data[at] > len(data):
+            return None
+        try:
+            ids.append(data[at + 1 : at + 1 + data[at]].decode("utf-8"))
+        except UnicodeDecodeError:
+            return None
+        at += 1 + data[at]
+    if len(data) != at + 8 * n + 4 * n * d:
+        return None
+    coords = np.frombuffer(data, "<u4", 2 * n, at).reshape(n, 2).astype(np.int64)
+    tokens = np.frombuffer(data, "<f4", n * d, at + 8 * n).reshape(n, d)
+    cells = {(r, c) for r, c in coords.tolist() if r < rows_total and c < cols_total}
+    if n < 1 or len(cells) != n or not np.isfinite(tokens).all():
+        return None
+    return ids[0], ids[1], label, rows_total, cols_total, coords, tokens
+
+
+def reference_load_manifest(data, bags):
+    """(bag_id, patient_id, label, n_tokens, file name) per row of a manifest listing some of ``bags`` by name."""
+    try:
+        rows = csv.DictReader(io.StringIO(data.decode("utf-8"), newline=""))
+    except UnicodeDecodeError:
+        return None
+    if "path" not in (rows.fieldnames or ()):
+        return None
+    entries = []
+    for row in rows:
+        bag = bags.get(row["path"])
+        if bag is None or any(row[c] != str(getattr(bag, c)) for c in ("bag_id", "patient_id", "label")
+                              if c in rows.fieldnames):
+            return None
+        entries.append((bag.bag_id, bag.patient_id, bag.label, bag.n_tokens, row["path"]))
+    return entries if len({e[0] for e in entries}) == len(entries) else None
+
+
+def reference_read_plan(data):
+    """Each fold's (train, val, test) bag-id lists, folds in order."""
+    try:
+        rows = csv.DictReader(io.StringIO(data.decode("utf-8"), newline=""))
+    except UnicodeDecodeError:
+        return None
+    if not {"fold", "subset", "bag_id"} <= set(rows.fieldnames or ()):
+        return None
+    folds = {}
+    for row in rows:
+        try:
+            fold = folds.setdefault(int(row["fold"]), {"train": [], "val": [], "test": []})
+        except (TypeError, ValueError):
+            return None
+        listed = [bag_id for ids in fold.values() for bag_id in ids]
+        if row["subset"] not in fold or row["bag_id"] is None or row["bag_id"] in listed:
+            return None
+        fold[row["subset"]].append(row["bag_id"])
+    if sorted(folds) != list(range(len(folds))):
+        return None
+    return [(folds[i]["train"], folds[i]["val"], folds[i]["test"]) for i in range(len(folds))]
+
+
+def reference_parse_config(data):
+    """The resolved value of every key, from the defaults and a ``key = value`` config file."""
+    values = {key: default for key, (_, default) in SCHEMA.items()}
+    kinds = {"int": int, "float": float, "str": str, "ints": int, "floats": float, "strs": str.strip,
+             "bool": lambda raw: {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}[
+                 raw.lower()]}
+    for raw in data.splitlines():
+        try:
+            line = raw.decode("utf-8").split("#", 1)[0].strip()
+        except UnicodeDecodeError:
+            return None
+        if not line:
+            continue
+        key, sep, value = (part.strip() for part in line.partition("="))
+        if not sep or key not in SCHEMA:
+            return None
+        tag = SCHEMA[key][0]
+        try:
+            if tag in ("ints", "floats", "strs"):
+                values[key] = tuple(kinds[tag](p) for p in value.split(",") if p.strip())
+            else:
+                values[key] = kinds[tag](value)
+        except (KeyError, ValueError):
+            return None
+    return values
+
+
+class TestByteFlips:
+    """Damaged bags, manifests, split plans and config files: each raises a CCANError or reads what its bytes hold."""
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(byte_flips)
+    def test_bag(self, tmp_path, flips):
+        path = tmp_path / "bag.ccfb"
+        write_bag(make_bag(bag_id="b1", patient_id="p1", n=3, d=2, grid=(3, 4)), path)
+        data = flipped(path.read_bytes(), flips)
+        path.write_bytes(data)
+        want = reference_read_bag(data)
+        try:
+            bag = read_bag(path)
+        except CCANError:
+            assert want is None
+        else:
+            assert want is not None
+            assert (bag.bag_id, bag.patient_id, bag.label, bag.rows_total, bag.cols_total) == want[:5]
+            np.testing.assert_array_equal(np.stack([bag.rows, bag.cols], axis=1), want[5], strict=True)
+            np.testing.assert_array_equal(bag.tokens.view(np.uint32), want[6].view(np.uint32))
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(byte_flips)
+    def test_manifest(self, tmp_path, flips):
+        bags = {f"b{i}.ccfb": make_bag(bag_id=f"b{i}", patient_id=f"p{i // 2}", label=i % 2, n=2 + i, seed=i)
+                for i in range(3)}
+        for name, bag in bags.items():
+            write_bag(bag, tmp_path / name)
+        data = flipped(b"bag_id,patient_id,label,path\nb0,p0,0,b0.ccfb\nb1,p0,1,b1.ccfb\r\nb2,p1,0,b2.ccfb\n", flips)
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_bytes(data)
+        want = reference_load_manifest(data, bags)
+        try:
+            dataset = load_manifest(manifest)
+        except CCANError:
+            assert want is None
+        else:
+            assert want is not None
+            assert [(e.bag_id, e.patient_id, e.label, e.n_tokens, e.path) for e in dataset.bags] == [
+                (*entry[:4], str(tmp_path / entry[4])) for entry in want]
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(byte_flips)
+    def test_plan(self, tmp_path, flips):
+        data = flipped(b"fold,subset,bag_id\n0,train,a\n0,val,b\n0,test,c\r\n1,train,c\n1,val,a\n1,test,b\n", flips)
+        path = tmp_path / "plan.csv"
+        path.write_bytes(data)
+        want = reference_read_plan(data)
+        try:
+            plan = SplitPlan.read_csv(path)
+        except CCANError:
+            assert want is None
+        else:
+            assert [(f.train_ids, f.val_ids, f.test_ids) for f in plan.folds] == want
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(byte_flips)
+    def test_config(self, tmp_path, flips):
+        data = flipped(b"# a run\nmodel.J = 2\ntrain.lr_max = 1e-3 # peak\r\nsweep.models = ccan,mean-pool\n"
+                       b"bench.baseline = yes\nseed=7\n", flips)
+        path = tmp_path / "run.cfg"
+        path.write_bytes(data)
+        want = reference_parse_config(data)
+        try:
+            values = parse_config(str(path)).values
+        except CCANError:
+            assert want is None
+        else:
+            assert want is not None and repr(values) == repr(want)  # repr tells -0.0 from 0.0 and matches nan

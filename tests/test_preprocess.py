@@ -6,7 +6,8 @@ import threading
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from contextlib import nullcontext
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,10 +23,8 @@ from ccan.netpbm import read_pnm, write_pgm, write_ppm
 from ccan.preprocess import (
     _SOBEL_X,
     _SOBEL_Y,
-    PreprocessConfig,
     QCReport,
     RasterImage,
-    _gaussian_kernel,
     _projection_slabs,
     _sectors,
     bilinear_resize,
@@ -38,6 +37,7 @@ from ccan.preprocess import (
     stub_features,
     tessellate,
 )
+from composed import byte_flips, flipped
 
 
 def noise_patch(seed=0, shape=(256, 256, 3)):
@@ -65,7 +65,7 @@ def checker_patch(shape=(256, 256, 3), cell=8):
 
 def blurred_patch(shape=(256, 256, 3), seed=0):
     texture = ndimage.gaussian_filter(np.random.default_rng(seed).normal(0.0, 1.0, shape[:2]), 6.0, mode="nearest")
-    texture *= 30.0 / max(texture.std(), 1e-12)  # blurry, but only hysteresis decides it at the default config
+    texture *= 30.0 / max(texture.std(), 1e-12)  # blurry, but only hysteresis decides it at the pipeline's constants
     return np.repeat(np.rint(np.clip(128.0 + texture, 0, 255)).astype(np.uint8)[:, :, None], shape[2], axis=2)
 
 
@@ -135,22 +135,26 @@ def reference_read_sidecar(data):
     return meta if 0 < meta["microns_per_pixel"] < math.inf else None
 
 
-# flips: (position, nonzero XOR mask) pairs, the position taken modulo the file's length
-byte_flips = st.lists(st.tuples(st.integers(0, 1 << 16), st.integers(1, 255)), min_size=1, max_size=3)
+def constants(**values):
+    """A context in which the preprocess module's constants take ``values``.
+
+    The filters read their constants at each call, and their early-exit bounds must be exact at any cutoff and any
+    thresholds above 0; tests reach cutoffs and thresholds other than the pipeline's this way.
+    """
+    return mock.patch.multiple(preprocess, **values) if values else nullcontext()
 
 
-def flipped(data, flips):
-    data = bytearray(data)
-    for position, mask in flips:
-        data[position % len(data)] ^= mask
-    return bytes(data)
+def gaussian(sigma):
+    """The 5x5 Gaussian at sigma, normalized to sum 1, as first written."""
+    ax = np.arange(5) - 2.0
+    g = np.exp(-(ax**2) / (2.0 * sigma**2))
+    return np.outer(g, g) / np.outer(g, g).sum()
 
 
-def reference_canny_edges(patch_pixels, config=None):
+def reference_canny_edges(patch_pixels):
     """Canny with one boolean mask per suppression sector and np.isin over the strong labels."""
-    config = config or PreprocessConfig()
     gray = grayscale(patch_pixels)
-    smoothed = ndimage.correlate(gray, _gaussian_kernel(config.canny_sigma), mode="nearest")
+    smoothed = ndimage.correlate(gray, preprocess._GAUSSIAN, mode="nearest")
     gx = ndimage.correlate(smoothed, _SOBEL_X, mode="nearest")
     gy = ndimage.correlate(smoothed, _SOBEL_Y, mode="nearest")
     magnitude = np.hypot(gx, gy)
@@ -175,8 +179,8 @@ def reference_canny_edges(patch_pixels, config=None):
     suppressed[0, :] = suppressed[-1, :] = 0.0
     suppressed[:, 0] = suppressed[:, -1] = 0.0
     suppressed = np.clip(suppressed, 0.0, 255.0)
-    strong = suppressed >= config.canny_high
-    weak = suppressed >= config.canny_low
+    strong = suppressed >= preprocess.CANNY_HIGH
+    weak = suppressed >= preprocess.CANNY_LOW
     labels, n_labels = ndimage.label(weak, structure=np.ones((3, 3), dtype=np.int64))
     if n_labels == 0:
         return np.zeros_like(strong)
@@ -192,19 +196,19 @@ def reference_stub_features(patch_pixels, d_feature, seed):
     return np.tanh(small.reshape(-1) @ projection).astype(np.float32)
 
 
-def reference_pipeline(image, path, seed, config, monkeypatch):
+def reference_pipeline(image, path, seed, monkeypatch, d_feature=2048):
     """run_pipeline as first written: a luma per filter and the oracles above; returns the QC counts."""
     monkeypatch.setattr(preprocess, "bilinear_resize", reference_bilinear_resize)
-    patches = tessellate(image, config)
+    patches = tessellate(image)
     kept, n_white, n_blur = [], 0, 0
     for patch in patches:
-        if is_white(patch.pixels, config.white_threshold):
+        if is_white(patch.pixels):
             n_white += 1
-        elif reference_canny_edges(patch.pixels, config).mean() < config.blur_fraction:
+        elif reference_canny_edges(patch.pixels).mean() < preprocess.BLUR_FRACTION:
             n_blur += 1
         else:
             kept.append(patch)
-    tokens = np.stack([reference_stub_features(p.pixels, config.d_feature, seed) for p in kept])
+    tokens = np.stack([reference_stub_features(p.pixels, d_feature, seed) for p in kept])
     write_bag(FeatureBag(bag_id="b", patient_id="p", label=1, tokens=tokens,
                          rows=np.array([p.row for p in kept]), cols=np.array([p.col for p in kept]),
                          rows_total=max(p.row for p in patches) + 1, cols_total=max(p.col for p in patches) + 1),
@@ -432,9 +436,10 @@ class TestCanny:
         for patch in (step, noise_patch(seed=5, shape=(64, 48, 3)), noise_patch(seed=6, shape=(7, 3, 1)),
                       noise_patch(seed=7, shape=(1, 9, 1)), np.full((5, 4, 3), 90, np.uint8)):
             h = patch.shape[0]
-            for config in (PreprocessConfig(), PreprocessConfig(canny_sigma=1.0)):
+            for setting in ({}, {"_GAUSSIAN": gaussian(1.0)}):
                 first = len(calls)
-                canny_edges(patch, config)
+                with constants(**setting):
+                    canny_edges(patch)
                 # per piece of gradient rows, top-down: the Gaussian through ndimage on the luma rows within 3 of the
                 # piece's, then Sobel x and y; the pieces make every row once (a patch under 3 rows is all border)
                 call = calls[first:]
@@ -474,10 +479,10 @@ class TestCanny:
         assert canny_edges(checker).mean() == pytest.approx(0.9538726806640625, abs=1e-12)
 
 
-    @pytest.mark.parametrize("config", [
-        PreprocessConfig(),
-        PreprocessConfig(canny_sigma=1.0),
-        PreprocessConfig(canny_low=120.0, canny_high=60.0),  # strong pixels outside every weak component
+    @pytest.mark.parametrize("setting", [
+        {},
+        {"_GAUSSIAN": gaussian(1.0)},
+        {"CANNY_LOW": 120.0, "CANNY_HIGH": 60.0},  # strong pixels outside every weak component
     ], ids=["default", "sigma1", "low-above-high"])
     @pytest.mark.parametrize("patch", [
         noise_patch(seed=30),
@@ -492,10 +497,11 @@ class TestCanny:
         noise_patch(seed=34, shape=(40, 1, 3)),
         np.full((32, 32, 3), 120, np.uint8),
     ], ids=["noise", "step", "checker", "checker1", "resized", "1-channel", "7x3", "64x48", "1xN", "Nx1", "flat"])
-    def test_equals_the_reference(self, patch, config):
-        got = canny_edges(patch, config)
-        assert got.dtype == bool and got.shape == patch.shape[:2]
-        np.testing.assert_array_equal(got, reference_canny_edges(patch, config))
+    def test_equals_the_reference(self, patch, setting):
+        with constants(**setting):
+            got = canny_edges(patch)
+            assert got.dtype == bool and got.shape == patch.shape[:2]
+            np.testing.assert_array_equal(got, reference_canny_edges(patch))
 
     def test_angles_on_sector_edges_equal_the_reference(self, monkeypatch):
         # gradients whose angle is exactly 22.5, 67.5, 112.5 or 157.5 degrees, scaled by 64 (which keeps
@@ -537,26 +543,10 @@ class TestCanny:
         for edge in (22.5, 67.5, 112.5, 157.5):  # the sweep crosses each edge from both sides
             assert (folded == edge).any() and ((folded > edge - 1e-9) & (folded < edge)).any()
 
-    @pytest.mark.parametrize("sigma", [1.4, 1.0, 0.3, 7.0, 1e-160, 1e100])
-    def test_gaussian_kernel_keeps_its_bits_and_is_made_once(self, sigma):
-        ax = np.arange(5) - 2.0
-        with np.errstate(over="ignore"):  # at 1e-160 the outer taps overflow to -inf, as first written
-            g = np.exp(-(ax**2) / (2.0 * sigma**2))
-        want = np.outer(g, g) / np.outer(g, g).sum()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            kernel = _gaussian_kernel(sigma)
-        np.testing.assert_array_equal(kernel.view(np.uint64), want.view(np.uint64))
-        assert _gaussian_kernel(sigma) is kernel and not kernel.flags.writeable
-
-    @pytest.mark.parametrize("sigma", [1e300, 1.7e308, 1e154, 1e-200, 5e-324])
-    def test_gaussian_kernel_at_the_ends_of_the_range_is_its_limit(self, sigma):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            kernel = _gaussian_kernel(sigma)
-        impulse = np.zeros((5, 5))
-        impulse[2, 2] = 1.0
-        np.testing.assert_array_equal(kernel, np.full((5, 5), 0.04) if sigma > 1 else impulse)
+    def test_gaussian_keeps_its_bits_and_is_read_only(self):
+        kernel = preprocess._GAUSSIAN
+        np.testing.assert_array_equal(kernel.view(np.uint64), gaussian(1.4).view(np.uint64))
+        assert not kernel.flags.writeable
 
     def test_luma_input_gives_the_same_edges(self):
         patch = noise_patch(seed=35)
@@ -564,20 +554,19 @@ class TestCanny:
         np.testing.assert_array_equal(canny_edges(grayscale(patch)), canny_edges(patch))
 
 
-# the default, then the bounds' edge cases: strong pixels that are not weak (low above high), every pixel weak
-# (low <= 0), every pixel strong (high <= 0), and cutoffs that every fraction, or none, lies below
-BLUR_CONFIGS = [PreprocessConfig(), PreprocessConfig(canny_low=120.0, canny_high=60.0),
-                PreprocessConfig(canny_low=0.0), PreprocessConfig(canny_low=-5.0, canny_high=30.0),
-                PreprocessConfig(canny_high=0.0), PreprocessConfig(canny_low=20.0, canny_high=-1.0),
-                PreprocessConfig(blur_fraction=0.0), PreprocessConfig(blur_fraction=1.0),
-                PreprocessConfig(blur_fraction=1.5)]
+# the pipeline's constants, then the bounds' edge cases: strong pixels that are not weak (low above high), and
+# cutoffs that every fraction, or none, lies below
+BLUR_SETTINGS = [{}, {"CANNY_LOW": 120.0, "CANNY_HIGH": 60.0}, {"BLUR_FRACTION": 0.0}, {"BLUR_FRACTION": 1.0},
+                 {"BLUR_FRACTION": 1.5}]
 
 
-def assert_blur_verdicts_equal_the_reference(patch, configs):
-    for config in configs:
-        fraction = reference_canny_edges(patch, config).mean()
-        for c in (config, replace(config, blur_fraction=float(fraction))):  # the second is the patch's own fraction
-            assert is_blurry(patch, c) is bool(fraction < c.blur_fraction), (c, fraction)
+def assert_blur_verdicts_equal_the_reference(patch, settings):
+    for setting in settings:
+        with constants(**setting):
+            fraction = reference_canny_edges(patch).mean()
+            for cutoff in (preprocess.BLUR_FRACTION, float(fraction)):  # the second is the patch's own fraction
+                with constants(BLUR_FRACTION=cutoff):
+                    assert is_blurry(patch) is bool(fraction < cutoff), (setting, cutoff, fraction)
 
 
 class TestBlurFilter:
@@ -591,7 +580,7 @@ class TestBlurFilter:
         step_patch, checker_patch,
     ], ids=["flat", "noise", "blurred", "step", "checker"])
     def test_verdicts_equal_the_reference(self, kind, shape):
-        assert_blur_verdicts_equal_the_reference(kind((*shape, 3)), BLUR_CONFIGS)
+        assert_blur_verdicts_equal_the_reference(kind((*shape, 3)), BLUR_SETTINGS)
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf - inf, in both
     @pytest.mark.parametrize("seed", range(3))
@@ -603,20 +592,20 @@ class TestBlurFilter:
         lone_nan = np.full((40, 40), 90.0)
         lone_nan[20, 20] = np.nan
         for patch in (luma, lone_nan, np.full((9, 9), np.inf), np.full((9, 9), np.nan)):
-            assert_blur_verdicts_equal_the_reference(patch, BLUR_CONFIGS)
+            assert_blur_verdicts_equal_the_reference(patch, BLUR_SETTINGS)
 
     # tall, narrow patches run up to 5 slabs, so draws take the whole-patch bound before any slab and a cut at each
     @settings(max_examples=150, deadline=None)
     @given(st.data(), st.tuples(st.integers(1, 40), st.integers(1, 40)) | st.tuples(st.integers(1, 160),
                                                                                     st.integers(1, 12)),
-           st.sampled_from([0, 1, 8, 64, 255]), st.floats(-20.0, 300.0), st.floats(-20.0, 300.0),
-           st.floats(-0.1, 1.6))
+           st.sampled_from([0, 1, 8, 64, 255]), st.floats(0.0, 300.0, exclude_min=True),
+           st.floats(0.0, 300.0, exclude_min=True), st.floats(-0.1, 1.6))
     def test_verdicts_equal_the_reference_for_any_shape_and_thresholds(self, data, shape, amplitude, low, high,
                                                                          blur_fraction):
         pixels = data.draw(hnp.arrays(np.uint8, (*shape, 1), elements=st.integers(0, 255)))
         patch = (pixels.astype(np.int64) * amplitude // 255).astype(np.uint8)
-        config = PreprocessConfig(canny_low=low, canny_high=high, blur_fraction=blur_fraction)
-        assert_blur_verdicts_equal_the_reference(patch, [config])
+        setting = {"CANNY_LOW": low, "CANNY_HIGH": high, "BLUR_FRACTION": blur_fraction}
+        assert_blur_verdicts_equal_the_reference(patch, [setting])
 
     def test_bounds_decide_before_hysteresis(self, monkeypatch):
         def label(*args, **kwargs):
@@ -624,10 +613,10 @@ class TestBlurFilter:
 
         monkeypatch.setattr(ndimage, "label", label)
         ramp = np.repeat(np.clip(np.arange(256) * 10 - 1180, 0, 200).astype(np.uint8)[None, :, None], 256, axis=0)
-        assert is_blurry(np.full((256, 256, 3), 90, np.uint8)) is True  # no magnitude reaches canny_low
+        assert is_blurry(np.full((256, 256, 3), 90, np.uint8)) is True  # no magnitude reaches CANNY_LOW
         assert is_blurry(np.repeat(ramp, 3, axis=2)) is True  # a wide band reaches it, one line of it is kept
         assert is_blurry(checker_patch()) is False  # the strong pixels alone pass the cutoff
-        # a blurred tissue cell: its top rows reach canny_low too rarely, so the whole patch's upper bound decides
+        # a blurred tissue cell: its top rows reach CANNY_LOW too rarely, so the whole patch's upper bound decides
         assert is_blurry(stained_raster(1.0, ["blur"]).pixels) is True
         with pytest.raises(AssertionError, match="hysteresis ran"):
             canny_edges(checker_patch())
@@ -655,10 +644,10 @@ class TestBlurFilter:
         step = np.zeros((256, 256, 3), np.uint8)
         step[:, 128:] = 200
         fraction = canny_edges(step).mean()
-        at_cutoff = PreprocessConfig(blur_fraction=fraction)
-        below_cutoff = PreprocessConfig(blur_fraction=fraction + 1e-9)
-        assert is_blurry(step, at_cutoff) is False  # fraction == cutoff keeps
-        assert is_blurry(step, below_cutoff) is True
+        with constants(BLUR_FRACTION=fraction):
+            assert is_blurry(step) is False  # fraction == cutoff keeps
+        with constants(BLUR_FRACTION=fraction + 1e-9):
+            assert is_blurry(step) is True
 
 
 class TestStubFeatures:
@@ -732,9 +721,8 @@ class TestProjection:
         draws = []
         default_rng = np.random.default_rng
         monkeypatch.setattr(np.random, "default_rng", lambda seed: draws.append(seed) or default_rng(seed))
-        config = PreprocessConfig(d_feature=24)
-        first, _ = run_pipeline(img, tmp_path / "a.ccfb", 1, "b", "p", seed=9041, config=config)
-        second, _ = run_pipeline(img, tmp_path / "b.ccfb", 1, "b", "p", seed=9041, config=config)
+        first, _ = run_pipeline(img, tmp_path / "a.ccfb", 1, "b", "p", seed=9041, d_feature=24)
+        second, _ = run_pipeline(img, tmp_path / "b.ccfb", 1, "b", "p", seed=9041, d_feature=24)
         assert draws == [9041]
         np.testing.assert_array_equal(first.tokens, second.tokens)
 
@@ -743,8 +731,7 @@ class TestPipeline:
     def test_all_white_image_fails_with_full_qc(self, tmp_path):
         img = RasterImage(pixels=np.full((512, 512, 3), 255, np.uint8), microns_per_pixel=1.0)
         with pytest.raises(DataError):
-            run_pipeline(img, tmp_path / "bag.ccfb", 0, "b", "p", seed=0,
-                         config=PreprocessConfig(d_feature=32))
+            run_pipeline(img, tmp_path / "bag.ccfb", 0, "b", "p", seed=0, d_feature=32)
 
     def test_counts_consistent_and_subgrid(self, tmp_path):
         # 3 x 4 grid: two white patches, one flat (blurry) patch, rest textured
@@ -753,8 +740,7 @@ class TestPipeline:
         pixels[256:512, :256] = 250  # white
         pixels[512:768, :256] = 90  # constant: blurry
         img = RasterImage(pixels=pixels, microns_per_pixel=1.0)
-        bag, qc = run_pipeline(img, tmp_path / "bag.ccfb", 1, "b", "p", seed=1,
-                               config=PreprocessConfig(d_feature=16))
+        bag, qc = run_pipeline(img, tmp_path / "bag.ccfb", 1, "b", "p", seed=1, d_feature=16)
         assert qc.total == 12
         assert qc.white_rejected == 2
         assert qc.blur_rejected == 1
@@ -765,15 +751,15 @@ class TestPipeline:
     def test_rerun_byte_identical(self, tmp_path):
         img = tissue_image(512, 512, seed=10)
         p1, p2 = tmp_path / "a.ccfb", tmp_path / "b.ccfb"
-        run_pipeline(img, p1, 1, "b", "p", seed=2, config=PreprocessConfig(d_feature=16))
-        run_pipeline(img, p2, 1, "b", "p", seed=2, config=PreprocessConfig(d_feature=16))
+        run_pipeline(img, p1, 1, "b", "p", seed=2, d_feature=16)
+        run_pipeline(img, p2, 1, "b", "p", seed=2, d_feature=16)
         assert p1.read_bytes() == p2.read_bytes()
 
     @pytest.mark.parametrize("mpp", [0.5, 1.0])
     def test_bag_and_qc_equal_the_reference(self, tmp_path, monkeypatch, mpp):
         img = stained_raster(mpp, ["white", "sharp", "blur", "sharp", "white", "blur", "sharp"], seed=42)
         bag, qc = run_pipeline(img, tmp_path / "bag.ccfb", 1, "b", "p", seed=7)
-        want = reference_pipeline(img, tmp_path / "reference.ccfb", 7, PreprocessConfig(), monkeypatch)
+        want = reference_pipeline(img, tmp_path / "reference.ccfb", 7, monkeypatch)
         assert (qc.total, qc.white_rejected, qc.blur_rejected, qc.kept) == want == (7, 2, 2, 3)
         assert (tmp_path / "bag.ccfb").read_bytes() == (tmp_path / "reference.ccfb").read_bytes()
 
@@ -788,32 +774,20 @@ class TestPipeline:
 
         monkeypatch.setattr(preprocess, "grayscale", spy)
         img = stained_raster(1.0, ["white", "sharp", "blur"], seed=43)
-        _, qc = run_pipeline(img, tmp_path / "bag.ccfb", 1, "b", "p", config=PreprocessConfig(d_feature=8))
+        _, qc = run_pipeline(img, tmp_path / "bag.ccfb", 1, "b", "p", d_feature=8)
         assert (qc.white_rejected, qc.blur_rejected, qc.kept) == (1, 1, 1)
         assert len(lumas) == qc.total
 
-    @pytest.mark.parametrize("change, message", [
-        ({"patch_microns": float("nan")}, "patch_microns must be positive and finite, got nan"),
-        ({"patch_microns": 0.0}, "patch_microns must be positive and finite, got 0.0"),
-        ({"canny_sigma": 0.0}, "canny_sigma must be positive and finite, got 0.0"),
-        ({"canny_sigma": float("inf")}, "canny_sigma must be positive and finite, got inf"),
-        ({"white_threshold": float("nan")}, "white_threshold must be a number, got nan"),
-        ({"blur_fraction": float("nan")}, "blur_fraction must be a number, got nan"),
-        ({"canny_low": float("nan")}, "canny_low must be a number, got nan"),
-        ({"canny_high": float("nan")}, "canny_high must be a number, got nan"),
-        ({"d_feature": 0}, "d_feature must be >= 1, got 0"),
-        ({"d_feature": -5}, "d_feature must be >= 1, got -5"),
-        ({"white_threshold": float("inf")}, "white_threshold must be finite, got inf"),
-        ({"white_threshold": -float("inf")}, "white_threshold must be finite, got -inf"),
-        ({"blur_fraction": float("inf")}, "blur_fraction must be finite, got inf"),
-        ({"canny_low": -float("inf")}, "canny_low must be finite, got -inf"),
-        ({"canny_high": float("inf")}, "canny_high must be finite, got inf"),
-    ])
-    def test_bad_config_rejected_before_any_work(self, tmp_path, change, message):
-        assert PreprocessConfig().validate() == PreprocessConfig()
+    @pytest.mark.parametrize("d_feature", [0, -5])
+    def test_bad_width_rejected_before_any_patch_is_cut(self, tmp_path, monkeypatch, d_feature):
+        # 0 would write a zero-width bag, and a negative width fail inside numpy
+        def cut(*args):
+            raise AssertionError("tessellate called")
+
+        monkeypatch.setattr(preprocess, "tessellate", cut)
         with pytest.raises(ConfigError) as err:
-            run_pipeline(tissue_image(256, 256), tmp_path / "bag.ccfb", 1, "b", "p", config=PreprocessConfig(**change))
-        assert str(err.value) == message
+            run_pipeline(tissue_image(256, 256), tmp_path / "bag.ccfb", 1, "b", "p", d_feature=d_feature)
+        assert str(err.value) == f"d_feature must be >= 1, got {d_feature}"
         assert not (tmp_path / "bag.ccfb").exists()
 
     @pytest.mark.parametrize("label, bag_id, patient_id, message", [
@@ -904,10 +878,10 @@ class TestThreads:
         calls = itertools.count()
         blurry = preprocess.is_blurry
 
-        def failing(pixels, config=None):
+        def failing(pixels):
             if next(calls) == 2:
                 raise DataError("this patch cannot be filtered")
-            return blurry(pixels, config)
+            return blurry(pixels)
 
         monkeypatch.setattr(preprocess, "is_blurry", failing)
         with pytest.raises(DataError, match="^this patch cannot be filtered$"):

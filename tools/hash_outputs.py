@@ -21,10 +21,7 @@ microns per pixel, then at 0.25 and 1/3 (the other whole resize factors,
 and CCFB bytes of ``run_pipeline`` (at 0.5 also with 300 features, which
 end in a partial 128-column projection slab, and on a single-channel copy of
 the raster's rounded luma, as a P5 file holds it), the Canny mask of each patch, and the
-``is_blurry`` verdict of each non-white patch under the default config and
-four the pipeline's defaults never reach (``canny_low`` above
-``canny_high``, ``canny_low`` 0, ``canny_high`` 0, and a cutoff of 0.15,
-which sharp patches reach only after many slabs). And
+``is_blurry`` verdict of each non-white patch. And
 it hashes a short seeded TOY ``training.train`` (3 epochs in windows of
 8 bags on synthetic witness bags), which runs AdamW, the window mean and
 the best-epoch snapshot and restore: its history, the returned best
@@ -36,8 +33,9 @@ every gradient of one seeded bag, and the ``values`` that
 checkpoint files' bytes have lines of their own, ``train_ckpt`` and
 ``kinds_ckpt``, so checkouts that write another checkpoint format still
 compare on every other line. These runs use only names every checkout
-has, and set only config fields every checkout has, so the tool can hash
-an older checkout for comparison.
+has, and set only config fields every checkout has (a checkout with a
+``PreprocessConfig`` takes the 300-feature width through it), so the
+tool can hash an older checkout for comparison.
 
     PYTHONPATH=src python tools/hash_outputs.py --config ref --n 3091
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tools/hash_outputs.py --config toy
@@ -64,17 +62,14 @@ from scipy import ndimage
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
 
 from ccan import autograd as ag  # noqa: E402
+from ccan import preprocess  # noqa: E402
 from ccan.data import FeatureBag, generate_synthetic, patient_grouped_kfold  # noqa: E402
 from ccan.explain import explain_bag  # noqa: E402
 from ccan.model import MODEL_KINDS, CCANConfig, CCANModel, load_checkpoint, make_model, save_checkpoint  # noqa: E402
 from ccan.preprocess import (  # noqa: E402
-    PreprocessConfig, RasterImage, canny_edges, grayscale, is_blurry, is_white, run_pipeline, tessellate)
+    RasterImage, canny_edges, grayscale, is_blurry, is_white, run_pipeline, tessellate)
 from ccan.training import TrainConfig, bag_loss, train  # noqa: E402
 
-# the blur verdict under the default thresholds, at each edge (low above high, every pixel weak, every pixel strong)
-# and at a cutoff that sharp patches reach only after many slabs
-BLUR_CONFIGS = (PreprocessConfig(), PreprocessConfig(canny_low=120.0, canny_high=60.0),
-                PreprocessConfig(canny_low=0.0), PreprocessConfig(canny_high=0.0), PreprocessConfig(blur_fraction=0.15))
 TOY = dict(n_stages=2, n_latents=16, compression=2, d_latent=32, d_feature=64, self_layers=1, n_frequencies=2)
 
 
@@ -130,8 +125,10 @@ def report_preprocess(seed):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "bag.ccfb")
 
-        def pipeline(name, image, config=None):
-            _, qc = run_pipeline(image, path, 1, "bag", "patient", seed=seed, config=config)
+        def pipeline(name, image, **width):
+            if width and hasattr(preprocess, "PreprocessConfig"):  # a checkout whose width is a config field
+                width = {"config": preprocess.PreprocessConfig(**width)}
+            _, qc = run_pipeline(image, path, 1, "bag", "patient", seed=seed, **width)
             print(f"{f'qc_{name}':14s} {qc.total:4d} total, {qc.white_rejected} white, {qc.blur_rejected} blurry, "
                   f"{qc.kept} kept")
             with open(path, "rb") as fh:
@@ -141,13 +138,13 @@ def report_preprocess(seed):
             image = stained_raster(mpp, seed)
             pipeline(f"{name}um", image)
             if name == "0.5":
-                pipeline("0.5um_300", image, PreprocessConfig(d_feature=300))
+                pipeline("0.5um_300", image, d_feature=300)
                 luma = np.rint(grayscale(image.pixels)).astype(np.uint8)  # the raster as a P5 file would hold it
                 pipeline("0.5um_p5", RasterImage(pixels=luma, microns_per_pixel=mpp))
             patches = tessellate(image)
             report(f"canny_{name}um", [canny_edges(p.pixels) for p in patches])
             tissue = [p.pixels for p in patches if not is_white(p.pixels)]
-            report(f"blur_{name}um", [np.array([is_blurry(p, c) for p in tissue]) for c in BLUR_CONFIGS])
+            report(f"blur_{name}um", [np.array([is_blurry(p) for p in tissue])])
 
 
 def report_train(seed):
