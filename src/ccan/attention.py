@@ -15,8 +15,8 @@ of ``autograd`` that its graph ops also call, and its hand-written
 backward reads only what the node keeps: the first layer norm's row means
 and ``inv`` (its ``xhat`` is remade from these and the block input), the
 second's ``xhat`` and ``inv`` (both outputs are remade from ``xhat``), Q,
-K, V, the softmax, the attention output, the GELU output and GELU's
-float64 derivative.
+K, V, the softmax, the attention output and the MLP pre-activation, from
+which the backward remakes the GELU output and its float64 derivative.
 Every operation runs in the order of the graph of separate linear,
 layer-norm, attention, GELU and add nodes, and each gradient is added
 into a shared input in the order that graph's tape adds it (a self
@@ -179,15 +179,18 @@ def _block(x, context, params):
     h2, xhat2, inv2, _ = ag._layer_norm(x1, p.ln2_gamma.data, p.ln2_beta.data)
     a = ag._linear(h2, p.w_m1.data, p.b_m1.data)
     del h2
-    gl, dydx = ag._gelu(a, keep)
-    del a
+    gl = ag._gelu(a, False)[0]
+    a = a if keep else None  # held for the backward only
     out = ag._linear(gl, p.w_m2.data, p.b_m2.data)
     np.add(x1, out, out=out)  # the residual x1 + MLP
-    del x1
+    del x1, gl
 
     def backward(g):
+        gl, dydx = ag._gelu(a, True)  # the node keeps only the pre-activation
         g_gl = ag._linear_backward(g, gl, p.w_m2, p.b_m2)
+        del gl
         g_a = ag._gelu_backward(g_gl, dydx)
+        del g_gl, dydx
         h2 = ag._layer_norm_affine(xhat2, p.ln2_gamma.data, p.ln2_beta.data)
         g_h2 = ag._linear_backward(g_a, h2, p.w_m1, p.b_m1)
         g_x1 = ag._layer_norm_backward(g_h2, xhat2, inv2, p.ln2_gamma, p.ln2_beta)

@@ -14,11 +14,11 @@ Each attention block of the model is one graph node too, built in
 ``linear`` and ``gelu`` call the same kernels, so each piece of
 arithmetic exists once. ``_attention`` runs ``softmax(q @ k.T / scale)
 @ v`` as plain 2-D products, scaling and normalizing in place a block of
-rows at a time; the GELU kernels run a block of elements at a time and
-keep the float64 derivative instead of the input. The graph ops the
-blocks were built from before, ``layer_norm`` and ``attention``, live in
-``tests/`` as the oracles the kernels and the block nodes are compared
-with bit for bit.
+rows at a time; the GELU kernels run a block of elements at a time, and
+a GELU node keeps only its input, from which its backward remakes the
+float64 derivative. The graph ops the blocks were built from before,
+``layer_norm`` and ``attention``, live in ``tests/`` as the oracles the
+kernels and the block nodes are compared with bit for bit.
 
 Gradient buffers are owned, not zero-filled: a backward closure that
 computes a fresh array (``g @ W.T``, ``X.T @ g``, ``g.sum(0)``, an
@@ -239,7 +239,10 @@ def _gelu(d, derivative):
     Phi(x) and x * Phi(x) are evaluated in float64 whatever the input
     dtype, and rounded once into a ``y`` of the input's dtype. The
     derivative Phi(x) + x * phi(x) is float64, with exp(-x^2 / 2) taken in
-    the input dtype. Both run a block of elements at a time.
+    the input dtype. Both run a block of elements at a time. erf is taken
+    of |x / sqrt(2)| and given x's sign back: scipy's erf computes
+    erf(-z) as -erf(z), so the bits are its own, without its per-element
+    sign branch.
     """
     y = np.empty(d.shape, dtype=d.dtype)
     dydx = np.empty(d.shape, dtype=np.float64) if derivative else None
@@ -248,7 +251,9 @@ def _gelu(d, derivative):
     for lo in range(0, flat.size, step):
         x = flat[lo : lo + step]
         cdf = np.multiply(x, _INV_SQRT2, dtype=np.float64)
+        np.abs(cdf, out=cdf)
         erf(cdf, out=cdf)
+        np.copysign(cdf, x, out=cdf)
         cdf += 1.0
         cdf *= 0.5
         np.multiply(x, cdf, out=flat_y[lo : lo + step], dtype=np.float64, casting="same_kind")
@@ -367,12 +372,11 @@ def linear(x, w, b):
 
 
 def gelu(x):
-    """Exact (erf-based) Gaussian error linear unit; ``_gelu`` gives its precision."""
-    y, dydx = _gelu(x.data, _recording((x,)))
-    out = Tensor(y)
+    """Exact (erf-based) Gaussian error linear unit; ``_gelu`` gives its precision. The node keeps only ``x``."""
+    out = Tensor(_gelu(x.data, False)[0])
 
     def backward(g):
-        _accum(x, _gelu_backward(g, dydx), owned=True)
+        _accum(x, _gelu_backward(g, _gelu(x.data, True)[1]), owned=True)
 
     return _make_node(out, (x,), backward)
 

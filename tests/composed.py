@@ -16,7 +16,9 @@ gives a test a block of its own tensors, outside any model's ``values``.
 a stage (as ``record_every_block`` collects them), which
 ``explain.rollout_stage`` reduced to one row product, and
 ``sigmoid_values`` the expression ``ag.sigmoid`` evaluated before it
-took ``exp`` once.
+took ``exp`` once. ``gelu_values`` is the whole-array scipy expression
+``ag._gelu`` and ``ag._gelu_backward`` compute a block at a time, with
+erf taken of the signed argument.
 
 ``grad_check`` is the finite-difference oracle every analytic gradient is
 checked with, and ``GradReport`` its outcome. It uses the five-point
@@ -33,6 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from hypothesis import strategies as st
+from scipy.special import erf
 
 from ccan import autograd as ag
 from ccan.attention import BlockParams, fill_param
@@ -313,6 +316,15 @@ def chain_rollout(records):
 def sigmoid_values(d):
     """The logistic of ``d`` as ``ag.sigmoid`` computed it with three ``exp`` calls."""
     return np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))), np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
+
+
+def gelu_values(d, g):
+    """GELU's y, float64 dydx and dL/dx for the upstream gradient ``g``, as whole-array expressions."""
+    cdf = 0.5 * (1.0 + erf(np.multiply(d, 1.0 / np.sqrt(2.0), dtype=np.float64)))
+    e = np.exp(np.multiply(d, -0.5, dtype=d.dtype) * d)
+    dydx = np.multiply(e, 1.0 / np.sqrt(2.0 * np.pi), dtype=np.float64) * d + cdf
+    y = np.multiply(d, cdf, dtype=np.float64).astype(d.dtype)
+    return y, dydx, np.multiply(dydx, g, dtype=np.float64).astype(g.dtype)
 
 
 @dataclass

@@ -9,7 +9,14 @@ from scipy.special import erf
 from ccan import autograd as ag
 from ccan.autograd import Tensor
 from ccan.errors import ShapeError, UsageError
-from composed import attention, clip, composed_bce, grad_check, layer_norm, mul, scale, sum_all
+from composed import attention, clip, composed_bce, gelu_values, grad_check, layer_norm, mul, scale, sum_all
+
+
+def assert_same_bits(got, want):
+    """Equal bit for bit where ``want`` is a number, and NaN exactly where it is NaN."""
+    nan = np.isnan(want)
+    assert got.dtype == want.dtype and np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
 def t64(data, requires_grad=False):
@@ -136,14 +143,57 @@ class TestGelu:
         rng = np.random.default_rng(8)
         d, g = (rng.normal(scale=3.0, size=(41, 2000)).astype(dtype) for _ in range(2))
         y, dydx = ag._gelu(d, True)
-        cdf = 0.5 * (1.0 + erf(np.multiply(d, 1.0 / np.sqrt(2.0), dtype=np.float64)))
-        e = np.exp(np.multiply(d, -0.5, dtype=dtype) * d)
-        want_dydx = np.multiply(e, 1.0 / np.sqrt(2.0 * np.pi), dtype=np.float64) * d + cdf
-        want_gx = np.multiply(want_dydx, g, dtype=np.float64).astype(dtype)
-        assert y.tobytes() == np.multiply(d, cdf, dtype=np.float64).astype(dtype).tobytes()
-        assert dydx.tobytes() == want_dydx.tobytes()
-        assert ag._gelu_backward(g, dydx).tobytes() == want_gx.tobytes()
+        want = gelu_values(d, g)
+        assert y.tobytes() == want[0].tobytes()
+        assert dydx.tobytes() == want[1].tobytes()
+        assert ag._gelu_backward(g, dydx).tobytes() == want[2].tobytes()
         assert ag._gelu(d, False)[1] is None  # no derivative without a backward to read it
+
+    def test_erf_is_bitwise_odd(self):
+        # the kernels take erf of |z| and restore z's sign; that keeps scipy's bits only while its erf(-z) is
+        # -erf(z) exactly, so a scipy that computes negative arguments another way fails here
+        one, tiny = np.float64(1.0), np.finfo(np.float64).tiny
+        edges = [0.0, 5e-324, tiny / 2, tiny, np.nextafter(one, 0), one, np.nextafter(one, 2), 6.0, 27.0, np.inf]
+        rng = np.random.default_rng(12)
+        sample = np.ldexp(rng.uniform(1.0, 2.0, 1 << 20), rng.integers(-1080, 12, 1 << 20))
+        z = np.concatenate([edges, sample, rng.normal(scale=3.0, size=1 << 20)])
+        z = np.concatenate([z, -z, [np.nan]])
+        assert_same_bits(np.copysign(erf(np.abs(z)), z), erf(z))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_kernels_bitwise_equal_to_scipy_over_the_range(self, dtype):
+        # float32: every 1,009th bit pattern, NaNs and infinities among them; float64: a seeded sample of
+        # magnitudes from subnormal to overflow, both signs
+        rng = np.random.default_rng(13)
+        if dtype == np.float32:
+            d = np.arange(0, 1 << 32, 1009, dtype=np.uint64).astype(np.uint32).view(np.float32)
+        else:
+            d = np.ldexp(rng.uniform(-2.0, 2.0, 1 << 20), rng.integers(-1075, 1024, 1 << 20))
+        d = np.concatenate([d, np.array([0.0, -0.0, np.inf, -np.inf, np.nan], dtype=dtype)])
+        g = rng.normal(size=d.size).astype(dtype)
+        for lo in range(0, d.size, 1 << 20):
+            db, gb = d[lo : lo + (1 << 20)], g[lo : lo + (1 << 20)]
+            with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 and overflowing squares, on both sides
+                y, dydx = ag._gelu(db, True)
+                got, want = (y, dydx, ag._gelu_backward(gb, dydx)), gelu_values(db, gb)
+            for a, b in zip(got, want, strict=True):
+                assert_same_bits(a, b)
+
+    def test_recording_node_keeps_only_its_input(self):
+        # the backward remakes the float64 derivative from the input, which the graph holds anyway
+        x = Tensor(np.random.default_rng(14).normal(size=(64, 1024)).astype(np.float32), requires_grad=True)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            y = ag.gelu(x)
+            retained = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert y.requires_grad and retained < y.data.nbytes + (16 << 10), retained
+        kept = [c.cell_contents for c in y._backward.__closure__]
+        assert not any(isinstance(v, np.ndarray) and v.dtype == np.float64 for v in kept)
+        ag.backward(sum_all(y))
+        assert x.grad.tobytes() == gelu_values(x.data, np.ones_like(x.data))[2].tobytes()
 
     def test_zero(self):
         assert ag.gelu(t64([0.0])).data[0] == 0.0

@@ -9,7 +9,10 @@ under ``workloads``. ``scaling`` holds the rows and time fit of
 ``bench_scaling(CCANConfig(), [3091, 20000, 50000], include_baseline=False)``, run in this process after the
 workloads; a row's ``peak_bytes`` is the traced peak of one eval forward. ``tier1_s`` is the tier-1 wall time in
 seconds, measured by hand and entered with ``--tier1-s`` (null without it). ``toy_nodes_per_loss`` counts the
-graph nodes reachable from one seeded TOY training loss. ``blas_core`` names the kernels OpenBLAS selected at run
+graph nodes reachable from one seeded TOY training loss. ``ref_bag_mib`` is the traced memory of one seeded
+``CCANConfig()`` training bag (N=3,091, 309 tokens kept, the gradient array preset as ``train`` presets it), in MiB
+above what was allocated before its forward: ``graph`` when the forward ends and ``backward_peak`` the peak of the
+backward pass. ``blas_core`` names the kernels OpenBLAS selected at run
 time (its ``DYNAMIC_ARCH`` build picks them for the CPU), which ``numpy.show_config()`` does not show. Neither
 ``src/`` nor ``perfbench/`` is changed; the result files are made by perfbench itself.
 
@@ -79,6 +82,31 @@ def toy_nodes_per_loss():
     return sum(ops.values())
 
 
+def ref_bag_mib():
+    """The traced graph at the forward's end and the backward's peak of one reference training bag, in MiB."""
+    import tracemalloc
+
+    from ccan import autograd as ag
+    from ccan.bench import make_bench_bag
+    from ccan.model import CCANConfig, CCANModel
+    from ccan.training import bag_loss
+
+    cfg = CCANConfig()
+    model, bag = CCANModel(cfg), make_bench_bag(3091, cfg.d_feature, seed=0)
+    model.zeroed_grads()  # each parameter's grad a view of one zeroed array, as in ``train``
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        loss = bag_loss(model.forward(bag, rng=np.random.default_rng(0), train_mode=True), bag.label, 2)
+        graph = tracemalloc.get_traced_memory()[0] - start
+        tracemalloc.reset_peak()
+        ag.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    return {"graph": round(graph / 2**20, 1), "backward_peak": round(peak / 2**20, 1)}
+
+
 def blas_core():
     """The OpenBLAS core name, read from numpy's bundled library as perfbench reads its thread count; None if absent."""
     for lib in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")):
@@ -94,7 +122,8 @@ def blas_core():
 def record(tag, seed, tier1_s):
     out = {"tag": tag, "seed": seed, "tier1_s": tier1_s,
            "workloads": {name: run_workload(name, seed) for name in workload_names()},
-           "scaling": scaling(), "toy_nodes_per_loss": toy_nodes_per_loss(), "blas_core": blas_core()}
+           "scaling": scaling(), "toy_nodes_per_loss": toy_nodes_per_loss(), "ref_bag_mib": ref_bag_mib(),
+           "blas_core": blas_core()}
     path = os.path.join(ROOT, f"BENCH_{tag}.json")
     with open(path, "w") as fh:
         json.dump(out, fh, indent=1)
